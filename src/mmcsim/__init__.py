@@ -41,7 +41,6 @@ from .scenario import (
     fast_config,
     fast_schedule,
     grid_voltage,
-    nsw_at,
     paper_config,
     paper_schedule,
     reference_current,

@@ -4,15 +4,16 @@ manifest."""
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
+from . import __version__
 from .core import SimulationDiverged, SystemParams
 from .metrics import SegmentMetrics, reduction_percent, segment_report
 from .scenario import (
@@ -22,6 +23,7 @@ from .scenario import (
     PhaseTrace,
     ScenarioConfig,
     SimTrace,
+    _fit_schedule,
     config_from_dict,
     config_to_dict,
     fast_config,
@@ -30,8 +32,7 @@ from .scenario import (
 )
 from .modulation import ALGORITHMS
 
-__version__ = "0.1.0"
-
+_PROFILES = {"paper": paper_config, "fast": fast_config}
 _SETTLE = {"paper": 0.02, "fast": 0.01}
 
 
@@ -39,18 +40,12 @@ class ConfigError(ValueError):
     """Invalid or malformed scenario configuration."""
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse(kind: type, key: str, raw: str) -> Any:
+    """``raw`` converted to ``kind`` (int, float or str)."""
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
 
 
 def _parse_schedule(key: str, raw: str) -> NswSchedule:
@@ -65,56 +60,44 @@ def _parse_schedule(key: str, raw: str) -> NswSchedule:
                 f"{key}: segment {chunk!r} must be start:end:n_sw_max"
             )
         segments.append(
-            (_parse_float(key, parts[0]), _parse_float(key, parts[1]),
-             _parse_int(key, parts[2]))
+            (_parse(float, key, parts[0]), _parse(float, key, parts[1]),
+             _parse(int, key, parts[2]))
         )
     if not segments:
         raise ConfigError(f"{key}: no segments given")
     return NswSchedule(segments=tuple(segments))
 
 
-_PARAM_KEYS = {
-    "params.n": ("n", _parse_int),
-    "params.v_dc": ("v_dc", _parse_float),
-    "params.c_sm": ("c_sm", _parse_float),
-    "params.l_arm": ("l_arm", _parse_float),
-    "params.r_grid": ("r_grid", _parse_float),
-    "params.l_grid": ("l_grid", _parse_float),
-    "params.t_s": ("t_s", _parse_float),
-    "params.f_grid": ("f_grid", _parse_float),
-    "params.w_track": ("w_track", _parse_float),
-    "params.w_circ": ("w_circ", _parse_float),
-}
+def _file_key(name: str) -> str:
+    return f"line.{name[5:]}" if name.startswith("line_") else f"scenario.{name}"
 
-_SCENARIO_KEYS = {
-    "scenario.duration": ("duration", _parse_float),
-    "scenario.warmup": ("warmup", _parse_float),
-    "scenario.p_ref": ("p_ref", _parse_float),
-    "scenario.v_s_peak": ("v_s_peak", _parse_float),
-    "scenario.algorithm": ("algorithm", str),
-    "scenario.dc_model": ("dc_model", str),
-    "line.length_km": ("line_length_km", _parse_float),
-    "line.c_per_km": ("line_c_per_km", _parse_float),
-    "line.l_per_km": ("line_l_per_km", _parse_float),
+
+# config-file key -> (is a SystemParams field, dataclass field); the
+# ScenarioConfig fields built by a factory (params, nsw_schedule) have
+# their own keys
+_KEYS = {
+    **{f"params.{f.name}": (True, f) for f in fields(SystemParams)},
+    **{_file_key(f.name): (False, f) for f in fields(ScenarioConfig) if f.default is not MISSING},
 }
 
 
-def _fit_schedule(schedule: NswSchedule, duration: float) -> NswSchedule:
-    """Clip a default schedule to a shorter run, or stretch its last
-    segment over a longer one.  Only applied to schedules the user did
-    not write out explicitly."""
-    segments = []
-    for start, end, n_max in schedule.segments:
-        if start >= duration:
-            break
-        segments.append((start, min(end, duration), n_max))
-    if not segments:
-        start0, _, n0 = schedule.segments[0]
-        segments.append((start0, duration, n0))
-    last = segments[-1]
-    if last[1] < duration:
-        segments[-1] = (last[0], duration, last[2])
-    return NswSchedule(segments=tuple(segments))
+def _override(base: ScenarioConfig, overrides: dict[str, Any]) -> ScenarioConfig:
+    """``base`` with the given ScenarioConfig fields replaced.
+
+    A new ``duration`` fits the schedule in force and clips the warm-up to
+    it, unless the same overrides set ``nsw_schedule`` or ``warmup``.
+    """
+    if "duration" in overrides:
+        duration = overrides["duration"]
+        overrides = {
+            "nsw_schedule": _fit_schedule(base.nsw_schedule, duration),
+            "warmup": min(base.warmup, duration),
+            **overrides,
+        }
+    try:
+        return replace(base, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_config(path: str | Path, profile: str = "paper") -> ScenarioConfig:
@@ -128,61 +111,49 @@ def parse_config(path: str | Path, profile: str = "paper") -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if profile not in _PROFILES:
+        raise ConfigError(f"unknown profile {profile!r}, expected one of {tuple(_PROFILES)}")
 
-    raw: dict[str, str] = {}
+    base = _PROFILES[profile]()
+    params_kw: dict[str, Any] = {}
+    overrides: dict[str, Any] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        raw[key.strip()] = value.strip()
-
-    base = paper_config() if profile == "paper" else fast_config()
-    params_kw: dict[str, Any] = {}
-    scenario_kw: dict[str, Any] = {}
-    schedule = None
-    for key, value in raw.items():
-        if key in _PARAM_KEYS:
-            field_name, conv = _PARAM_KEYS[key]
-            params_kw[field_name] = conv(key, value) if conv is not str else value
-        elif key in _SCENARIO_KEYS:
-            field_name, conv = _SCENARIO_KEYS[key]
-            scenario_kw[field_name] = conv(key, value) if conv is not str else value
-        elif key == "schedule.segments":
-            schedule = _parse_schedule(key, value)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "schedule.segments":
+            overrides["nsw_schedule"] = _parse_schedule(key, value)
+        elif key in _KEYS:
+            is_param, f = _KEYS[key]
+            target = params_kw if is_param else overrides
+            # under postponed annotations f.type is a string: use the default's type
+            target[f.name] = _parse(type(f.default), key, value)
         else:
             raise ConfigError(f"unknown config key {key!r}")
 
-    try:
-        params = SystemParams(**{**config_to_dict(base)["params"], **params_kw})
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from None
-
-    duration = scenario_kw.get("duration", base.duration)
-    if schedule is None:
-        schedule = _fit_schedule(base.nsw_schedule, duration)
-    try:
-        return ScenarioConfig(
-            params=params,
-            duration=duration,
-            warmup=scenario_kw.get("warmup", base.warmup),
-            p_ref=scenario_kw.get("p_ref", base.p_ref),
-            v_s_peak=scenario_kw.get("v_s_peak", base.v_s_peak),
-            algorithm=scenario_kw.get("algorithm", base.algorithm),
-            nsw_schedule=schedule,
-            dc_model=scenario_kw.get("dc_model", base.dc_model),
-            line_length_km=scenario_kw.get("line_length_km", base.line_length_km),
-            line_c_per_km=scenario_kw.get("line_c_per_km", base.line_c_per_km),
-            line_l_per_km=scenario_kw.get("line_l_per_km", base.line_l_per_km),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if params_kw:
+        try:
+            overrides["params"] = replace(base.params, **params_kw)
+        except ValueError as exc:
+            raise ConfigError(f"params: {exc}") from None
+    return _override(base, overrides)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+def _write_columns(
+    path: Path, header: Sequence[str], columns: Sequence[Any], fmt: str
+) -> int:
+    """Write equal-length columns side by side as CSV with ``\\r\\n`` line
+    ends, as ``csv.writer`` does.  A 2-D array adds one column per array
+    column; ``fmt`` is the %-format of one row.  Returns the row count."""
+    rows = np.column_stack(columns).tolist()
+    fmt += "\r\n"
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(fmt % tuple(row) for row in rows)
+    return len(rows)
 
 
 def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
@@ -195,23 +166,9 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
         + [f"vC_{k + 1}" for k in range(n2)]
         + [f"u_{k + 1}" for k in range(n2)]
     )
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(trace.steps):
-            row = [
-                _fmt(trace.t[k]),
-                phase,
-                _fmt(tr.i_ref[k]),
-                _fmt(tr.i_ac[k]),
-                _fmt(tr.i_circ[k]),
-                _fmt(tr.v_grid[k]),
-                str(int(trace.n_sw_max[k])),
-            ]
-            row += [_fmt(v) for v in tr.v_c[k]]
-            row += [str(int(u)) for u in tr.u[k]]
-            writer.writerow(row)
-    return trace.steps
+    columns = [trace.t, tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid, trace.n_sw_max, tr.v_c, tr.u]
+    fmt = ",".join(["%.9g", phase] + ["%.9g"] * 4 + ["%d"] + ["%.9g"] * n2 + ["%d"] * n2)
+    return _write_columns(path, header, columns, fmt)
 
 
 def load_run(out_dir: str | Path) -> SimTrace:
@@ -226,34 +183,32 @@ def load_run(out_dir: str | Path) -> SimTrace:
     manifest = json.loads((out_dir / "run_manifest.json").read_text())
     config = config_from_dict(manifest["config"])
     steps = config.steps
-    n2 = 2 * config.params.n
+    n = config.params.n
+    n2 = 2 * n
 
     t = np.arange(1, steps + 1, dtype=float) * config.params.t_s
     nsw = np.zeros(steps, dtype=np.int16)
     phases = {}
     for ph in PHASES:
-        rows = list(csv.reader((out_dir / f"phase_{ph}.csv").open()))
-        body = rows[1:]
+        # columns after t and phase: i_ref, i, i_z, v_s, nsw_max, vC..., u...
+        body = np.loadtxt(
+            out_dir / f"phase_{ph}.csv", delimiter=",", skiprows=1,
+            usecols=range(2, 7 + 2 * n2), ndmin=2,
+        )
         if len(body) != steps:
             raise ConfigError(
                 f"phase_{ph}.csv has {len(body)} rows, config expects {steps}"
             )
-        i_ref = np.array([float(r[2]) for r in body])
-        i_ac = np.array([float(r[3]) for r in body])
-        i_circ = np.array([float(r[4]) for r in body])
-        v_grid = np.array([float(r[5]) for r in body])
-        nsw = np.array([int(r[6]) for r in body], dtype=np.int16)
-        v_c = np.array([[float(x) for x in r[7 : 7 + n2]] for r in body])
-        u = np.array([[int(x) for x in r[7 + n2 :]] for r in body], dtype=np.int8)
+        nsw = body[:, 4].astype(np.int16)
+        u = body[:, 5 + n2 :].astype(np.int8)
         prev = np.vstack([np.zeros((1, n2), dtype=np.int8), u[:-1]])
         flips = (u != prev).astype(np.int16)
-        n = config.params.n
         phases[ph] = PhaseTrace(
-            i_ac=i_ac,
-            i_ref=i_ref,
-            i_circ=i_circ,
-            v_grid=v_grid,
-            v_c=v_c,
+            i_ac=body[:, 1],
+            i_ref=body[:, 0],
+            i_circ=body[:, 2],
+            v_grid=body[:, 3],
+            v_c=body[:, 5 : 5 + n2],
             u=u,
             switches_upper=flips[:, :n].sum(axis=1).astype(np.int16),
             switches_lower=flips[:, n:].sum(axis=1).astype(np.int16),
@@ -268,50 +223,39 @@ def load_run(out_dir: str | Path) -> SimTrace:
 
 
 def _write_fig_files(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics]) -> dict[str, int]:
-    files: dict[str, int] = {}
-    reductions = reduction_percent(report)
     n2 = 2 * trace.config.params.n
-
-    path = out_dir / "fig4_switching_frequency.csv"
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["segment", "t_start", "t_end", "nsw_max", "f_s_mean_hz", "reduction_pct"]
-            + [f"f_s_sm_{k + 1}_hz" for k in range(n2)]
-        )
-        for seg, red in zip(report, reductions):
-            w.writerow(
-                [seg.index, _fmt(seg.t_start), _fmt(seg.t_end), seg.n_sw_max,
-                 _fmt(seg.f_s_mean("a")), _fmt(red)]
-                + [_fmt(v) for v in seg.f_s_per_sm[0]]
-            )
-    files[path.name] = len(report)
-
     tr = trace.phase("a")
-    path = out_dir / "fig5_capacitor_voltages.csv"
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"vC_{k + 1}" for k in range(n2)])
-        for k in range(trace.steps):
-            w.writerow([_fmt(trace.t[k])] + [_fmt(v) for v in tr.v_c[k]])
-    files[path.name] = trace.steps
-
-    path = out_dir / "fig6_ac_tracking.csv"
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "i_ref", "i"])
-        for k in range(trace.steps):
-            w.writerow([_fmt(trace.t[k]), _fmt(tr.i_ref[k]), _fmt(tr.i_ac[k])])
-    files[path.name] = trace.steps
-
-    path = out_dir / "fig7_circulating_current.csv"
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "i_z"])
-        for k in range(trace.steps):
-            w.writerow([_fmt(trace.t[k]), _fmt(tr.i_circ[k])])
-    files[path.name] = trace.steps
-    return files
+    tables = {
+        "fig4_switching_frequency.csv": (
+            ["segment", "t_start", "t_end", "nsw_max", "f_s_mean_hz", "reduction_pct"]
+            + [f"f_s_sm_{k + 1}_hz" for k in range(n2)],
+            [
+                [seg.index for seg in report],
+                [seg.t_start for seg in report],
+                [seg.t_end for seg in report],
+                [seg.n_sw_max for seg in report],
+                [seg.f_s_mean("a") for seg in report],
+                reduction_percent(report),
+                np.array([seg.f_s_per_sm[0] for seg in report]),
+            ],
+            ",".join(["%d", "%.9g", "%.9g", "%d"] + ["%.9g"] * (2 + n2)),
+        ),
+        "fig5_capacitor_voltages.csv": (
+            ["t"] + [f"vC_{k + 1}" for k in range(n2)],
+            [trace.t, tr.v_c],
+            ",".join(["%.9g"] * (1 + n2)),
+        ),
+        "fig6_ac_tracking.csv": (
+            ["t", "i_ref", "i"], [trace.t, tr.i_ref, tr.i_ac], "%.9g,%.9g,%.9g"
+        ),
+        "fig7_circulating_current.csv": (
+            ["t", "i_z"], [trace.t, tr.i_circ], "%.9g,%.9g"
+        ),
+    }
+    return {
+        name: _write_columns(out_dir / name, header, columns, fmt)
+        for name, (header, columns, fmt) in tables.items()
+    }
 
 
 def format_summary(report: list[SegmentMetrics]) -> str:
@@ -377,27 +321,11 @@ def run_command(args: argparse.Namespace) -> int:
 def build_config(args: argparse.Namespace) -> ScenarioConfig:
     """Profile defaults, overridden by the config file, then by flags."""
     if args.config:
-        config = parse_config(args.config, profile=args.profile)
+        base = parse_config(args.config, profile=args.profile)
     else:
-        config = paper_config() if args.profile == "paper" else fast_config()
-
-    overrides: dict[str, Any] = {}
-    if args.algorithm:
-        overrides["algorithm"] = args.algorithm
-    if args.dc_model:
-        overrides["dc_model"] = args.dc_model
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-        overrides["nsw_schedule"] = _fit_schedule(config.nsw_schedule, args.duration)
-        overrides["warmup"] = min(config.warmup, args.duration)
-    if not overrides:
-        return config
-    from dataclasses import replace
-
-    try:
-        return replace(config, **overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        base = _PROFILES[args.profile]()
+    flags = {"algorithm": args.algorithm, "dc_model": args.dc_model, "duration": args.duration}
+    return _override(base, {k: v for k, v in flags.items() if v is not None})
 
 
 def main(argv: Sequence[str] | None = None) -> int:

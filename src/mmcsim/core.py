@@ -153,10 +153,17 @@ def predict_ac_current(
 
     ``v_grid`` is the caller's estimate of the grid voltage over the
     coming step; the controller passes the latest measured sample, the
-    plant passes the true next sample.
+    plant passes the true next sample.  Raises ``SimulationDiverged`` if
+    an input is not finite.
     """
-    assert math.isfinite(v_up_next) and math.isfinite(v_low_next)
-    assert math.isfinite(v_grid) and math.isfinite(i_now)
+    if not (
+        math.isfinite(v_up_next) and math.isfinite(v_low_next)
+        and math.isfinite(v_grid) and math.isfinite(i_now)
+    ):
+        raise SimulationDiverged(
+            f"non-finite input to the AC current prediction: v_up_next={v_up_next!r}, "
+            f"v_low_next={v_low_next!r}, v_grid={v_grid!r}, i_now={i_now!r}"
+        )
     return (
         (v_low_next - v_up_next) / 2.0 - v_grid + (params.l_ac / params.t_s) * i_now
     ) / params.z_step

@@ -3,7 +3,7 @@ pi-line) DC side, advanced at a fixed sampling period."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
@@ -64,11 +64,6 @@ class NswSchedule:
         return self.segments[0][0], self.segments[-1][1]
 
 
-def nsw_at(schedule: NswSchedule, t: float) -> int:
-    """Switching budget in force at time ``t`` (half-open segment match)."""
-    return schedule.at(t)
-
-
 def paper_schedule() -> NswSchedule:
     """The case-study staircase: budget 6 through warm-up and the first
     reported window, then 0..5 in 0.2 s segments, then 6 again."""
@@ -104,6 +99,24 @@ def fast_schedule() -> NswSchedule:
 
 def constant_schedule(duration: float, n_sw_max: int) -> NswSchedule:
     return NswSchedule(segments=((0.0, duration, n_sw_max),))
+
+
+def _fit_schedule(schedule: NswSchedule, duration: float) -> NswSchedule:
+    """Clip a schedule to a shorter run, or stretch its last segment over a
+    longer one.  Only applied to schedules the user did not write out
+    explicitly for that duration."""
+    segments = []
+    for start, end, n_max in schedule.segments:
+        if start >= duration:
+            break
+        segments.append((start, min(end, duration), n_max))
+    if not segments:
+        start0, _, n0 = schedule.segments[0]
+        segments.append((start0, duration, n0))
+    last = segments[-1]
+    if last[1] < duration:
+        segments[-1] = (last[0], duration, last[2])
+    return NswSchedule(segments=tuple(segments))
 
 
 @dataclass(frozen=True)
@@ -341,49 +354,31 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
 
 def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
     """Plain-data snapshot of a config, as stored in run manifests."""
-    p = config.params
-    return {
-        "params": {
-            "n": p.n,
-            "v_dc": p.v_dc,
-            "c_sm": p.c_sm,
-            "l_arm": p.l_arm,
-            "r_grid": p.r_grid,
-            "l_grid": p.l_grid,
-            "t_s": p.t_s,
-            "f_grid": p.f_grid,
-            "w_track": p.w_track,
-            "w_circ": p.w_circ,
-        },
-        "duration": config.duration,
-        "warmup": config.warmup,
-        "p_ref": config.p_ref,
-        "v_s_peak": config.v_s_peak,
-        "algorithm": config.algorithm,
-        "dc_model": config.dc_model,
-        "line_length_km": config.line_length_km,
-        "line_c_per_km": config.line_c_per_km,
-        "line_l_per_km": config.line_l_per_km,
-        "nsw_schedule": [list(seg) for seg in config.nsw_schedule.segments],
-    }
+    data = asdict(config)
+    data["nsw_schedule"] = [list(seg) for seg in config.nsw_schedule.segments]
+    return data
+
+
+def _check_keys(where: str, data: dict[str, Any], cls: type) -> None:
+    expected = {f.name for f in fields(cls)}
+    problems = [
+        f"{kind} keys {sorted(keys)}"
+        for kind, keys in (("unknown", data.keys() - expected), ("missing", expected - data.keys()))
+        if keys
+    ]
+    if problems:
+        raise ValueError(f"{where}: " + ", ".join(problems))
 
 
 def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     """Inverse of ``config_to_dict``."""
-    params = SystemParams(**data["params"])
+    _check_keys("config", data, ScenarioConfig)
+    _check_keys("config.params", data["params"], SystemParams)
     segments = tuple(
         (float(s), float(e), int(nm)) for s, e, nm in data["nsw_schedule"]
     )
-    return ScenarioConfig(
-        params=params,
-        duration=data["duration"],
-        warmup=data["warmup"],
-        p_ref=data["p_ref"],
-        v_s_peak=data["v_s_peak"],
-        algorithm=data["algorithm"],
-        nsw_schedule=NswSchedule(segments=segments),
-        dc_model=data["dc_model"],
-        line_length_km=data["line_length_km"],
-        line_c_per_km=data["line_c_per_km"],
-        line_l_per_km=data["line_l_per_km"],
-    )
+    return ScenarioConfig(**{
+        **data,
+        "params": SystemParams(**data["params"]),
+        "nsw_schedule": NswSchedule(segments=segments),
+    })

@@ -1,12 +1,16 @@
 """Config parsing, output files, and the end-to-end command."""
+import argparse
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import mmcsim as m
-from mmcsim.cli import ConfigError, format_summary, load_run, main, parse_config
+from mmcsim.cli import (
+    ConfigError, build_config, format_summary, load_run, main, parse_config,
+)
 
 
 def test_empty_config_gives_case_study_defaults(tmp_path):
@@ -77,6 +81,13 @@ def test_config_missing_file(tmp_path):
         parse_config(tmp_path / "nope.cfg")
 
 
+def test_config_unknown_profile(tmp_path):
+    path = tmp_path / "empty.cfg"
+    path.write_text("")
+    with pytest.raises(ConfigError, match="profile 'quick'"):
+        parse_config(path, profile="quick")
+
+
 def test_config_malformed_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("params.n 6\n")
@@ -91,6 +102,61 @@ def test_default_schedule_fits_overridden_duration(tmp_path):
     assert cfg.nsw_schedule.segments[-1][1] == 1.4
     cfg2 = parse_config(tmp_path / "short.cfg", profile="fast")
     assert cfg2.nsw_schedule.segments[-1][1] == 1.4
+
+
+def test_config_every_key_changes_every_field(tmp_path):
+    path = tmp_path / "all.cfg"
+    path.write_text(
+        """
+        params.n = 4
+        params.v_dc = 40e3
+        params.c_sm = 3e-3
+        params.l_arm = 4e-3
+        params.r_grid = 0.05
+        params.l_grid = 6e-3
+        params.t_s = 50e-6
+        params.f_grid = 50
+        params.w_track = 2
+        params.w_circ = 0.5
+        scenario.duration = 0.5
+        scenario.warmup = 0.2
+        scenario.p_ref = 1e6
+        scenario.v_s_peak = 20e3
+        scenario.algorithm = v1f2
+        scenario.dc_model = piline
+        line.length_km = 2
+        line.c_per_km = 1e-5
+        line.l_per_km = 1e-4
+        schedule.segments = 0:0.25:4, 0.25:0.5:2
+        """
+    )
+    cfg = parse_config(path)
+    base = m.paper_config()
+    for obj, ref in ((cfg, base), (cfg.params, base.params)):
+        for f in fields(obj):
+            assert getattr(obj, f.name) != getattr(ref, f.name), f.name
+    assert isinstance(cfg.params.n, int)
+
+
+def _flags(**kw):
+    args = dict(config=None, profile="paper", algorithm=None, dc_model=None, duration=None)
+    return argparse.Namespace(**{**args, **kw})
+
+
+def test_duration_override_same_from_file_and_flag(tmp_path):
+    path = tmp_path / "short.cfg"
+    path.write_text("scenario.duration = 0.5\n")
+    from_file = parse_config(path)
+    from_flag = build_config(_flags(duration=0.5))
+    assert from_file == from_flag
+    assert from_file.warmup == 0.5
+    assert from_file.nsw_schedule.segments == ((0.0, 0.5, 6),)
+
+    # --duration on top of a schedule written in the file fits that schedule
+    path.write_text("schedule.segments = 0:1.3:2, 1.3:2.6:5\n")
+    cfg = build_config(_flags(config=str(path), duration=1.0))
+    assert cfg.nsw_schedule.segments == ((0.0, 1.0, 2),)
+    assert cfg.warmup == 1.0
 
 
 def test_run_command_fast_profile(tmp_path, fast_v1fc_trace):
@@ -109,6 +175,8 @@ def test_run_command_fast_profile(tmp_path, fast_v1fc_trace):
             rows = list(csv.reader(fh))
         assert len(rows) == steps + 1
 
+    # csv.writer line ends, part of the byte format the outputs are pinned to
+    assert (out / "phase_a.csv").read_bytes().split(b"\n", 1)[0].endswith(b",u_12\r")
     header = rows[0]
     assert header[:7] == ["t", "phase", "i_ref", "i", "i_z", "v_s", "nsw_max"]
     assert header[7:19] == [f"vC_{k}" for k in range(1, 13)]
@@ -120,9 +188,12 @@ def test_run_command_fast_profile(tmp_path, fast_v1fc_trace):
     # the CLI run is deterministic, so it must reproduce the fixture trace
     loaded = load_run(out)
     fixt = fast_v1fc_trace
+    as_written = np.vectorize(lambda x: float(f"{x:.9g}"))
     for ph in "abc":
         assert np.array_equal(loaded.phase(ph).u, fixt.phase(ph).u)
-        assert np.allclose(loaded.phase(ph).v_c, fixt.phase(ph).v_c, rtol=1e-8)
+        for name in ("i_ref", "i_ac", "i_circ", "v_grid", "v_c"):
+            got = getattr(loaded.phase(ph), name)
+            assert np.array_equal(got, as_written(getattr(fixt.phase(ph), name))), name
         assert np.array_equal(
             loaded.phase(ph).switches_upper, fixt.phase(ph).switches_upper
         )

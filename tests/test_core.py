@@ -189,6 +189,14 @@ def test_step_phase_rejects_divergence(table1):
         m.step_phase(state, decision, 0.0, table1)
 
 
+def test_step_phase_nan_capacitor_diverges(table1):
+    state = m.nominal_phase_state(table1)
+    state.upper.v_c[0] = float("nan")
+    decision = m.SwitchDecision((1,) + (0,) * 11)  # insert the NaN submodule
+    with pytest.raises(m.SimulationDiverged, match="v_up_next=nan"):
+        m.step_phase(state, decision, 0.0, table1)
+
+
 def test_step_phase_decision_length(table1):
     state = m.nominal_phase_state(table1)
     with pytest.raises(ValueError):

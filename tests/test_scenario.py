@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mmcsim as m
+from mmcsim.scenario import config_from_dict, config_to_dict
 
 REL = 1e-12
 
@@ -58,21 +59,21 @@ def test_nominal_circulating_current():
 
 def test_nsw_at_staircase_values():
     sched = m.paper_schedule()
-    assert m.nsw_at(sched, 1.3) == 0
-    assert m.nsw_at(sched, 1.5) == 1
-    assert m.nsw_at(sched, 2.5) == 6
-    assert m.nsw_at(sched, 0.5) == 6
+    assert sched.at(1.3) == 0
+    assert sched.at(1.5) == 1
+    assert sched.at(2.5) == 6
+    assert sched.at(0.5) == 6
     # boundaries are half-open on the left
-    assert m.nsw_at(sched, 1.2) == 6
-    assert m.nsw_at(sched, 1.2 + 1e-9) == 0
-    assert m.nsw_at(sched, 2.6) == 6
+    assert sched.at(1.2) == 6
+    assert sched.at(1.2 + 1e-9) == 0
+    assert sched.at(2.6) == 6
 
 
 def test_nsw_at_outside_span():
     sched = m.paper_schedule()
     for t in (0.0, -1.0, 2.7):
         with pytest.raises(ValueError):
-            m.nsw_at(sched, t)
+            sched.at(t)
 
 
 def test_schedule_validation_errors():
@@ -84,6 +85,42 @@ def test_schedule_validation_errors():
         m.NswSchedule(((0.0, 1.0, 6), (0.5, 2.0, 3))).validate(6, 2.0)
     with pytest.raises(ValueError, match="nsw_schedule"):
         m.NswSchedule(((0.0, 1.0, 6),)).validate(6, 2.0)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        m.paper_config(),
+        m.fast_config("v1f2"),
+        m.fast_config(dc_model="piline"),
+        m.ScenarioConfig(
+            params=m.SystemParams(n=4, v_dc=40e3, t_s=50e-6, w_circ=0.5),
+            duration=0.5,
+            warmup=0.2,
+            nsw_schedule=m.NswSchedule(((0.0, 0.25, 4), (0.25, 0.5, 1))),
+        ),
+    ],
+    ids=["paper", "fast", "piline", "custom"],
+)
+def test_config_dict_roundtrip(cfg):
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda d: d.update(bogus=1), "bogus"),
+        (lambda d: d.pop("warmup"), "warmup"),
+        (lambda d: d["params"].update(resistance=5.0), "resistance"),
+        (lambda d: d["params"].pop("c_sm"), "c_sm"),
+    ],
+    ids=["unknown", "missing", "unknown-param", "missing-param"],
+)
+def test_config_from_dict_names_bad_key(edit, key):
+    data = config_to_dict(m.fast_config())
+    edit(data)
+    with pytest.raises(ValueError, match=key):
+        config_from_dict(data)
 
 
 def test_config_validation_errors():
@@ -128,7 +165,7 @@ def test_stiff_source_constant_vdc(fast_v1fc_trace):
 def test_schedule_fidelity(fast_v1fc_trace):
     sched = fast_v1fc_trace.config.nsw_schedule
     for k in range(fast_v1fc_trace.steps):
-        assert fast_v1fc_trace.n_sw_max[k] == m.nsw_at(sched, float(fast_v1fc_trace.t[k]))
+        assert fast_v1fc_trace.n_sw_max[k] == sched.at(float(fast_v1fc_trace.t[k]))
 
 
 def test_three_phase_symmetry(paper_all6_v1f2_trace):
