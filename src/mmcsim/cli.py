@@ -174,20 +174,18 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
 def load_run(out_dir: str | Path) -> SimTrace:
     """Rebuild a SimTrace from an output directory's manifest and CSVs.
 
-    Timestamps are regenerated on the exact step grid (the serialized
-    column is display precision); statuses and per-step switch counts
-    round-trip exactly.  A pi-line run's varying bus voltage is not part
-    of the CSV schema and comes back as the nominal value.
+    Statuses and budgets round-trip exactly, and the trace derives its
+    timestamps and per-step switch counts from them as for a fresh run;
+    the serialized ``t`` column is display precision and is not read.  A
+    pi-line run's varying bus voltage is not part of the CSV schema and
+    comes back as the nominal value.
     """
     out_dir = Path(out_dir)
     manifest = json.loads((out_dir / "run_manifest.json").read_text())
     config = config_from_dict(manifest["config"])
     steps = config.steps
-    n = config.params.n
-    n2 = 2 * n
+    n2 = 2 * config.params.n
 
-    t = np.arange(1, steps + 1, dtype=float) * config.params.t_s
-    nsw = np.zeros(steps, dtype=np.int16)
     phases = {}
     for ph in PHASES:
         # columns after t and phase: i_ref, i, i_z, v_s, nsw_max, vC..., u...
@@ -200,22 +198,16 @@ def load_run(out_dir: str | Path) -> SimTrace:
                 f"phase_{ph}.csv has {len(body)} rows, config expects {steps}"
             )
         nsw = body[:, 4].astype(np.int16)
-        u = body[:, 5 + n2 :].astype(np.int8)
-        prev = np.vstack([np.zeros((1, n2), dtype=np.int8), u[:-1]])
-        flips = (u != prev).astype(np.int16)
         phases[ph] = PhaseTrace(
             i_ac=body[:, 1],
             i_ref=body[:, 0],
             i_circ=body[:, 2],
             v_grid=body[:, 3],
             v_c=body[:, 5 : 5 + n2],
-            u=u,
-            switches_upper=flips[:, :n].sum(axis=1).astype(np.int16),
-            switches_lower=flips[:, n:].sum(axis=1).astype(np.int16),
+            u=body[:, 5 + n2 :].astype(np.int8),
         )
     return SimTrace(
         config=config,
-        t=t,
         n_sw_max=nsw,
         v_dc=np.full(steps, config.params.v_dc),
         phases=phases,

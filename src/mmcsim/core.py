@@ -218,7 +218,7 @@ def step_phase(
     Order of the update: capacitor dynamics driven by the arm currents
     measured now, then arm voltages, then AC and circulating currents,
     then the arm-current recomposition.  Raises ``SimulationDiverged``
-    if the new currents are not finite.
+    if the new currents or capacitor voltages are not finite.
     """
     n = params.n
     if len(decision.statuses) != 2 * n:
@@ -239,6 +239,10 @@ def step_phase(
         raise SimulationDiverged(
             f"non-finite currents after step: i_ac={i_ac!r}, i_circ={i_circ!r}"
         )
+    # a bypassed submodule reaches neither current; any NaN or inf spoils the sum
+    for arm, v_c in (("upper", v_c_up), ("lower", v_c_low)):
+        if not math.isfinite(sum(v_c)):
+            raise SimulationDiverged(f"non-finite capacitor voltage in the {arm} arm: {v_c!r}")
 
     i_up, i_low = arm_currents(i_ac, i_circ)
     return PhaseLegState(

@@ -1,8 +1,8 @@
 """Steady-state evaluation quantities computed from a simulation trace.
 
 Windows are half-open spans (t_lo, t_hi]; a trace row belongs to a window
-when its timestamp falls inside.  Every function here is a pure reader of
-the trace arrays.
+when its step ends inside (see ``scenario.steps_until``).  Every function
+here is a pure reader of the trace arrays.
 """
 from __future__ import annotations
 
@@ -11,17 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import PHASES, NswSchedule, SimTrace
+from .scenario import PHASES, NswSchedule, SimTrace, steps_until
 
 
 def _window_slice(trace: SimTrace, window: tuple[float, float]) -> tuple[int, int]:
-    t_lo, t_hi = window
-    if not t_hi > t_lo:
-        raise ValueError(f"window ({t_lo}, {t_hi}] is empty")
-    a = int(np.searchsorted(trace.t, t_lo, side="right"))
-    b = int(np.searchsorted(trace.t, t_hi, side="right"))
+    ts = trace.config.params.t_s
+    a, b = (min(max(steps_until(t, ts), 0), trace.steps) for t in window)
     if a >= b:
-        raise ValueError(f"window ({t_lo}, {t_hi}] contains no samples")
+        raise ValueError(f"window ({window[0]}, {window[1]}] contains no samples")
     return a, b
 
 
@@ -41,9 +38,7 @@ def effective_switching_frequency(
     u = trace.phase(phase).u[:, sm]
     seg = u[a:b]
     prev = u[a - 1] if a > 0 else 0  # the initial state has everything off
-    count = int(np.count_nonzero((seg[1:] == 1) & (seg[:-1] == 0)))
-    if seg[0] == 1 and prev == 0:
-        count += 1
+    count = np.count_nonzero(seg[1:] > seg[:-1]) + int(seg[0] > prev)
     return count / (window[1] - window[0])
 
 
@@ -145,14 +140,19 @@ def segment_report(
         raise ValueError("settle must be >= 0")
 
     n2 = 2 * cfg.params.n
+    ts = cfg.params.t_s
+    # derived from u once per report rather than once per segment
+    switches = {
+        ph: (trace.phase(ph).switches_upper, trace.phase(ph).switches_lower) for ph in PHASES
+    }
     out: list[SegmentMetrics] = []
     for idx, (start, end, n_max) in enumerate(schedule.segments):
         lo = max(start, cfg.warmup)
         hi = min(end, cfg.duration)
-        if hi <= lo:
+        if steps_until(hi, ts) <= steps_until(lo, ts):
             continue
         w = (lo + settle, hi)
-        if w[1] <= w[0]:
+        if steps_until(hi, ts) <= steps_until(w[0], ts):
             raise ValueError(
                 f"settle {settle} s leaves no samples in segment {idx} ({lo}, {hi}]"
             )
@@ -168,15 +168,7 @@ def segment_report(
         izm = np.array([circulating_ratio(trace, ph, w) for ph in PHASES])
         rmse = np.array([tracking_rmse(trace, ph, w) for ph in PHASES])
         a, b = _window_slice(trace, w)
-        trans = np.array(
-            [
-                [
-                    float(trace.phase(ph).switches_upper[a:b].mean()),
-                    float(trace.phase(ph).switches_lower[a:b].mean()),
-                ]
-                for ph in PHASES
-            ]
-        )
+        trans = np.array([[float(sw[a:b].mean()) for sw in switches[ph]] for ph in PHASES])
         out.append(
             SegmentMetrics(
                 index=idx,

@@ -4,6 +4,7 @@ switching-constrained cascade)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .core import (
@@ -31,17 +32,27 @@ class ArmTargets:
 class SortedArm:
     """Result of a sorting pass over one arm.
 
-    ``order[m]`` is the original submodule index placed at position m.
-    The parallel tuples give, per position along the final order: the
-    anticipated capacitor voltage, the cumulative count of turn-on
-    events over the prefix ending there, and the switching-budget
-    penalty max(0, count - budget) of that prefix.
+    ``order[m]`` is the original submodule index placed at position m and
+    ``v_next[m]`` its anticipated capacitor voltage.  ``u`` holds the
+    arm's statuses before the step, by original index, and ``budget`` the
+    switching budget the order was built for; the per-position keys
+    ``switch_counts`` and ``penalties`` are derived from these.
     """
 
     order: tuple[int, ...]
     v_next: tuple[float, ...]
-    switch_counts: tuple[int, ...]
-    penalties: tuple[int, ...]
+    u: tuple[int, ...]
+    budget: int
+
+    @property
+    def switch_counts(self) -> tuple[int, ...]:
+        """Cumulative count of turn-on events over each prefix of the order."""
+        return tuple(accumulate(1 - self.u[j] for j in self.order))
+
+    @property
+    def penalties(self) -> tuple[int, ...]:
+        """Budget penalty max(0, count - budget) of each prefix."""
+        return tuple(max(0, c - self.budget) for c in self.switch_counts)
 
 
 @dataclass(frozen=True)
@@ -96,32 +107,19 @@ def _anticipated_all_on(arm: ArmState, i_arm: float, params: SystemParams) -> li
     return anticipate_capacitor_voltages(arm, i_arm, [1] * params.n, params)
 
 
-def _turn_on_keys(order: Sequence[int], u_now: Sequence[int], n_sw_max: int):
-    # published per-position keys, recomputed on the final order
-    counts: list[int] = []
-    penalties: list[int] = []
-    events = 0
-    for j in order:
-        events += 1 - u_now[j]
-        counts.append(events)
-        penalties.append(max(0, events - n_sw_max))
-    return tuple(counts), tuple(penalties)
-
-
 def sort_v1f2(arm: ArmState, i_arm: float, params: SystemParams) -> SortedArm:
     """Conventional balancing order: anticipated capacitor voltage only.
 
     Ascending while the arm current charges (i_arm >= 0), descending
-    otherwise, ties keeping index order.  Penalties are all zero.
+    otherwise, ties keeping index order.  Budget n: penalties are all zero.
     """
     v_next = _anticipated_all_on(arm, i_arm, params)
     order = sorted(range(params.n), key=v_next.__getitem__, reverse=i_arm < 0)
-    counts, _ = _turn_on_keys(order, arm.u, params.n)
     return SortedArm(
         order=tuple(order),
         v_next=tuple(v_next[j] for j in order),
-        switch_counts=counts,
-        penalties=(0,) * params.n,
+        u=tuple(arm.u),
+        budget=params.n,
     )
 
 
@@ -163,12 +161,11 @@ def sort_v1fc(
                 penalty[j] = events - n_sw_max
     order.sort(key=penalty.__getitem__)
 
-    counts, penalties = _turn_on_keys(order, u_now, n_sw_max)
     return SortedArm(
         order=tuple(order),
         v_next=tuple(v_next[j] for j in order),
-        switch_counts=counts,
-        penalties=penalties,
+        u=tuple(u_now),
+        budget=n_sw_max,
     )
 
 
@@ -176,12 +173,7 @@ def cumulative_sums(sorted_arm: SortedArm, v_c_next: Sequence[float]) -> list[fl
     """Running sums [0, s1, ..., sn] of anticipated capacitor voltages taken
     in the sorted order; entry k is the arm voltage obtained by inserting
     the first k submodules."""
-    sums = [0.0]
-    acc = 0.0
-    for j in sorted_arm.order:
-        acc += v_c_next[j]
-        sums.append(acc)
-    return sums
+    return list(accumulate((v_c_next[j] for j in sorted_arm.order), initial=0.0))
 
 
 def _strictly_increasing(values: Sequence[float]) -> bool:
@@ -294,8 +286,9 @@ def modulate_phase(
         up = sort_v1fc(state.upper, i_up, n_sw_max, params)
         low = sort_v1fc(state.lower, i_low, n_sw_max, params)
 
-    alpha = cumulative_sums(up, _anticipated_all_on(state.upper, i_up, params))
-    beta = cumulative_sums(low, _anticipated_all_on(state.lower, i_low, params))
+    # the sorts already hold the anticipated voltages in sorted order
+    alpha = list(accumulate(up.v_next, initial=0.0))
+    beta = list(accumulate(low.v_next, initial=0.0))
     chosen = select_optimal(alpha, beta, targets, params)
 
     statuses = [0] * (2 * n)

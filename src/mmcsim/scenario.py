@@ -23,17 +23,24 @@ _PHASE_OFFSET = {"a": 0.0, "b": 2.0 * math.pi / 3.0, "c": 4.0 * math.pi / 3.0}
 DC_MODELS = ("stiff", "piline")
 
 
+def steps_until(t: float, t_s: float) -> int:
+    """Number of steps ending at or before ``t`` (step k ends at (k+1)*t_s);
+    a time up to 1e-6 * t_s short of a step's end counts as reaching it."""
+    return math.floor(t / t_s + 1e-6)
+
+
 @dataclass(frozen=True)
 class NswSchedule:
     """Piecewise-constant cap on switching events per arm per step.
 
     Segments are (t_start, t_end, n_sw_max) with half-open spans
-    (t_start, t_end]; together they must tile (0, duration].
+    (t_start, t_end]; together they must tile (0, duration].  A segment
+    holds the steps that end inside it.
     """
 
     segments: tuple[tuple[float, float, int], ...]
 
-    def validate(self, n: int, duration: float | None = None) -> None:
+    def validate(self, n: int, duration: float) -> None:
         if not self.segments:
             raise ValueError("nsw_schedule: needs at least one segment")
         prev_end = 0.0
@@ -49,7 +56,7 @@ class NswSchedule:
                     f"nsw_schedule: segment {k} starts at {start}, expected {prev_end}"
                 )
             prev_end = end
-        if duration is not None and abs(prev_end - duration) > 1e-9:
+        if abs(prev_end - duration) > 1e-9:
             raise ValueError(
                 f"nsw_schedule: segments end at {prev_end}, expected duration {duration}"
             )
@@ -60,8 +67,11 @@ class NswSchedule:
                 return n_max
         raise ValueError(f"t={t} is outside the schedule span")
 
-    def span(self) -> tuple[float, float]:
-        return self.segments[0][0], self.segments[-1][1]
+    def per_step(self, t_s: float, steps: int) -> np.ndarray:
+        """Budget of each step, int16; the last segment runs to the last step."""
+        budgets = [n_max for _, _, n_max in self.segments]
+        ends = [steps_until(end, t_s) for _, end, _ in self.segments[:-1]] + [steps]
+        return np.repeat(budgets, np.diff([0, *ends])).astype(np.int16)
 
 
 def paper_schedule() -> NswSchedule:
@@ -154,7 +164,7 @@ class ScenarioConfig:
             raise ValueError(
                 f"dc_model must be one of {DC_MODELS}, got {self.dc_model!r}"
             )
-        steps = round(self.duration / self.params.t_s)
+        steps = self.steps
         if steps < 1 or abs(steps * self.params.t_s - self.duration) > 1e-6 * self.params.t_s:
             raise ValueError(
                 f"duration {self.duration} is not a multiple of t_s {self.params.t_s}"
@@ -165,7 +175,7 @@ class ScenarioConfig:
 
     @property
     def steps(self) -> int:
-        return round(self.duration / self.params.t_s)
+        return steps_until(self.duration, self.params.t_s)
 
     @property
     def i_ref_peak(self) -> float:
@@ -218,8 +228,21 @@ class PhaseTrace:
     v_grid: np.ndarray
     v_c: np.ndarray            # (steps, 2n): upper arm columns first
     u: np.ndarray              # (steps, 2n) int8
-    switches_upper: np.ndarray  # realized transitions per step, int16
-    switches_lower: np.ndarray
+
+    def _switches(self, arm: slice) -> np.ndarray:
+        # the initial state has every submodule off
+        flips = np.diff(self.u[:, arm], axis=0, prepend=0) != 0
+        return flips.sum(axis=1, dtype=np.int16)
+
+    @property
+    def switches_upper(self) -> np.ndarray:
+        """Realized transitions of the upper arm on each step, int16."""
+        return self._switches(slice(None, self.u.shape[1] // 2))
+
+    @property
+    def switches_lower(self) -> np.ndarray:
+        """Realized transitions of the lower arm on each step, int16."""
+        return self._switches(slice(self.u.shape[1] // 2, None))
 
 
 @dataclass
@@ -232,7 +255,6 @@ class SimTrace:
     """
 
     config: ScenarioConfig
-    t: np.ndarray
     n_sw_max: np.ndarray
     v_dc: np.ndarray
     phases: dict[str, PhaseTrace]
@@ -242,7 +264,12 @@ class SimTrace:
 
     @property
     def steps(self) -> int:
-        return len(self.t)
+        return len(self.n_sw_max)
+
+    @property
+    def t(self) -> np.ndarray:
+        """End time of each step, (k+1) * t_s."""
+        return np.arange(1, self.steps + 1) * self.config.params.t_s
 
 
 def _empty_phase_trace(steps: int, n: int) -> PhaseTrace:
@@ -253,8 +280,6 @@ def _empty_phase_trace(steps: int, n: int) -> PhaseTrace:
         v_grid=np.zeros(steps),
         v_c=np.zeros((steps, 2 * n)),
         u=np.zeros((steps, 2 * n), dtype=np.int8),
-        switches_upper=np.zeros(steps, dtype=np.int16),
-        switches_lower=np.zeros(steps, dtype=np.int16),
     )
 
 
@@ -277,8 +302,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         ph: nominal_phase_state(params, grid_voltage(config, 0.0, ph)) for ph in PHASES
     }
 
-    t_arr = np.zeros(steps)
-    nsw_arr = np.zeros(steps, dtype=np.int16)
+    nsw_arr = config.nsw_schedule.per_step(ts, steps)
     v_dc_arr = np.zeros(steps)
     traces = {ph: _empty_phase_trace(steps, n) for ph in PHASES}
 
@@ -292,9 +316,8 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     i_circ_nom = config.i_circ_nominal
     params_now = params
 
-    for k in range(steps):
+    for k, nsw in enumerate(nsw_arr.tolist()):
         t_next = (k + 1) * ts
-        nsw = config.nsw_schedule.at(t_next)
         if piline:
             params_now = replace(params, v_dc=v_dc_now)
         iz_sum = 0.0
@@ -321,17 +344,9 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
             tr.v_grid[k] = new_st.v_grid
             tr.v_c[k] = new_st.upper.v_c + new_st.lower.v_c
             tr.u[k] = new_st.upper.u + new_st.lower.u
-            tr.switches_upper[k] = sum(
-                a != b for a, b in zip(st.upper.u, new_st.upper.u)
-            )
-            tr.switches_lower[k] = sum(
-                a != b for a, b in zip(st.lower.u, new_st.lower.u)
-            )
             states[ph] = new_st
             iz_sum += new_st.i_circ
 
-        t_arr[k] = t_next
-        nsw_arr[k] = nsw
         v_dc_arr[k] = params_now.v_dc
         if piline:
             # semi-implicit: current from the old bus voltage, voltage from
@@ -345,7 +360,6 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
 
     return SimTrace(
         config=config,
-        t=t_arr,
         n_sw_max=nsw_arr,
         v_dc=v_dc_arr,
         phases=traces,

@@ -197,6 +197,14 @@ def test_step_phase_nan_capacitor_diverges(table1):
         m.step_phase(state, decision, 0.0, table1)
 
 
+def test_step_phase_nan_in_bypassed_submodule_diverges(table1):
+    state = m.nominal_phase_state(table1)
+    state.upper.v_c[0] = float("nan")
+    decision = m.SwitchDecision((0, 1, 1, 1, 0, 0) * 2)  # leaves SM 0 off
+    with pytest.raises(m.SimulationDiverged, match="upper arm"):
+        m.step_phase(state, decision, 0.0, table1)
+
+
 def test_step_phase_decision_length(table1):
     state = m.nominal_phase_state(table1)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mmcsim as m
+from mmcsim.metrics import _window_slice
 from mmcsim.scenario import PhaseTrace
 
 REL = 1e-12
@@ -40,12 +41,9 @@ def _synthetic_trace(u_a=None, v_c_a=None, i_ac=None, i_ref=None, i_circ=None,
         v_grid=zeros.copy(),
         v_c=v_c,
         u=u,
-        switches_upper=np.zeros(steps, dtype=np.int16),
-        switches_lower=np.zeros(steps, dtype=np.int16),
     )
     return m.SimTrace(
         config=cfg,
-        t=np.arange(1, steps + 1) * params.t_s,
         n_sw_max=np.ones(steps, dtype=np.int16),
         v_dc=np.full(steps, params.v_dc),
         phases={"a": tr, "b": copy.deepcopy(tr), "c": copy.deepcopy(tr)},
@@ -75,6 +73,19 @@ def test_fs_window_additivity():
     left = m.effective_switching_frequency(trace, 0, (a, b)) * (b - a)
     right = m.effective_switching_frequency(trace, 0, (b, c)) * (c - b)
     assert total == pytest.approx(left + right, rel=1e-9)
+
+
+def test_off_grid_window_is_half_open():
+    # steps end at 25, 50, 75, 100, 125 us; (30, 110] and (37.5, 112.5]
+    # both hold the three steps ending at 50, 75 and 100 us
+    trace = _synthetic_trace(u_a=[0, 1, 0, 1, 0] + [0] * 35)
+    for window in ((30e-6, 110e-6), (37.5e-6, 112.5e-6)):
+        assert _window_slice(trace, window) == (1, 4)
+        # the turn-on edges at 50 and 100 us
+        got = m.effective_switching_frequency(trace, 0, window)
+        assert got * (window[1] - window[0]) == pytest.approx(2.0, rel=1e-9)
+    # a bound on a step's end leaves that step out below and in above
+    assert _window_slice(trace, (50e-6, 100e-6)) == (2, 4)
 
 
 def test_fs_empty_window_rejected():
@@ -142,6 +153,12 @@ def test_segment_report_single_segment(fast_v1fc_trace):
     assert len(rep) == 1
     assert rep[0].window[0] == pytest.approx(0.11)
     assert rep[0].window[1] == pytest.approx(0.5)
+
+
+def test_window_bounds_on_the_grid_count_whole_steps(fast_v1fc_trace):
+    # the step ending at 0.35 s has the float timestamp 0.35000000000000003
+    a, b = _window_slice(fast_v1fc_trace, (0.31, 0.35))
+    assert (a, b) == (12400, 14000)
 
 
 def test_segment_report_staircase_layout(fast_v1fc_trace):

@@ -163,9 +163,31 @@ def test_stiff_source_constant_vdc(fast_v1fc_trace):
 
 
 def test_schedule_fidelity(fast_v1fc_trace):
-    sched = fast_v1fc_trace.config.nsw_schedule
-    for k in range(fast_v1fc_trace.steps):
-        assert fast_v1fc_trace.n_sw_max[k] == sched.at(float(fast_v1fc_trace.t[k]))
+    # every bound of the fast schedule lies on the step grid: the segment
+    # (start, end] holds rows round(start / t_s) .. round(end / t_s) - 1
+    cfg = fast_v1fc_trace.config
+    ts = cfg.params.t_s
+    covered = 0
+    for start, end, n_max in cfg.nsw_schedule.segments:
+        rows = fast_v1fc_trace.n_sw_max[round(start / ts):round(end / ts)]
+        assert (rows == n_max).all()
+        covered += len(rows)
+    assert covered == fast_v1fc_trace.steps
+
+
+def _run_lengths(values):
+    edges = np.flatnonzero(np.diff(values)) + 1
+    return np.diff(np.concatenate([[0], edges, [len(values)]])).tolist()
+
+
+def test_budget_segments_have_whole_step_counts(fast_v1fc_trace):
+    # step 14,000 ends at 0.35000000000000003 s; it belongs to (0.30, 0.35]
+    assert _run_lengths(fast_v1fc_trace.n_sw_max) == [6000] + [2000] * 7
+    assert fast_v1fc_trace.n_sw_max[13999] == 3
+    cfg = m.paper_config()
+    budgets = cfg.nsw_schedule.per_step(cfg.params.t_s, cfg.steps)
+    assert _run_lengths(budgets) == [48000] + [8000] * 7
+    assert budgets[55999] == 0  # the step ending at 1.4 s
 
 
 def test_three_phase_symmetry(paper_all6_v1f2_trace):
