@@ -26,6 +26,7 @@ from .modulation import (
     cumulative_sums,
     modulate_phase,
     objective_f,
+    select_grid,
     select_optimal,
     sort_v1f2,
     sort_v1fc,

@@ -189,10 +189,16 @@ def anticipate_capacitor_voltages(
 
 
 def arm_voltage(v_c_next: Sequence[float], u_next: Sequence[int]) -> float:
-    """Voltage across an arm: sum of the inserted capacitor voltages."""
+    """Voltage across an arm: sum of the inserted capacitor voltages, added
+    in submodule order (the builtin ``sum`` compensates float rounding from
+    Python 3.12 on, which the array engine does not)."""
     if len(v_c_next) != len(u_next):
         raise ValueError("v_c_next and u_next must have equal length")
-    return sum(v for v, s in zip(v_c_next, u_next) if s)
+    total = 0.0
+    for v, s in zip(v_c_next, u_next):
+        if s:
+            total += v
+    return total
 
 
 def predict_circulating_current(

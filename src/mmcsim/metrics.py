@@ -16,7 +16,14 @@ from .scenario import PHASES, NswSchedule, SimTrace, steps_until
 
 def _window_slice(trace: SimTrace, window: tuple[float, float]) -> tuple[int, int]:
     ts = trace.config.params.t_s
-    a, b = (min(max(steps_until(t, ts), 0), trace.steps) for t in window)
+    # a window reaching past the trace would be divided by a span it does
+    # not cover; bounds may miss the ends by steps_until's tolerance
+    for t in window:
+        if not -1e-6 <= t / ts <= trace.steps + 1e-6:
+            raise ValueError(
+                f"window bound {t} lies outside the trace [0, {trace.steps * ts}]"
+            )
+    a, b = (steps_until(t, ts) for t in window)
     if a >= b:
         raise ValueError(f"window ({window[0]}, {window[1]}] contains no samples")
     return a, b

@@ -3,9 +3,12 @@ submodule orderings (the conventional voltage sort and the
 switching-constrained cascade)."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .core import (
     ArmState,
@@ -176,19 +179,6 @@ def cumulative_sums(sorted_arm: SortedArm, v_c_next: Sequence[float]) -> list[fl
     return list(accumulate((v_c_next[j] for j in sorted_arm.order), initial=0.0))
 
 
-def _strictly_increasing(values: Sequence[float]) -> bool:
-    return all(values[k] < values[k + 1] for k in range(len(values) - 1))
-
-
-def _bracket(cumsum: Sequence[float], target: float) -> int:
-    # index k with cumsum[k] <= target < cumsum[k+1]; target == cumsum[-1]
-    # lands in the top bracket
-    for k in range(len(cumsum) - 1):
-        if cumsum[k] <= target < cumsum[k + 1]:
-            return k
-    return len(cumsum) - 2
-
-
 def brute_force_select(
     alpha: Sequence[float],
     beta: Sequence[float],
@@ -197,7 +187,7 @@ def brute_force_select(
 ) -> SelectionResult:
     """Exhaustive reference selection over every (m_up, m_low) pair.
 
-    Kept as the oracle the shortcut selector is tested against; ties are
+    Kept as the oracle the grid selector is tested against; ties are
     broken by smaller objective, then smaller m_up, then smaller m_low.
     """
     best: tuple[float, int, int] | None = None
@@ -210,6 +200,44 @@ def brute_force_select(
     return SelectionResult(m_up=best[1], m_low=best[2], f_value=best[0])
 
 
+@functools.cache
+def _grid_cells(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each cell of a size x size grid, row-major: its column in a row
+    of upper then lower sums, its column in the lower half, and its
+    (m_up, m_low); read-only, as every caller shares them."""
+    m_up, m_low = np.divmod(np.arange(size * size), size)
+    cells = (m_up, size + m_low, np.stack((m_up, m_low), axis=-1))
+    for a in cells:
+        a.flags.writeable = False
+    return cells
+
+
+def select_grid(sums: np.ndarray, targets: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Insertion counts (m_up, m_low) minimizing the objective over every pair.
+
+    ``sums[..., 0, :]`` and ``sums[..., 1, :]`` are the upper and lower
+    cumulative sums (n+1 entries each), ``targets[..., 0]`` and
+    ``targets[..., 1]`` the upper and lower targets; any leading shape
+    batches independent legs, and the result has shape (..., 2).  Each
+    cell is computed with the operations of ``objective_f``, so it is the
+    same float, and ``argmin`` over the row-major grid takes the first
+    minimum: the tie-break of ``brute_force_select``, smaller objective,
+    then smaller m_up, then smaller m_low.  A NaN cell counts as +inf, as
+    a NaN never wins a comparison in the scan; the two differ only when
+    cell (0, 0) is NaN, which the scan then keeps.
+    """
+    size = sums.shape[-1]
+    up_cols, low_cols, pairs = _grid_cells(size)
+    d = (targets[..., None] - sums).reshape(-1, 2 * size)
+    d_up = d.take(up_cols, axis=-1)
+    d_low = d.take(low_cols, axis=-1)
+    f = (params.w_track / (2.0 * params.z_step)) * np.abs(d_low - d_up) + (
+        params.w_circ * params.t_s / (2.0 * params.l_arm)
+    ) * np.abs(d_low + d_up)
+    np.fmin(f, np.inf, out=f)
+    return pairs.take(f.argmin(axis=-1), axis=0).reshape(sums.shape[:-2] + (2,))
+
+
 def select_optimal(
     alpha: Sequence[float],
     beta: Sequence[float],
@@ -218,35 +246,19 @@ def select_optimal(
 ) -> SelectionResult:
     """Minimize the selection objective over the cumulative-sum grids.
 
-    For targets inside the representable range on strictly increasing
-    sums it suffices to evaluate the four bracket combinations around
-    each target.  Targets outside the range, sums that are not strictly
-    monotone (possible with zero or negative anticipated voltages in
-    deeply distorted states), and the degenerate duplicates they bring
-    all fall back to the full scan, so the result matches
-    ``brute_force_select`` exactly, tie-breaks included.
+    Evaluates the full grid with ``select_grid``, the selection the
+    scenario engine runs, so the result is ``brute_force_select``'s for
+    any weights, tie-breaks included.  ``alpha`` and ``beta`` have the
+    same length.
     """
-    t_up = targets.v_up_target
-    t_low = targets.v_low_target
-    interior = (
-        _strictly_increasing(alpha)
-        and _strictly_increasing(beta)
-        and alpha[0] <= t_up <= alpha[-1]
-        and beta[0] <= t_low <= beta[-1]
+    m_up, m_low = select_grid(
+        np.array([alpha, beta]), np.array([targets.v_up_target, targets.v_low_target]), params
+    ).tolist()
+    return SelectionResult(
+        m_up=m_up,
+        m_low=m_low,
+        f_value=objective_f(params, targets, alpha[m_up], beta[m_low]),
     )
-    if not interior:
-        return brute_force_select(alpha, beta, targets, params)
-
-    i = _bracket(alpha, t_up)
-    j = _bracket(beta, t_low)
-    best: tuple[float, int, int] | None = None
-    for m_up in (i, i + 1):
-        for m_low in (j, j + 1):
-            key = (objective_f(params, targets, alpha[m_up], beta[m_low]), m_up, m_low)
-            if best is None or key < best:
-                best = key
-    assert best is not None
-    return SelectionResult(m_up=best[1], m_low=best[2], f_value=best[0])
 
 
 def modulate_phase(

@@ -3,19 +3,18 @@ pi-line) DC side, advanced at a fixed sampling period."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
-from .core import (
-    PhaseLegState,
-    SimulationDiverged,
-    SystemParams,
-    nominal_phase_state,
-    step_phase,
-)
-from .modulation import ALGORITHMS, modulate_phase
+from .core import SimulationDiverged, SystemParams
+from .modulation import ALGORITHMS, select_grid
+
+# not called here; perfbench/tracer.py wraps these two names on this module,
+# so they must stay importable from it (their spans read 0)
+from .core import step_phase  # noqa: F401
+from .modulation import modulate_phase  # noqa: F401
 
 PHASES = ("a", "b", "c")
 _PHASE_OFFSET = {"a": 0.0, "b": 2.0 * math.pi / 3.0, "c": 4.0 * math.pi / 3.0}
@@ -272,97 +271,177 @@ class SimTrace:
         return np.arange(1, self.steps + 1) * self.config.params.t_s
 
 
-def _empty_phase_trace(steps: int, n: int) -> PhaseTrace:
-    return PhaseTrace(
-        i_ac=np.zeros(steps),
-        i_ref=np.zeros(steps),
-        i_circ=np.zeros(steps),
-        v_grid=np.zeros(steps),
-        v_c=np.zeros((steps, 2 * n)),
-        u=np.zeros((steps, 2 * n), dtype=np.int8),
-    )
-
-
 def run_scenario(config: ScenarioConfig) -> SimTrace:
     """Advance the three-phase system over the configured span.
 
-    Per step and phase: sample the reference and grid voltage for the
-    coming instant, run the modulation, apply the plant update, record.
-    The DC side is either a stiff source (constant V_dc) or a single
-    lumped pi section fed from a stiff source, integrated with a
-    semi-implicit Euler step, which stays bounded where a plain forward
-    step on the undamped LC would grow.
+    Each step does the work of ``modulate_phase`` and then ``step_phase``
+    for the three legs at once: the per-leg quantities (targets, arm currents,
+    the new AC and circulating currents) as floats, the six arms as numpy
+    arrays of shape (phase, arm, submodule) through anticipation, the
+    sort, the cumulative sums, the full-grid selection (``select_grid``)
+    and the capacitor update.  Every expression keeps the scalar
+    functions' operations and their order, so the trace is bit-identical
+    to stepping them leg by leg.  The DC side is either a stiff source
+    (constant V_dc) or a single lumped pi section fed from a stiff source,
+    integrated with a semi-implicit Euler step, which stays bounded where
+    a plain forward step on the undamped LC would grow.
     """
     params = config.params
     n = params.n
     ts = params.t_s
     steps = config.steps
-
-    states: dict[str, PhaseLegState] = {
-        ph: nominal_phase_state(params, grid_voltage(config, 0.0, ph)) for ph in PHASES
-    }
-
-    nsw_arr = config.nsw_schedule.per_step(ts, steps)
-    v_dc_arr = np.zeros(steps)
-    traces = {ph: _empty_phase_trace(steps, n) for ph in PHASES}
-
+    v1fc = config.algorithm == "v1fc"
     piline = config.dc_model == "piline"
+
+    # trace storage, written step by step; phase p's fields are the
+    # contiguous slices [p] of these blocks
+    nsw_arr = config.nsw_schedule.per_step(ts, steps)
+    v_dc_arr = np.full(steps, params.v_dc)
+    i_ac_tr, i_ref_tr, i_circ_tr, v_grid_tr = np.empty((4, len(PHASES), steps))
+    v_c_tr = np.empty((len(PHASES), steps, 2 * n))
+    u_tr = np.empty((len(PHASES), steps, 2 * n), dtype=np.int8)
+
+    # the expressions of reference_current and grid_voltage, once per run;
+    # math.sin, not np.sin, so every sample has the scalar functions' bits
+    t = np.arange(1, steps + 1) * ts
+    for p, ph in enumerate(PHASES):
+        arg = 2.0 * math.pi * params.f_grid * t - _PHASE_OFFSET[ph]
+        sines = np.fromiter(map(math.sin, arg.tolist()), float, steps)
+        np.multiply(config.i_ref_peak, sines, out=i_ref_tr[p])
+        np.multiply(config.v_s_peak, sines, out=v_grid_tr[p])
+
+    # the state, nominal_phase_state of each leg: per-leg floats, and the
+    # arms' capacitor voltages and statuses (bool, viewed as int8 to record)
+    i_ac = [0.0] * len(PHASES)
+    i_circ = [0.0] * len(PHASES)
+    v_grid = [grid_voltage(config, 0.0, ph) for ph in PHASES]
+    v = np.full((len(PHASES), 2, n), params.v_sm_nominal)
+    u = np.zeros((len(PHASES), 2, n), dtype=bool)
+    u_flat = u.reshape(-1)
+    v_row = v.reshape(len(PHASES), 2 * n)
+    u_row = u.view(np.int8).reshape(len(PHASES), 2 * n)
+
+    # step buffers; column 0 of the running sums stays 0.0, their start
+    v_next = np.empty_like(v)
+    off = np.empty(v.shape, dtype=np.intp)
+    sums = np.zeros((len(PHASES), 2, n + 1))
+    volts = np.zeros((len(PHASES), 2, n + 1))
+    # flat index of each arm's first submodule, to index v, u and off flat
+    base = np.arange(0, v.size, n).reshape(len(PHASES), 2, 1)
+    positions = np.arange(n)
+
+    l_arm_ts = params.l_arm / params.t_s
+    l_ac_ts = params.l_ac / params.t_s
+    z_step = params.z_step
+    c_sm = params.c_sm
+    circ_gain = params.t_s / (2.0 * params.l_arm)
+    i_circ_nom = config.i_circ_nominal
     v_dc_now = params.v_dc
     i_line = 0.0
     if piline:
         l_total = config.line_l_per_km * config.line_length_km
         c_end = config.line_c_per_km * config.line_length_km / 2.0
 
-    i_circ_nom = config.i_circ_nominal
-    params_now = params
+    # overflow in a deeply unbalanced state ends in the divergence check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, budget in enumerate(nsw_arr.tolist()):
+            i_ref = i_ref_tr[:, k].tolist()
+            v_grid_next = v_grid_tr[:, k].tolist()
 
-    for k, nsw in enumerate(nsw_arr.tolist()):
-        t_next = (k + 1) * ts
-        if piline:
-            params_now = replace(params, v_dc=v_dc_now)
-        iz_sum = 0.0
-        for ph in PHASES:
-            st = states[ph]
-            i_ref_next = reference_current(config, t_next, ph)
-            try:
-                sel = modulate_phase(
-                    st, i_ref_next, nsw, config.algorithm, params_now,
-                    i_circ_nominal=i_circ_nom,
+            # 1. per leg: targets (compute_targets), the arm currents
+            # (arm_currents), their one-step capacitor increments and the sort
+            # direction, descending while an arm discharges
+            per_leg = []
+            for p in range(len(PHASES)):
+                common = v_dc_now / 2.0 + l_arm_ts * (i_circ[p] - i_circ_nom)
+                drive = z_step * i_ref[p] + v_grid[p] - l_ac_ts * i_ac[p]
+                half = 0.5 * i_ac[p]
+                i_up = i_circ[p] + half
+                i_low = i_circ[p] - half
+                per_leg += (
+                    common - drive, common + drive,
+                    ts * i_up / c_sm, ts * i_low / c_sm,
+                    -1.0 if i_up < 0 else 1.0, -1.0 if i_low < 0 else 1.0,
                 )
-                new_st = step_phase(
-                    st, sel.decision, grid_voltage(config, t_next, ph), params_now
-                )
-            except SimulationDiverged as exc:
-                raise SimulationDiverged(
-                    f"phase {ph} diverged at step {k + 1} (t = {t_next:.6f} s): {exc}"
-                ) from None
+            per_leg = np.array(per_leg).reshape(len(PHASES), 6)
+            targets = per_leg[:, 0:2]
 
-            tr = traces[ph]
-            tr.i_ac[k] = new_st.i_ac
-            tr.i_ref[k] = i_ref_next
-            tr.i_circ[k] = new_st.i_circ
-            tr.v_grid[k] = new_st.v_grid
-            tr.v_c[k] = new_st.upper.v_c + new_st.lower.v_c
-            tr.u[k] = new_st.upper.u + new_st.lower.u
-            states[ph] = new_st
-            iz_sum += new_st.i_circ
+            # 2. anticipation: every submodule inserted
+            np.add(v, per_leg[:, 2:4, None], out=v_next)
 
-        v_dc_arr[k] = params_now.v_dc
-        if piline:
-            # semi-implicit: current from the old bus voltage, voltage from
-            # the new current; the converter draws the summed leg currents
-            i_line += ts / l_total * (params.v_dc - v_dc_now)
-            v_dc_now += ts / c_end * (i_line - iz_sum)
-            if not (math.isfinite(v_dc_now) and v_dc_now > 0.0):
-                raise SimulationDiverged(
-                    f"DC bus voltage {v_dc_now!r} at step {k + 1} (t = {t_next:.6f} s)"
-                )
+            # 3. the sorts; a stable ascending sort of the negated key is the
+            # stable reverse sort of sort_v1f2 and sort_v1fc
+            key = v_next * per_leg[:, 4:6, None]
+            if v1fc:
+                np.subtract(1, u, out=off)
+                order = np.lexsort((off, key))  # voltage key, then ON first
+                order += base
+                if budget < n:  # a budget of n defers nothing
+                    off_sorted = off.take(order)
+                    penalty = np.add.accumulate(off_sorted, axis=-1)
+                    penalty -= budget
+                    np.maximum(penalty, 0, out=penalty)
+                    penalty *= off_sorted
+                    by_penalty = penalty.argsort(axis=-1, kind="stable")
+                    by_penalty += base
+                    order = order.take(by_penalty)
+            else:
+                order = key.argsort(axis=-1, kind="stable")
+                order += base
+
+            # 4. running sums of the anticipated voltages in sorted order
+            sums[..., 1:] = v_next.take(order)
+            np.add.accumulate(sums, axis=-1, out=sums)
+
+            # 5. selection over the full (n+1) x (n+1) grid of each leg
+            counts = select_grid(sums, targets, params)
+
+            # 6. insert the chosen prefixes, then step_phase: inserted
+            # capacitors integrate, bypassed ones keep their bits, arm voltages
+            # sum in submodule order (v is finite: a bypassed SM adds +-0.0)
+            u_flat[order] = positions < counts[..., None]
+            np.copyto(v, v_next, where=u)
+            np.multiply(v, u, out=volts[..., 1:])
+            np.add.accumulate(volts, axis=-1, out=volts)
+            for p, (v_up, v_low) in enumerate(volts[..., -1].tolist()):
+                i_ac_p = ((v_low - v_up) / 2.0 - v_grid_next[p] + l_ac_ts * i_ac[p]) / z_step
+                i_circ_p = circ_gain * (v_dc_now - v_low - v_up) + i_circ[p]
+                # only an inserted capacitor can turn non-finite, and it
+                # spoils the currents: checking them is step_phase's check
+                if not (math.isfinite(i_ac_p) and math.isfinite(i_circ_p)):
+                    raise SimulationDiverged(
+                        f"phase {PHASES[p]} diverged at step {k + 1} (t = {(k + 1) * ts:.6f} s): "
+                        f"non-finite state after the step: i_ac={i_ac_p!r}, "
+                        f"i_circ={i_circ_p!r}, v_c={v_row[p].tolist()!r}"
+                    )
+                i_ac[p] = i_ac_tr[p, k] = i_ac_p
+                i_circ[p] = i_circ_tr[p, k] = i_circ_p
+            v_grid = v_grid_next
+            v_c_tr[:, k] = v_row
+            u_tr[:, k] = u_row
+
+            if piline:
+                v_dc_arr[k] = v_dc_now
+                # semi-implicit: current from the old bus voltage, voltage from
+                # the new current; the converter draws the summed leg currents
+                i_line += ts / l_total * (params.v_dc - v_dc_now)
+                v_dc_now += ts / c_end * (i_line - (0.0 + i_circ[0] + i_circ[1] + i_circ[2]))
+                if not (math.isfinite(v_dc_now) and v_dc_now > 0.0):
+                    raise SimulationDiverged(
+                        f"DC bus voltage {v_dc_now!r} at step {k + 1} (t = {(k + 1) * ts:.6f} s)"
+                    )
 
     return SimTrace(
         config=config,
         n_sw_max=nsw_arr,
         v_dc=v_dc_arr,
-        phases=traces,
+        phases={
+            ph: PhaseTrace(
+                i_ac=i_ac_tr[p], i_ref=i_ref_tr[p], i_circ=i_circ_tr[p],
+                v_grid=v_grid_tr[p], v_c=v_c_tr[p], u=u_tr[p],
+            )
+            for p, ph in enumerate(PHASES)
+        },
     )
 
 

@@ -4,6 +4,7 @@ Run `pytest -s tests/test_acceptance.py` to see the per-criterion lines;
 the quantitative criteria slice the session-scoped full-length runs.
 """
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +19,16 @@ def _report(cid: str, ok: bool, detail: str) -> None:
 
 
 # -------------------------------------------------------------------------
-# Criterion 1: shortcut selector equals the exhaustive oracle, exactly,
-# over 10^4 randomized instances.
+# Criterion 1: the grid selector equals the exhaustive oracle, exactly,
+# over 10^4 randomized instances under each of four objective weightings.
 # -------------------------------------------------------------------------
-def test_c1_selection_oracle_equivalence(table1):
+@pytest.mark.parametrize(
+    "weights",
+    [{}, {"w_circ": 0.1}, {"w_circ": 0.0}, {"w_track": 2.0, "w_circ": 0.5}],
+    ids=["table1", "w_circ=0.1", "w_circ=0", "w_track=2-w_circ=0.5"],
+)
+def test_c1_selection_oracle_equivalence(table1, weights):
+    table1 = replace(table1, **weights)
     rng = random.Random(20240817)
     trials = 10_000
     mismatches = 0
@@ -43,7 +50,7 @@ def test_c1_selection_oracle_equivalence(table1):
         ):
             mismatches += 1
     ok = mismatches == 0
-    _report("C1", ok, f"{trials} random instances, {mismatches} mismatches")
+    _report("C1", ok, f"{weights or 'table1'}: {trials} random instances, {mismatches} mismatches")
     assert ok
 
 

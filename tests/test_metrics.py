@@ -96,6 +96,20 @@ def test_fs_empty_window_rejected():
         m.effective_switching_frequency(trace, 0, (2e-3, 3e-3))
 
 
+def test_window_past_the_trace_rejected():
+    # the 40-step (1 ms) trace toggling every step: 20 turn-ons in 1 ms;
+    # dividing them by the 2 ms span of (0, 2 ms] would read 10,000 Hz
+    trace = _synthetic_trace(u_a=(np.arange(40) + 1) % 2)
+    assert m.effective_switching_frequency(trace, 0, (0.0, 1e-3 + 1e-12)) == pytest.approx(
+        20000.0, rel=1e-6
+    )
+    for window in ((0.0, 2e-3), (-25e-6, 1e-3), (0.0, 1e-3 + 25e-6)):
+        with pytest.raises(ValueError, match="outside the trace"):
+            m.effective_switching_frequency(trace, 0, window)
+        with pytest.raises(ValueError, match="outside the trace"):
+            m.ripple_percent(trace, 0, window)
+
+
 # ------------------------------------------------------------------- ripple
 
 def test_ripple_constant_is_zero():

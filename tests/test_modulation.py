@@ -227,7 +227,17 @@ def test_select_duplicate_cumsum_tie(table1):
     assert (r.m_up, r.m_low, r.f_value) == (b.m_up, b.m_low, b.f_value) == (1, 1, 0.0)
 
 
-def test_select_matches_brute_force_random(table1):
+# objective weightings on both sides of w_track / (2 z_step) = w_circ t_s / (2 l_arm)
+WEIGHTINGS = pytest.mark.parametrize(
+    "weights",
+    [{}, {"w_circ": 0.1}, {"w_circ": 0.0}, {"w_track": 2.0, "w_circ": 0.5}],
+    ids=["table1", "w_circ=0.1", "w_circ=0", "w_track=2-w_circ=0.5"],
+)
+
+
+@WEIGHTINGS
+def test_select_matches_brute_force_random(table1, weights):
+    table1 = replace(table1, **weights)
     rng = random.Random(101)
     for _ in range(2000):
         caps_up = [10e3 * rng.uniform(0.9, 1.1) for _ in range(6)]
@@ -247,6 +257,27 @@ def test_select_matches_brute_force_random(table1):
         assert r.f_value == b.f_value
 
 
+@WEIGHTINGS
+def test_select_matches_brute_force_wide_spread(table1, weights):
+    # capacitor voltages spread +-50 %: under each weighting here, the
+    # optimum of some cases lies outside the brackets around the two
+    # targets, where a search of the brackets alone would miss it
+    params = replace(table1, **weights)
+    rng = random.Random(202)
+    for _ in range(2000):
+        alpha = [0.0]
+        beta = [0.0]
+        for _ in range(6):
+            alpha.append(alpha[-1] + 10e3 * rng.uniform(0.5, 1.5))
+            beta.append(beta[-1] + 10e3 * rng.uniform(0.5, 1.5))
+        t = m.ArmTargets(
+            rng.uniform(-0.1, 1.1) * params.v_dc, rng.uniform(-0.1, 1.1) * params.v_dc
+        )
+        r = m.select_optimal(alpha, beta, t, params)
+        b = m.brute_force_select(alpha, beta, t, params)
+        assert (r.m_up, r.m_low, r.f_value) == (b.m_up, b.m_low, b.f_value)
+
+
 def test_select_clamped_targets(table1):
     alpha = _uniform_cumsums()
     for t in (m.ArmTargets(-5000.0, 30000.0), m.ArmTargets(70000.0, 65000.0)):
@@ -264,6 +295,17 @@ def test_select_nonmonotone_cumsum(table1):
     r = m.select_optimal(alpha, beta, t, p3)
     b = m.brute_force_select(alpha, beta, t, p3)
     assert (r.m_up, r.m_low, r.f_value) == (b.m_up, b.m_low, b.f_value)
+
+
+def test_select_nan_cumsum():
+    # a NaN objective never wins a comparison in the exhaustive scan
+    p2 = m.SystemParams(n=2)
+    alpha = [0.0, 10000.0, float("nan")]
+    beta = [0.0, 10000.0, 20000.0]
+    t = m.ArmTargets(10000.0, 10000.0)
+    r = m.select_optimal(alpha, beta, t, p2)
+    b = m.brute_force_select(alpha, beta, t, p2)
+    assert (r.m_up, r.m_low, r.f_value) == (b.m_up, b.m_low, b.f_value) == (1, 1, 0.0)
 
 
 def test_brute_force_minimal_case():

@@ -1,11 +1,12 @@
 """Scenario assembly: sources, schedule lookup, and the run loop."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mmcsim as m
-from mmcsim.scenario import config_from_dict, config_to_dict
+from mmcsim.scenario import PHASES, PhaseTrace, config_from_dict, config_to_dict
 
 REL = 1e-12
 
@@ -229,3 +230,129 @@ def test_trace_switch_counts_match_status_stream(fast_v1fc_trace):
         flips = np.abs(tr.u[k].astype(int) - prev.astype(int))
         assert tr.switches_upper[k] == flips[:n].sum()
         assert tr.switches_lower[k] == flips[n:].sum()
+
+
+# ------------------------------------------------ the engine and its oracle
+
+def _reference_run(config):
+    """``run_scenario`` as a loop over the scalar building blocks: per step
+    and phase, ``modulate_phase`` then ``step_phase`` on dataclass states,
+    the pi-line bus voltage passed in through a rebuilt ``SystemParams``."""
+    params = config.params
+    n = params.n
+    ts = params.t_s
+    steps = config.steps
+    states = {
+        ph: m.nominal_phase_state(params, m.grid_voltage(config, 0.0, ph)) for ph in PHASES
+    }
+    nsw_arr = config.nsw_schedule.per_step(ts, steps)
+    v_dc_arr = np.zeros(steps)
+    traces = {
+        ph: PhaseTrace(
+            i_ac=np.zeros(steps), i_ref=np.zeros(steps), i_circ=np.zeros(steps),
+            v_grid=np.zeros(steps), v_c=np.zeros((steps, 2 * n)),
+            u=np.zeros((steps, 2 * n), dtype=np.int8),
+        )
+        for ph in PHASES
+    }
+    piline = config.dc_model == "piline"
+    v_dc_now = params.v_dc
+    i_line = 0.0
+    if piline:
+        l_total = config.line_l_per_km * config.line_length_km
+        c_end = config.line_c_per_km * config.line_length_km / 2.0
+    params_now = params
+    for k, nsw in enumerate(nsw_arr.tolist()):
+        t_next = (k + 1) * ts
+        if piline:
+            params_now = replace(params, v_dc=v_dc_now)
+        iz_sum = 0.0
+        for ph in PHASES:
+            st = states[ph]
+            i_ref_next = m.reference_current(config, t_next, ph)
+            try:
+                sel = m.modulate_phase(
+                    st, i_ref_next, nsw, config.algorithm, params_now,
+                    i_circ_nominal=config.i_circ_nominal,
+                )
+                new_st = m.step_phase(
+                    st, sel.decision, m.grid_voltage(config, t_next, ph), params_now
+                )
+            except m.SimulationDiverged as exc:
+                raise m.SimulationDiverged(
+                    f"phase {ph} diverged at step {k + 1} (t = {t_next:.6f} s): {exc}"
+                ) from None
+            tr = traces[ph]
+            tr.i_ac[k] = new_st.i_ac
+            tr.i_ref[k] = i_ref_next
+            tr.i_circ[k] = new_st.i_circ
+            tr.v_grid[k] = new_st.v_grid
+            tr.v_c[k] = new_st.upper.v_c + new_st.lower.v_c
+            tr.u[k] = new_st.upper.u + new_st.lower.u
+            states[ph] = new_st
+            iz_sum += new_st.i_circ
+        v_dc_arr[k] = params_now.v_dc
+        if piline:
+            i_line += ts / l_total * (params.v_dc - v_dc_now)
+            v_dc_now += ts / c_end * (i_line - iz_sum)
+            if not (math.isfinite(v_dc_now) and v_dc_now > 0.0):
+                raise m.SimulationDiverged(
+                    f"DC bus voltage {v_dc_now!r} at step {k + 1} (t = {t_next:.6f} s)"
+                )
+    return m.SimTrace(config=config, n_sw_max=nsw_arr, v_dc=v_dc_arr, phases=traces)
+
+
+def _assert_same_trace(got, want):
+    for name in ("n_sw_max", "v_dc"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for ph in PHASES:
+        for name in ("i_ac", "i_ref", "i_circ", "v_grid", "v_c", "u"):
+            a, b = getattr(got.phase(ph), name), getattr(want.phase(ph), name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), f"{ph}.{name}"
+
+
+def _staircase(duration, n):
+    """The fast profile's staircase compressed to ``duration``, budgets
+    capped at ``n``."""
+    scale = duration / 0.5
+    return m.NswSchedule(tuple(
+        (round(start * scale, 9), round(end * scale, 9), min(budget, n))
+        for start, end, budget in m.fast_schedule().segments
+    ))
+
+
+def test_engine_matches_scalar_loop_fast_profile(fast_v1fc_trace):
+    _assert_same_trace(fast_v1fc_trace, _reference_run(fast_v1fc_trace.config))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        m.fast_config("v1f2", duration=0.1, warmup=0.0, nsw_schedule=_staircase(0.1, 6)),
+        m.fast_config("v1fc", dc_model="piline", duration=0.1, warmup=0.0,
+                      nsw_schedule=_staircase(0.1, 6)),
+        m.fast_config("v1f2", dc_model="piline", duration=0.1, warmup=0.0,
+                      nsw_schedule=_staircase(0.1, 6)),
+        m.fast_config("v1fc", params=m.SystemParams(n=4, v_dc=40e3, w_circ=0.1),
+                      duration=0.1, warmup=0.0, nsw_schedule=_staircase(0.1, 4)),
+    ],
+    ids=["v1f2-stiff", "v1fc-piline", "v1f2-piline", "n4-w_circ0.1"],
+)
+def test_engine_matches_scalar_loop(cfg):
+    _assert_same_trace(m.run_scenario(cfg), _reference_run(cfg))
+
+
+def test_leg_divergence_names_phase_and_step():
+    # no weight on the circulating current, a 1 pH arm inductor and a
+    # 1e300 V bus: the circulating current overflows within 15 steps
+    cfg = m.ScenarioConfig(
+        params=m.SystemParams(l_arm=1e-12, v_dc=1e300, w_circ=0.0),
+        duration=0.002, warmup=0.0, nsw_schedule=m.constant_schedule(0.002, 6),
+    )
+    with pytest.raises(m.SimulationDiverged) as want:
+        _reference_run(cfg)
+    with pytest.raises(m.SimulationDiverged, match=r"^phase a diverged at step \d+ ") as got:
+        m.run_scenario(cfg)
+    # the same phase, step and time
+    assert str(got.value).split(":")[0] == str(want.value).split(":")[0]
