@@ -8,6 +8,7 @@ import json
 import sys
 import time
 from dataclasses import MISSING, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -34,6 +35,9 @@ from .modulation import ALGORITHMS
 
 _PROFILES = {"paper": paper_config, "fast": fast_config}
 _SETTLE = {"paper": 0.02, "fast": 0.01}
+# rows per block when writing and reading CSVs: peak memory is the trace
+# plus one block, whatever the run length
+_BLOCK_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -147,13 +151,20 @@ def _write_columns(
 ) -> int:
     """Write equal-length columns side by side as CSV with ``\\r\\n`` line
     ends, as ``csv.writer`` does.  A 2-D array adds one column per array
-    column; ``fmt`` is the %-format of one row.  Returns the row count."""
-    rows = np.column_stack(columns).tolist()
+    column; ``fmt`` is the %-format of one row.  Rows are stacked, converted
+    and formatted ``_BLOCK_ROWS`` at a time, so the table is never held as
+    Python floats.  Returns the row count."""
+    lengths = {len(col) for col in columns}
+    if len(lengths) != 1:
+        raise ValueError(f"{path.name}: columns differ in length: {sorted(lengths)}")
+    rows = lengths.pop()
     fmt += "\r\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(fmt % tuple(row) for row in rows)
-    return len(rows)
+        for start in range(0, rows, _BLOCK_ROWS):
+            block = np.column_stack([col[start : start + _BLOCK_ROWS] for col in columns])
+            fh.writelines(fmt % tuple(row) for row in block.tolist())
+    return rows
 
 
 def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
@@ -169,6 +180,32 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
     columns = [trace.t, tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid, trace.n_sw_max, tr.v_c, tr.u]
     fmt = ",".join(["%.9g", phase] + ["%.9g"] * 4 + ["%d"] + ["%.9g"] * n2 + ["%d"] * n2)
     return _write_columns(path, header, columns, fmt)
+
+
+def _read_phase(path: Path, steps: int, n2: int) -> tuple[np.ndarray, PhaseTrace]:
+    """The budgets and the records of one phase CSV, parsed ``_BLOCK_ROWS``
+    lines at a time into arrays of their final dtypes."""
+    floats = np.empty((4, steps))  # i_ref, i_ac, i_circ, v_grid
+    nsw = np.empty(steps, dtype=np.int16)
+    v_c = np.empty((steps, n2))
+    u = np.empty((steps, n2), dtype=np.int8)
+    rows = 0
+    with path.open() as fh:
+        fh.readline()  # header
+        for lines in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
+            # columns after t and phase: i_ref, i, i_z, v_s, nsw_max, vC..., u...
+            body = np.loadtxt(lines, delimiter=",", usecols=range(2, 7 + 2 * n2), ndmin=2)
+            stop = rows + len(body)
+            if stop <= steps:  # past that, only count the rows for the error
+                floats[:, rows:stop] = body[:, :4].T
+                nsw[rows:stop] = body[:, 4]
+                v_c[rows:stop] = body[:, 5 : 5 + n2]
+                u[rows:stop] = body[:, 5 + n2 :]
+            rows = stop
+    if rows != steps:
+        raise ConfigError(f"{path.name} has {rows} rows, config expects {steps}")
+    i_ref, i_ac, i_circ, v_grid = floats
+    return nsw, PhaseTrace(i_ac=i_ac, i_ref=i_ref, i_circ=i_circ, v_grid=v_grid, v_c=v_c, u=u)
 
 
 def load_run(out_dir: str | Path) -> SimTrace:
@@ -188,24 +225,7 @@ def load_run(out_dir: str | Path) -> SimTrace:
 
     phases = {}
     for ph in PHASES:
-        # columns after t and phase: i_ref, i, i_z, v_s, nsw_max, vC..., u...
-        body = np.loadtxt(
-            out_dir / f"phase_{ph}.csv", delimiter=",", skiprows=1,
-            usecols=range(2, 7 + 2 * n2), ndmin=2,
-        )
-        if len(body) != steps:
-            raise ConfigError(
-                f"phase_{ph}.csv has {len(body)} rows, config expects {steps}"
-            )
-        nsw = body[:, 4].astype(np.int16)
-        phases[ph] = PhaseTrace(
-            i_ac=body[:, 1],
-            i_ref=body[:, 0],
-            i_circ=body[:, 2],
-            v_grid=body[:, 3],
-            v_c=body[:, 5 : 5 + n2],
-            u=body[:, 5 + n2 :].astype(np.int8),
-        )
+        nsw, phases[ph] = _read_phase(out_dir / f"phase_{ph}.csv", steps, n2)
     return SimTrace(
         config=config,
         n_sw_max=nsw,

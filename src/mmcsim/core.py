@@ -40,12 +40,16 @@ class SystemParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        for name in ("v_dc", "c_sm", "l_arm", "l_grid", "t_s", "f_grid"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        # negated comparisons, so that NaN fails them too
         for name in ("r_grid", "w_track", "w_circ"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        # z_step is derived, and can underflow to 0 or overflow
+        for name in ("v_dc", "c_sm", "l_arm", "l_grid", "t_s", "f_grid", "z_step"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def l_ac(self) -> float:

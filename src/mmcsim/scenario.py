@@ -145,16 +145,20 @@ class ScenarioConfig:
     line_l_per_km: float = 50e-6   # [H/km]
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
+        # written as `not x > 0` so that NaN fails too; the line totals are
+        # derived, and can underflow to 0 or overflow
+        for name in ("duration", "v_s_peak", "line_length_km", "line_c_per_km",
+                     "line_l_per_km", "line_inductance", "line_end_capacitance"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.warmup <= self.duration:
             raise ValueError(
                 f"warmup must lie in [0, duration], got {self.warmup}"
             )
-        if self.v_s_peak <= 0:
-            raise ValueError(f"v_s_peak must be > 0, got {self.v_s_peak}")
-        if not math.isfinite(self.p_ref):
-            raise ValueError("p_ref must be finite")
+        for name in ("p_ref", "i_ref_peak", "i_circ_nominal"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
@@ -163,13 +167,16 @@ class ScenarioConfig:
             raise ValueError(
                 f"dc_model must be one of {DC_MODELS}, got {self.dc_model!r}"
             )
+        # past 2**53 the step count is not exact in floats
+        if not self.duration / self.params.t_s < 2.0**53:
+            raise ValueError(
+                f"duration {self.duration} is more than 2**53 steps of t_s {self.params.t_s}"
+            )
         steps = self.steps
         if steps < 1 or abs(steps * self.params.t_s - self.duration) > 1e-6 * self.params.t_s:
             raise ValueError(
                 f"duration {self.duration} is not a multiple of t_s {self.params.t_s}"
             )
-        if self.line_length_km <= 0 or self.line_c_per_km <= 0 or self.line_l_per_km <= 0:
-            raise ValueError("line parameters must be > 0")
         self.nsw_schedule.validate(self.params.n, self.duration)
 
     @property
@@ -185,6 +192,16 @@ class ScenarioConfig:
     def i_circ_nominal(self) -> float:
         """Average per-leg common-mode current carrying the DC-side power."""
         return self.p_ref / (3.0 * self.params.v_dc)
+
+    @property
+    def line_inductance(self) -> float:
+        """Series inductance of the pi-line DC model [H]."""
+        return self.line_l_per_km * self.line_length_km
+
+    @property
+    def line_end_capacitance(self) -> float:
+        """Capacitance at each end of the pi-line DC model [F]."""
+        return self.line_c_per_km * self.line_length_km / 2.0
 
 
 def paper_config(algorithm: str = "v1fc", **overrides: Any) -> ScenarioConfig:
@@ -339,8 +356,8 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     v_dc_now = params.v_dc
     i_line = 0.0
     if piline:
-        l_total = config.line_l_per_km * config.line_length_km
-        c_end = config.line_c_per_km * config.line_length_km / 2.0
+        l_total = config.line_inductance
+        c_end = config.line_end_capacitance
 
     # overflow in a deeply unbalanced state ends in the divergence check
     with np.errstate(over="ignore", invalid="ignore"):

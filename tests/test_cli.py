@@ -2,6 +2,8 @@
 import argparse
 import csv
 import json
+import shutil
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -9,8 +11,10 @@ import pytest
 
 import mmcsim as m
 from mmcsim.cli import (
-    ConfigError, build_config, format_summary, load_run, main, parse_config,
+    _BLOCK_ROWS, ConfigError, _write_columns, build_config, format_summary, load_run,
+    main, parse_config, write_phase_csv,
 )
+from mmcsim.scenario import PHASES, PhaseTrace, SimTrace
 
 
 def test_empty_config_gives_case_study_defaults(tmp_path):
@@ -249,3 +253,114 @@ def test_run_command_divergence_exit_code(tmp_path):
 def test_cli_rejects_unknown_algorithm_flag(tmp_path):
     with pytest.raises(SystemExit):
         main(["run", "--algorithm", "foo", "--out-dir", str(tmp_path / "o")])
+
+
+# ------------------------------------------------------- blocked CSV I/O
+
+def _write_columns_single_pass(path, header, columns, fmt):
+    """The writer before blocking, kept as the oracle: the whole table is
+    stacked and converted to Python floats at once."""
+    rows = np.column_stack(columns).tolist()
+    fmt += "\r\n"
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(fmt % tuple(row) for row in rows)
+    return len(rows)
+
+
+@pytest.mark.parametrize(
+    "rows", [0, 1, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 17],
+    ids=["empty", "one-row", "one-block", "partial-last-block"],
+)
+def test_write_columns_matches_single_pass(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    columns = [
+        np.arange(1, rows + 1) * 25e-6,
+        rng.normal(scale=1e3, size=rows),
+        rng.integers(0, 7, size=rows).astype(np.int16),
+        rng.normal(1e4, 1e2, size=(rows, 3)),
+        rng.integers(0, 2, size=(rows, 3)).astype(np.int8),
+        rng.normal(size=rows).tolist(),  # a list, as the fig4 table passes
+    ]
+    header = ["t", "tag", "x", "n", "v1", "v2", "v3", "u1", "u2", "u3", "y"]
+    fmt = ",".join(["%.9g", "a", "%.9g", "%d"] + ["%.9g"] * 3 + ["%d"] * 3 + ["%.9g"])
+    new, old = tmp_path / "blocked.csv", tmp_path / "single.csv"
+    assert _write_columns(new, header, columns, fmt) == rows
+    assert _write_columns_single_pass(old, header, columns, fmt) == rows
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_write_columns_ragged_table_writes_nothing(tmp_path):
+    # the short column still fills the first block
+    path = tmp_path / "ragged.csv"
+    columns = [np.zeros(2 * _BLOCK_ROWS), np.zeros(2 * _BLOCK_ROWS - 1)]
+    with pytest.raises(ValueError, match="differ in length"):
+        _write_columns(path, ["a", "b"], columns, "%g,%g")
+    assert not path.exists()
+
+
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    """A CLI run two blocks and a part long, and its in-memory trace."""
+    out = tmp_path_factory.mktemp("short") / "run"
+    argv = ["run", "--profile", "fast", "--duration", "0.06", "--out-dir", str(out)]
+    assert main(argv) == 0
+    trace = m.run_scenario(load_run(out).config)
+    assert trace.steps > 2 * _BLOCK_ROWS and trace.steps % _BLOCK_ROWS
+    return out, trace
+
+
+def test_load_run_round_trips_across_blocks(short_run):
+    out, trace = short_run
+    loaded = load_run(out)
+    as_written = np.vectorize(lambda x: float(f"{x:.9g}"))
+    assert np.array_equal(loaded.n_sw_max, trace.n_sw_max)
+    assert loaded.n_sw_max.dtype == np.int16
+    for ph in PHASES:
+        got, want = loaded.phase(ph), trace.phase(ph)
+        assert np.array_equal(got.u, want.u) and got.u.dtype == np.int8
+        for name in ("i_ref", "i_ac", "i_circ", "v_grid", "v_c"):
+            value = getattr(got, name)
+            assert value.dtype == np.float64, name
+            assert np.array_equal(value, as_written(getattr(want, name))), name
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one-row-short", "one-row-long"])
+def test_load_run_rejects_wrong_row_count(tmp_path, short_run, extra):
+    out = tmp_path / "run"
+    shutil.copytree(short_run[0], out)
+    path = out / "phase_b.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:extra] if extra < 0 else lines + lines[-extra:]))
+    steps = short_run[1].steps
+    with pytest.raises(ConfigError, match=f"phase_b.csv has {steps + extra} rows"):
+        load_run(out)
+
+
+def _synthetic_trace(steps):
+    cfg = m.fast_config(duration=steps * 25e-6, warmup=0.0,
+                        nsw_schedule=m.constant_schedule(steps * 25e-6, 6))
+    rng = np.random.default_rng(steps)
+    n2 = 2 * cfg.params.n
+    phase = PhaseTrace(
+        i_ac=rng.normal(size=steps), i_ref=rng.normal(size=steps),
+        i_circ=rng.normal(size=steps), v_grid=rng.normal(size=steps),
+        v_c=rng.normal(1e4, 1e2, size=(steps, n2)),
+        u=rng.integers(0, 2, size=(steps, n2), dtype=np.int8),
+    )
+    return SimTrace(config=cfg, n_sw_max=np.full(steps, 6, dtype=np.int16),
+                    v_dc=np.full(steps, 60e3), phases={"a": phase})
+
+
+def test_write_phase_csv_memory_does_not_grow_with_rows(tmp_path):
+    peaks = {}
+    for steps in (5_000, 50_000):
+        trace = _synthetic_trace(steps)
+        tracemalloc.start()
+        try:
+            write_phase_csv(tmp_path / f"phase_{steps}.csv", trace, "a")
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the single-pass writer's peak grew about tenfold
+    assert peaks[50_000] < 1.5 * peaks[5_000], peaks

@@ -3,6 +3,7 @@
 Expected numbers were derived by hand (or by a throwaway evaluation of the
 closed forms) before the implementation and frozen here.
 """
+import math
 import random
 from dataclasses import replace
 
@@ -32,6 +33,15 @@ def test_derived_constants(table1):
         {"w_track": -1.0},
         {"w_circ": -0.5},
         {"f_grid": 0.0},
+        {"v_dc": math.inf},
+        {"c_sm": math.nan},
+        {"t_s": math.inf},
+        {"f_grid": math.inf},
+        {"r_grid": math.inf},
+        {"w_track": math.nan},
+        {"w_circ": math.inf},
+        {"l_grid": 5e-324, "l_arm": 5e-324, "t_s": 10.0, "r_grid": 0.0},  # z_step 0
+        {"l_grid": 1e300, "l_arm": 1e300, "t_s": 1e-300},  # z_step inf
     ],
 )
 def test_params_validation(kwargs):

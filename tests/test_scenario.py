@@ -137,6 +137,34 @@ def test_config_validation_errors():
         m.ScenarioConfig(dc_model="ideal")
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["duration", "warmup", "p_ref", "v_s_peak", "line_length_km", "line_c_per_km", "line_l_per_km"],
+)
+def test_config_rejects_non_finite(field):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=field):
+            m.fast_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        (dict(p_ref=1e300, v_s_peak=1e-300), "i_ref_peak"),
+        (dict(p_ref=1e300, params=m.SystemParams(v_dc=1e-300)), "i_circ_nominal"),
+        (dict(line_length_km=1e-200, line_l_per_km=1e-200), "line_inductance"),
+        (dict(line_length_km=1e-200, line_c_per_km=1e-200), "line_end_capacitance"),
+        (dict(line_length_km=1e200, line_c_per_km=1e200), "line_end_capacitance"),
+        (dict(params=m.SystemParams(t_s=1e-300)), r"2\*\*53 steps"),
+    ],
+    ids=["i_ref_peak", "i_circ_nominal", "line-l-underflow", "line-c-underflow",
+         "line-c-overflow", "too-many-steps"],
+)
+def test_config_rejects_derived_out_of_range(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        m.fast_config(**overrides)
+
+
 # --------------------------------------------------------------- run loop
 
 def test_idle_run_stays_near_equilibrium():
