@@ -4,9 +4,11 @@ manifest."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import MISSING, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -35,9 +37,11 @@ from .modulation import ALGORITHMS
 
 _PROFILES = {"paper": paper_config, "fast": fast_config}
 _SETTLE = {"paper": 0.02, "fast": 0.01}
+# the timed stages of `mmcsim run`, in order, as the manifest names them
+_STAGES = ("build", "simulate", "report", "write")
 # rows per block when writing and reading CSVs: peak memory is the trace
 # plus one block, whatever the run length
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 512
 
 
 class ConfigError(ValueError):
@@ -167,24 +171,76 @@ def _write_columns(
     return rows
 
 
+@functools.cache
+def _status_text(width: int) -> tuple[str, ...]:
+    """The ``"0,1,..."`` text of ``width`` statuses, indexed by their code
+    from ``np.packbits(..., bitorder="little")``: bit k is status k."""
+    return tuple(",".join(str(code >> k & 1) for k in range(width)) for code in range(1 << width))
+
+
 def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
     """One row per step: t, phase, i_ref, i, i_z, v_s, nsw_max, then the
-    2n capacitor voltages and 2n statuses.  Returns the row count."""
+    2n capacitor voltages and 2n statuses.  Returns the row count.
+
+    Floats are formatted with ``%.9g``.  The budget is written as a Python
+    int, and each run of up to 8 statuses as one packed code looked up in
+    a table of its text.  ``t`` is built per block from the step index.
+    Statuses outside {0, 1} or negative budgets raise ``ValueError`` before
+    the file is opened.
+    """
     tr = trace.phase(phase)
-    n2 = tr.v_c.shape[1]
+    nsw, u = trace.n_sw_max, tr.u
+    series = (tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid)
+    rows, n2 = u.shape
+    lengths = {len(nsw), len(tr.v_c), *map(len, series)}
+    if lengths != {rows}:
+        raise ValueError(f"{path.name}: columns differ in length: {sorted(lengths | {rows})}")
+    # packbits would write any nonzero status as 1
+    if u.dtype.kind not in "biu" or (rows and (u.min() < 0 or u.max() > 1)):
+        raise ValueError(f"{path.name}: statuses must be integers 0 or 1")
+    if rows and nsw.min() < 0:
+        raise ValueError(f"{path.name}: budgets must be >= 0, got {nsw.min()}")
+
+    tables = [_status_text(min(8, n2 - k)) for k in range(0, n2, 8)]
     header = (
         ["t", "phase", "i_ref", "i", "i_z", "v_s", "nsw_max"]
         + [f"vC_{k + 1}" for k in range(n2)]
         + [f"u_{k + 1}" for k in range(n2)]
     )
-    columns = [trace.t, tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid, trace.n_sw_max, tr.v_c, tr.u]
-    fmt = ",".join(["%.9g", phase] + ["%.9g"] * 4 + ["%d"] + ["%.9g"] * n2 + ["%d"] * n2)
-    return _write_columns(path, header, columns, fmt)
+    fmt = ",".join(
+        ["%.9g", phase] + ["%.9g"] * 4 + ["%d"] + ["%.9g"] * n2 + ["%s"] * len(tables)
+    ) + "\r\n"
+    t_s = trace.config.params.t_s
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, rows, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            v_c = tr.v_c[block]
+            codes = np.packbits(u[block], axis=1, bitorder="little")
+            columns = [
+                # SimTrace.t's expression, so the same bits
+                (np.arange(start + 1, start + len(v_c) + 1) * t_s).tolist(),
+                *(col[block].tolist() for col in series),
+                nsw[block].tolist(),
+                *v_c.T.tolist(),
+                *(map(table.__getitem__, col) for table, col in zip(tables, codes.T.tolist())),
+            ]
+            fh.writelines(fmt % row for row in zip(*columns))
+    return rows
 
 
-def _read_phase(path: Path, steps: int, n2: int) -> tuple[np.ndarray, PhaseTrace]:
+def _read_phase(
+    path: Path, steps: int, n: int, budgets: np.ndarray | None
+) -> tuple[np.ndarray, PhaseTrace]:
     """The budgets and the records of one phase CSV, parsed ``_BLOCK_ROWS``
-    lines at a time into arrays of their final dtypes."""
+    lines at a time into arrays of their final dtypes.
+
+    Each block is checked as it is parsed: a status other than 0 or 1, a
+    budget that is not an integer in [0, n], or a budget that differs from
+    ``budgets`` (the phase files read before) raises ``ConfigError`` naming
+    the file and the row, counted from 1 after the header.
+    """
+    n2 = 2 * n
     floats = np.empty((4, steps))  # i_ref, i_ac, i_circ, v_grid
     nsw = np.empty(steps, dtype=np.int16)
     v_c = np.empty((steps, n2))
@@ -197,10 +253,29 @@ def _read_phase(path: Path, steps: int, n2: int) -> tuple[np.ndarray, PhaseTrace
             body = np.loadtxt(lines, delimiter=",", usecols=range(2, 7 + 2 * n2), ndmin=2)
             stop = rows + len(body)
             if stop <= steps:  # past that, only count the rows for the error
+                nsw_read, u_read = body[:, 4], body[:, 5 + n2 :]
+                # each check flags NaN too
+                checks = [
+                    ("status is not 0 or 1", (u_read != 0) & (u_read != 1), u_read),
+                    (
+                        f"nsw_max is not an integer in [0, {n}]",
+                        (nsw_read != nsw_read.round()) | ~((nsw_read >= 0) & (nsw_read <= n)),
+                        nsw_read,
+                    ),
+                ]
+                if budgets is not None:
+                    checks.append((
+                        "nsw_max differs from the phase files before it",
+                        nsw_read != budgets[rows:stop], nsw_read,
+                    ))
+                for what, bad, value in checks:
+                    if bad.any():
+                        at = tuple(np.argwhere(bad)[0])
+                        raise ConfigError(f"{path.name} row {rows + at[0] + 1}: {what}, got {value[at]:g}")
                 floats[:, rows:stop] = body[:, :4].T
-                nsw[rows:stop] = body[:, 4]
+                nsw[rows:stop] = nsw_read
                 v_c[rows:stop] = body[:, 5 : 5 + n2]
-                u[rows:stop] = body[:, 5 + n2 :]
+                u[rows:stop] = u_read
             rows = stop
     if rows != steps:
         raise ConfigError(f"{path.name} has {rows} rows, config expects {steps}")
@@ -215,17 +290,18 @@ def load_run(out_dir: str | Path) -> SimTrace:
     timestamps and per-step switch counts from them as for a fresh run;
     the serialized ``t`` column is display precision and is not read.  A
     pi-line run's varying bus voltage is not part of the CSV schema and
-    comes back as the nominal value.
+    comes back as the nominal value.  Only the manifest's config is read;
+    its file inventory and timings are not.
     """
     out_dir = Path(out_dir)
     manifest = json.loads((out_dir / "run_manifest.json").read_text())
     config = config_from_dict(manifest["config"])
     steps = config.steps
-    n2 = 2 * config.params.n
 
     phases = {}
+    nsw = None
     for ph in PHASES:
-        nsw, phases[ph] = _read_phase(out_dir / f"phase_{ph}.csv", steps, n2)
+        nsw, phases[ph] = _read_phase(out_dir / f"phase_{ph}.csv", steps, config.params.n, nsw)
     return SimTrace(
         config=config,
         n_sw_max=nsw,
@@ -235,39 +311,53 @@ def load_run(out_dir: str | Path) -> SimTrace:
 
 
 def _write_fig_files(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics]) -> dict[str, int]:
+    """The figure files; fig5 to fig7 are cut from ``phase_a.csv`` in
+    ``out_dir``, which must already hold this trace."""
     n2 = 2 * trace.config.params.n
-    tr = trace.phase("a")
-    tables = {
-        "fig4_switching_frequency.csv": (
-            ["segment", "t_start", "t_end", "nsw_max", "f_s_mean_hz", "reduction_pct"]
-            + [f"f_s_sm_{k + 1}_hz" for k in range(n2)],
-            [
-                [seg.index for seg in report],
-                [seg.t_start for seg in report],
-                [seg.t_end for seg in report],
-                [seg.n_sw_max for seg in report],
-                [seg.f_s_mean("a") for seg in report],
-                reduction_percent(report),
-                np.array([seg.f_s_per_sm[0] for seg in report]),
-            ],
-            ",".join(["%d", "%.9g", "%.9g", "%d"] + ["%.9g"] * (2 + n2)),
-        ),
-        "fig5_capacitor_voltages.csv": (
-            ["t"] + [f"vC_{k + 1}" for k in range(n2)],
-            [trace.t, tr.v_c],
-            ",".join(["%.9g"] * (1 + n2)),
-        ),
-        "fig6_ac_tracking.csv": (
-            ["t", "i_ref", "i"], [trace.t, tr.i_ref, tr.i_ac], "%.9g,%.9g,%.9g"
-        ),
-        "fig7_circulating_current.csv": (
-            ["t", "i_z"], [trace.t, tr.i_circ], "%.9g,%.9g"
-        ),
-    }
-    return {
-        name: _write_columns(out_dir / name, header, columns, fmt)
-        for name, (header, columns, fmt) in tables.items()
-    }
+    fig4 = "fig4_switching_frequency.csv"
+    rows = _write_columns(
+        out_dir / fig4,
+        ["segment", "t_start", "t_end", "nsw_max", "f_s_mean_hz", "reduction_pct"]
+        + [f"f_s_sm_{k + 1}_hz" for k in range(n2)],
+        [
+            [seg.index for seg in report],
+            [seg.t_start for seg in report],
+            [seg.t_end for seg in report],
+            [seg.n_sw_max for seg in report],
+            [seg.f_s_mean("a") for seg in report],
+            reduction_percent(report),
+            np.array([seg.f_s_per_sm[0] for seg in report]),
+        ],
+        ",".join(["%d", "%.9g", "%.9g", "%d"] + ["%.9g"] * (2 + n2)),
+    )
+    return {fig4: rows, **_cut_phase_figs(out_dir, n2)}
+
+
+_PHASE_FIGS = (
+    "fig5_capacitor_voltages.csv", "fig6_ac_tracking.csv", "fig7_circulating_current.csv"
+)
+
+
+def _cut_phase_figs(out_dir: Path, n2: int) -> dict[str, int]:
+    """Write fig5 (t, vC_1..vC_2n), fig6 (t, i_ref, i) and fig7 (t, i_z),
+    header included, as column subsets of ``phase_a.csv``'s lines, so their
+    text is that file's.  Returns the row count of each."""
+    cut = 7 + n2  # fields 0..6, then the capacitor voltages
+    lines = 0
+    with ExitStack() as stack:
+        src = stack.enter_context((out_dir / "phase_a.csv").open(newline=""))
+        dst = [stack.enter_context((out_dir / name).open("w", newline="")) for name in _PHASE_FIGS]
+        for block in iter(lambda: list(islice(src, _BLOCK_ROWS)), []):
+            fig5, fig6, fig7 = [], [], []
+            for line in block:
+                f = line.split(",", cut)
+                fig5.append(",".join([f[0], *f[7:cut]]) + "\r\n")
+                fig6.append(f"{f[0]},{f[2]},{f[3]}\r\n")
+                fig7.append(f"{f[0]},{f[4]}\r\n")
+            for fh, text in zip(dst, (fig5, fig6, fig7)):
+                fh.writelines(text)
+            lines += len(block)
+    return dict.fromkeys(_PHASE_FIGS, lines - 1)
 
 
 def format_summary(report: list[SegmentMetrics]) -> str:
@@ -287,6 +377,8 @@ def format_summary(report: list[SegmentMetrics]) -> str:
 
 
 def run_command(args: argparse.Namespace) -> int:
+    # perf_counter marks between the stages of the manifest's stage_seconds
+    marks = [time.perf_counter()]
     try:
         config = build_config(args)
     except ConfigError as exc:
@@ -296,24 +388,28 @@ def run_command(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    marks.append(time.perf_counter())
 
     try:
         trace = run_scenario(config)
     except SimulationDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    marks.append(time.perf_counter())
 
     report = segment_report(trace, settle=_SETTLE[args.profile])
+    summary = format_summary(report)
+    marks.append(time.perf_counter())
 
     files: dict[str, int] = {}
     for ph in PHASES:
         files[f"phase_{ph}.csv"] = write_phase_csv(out_dir / f"phase_{ph}.csv", trace, ph)
     files.update(_write_fig_files(out_dir, trace, report))
-
-    summary = format_summary(report)
     (out_dir / "summary.txt").write_text(summary + "\n")
     files["summary.txt"] = len(report)
+    marks.append(time.perf_counter())
 
+    stage_seconds = dict(zip(_STAGES, np.diff(marks).tolist()))
     manifest = {
         "package_version": __version__,
         "started_utc": started,
@@ -322,6 +418,8 @@ def run_command(args: argparse.Namespace) -> int:
         "settle": _SETTLE[args.profile],
         "config": config_to_dict(config),
         "files": {name: {"rows": rows} for name, rows in files.items()},
+        "stage_seconds": stage_seconds,
+        "phase_steps_per_s": len(PHASES) * trace.steps / stage_seconds["simulate"],
     }
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

@@ -177,6 +177,13 @@ class ScenarioConfig:
             raise ValueError(
                 f"duration {self.duration} is not a multiple of t_s {self.params.t_s}"
             )
+        # the engine's sine argument at the last sample; math.sin fails on inf
+        t_last = steps * self.params.t_s
+        if not math.isfinite(2.0 * math.pi * self.params.f_grid * t_last):
+            raise ValueError(
+                f"f_grid {self.params.f_grid} overflows 2*pi*f_grid*t at the last "
+                f"sample time t = {t_last}"
+            )
         self.nsw_schedule.validate(self.params.n, self.duration)
 
     @property

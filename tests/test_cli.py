@@ -11,8 +11,8 @@ import pytest
 
 import mmcsim as m
 from mmcsim.cli import (
-    _BLOCK_ROWS, ConfigError, _write_columns, build_config, format_summary, load_run,
-    main, parse_config, write_phase_csv,
+    _BLOCK_ROWS, ConfigError, _cut_phase_figs, _write_columns, build_config, format_summary,
+    load_run, main, parse_config, write_phase_csv,
 )
 from mmcsim.scenario import PHASES, PhaseTrace, SimTrace
 
@@ -337,18 +337,20 @@ def test_load_run_rejects_wrong_row_count(tmp_path, short_run, extra):
         load_run(out)
 
 
-def _synthetic_trace(steps):
-    cfg = m.fast_config(duration=steps * 25e-6, warmup=0.0,
-                        nsw_schedule=m.constant_schedule(steps * 25e-6, 6))
+def _synthetic_trace(steps, n=6):
+    # the config needs a step; a trace of 0 rows keeps its t_s
+    span = max(steps, 1) * 25e-6
+    cfg = m.fast_config(params=m.SystemParams(n=n), duration=span, warmup=0.0,
+                        nsw_schedule=m.constant_schedule(span, n))
     rng = np.random.default_rng(steps)
-    n2 = 2 * cfg.params.n
+    n2 = 2 * n
     phase = PhaseTrace(
         i_ac=rng.normal(size=steps), i_ref=rng.normal(size=steps),
         i_circ=rng.normal(size=steps), v_grid=rng.normal(size=steps),
         v_c=rng.normal(1e4, 1e2, size=(steps, n2)),
         u=rng.integers(0, 2, size=(steps, n2), dtype=np.int8),
     )
-    return SimTrace(config=cfg, n_sw_max=np.full(steps, 6, dtype=np.int16),
+    return SimTrace(config=cfg, n_sw_max=np.full(steps, n, dtype=np.int16),
                     v_dc=np.full(steps, 60e3), phases={"a": phase})
 
 
@@ -364,3 +366,142 @@ def test_write_phase_csv_memory_does_not_grow_with_rows(tmp_path):
             tracemalloc.stop()
     # the single-pass writer's peak grew about tenfold
     assert peaks[50_000] < 1.5 * peaks[5_000], peaks
+
+
+# ------------------------------------------- phase and figure text, oracle
+
+def _write_phase_csv_as_floats(path, trace, phase):
+    """The phase writer before statuses and budgets were written as ints,
+    kept as the oracle: every column stacked as float64, ``%d`` applied to
+    the floats, ``t`` taken from ``SimTrace.t``."""
+    tr = trace.phase(phase)
+    n2 = tr.v_c.shape[1]
+    header = (
+        ["t", "phase", "i_ref", "i", "i_z", "v_s", "nsw_max"]
+        + [f"vC_{k + 1}" for k in range(n2)]
+        + [f"u_{k + 1}" for k in range(n2)]
+    )
+    columns = [trace.t, tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid, trace.n_sw_max, tr.v_c, tr.u]
+    fmt = ",".join(["%.9g", phase] + ["%.9g"] * 4 + ["%d"] + ["%.9g"] * n2 + ["%d"] * n2)
+    return _write_columns_single_pass(path, header, columns, fmt)
+
+
+def _phase_figs_as_floats(out, trace):
+    """fig5 to fig7 as the writer before cutting wrote them, from the trace."""
+    tr = trace.phase("a")
+    n2 = tr.v_c.shape[1]
+    tables = {
+        "fig5_capacitor_voltages.csv": (
+            ["t"] + [f"vC_{k + 1}" for k in range(n2)], [trace.t, tr.v_c],
+            ",".join(["%.9g"] * (1 + n2)),
+        ),
+        "fig6_ac_tracking.csv": (["t", "i_ref", "i"], [trace.t, tr.i_ref, tr.i_ac], "%.9g,%.9g,%.9g"),
+        "fig7_circulating_current.csv": (["t", "i_z"], [trace.t, tr.i_circ], "%.9g,%.9g"),
+    }
+    out.mkdir()
+    for name, (header, columns, fmt) in tables.items():
+        _write_columns_single_pass(out / name, header, columns, fmt)
+    return sorted(tables)
+
+
+# 2n below, at and across one 8-status code
+@pytest.mark.parametrize("n", [1, 4, 5, 9])
+@pytest.mark.parametrize(
+    "rows", [0, 1, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 17],
+    ids=["empty", "one-row", "one-block", "partial-last-block"],
+)
+def test_phase_csv_and_figures_match_float_writer(tmp_path, n, rows):
+    trace = _synthetic_trace(rows, n)
+    trace.n_sw_max = np.random.default_rng(n).integers(0, n + 1, rows, dtype=np.int16)
+    new, old = tmp_path / "new", tmp_path / "old"
+    new.mkdir()
+    assert write_phase_csv(new / "phase_a.csv", trace, "a") == rows
+    assert _write_phase_csv_as_floats(tmp_path / "phase_a.csv", trace, "a") == rows
+    assert (new / "phase_a.csv").read_bytes() == (tmp_path / "phase_a.csv").read_bytes()
+
+    names = _phase_figs_as_floats(old, trace)
+    assert _cut_phase_figs(new, 2 * n) == dict.fromkeys(names, rows)
+    for name in names:
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+def test_piline_v1f2_run_matches_float_writer(tmp_path):
+    out = tmp_path / "run"
+    argv = ["run", "--profile", "fast", "--dc-model", "piline", "--algorithm", "v1f2",
+            "--duration", "0.06", "--out-dir", str(out)]
+    assert main(argv) == 0
+    trace = m.run_scenario(load_run(out).config)
+    assert trace.steps > 2 * _BLOCK_ROWS and trace.steps % _BLOCK_ROWS
+    for ph in PHASES:
+        _write_phase_csv_as_floats(tmp_path / f"phase_{ph}.csv", trace, ph)
+        assert (out / f"phase_{ph}.csv").read_bytes() == (tmp_path / f"phase_{ph}.csv").read_bytes()
+    for name in _phase_figs_as_floats(tmp_path / "figs", trace):
+        assert (out / name).read_bytes() == (tmp_path / "figs" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "column, index, value, match",
+    [("u", (3, 1), 2, "statuses"), ("u", (0, 0), -1, "statuses"), ("n_sw_max", 5, -1, "budgets")],
+    ids=["status-2", "status-minus-1", "negative-budget"],
+)
+def test_write_phase_csv_rejects_before_opening(tmp_path, column, index, value, match):
+    trace = _synthetic_trace(10)
+    (trace.phase("a").u if column == "u" else trace.n_sw_max)[index] = value
+    path = tmp_path / "phase_a.csv"
+    with pytest.raises(ValueError, match=f"phase_a.csv: {match}"):
+        write_phase_csv(path, trace, "a")
+    assert not path.exists()
+
+
+# ------------------------------------------------- load_run validation
+
+def _edit_field(path, row, column, value):
+    """Set one field of a CSV data row (row 1 follows the header)."""
+    lines = path.read_bytes().split(b"\r\n")
+    fields_ = lines[row].split(b",")
+    fields_[column] = value.encode()
+    lines[row] = b",".join(fields_)
+    path.write_bytes(b"\r\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "name, row, column, value, match",
+    [
+        ("phase_b.csv", 7, 19, "2", "row 7: status is not 0 or 1, got 2"),
+        ("phase_b.csv", 2, 30, "-1", "row 2: status is not 0 or 1, got -1"),
+        ("phase_a.csv", 5, 20, "0.5", "row 5: status is not 0 or 1, got 0.5"),
+        ("phase_c.csv", 2000, 6, "6.7", r"row 2000: nsw_max is not an integer in \[0, 6\], got 6.7"),
+        ("phase_a.csv", 1, 6, "7", r"row 1: nsw_max is not an integer in \[0, 6\], got 7"),
+        ("phase_a.csv", 3, 6, "-1", r"row 3: nsw_max is not an integer in \[0, 6\], got -1"),
+        ("phase_c.csv", 1500, 6, "2", "row 1500: nsw_max differs from the phase files before it, got 2"),
+    ],
+    ids=["status-2", "status-minus-1", "status-half", "budget-6.7", "budget-above-n",
+         "budget-negative", "budgets-disagree"],
+)
+def test_load_run_rejects_bad_statuses_and_budgets(tmp_path, short_run, name, row, column, value, match):
+    out = tmp_path / "run"
+    shutil.copytree(short_run[0], out)
+    _edit_field(out / name, row, column, value)
+    with pytest.raises(ConfigError, match=f"{name} {match}$"):
+        load_run(out)
+
+
+def test_manifest_stage_timings(short_run, tmp_path):
+    out = short_run[0]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    stages = manifest["stage_seconds"]
+    assert list(stages) == ["build", "simulate", "report", "write"]
+    for value in (*stages.values(), manifest["phase_steps_per_s"]):
+        assert np.isfinite(value) and value >= 0
+    assert manifest["phase_steps_per_s"] > 0
+
+    # load_run reads only the config: dropping the timings changes nothing
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    del manifest["stage_seconds"], manifest["phase_steps_per_s"]
+    (copy / "run_manifest.json").write_text(json.dumps(manifest))
+    a, b = load_run(out), load_run(copy)
+    assert np.array_equal(a.n_sw_max, b.n_sw_max)
+    for ph in PHASES:
+        assert np.array_equal(a.phase(ph).u, b.phase(ph).u)
+        assert np.array_equal(a.phase(ph).v_c, b.phase(ph).v_c)

@@ -1,7 +1,8 @@
-"""Property test over SystemParams and short scenarios: every input either
-runs to a finite trace or is refused with ValueError or SimulationDiverged,
-never a stray exception or a silent NaN."""
+"""Property test over SystemParams and short scenarios: every input is
+refused with ValueError when the config is built, or runs to a finite trace
+or SimulationDiverged, never a stray exception or a silent NaN."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ _PARAMS = {
     "r_grid": _floats(0.0, 1e3),
     "l_grid": _positive(1.0),
     "t_s": _floats(1e-7, 1e-3),
-    "f_grid": _positive(1e4),
+    # up to the largest float, where 2*pi*f_grid*t overflows
+    "f_grid": st.one_of(_positive(1e4), _positive(sys.float_info.max)),
     "w_track": _floats(0.0, 1e3),
     "w_circ": _floats(0.0, 1e3),
 }
@@ -75,8 +77,13 @@ def test_run_finishes_finite_or_raises(inputs):
             nsw_schedule=m.constant_schedule(scenario["duration"], budget),
             **scenario,
         )
+    except ValueError:
+        return
+    # a config that builds runs: a ValueError from inside the run (math's
+    # "math domain error", say) names no field
+    try:
         trace = m.run_scenario(config)
-    except (ValueError, m.SimulationDiverged):
+    except m.SimulationDiverged:
         return
     assert trace.steps == config.steps
     assert np.isfinite(trace.v_dc).all()
