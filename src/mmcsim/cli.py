@@ -171,6 +171,15 @@ def _write_columns(
     return rows
 
 
+def _phase_header(n2: int) -> list[str]:
+    """The column names of a phase CSV with ``n2`` submodules per leg."""
+    return (
+        ["t", "phase", "i_ref", "i", "i_z", "v_s", "nsw_max"]
+        + [f"vC_{k + 1}" for k in range(n2)]
+        + [f"u_{k + 1}" for k in range(n2)]
+    )
+
+
 @functools.cache
 def _status_text(width: int) -> tuple[str, ...]:
     """The ``"0,1,..."`` text of ``width`` statuses, indexed by their code
@@ -202,11 +211,7 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
         raise ValueError(f"{path.name}: budgets must be >= 0, got {nsw.min()}")
 
     tables = [_status_text(min(8, n2 - k)) for k in range(0, n2, 8)]
-    header = (
-        ["t", "phase", "i_ref", "i", "i_z", "v_s", "nsw_max"]
-        + [f"vC_{k + 1}" for k in range(n2)]
-        + [f"u_{k + 1}" for k in range(n2)]
-    )
+    header = _phase_header(n2)
     fmt = ",".join(
         ["%.9g", phase] + ["%.9g"] * 4 + ["%d"] + ["%.9g"] * n2 + ["%s"] * len(tables)
     ) + "\r\n"
@@ -229,16 +234,34 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
     return rows
 
 
+def _malformed(path: Path, lines: list[str], first_row: int, n2: int, exc: ValueError) -> ConfigError:
+    """The error for a block of lines that ``np.loadtxt`` rejects, naming the
+    file and the row, counted from 1 after the header, of the first line
+    with a wrong field count or a parsed field that is not a number."""
+    header = _phase_header(n2)
+    for row, line in enumerate(lines, start=first_row):
+        fields_ = line.rstrip("\r\n").split(",")
+        if len(fields_) != len(header):
+            return ConfigError(f"{path.name} row {row}: {len(fields_)} fields, expected {len(header)}")
+        for name, text in zip(header[2:], fields_[2:]):
+            try:
+                float(text)
+            except ValueError:
+                return ConfigError(f"{path.name} row {row}: {name} is not a number, got {text!r}")
+    return ConfigError(f"{path.name} rows {first_row}-{first_row + len(lines) - 1}: {exc}")
+
+
 def _read_phase(
     path: Path, steps: int, n: int, budgets: np.ndarray | None
 ) -> tuple[np.ndarray, PhaseTrace]:
     """The budgets and the records of one phase CSV, parsed ``_BLOCK_ROWS``
     lines at a time into arrays of their final dtypes.
 
-    Each block is checked as it is parsed: a status other than 0 or 1, a
-    budget that is not an integer in [0, n], or a budget that differs from
-    ``budgets`` (the phase files read before) raises ``ConfigError`` naming
-    the file and the row, counted from 1 after the header.
+    Each block is checked as it is parsed: a line that does not parse, a
+    status other than 0 or 1, a budget that is not an integer in [0, n], or
+    a budget that differs from ``budgets`` (the phase files read before)
+    raises ``ConfigError`` naming the file and the row, counted from 1 after
+    the header.
     """
     n2 = 2 * n
     floats = np.empty((4, steps))  # i_ref, i_ac, i_circ, v_grid
@@ -250,7 +273,10 @@ def _read_phase(
         fh.readline()  # header
         for lines in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
             # columns after t and phase: i_ref, i, i_z, v_s, nsw_max, vC..., u...
-            body = np.loadtxt(lines, delimiter=",", usecols=range(2, 7 + 2 * n2), ndmin=2)
+            try:
+                body = np.loadtxt(lines, delimiter=",", usecols=range(2, 7 + 2 * n2), ndmin=2)
+            except ValueError as exc:
+                raise _malformed(path, lines, rows + 1, n2, exc) from None
             stop = rows + len(body)
             if stop <= steps:  # past that, only count the rows for the error
                 nsw_read, u_read = body[:, 4], body[:, 5 + n2 :]
@@ -291,11 +317,15 @@ def load_run(out_dir: str | Path) -> SimTrace:
     the serialized ``t`` column is display precision and is not read.  A
     pi-line run's varying bus voltage is not part of the CSV schema and
     comes back as the nominal value.  Only the manifest's config is read;
-    its file inventory and timings are not.
+    its file inventory and timings are not.  A config the manifest cannot
+    be rebuilt from raises ``ConfigError`` naming the key.
     """
     out_dir = Path(out_dir)
     manifest = json.loads((out_dir / "run_manifest.json").read_text())
-    config = config_from_dict(manifest["config"])
+    try:
+        config = config_from_dict(manifest["config"])
+    except ValueError as exc:
+        raise ConfigError(f"run_manifest.json: {exc}") from None
     steps = config.steps
 
     phases = {}

@@ -42,11 +42,17 @@ def effective_switching_frequency(
     counts are additive over adjacent windows.
     """
     a, b = _window_slice(trace, window)
-    u = trace.phase(phase).u[:, sm]
-    seg = u[a:b]
-    prev = u[a - 1] if a > 0 else 0  # the initial state has everything off
-    count = np.count_nonzero(seg[1:] > seg[:-1]) + int(seg[0] > prev)
+    count = np.count_nonzero(trace.phase(phase).edges(a, b)[:, sm] > 0)
     return count / (window[1] - window[0])
+
+
+def _ripple(v_c: np.ndarray) -> np.ndarray:
+    """Peak-to-peak of each column over the rows, percent of its mean."""
+    # each mean is a sum over one contiguous row of the transpose, which
+    # numpy sums pairwise as it does a lone column; v_c.mean(axis=0) would
+    # add the rows one after another and round differently
+    mean = np.ascontiguousarray(v_c.T).mean(axis=-1)
+    return 100.0 * (v_c.max(axis=0) - v_c.min(axis=0)) / mean
 
 
 def ripple_percent(
@@ -57,8 +63,7 @@ def ripple_percent(
 ) -> float:
     """Peak-to-peak capacitor voltage over the window, percent of its mean."""
     a, b = _window_slice(trace, window)
-    v = trace.phase(phase).v_c[a:b, sm]
-    return 100.0 * (float(v.max()) - float(v.min())) / float(v.mean())
+    return float(_ripple(trace.phase(phase).v_c[a:b, sm, None])[0])
 
 
 def circulating_ratio(
@@ -146,12 +151,8 @@ def segment_report(
     if settle < 0:
         raise ValueError("settle must be >= 0")
 
-    n2 = 2 * cfg.params.n
+    n = cfg.params.n
     ts = cfg.params.t_s
-    # derived from u once per report rather than once per segment
-    switches = {
-        ph: (trace.phase(ph).switches_upper, trace.phase(ph).switches_lower) for ph in PHASES
-    }
     out: list[SegmentMetrics] = []
     for idx, (start, end, n_max) in enumerate(schedule.segments):
         lo = max(start, cfg.warmup)
@@ -163,19 +164,15 @@ def segment_report(
             raise ValueError(
                 f"settle {settle} s leaves no samples in segment {idx} ({lo}, {hi}]"
             )
-        f_s = np.array(
-            [
-                [effective_switching_frequency(trace, sm, w, ph) for sm in range(n2)]
-                for ph in PHASES
-            ]
-        )
-        ripple = np.array(
-            [[ripple_percent(trace, sm, w, ph) for sm in range(n2)] for ph in PHASES]
-        )
+        a, b = _window_slice(trace, w)
+        f_s, ripple, trans = [], [], []
+        for ph in PHASES:
+            edges = trace.phase(ph).edges(a, b)
+            f_s.append(np.count_nonzero(edges > 0, axis=0) / (w[1] - w[0]))
+            trans.append([np.count_nonzero(arm) / (b - a) for arm in (edges[:, :n], edges[:, n:])])
+            ripple.append(_ripple(trace.phase(ph).v_c[a:b]))
         izm = np.array([circulating_ratio(trace, ph, w) for ph in PHASES])
         rmse = np.array([tracking_rmse(trace, ph, w) for ph in PHASES])
-        a, b = _window_slice(trace, w)
-        trans = np.array([[float(sw[a:b].mean()) for sw in switches[ph]] for ph in PHASES])
         out.append(
             SegmentMetrics(
                 index=idx,
@@ -183,11 +180,11 @@ def segment_report(
                 t_end=end,
                 n_sw_max=n_max,
                 window=w,
-                f_s_per_sm=f_s,
-                ripple_pct=ripple,
+                f_s_per_sm=np.array(f_s),
+                ripple_pct=np.array(ripple),
                 izm_ratio_pct=izm,
                 tracking_rmse_pct=rmse,
-                transitions_per_step=trans,
+                transitions_per_step=np.array(trans),
             )
         )
     return out

@@ -3,7 +3,7 @@ pi-line) DC side, advanced at a fixed sampling period."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -59,12 +59,6 @@ class NswSchedule:
             raise ValueError(
                 f"nsw_schedule: segments end at {prev_end}, expected duration {duration}"
             )
-
-    def at(self, t: float) -> int:
-        for start, end, n_max in self.segments:
-            if start < t <= end:
-                return n_max
-        raise ValueError(f"t={t} is outside the schedule span")
 
     def per_step(self, t_s: float, steps: int) -> np.ndarray:
         """Budget of each step, int16; the last segment runs to the last step."""
@@ -252,20 +246,24 @@ class PhaseTrace:
     v_c: np.ndarray            # (steps, 2n): upper arm columns first
     u: np.ndarray              # (steps, 2n) int8
 
-    def _switches(self, arm: slice) -> np.ndarray:
-        # the initial state has every submodule off
-        flips = np.diff(self.u[:, arm], axis=0, prepend=0) != 0
-        return flips.sum(axis=1, dtype=np.int16)
+    def edges(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Status changes on steps ``start..stop-1``, (rows, 2n) int8: +1 for
+        a turn-on, -1 for a turn-off.  Every submodule is off before step 0."""
+        # int8 whatever u's dtype: a diff of bools reads "changed", not the sign
+        rows = self.u[max(start - 1, 0) : stop].astype(np.int8, copy=False)
+        if start > 0:
+            return np.diff(rows, axis=0)
+        return np.diff(rows, axis=0, prepend=np.zeros((1, rows.shape[1]), np.int8))
 
     @property
     def switches_upper(self) -> np.ndarray:
         """Realized transitions of the upper arm on each step, int16."""
-        return self._switches(slice(None, self.u.shape[1] // 2))
+        return np.count_nonzero(self.edges()[:, : self.u.shape[1] // 2], axis=1).astype(np.int16)
 
     @property
     def switches_lower(self) -> np.ndarray:
         """Realized transitions of the lower arm on each step, int16."""
-        return self._switches(slice(self.u.shape[1] // 2, None))
+        return np.count_nonzero(self.edges()[:, self.u.shape[1] // 2 :], axis=1).astype(np.int16)
 
 
 @dataclass
@@ -476,7 +474,20 @@ def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
     return data
 
 
-def _check_keys(where: str, data: dict[str, Any], cls: type) -> None:
+def _check_type(where: str, value: Any, kind: type) -> None:
+    """An int field takes an int, a float field an int or a float, a str
+    field a str; a bool is not a number (and no field is a bool)."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{where}: expected {kind.__name__}, got {value!r}")
+
+
+def _check_fields(where: str, data: Any, cls: type) -> None:
+    """Unknown or missing keys, and values of the wrong type, raise
+    ``ValueError`` naming them; a field built by a factory is left to the
+    code that builds it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected a mapping, got {data!r}")
     expected = {f.name for f in fields(cls)}
     problems = [
         f"{kind} keys {sorted(keys)}"
@@ -485,17 +496,27 @@ def _check_keys(where: str, data: dict[str, Any], cls: type) -> None:
     ]
     if problems:
         raise ValueError(f"{where}: " + ", ".join(problems))
+    for f in fields(cls):
+        if f.default is not MISSING:
+            _check_type(f"{where}.{f.name}", data[f.name], type(f.default))
 
 
 def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
-    """Inverse of ``config_to_dict``."""
-    _check_keys("config", data, ScenarioConfig)
-    _check_keys("config.params", data["params"], SystemParams)
-    segments = tuple(
-        (float(s), float(e), int(nm)) for s, e, nm in data["nsw_schedule"]
-    )
+    """Inverse of ``config_to_dict``; a key that is unknown, missing or of
+    the wrong type raises ``ValueError`` naming it."""
+    _check_fields("config", data, ScenarioConfig)
+    _check_fields("config.params", data["params"], SystemParams)
+    _check_type("config.nsw_schedule", data["nsw_schedule"], list)
+    segments = []
+    for k, seg in enumerate(data["nsw_schedule"]):
+        where = f"config.nsw_schedule[{k}]"
+        if not isinstance(seg, list) or len(seg) != 3:
+            raise ValueError(f"{where}: expected [t_start, t_end, n_sw_max], got {seg!r}")
+        for value, kind in zip(seg, (float, float, int)):
+            _check_type(where, value, kind)
+        segments.append((float(seg[0]), float(seg[1]), seg[2]))
     return ScenarioConfig(**{
         **data,
         "params": SystemParams(**data["params"]),
-        "nsw_schedule": NswSchedule(segments=segments),
+        "nsw_schedule": NswSchedule(segments=tuple(segments)),
     })

@@ -313,3 +313,32 @@ def test_c8_tracking_sanity(paper_v1fc_trace):
     ok = worst <= 5.0
     _report("C8", ok, f"worst tracking RMSE over 8 segments x 3 phases: {worst:.2f}% (<= 5%)")
     assert ok
+
+
+# -------------------------------------------------------------------------
+# Criterion 9: on every arm-step of the staircase, the constrained
+# algorithm's turn-ons stay within the budget plus the forced ones, the rise
+# of the inserted count.  The literal cap (turn-ons <= budget) is not the
+# rule and is broken; its count is printed beside the invariant's.
+# -------------------------------------------------------------------------
+def test_c9_turn_ons_within_budget_plus_forced(paper_v1fc_trace):
+    n = paper_v1fc_trace.config.params.n
+    budget = paper_v1fc_trace.n_sw_max
+    arm_steps = over_cap = over_invariant = 0
+    for ph in "abc":
+        edges = paper_v1fc_trace.phase(ph).edges()
+        for arm in (edges[:, :n], edges[:, n:]):
+            turn_ons = np.count_nonzero(arm > 0, axis=1)
+            # turn-ons minus turn-offs is the change of the inserted count
+            forced = np.maximum(0, arm.sum(axis=1, dtype=int))
+            arm_steps += len(arm)
+            over_cap += int(np.count_nonzero(turn_ons > budget))
+            over_invariant += int(np.count_nonzero(turn_ons > budget + forced))
+    ok = over_invariant == 0
+    _report(
+        "C9",
+        ok,
+        f"{arm_steps} arm-steps: {over_invariant} over budget + forced turn-ons, "
+        f"{over_cap} over the literal cap",
+    )
+    assert ok

@@ -486,6 +486,50 @@ def test_load_run_rejects_bad_statuses_and_budgets(tmp_path, short_run, name, ro
         load_run(out)
 
 
+@pytest.mark.parametrize(
+    "row, column, match",
+    [
+        (3, None, "row 3: 11 fields, expected 31"),
+        (1300, None, "row 1300: 11 fields, expected 31"),
+        (3, 9, "row 3: vC_3 is not a number, got 'abc'"),
+        (1300, 20, "row 1300: u_2 is not a number, got 'abc'"),
+    ],
+    ids=["truncated-first-block", "truncated-later-block", "text-first-block", "text-later-block"],
+)
+def test_load_run_names_row_of_malformed_line(tmp_path, short_run, row, column, match):
+    out = tmp_path / "run"
+    shutil.copytree(short_run[0], out)
+    path = out / "phase_b.csv"
+    if column is None:  # cut the line after its first 11 fields
+        lines = path.read_bytes().split(b"\r\n")
+        lines[row] = b",".join(lines[row].split(b",")[:11])
+        path.write_bytes(b"\r\n".join(lines))
+    else:
+        _edit_field(path, row, column, "abc")
+    with pytest.raises(ConfigError, match=f"phase_b.csv {match}$"):
+        load_run(out)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda c: c["params"].update(n="6"), "config.params.n: expected int, got '6'"),
+        (lambda c: c.update(duration="0.06"), "config.duration: expected float, got '0.06'"),
+        (lambda c: c["nsw_schedule"][0].pop(),
+         r"config.nsw_schedule\[0\]: expected \[t_start, t_end, n_sw_max\], got \[0.0, 0.06\]"),
+    ],
+    ids=["n-string", "duration-string", "segment-two-fields"],
+)
+def test_load_run_names_bad_manifest_key(tmp_path, short_run, edit, match):
+    out = tmp_path / "run"
+    shutil.copytree(short_run[0], out)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    edit(manifest["config"])
+    (out / "run_manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=f"^run_manifest.json: {match}$"):
+        load_run(out)
+
+
 def test_manifest_stage_timings(short_run, tmp_path):
     out = short_run[0]
     manifest = json.loads((out / "run_manifest.json").read_text())

@@ -110,6 +110,29 @@ def test_window_past_the_trace_rejected():
             m.ripple_percent(trace, 0, window)
 
 
+def test_edges_signed_for_bool_and_int8_status():
+    # a diff of bools reads "changed": a turn-off would count as a turn-on
+    status = np.array([1, 1, 0, 1, 0, 0, 1, 1, 1, 0] * 4)
+    want = np.diff(status, prepend=0)  # every submodule is off before step 0
+    results = []
+    for dtype in (np.int8, bool):
+        trace = _synthetic_trace(u_a=status)
+        tr = trace.phase("a")
+        tr.u = tr.u.astype(dtype)
+        assert tr.edges().dtype == np.int8
+        assert np.array_equal(tr.edges()[:, 0], want)
+        assert np.array_equal(tr.edges(3, 17)[:, 0], want[3:17])
+        assert tr.edges(5, 5).shape == (0, 2)
+        f_s = [m.effective_switching_frequency(trace, 0, w) for w in ((0.0, 1e-3), (100e-6, 575e-6))]
+        results.append((tr.switches_upper, tr.switches_lower, f_s))
+    (up8, low8, f_s8), (up_b, low_b, f_s_b) = results
+    assert up8.dtype == up_b.dtype == np.int16
+    assert np.array_equal(up8, up_b) and np.array_equal(low8, low_b)
+    assert f_s8 == f_s_b
+    # 12 turn-ons in 1 ms, the first from the all-off start
+    assert f_s_b[0] == pytest.approx(12e3, rel=REL)
+
+
 # ------------------------------------------------------------------- ripple
 
 def test_ripple_constant_is_zero():
@@ -167,6 +190,20 @@ def test_segment_report_single_segment(fast_v1fc_trace):
     assert len(rep) == 1
     assert rep[0].window[0] == pytest.approx(0.11)
     assert rep[0].window[1] == pytest.approx(0.5)
+
+
+def test_segment_report_equals_per_sm_functions(fast_v1fc_trace):
+    trace = fast_v1fc_trace
+    n = trace.config.params.n
+    for seg in m.segment_report(trace, settle=0.01):
+        a, b = _window_slice(trace, seg.window)
+        for p, ph in enumerate("abc"):
+            tr = trace.phase(ph)
+            for sm in range(2 * n):
+                assert seg.f_s_per_sm[p, sm] == m.effective_switching_frequency(trace, sm, seg.window, ph)
+                assert seg.ripple_pct[p, sm] == m.ripple_percent(trace, sm, seg.window, ph)
+            assert seg.transitions_per_step[p, 0] == tr.switches_upper[a:b].mean()
+            assert seg.transitions_per_step[p, 1] == tr.switches_lower[a:b].mean()
 
 
 def test_window_bounds_on_the_grid_count_whole_steps(fast_v1fc_trace):

@@ -58,25 +58,6 @@ def test_nominal_circulating_current():
 
 # --------------------------------------------------------------- schedule
 
-def test_nsw_at_staircase_values():
-    sched = m.paper_schedule()
-    assert sched.at(1.3) == 0
-    assert sched.at(1.5) == 1
-    assert sched.at(2.5) == 6
-    assert sched.at(0.5) == 6
-    # boundaries are half-open on the left
-    assert sched.at(1.2) == 6
-    assert sched.at(1.2 + 1e-9) == 0
-    assert sched.at(2.6) == 6
-
-
-def test_nsw_at_outside_span():
-    sched = m.paper_schedule()
-    for t in (0.0, -1.0, 2.7):
-        with pytest.raises(ValueError):
-            sched.at(t)
-
-
 def test_schedule_validation_errors():
     with pytest.raises(ValueError, match="nsw_schedule"):
         m.NswSchedule(((0.0, 1.0, 7),)).validate(6, 1.0)
@@ -122,6 +103,36 @@ def test_config_from_dict_names_bad_key(edit, key):
     edit(data)
     with pytest.raises(ValueError, match=key):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda d: d["params"].update(n=6.0), "config.params.n: expected int, got 6.0"),
+        (lambda d: d["params"].update(n=True), "config.params.n: expected int, got True"),
+        (lambda d: d.update(warmup=False), "config.warmup: expected float, got False"),
+        (lambda d: d.update(algorithm=1), "config.algorithm: expected str, got 1"),
+        (lambda d: d.update(params=None), "config.params: expected a mapping, got None"),
+        (lambda d: d["nsw_schedule"][1].__setitem__(2, 0.5),
+         r"config.nsw_schedule\[1\]: expected int, got 0.5"),
+        (lambda d: d["nsw_schedule"][0].__setitem__(0, "0"),
+         r"config.nsw_schedule\[0\]: expected float, got '0'"),
+    ],
+    ids=["int-as-float", "int-as-bool", "float-as-bool", "str-as-int", "params-none",
+         "budget-float", "start-str"],
+)
+def test_config_from_dict_names_mistyped_key(edit, match):
+    data = config_to_dict(m.fast_config())
+    edit(data)
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        config_from_dict(data)
+
+
+def test_config_from_dict_takes_int_for_float():
+    data = config_to_dict(m.fast_config())
+    data["warmup"] = 0
+    data["nsw_schedule"][0][0] = 0
+    assert config_from_dict(data) == m.fast_config(warmup=0.0)
 
 
 def test_config_validation_errors():
@@ -251,13 +262,14 @@ def test_unstable_piline_reports_divergence():
 def test_trace_switch_counts_match_status_stream(fast_v1fc_trace):
     tr = fast_v1fc_trace.phase("a")
     n = fast_v1fc_trace.config.params.n
+    upper, lower = tr.switches_upper, tr.switches_lower
     prev = np.zeros(2 * n, dtype=np.int8)
     for k in range(0, fast_v1fc_trace.steps, 7):
         if k > 0:
             prev = tr.u[k - 1]
         flips = np.abs(tr.u[k].astype(int) - prev.astype(int))
-        assert tr.switches_upper[k] == flips[:n].sum()
-        assert tr.switches_lower[k] == flips[n:].sum()
+        assert upper[k] == flips[:n].sum()
+        assert lower[k] == flips[n:].sum()
 
 
 # ------------------------------------------------ the engine and its oracle
