@@ -19,6 +19,7 @@ from .core import (
 from .modulation import (
     ALGORITHMS,
     ArmTargets,
+    GridSelector,
     SelectionResult,
     SortedArm,
     brute_force_select,

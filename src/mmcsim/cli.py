@@ -10,7 +10,7 @@ import sys
 import time
 from contextlib import ExitStack
 from dataclasses import MISSING, fields, replace
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -234,13 +234,18 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
     return rows
 
 
-def _malformed(path: Path, lines: list[str], first_row: int, n2: int, exc: ValueError) -> ConfigError:
-    """The error for a block of lines that ``np.loadtxt`` rejects, naming the
-    file and the row, counted from 1 after the header, of the first line
-    with a wrong field count or a parsed field that is not a number."""
+def _malformed(path: Path, lines: list[str], first_row: int, n2: int, exc: ValueError | None) -> ConfigError:
+    """The error for a block of lines that fails the field count or that
+    ``np.loadtxt`` rejects, naming the file and the row, counted from 1
+    after the header, of the first line that is blank, has a wrong field
+    count or has a parsed field that is not a number; failing all three,
+    ``exc``'s message with the block's rows."""
     header = _phase_header(n2)
     for row, line in enumerate(lines, start=first_row):
-        fields_ = line.rstrip("\r\n").split(",")
+        stripped = line.rstrip("\r\n")
+        if not stripped:
+            return ConfigError(f"{path.name} row {row}: blank line")
+        fields_ = stripped.split(",")
         if len(fields_) != len(header):
             return ConfigError(f"{path.name} row {row}: {len(fields_)} fields, expected {len(header)}")
         for name, text in zip(header[2:], fields_[2:]):
@@ -257,8 +262,9 @@ def _read_phase(
     """The budgets and the records of one phase CSV, parsed ``_BLOCK_ROWS``
     lines at a time into arrays of their final dtypes.
 
-    Each block is checked as it is parsed: a line that does not parse, a
-    status other than 0 or 1, a budget that is not an integer in [0, n], or
+    Each block is checked as it is parsed: a blank line, a line with more or
+    fewer fields than the header, a line that does not parse, a status
+    other than 0 or 1, a budget that is not an integer in [0, n], or
     a budget that differs from ``budgets`` (the phase files read before)
     raises ``ConfigError`` naming the file and the row, counted from 1 after
     the header.
@@ -269,9 +275,14 @@ def _read_phase(
     v_c = np.empty((steps, n2))
     u = np.empty((steps, n2), dtype=np.int8)
     rows = 0
+    commas = {len(_phase_header(n2)) - 1}  # the comma count every line must have
     with path.open() as fh:
         fh.readline()  # header
         for lines in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
+            # np.loadtxt skips blank lines and ignores fields past usecols,
+            # so the comma count of every line is checked first
+            if set(map(str.count, lines, repeat(","))) != commas:
+                raise _malformed(path, lines, rows + 1, n2, None)
             # columns after t and phase: i_ref, i, i_z, v_s, nsw_max, vC..., u...
             try:
                 body = np.loadtxt(lines, delimiter=",", usecols=range(2, 7 + 2 * n2), ndmin=2)

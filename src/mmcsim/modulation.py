@@ -200,16 +200,63 @@ def brute_force_select(
     return SelectionResult(m_up=best[1], m_low=best[2], f_value=best[0])
 
 
-@functools.cache
-def _grid_cells(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each cell of a size x size grid, row-major: its column in a row
-    of upper then lower sums, its column in the lower half, and its
-    (m_up, m_low); read-only, as every caller shares them."""
-    m_up, m_low = np.divmod(np.arange(size * size), size)
-    cells = (m_up, size + m_low, np.stack((m_up, m_low), axis=-1))
-    for a in cells:
-        a.flags.writeable = False
-    return cells
+class GridSelector:
+    """Full-grid selection for a fixed batch of legs, with its buffers.
+
+    Built once for legs of leading shape ``lead`` with ``n`` submodules per
+    arm.  A call takes ``sums`` of shape lead + (2, n+1), the upper then the
+    lower cumulative sums, and ``targets`` of shape lead + (2, 1), the upper
+    then the lower target, and returns, as a new array of shape ``lead``,
+    the flat index ``m_up * (n+1) + m_low`` of the cell that minimizes the
+    objective.  Each cell is computed with the operations of ``objective_f``,
+    so it is the same float, and ``argmin`` over the row-major grid takes
+    the first minimum: the tie-break of ``brute_force_select``, smaller
+    objective, then smaller m_up, then smaller m_low.  A NaN cell counts as
+    +inf, as a NaN never wins a comparison in the scan; the two differ only
+    when cell (0, 0) is NaN, which the scan then keeps.
+    """
+
+    def __init__(self, lead: tuple[int, ...], n: int, params: SystemParams) -> None:
+        size = n + 1
+        self.n = n
+        # 0-d arrays: a ufunc converts a Python float operand on every call
+        self.c_track = np.array(params.w_track / (2.0 * params.z_step))
+        self.c_circ = np.array(params.w_circ * params.t_s / (2.0 * params.l_arm))
+        self._inf = np.array(np.inf)
+        self._d = np.empty(lead + (2, size))
+        # the flat index in d of each cell's lower and upper difference: one
+        # gather lays both grids out contiguously, and a ufunc on contiguous
+        # operands of one shape costs less than one that broadcasts
+        m_up, m_low = np.divmod(np.arange(size * size), size)
+        first = np.arange(0, self._d.size, 2 * size).reshape(lead + (1,))
+        self._gather = np.array((first + size + m_low, first + m_up))
+        self._grids = np.empty((2,) + lead + (size * size,))
+        self._d_low, self._d_up = self._grids
+        self._f = np.empty(lead + (size * size,))
+        self._g = np.empty_like(self._f)
+
+    def __call__(self, sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        d, d_low, d_up, f, g = self._d, self._d_low, self._d_up, self._f, self._g
+        np.subtract(targets, sums, out=d)
+        # mode="clip" only spares numpy a buffered copy of `out`
+        d.take(self._gather, out=self._grids, mode="clip")
+        np.subtract(d_low, d_up, out=f)
+        np.abs(f, out=f)
+        np.multiply(self.c_track, f, out=f)
+        np.add(d_low, d_up, out=g)
+        np.abs(g, out=g)
+        np.multiply(self.c_circ, g, out=g)
+        np.add(f, g, out=f)
+        np.fmin(f, self._inf, out=f)
+        return f.argmin(axis=-1)
+
+    @functools.cached_property
+    def masks(self) -> np.ndarray:
+        """Insertion masks by cell, (cell, arm, position) bool: ``masks[c]``
+        inserts the first m_up upper and m_low lower submodules in sorted
+        order."""
+        m_up, m_low = np.divmod(np.arange((self.n + 1) ** 2), self.n + 1)
+        return np.arange(self.n) < np.stack((m_up, m_low), axis=-1)[..., None]
 
 
 def select_grid(sums: np.ndarray, targets: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -218,24 +265,12 @@ def select_grid(sums: np.ndarray, targets: np.ndarray, params: SystemParams) -> 
     ``sums[..., 0, :]`` and ``sums[..., 1, :]`` are the upper and lower
     cumulative sums (n+1 entries each), ``targets[..., 0]`` and
     ``targets[..., 1]`` the upper and lower targets; any leading shape
-    batches independent legs, and the result has shape (..., 2).  Each
-    cell is computed with the operations of ``objective_f``, so it is the
-    same float, and ``argmin`` over the row-major grid takes the first
-    minimum: the tie-break of ``brute_force_select``, smaller objective,
-    then smaller m_up, then smaller m_low.  A NaN cell counts as +inf, as
-    a NaN never wins a comparison in the scan; the two differ only when
-    cell (0, 0) is NaN, which the scan then keeps.
+    batches independent legs, and the result has shape (..., 2).  The
+    selection is ``GridSelector``'s, ties and NaN cells included.
     """
     size = sums.shape[-1]
-    up_cols, low_cols, pairs = _grid_cells(size)
-    d = (targets[..., None] - sums).reshape(-1, 2 * size)
-    d_up = d.take(up_cols, axis=-1)
-    d_low = d.take(low_cols, axis=-1)
-    f = (params.w_track / (2.0 * params.z_step)) * np.abs(d_low - d_up) + (
-        params.w_circ * params.t_s / (2.0 * params.l_arm)
-    ) * np.abs(d_low + d_up)
-    np.fmin(f, np.inf, out=f)
-    return pairs.take(f.argmin(axis=-1), axis=0).reshape(sums.shape[:-2] + (2,))
+    cell = GridSelector(sums.shape[:-2], size - 1, params)(sums, targets[..., None])
+    return np.stack(np.divmod(cell, size), axis=-1)
 
 
 def select_optimal(
@@ -246,14 +281,15 @@ def select_optimal(
 ) -> SelectionResult:
     """Minimize the selection objective over the cumulative-sum grids.
 
-    Evaluates the full grid with ``select_grid``, the selection the
+    Evaluates the full grid with ``GridSelector``, the selection the
     scenario engine runs, so the result is ``brute_force_select``'s for
     any weights, tie-breaks included.  ``alpha`` and ``beta`` have the
     same length.
     """
-    m_up, m_low = select_grid(
-        np.array([alpha, beta]), np.array([targets.v_up_target, targets.v_low_target]), params
-    ).tolist()
+    cell = GridSelector((), len(alpha) - 1, params)(
+        np.array([alpha, beta]), np.array([[targets.v_up_target], [targets.v_low_target]])
+    )
+    m_up, m_low = divmod(int(cell), len(alpha))
     return SelectionResult(
         m_up=m_up,
         m_low=m_low,

@@ -9,7 +9,7 @@ from typing import Any
 import numpy as np
 
 from .core import SimulationDiverged, SystemParams
-from .modulation import ALGORITHMS, select_grid
+from .modulation import ALGORITHMS, GridSelector
 
 # not called here; perfbench/tracer.py wraps these two names on this module,
 # so they must stay importable from it (their spans read 0)
@@ -300,13 +300,25 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     for the three legs at once: the per-leg quantities (targets, arm currents,
     the new AC and circulating currents) as floats, the six arms as numpy
     arrays of shape (phase, arm, submodule) through anticipation, the
-    sort, the cumulative sums, the full-grid selection (``select_grid``)
-    and the capacitor update.  Every expression keeps the scalar
-    functions' operations and their order, so the trace is bit-identical
-    to stepping them leg by leg.  The DC side is either a stiff source
-    (constant V_dc) or a single lumped pi section fed from a stiff source,
-    integrated with a semi-implicit Euler step, which stays bounded where
-    a plain forward step on the undamped LC would grow.
+    sort, the cumulative sums, the full-grid selection and the capacitor
+    update.  Every expression keeps the scalar functions' operations and
+    their order, so the trace is bit-identical to stepping them leg by leg.
+
+    The step keeps its numpy calls and temporaries few: one
+    ``GridSelector``, the implementation behind ``select_grid``, is built
+    per run with its buffers, and the per-leg floats, anticipated voltages,
+    keys and running sums go into fixed buffers through views made once.
+    The chosen cell indexes the selector's table of insertion masks.  The
+    budget stage of ``sort_v1fc`` runs as a stable partition: a submodule
+    is deferred if it is OFF and more than ``budget`` OFF submodules lie at
+    or before it in the voltage order, and a stable sort on that flag is
+    the stable sort on the penalty, which is 0 exactly where the flag is
+    clear and rises strictly along the order where it is set.
+
+    The DC side is either a stiff source (constant V_dc) or a single lumped
+    pi section fed from a stiff source, integrated with a semi-implicit
+    Euler step, which stays bounded where a plain forward step on the
+    undamped LC would grow.
     """
     params = config.params
     n = params.n
@@ -319,7 +331,9 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     # contiguous slices [p] of these blocks
     nsw_arr = config.nsw_schedule.per_step(ts, steps)
     v_dc_arr = np.full(steps, params.v_dc)
-    i_ac_tr, i_ref_tr, i_circ_tr, v_grid_tr = np.empty((4, len(PHASES), steps))
+    ref_grid = np.empty((2, len(PHASES), steps))  # both read in one call per step
+    i_ref_tr, v_grid_tr = ref_grid
+    i_ac_tr, i_circ_tr = np.empty((2, len(PHASES), steps))
     v_c_tr = np.empty((len(PHASES), steps, 2 * n))
     u_tr = np.empty((len(PHASES), steps, 2 * n), dtype=np.int8)
 
@@ -343,14 +357,23 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     v_row = v.reshape(len(PHASES), 2 * n)
     u_row = u.view(np.int8).reshape(len(PHASES), 2 * n)
 
-    # step buffers; column 0 of the running sums stays 0.0, their start
+    # step buffers and their views, made once; column 0 of the running sums
+    # stays 0.0, their start.  The OFF flags are 0/1 in intp, not bool:
+    # numpy sorts 1-byte keys by radix, which costs more at this size
+    legs = np.empty((len(PHASES), 6))  # per leg: 2 targets, 2 increments, 2 signs
+    legs_flat = legs.reshape(-1)
+    targets, increments, signs = legs[:, 0:2, None], legs[:, 2:4, None], legs[:, 4:6, None]
     v_next = np.empty_like(v)
-    off = np.empty(v.shape, dtype=np.intp)
+    key = np.empty_like(v)
+    off, off_sorted, turn_ons, deferred = np.empty((4,) + v.shape, dtype=np.intp)
     sums = np.zeros((len(PHASES), 2, n + 1))
     volts = np.zeros((len(PHASES), 2, n + 1))
-    # flat index of each arm's first submodule, to index v, u and off flat
-    base = np.arange(0, v.size, n).reshape(len(PHASES), 2, 1)
-    positions = np.arange(n)
+    sums_tail, volts_tail, arm_volts = sums[..., 1:], volts[..., 1:], volts[..., -1]
+    # flat index of the first submodule of each element's arm, to index v, u
+    # and off flat; full-shape, as adding a broadcast operand costs more
+    base = np.repeat(np.arange(0, v.size, n), n).reshape(v.shape)
+    select = GridSelector((len(PHASES),), n, params)
+    masks = select.masks
 
     l_arm_ts = params.l_arm / params.t_s
     l_ac_ts = params.l_ac / params.t_s
@@ -367,8 +390,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     # overflow in a deeply unbalanced state ends in the divergence check
     with np.errstate(over="ignore", invalid="ignore"):
         for k, budget in enumerate(nsw_arr.tolist()):
-            i_ref = i_ref_tr[:, k].tolist()
-            v_grid_next = v_grid_tr[:, k].tolist()
+            i_ref, v_grid_next = ref_grid[:, :, k].tolist()
 
             # 1. per leg: targets (compute_targets), the arm currents
             # (arm_currents), their one-step capacitor increments and the sort
@@ -385,47 +407,47 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                     ts * i_up / c_sm, ts * i_low / c_sm,
                     -1.0 if i_up < 0 else 1.0, -1.0 if i_low < 0 else 1.0,
                 )
-            per_leg = np.array(per_leg).reshape(len(PHASES), 6)
-            targets = per_leg[:, 0:2]
+            legs_flat[:] = per_leg
 
             # 2. anticipation: every submodule inserted
-            np.add(v, per_leg[:, 2:4, None], out=v_next)
+            np.add(v, increments, out=v_next)
 
             # 3. the sorts; a stable ascending sort of the negated key is the
             # stable reverse sort of sort_v1f2 and sort_v1fc
-            key = v_next * per_leg[:, 4:6, None]
+            np.multiply(v_next, signs, out=key)
             if v1fc:
-                np.subtract(1, u, out=off)
+                np.logical_not(u, out=off)
                 order = np.lexsort((off, key))  # voltage key, then ON first
-                order += base
-                if budget < n:  # a budget of n defers nothing
-                    off_sorted = off.take(order)
-                    penalty = np.add.accumulate(off_sorted, axis=-1)
-                    penalty -= budget
-                    np.maximum(penalty, 0, out=penalty)
-                    penalty *= off_sorted
-                    by_penalty = penalty.argsort(axis=-1, kind="stable")
-                    by_penalty += base
-                    order = order.take(by_penalty)
             else:
                 order = key.argsort(axis=-1, kind="stable")
-                order += base
+            order += base
+            if v1fc and budget < n:  # a budget of n defers nothing
+                # the penalty sort as a stable partition (see the docstring);
+                # mode="clip" only spares numpy a buffered copy of `out`,
+                # as order is a permutation
+                off.take(order, out=off_sorted, mode="clip")
+                np.add.accumulate(off_sorted, axis=-1, out=turn_ons)
+                np.greater(turn_ons, budget, out=deferred)
+                deferred &= off_sorted
+                by_penalty = deferred.argsort(axis=-1, kind="stable")
+                by_penalty += base
+                order = order.take(by_penalty)
 
             # 4. running sums of the anticipated voltages in sorted order
-            sums[..., 1:] = v_next.take(order)
+            v_next.take(order, out=sums_tail, mode="clip")
             np.add.accumulate(sums, axis=-1, out=sums)
 
             # 5. selection over the full (n+1) x (n+1) grid of each leg
-            counts = select_grid(sums, targets, params)
+            cells = select(sums, targets)
 
             # 6. insert the chosen prefixes, then step_phase: inserted
             # capacitors integrate, bypassed ones keep their bits, arm voltages
             # sum in submodule order (v is finite: a bypassed SM adds +-0.0)
-            u_flat[order] = positions < counts[..., None]
+            u_flat[order] = masks.take(cells, axis=0)
             np.copyto(v, v_next, where=u)
-            np.multiply(v, u, out=volts[..., 1:])
+            np.multiply(v, u, out=volts_tail)
             np.add.accumulate(volts, axis=-1, out=volts)
-            for p, (v_up, v_low) in enumerate(volts[..., -1].tolist()):
+            for p, (v_up, v_low) in enumerate(arm_volts.tolist()):
                 i_ac_p = ((v_low - v_up) / 2.0 - v_grid_next[p] + l_ac_ts * i_ac[p]) / z_step
                 i_circ_p = circ_gain * (v_dc_now - v_low - v_up) + i_circ[p]
                 # only an inserted capacitor can turn non-finite, and it

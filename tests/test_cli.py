@@ -455,12 +455,16 @@ def test_write_phase_csv_rejects_before_opening(tmp_path, column, index, value, 
 
 # ------------------------------------------------- load_run validation
 
+def _with_field(line, column, value):
+    fields_ = line.split(b",")
+    fields_[column] = value
+    return b",".join(fields_)
+
+
 def _edit_field(path, row, column, value):
     """Set one field of a CSV data row (row 1 follows the header)."""
     lines = path.read_bytes().split(b"\r\n")
-    fields_ = lines[row].split(b",")
-    fields_[column] = value.encode()
-    lines[row] = b",".join(fields_)
+    lines[row] = _with_field(lines[row], column, value.encode())
     path.write_bytes(b"\r\n".join(lines))
 
 
@@ -487,25 +491,30 @@ def test_load_run_rejects_bad_statuses_and_budgets(tmp_path, short_run, name, ro
 
 
 @pytest.mark.parametrize(
-    "row, column, match",
+    "row, edit, match",
     [
-        (3, None, "row 3: 11 fields, expected 31"),
-        (1300, None, "row 1300: 11 fields, expected 31"),
-        (3, 9, "row 3: vC_3 is not a number, got 'abc'"),
-        (1300, 20, "row 1300: u_2 is not a number, got 'abc'"),
+        (3, lambda line: b",".join(line.split(b",")[:11]), "row 3: 11 fields, expected 31"),
+        (1300, lambda line: b",".join(line.split(b",")[:11]), "row 1300: 11 fields, expected 31"),
+        (3, lambda line: _with_field(line, 9, b"abc"), "row 3: vC_3 is not a number, got 'abc'"),
+        (1300, lambda line: _with_field(line, 20, b"abc"), "row 1300: u_2 is not a number, got 'abc'"),
+        # np.loadtxt alone ignores fields past the columns it reads, and
+        # skips blank lines
+        (3, lambda line: line + b",0", "row 3: 32 fields, expected 31"),
+        (1300, lambda line: line + b",0", "row 1300: 32 fields, expected 31"),
+        (3, lambda line: b"\r\n" + line, "row 3: blank line"),
+        (1300, lambda line: b"\r\n" + line, "row 1300: blank line"),
     ],
-    ids=["truncated-first-block", "truncated-later-block", "text-first-block", "text-later-block"],
+    ids=["truncated-first-block", "truncated-later-block", "text-first-block", "text-later-block",
+         "extra-field-first-block", "extra-field-later-block", "blank-line-first-block",
+         "blank-line-later-block"],
 )
-def test_load_run_names_row_of_malformed_line(tmp_path, short_run, row, column, match):
+def test_load_run_names_row_of_malformed_line(tmp_path, short_run, row, edit, match):
     out = tmp_path / "run"
     shutil.copytree(short_run[0], out)
     path = out / "phase_b.csv"
-    if column is None:  # cut the line after its first 11 fields
-        lines = path.read_bytes().split(b"\r\n")
-        lines[row] = b",".join(lines[row].split(b",")[:11])
-        path.write_bytes(b"\r\n".join(lines))
-    else:
-        _edit_field(path, row, column, "abc")
+    lines = path.read_bytes().split(b"\r\n")
+    lines[row] = edit(lines[row])
+    path.write_bytes(b"\r\n".join(lines))
     with pytest.raises(ConfigError, match=f"phase_b.csv {match}$"):
         load_run(out)
 

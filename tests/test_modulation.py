@@ -3,6 +3,7 @@ the selection shortcut against its exhaustive oracle."""
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import mmcsim as m
@@ -276,6 +277,31 @@ def test_select_matches_brute_force_wide_spread(table1, weights):
         r = m.select_optimal(alpha, beta, t, params)
         b = m.brute_force_select(alpha, beta, t, params)
         assert (r.m_up, r.m_low, r.f_value) == (b.m_up, b.m_low, b.f_value)
+
+
+@WEIGHTINGS
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["one-leg", "3-legs", "2x3-legs"])
+def test_grid_selector_reused_matches_brute_force(table1, weights, lead):
+    # one selector and its buffers across a sequence of inputs, as in a run
+    params = replace(table1, **weights)
+    n = params.n
+    select = m.GridSelector(lead, n, params)
+    rng = np.random.default_rng(303)
+    kept = None
+    for _ in range(100):
+        caps = 10e3 * rng.uniform(0.9, 1.1, lead + (2, n))
+        sums = np.concatenate((np.zeros(lead + (2, 1)), caps.cumsum(axis=-1)), axis=-1)
+        targets = rng.uniform(-0.1, 1.1, lead + (2, 1)) * params.v_dc
+        cells = np.asarray(select(sums, targets))
+        if kept is not None:  # the last call's result is not overwritten
+            assert np.array_equal(kept[0], kept[1])
+        kept = (cells, cells.copy())
+        for leg in np.ndindex(lead):
+            alpha, beta = sums[leg].tolist()
+            b = m.brute_force_select(alpha, beta, m.ArmTargets(*targets[leg][:, 0].tolist()), params)
+            assert divmod(int(cells[leg]), n + 1) == (b.m_up, b.m_low)
+            want = np.arange(n) < np.array([[b.m_up], [b.m_low]])
+            assert np.array_equal(select.masks[cells[leg]], want)
 
 
 def test_select_clamped_targets(table1):

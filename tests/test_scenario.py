@@ -376,8 +376,14 @@ def test_engine_matches_scalar_loop_fast_profile(fast_v1fc_trace):
                       nsw_schedule=_staircase(0.1, 6)),
         m.fast_config("v1fc", params=m.SystemParams(n=4, v_dc=40e3, w_circ=0.1),
                       duration=0.1, warmup=0.0, nsw_schedule=_staircase(0.1, 4)),
+        # from the balanced start every anticipated key ties on the first
+        # steps, so the budget partition and the tie-breaks order the arms;
+        # the staircases above start at budget n, where the partition is off
+        *(m.fast_config("v1fc", duration=0.005, warmup=0.0,
+                        nsw_schedule=m.constant_schedule(0.005, budget)) for budget in (0, 1, 5)),
     ],
-    ids=["v1f2-stiff", "v1fc-piline", "v1f2-piline", "n4-w_circ0.1"],
+    ids=["v1f2-stiff", "v1fc-piline", "v1f2-piline", "n4-w_circ0.1",
+         "tied-start-budget0", "tied-start-budget1", "tied-start-budget5"],
 )
 def test_engine_matches_scalar_loop(cfg):
     _assert_same_trace(m.run_scenario(cfg), _reference_run(cfg))
