@@ -19,7 +19,6 @@ from .core import (
 from .modulation import (
     ALGORITHMS,
     ArmTargets,
-    GridSelector,
     SelectionResult,
     SortedArm,
     brute_force_select,
@@ -27,7 +26,6 @@ from .modulation import (
     cumulative_sums,
     modulate_phase,
     objective_f,
-    select_grid,
     select_optimal,
     sort_v1f2,
     sort_v1fc,
@@ -35,6 +33,7 @@ from .modulation import (
 from .scenario import (
     DC_MODELS,
     PHASES,
+    GridSelector,
     NswSchedule,
     PhaseTrace,
     ScenarioConfig,

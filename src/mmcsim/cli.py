@@ -328,11 +328,18 @@ def load_run(out_dir: str | Path) -> SimTrace:
     the serialized ``t`` column is display precision and is not read.  A
     pi-line run's varying bus voltage is not part of the CSV schema and
     comes back as the nominal value.  Only the manifest's config is read;
-    its file inventory and timings are not.  A config the manifest cannot
-    be rebuilt from raises ``ConfigError`` naming the key.
+    its file inventory and timings are not.  A manifest that is not a JSON
+    object with a ``config`` key raises ``ConfigError`` naming the file, and
+    a config it cannot be rebuilt from one naming the key.
     """
     out_dir = Path(out_dir)
-    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    try:
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"run_manifest.json: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or "config" not in manifest:
+        got = "no 'config' key" if isinstance(manifest, dict) else type(manifest).__name__
+        raise ConfigError(f"run_manifest.json: expected an object with a 'config' key, got {got}")
     try:
         config = config_from_dict(manifest["config"])
     except ValueError as exc:

@@ -3,12 +3,9 @@ submodule orderings (the conventional voltage sort and the
 switching-constrained cascade)."""
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .core import (
     ArmState,
@@ -63,7 +60,7 @@ class SelectionResult:
     """Insertion counts chosen for a phase leg and their objective value.
 
     ``decision`` is populated by ``modulate_phase``, which knows the sort
-    permutations; the bare selectors leave it None.
+    permutations; ``brute_force_select`` leaves it None.
     """
 
     m_up: int
@@ -185,116 +182,28 @@ def brute_force_select(
     targets: ArmTargets,
     params: SystemParams,
 ) -> SelectionResult:
-    """Exhaustive reference selection over every (m_up, m_low) pair.
+    """Insertion counts (m_up, m_low) minimizing the objective, by a scan of
+    every pair of cumulative sums: the reference selection, and the oracle
+    the engine's ``GridSelector`` is tested against.
 
-    Kept as the oracle the grid selector is tested against; ties are
-    broken by smaller objective, then smaller m_up, then smaller m_low.
+    Ties are broken by smaller objective, then smaller m_up, then smaller
+    m_low; a NaN objective never wins a comparison.  Empty sums raise
+    ``ValueError``.
     """
+    for name, sums in (("alpha", alpha), ("beta", beta)):
+        if len(sums) == 0:
+            raise ValueError(f"{name}: no cumulative sums, expected n+1 entries")
     best: tuple[float, int, int] | None = None
     for m_up, a in enumerate(alpha):
         for m_low, b in enumerate(beta):
             key = (objective_f(params, targets, a, b), m_up, m_low)
             if best is None or key < best:
                 best = key
-    assert best is not None
     return SelectionResult(m_up=best[1], m_low=best[2], f_value=best[0])
 
 
-class GridSelector:
-    """Full-grid selection for a fixed batch of legs, with its buffers.
-
-    Built once for legs of leading shape ``lead`` with ``n`` submodules per
-    arm.  A call takes ``sums`` of shape lead + (2, n+1), the upper then the
-    lower cumulative sums, and ``targets`` of shape lead + (2, 1), the upper
-    then the lower target, and returns, as a new array of shape ``lead``,
-    the flat index ``m_up * (n+1) + m_low`` of the cell that minimizes the
-    objective.  Each cell is computed with the operations of ``objective_f``,
-    so it is the same float, and ``argmin`` over the row-major grid takes
-    the first minimum: the tie-break of ``brute_force_select``, smaller
-    objective, then smaller m_up, then smaller m_low.  A NaN cell counts as
-    +inf, as a NaN never wins a comparison in the scan; the two differ only
-    when cell (0, 0) is NaN, which the scan then keeps.
-    """
-
-    def __init__(self, lead: tuple[int, ...], n: int, params: SystemParams) -> None:
-        size = n + 1
-        self.n = n
-        # 0-d arrays: a ufunc converts a Python float operand on every call
-        self.c_track = np.array(params.w_track / (2.0 * params.z_step))
-        self.c_circ = np.array(params.w_circ * params.t_s / (2.0 * params.l_arm))
-        self._inf = np.array(np.inf)
-        self._d = np.empty(lead + (2, size))
-        # the flat index in d of each cell's lower and upper difference: one
-        # gather lays both grids out contiguously, and a ufunc on contiguous
-        # operands of one shape costs less than one that broadcasts
-        m_up, m_low = np.divmod(np.arange(size * size), size)
-        first = np.arange(0, self._d.size, 2 * size).reshape(lead + (1,))
-        self._gather = np.array((first + size + m_low, first + m_up))
-        self._grids = np.empty((2,) + lead + (size * size,))
-        self._d_low, self._d_up = self._grids
-        self._f = np.empty(lead + (size * size,))
-        self._g = np.empty_like(self._f)
-
-    def __call__(self, sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        d, d_low, d_up, f, g = self._d, self._d_low, self._d_up, self._f, self._g
-        np.subtract(targets, sums, out=d)
-        # mode="clip" only spares numpy a buffered copy of `out`
-        d.take(self._gather, out=self._grids, mode="clip")
-        np.subtract(d_low, d_up, out=f)
-        np.abs(f, out=f)
-        np.multiply(self.c_track, f, out=f)
-        np.add(d_low, d_up, out=g)
-        np.abs(g, out=g)
-        np.multiply(self.c_circ, g, out=g)
-        np.add(f, g, out=f)
-        np.fmin(f, self._inf, out=f)
-        return f.argmin(axis=-1)
-
-    @functools.cached_property
-    def masks(self) -> np.ndarray:
-        """Insertion masks by cell, (cell, arm, position) bool: ``masks[c]``
-        inserts the first m_up upper and m_low lower submodules in sorted
-        order."""
-        m_up, m_low = np.divmod(np.arange((self.n + 1) ** 2), self.n + 1)
-        return np.arange(self.n) < np.stack((m_up, m_low), axis=-1)[..., None]
-
-
-def select_grid(sums: np.ndarray, targets: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Insertion counts (m_up, m_low) minimizing the objective over every pair.
-
-    ``sums[..., 0, :]`` and ``sums[..., 1, :]`` are the upper and lower
-    cumulative sums (n+1 entries each), ``targets[..., 0]`` and
-    ``targets[..., 1]`` the upper and lower targets; any leading shape
-    batches independent legs, and the result has shape (..., 2).  The
-    selection is ``GridSelector``'s, ties and NaN cells included.
-    """
-    size = sums.shape[-1]
-    cell = GridSelector(sums.shape[:-2], size - 1, params)(sums, targets[..., None])
-    return np.stack(np.divmod(cell, size), axis=-1)
-
-
-def select_optimal(
-    alpha: Sequence[float],
-    beta: Sequence[float],
-    targets: ArmTargets,
-    params: SystemParams,
-) -> SelectionResult:
-    """Minimize the selection objective over the cumulative-sum grids.
-
-    Evaluates the full grid with ``GridSelector``, the selection the
-    scenario engine runs, so the result is ``brute_force_select``'s for
-    any weights, tie-breaks included.  ``alpha`` and ``beta`` have the
-    same length.
-    """
-    cell = GridSelector((), len(alpha) - 1, params)(
-        np.array([alpha, beta]), np.array([[targets.v_up_target], [targets.v_low_target]])
-    )
-    m_up, m_low = divmod(int(cell), len(alpha))
-    return SelectionResult(
-        m_up=m_up,
-        m_low=m_low,
-        f_value=objective_f(params, targets, alpha[m_up], beta[m_low]),
-    )
+# perfbench/tracer.py looks up both names on this module
+select_optimal = brute_force_select
 
 
 def modulate_phase(
@@ -337,7 +246,7 @@ def modulate_phase(
     # the sorts already hold the anticipated voltages in sorted order
     alpha = list(accumulate(up.v_next, initial=0.0))
     beta = list(accumulate(low.v_next, initial=0.0))
-    chosen = select_optimal(alpha, beta, targets, params)
+    chosen = brute_force_select(alpha, beta, targets, params)
 
     statuses = [0] * (2 * n)
     for m in range(chosen.m_up):

@@ -2,6 +2,7 @@
 pi-line) DC side, advanced at a fixed sampling period."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any
@@ -9,7 +10,7 @@ from typing import Any
 import numpy as np
 
 from .core import SimulationDiverged, SystemParams
-from .modulation import ALGORITHMS, GridSelector
+from .modulation import ALGORITHMS
 
 # not called here; perfbench/tracer.py wraps these two names on this module,
 # so they must stay importable from it (their spans read 0)
@@ -293,6 +294,66 @@ class SimTrace:
         return np.arange(1, self.steps + 1) * self.config.params.t_s
 
 
+class GridSelector:
+    """The engine's full-grid selection for a fixed batch of legs, with its
+    buffers.
+
+    Built once for legs of leading shape ``lead`` with ``n`` submodules per
+    arm.  A call takes ``sums`` of shape lead + (2, n+1), the upper then the
+    lower cumulative sums, and ``targets`` of shape lead + (2, 1), the upper
+    then the lower target, and returns, as a new array of shape ``lead``,
+    the flat index ``m_up * (n+1) + m_low`` of the cell that minimizes the
+    objective.  Each cell is computed with the operations of ``objective_f``,
+    so it is the same float, and ``argmin`` over the row-major grid takes
+    the first minimum: the tie-break of ``brute_force_select``, smaller
+    objective, then smaller m_up, then smaller m_low.  A NaN cell counts as
+    +inf, as a NaN never wins a comparison in the scan; the two differ only
+    when cell (0, 0) is NaN, which the scan then keeps.
+    """
+
+    def __init__(self, lead: tuple[int, ...], n: int, params: SystemParams) -> None:
+        size = n + 1
+        self.n = n
+        # 0-d arrays: a ufunc converts a Python float operand on every call
+        self.c_track = np.array(params.w_track / (2.0 * params.z_step))
+        self.c_circ = np.array(params.w_circ * params.t_s / (2.0 * params.l_arm))
+        self._inf = np.array(np.inf)
+        self._d = np.empty(lead + (2, size))
+        # the flat index in d of each cell's lower and upper difference: one
+        # gather lays both grids out contiguously, and a ufunc on contiguous
+        # operands of one shape costs less than one that broadcasts
+        m_up, m_low = np.divmod(np.arange(size * size), size)
+        first = np.arange(0, self._d.size, 2 * size).reshape(lead + (1,))
+        self._gather = np.array((first + size + m_low, first + m_up))
+        self._grids = np.empty((2,) + lead + (size * size,))
+        self._d_low, self._d_up = self._grids
+        self._f = np.empty(lead + (size * size,))
+        self._g = np.empty_like(self._f)
+
+    def __call__(self, sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        d, d_low, d_up, f, g = self._d, self._d_low, self._d_up, self._f, self._g
+        np.subtract(targets, sums, out=d)
+        # mode="clip" only spares numpy a buffered copy of `out`
+        d.take(self._gather, out=self._grids, mode="clip")
+        np.subtract(d_low, d_up, out=f)
+        np.abs(f, out=f)
+        np.multiply(self.c_track, f, out=f)
+        np.add(d_low, d_up, out=g)
+        np.abs(g, out=g)
+        np.multiply(self.c_circ, g, out=g)
+        np.add(f, g, out=f)
+        np.fmin(f, self._inf, out=f)
+        return f.argmin(axis=-1)
+
+    @functools.cached_property
+    def masks(self) -> np.ndarray:
+        """Insertion masks by cell, (cell, arm, position) bool: ``masks[c]``
+        inserts the first m_up upper and m_low lower submodules in sorted
+        order."""
+        m_up, m_low = np.divmod(np.arange((self.n + 1) ** 2), self.n + 1)
+        return np.arange(self.n) < np.stack((m_up, m_low), axis=-1)[..., None]
+
+
 def run_scenario(config: ScenarioConfig) -> SimTrace:
     """Advance the three-phase system over the configured span.
 
@@ -305,9 +366,9 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     their order, so the trace is bit-identical to stepping them leg by leg.
 
     The step keeps its numpy calls and temporaries few: one
-    ``GridSelector``, the implementation behind ``select_grid``, is built
-    per run with its buffers, and the per-leg floats, anticipated voltages,
-    keys and running sums go into fixed buffers through views made once.
+    ``GridSelector`` is built per run with its buffers, and the per-leg
+    floats, anticipated voltages, keys and running sums go into fixed
+    buffers through views made once.
     The chosen cell indexes the selector's table of insertion masks.  The
     budget stage of ``sort_v1fc`` runs as a stable partition: a submodule
     is deferred if it is OFF and more than ``budget`` OFF submodules lie at

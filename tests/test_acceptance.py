@@ -19,8 +19,9 @@ def _report(cid: str, ok: bool, detail: str) -> None:
 
 
 # -------------------------------------------------------------------------
-# Criterion 1: the grid selector equals the exhaustive oracle, exactly,
-# over 10^4 randomized instances under each of four objective weightings.
+# Criterion 1: the engine's grid selector equals the exhaustive scan,
+# exactly, over 10^4 randomized instances under each of four objective
+# weightings.
 # -------------------------------------------------------------------------
 @pytest.mark.parametrize(
     "weights",
@@ -31,7 +32,7 @@ def test_c1_selection_oracle_equivalence(table1, weights):
     table1 = replace(table1, **weights)
     rng = random.Random(20240817)
     trials = 10_000
-    mismatches = 0
+    instances = []
     for _ in range(trials):
         alpha = [0.0]
         beta = [0.0]
@@ -43,11 +44,17 @@ def test_c1_selection_oracle_equivalence(table1, weights):
             rng.uniform(-0.1, 1.1) * table1.v_dc,
             rng.uniform(-0.1, 1.1) * table1.v_dc,
         )
-        fast = m.select_optimal(alpha, beta, targets, table1)
+        instances.append((alpha, beta, targets))
+    # all instances in one call of the engine's selector
+    sums = np.array([(alpha, beta) for alpha, beta, _ in instances])
+    goals = np.array([[[t.v_up_target], [t.v_low_target]] for _, _, t in instances])
+    cells = m.GridSelector((trials,), 6, table1)(sums, goals).tolist()
+    mismatches = 0
+    for (alpha, beta, targets), cell in zip(instances, cells):
+        m_up, m_low = divmod(cell, 7)
+        fast = m.objective_f(table1, targets, alpha[m_up], beta[m_low])
         slow = m.brute_force_select(alpha, beta, targets, table1)
-        if (fast.m_up, fast.m_low) != (slow.m_up, slow.m_low) or (
-            fast.f_value != slow.f_value
-        ):
+        if (m_up, m_low) != (slow.m_up, slow.m_low) or fast != slow.f_value:
             mismatches += 1
     ok = mismatches == 0
     _report("C1", ok, f"{weights or 'table1'}: {trials} random instances, {mismatches} mismatches")

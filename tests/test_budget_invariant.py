@@ -47,7 +47,8 @@ def test_v1fc_turn_ons_within_budget_plus_forced(leg):
         m.sort_v1fc(arm, i_arm, budget, params) for arm, i_arm in zip(arms, currents)
     ]
     sums = np.array([np.cumsum((0.0, *s.v_next)) for s in sorted_arms])
-    counts = m.select_grid(sums, np.array(targets), params).tolist()
+    cell = m.GridSelector((), params.n, params)(sums, np.array(targets)[:, None])
+    counts = divmod(int(cell), params.n + 1)
     for arm, s, m_new in zip(arms, sorted_arms, counts):
         inserted = set(s.order[:m_new])
         turn_ons = sum(1 for j in inserted if not arm.u[j])

@@ -519,22 +519,35 @@ def test_load_run_names_row_of_malformed_line(tmp_path, short_run, row, edit, ma
         load_run(out)
 
 
+def _config_edit(edit):
+    """A manifest edit that changes the config in place."""
+    def apply(manifest):
+        edit(manifest["config"])
+        return json.dumps(manifest)
+    return apply
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
-        (lambda c: c["params"].update(n="6"), "config.params.n: expected int, got '6'"),
-        (lambda c: c.update(duration="0.06"), "config.duration: expected float, got '0.06'"),
-        (lambda c: c["nsw_schedule"][0].pop(),
+        (_config_edit(lambda c: c["params"].update(n="6")),
+         "config.params.n: expected int, got '6'"),
+        (_config_edit(lambda c: c.update(duration="0.06")),
+         "config.duration: expected float, got '0.06'"),
+        (_config_edit(lambda c: c["nsw_schedule"][0].pop()),
          r"config.nsw_schedule\[0\]: expected \[t_start, t_end, n_sw_max\], got \[0.0, 0.06\]"),
+        (lambda mf: json.dumps({k: v for k, v in mf.items() if k != "config"}),
+         "expected an object with a 'config' key, got no 'config' key"),
+        (lambda mf: json.dumps([mf]), "expected an object with a 'config' key, got list"),
+        (lambda mf: json.dumps(mf)[:-1], "not valid JSON: Expecting ',' delimiter: .*"),
     ],
-    ids=["n-string", "duration-string", "segment-two-fields"],
+    ids=["n-string", "duration-string", "segment-two-fields", "no-config", "list", "not-json"],
 )
 def test_load_run_names_bad_manifest_key(tmp_path, short_run, edit, match):
     out = tmp_path / "run"
     shutil.copytree(short_run[0], out)
-    manifest = json.loads((out / "run_manifest.json").read_text())
-    edit(manifest["config"])
-    (out / "run_manifest.json").write_text(json.dumps(manifest))
+    path = out / "run_manifest.json"
+    path.write_text(edit(json.loads(path.read_text())))
     with pytest.raises(ConfigError, match=f"^run_manifest.json: {match}$"):
         load_run(out)
 

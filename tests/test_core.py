@@ -215,6 +215,19 @@ def test_step_phase_nan_in_bypassed_submodule_diverges(table1):
         m.step_phase(state, decision, 0.0, table1)
 
 
+def test_step_phase_passes_finite_non_positive_capacitor_voltage(table1):
+    # divergence means a non-finite number; the linear model has no diode
+    # clamp, so an inserted capacitor may discharge through zero
+    state = m.nominal_phase_state(table1)
+    state.upper.v_c[:2] = [-500.0, 0.0]
+    state.upper.i_arm = -200.0  # discharges the inserted submodules
+    decision = m.SwitchDecision((1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0))
+    new = m.step_phase(state, decision, 0.0, table1)
+    assert new.upper.v_c[0] == -500.0 + table1.t_s * -200.0 / table1.c_sm < -500.0
+    assert new.upper.v_c[1] == 0.0  # bypassed: kept bit for bit
+    assert all(map(math.isfinite, (new.i_ac, new.i_circ, *new.upper.v_c, *new.lower.v_c)))
+
+
 def test_step_phase_decision_length(table1):
     state = m.nominal_phase_state(table1)
     with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 """Modulation-stage checks: targets, objective, both sort strategies, and
-the selection shortcut against its exhaustive oracle."""
+the engine's grid selection against the exhaustive scan."""
 import random
 from dataclasses import replace
 
@@ -196,12 +196,21 @@ def _uniform_cumsums(n=6, step=10e3):
     return [step * k for k in range(n + 1)]
 
 
+def _grid_select(alpha, beta, targets, params):
+    """The engine's selection for one leg, as a ``SelectionResult``."""
+    select = m.GridSelector((), len(alpha) - 1, params)
+    cell = select(np.array([alpha, beta]), np.array([[targets.v_up_target], [targets.v_low_target]]))
+    m_up, m_low = divmod(int(cell), len(alpha))
+    return m.SelectionResult(m_up, m_low, m.objective_f(params, targets, alpha[m_up], beta[m_low]))
+
+
 def test_select_exact_target(table1):
     alpha = _uniform_cumsums()
     t = m.ArmTargets(30000.0, 10000.0)
-    r = m.select_optimal(alpha, alpha, t, table1)
-    assert (r.m_up, r.m_low) == (3, 1)
-    assert r.f_value == 0.0
+    r = _grid_select(alpha, alpha, t, table1)
+    b = m.brute_force_select(alpha, alpha, t, table1)
+    assert (r.m_up, r.m_low) == (b.m_up, b.m_low) == (3, 1)
+    assert r.f_value == b.f_value == 0.0
 
 
 def test_select_midpoint_tie_break(table1):
@@ -209,7 +218,7 @@ def test_select_midpoint_tie_break(table1):
     # on the objective, the smaller upper count wins
     alpha = _uniform_cumsums()
     t = m.ArmTargets(5000.0, 5000.0)
-    r = m.select_optimal(alpha, alpha, t, table1)
+    r = _grid_select(alpha, alpha, t, table1)
     b = m.brute_force_select(alpha, alpha, t, table1)
     assert (r.m_up, r.m_low) == (0, 1)
     assert (b.m_up, b.m_low) == (0, 1)
@@ -223,7 +232,7 @@ def test_select_duplicate_cumsum_tie(table1):
     alpha = [0.0, 10000.0, 20000.0, 30000.0]
     beta = [0.0, 10000.0, 10000.0, 20000.0]
     t = m.ArmTargets(10000.0, 10000.0)
-    r = m.select_optimal(alpha, beta, t, p3)
+    r = _grid_select(alpha, beta, t, p3)
     b = m.brute_force_select(alpha, beta, t, p3)
     assert (r.m_up, r.m_low, r.f_value) == (b.m_up, b.m_low, b.f_value) == (1, 1, 0.0)
 
@@ -252,7 +261,7 @@ def test_select_matches_brute_force_random(table1, weights):
         t = m.ArmTargets(
             rng.uniform(-0.1, 1.1) * table1.v_dc, rng.uniform(-0.1, 1.1) * table1.v_dc
         )
-        r = m.select_optimal(alpha, beta, t, table1)
+        r = _grid_select(alpha, beta, t, table1)
         b = m.brute_force_select(alpha, beta, t, table1)
         assert (r.m_up, r.m_low) == (b.m_up, b.m_low)
         assert r.f_value == b.f_value
@@ -274,7 +283,7 @@ def test_select_matches_brute_force_wide_spread(table1, weights):
         t = m.ArmTargets(
             rng.uniform(-0.1, 1.1) * params.v_dc, rng.uniform(-0.1, 1.1) * params.v_dc
         )
-        r = m.select_optimal(alpha, beta, t, params)
+        r = _grid_select(alpha, beta, t, params)
         b = m.brute_force_select(alpha, beta, t, params)
         assert (r.m_up, r.m_low, r.f_value) == (b.m_up, b.m_low, b.f_value)
 
@@ -307,7 +316,7 @@ def test_grid_selector_reused_matches_brute_force(table1, weights, lead):
 def test_select_clamped_targets(table1):
     alpha = _uniform_cumsums()
     for t in (m.ArmTargets(-5000.0, 30000.0), m.ArmTargets(70000.0, 65000.0)):
-        r = m.select_optimal(alpha, alpha, t, table1)
+        r = _grid_select(alpha, alpha, t, table1)
         b = m.brute_force_select(alpha, alpha, t, table1)
         assert (r.m_up, r.m_low, r.f_value) == (b.m_up, b.m_low, b.f_value)
 
@@ -318,7 +327,7 @@ def test_select_nonmonotone_cumsum(table1):
     alpha = [0.0, 12000.0, 11000.0, 21000.0]
     beta = [0.0, 9000.0, 19000.0, 29000.0]
     t = m.ArmTargets(11500.0, 15000.0)
-    r = m.select_optimal(alpha, beta, t, p3)
+    r = _grid_select(alpha, beta, t, p3)
     b = m.brute_force_select(alpha, beta, t, p3)
     assert (r.m_up, r.m_low, r.f_value) == (b.m_up, b.m_low, b.f_value)
 
@@ -329,9 +338,17 @@ def test_select_nan_cumsum():
     alpha = [0.0, 10000.0, float("nan")]
     beta = [0.0, 10000.0, 20000.0]
     t = m.ArmTargets(10000.0, 10000.0)
-    r = m.select_optimal(alpha, beta, t, p2)
+    r = _grid_select(alpha, beta, t, p2)
     b = m.brute_force_select(alpha, beta, t, p2)
     assert (r.m_up, r.m_low, r.f_value) == (b.m_up, b.m_low, b.f_value) == (1, 1, 0.0)
+
+
+@pytest.mark.parametrize("alpha, beta, name", [([], [0.0], "alpha"), ([0.0], [], "beta")])
+def test_brute_force_empty_sums(table1, alpha, beta, name):
+    # a ValueError, also under python -O, and under either name of the scan
+    for select in (m.brute_force_select, m.select_optimal):
+        with pytest.raises(ValueError, match=f"^{name}: no cumulative sums"):
+            select(alpha, beta, m.ArmTargets(0.0, 0.0), table1)
 
 
 def test_brute_force_minimal_case():
