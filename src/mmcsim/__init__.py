@@ -33,6 +33,7 @@ from .modulation import (
 from .scenario import (
     DC_MODELS,
     PHASES,
+    ArmSorter,
     GridSelector,
     NswSchedule,
     PhaseTrace,

@@ -329,8 +329,9 @@ def load_run(out_dir: str | Path) -> SimTrace:
     pi-line run's varying bus voltage is not part of the CSV schema and
     comes back as the nominal value.  Only the manifest's config is read;
     its file inventory and timings are not.  A manifest that is not a JSON
-    object with a ``config`` key raises ``ConfigError`` naming the file, and
-    a config it cannot be rebuilt from one naming the key.
+    object with a ``config`` key raises ``ConfigError`` naming the file, a
+    failed run's manifest one quoting its error, and a config it cannot be
+    rebuilt from one naming the key.
     """
     out_dir = Path(out_dir)
     try:
@@ -340,6 +341,8 @@ def load_run(out_dir: str | Path) -> SimTrace:
     if not isinstance(manifest, dict) or "config" not in manifest:
         got = "no 'config' key" if isinstance(manifest, dict) else type(manifest).__name__
         raise ConfigError(f"run_manifest.json: expected an object with a 'config' key, got {got}")
+    if "error" in manifest:  # written by a run that diverged, beside no CSV
+        raise ConfigError(f"run_manifest.json: the run failed and wrote no trace: {manifest['error']}")
     try:
         config = config_from_dict(manifest["config"])
     except ValueError as exc:
@@ -424,6 +427,14 @@ def format_summary(report: list[SegmentMetrics]) -> str:
     return "\n".join(lines)
 
 
+def _utc_now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+def _write_manifest(out_dir: Path, manifest: dict[str, Any]) -> None:
+    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
 def run_command(args: argparse.Namespace) -> int:
     # perf_counter marks between the stages of the manifest's stage_seconds
     marks = [time.perf_counter()]
@@ -435,12 +446,27 @@ def run_command(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    manifest = {
+        "package_version": __version__,
+        "started_utc": _utc_now(),
+        "finished_utc": None,  # set when the run ends
+        "profile": args.profile,
+        "settle": _SETTLE[args.profile],
+        "config": config_to_dict(config),
+    }
     marks.append(time.perf_counter())
 
     try:
         trace = run_scenario(config)
     except SimulationDiverged as exc:
+        # a failed run explains itself: the error, and the stages that ran
+        marks.append(time.perf_counter())
+        manifest.update(
+            finished_utc=_utc_now(),
+            error=str(exc),
+            stage_seconds=dict(zip(_STAGES, np.diff(marks).tolist())),
+        )
+        _write_manifest(out_dir, manifest)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     marks.append(time.perf_counter())
@@ -458,18 +484,13 @@ def run_command(args: argparse.Namespace) -> int:
     marks.append(time.perf_counter())
 
     stage_seconds = dict(zip(_STAGES, np.diff(marks).tolist()))
-    manifest = {
-        "package_version": __version__,
-        "started_utc": started,
-        "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "profile": args.profile,
-        "settle": _SETTLE[args.profile],
-        "config": config_to_dict(config),
-        "files": {name: {"rows": rows} for name, rows in files.items()},
-        "stage_seconds": stage_seconds,
-        "phase_steps_per_s": len(PHASES) * trace.steps / stage_seconds["simulate"],
-    }
-    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest.update(
+        finished_utc=_utc_now(),
+        files={name: {"rows": rows} for name, rows in files.items()},
+        stage_seconds=stage_seconds,
+        phase_steps_per_s=len(PHASES) * trace.steps / stage_seconds["simulate"],
+    )
+    _write_manifest(out_dir, manifest)
 
     print(summary)
     print(f"\noutputs written to {out_dir}")

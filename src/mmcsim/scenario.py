@@ -300,50 +300,58 @@ class GridSelector:
 
     Built once for legs of leading shape ``lead`` with ``n`` submodules per
     arm.  A call takes ``sums`` of shape lead + (2, n+1), the upper then the
-    lower cumulative sums, and ``targets`` of shape lead + (2, 1), the upper
-    then the lower target, and returns, as a new array of shape ``lead``,
-    the flat index ``m_up * (n+1) + m_low`` of the cell that minimizes the
-    objective.  Each cell is computed with the operations of ``objective_f``,
-    so it is the same float, and ``argmin`` over the row-major grid takes
-    the first minimum: the tie-break of ``brute_force_select``, smaller
-    objective, then smaller m_up, then smaller m_low.  A NaN cell counts as
-    +inf, as a NaN never wins a comparison in the scan; the two differ only
-    when cell (0, 0) is NaN, which the scan then keeps.
+    lower cumulative sums, and ``targets``, the upper then the lower target,
+    and returns, as a new array of shape ``lead``, the flat index
+    ``m_up * (n+1) + m_low`` of the cell that minimizes the objective.
+    ``targets`` may have the shape of ``sums``, each target repeated along
+    the last axis, as the engine passes them, or lead + (2, 1); the first is
+    faster, as a ufunc on operands of one shape skips broadcasting.  Each
+    cell is computed with the operations of ``objective_f``, so it is the
+    same float, and ``argmin`` over the row-major grid takes the first
+    minimum: the tie-break of ``brute_force_select``, smaller objective,
+    then smaller m_up, then smaller m_low.  A NaN cell counts as +inf, as a
+    NaN never wins a comparison in the scan; the two differ only when cell
+    (0, 0) is NaN, which the scan then keeps.
     """
 
     def __init__(self, lead: tuple[int, ...], n: int, params: SystemParams) -> None:
         size = n + 1
         self.n = n
         # 0-d arrays: a ufunc converts a Python float operand on every call
-        self.c_track = np.array(params.w_track / (2.0 * params.z_step))
-        self.c_circ = np.array(params.w_circ * params.t_s / (2.0 * params.l_arm))
-        self._inf = np.array(np.inf)
-        self._d = np.empty(lead + (2, size))
+        c_track = np.array(params.w_track / (2.0 * params.z_step))
+        c_circ = np.array(params.w_circ * params.t_s / (2.0 * params.l_arm))
+        d = np.empty(lead + (2, size))
         # the flat index in d of each cell's lower and upper difference: one
         # gather lays both grids out contiguously, and a ufunc on contiguous
         # operands of one shape costs less than one that broadcasts
         m_up, m_low = np.divmod(np.arange(size * size), size)
-        first = np.arange(0, self._d.size, 2 * size).reshape(lead + (1,))
-        self._gather = np.array((first + size + m_low, first + m_up))
-        self._grids = np.empty((2,) + lead + (size * size,))
-        self._d_low, self._d_up = self._grids
-        self._f = np.empty(lead + (size * size,))
-        self._g = np.empty_like(self._f)
+        first = np.arange(0, d.size, 2 * size).reshape(lead + (1,))
+        gather = np.array((first + size + m_low, first + m_up))
+        grids = np.empty((2,) + lead + (size * size,))
+        f = np.empty(lead + (size * size,))
+        # what a call uses, unpacked in one step: the buffers, the constants
+        # (+inf in full shape, as fmin against a 0-d array costs more) and
+        # the ufuncs, looked up once here rather than on np per call
+        self._bound = (
+            d, gather, grids, *grids, f, np.empty_like(f), c_track, c_circ,
+            np.full_like(f, np.inf), np.subtract, np.add, np.multiply, np.abs, np.fmin,
+        )
 
     def __call__(self, sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        d, d_low, d_up, f, g = self._d, self._d_low, self._d_up, self._f, self._g
-        np.subtract(targets, sums, out=d)
+        (d, gather, grids, d_low, d_up, f, g, c_track, c_circ, inf,
+         subtract, add, multiply, absolute, fmin) = self._bound
+        subtract(targets, sums, d)
         # mode="clip" only spares numpy a buffered copy of `out`
-        d.take(self._gather, out=self._grids, mode="clip")
-        np.subtract(d_low, d_up, out=f)
-        np.abs(f, out=f)
-        np.multiply(self.c_track, f, out=f)
-        np.add(d_low, d_up, out=g)
-        np.abs(g, out=g)
-        np.multiply(self.c_circ, g, out=g)
-        np.add(f, g, out=f)
-        np.fmin(f, self._inf, out=f)
-        return f.argmin(axis=-1)
+        d.take(gather, None, grids, "clip")
+        subtract(d_low, d_up, f)
+        absolute(f, f)
+        multiply(c_track, f, f)
+        add(d_low, d_up, g)
+        absolute(g, g)
+        multiply(c_circ, g, g)
+        add(f, g, f)
+        fmin(f, inf, f)
+        return f.argmin(-1)
 
     @functools.cached_property
     def masks(self) -> np.ndarray:
@@ -352,6 +360,75 @@ class GridSelector:
         order."""
         m_up, m_low = np.divmod(np.arange((self.n + 1) ** 2), self.n + 1)
         return np.arange(self.n) < np.stack((m_up, m_low), axis=-1)[..., None]
+
+
+class ArmSorter:
+    """The engine's sorts for a fixed batch of legs, with their buffers and
+    the budget table.
+
+    Built once for legs of leading shape ``lead`` with ``n`` submodules per
+    arm.  ``v1f2`` and ``v1fc`` take, each of shape lead + (2, n), the
+    anticipated voltages ``v_next``, the sort directions ``signs`` (1.0 while
+    an arm charges, -1.0 while it discharges) and the statuses ``u`` as 0/1
+    int8, then the budget, and return as a new array the order of every arm
+    as flat indices into arrays of that shape.  They give the orders of
+    ``sort_v1f2`` and ``sort_v1fc``: a stable ascending sort of the key
+    ``v_next * sign`` is the stable reverse sort of the scalar functions.
+
+    ``v1fc`` breaks key ties ON first, then runs the budget stage as a
+    stable partition: a submodule is deferred if it is OFF and more than
+    ``budget`` OFF submodules lie at or before it in the voltage order, and a
+    stable sort on that flag is the stable sort on the penalty, which is 0
+    exactly where the flag is clear and rises strictly along the order where
+    it is set.  The flags are 0/1 in intp, not bool: numpy sorts 1-byte keys
+    by radix, which costs more at this size.
+    """
+
+    def __init__(self, lead: tuple[int, ...], n: int) -> None:
+        shape = lead + (2, n)
+        size = math.prod(shape)
+        # flat index of the first submodule of each element's arm;
+        # full-shape, as adding a broadcast operand costs more
+        base = np.repeat(np.arange(0, size, n), n).reshape(shape)
+        # row b maps a running count of OFF submodules to the deferred flag,
+        # count > b; the OFF flag of a status u is entry u of (1, 0)
+        deferred_if = list((np.arange(n + 1) > np.arange(n + 1)[:, None]).astype(np.intp))
+        off, off_sorted, turn_ons, deferred = np.empty((4,) + shape, dtype=np.intp)
+        key = np.empty(shape)
+        # what each sort uses, unpacked in one step: the buffers, the tables
+        # and the numpy functions, looked up once here rather than on np per call
+        self._v1f2 = (key, base, np.multiply, np.add)
+        self._v1fc = (
+            n, key, base, off, off_sorted, turn_ons, deferred, deferred_if,
+            np.array((1, 0), dtype=np.intp),
+            np.multiply, np.add, np.add.accumulate, np.bitwise_and, np.lexsort,
+        )
+
+    def v1f2(self, v_next: np.ndarray, signs: np.ndarray, u: np.ndarray, budget: int) -> np.ndarray:
+        key, base, multiply, add = self._v1f2
+        multiply(v_next, signs, key)
+        order = key.argsort(-1, "stable")
+        add(order, base, order)
+        return order
+
+    def v1fc(self, v_next: np.ndarray, signs: np.ndarray, u: np.ndarray, budget: int) -> np.ndarray:
+        (n, key, base, off, off_sorted, turn_ons, deferred, deferred_if, off_if,
+         multiply, add, accumulate, bitwise_and, lexsort) = self._v1fc
+        multiply(v_next, signs, key)
+        # mode="clip" only spares numpy a buffered copy of `out`
+        off_if.take(u, None, off, "clip")
+        order = lexsort((off, key))  # voltage key, then ON first
+        add(order, base, order)
+        if budget < n:  # a budget of n defers nothing
+            # order is a permutation, so the clip never acts
+            off.take(order, None, off_sorted, "clip")
+            accumulate(off_sorted, -1, None, turn_ons)
+            deferred_if[budget].take(turn_ons, None, deferred, "clip")
+            bitwise_and(deferred, off_sorted, deferred)
+            by_penalty = deferred.argsort(-1, "stable")
+            add(by_penalty, base, by_penalty)
+            order = order.take(by_penalty)
+        return order
 
 
 def run_scenario(config: ScenarioConfig) -> SimTrace:
@@ -365,16 +442,14 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     update.  Every expression keeps the scalar functions' operations and
     their order, so the trace is bit-identical to stepping them leg by leg.
 
-    The step keeps its numpy calls and temporaries few: one
-    ``GridSelector`` is built per run with its buffers, and the per-leg
-    floats, anticipated voltages, keys and running sums go into fixed
-    buffers through views made once.
-    The chosen cell indexes the selector's table of insertion masks.  The
-    budget stage of ``sort_v1fc`` runs as a stable partition: a submodule
-    is deferred if it is OFF and more than ``budget`` OFF submodules lie at
-    or before it in the voltage order, and a stable sort on that flag is
-    the stable sort on the penalty, which is 0 exactly where the flag is
-    clear and rises strictly along the order where it is set.
+    The step keeps its numpy calls few and on numpy's fast path.  One
+    ``ArmSorter`` and one ``GridSelector`` are built per run with their
+    buffers; the per-leg floats land in one buffer and one ``take`` repeats
+    them over their arms, so anticipation, the sort key and the selection
+    get operands of one shape; the other step arrays are fixed buffers read
+    through views made once; and numpy's functions are bound to locals and
+    called with positional arguments.  The chosen cell indexes the selector's table of insertion
+    masks.
 
     The DC side is either a stiff source (constant V_dc) or a single lumped
     pi section fed from a stiff source, integrated with a semi-implicit
@@ -408,33 +483,44 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         np.multiply(config.v_s_peak, sines, out=v_grid_tr[p])
 
     # the state, nominal_phase_state of each leg: per-leg floats, and the
-    # arms' capacitor voltages and statuses (bool, viewed as int8 to record)
+    # arms' capacitor voltages and statuses (bool, viewed as int8 for the
+    # sort and the record)
     i_ac = [0.0] * len(PHASES)
     i_circ = [0.0] * len(PHASES)
     v_grid = [grid_voltage(config, 0.0, ph) for ph in PHASES]
     v = np.full((len(PHASES), 2, n), params.v_sm_nominal)
     u = np.zeros((len(PHASES), 2, n), dtype=bool)
     u_flat = u.reshape(-1)
+    u_bytes = u.view(np.int8)
     v_row = v.reshape(len(PHASES), 2 * n)
-    u_row = u.view(np.int8).reshape(len(PHASES), 2 * n)
+    u_row = u_bytes.reshape(len(PHASES), 2 * n)
 
     # step buffers and their views, made once; column 0 of the running sums
-    # stays 0.0, their start.  The OFF flags are 0/1 in intp, not bool:
-    # numpy sorts 1-byte keys by radix, which costs more at this size
-    legs = np.empty((len(PHASES), 6))  # per leg: 2 targets, 2 increments, 2 signs
-    legs_flat = legs.reshape(-1)
-    targets, increments, signs = legs[:, 0:2, None], legs[:, 2:4, None], legs[:, 4:6, None]
+    # stays 0.0, their start
     v_next = np.empty_like(v)
-    key = np.empty_like(v)
-    off, off_sorted, turn_ons, deferred = np.empty((4,) + v.shape, dtype=np.intp)
     sums = np.zeros((len(PHASES), 2, n + 1))
     volts = np.zeros((len(PHASES), 2, n + 1))
     sums_tail, volts_tail, arm_volts = sums[..., 1:], volts[..., 1:], volts[..., -1]
-    # flat index of the first submodule of each element's arm, to index v, u
-    # and off flat; full-shape, as adding a broadcast operand costs more
-    base = np.repeat(np.arange(0, v.size, n), n).reshape(v.shape)
+    # the 18 per-leg floats land in legs, and one take repeats each over its
+    # arm into blocks, which holds the full-shape targets, then increments,
+    # then signs: a ufunc on operands of one shape costs less than one that
+    # broadcasts
+    legs = np.empty(len(PHASES) * 6)  # per leg: 2 targets, 2 increments, 2 signs
+    arm_first = np.arange(0, legs.size, 6).reshape(-1, 1, 1) + np.arange(2).reshape(2, 1)
+    spread = np.concatenate([
+        np.broadcast_to(arm_first + column, v.shape[:-1] + (width,)).ravel()
+        for column, width in ((0, n + 1), (2, n), (4, n))
+    ])
+    blocks = np.empty(spread.size)
+    targets = blocks[: sums.size].reshape(sums.shape)
+    increments, signs = blocks[sums.size :].reshape((2,) + v.shape)
+    sorter = ArmSorter((len(PHASES),), n)
+    sort = sorter.v1fc if v1fc else sorter.v1f2
     select = GridSelector((len(PHASES),), n, params)
     masks = select.masks
+    # numpy's functions, looked up once per run; every call passes its
+    # arguments by position, which numpy parses faster than keywords
+    add, multiply, copyto, accumulate = np.add, np.multiply, np.copyto, np.add.accumulate
 
     l_arm_ts = params.l_arm / params.t_s
     l_ac_ts = params.l_ac / params.t_s
@@ -468,35 +554,19 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                     ts * i_up / c_sm, ts * i_low / c_sm,
                     -1.0 if i_up < 0 else 1.0, -1.0 if i_low < 0 else 1.0,
                 )
-            legs_flat[:] = per_leg
+            legs[:] = per_leg
+            # mode="clip" only spares numpy a buffered copy of `out`
+            legs.take(spread, None, blocks, "clip")
 
             # 2. anticipation: every submodule inserted
-            np.add(v, increments, out=v_next)
+            add(v, increments, v_next)
 
-            # 3. the sorts; a stable ascending sort of the negated key is the
-            # stable reverse sort of sort_v1f2 and sort_v1fc
-            np.multiply(v_next, signs, out=key)
-            if v1fc:
-                np.logical_not(u, out=off)
-                order = np.lexsort((off, key))  # voltage key, then ON first
-            else:
-                order = key.argsort(axis=-1, kind="stable")
-            order += base
-            if v1fc and budget < n:  # a budget of n defers nothing
-                # the penalty sort as a stable partition (see the docstring);
-                # mode="clip" only spares numpy a buffered copy of `out`,
-                # as order is a permutation
-                off.take(order, out=off_sorted, mode="clip")
-                np.add.accumulate(off_sorted, axis=-1, out=turn_ons)
-                np.greater(turn_ons, budget, out=deferred)
-                deferred &= off_sorted
-                by_penalty = deferred.argsort(axis=-1, kind="stable")
-                by_penalty += base
-                order = order.take(by_penalty)
+            # 3. the sorts: sort_v1f2, or sort_v1fc with its budget stage
+            order = sort(v_next, signs, u_bytes, budget)
 
             # 4. running sums of the anticipated voltages in sorted order
-            v_next.take(order, out=sums_tail, mode="clip")
-            np.add.accumulate(sums, axis=-1, out=sums)
+            v_next.take(order, None, sums_tail, "clip")
+            accumulate(sums, -1, None, sums)
 
             # 5. selection over the full (n+1) x (n+1) grid of each leg
             cells = select(sums, targets)
@@ -504,10 +574,10 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
             # 6. insert the chosen prefixes, then step_phase: inserted
             # capacitors integrate, bypassed ones keep their bits, arm voltages
             # sum in submodule order (v is finite: a bypassed SM adds +-0.0)
-            u_flat[order] = masks.take(cells, axis=0)
-            np.copyto(v, v_next, where=u)
-            np.multiply(v, u, out=volts_tail)
-            np.add.accumulate(volts, axis=-1, out=volts)
+            u_flat[order] = masks.take(cells, 0)
+            copyto(v, v_next, "same_kind", u)
+            multiply(v, u, volts_tail)
+            accumulate(volts, -1, None, volts)
             for p, (v_up, v_low) in enumerate(arm_volts.tolist()):
                 i_ac_p = ((v_low - v_up) / 2.0 - v_grid_next[p] + l_ac_ts * i_ac[p]) / z_step
                 i_circ_p = circ_gain * (v_dc_now - v_low - v_up) + i_circ[p]

@@ -2,6 +2,7 @@
 import argparse
 import csv
 import json
+import re
 import shutil
 import tracemalloc
 from dataclasses import fields
@@ -14,7 +15,7 @@ from mmcsim.cli import (
     _BLOCK_ROWS, ConfigError, _cut_phase_figs, _write_columns, build_config, format_summary,
     load_run, main, parse_config, write_phase_csv,
 )
-from mmcsim.scenario import PHASES, PhaseTrace, SimTrace
+from mmcsim.scenario import PHASES, PhaseTrace, SimTrace, config_from_dict
 
 
 def test_empty_config_gives_case_study_defaults(tmp_path):
@@ -248,6 +249,40 @@ def test_run_command_divergence_exit_code(tmp_path):
     )
     rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert rc == 1
+
+
+def test_diverged_run_writes_manifest_with_error(tmp_path, capsys):
+    # the parameters of test_leg_divergence_names_phase_and_step: the
+    # circulating current overflows within 15 steps
+    cfg = tmp_path / "div.cfg"
+    cfg.write_text(
+        """
+        params.l_arm = 1e-12
+        params.v_dc = 1e300
+        params.w_circ = 0
+        scenario.duration = 0.002
+        scenario.warmup = 0.0
+        schedule.segments = 0:0.002:6
+        """
+    )
+    out = tmp_path / "o"
+    rc = main(["run", "--profile", "fast", "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == 1
+    assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    with pytest.raises(m.SimulationDiverged) as want:
+        m.run_scenario(parse_config(cfg, profile="fast"))
+    assert manifest["error"] == str(want.value)
+    assert manifest["error"].startswith("phase a diverged at step ")
+    assert f"error: {manifest['error']}" in capsys.readouterr().err
+    assert config_from_dict(manifest["config"]) == parse_config(cfg, profile="fast")
+    assert list(manifest["stage_seconds"]) == ["build", "simulate"]
+    assert all(s >= 0 for s in manifest["stage_seconds"].values())
+    assert "files" not in manifest and "phase_steps_per_s" not in manifest
+
+    with pytest.raises(ConfigError, match=re.escape(manifest["error"])):
+        load_run(out)
 
 
 def test_cli_rejects_unknown_algorithm_flag(tmp_path):

@@ -1,5 +1,6 @@
 """Scenario assembly: sources, schedule lookup, and the run loop."""
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -381,12 +382,74 @@ def test_engine_matches_scalar_loop_fast_profile(fast_v1fc_trace):
         # the staircases above start at budget n, where the partition is off
         *(m.fast_config("v1fc", duration=0.005, warmup=0.0,
                         nsw_schedule=m.constant_schedule(0.005, budget)) for budget in (0, 1, 5)),
+        # with no weight on the circulating current, cells tie exactly on the
+        # objective, so the selection's first-minimum rule decides them
+        *(m.fast_config(algorithm, params=m.SystemParams(w_circ=0.0), duration=0.005,
+                        warmup=0.0, nsw_schedule=m.constant_schedule(0.005, budget))
+          for algorithm, budget in (("v1fc", 0), ("v1fc", 3), ("v1f2", 6))),
     ],
     ids=["v1f2-stiff", "v1fc-piline", "v1f2-piline", "n4-w_circ0.1",
-         "tied-start-budget0", "tied-start-budget1", "tied-start-budget5"],
+         "tied-start-budget0", "tied-start-budget1", "tied-start-budget5",
+         "w_circ0-budget0", "w_circ0-budget3", "w_circ0-v1f2"],
 )
 def test_engine_matches_scalar_loop(cfg):
     _assert_same_trace(m.run_scenario(cfg), _reference_run(cfg))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_arm_sorter_matches_scalar_sorts_on_ties(n):
+    # capacitor voltages from three values, so keys tie within an arm, and
+    # random statuses, so the ON set is seldom an index prefix: the ON-first
+    # tie-break and the budget stage decide the order.  The runs above all
+    # pass with a plain stable sort of the key too, so this test is the one
+    # that holds the tie-break.
+    params = m.SystemParams(n=n)
+    sorter = m.ArmSorter((len(PHASES),), n)
+    first = np.arange(0, 2 * len(PHASES) * n, n).reshape(len(PHASES), 2, 1)
+    rng = random.Random(n)
+    for _ in range(100):
+        arms = [
+            [m.ArmState([rng.choice((9.9e3, 10e3, 10.1e3)) for _ in range(n)],
+                        [rng.randint(0, 1) for _ in range(n)]) for _ in range(2)]
+            for _ in PHASES
+        ]
+        currents = [[rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 500.0) for _ in range(2)]
+                    for _ in PHASES]
+        # the engine's inputs: anticipated voltages, sort directions, statuses
+        v_next = np.array([
+            [m.anticipate_capacitor_voltages(arm, i_arm, [1] * n, params)
+             for arm, i_arm in zip(leg, i_leg)]
+            for leg, i_leg in zip(arms, currents)
+        ])
+        signs = np.where(np.array(currents) < 0, -1.0, 1.0)[..., None].repeat(n, axis=-1)
+        u = np.array([[arm.u for arm in leg] for leg in arms], dtype=np.int8)
+        each_arm = [
+            (p, a, arm, i_arm)
+            for p, (leg, i_leg) in enumerate(zip(arms, currents))
+            for a, (arm, i_arm) in enumerate(zip(leg, i_leg))
+        ]
+        got = sorter.v1f2(v_next, signs, u, n) - first
+        for p, a, arm, i_arm in each_arm:
+            assert tuple(got[p, a].tolist()) == m.sort_v1f2(arm, i_arm, params).order
+        for budget in range(n + 1):
+            got = sorter.v1fc(v_next, signs, u, budget) - first
+            for p, a, arm, i_arm in each_arm:
+                want = m.sort_v1fc(arm, i_arm, budget, params).order
+                assert tuple(got[p, a].tolist()) == want, (arm, i_arm, budget)
+
+
+def test_arm_sorter_puts_on_first_among_ties():
+    # equal voltages, ON set {1, 3, 4}: ON first at any budget, where a
+    # plain stable sort of the key would give 0, 1, 3, 4, 2, 5 at budget 1
+    n = 6
+    arm = m.ArmState([10e3] * n, [0, 1, 0, 1, 1, 0])
+    sorter = m.ArmSorter((), n)
+    v_next = np.full((2, n), 10e3)
+    u = np.array([arm.u, arm.u], dtype=np.int8)
+    for budget in (1, n):
+        order = sorter.v1fc(v_next, np.ones((2, n)), u, budget)
+        assert order[0].tolist() == list(m.sort_v1fc(arm, 1.0, budget, m.SystemParams()).order)
+        assert order[0].tolist() == [1, 3, 4, 0, 2, 5]
 
 
 def test_leg_divergence_names_phase_and_step():
