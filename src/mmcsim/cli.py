@@ -365,9 +365,8 @@ def _write_fig_files(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics
     """The figure files; fig5 to fig7 are cut from ``phase_a.csv`` in
     ``out_dir``, which must already hold this trace."""
     n2 = 2 * trace.config.params.n
-    fig4 = "fig4_switching_frequency.csv"
     rows = _write_columns(
-        out_dir / fig4,
+        out_dir / _FIG4,
         ["segment", "t_start", "t_end", "nsw_max", "f_s_mean_hz", "reduction_pct"]
         + [f"f_s_sm_{k + 1}_hz" for k in range(n2)],
         [
@@ -381,11 +380,17 @@ def _write_fig_files(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics
         ],
         ",".join(["%d", "%.9g", "%.9g", "%d"] + ["%.9g"] * (2 + n2)),
     )
-    return {fig4: rows, **_cut_phase_figs(out_dir, n2)}
+    return {_FIG4: rows, **_cut_phase_figs(out_dir, n2)}
 
 
+_FIG4 = "fig4_switching_frequency.csv"
 _PHASE_FIGS = (
     "fig5_capacitor_voltages.csv", "fig6_ac_tracking.csv", "fig7_circulating_current.csv"
+)
+# every file `mmcsim run` writes; a run removes them from its output
+# directory first, so no earlier run's file outlives it
+_OUTPUT_FILES = (
+    *(f"phase_{ph}.csv" for ph in PHASES), _FIG4, *_PHASE_FIGS, "summary.txt", "run_manifest.json",
 )
 
 
@@ -446,6 +451,8 @@ def run_command(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in _OUTPUT_FILES:
+        (out_dir / name).unlink(missing_ok=True)
     manifest = {
         "package_version": __version__,
         "started_utc": _utc_now(),

@@ -14,6 +14,18 @@ import numpy as np
 from .scenario import PHASES, NswSchedule, SimTrace, steps_until
 
 
+def _check_sm(trace: SimTrace, sm: int) -> None:
+    # numpy would read a negative index from the last column back
+    n2 = 2 * trace.config.params.n
+    if isinstance(sm, bool) or not isinstance(sm, (int, np.integer)) or not 0 <= sm < n2:
+        raise ValueError(f"sm must be an int in [0, {n2}), got {sm!r}")
+
+
+def _check_phase(phase: str) -> None:
+    if phase not in PHASES:
+        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
+
+
 def _window_slice(trace: SimTrace, window: tuple[float, float]) -> tuple[int, int]:
     ts = trace.config.params.t_s
     # a window reaching past the trace would be divided by a span it does
@@ -41,6 +53,8 @@ def effective_switching_frequency(
     edge into the first in-window step is attributed to that step, so
     counts are additive over adjacent windows.
     """
+    _check_sm(trace, sm)
+    _check_phase(phase)
     a, b = _window_slice(trace, window)
     count = np.count_nonzero(trace.phase(phase).edges(a, b)[:, sm] > 0)
     return count / (window[1] - window[0])
@@ -62,6 +76,8 @@ def ripple_percent(
     phase: str = "a",
 ) -> float:
     """Peak-to-peak capacitor voltage over the window, percent of its mean."""
+    _check_sm(trace, sm)
+    _check_phase(phase)
     a, b = _window_slice(trace, window)
     return float(_ripple(trace.phase(phase).v_c[a:b, sm, None])[0])
 
@@ -73,6 +89,7 @@ def circulating_ratio(
 ) -> float:
     """Largest circulating-current deviation from its window mean, percent
     of the AC current amplitude (max |i| over the window)."""
+    _check_phase(phase)
     a, b = _window_slice(trace, window)
     iz = trace.phase(phase).i_circ[a:b]
     amp = float(np.abs(trace.phase(phase).i_ac[a:b]).max())
@@ -88,6 +105,7 @@ def tracking_rmse(
     window: tuple[float, float],
 ) -> float:
     """RMS tracking error, percent of the reference RMS amplitude."""
+    _check_phase(phase)
     a, b = _window_slice(trace, window)
     tr = trace.phase(phase)
     err = tr.i_ac[a:b] - tr.i_ref[a:b]
@@ -148,8 +166,10 @@ def segment_report(
     cfg = trace.config
     if schedule is None:
         schedule = cfg.nsw_schedule
-    if settle < 0:
-        raise ValueError("settle must be >= 0")
+    # NaN fails both comparisons, and an infinite margin cannot be converted
+    # to a step count
+    if not (math.isfinite(settle) and settle >= 0):
+        raise ValueError(f"settle must be finite and >= 0, got {settle}")
 
     n = cfg.params.n
     ts = cfg.params.t_s

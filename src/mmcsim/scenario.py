@@ -22,6 +22,11 @@ _PHASE_OFFSET = {"a": 0.0, "b": 2.0 * math.pi / 3.0, "c": 4.0 * math.pi / 3.0}
 
 DC_MODELS = ("stiff", "piline")
 
+# steps whose budgets, references and new currents run_scenario holds as
+# Python numbers at once: a block costs a few numpy calls, a step's rows a few
+# hundred bytes
+_ROW_BLOCK = 64
+
 
 def steps_until(t: float, t_s: float) -> int:
     """Number of steps ending at or before ``t`` (step k ends at (k+1)*t_s);
@@ -306,8 +311,10 @@ class GridSelector:
     ``targets`` may have the shape of ``sums``, each target repeated along
     the last axis, as the engine passes them, or lead + (2, 1); the first is
     faster, as a ufunc on operands of one shape skips broadcasting.  Each
-    cell is computed with the operations of ``objective_f``, so it is the
-    same float, and ``argmin`` over the row-major grid takes the first
+    cell is computed with the operations of ``objective_f``, but for
+    ``d_low + d_up`` taken as ``d_low - (sums - targets)``, which differs
+    only in the sign of a zero before the abs; so it is the same float, and
+    ``argmin`` over the row-major grid takes the first
     minimum: the tie-break of ``brute_force_select``, smaller objective,
     then smaller m_up, then smaller m_low.  A NaN cell counts as +inf, as a
     NaN never wins a comparison in the scan; the two differ only when cell
@@ -317,38 +324,44 @@ class GridSelector:
     def __init__(self, lead: tuple[int, ...], n: int, params: SystemParams) -> None:
         size = n + 1
         self.n = n
-        # 0-d arrays: a ufunc converts a Python float operand on every call
-        c_track = np.array(params.w_track / (2.0 * params.z_step))
-        c_circ = np.array(params.w_circ * params.t_s / (2.0 * params.l_arm))
-        d = np.empty(lead + (2, size))
-        # the flat index in d of each cell's lower and upper difference: one
-        # gather lays both grids out contiguously, and a ufunc on contiguous
-        # operands of one shape costs less than one that broadcasts
+        # d = targets - sums, then -d = sums - targets; one gather lays out
+        # (d_low, d_low) and (d_up, -d_up) by cell, contiguously (a ufunc on
+        # contiguous operands of one shape costs less than one that
+        # broadcasts), and one subtract gives both d_low - d_up and
+        # d_low + d_up: a - (-b) is a + b in IEEE arithmetic, and s - t is
+        # -(t - s) but for the sign of a zero, which the abs removes
+        d = np.empty((2,) + lead + (2, size))
         m_up, m_low = np.divmod(np.arange(size * size), size)
-        first = np.arange(0, d.size, 2 * size).reshape(lead + (1,))
-        gather = np.array((first + size + m_low, first + m_up))
-        grids = np.empty((2,) + lead + (size * size,))
-        f = np.empty(lead + (size * size,))
+        first = np.arange(0, d.size // 2, 2 * size).reshape(lead + (1,))
+        low, up = first + size + m_low, first + m_up
+        gather = np.array(((low, low), (up, up + d.size // 2)))
+        grids = np.empty((2, 2) + lead + (size * size,))
+        terms = np.empty((2,) + lead + (size * size,))
+        # the objective's two weights in full shape, so the multiply does not
+        # broadcast: w_track / (2 z_step) over the tracking term, then
+        # w_circ t_s / (2 l_arm) over the circulating one
+        weights = np.empty_like(terms)
+        weights[0] = params.w_track / (2.0 * params.z_step)
+        weights[1] = params.w_circ * params.t_s / (2.0 * params.l_arm)
+        f = terms[0]
         # what a call uses, unpacked in one step: the buffers, the constants
         # (+inf in full shape, as fmin against a 0-d array costs more) and
         # the ufuncs, looked up once here rather than on np per call
         self._bound = (
-            d, gather, grids, *grids, f, np.empty_like(f), c_track, c_circ,
+            d, *d, gather, grids, *grids, terms, *terms, weights,
             np.full_like(f, np.inf), np.subtract, np.add, np.multiply, np.abs, np.fmin,
         )
 
     def __call__(self, sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        (d, gather, grids, d_low, d_up, f, g, c_track, c_circ, inf,
+        (d, d_pos, d_neg, gather, grids, lows, ups, terms, f, g, weights, inf,
          subtract, add, multiply, absolute, fmin) = self._bound
-        subtract(targets, sums, d)
+        subtract(targets, sums, d_pos)
+        subtract(sums, targets, d_neg)
         # mode="clip" only spares numpy a buffered copy of `out`
         d.take(gather, None, grids, "clip")
-        subtract(d_low, d_up, f)
-        absolute(f, f)
-        multiply(c_track, f, f)
-        add(d_low, d_up, g)
-        absolute(g, g)
-        multiply(c_circ, g, g)
+        subtract(lows, ups, terms)
+        absolute(terms, terms)
+        multiply(weights, terms, terms)
         add(f, g, f)
         fmin(f, inf, f)
         return f.argmin(-1)
@@ -447,9 +460,12 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     buffers; the per-leg floats land in one buffer and one ``take`` repeats
     them over their arms, so anticipation, the sort key and the selection
     get operands of one shape; the other step arrays are fixed buffers read
-    through views made once; and numpy's functions are bound to locals and
-    called with positional arguments.  The chosen cell indexes the selector's table of insertion
-    masks.
+    through views made once, and every call that fills a buffer writes a
+    contiguous one; and numpy's functions are bound to locals and called
+    with positional arguments.  The chosen cell indexes the selector's table
+    of insertion masks.  Where the step departs from a scalar operation (a
+    sum without its 0.0 start, a +0.0 added for a bypassed submodule), a
+    comment at the step shows that the result has the same bits.
 
     The DC side is either a stiff source (constant V_dc) or a single lumped
     pi section fed from a stiff source, integrated with a semi-implicit
@@ -463,13 +479,14 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     v1fc = config.algorithm == "v1fc"
     piline = config.dc_model == "piline"
 
-    # trace storage, written step by step; phase p's fields are the
-    # contiguous slices [p] of these blocks
+    # trace storage; phase p's fields are the contiguous slices [p] of
+    # these blocks
     nsw_arr = config.nsw_schedule.per_step(ts, steps)
     v_dc_arr = np.full(steps, params.v_dc)
-    ref_grid = np.empty((2, len(PHASES), steps))  # both read in one call per step
+    ref_grid = np.empty((2, len(PHASES), steps))
     i_ref_tr, v_grid_tr = ref_grid
-    i_ac_tr, i_circ_tr = np.empty((2, len(PHASES), steps))
+    currents_tr = np.empty((2, len(PHASES), steps))
+    i_ac_tr, i_circ_tr = currents_tr
     v_c_tr = np.empty((len(PHASES), steps, 2 * n))
     u_tr = np.empty((len(PHASES), steps, 2 * n), dtype=np.int8)
 
@@ -496,11 +513,13 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     u_row = u_bytes.reshape(len(PHASES), 2 * n)
 
     # step buffers and their views, made once; column 0 of the running sums
-    # stays 0.0, their start
+    # stays 0.0, their start, and volts holds the arms' running voltage sums
     v_next = np.empty_like(v)
+    v_sorted = np.empty_like(v)
     sums = np.zeros((len(PHASES), 2, n + 1))
-    volts = np.zeros((len(PHASES), 2, n + 1))
-    sums_tail, volts_tail, arm_volts = sums[..., 1:], volts[..., 1:], volts[..., -1]
+    sums_tail = sums[..., 1:]
+    volts = np.empty_like(v)
+    arm_volts = volts[..., -1]
     # the 18 per-leg floats land in legs, and one take repeats each over its
     # arm into blocks, which holds the full-shape targets, then increments,
     # then signs: a ufunc on operands of one shape costs less than one that
@@ -520,7 +539,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     masks = select.masks
     # numpy's functions, looked up once per run; every call passes its
     # arguments by position, which numpy parses faster than keywords
-    add, multiply, copyto, accumulate = np.add, np.multiply, np.copyto, np.add.accumulate
+    add, putmask, accumulate, clear = np.add, np.putmask, np.add.accumulate, volts.fill
 
     l_arm_ts = params.l_arm / params.t_s
     l_ac_ts = params.l_ac / params.t_s
@@ -536,75 +555,108 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
 
     # overflow in a deeply unbalanced state ends in the divergence check
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, budget in enumerate(nsw_arr.tolist()):
-            i_ref, v_grid_next = ref_grid[:, :, k].tolist()
-
-            # 1. per leg: targets (compute_targets), the arm currents
-            # (arm_currents), their one-step capacitor increments and the sort
-            # direction, descending while an arm discharges
-            per_leg = []
-            for p in range(len(PHASES)):
-                common = v_dc_now / 2.0 + l_arm_ts * (i_circ[p] - i_circ_nom)
-                drive = z_step * i_ref[p] + v_grid[p] - l_ac_ts * i_ac[p]
-                half = 0.5 * i_ac[p]
-                i_up = i_circ[p] + half
-                i_low = i_circ[p] - half
-                per_leg += (
-                    common - drive, common + drive,
-                    ts * i_up / c_sm, ts * i_low / c_sm,
-                    -1.0 if i_up < 0 else 1.0, -1.0 if i_low < 0 else 1.0,
-                )
-            legs[:] = per_leg
-            # mode="clip" only spares numpy a buffered copy of `out`
-            legs.take(spread, None, blocks, "clip")
-
-            # 2. anticipation: every submodule inserted
-            add(v, increments, v_next)
-
-            # 3. the sorts: sort_v1f2, or sort_v1fc with its budget stage
-            order = sort(v_next, signs, u_bytes, budget)
-
-            # 4. running sums of the anticipated voltages in sorted order
-            v_next.take(order, None, sums_tail, "clip")
-            accumulate(sums, -1, None, sums)
-
-            # 5. selection over the full (n+1) x (n+1) grid of each leg
-            cells = select(sums, targets)
-
-            # 6. insert the chosen prefixes, then step_phase: inserted
-            # capacitors integrate, bypassed ones keep their bits, arm voltages
-            # sum in submodule order (v is finite: a bypassed SM adds +-0.0)
-            u_flat[order] = masks.take(cells, 0)
-            copyto(v, v_next, "same_kind", u)
-            multiply(v, u, volts_tail)
-            accumulate(volts, -1, None, volts)
-            for p, (v_up, v_low) in enumerate(arm_volts.tolist()):
-                i_ac_p = ((v_low - v_up) / 2.0 - v_grid_next[p] + l_ac_ts * i_ac[p]) / z_step
-                i_circ_p = circ_gain * (v_dc_now - v_low - v_up) + i_circ[p]
-                # only an inserted capacitor can turn non-finite, and it
-                # spoils the currents: checking them is step_phase's check
-                if not (math.isfinite(i_ac_p) and math.isfinite(i_circ_p)):
-                    raise SimulationDiverged(
-                        f"phase {PHASES[p]} diverged at step {k + 1} (t = {(k + 1) * ts:.6f} s): "
-                        f"non-finite state after the step: i_ac={i_ac_p!r}, "
-                        f"i_circ={i_circ_p!r}, v_c={v_row[p].tolist()!r}"
+        for start in range(0, steps, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, steps)
+            # each step's budget and references (i_ref, then v_grid, each per
+            # phase) come as Python numbers, and its new currents (i_ac, then
+            # i_circ) go to the trace, one block of steps at a time
+            rows = zip(
+                range(start, stop),
+                nsw_arr[start:stop].tolist(),
+                ref_grid[:, :, start:stop].transpose(2, 0, 1).tolist(),
+            )
+            currents = []
+            for k, budget, (i_ref, v_grid_next) in rows:
+                # 1. per leg: targets (compute_targets), the arm currents
+                # (arm_currents), their one-step capacitor increments and the
+                # sort direction, descending while an arm discharges
+                half_dc = v_dc_now / 2.0
+                per_leg = []
+                for i_ac_p, i_circ_p, v_grid_p, i_ref_p in zip(i_ac, i_circ, v_grid, i_ref):
+                    common = half_dc + l_arm_ts * (i_circ_p - i_circ_nom)
+                    drive = z_step * i_ref_p + v_grid_p - l_ac_ts * i_ac_p
+                    half = 0.5 * i_ac_p
+                    i_up = i_circ_p + half
+                    i_low = i_circ_p - half
+                    per_leg += (
+                        common - drive, common + drive,
+                        ts * i_up / c_sm, ts * i_low / c_sm,
+                        -1.0 if i_up < 0 else 1.0, -1.0 if i_low < 0 else 1.0,
                     )
-                i_ac[p] = i_ac_tr[p, k] = i_ac_p
-                i_circ[p] = i_circ_tr[p, k] = i_circ_p
-            v_grid = v_grid_next
-            v_c_tr[:, k] = v_row
-            u_tr[:, k] = u_row
+                legs[:] = per_leg
+                # mode="clip" only spares numpy a buffered copy of `out`
+                legs.take(spread, None, blocks, "clip")
 
-            if piline:
-                v_dc_arr[k] = v_dc_now
-                # semi-implicit: current from the old bus voltage, voltage from
-                # the new current; the converter draws the summed leg currents
-                i_line += ts / l_total * (params.v_dc - v_dc_now)
-                v_dc_now += ts / c_end * (i_line - (0.0 + i_circ[0] + i_circ[1] + i_circ[2]))
-                if not (math.isfinite(v_dc_now) and v_dc_now > 0.0):
-                    raise SimulationDiverged(
-                        f"DC bus voltage {v_dc_now!r} at step {k + 1} (t = {(k + 1) * ts:.6f} s)"
-                    )
+                # 2. anticipation: every submodule inserted
+                add(v, increments, v_next)
+
+                # 3. the sorts: sort_v1f2, or sort_v1fc with its budget stage
+                order = sort(v_next, signs, u_bytes, budget)
+
+                # 4. running sums of the anticipated voltages in sorted order,
+                # behind the 0.0 of column 0: gathered into a contiguous
+                # buffer, as a take into the strided sums[..., 1:] goes
+                # through a temporary.  The first sum is x, not 0.0 + x; the
+                # two differ only for x = -0.0, and a sum reaches the
+                # selection only through t - s and an abs, which give the
+                # same result for either zero
+                v_next.take(order, None, v_sorted, "clip")
+                accumulate(v_sorted, -1, None, sums_tail)
+
+                # 5. selection over the full (n+1) x (n+1) grid of each leg
+                cells = select(sums, targets)
+
+                # 6. insert the chosen prefixes, then step_phase: inserted
+                # capacitors integrate and bypassed ones keep their bits
+                # (putmask is copyto with where=, without copyto's
+                # Python-level dispatch).  Each arm voltage sums, in
+                # submodule order, a contiguous copy of v with +0.0 at the
+                # bypassed SMs, where arm_voltage adds the inserted ones to
+                # 0.0.  The sums are equal: neither the missing 0.0 start nor
+                # a +0.0 term changes a sum that is not -0.0, and none is, as
+                # no capacitor voltage is -0.0 (they start at v_dc / n with
+                # v_dc > 0, and v + inc is -0.0 only when v is).  A bypassed
+                # capacitor is finite, as a non-finite inserted one ends the
+                # run in the step that made it
+                u_flat[order] = masks.take(cells, 0)
+                putmask(v, u, v_next)
+                clear(0.0)
+                putmask(volts, u, v)
+                accumulate(volts, -1, None, volts)
+                i_ac_next, i_circ_next = [], []
+                for p, (v_up, v_low), v_grid_p, i_ac_p, i_circ_p in zip(
+                    range(len(PHASES)), arm_volts.tolist(), v_grid_next, i_ac, i_circ
+                ):
+                    i_ac_p = ((v_low - v_up) / 2.0 - v_grid_p + l_ac_ts * i_ac_p) / z_step
+                    i_circ_p = circ_gain * (v_dc_now - v_low - v_up) + i_circ_p
+                    # only an inserted capacitor can turn non-finite, and it
+                    # spoils the currents: checking them is step_phase's check
+                    if not (math.isfinite(i_ac_p) and math.isfinite(i_circ_p)):
+                        raise SimulationDiverged(
+                            f"phase {PHASES[p]} diverged at step {k + 1} (t = {(k + 1) * ts:.6f} s): "
+                            f"non-finite state after the step: i_ac={i_ac_p!r}, "
+                            f"i_circ={i_circ_p!r}, v_c={v_row[p].tolist()!r}"
+                        )
+                    i_ac_next.append(i_ac_p)
+                    i_circ_next.append(i_circ_p)
+                i_ac, i_circ, v_grid = i_ac_next, i_circ_next, v_grid_next
+                currents += i_ac
+                currents += i_circ
+                v_c_tr[:, k] = v_row
+                u_tr[:, k] = u_row
+
+                if piline:
+                    v_dc_arr[k] = v_dc_now
+                    # semi-implicit: current from the old bus voltage, voltage
+                    # from the new current; the converter draws the summed leg
+                    # currents
+                    i_line += ts / l_total * (params.v_dc - v_dc_now)
+                    v_dc_now += ts / c_end * (i_line - (0.0 + i_circ[0] + i_circ[1] + i_circ[2]))
+                    if not (math.isfinite(v_dc_now) and v_dc_now > 0.0):
+                        raise SimulationDiverged(
+                            f"DC bus voltage {v_dc_now!r} at step {k + 1} (t = {(k + 1) * ts:.6f} s)"
+                        )
+            currents_tr[:, :, start:stop] = np.array(currents).reshape(-1, 2, len(PHASES)).transpose(1, 2, 0)
 
     return SimTrace(
         config=config,

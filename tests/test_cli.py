@@ -251,7 +251,7 @@ def test_run_command_divergence_exit_code(tmp_path):
     assert rc == 1
 
 
-def test_diverged_run_writes_manifest_with_error(tmp_path, capsys):
+def _diverging_config(tmp_path):
     # the parameters of test_leg_divergence_names_phase_and_step: the
     # circulating current overflows within 15 steps
     cfg = tmp_path / "div.cfg"
@@ -265,6 +265,11 @@ def test_diverged_run_writes_manifest_with_error(tmp_path, capsys):
         schedule.segments = 0:0.002:6
         """
     )
+    return cfg
+
+
+def test_diverged_run_writes_manifest_with_error(tmp_path, capsys):
+    cfg = _diverging_config(tmp_path)
     out = tmp_path / "o"
     rc = main(["run", "--profile", "fast", "--config", str(cfg), "--out-dir", str(out)])
     assert rc == 1
@@ -283,6 +288,23 @@ def test_diverged_run_writes_manifest_with_error(tmp_path, capsys):
 
     with pytest.raises(ConfigError, match=re.escape(manifest["error"])):
         load_run(out)
+
+
+def test_diverged_run_removes_earlier_run_files(tmp_path):
+    # a failed run over a finished one leaves only its own manifest, not the
+    # earlier run's CSVs and summary beside it
+    out = tmp_path / "o"
+    cfg = _diverging_config(tmp_path)
+    diverge = ["run", "--profile", "fast", "--config", str(cfg), "--out-dir", str(out)]
+    assert main(["run", "--profile", "fast", "--duration", "0.01", "--out-dir", str(out)]) == 0
+    assert len(list(out.iterdir())) == 9
+    assert main(diverge) == 1
+    assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+    assert "error" in json.loads((out / "run_manifest.json").read_text())
+    # only the names a run writes are removed
+    (out / "notes.txt").write_text("kept\n")
+    assert main(diverge) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "run_manifest.json"]
 
 
 def test_cli_rejects_unknown_algorithm_flag(tmp_path):

@@ -1,6 +1,7 @@
 """Metric definitions checked on hand-built synthetic traces, plus the
 segmentation logic on real runs."""
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,31 @@ def test_window_past_the_trace_rejected():
             m.effective_switching_frequency(trace, 0, window)
         with pytest.raises(ValueError, match="outside the trace"):
             m.ripple_percent(trace, 0, window)
+
+
+METRICS_BY_SM = [m.effective_switching_frequency, m.ripple_percent]
+METRICS_BY_PHASE = [m.circulating_ratio, m.tracking_rmse]
+
+
+@pytest.mark.parametrize("metric", METRICS_BY_SM, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("sm", [-1, -2, 2, 1.0, True, "0", None], ids=repr)
+def test_metric_rejects_bad_submodule(metric, sm):
+    # the synthetic trace has n = 1, so sm lies in [0, 2); -1 used to read
+    # the last submodule, and 2 ended in a bare IndexError
+    trace = _synthetic_trace(u_a=(np.arange(40) + 1) % 2)
+    with pytest.raises(ValueError, match=re.escape(f"sm must be an int in [0, 2), got {sm!r}")):
+        metric(trace, sm, (0.0, 1e-3))
+    metric(trace, np.int64(1), (0.0, 1e-3))  # a numpy int is an int
+
+
+@pytest.mark.parametrize("metric", METRICS_BY_SM + METRICS_BY_PHASE, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("phase", ["d", "A", "", None], ids=repr)
+def test_metric_rejects_bad_phase(metric, phase):
+    # "d" used to end in a bare KeyError
+    trace = _synthetic_trace(i_ac=np.ones(40))
+    sm = {"sm": 0} if metric in METRICS_BY_SM else {}
+    with pytest.raises(ValueError, match=re.escape(f"phase must be one of ('a', 'b', 'c'), got {phase!r}")):
+        metric(trace, window=(0.0, 1e-3), phase=phase, **sm)
 
 
 def test_edges_signed_for_bool_and_int8_status():
@@ -252,3 +278,11 @@ def test_realized_transitions_follow_budget(paper_v1fc_trace):
 def test_settle_margin_must_leave_samples(fast_v1fc_trace):
     with pytest.raises(ValueError):
         m.segment_report(fast_v1fc_trace, settle=0.06)
+
+
+@pytest.mark.parametrize("settle", [float("nan"), float("inf"), float("-inf"), -0.01])
+def test_settle_must_be_finite_and_non_negative(settle):
+    # NaN used to end in "cannot convert float NaN to integer", inf in an
+    # OverflowError
+    with pytest.raises(ValueError, match=r"^settle must be finite and >= 0, got "):
+        m.segment_report(_synthetic_trace(), settle=settle)

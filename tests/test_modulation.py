@@ -313,6 +313,41 @@ def test_grid_selector_reused_matches_brute_force(table1, weights, lead):
             assert np.array_equal(select.masks[cells[leg]], want)
 
 
+SIGNED_ZERO_SUMS = (
+    [-0.0, 10000.0, 20000.0, 30000.0],
+    [-0.0, -0.0, 10000.0, 10000.0],
+    [0.0, -0.0, 10000.0, 20000.0],
+)
+
+
+@WEIGHTINGS
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one-leg", "3-legs"])
+def test_grid_selector_signed_zeros(table1, weights, lead):
+    # targets equal to cumulative sums make d = t - s a zero, and sums that
+    # start at -0.0 or hold a -0.0 make zeros of both signs in t - s and
+    # s - t.  The cell must be the scan's, in both target shapes, and must
+    # not change when every zero of the sums is made +0.0: the sign of a
+    # zero sum never reaches the choice
+    params = replace(table1, n=3, **weights)
+    select = m.GridSelector(lead, 3, params)
+    cases = [
+        (alpha, beta, (t_up, t_low))
+        for alpha in SIGNED_ZERO_SUMS
+        for beta in SIGNED_ZERO_SUMS
+        for t_up in (-0.0, 0.0, 10000.0, 20000.0)
+        for t_low in (-0.0, 0.0, 10000.0, 20000.0)
+    ]
+    legs = np.prod(lead, dtype=int)  # 1 for lead ()
+    for k in range(0, len(cases), legs):
+        batch = cases[k : k + legs]
+        sums = np.array([[alpha, beta] for alpha, beta, _ in batch]).reshape(lead + (2, 4))
+        targets = np.array([t for _, _, t in batch]).reshape(lead + (2, 1))
+        want = [m.brute_force_select(alpha, beta, m.ArmTargets(*t), params) for alpha, beta, t in batch]
+        want = np.array([b.m_up * 4 + b.m_low for b in want]).reshape(lead)
+        for s, t in ((sums, targets), (sums, np.repeat(targets, 4, -1)), (sums + 0.0, targets)):
+            assert np.array_equal(select(s, t), want)
+
+
 def test_select_clamped_targets(table1):
     alpha = _uniform_cumsums()
     for t in (m.ArmTargets(-5000.0, 30000.0), m.ArmTargets(70000.0, 65000.0)):
