@@ -194,8 +194,7 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
     Floats are formatted with ``%.9g``.  The budget is written as a Python
     int, and each run of up to 8 statuses as one packed code looked up in
     a table of its text.  ``t`` is built per block from the step index.
-    Statuses outside {0, 1} or negative budgets raise ``ValueError`` before
-    the file is opened.
+    Statuses outside {0, 1} raise ``ValueError`` before the file is opened.
     """
     tr = trace.phase(phase)
     nsw, u = trace.n_sw_max, tr.u
@@ -204,11 +203,9 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
     lengths = {len(nsw), len(tr.v_c), *map(len, series)}
     if lengths != {rows}:
         raise ValueError(f"{path.name}: columns differ in length: {sorted(lengths | {rows})}")
-    # packbits would write any nonzero status as 1
-    if u.dtype.kind not in "biu" or (rows and (u.min() < 0 or u.max() > 1)):
+    # packbits would write any nonzero status as 1; rows is the config's steps, >= 1
+    if u.dtype.kind not in "biu" or u.min() < 0 or u.max() > 1:
         raise ValueError(f"{path.name}: statuses must be integers 0 or 1")
-    if rows and nsw.min() < 0:
-        raise ValueError(f"{path.name}: budgets must be >= 0, got {nsw.min()}")
 
     tables = [_status_text(min(8, n2 - k)) for k in range(0, n2, 8)]
     header = _phase_header(n2)
@@ -256,22 +253,19 @@ def _malformed(path: Path, lines: list[str], first_row: int, n2: int, exc: Value
     return ConfigError(f"{path.name} rows {first_row}-{first_row + len(lines) - 1}: {exc}")
 
 
-def _read_phase(
-    path: Path, steps: int, n: int, budgets: np.ndarray | None
-) -> tuple[np.ndarray, PhaseTrace]:
-    """The budgets and the records of one phase CSV, parsed ``_BLOCK_ROWS``
-    lines at a time into arrays of their final dtypes.
+def _read_phase(path: Path, n: int, budgets: np.ndarray) -> PhaseTrace:
+    """The records of one phase CSV, parsed ``_BLOCK_ROWS`` lines at a time
+    into arrays of their final dtypes.
 
     Each block is checked as it is parsed: a blank line, a line with more or
     fewer fields than the header, a line that does not parse, a status
-    other than 0 or 1, a budget that is not an integer in [0, n], or
-    a budget that differs from ``budgets`` (the phase files read before)
-    raises ``ConfigError`` naming the file and the row, counted from 1 after
-    the header.
+    other than 0 or 1, or a budget that differs from ``budgets``, the
+    schedule's, raises ``ConfigError`` naming the file and the row, counted
+    from 1 after the header.
     """
     n2 = 2 * n
+    steps = len(budgets)
     floats = np.empty((4, steps))  # i_ref, i_ac, i_circ, v_grid
-    nsw = np.empty(steps, dtype=np.int16)
     v_c = np.empty((steps, n2))
     u = np.empty((steps, n2), dtype=np.int8)
     rows = 0
@@ -294,44 +288,37 @@ def _read_phase(
                 # each check flags NaN too
                 checks = [
                     ("status is not 0 or 1", (u_read != 0) & (u_read != 1), u_read),
-                    (
-                        f"nsw_max is not an integer in [0, {n}]",
-                        (nsw_read != nsw_read.round()) | ~((nsw_read >= 0) & (nsw_read <= n)),
-                        nsw_read,
-                    ),
+                    ("nsw_max differs from the schedule in run_manifest.json",
+                     nsw_read != budgets[rows:stop], nsw_read),
                 ]
-                if budgets is not None:
-                    checks.append((
-                        "nsw_max differs from the phase files before it",
-                        nsw_read != budgets[rows:stop], nsw_read,
-                    ))
                 for what, bad, value in checks:
                     if bad.any():
                         at = tuple(np.argwhere(bad)[0])
                         raise ConfigError(f"{path.name} row {rows + at[0] + 1}: {what}, got {value[at]:g}")
                 floats[:, rows:stop] = body[:, :4].T
-                nsw[rows:stop] = nsw_read
                 v_c[rows:stop] = body[:, 5 : 5 + n2]
                 u[rows:stop] = u_read
             rows = stop
     if rows != steps:
         raise ConfigError(f"{path.name} has {rows} rows, config expects {steps}")
     i_ref, i_ac, i_circ, v_grid = floats
-    return nsw, PhaseTrace(i_ac=i_ac, i_ref=i_ref, i_circ=i_circ, v_grid=v_grid, v_c=v_c, u=u)
+    return PhaseTrace(i_ac=i_ac, i_ref=i_ref, i_circ=i_circ, v_grid=v_grid, v_c=v_c, u=u)
 
 
 def load_run(out_dir: str | Path) -> SimTrace:
     """Rebuild a SimTrace from an output directory's manifest and CSVs.
 
-    Statuses and budgets round-trip exactly, and the trace derives its
-    timestamps and per-step switch counts from them as for a fresh run;
-    the serialized ``t`` column is display precision and is not read.  A
-    pi-line run's varying bus voltage is not part of the CSV schema and
-    comes back as the nominal value.  Only the manifest's config is read;
-    its file inventory and timings are not.  A manifest that is not a JSON
-    object with a ``config`` key raises ``ConfigError`` naming the file, a
-    failed run's manifest one quoting its error, and a config it cannot be
-    rebuilt from one naming the key.
+    Statuses round-trip exactly, and the trace derives its timestamps,
+    budgets and per-step switch counts as for a fresh run; the serialized
+    ``t`` column is display precision and is not read, and ``nsw_max`` is
+    checked against the manifest's schedule.  A pi-line run's varying bus
+    voltage is not part of the CSV schema and comes back as the nominal
+    value.  Only the manifest's config is read; its file inventory and
+    timings are not.  A manifest that is not a JSON object with a
+    ``config`` key raises ``ConfigError`` naming the file, a failed run's
+    manifest one quoting its error, a config it cannot be rebuilt from one
+    naming the key, and a phase file too small for the config's rows one
+    naming the file, before any array of that many rows is made.
     """
     out_dir = Path(out_dir)
     try:
@@ -347,17 +334,18 @@ def load_run(out_dir: str | Path) -> SimTrace:
         config = config_from_dict(manifest["config"])
     except ValueError as exc:
         raise ConfigError(f"run_manifest.json: {exc}") from None
-    steps = config.steps
-
-    phases = {}
-    nsw = None
-    for ph in PHASES:
-        nsw, phases[ph] = _read_phase(out_dir / f"phase_{ph}.csv", steps, config.params.n, nsw)
+    steps, n = config.steps, config.params.n
+    paths = {ph: out_dir / f"phase_{ph}.csv" for ph in PHASES}
+    # a data row has 7 + 4n fields, each at least one character followed by
+    # a comma or a line end
+    for path in paths.values():
+        if path.stat().st_size < 2 * (7 + 4 * n) * steps:
+            raise ConfigError(f"{path.name} is too small to hold the {steps} rows config expects")
+    budgets = config.nsw_schedule.per_step(config.params.t_s, steps)
     return SimTrace(
         config=config,
-        n_sw_max=nsw,
         v_dc=np.full(steps, config.params.v_dc),
-        phases=phases,
+        phases={ph: _read_phase(path, n, budgets) for ph, path in paths.items()},
     )
 
 

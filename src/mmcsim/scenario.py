@@ -50,6 +50,9 @@ class NswSchedule:
             raise ValueError("nsw_schedule: needs at least one segment")
         prev_end = 0.0
         for k, (start, end, n_max) in enumerate(self.segments):
+            _check_type(f"nsw_schedule: segment {k} n_sw_max", n_max, int)
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise ValueError(f"nsw_schedule: segment {k} has a non-finite bound ({start}, {end}]")
             if not 0 <= n_max <= n:
                 raise ValueError(
                     f"nsw_schedule: segment {k} has n_sw_max={n_max}, outside [0, {n}]"
@@ -277,12 +280,13 @@ class SimTrace:
     """Complete record of a scenario run.
 
     Row k holds the state reached at t[k] = (k+1) * t_s together with the
-    decision and budget that produced it.  The initial state (balanced
-    capacitors, everything off) is implicit.
+    decision that produced it.  The trace stores the statuses, capacitor
+    voltages and currents; the step count, the times and the budgets come
+    from the config.  The initial state (balanced capacitors, everything
+    off) is implicit.
     """
 
     config: ScenarioConfig
-    n_sw_max: np.ndarray
     v_dc: np.ndarray
     phases: dict[str, PhaseTrace]
 
@@ -291,7 +295,12 @@ class SimTrace:
 
     @property
     def steps(self) -> int:
-        return len(self.n_sw_max)
+        return self.config.steps
+
+    @property
+    def n_sw_max(self) -> np.ndarray:
+        """Budget of each step, int16, from the config's schedule."""
+        return self.config.nsw_schedule.per_step(self.config.params.t_s, self.steps)
 
     @property
     def t(self) -> np.ndarray:
@@ -479,16 +488,14 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     v1fc = config.algorithm == "v1fc"
     piline = config.dc_model == "piline"
 
-    # trace storage; phase p's fields are the contiguous slices [p] of
-    # these blocks
-    nsw_arr = config.nsw_schedule.per_step(ts, steps)
+    # trace storage, step-major so that a step's records are one contiguous
+    # row; phase p's fields are the views [:, ..., p] of these blocks
+    budgets = config.nsw_schedule.per_step(ts, steps)
     v_dc_arr = np.full(steps, params.v_dc)
-    ref_grid = np.empty((2, len(PHASES), steps))
-    i_ref_tr, v_grid_tr = ref_grid
-    currents_tr = np.empty((2, len(PHASES), steps))
-    i_ac_tr, i_circ_tr = currents_tr
-    v_c_tr = np.empty((len(PHASES), steps, 2 * n))
-    u_tr = np.empty((len(PHASES), steps, 2 * n), dtype=np.int8)
+    ref_grid = np.empty((steps, 2, len(PHASES)))  # i_ref, then v_grid
+    currents_tr = np.empty((steps, 2, len(PHASES)))  # i_ac, then i_circ
+    v_c_tr = np.empty((steps, len(PHASES), 2 * n))
+    u_tr = np.empty((steps, len(PHASES), 2 * n), dtype=np.int8)
 
     # the expressions of reference_current and grid_voltage, once per run;
     # math.sin, not np.sin, so every sample has the scalar functions' bits
@@ -496,8 +503,8 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     for p, ph in enumerate(PHASES):
         arg = 2.0 * math.pi * params.f_grid * t - _PHASE_OFFSET[ph]
         sines = np.fromiter(map(math.sin, arg.tolist()), float, steps)
-        np.multiply(config.i_ref_peak, sines, out=i_ref_tr[p])
-        np.multiply(config.v_s_peak, sines, out=v_grid_tr[p])
+        np.multiply(config.i_ref_peak, sines, out=ref_grid[:, 0, p])
+        np.multiply(config.v_s_peak, sines, out=ref_grid[:, 1, p])
 
     # the state, nominal_phase_state of each leg: per-leg floats, and the
     # arms' capacitor voltages and statuses (bool, viewed as int8 for the
@@ -562,8 +569,8 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
             # i_circ) go to the trace, one block of steps at a time
             rows = zip(
                 range(start, stop),
-                nsw_arr[start:stop].tolist(),
-                ref_grid[:, :, start:stop].transpose(2, 0, 1).tolist(),
+                budgets[start:stop].tolist(),
+                ref_grid[start:stop].tolist(),
             )
             currents = []
             for k, budget, (i_ref, v_grid_next) in rows:
@@ -642,8 +649,8 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                 i_ac, i_circ, v_grid = i_ac_next, i_circ_next, v_grid_next
                 currents += i_ac
                 currents += i_circ
-                v_c_tr[:, k] = v_row
-                u_tr[:, k] = u_row
+                v_c_tr[k] = v_row
+                u_tr[k] = u_row
 
                 if piline:
                     v_dc_arr[k] = v_dc_now
@@ -656,16 +663,15 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                         raise SimulationDiverged(
                             f"DC bus voltage {v_dc_now!r} at step {k + 1} (t = {(k + 1) * ts:.6f} s)"
                         )
-            currents_tr[:, :, start:stop] = np.array(currents).reshape(-1, 2, len(PHASES)).transpose(1, 2, 0)
+            currents_tr[start:stop] = np.reshape(currents, (-1, 2, len(PHASES)))
 
     return SimTrace(
         config=config,
-        n_sw_max=nsw_arr,
         v_dc=v_dc_arr,
         phases={
             ph: PhaseTrace(
-                i_ac=i_ac_tr[p], i_ref=i_ref_tr[p], i_circ=i_circ_tr[p],
-                v_grid=v_grid_tr[p], v_c=v_c_tr[p], u=u_tr[p],
+                i_ac=currents_tr[:, 0, p], i_ref=ref_grid[:, 0, p], i_circ=currents_tr[:, 1, p],
+                v_grid=ref_grid[:, 1, p], v_c=v_c_tr[:, p], u=u_tr[:, p],
             )
             for p, ph in enumerate(PHASES)
         },

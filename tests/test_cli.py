@@ -234,6 +234,18 @@ def test_run_command_config_error(tmp_path):
     assert rc == 2
 
 
+def test_run_command_non_finite_schedule_bound(tmp_path, capsys):
+    # refused when the config is built, before a simulation whose report
+    # could not slice a NaN window
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("scenario.duration = 0.01\nschedule.segments = 0:nan:6\n")
+    out = tmp_path / "o"
+    rc = main(["run", "--profile", "fast", "--config", str(bad), "--out-dir", str(out)])
+    assert rc == 2
+    assert "nsw_schedule: segment 0 has a non-finite bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_command_divergence_exit_code(tmp_path):
     cfg = tmp_path / "div.cfg"
     cfg.write_text(
@@ -394,11 +406,14 @@ def test_load_run_rejects_wrong_row_count(tmp_path, short_run, extra):
         load_run(out)
 
 
-def _synthetic_trace(steps, n=6):
-    # the config needs a step; a trace of 0 rows keeps its t_s
-    span = max(steps, 1) * 25e-6
+def _synthetic_trace(steps, n=6, budgets=None):
+    # budgets, one per step, become a schedule of one-step segments
+    span = steps * 25e-6
+    schedule = m.constant_schedule(span, n) if budgets is None else m.NswSchedule(tuple(
+        (k * 25e-6, (k + 1) * 25e-6, budget) for k, budget in enumerate(budgets)
+    ))
     cfg = m.fast_config(params=m.SystemParams(n=n), duration=span, warmup=0.0,
-                        nsw_schedule=m.constant_schedule(span, n))
+                        nsw_schedule=schedule)
     rng = np.random.default_rng(steps)
     n2 = 2 * n
     phase = PhaseTrace(
@@ -407,8 +422,7 @@ def _synthetic_trace(steps, n=6):
         v_c=rng.normal(1e4, 1e2, size=(steps, n2)),
         u=rng.integers(0, 2, size=(steps, n2), dtype=np.int8),
     )
-    return SimTrace(config=cfg, n_sw_max=np.full(steps, n, dtype=np.int16),
-                    v_dc=np.full(steps, 60e3), phases={"a": phase})
+    return SimTrace(config=cfg, v_dc=np.full(steps, 60e3), phases={"a": phase})
 
 
 def test_write_phase_csv_memory_does_not_grow_with_rows(tmp_path):
@@ -461,15 +475,14 @@ def _phase_figs_as_floats(out, trace):
     return sorted(tables)
 
 
-# 2n below, at and across one 8-status code
+# 2n below, at and across one 8-status code; a config has at least one step
 @pytest.mark.parametrize("n", [1, 4, 5, 9])
 @pytest.mark.parametrize(
-    "rows", [0, 1, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 17],
-    ids=["empty", "one-row", "one-block", "partial-last-block"],
+    "rows", [1, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 17],
+    ids=["one-row", "one-block", "partial-last-block"],
 )
 def test_phase_csv_and_figures_match_float_writer(tmp_path, n, rows):
-    trace = _synthetic_trace(rows, n)
-    trace.n_sw_max = np.random.default_rng(n).integers(0, n + 1, rows, dtype=np.int16)
+    trace = _synthetic_trace(rows, n, np.random.default_rng(n).integers(0, n + 1, rows).tolist())
     new, old = tmp_path / "new", tmp_path / "old"
     new.mkdir()
     assert write_phase_csv(new / "phase_a.csv", trace, "a") == rows
@@ -496,21 +509,20 @@ def test_piline_v1f2_run_matches_float_writer(tmp_path):
         assert (out / name).read_bytes() == (tmp_path / "figs" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize(
-    "column, index, value, match",
-    [("u", (3, 1), 2, "statuses"), ("u", (0, 0), -1, "statuses"), ("n_sw_max", 5, -1, "budgets")],
-    ids=["status-2", "status-minus-1", "negative-budget"],
-)
-def test_write_phase_csv_rejects_before_opening(tmp_path, column, index, value, match):
+@pytest.mark.parametrize("index, value", [((3, 1), 2), ((0, 0), -1)], ids=["status-2", "status-minus-1"])
+def test_write_phase_csv_rejects_before_opening(tmp_path, index, value):
     trace = _synthetic_trace(10)
-    (trace.phase("a").u if column == "u" else trace.n_sw_max)[index] = value
+    trace.phase("a").u[index] = value
     path = tmp_path / "phase_a.csv"
-    with pytest.raises(ValueError, match=f"phase_a.csv: {match}"):
+    with pytest.raises(ValueError, match="phase_a.csv: statuses"):
         write_phase_csv(path, trace, "a")
     assert not path.exists()
 
 
 # ------------------------------------------------- load_run validation
+
+_OFF_SCHEDULE = "nsw_max differs from the schedule in run_manifest.json"
+
 
 def _with_field(line, column, value):
     fields_ = line.split(b",")
@@ -531,10 +543,10 @@ def _edit_field(path, row, column, value):
         ("phase_b.csv", 7, 19, "2", "row 7: status is not 0 or 1, got 2"),
         ("phase_b.csv", 2, 30, "-1", "row 2: status is not 0 or 1, got -1"),
         ("phase_a.csv", 5, 20, "0.5", "row 5: status is not 0 or 1, got 0.5"),
-        ("phase_c.csv", 2000, 6, "6.7", r"row 2000: nsw_max is not an integer in \[0, 6\], got 6.7"),
-        ("phase_a.csv", 1, 6, "7", r"row 1: nsw_max is not an integer in \[0, 6\], got 7"),
-        ("phase_a.csv", 3, 6, "-1", r"row 3: nsw_max is not an integer in \[0, 6\], got -1"),
-        ("phase_c.csv", 1500, 6, "2", "row 1500: nsw_max differs from the phase files before it, got 2"),
+        ("phase_c.csv", 2000, 6, "6.7", f"row 2000: {_OFF_SCHEDULE}, got 6.7"),
+        ("phase_a.csv", 1, 6, "7", f"row 1: {_OFF_SCHEDULE}, got 7"),
+        ("phase_a.csv", 3, 6, "-1", f"row 3: {_OFF_SCHEDULE}, got -1"),
+        ("phase_c.csv", 1500, 6, "2", f"row 1500: {_OFF_SCHEDULE}, got 2"),
     ],
     ids=["status-2", "status-minus-1", "status-half", "budget-6.7", "budget-above-n",
          "budget-negative", "budgets-disagree"],
@@ -544,6 +556,28 @@ def test_load_run_rejects_bad_statuses_and_budgets(tmp_path, short_run, name, ro
     shutil.copytree(short_run[0], out)
     _edit_field(out / name, row, column, value)
     with pytest.raises(ConfigError, match=f"{name} {match}$"):
+        load_run(out)
+
+
+def test_load_run_rejects_budget_edited_in_every_phase_file(tmp_path, short_run):
+    # the three files agree with each other, not with the manifest's schedule
+    out = tmp_path / "run"
+    shutil.copytree(short_run[0], out)
+    for ph in PHASES:
+        _edit_field(out / f"phase_{ph}.csv", 1, 6, "0")
+    with pytest.raises(ConfigError, match=f"^phase_a.csv row 1: {_OFF_SCHEDULE}, got 0$"):
+        load_run(out)
+
+
+def test_load_run_checks_file_size_before_allocating(tmp_path, short_run):
+    # 4e10 steps: the arrays of that many rows would take terabytes
+    out = tmp_path / "run"
+    shutil.copytree(short_run[0], out)
+    path = out / "run_manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"].update(duration=1e6, nsw_schedule=[[0.0, 1e6, 6]])
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="^phase_a.csv is too small to hold the 40000000000 rows"):
         load_run(out)
 
 

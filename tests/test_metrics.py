@@ -45,7 +45,6 @@ def _synthetic_trace(u_a=None, v_c_a=None, i_ac=None, i_ref=None, i_circ=None,
     )
     return m.SimTrace(
         config=cfg,
-        n_sw_max=np.ones(steps, dtype=np.int16),
         v_dc=np.full(steps, params.v_dc),
         phases={"a": tr, "b": copy.deepcopy(tr), "c": copy.deepcopy(tr)},
     )

@@ -1,7 +1,7 @@
 """Scenario assembly: sources, schedule lookup, and the run loop."""
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -68,6 +68,14 @@ def test_schedule_validation_errors():
         m.NswSchedule(((0.0, 1.0, 6), (0.5, 2.0, 3))).validate(6, 2.0)
     with pytest.raises(ValueError, match="nsw_schedule"):
         m.NswSchedule(((0.0, 1.0, 6),)).validate(6, 2.0)
+    # every comparison with a NaN is false, so the tiling checks alone pass it
+    for bounds in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="^nsw_schedule: segment 0 has a non-finite bound"):
+            m.NswSchedule(((*bounds, 6),)).validate(6, 1.0)
+    # per_step's int16 cast would truncate a fractional budget
+    for budget in (2.5, True, math.nan, "2"):
+        with pytest.raises(ValueError, match="^nsw_schedule: segment 1 n_sw_max: expected int"):
+            m.NswSchedule(((0.0, 0.5, 6), (0.5, 1.0, budget))).validate(6, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -201,6 +209,16 @@ def test_record_count_matches_duration(fast_v1fc_trace):
 
 def test_stiff_source_constant_vdc(fast_v1fc_trace):
     assert np.all(fast_v1fc_trace.v_dc == fast_v1fc_trace.config.params.v_dc)
+
+
+def test_trace_budgets_come_from_the_schedule(fast_v1fc_trace):
+    cfg = fast_v1fc_trace.config
+    assert "n_sw_max" not in {f.name for f in fields(m.SimTrace)}
+    budgets = fast_v1fc_trace.n_sw_max
+    assert budgets.dtype == np.int16
+    assert np.array_equal(budgets, cfg.nsw_schedule.per_step(cfg.params.t_s, cfg.steps))
+    with pytest.raises(AttributeError):
+        fast_v1fc_trace.n_sw_max = budgets
 
 
 def test_schedule_fidelity(fast_v1fc_trace):
@@ -340,7 +358,7 @@ def _reference_run(config):
                 raise m.SimulationDiverged(
                     f"DC bus voltage {v_dc_now!r} at step {k + 1} (t = {t_next:.6f} s)"
                 )
-    return m.SimTrace(config=config, n_sw_max=nsw_arr, v_dc=v_dc_arr, phases=traces)
+    return m.SimTrace(config=config, v_dc=v_dc_arr, phases=traces)
 
 
 def _assert_same_trace(got, want):
