@@ -23,9 +23,9 @@ from .scenario import (
     DC_MODELS,
     PHASES,
     NswSchedule,
-    PhaseTrace,
     ScenarioConfig,
     SimTrace,
+    _blank_trace,
     _fit_schedule,
     config_from_dict,
     config_to_dict,
@@ -117,15 +117,21 @@ def parse_config(path: str | Path, profile: str = "paper") -> ScenarioConfig:
     ``start:end:n_sw_max`` triples.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     if profile not in _PROFILES:
         raise ConfigError(f"unknown profile {profile!r}, expected one of {tuple(_PROFILES)}")
 
     base = _PROFILES[profile]()
     params_kw: dict[str, Any] = {}
     overrides: dict[str, Any] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -253,23 +259,24 @@ def _malformed(path: Path, lines: list[str], first_row: int, n2: int, exc: Value
     return ConfigError(f"{path.name} rows {first_row}-{first_row + len(lines) - 1}: {exc}")
 
 
-def _read_phase(path: Path, n: int, budgets: np.ndarray) -> PhaseTrace:
-    """The records of one phase CSV, parsed ``_BLOCK_ROWS`` lines at a time
-    into arrays of their final dtypes.
+def _read_phase(path: Path, trace: SimTrace, phase: str) -> None:
+    """Parse one phase CSV ``_BLOCK_ROWS`` lines at a time into ``trace``'s
+    records of ``phase``: ``i``, ``i_z``, the capacitor voltages and the
+    statuses.  ``i_ref``, ``v_s`` and ``nsw_max`` are parsed and checked but
+    not stored, as the trace holds the config's.
 
     Each block is checked as it is parsed: a blank line, a line with more or
-    fewer fields than the header, a line that does not parse, a status
-    other than 0 or 1, or a budget that differs from ``budgets``, the
-    schedule's, raises ``ConfigError`` naming the file and the row, counted
-    from 1 after the header.
+    fewer fields than the header, a line that does not parse, a value that
+    is not finite, a status other than 0 or 1, or a budget that differs from
+    the schedule's raises ``ConfigError`` naming the file and the row,
+    counted from 1 after the header.
     """
-    n2 = 2 * n
-    steps = len(budgets)
-    floats = np.empty((4, steps))  # i_ref, i_ac, i_circ, v_grid
-    v_c = np.empty((steps, n2))
-    u = np.empty((steps, n2), dtype=np.int8)
+    tr = trace.phase(phase)
+    budgets = trace.n_sw_max
+    steps, n2 = tr.u.shape
+    header = _phase_header(n2)
     rows = 0
-    commas = {len(_phase_header(n2)) - 1}  # the comma count every line must have
+    commas = {len(header) - 1}  # the comma count every line must have
     with path.open() as fh:
         fh.readline()  # header
         for lines in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
@@ -284,8 +291,13 @@ def _read_phase(path: Path, n: int, budgets: np.ndarray) -> PhaseTrace:
                 raise _malformed(path, lines, rows + 1, n2, exc) from None
             stop = rows + len(body)
             if stop <= steps:  # past that, only count the rows for the error
+                # a run writes none: a non-finite state ends it before any file
+                bad = ~np.isfinite(body)
+                if bad.any():
+                    row, col = np.argwhere(bad)[0]
+                    what = f"{header[2 + col]} is not finite, got {body[row, col]:g}"
+                    raise ConfigError(f"{path.name} row {rows + row + 1}: {what}")
                 nsw_read, u_read = body[:, 4], body[:, 5 + n2 :]
-                # each check flags NaN too
                 checks = [
                     ("status is not 0 or 1", (u_read != 0) & (u_read != 1), u_read),
                     ("nsw_max differs from the schedule in run_manifest.json",
@@ -295,35 +307,38 @@ def _read_phase(path: Path, n: int, budgets: np.ndarray) -> PhaseTrace:
                     if bad.any():
                         at = tuple(np.argwhere(bad)[0])
                         raise ConfigError(f"{path.name} row {rows + at[0] + 1}: {what}, got {value[at]:g}")
-                floats[:, rows:stop] = body[:, :4].T
-                v_c[rows:stop] = body[:, 5 : 5 + n2]
-                u[rows:stop] = u_read
+                tr.i_ac[rows:stop] = body[:, 1]
+                tr.i_circ[rows:stop] = body[:, 2]
+                tr.v_c[rows:stop] = body[:, 5 : 5 + n2]
+                tr.u[rows:stop] = u_read
             rows = stop
     if rows != steps:
         raise ConfigError(f"{path.name} has {rows} rows, config expects {steps}")
-    i_ref, i_ac, i_circ, v_grid = floats
-    return PhaseTrace(i_ac=i_ac, i_ref=i_ref, i_circ=i_circ, v_grid=v_grid, v_c=v_c, u=u)
 
 
 def load_run(out_dir: str | Path) -> SimTrace:
     """Rebuild a SimTrace from an output directory's manifest and CSVs.
 
-    Statuses round-trip exactly, and the trace derives its timestamps,
-    budgets and per-step switch counts as for a fresh run; the serialized
-    ``t`` column is display precision and is not read, and ``nsw_max`` is
-    checked against the manifest's schedule.  A pi-line run's varying bus
-    voltage is not part of the CSV schema and comes back as the nominal
-    value.  Only the manifest's config is read; its file inventory and
-    timings are not.  A manifest that is not a JSON object with a
-    ``config`` key raises ``ConfigError`` naming the file, a failed run's
-    manifest one quoting its error, a config it cannot be rebuilt from one
-    naming the key, and a phase file too small for the config's rows one
-    naming the file, before any array of that many rows is made.
+    The trace is built from the manifest's config as a fresh run's is, so
+    ``t``, ``i_ref``, ``v_s`` (``v_grid``) and ``nsw_max`` are the config's:
+    the serialized ``t`` is not read, and the other three are parsed and
+    checked but not stored.  Statuses round-trip exactly.  A pi-line run's
+    varying bus voltage is not part of the CSV schema and comes back as the
+    nominal value.  Only the manifest's config is read; its file inventory
+    and timings are not.  A manifest or phase file that cannot be read
+    raises ``ConfigError`` naming it, as do a manifest that is not a JSON
+    object with a ``config`` key, a failed run's manifest (quoting its
+    error), a config it cannot be rebuilt from (naming the key), and a phase
+    file too small for the config's rows, before any array of that many
+    rows is made.
     """
     out_dir = Path(out_dir)
+    manifest_path = out_dir / "run_manifest.json"
     try:
-        manifest = json.loads((out_dir / "run_manifest.json").read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(manifest_path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {manifest_path}: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"run_manifest.json: not valid JSON: {exc}") from None
     if not isinstance(manifest, dict) or "config" not in manifest:
         got = "no 'config' key" if isinstance(manifest, dict) else type(manifest).__name__
@@ -336,17 +351,18 @@ def load_run(out_dir: str | Path) -> SimTrace:
         raise ConfigError(f"run_manifest.json: {exc}") from None
     steps, n = config.steps, config.params.n
     paths = {ph: out_dir / f"phase_{ph}.csv" for ph in PHASES}
-    # a data row has 7 + 4n fields, each at least one character followed by
-    # a comma or a line end
-    for path in paths.values():
-        if path.stat().st_size < 2 * (7 + 4 * n) * steps:
-            raise ConfigError(f"{path.name} is too small to hold the {steps} rows config expects")
-    budgets = config.nsw_schedule.per_step(config.params.t_s, steps)
-    return SimTrace(
-        config=config,
-        v_dc=np.full(steps, config.params.v_dc),
-        phases={ph: _read_phase(path, n, budgets) for ph, path in paths.items()},
-    )
+    try:
+        # a data row has 7 + 4n fields, each at least one character followed
+        # by a comma or a line end
+        for path in paths.values():
+            if path.stat().st_size < 2 * (7 + 4 * n) * steps:
+                raise ConfigError(f"{path.name} is too small to hold the {steps} rows config expects")
+        trace = _blank_trace(config)[0]
+        for ph, path in paths.items():
+            _read_phase(path, trace, ph)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read {exc.filename}: {exc.strerror}") from None
+    return trace
 
 
 def _write_fig_files(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics]) -> dict[str, int]:

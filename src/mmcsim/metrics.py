@@ -21,11 +21,6 @@ def _check_sm(trace: SimTrace, sm: int) -> None:
         raise ValueError(f"sm must be an int in [0, {n2}), got {sm!r}")
 
 
-def _check_phase(phase: str) -> None:
-    if phase not in PHASES:
-        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
-
-
 def _window_slice(trace: SimTrace, window: tuple[float, float]) -> tuple[int, int]:
     ts = trace.config.params.t_s
     # a window reaching past the trace would be divided by a span it does
@@ -54,7 +49,6 @@ def effective_switching_frequency(
     counts are additive over adjacent windows.
     """
     _check_sm(trace, sm)
-    _check_phase(phase)
     a, b = _window_slice(trace, window)
     count = np.count_nonzero(trace.phase(phase).edges(a, b)[:, sm] > 0)
     return count / (window[1] - window[0])
@@ -77,7 +71,6 @@ def ripple_percent(
 ) -> float:
     """Peak-to-peak capacitor voltage over the window, percent of its mean."""
     _check_sm(trace, sm)
-    _check_phase(phase)
     a, b = _window_slice(trace, window)
     return float(_ripple(trace.phase(phase).v_c[a:b, sm, None])[0])
 
@@ -89,7 +82,6 @@ def circulating_ratio(
 ) -> float:
     """Largest circulating-current deviation from its window mean, percent
     of the AC current amplitude (max |i| over the window)."""
-    _check_phase(phase)
     a, b = _window_slice(trace, window)
     iz = trace.phase(phase).i_circ[a:b]
     amp = float(np.abs(trace.phase(phase).i_ac[a:b]).max())
@@ -105,7 +97,6 @@ def tracking_rmse(
     window: tuple[float, float],
 ) -> float:
     """RMS tracking error, percent of the reference RMS amplitude."""
-    _check_phase(phase)
     a, b = _window_slice(trace, window)
     tr = trace.phase(phase)
     err = tr.i_ac[a:b] - tr.i_ref[a:b]

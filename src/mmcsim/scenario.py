@@ -291,7 +291,10 @@ class SimTrace:
     phases: dict[str, PhaseTrace]
 
     def phase(self, label: str) -> PhaseTrace:
-        return self.phases[label]
+        try:
+            return self.phases[label]
+        except KeyError:
+            raise ValueError(f"phase must be one of {tuple(self.phases)}, got {label!r}") from None
 
     @property
     def steps(self) -> int:
@@ -306,6 +309,37 @@ class SimTrace:
     def t(self) -> np.ndarray:
         """End time of each step, (k+1) * t_s."""
         return np.arange(1, self.steps + 1) * self.config.params.t_s
+
+
+def _blank_trace(config: ScenarioConfig) -> tuple[SimTrace, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A trace of the config's steps, its references computed and its other
+    records not yet set, with the blocks behind it: the references, i_ref
+    then v_grid, and the currents, i_ac then i_circ, each (steps, 2, 3); the
+    capacitor voltages and the int8 statuses, each (steps, 3, 2n).  The
+    blocks are step-major, so that a step's records are one contiguous row,
+    and phase p's fields are their views [:, ..., p]; ``v_dc`` is nominal."""
+    params = config.params
+    steps = config.steps
+    refs = np.empty((steps, 2, len(PHASES)))
+    currents = np.empty((steps, 2, len(PHASES)))
+    v_c = np.empty((steps, len(PHASES), 2 * params.n))
+    u = np.empty((steps, len(PHASES), 2 * params.n), dtype=np.int8)
+    trace = SimTrace(config, np.full(steps, params.v_dc), {
+        ph: PhaseTrace(
+            i_ac=currents[:, 0, p], i_ref=refs[:, 0, p], i_circ=currents[:, 1, p],
+            v_grid=refs[:, 1, p], v_c=v_c[:, p], u=u[:, p],
+        )
+        for p, ph in enumerate(PHASES)
+    })
+    # the expressions of reference_current and grid_voltage; math.sin, not
+    # np.sin, so every sample has the scalar functions' bits
+    omega_t = 2.0 * math.pi * params.f_grid * trace.t
+    for p, ph in enumerate(PHASES):
+        arg = omega_t - _PHASE_OFFSET[ph]
+        sines = np.fromiter(map(math.sin, arg.tolist()), float, steps)
+        np.multiply(config.i_ref_peak, sines, out=refs[:, 0, p])
+        np.multiply(config.v_s_peak, sines, out=refs[:, 1, p])
+    return trace, refs, currents, v_c, u
 
 
 class GridSelector:
@@ -488,23 +522,8 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     v1fc = config.algorithm == "v1fc"
     piline = config.dc_model == "piline"
 
-    # trace storage, step-major so that a step's records are one contiguous
-    # row; phase p's fields are the views [:, ..., p] of these blocks
-    budgets = config.nsw_schedule.per_step(ts, steps)
-    v_dc_arr = np.full(steps, params.v_dc)
-    ref_grid = np.empty((steps, 2, len(PHASES)))  # i_ref, then v_grid
-    currents_tr = np.empty((steps, 2, len(PHASES)))  # i_ac, then i_circ
-    v_c_tr = np.empty((steps, len(PHASES), 2 * n))
-    u_tr = np.empty((steps, len(PHASES), 2 * n), dtype=np.int8)
-
-    # the expressions of reference_current and grid_voltage, once per run;
-    # math.sin, not np.sin, so every sample has the scalar functions' bits
-    t = np.arange(1, steps + 1) * ts
-    for p, ph in enumerate(PHASES):
-        arg = 2.0 * math.pi * params.f_grid * t - _PHASE_OFFSET[ph]
-        sines = np.fromiter(map(math.sin, arg.tolist()), float, steps)
-        np.multiply(config.i_ref_peak, sines, out=ref_grid[:, 0, p])
-        np.multiply(config.v_s_peak, sines, out=ref_grid[:, 1, p])
+    trace, ref_grid, currents_tr, v_c_tr, u_tr = _blank_trace(config)
+    budgets, v_dc_arr = trace.n_sw_max, trace.v_dc
 
     # the state, nominal_phase_state of each leg: per-leg floats, and the
     # arms' capacitor voltages and statuses (bool, viewed as int8 for the
@@ -665,17 +684,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                         )
             currents_tr[start:stop] = np.reshape(currents, (-1, 2, len(PHASES)))
 
-    return SimTrace(
-        config=config,
-        v_dc=v_dc_arr,
-        phases={
-            ph: PhaseTrace(
-                i_ac=currents_tr[:, 0, p], i_ref=ref_grid[:, 0, p], i_circ=currents_tr[:, 1, p],
-                v_grid=ref_grid[:, 1, p], v_c=v_c_tr[:, p], u=u_tr[:, p],
-            )
-            for p, ph in enumerate(PHASES)
-        },
-    )
+    return trace
 
 
 def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:

@@ -2,10 +2,14 @@
 import argparse
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,22 @@ def test_config_duration_not_multiple(tmp_path):
 def test_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "nope.cfg")
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda path: path.mkdir(), "cannot read config file .*: Is a directory"),
+        (lambda path: path.write_bytes(b"# r\xe9glage\n"), "is not UTF-8 text"),
+    ],
+    ids=["directory", "not-utf-8"],
+)
+def test_config_unreadable_file(tmp_path, make, match):
+    path = tmp_path / "run.cfg"
+    make(path)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(path)
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
 
 
 def test_config_unknown_profile(tmp_path):
@@ -196,7 +216,9 @@ def test_run_command_fast_profile(tmp_path, fast_v1fc_trace):
     as_written = np.vectorize(lambda x: float(f"{x:.9g}"))
     for ph in "abc":
         assert np.array_equal(loaded.phase(ph).u, fixt.phase(ph).u)
-        for name in ("i_ref", "i_ac", "i_circ", "v_grid", "v_c"):
+        for name in ("i_ref", "v_grid"):  # the config's, not the CSV's
+            assert np.array_equal(getattr(loaded.phase(ph), name), getattr(fixt.phase(ph), name)), name
+        for name in ("i_ac", "i_circ", "v_c"):
             got = getattr(loaded.phase(ph), name)
             assert np.array_equal(got, as_written(getattr(fixt.phase(ph), name))), name
         assert np.array_equal(
@@ -388,7 +410,9 @@ def test_load_run_round_trips_across_blocks(short_run):
     for ph in PHASES:
         got, want = loaded.phase(ph), trace.phase(ph)
         assert np.array_equal(got.u, want.u) and got.u.dtype == np.int8
-        for name in ("i_ref", "i_ac", "i_circ", "v_grid", "v_c"):
+        for name in ("i_ref", "v_grid"):  # the config's, not the CSV's
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("i_ac", "i_circ", "v_c"):
             value = getattr(got, name)
             assert value.dtype == np.float64, name
             assert np.array_equal(value, as_written(getattr(want, name))), name
@@ -403,6 +427,30 @@ def test_load_run_rejects_wrong_row_count(tmp_path, short_run, extra):
     path.write_bytes(b"".join(lines[:extra] if extra < 0 else lines + lines[-extra:]))
     steps = short_run[1].steps
     with pytest.raises(ConfigError, match=f"phase_b.csv has {steps + extra} rows"):
+        load_run(out)
+
+
+def test_load_run_takes_references_from_config(tmp_path, short_run):
+    # i_ref and v_s are checked as numbers but not read back: an edited
+    # field changes neither the references nor the tracking error
+    out, trace = tmp_path / "run", short_run[1]
+    shutil.copytree(short_run[0], out)
+    _edit_field(out / "phase_a.csv", 167, 2, "0")  # i_ref near its peak, t = 4.175 ms
+    _edit_field(out / "phase_a.csv", 167, 5, "0")  # v_s
+    loaded = load_run(out)
+    for ph in PHASES:
+        for name in ("i_ref", "v_grid"):
+            assert np.array_equal(getattr(loaded.phase(ph), name), getattr(trace.phase(ph), name)), name
+    window = (0.0, 0.02)
+    assert m.tracking_rmse(loaded, "a", window) == pytest.approx(m.tracking_rmse(trace, "a", window), rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["run_manifest.json", "phase_b.csv"])
+def test_load_run_names_missing_file(tmp_path, short_run, name):
+    out = tmp_path / "run"
+    shutil.copytree(short_run[0], out)
+    (out / name).unlink()
+    with pytest.raises(ConfigError, match=f"^cannot read {re.escape(str(out / name))}: No such file"):
         load_run(out)
 
 
@@ -519,6 +567,13 @@ def test_write_phase_csv_rejects_before_opening(tmp_path, index, value):
     assert not path.exists()
 
 
+def test_write_phase_csv_rejects_unknown_phase(tmp_path, short_run):
+    path = tmp_path / "phase_d.csv"
+    with pytest.raises(ValueError, match=re.escape("phase must be one of ('a', 'b', 'c'), got 'd'")):
+        write_phase_csv(path, short_run[1], "d")
+    assert not path.exists()
+
+
 # ------------------------------------------------- load_run validation
 
 _OFF_SCHEDULE = "nsw_max differs from the schedule in run_manifest.json"
@@ -547,9 +602,12 @@ def _edit_field(path, row, column, value):
         ("phase_a.csv", 1, 6, "7", f"row 1: {_OFF_SCHEDULE}, got 7"),
         ("phase_a.csv", 3, 6, "-1", f"row 3: {_OFF_SCHEDULE}, got -1"),
         ("phase_c.csv", 1500, 6, "2", f"row 1500: {_OFF_SCHEDULE}, got 2"),
+        # a completed run writes no non-finite value: SimulationDiverged ends it first
+        ("phase_c.csv", 700, 8, "nan", "row 700: vC_2 is not finite, got nan"),
+        ("phase_c.csv", 700, 3, "inf", "row 700: i is not finite, got inf"),
     ],
     ids=["status-2", "status-minus-1", "status-half", "budget-6.7", "budget-above-n",
-         "budget-negative", "budgets-disagree"],
+         "budget-negative", "budgets-disagree", "nan-vC", "inf-i"],
 )
 def test_load_run_rejects_bad_statuses_and_budgets(tmp_path, short_run, name, row, column, value, match):
     out = tmp_path / "run"
@@ -662,3 +720,20 @@ def test_manifest_stage_timings(short_run, tmp_path):
     for ph in PHASES:
         assert np.array_equal(a.phase(ph).u, b.phase(ph).u)
         assert np.array_equal(a.phase(ph).v_c, b.phase(ph).v_c)
+
+
+def test_python_m_mmcsim(tmp_path):
+    # the module entry point in a child process; under python -O the child
+    # runs without assert statements too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = [sys.executable, *(["-O"] if sys.flags.optimize else []), "-m", "mmcsim", "run"]
+    out = tmp_path / "out"
+    done = subprocess.run([*run, "--profile", "fast", "--duration", "0.01", "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((out / "run_manifest.json").read_text())["config"]["duration"] == 0.01
+    done = subprocess.run([*run, "--config", str(tmp_path), "--out-dir", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert "cannot read config file" in done.stderr
