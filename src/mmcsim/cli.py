@@ -1,6 +1,6 @@
 """Command-line front end: parse a scenario config, run it, write
-time-series CSVs, per-figure data files, a metrics summary, and a run
-manifest."""
+time-series CSVs, per-figure data files, a metrics summary, the trace
+record that ``load_run`` reads back, and a run manifest."""
 from __future__ import annotations
 
 import argparse
@@ -10,7 +10,7 @@ import sys
 import time
 from contextlib import ExitStack
 from dataclasses import MISSING, fields, replace
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -27,6 +27,7 @@ from .scenario import (
     SimTrace,
     _blank_trace,
     _fit_schedule,
+    _record_nbytes,
     config_from_dict,
     config_to_dict,
     fast_config,
@@ -39,9 +40,12 @@ _PROFILES = {"paper": paper_config, "fast": fast_config}
 _SETTLE = {"paper": 0.02, "fast": 0.01}
 # the timed stages of `mmcsim run`, in order, as the manifest names them
 _STAGES = ("build", "simulate", "report", "write")
-# rows per block when writing and reading CSVs: peak memory is the trace
-# plus one block, whatever the run length
+# rows per block when writing CSVs: peak memory is the trace plus one block,
+# whatever the run length
 _BLOCK_ROWS = 512
+# the trace's recorded blocks, which load_run reads back; the CSVs are written
+# for people and plotting tools, and never read
+_RECORD = "trace.bin"
 
 
 class ConfigError(ValueError):
@@ -114,7 +118,8 @@ def parse_config(path: str | Path, profile: str = "paper") -> ScenarioConfig:
     Unset keys fall back to the chosen profile's defaults (the ``paper``
     profile is the full case-study setup).  Lines are ``key = value``,
     ``#`` starts a comment; the schedule is written as comma-separated
-    ``start:end:n_sw_max`` triples.
+    ``start:end:n_sw_max`` triples.  A key may be set once: a second line
+    setting it raises ``ConfigError`` naming the key and both lines.
     """
     path = Path(path)
     try:
@@ -131,6 +136,7 @@ def parse_config(path: str | Path, profile: str = "paper") -> ScenarioConfig:
     base = _PROFILES[profile]()
     params_kw: dict[str, Any] = {}
     overrides: dict[str, Any] = {}
+    first_line: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -138,6 +144,9 @@ def parse_config(path: str | Path, profile: str = "paper") -> ScenarioConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is set twice, on lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
         if key == "schedule.segments":
             overrides["nsw_schedule"] = _parse_schedule(key, value)
         elif key in _KEYS:
@@ -237,100 +246,96 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
     return rows
 
 
-def _malformed(path: Path, lines: list[str], first_row: int, n2: int, exc: ValueError | None) -> ConfigError:
-    """The error for a block of lines that fails the field count or that
-    ``np.loadtxt`` rejects, naming the file and the row, counted from 1
-    after the header, of the first line that is blank, has a wrong field
-    count or has a parsed field that is not a number; failing all three,
-    ``exc``'s message with the block's rows."""
-    header = _phase_header(n2)
-    for row, line in enumerate(lines, start=first_row):
-        stripped = line.rstrip("\r\n")
-        if not stripped:
-            return ConfigError(f"{path.name} row {row}: blank line")
-        fields_ = stripped.split(",")
-        if len(fields_) != len(header):
-            return ConfigError(f"{path.name} row {row}: {len(fields_)} fields, expected {len(header)}")
-        for name, text in zip(header[2:], fields_[2:]):
-            try:
-                float(text)
-            except ValueError:
-                return ConfigError(f"{path.name} row {row}: {name} is not a number, got {text!r}")
-    return ConfigError(f"{path.name} rows {first_row}-{first_row + len(lines) - 1}: {exc}")
+def _write_record(path: Path, trace: SimTrace) -> int:
+    """Write the trace's ``record`` blocks to ``path`` as ``.npy`` records
+    back to back, as ``np.save`` calls on one open file write them, each
+    straight from its block.  Returns the step count."""
+    with path.open("wb") as fh:
+        for block in trace.record.values():
+            np.save(fh, block, allow_pickle=False)
+    return trace.steps
 
 
-def _read_phase(path: Path, trace: SimTrace, phase: str) -> None:
-    """Parse one phase CSV ``_BLOCK_ROWS`` lines at a time into ``trace``'s
-    records of ``phase``: ``i``, ``i_z``, the capacitor voltages and the
-    statuses.  ``i_ref``, ``v_s`` and ``nsw_max`` are parsed and checked but
-    not stored, as the trace holds the config's.
+def _check_record(trace: SimTrace) -> None:
+    """Values a finished run cannot record raise ``ConfigError`` naming the
+    block and the index of the first: a non-finite float (a non-finite state
+    raises ``SimulationDiverged`` first), a status outside {0, 1} or a bus
+    voltage <= 0."""
+    checks = [
+        *((name, np.isfinite, "is not finite") for name in ("currents", "v_c", "v_dc")),
+        ("u", lambda u: (u == 0) | (u == 1), "is not a status 0 or 1"),
+        ("v_dc", lambda v: v > 0.0, "is not > 0"),
+    ]
+    for name, good, what in checks:
+        block = trace.record[name]
+        # each test holds for the whole block when it holds for the block's
+        # min and max (a NaN is both), so no block-sized mask is made unless
+        # a value fails
+        if good(block.min()) and good(block.max()):
+            continue
+        at = tuple(np.argwhere(~good(block))[0].tolist())
+        raise ConfigError(f"{_RECORD}: {name}{list(at)} {what}, got {block[at]:g}")
 
-    Each block is checked as it is parsed: a blank line, a line with more or
-    fewer fields than the header, a line that does not parse, a value that
-    is not finite, a status other than 0 or 1, or a budget that differs from
-    the schedule's raises ``ConfigError`` naming the file and the row,
-    counted from 1 after the header.
+
+def _read_record(path: Path, config: ScenarioConfig) -> SimTrace:
+    """A trace of ``config`` whose ``record`` blocks are read from ``path``,
+    each ``readinto`` its block of a fresh ``_blank_trace(config)``.
+
+    The file size is checked against the config before any block is made.
+    A record whose header differs from its block's dtype (byte order
+    included), shape or C order, a short read, bytes after the last record
+    and the values ``_check_record`` refuses raise ``ConfigError`` naming the
+    file and the block.
     """
-    tr = trace.phase(phase)
-    budgets = trace.n_sw_max
-    steps, n2 = tr.u.shape
-    header = _phase_header(n2)
-    rows = 0
-    commas = {len(header) - 1}  # the comma count every line must have
-    with path.open() as fh:
-        fh.readline()  # header
-        for lines in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
-            # np.loadtxt skips blank lines and ignores fields past usecols,
-            # so the comma count of every line is checked first
-            if set(map(str.count, lines, repeat(","))) != commas:
-                raise _malformed(path, lines, rows + 1, n2, None)
-            # columns after t and phase: i_ref, i, i_z, v_s, nsw_max, vC..., u...
+    with path.open("rb") as fh:
+        size, need = path.stat().st_size, _record_nbytes(config)
+        if size < need:
+            raise ConfigError(
+                f"{_RECORD} is too small to hold the {config.steps} steps the config expects: "
+                f"{size} bytes, the blocks alone need {need}"
+            )
+        trace = _blank_trace(config)[0]
+        for name, block in trace.record.items():
             try:
-                body = np.loadtxt(lines, delimiter=",", usecols=range(2, 7 + 2 * n2), ndmin=2)
+                version = np.lib.format.read_magic(fh)
+                if version != (1, 0):  # np.save writes 1.0 for these headers
+                    raise ValueError(f".npy format version {version}, expected (1, 0)")
+                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
             except ValueError as exc:
-                raise _malformed(path, lines, rows + 1, n2, exc) from None
-            stop = rows + len(body)
-            if stop <= steps:  # past that, only count the rows for the error
-                # a run writes none: a non-finite state ends it before any file
-                bad = ~np.isfinite(body)
-                if bad.any():
-                    row, col = np.argwhere(bad)[0]
-                    what = f"{header[2 + col]} is not finite, got {body[row, col]:g}"
-                    raise ConfigError(f"{path.name} row {rows + row + 1}: {what}")
-                nsw_read, u_read = body[:, 4], body[:, 5 + n2 :]
-                checks = [
-                    ("status is not 0 or 1", (u_read != 0) & (u_read != 1), u_read),
-                    ("nsw_max differs from the schedule in run_manifest.json",
-                     nsw_read != budgets[rows:stop], nsw_read),
-                ]
-                for what, bad, value in checks:
-                    if bad.any():
-                        at = tuple(np.argwhere(bad)[0])
-                        raise ConfigError(f"{path.name} row {rows + at[0] + 1}: {what}, got {value[at]:g}")
-                tr.i_ac[rows:stop] = body[:, 1]
-                tr.i_circ[rows:stop] = body[:, 2]
-                tr.v_c[rows:stop] = body[:, 5 : 5 + n2]
-                tr.u[rows:stop] = u_read
-            rows = stop
-    if rows != steps:
-        raise ConfigError(f"{path.name} has {rows} rows, config expects {steps}")
+                raise ConfigError(f"{_RECORD}: {name} record: bad header: {exc}") from None
+            if (dtype, shape, fortran_order) != (block.dtype, block.shape, False):
+                order = "Fortran" if fortran_order else "C"
+                raise ConfigError(
+                    f"{_RECORD}: {name} record holds {dtype.str} {shape} in {order} order, "
+                    f"the config expects {block.dtype.str} {block.shape} in C order"
+                )
+            got = fh.readinto(block)
+            if got != block.nbytes:
+                raise ConfigError(f"{_RECORD}: {name} record is short: {got} of {block.nbytes} bytes")
+        if fh.read(1):
+            raise ConfigError(f"{_RECORD}: trailing bytes after the {name} record")
+    _check_record(trace)
+    return trace
 
 
 def load_run(out_dir: str | Path) -> SimTrace:
-    """Rebuild a SimTrace from an output directory's manifest and CSVs.
+    """Rebuild a SimTrace from an output directory's manifest and
+    ``trace.bin``.
 
     The trace is built from the manifest's config as a fresh run's is, so
-    ``t``, ``i_ref``, ``v_s`` (``v_grid``) and ``nsw_max`` are the config's:
-    the serialized ``t`` is not read, and the other three are parsed and
-    checked but not stored.  Statuses round-trip exactly.  A pi-line run's
-    varying bus voltage is not part of the CSV schema and comes back as the
-    nominal value.  Only the manifest's config is read; its file inventory
-    and timings are not.  A manifest or phase file that cannot be read
-    raises ``ConfigError`` naming it, as do a manifest that is not a JSON
+    ``t``, ``i_ref``, ``v_s`` (``v_grid``) and ``nsw_max`` are the config's,
+    and its recorded blocks (currents, capacitor voltages, statuses and the
+    bus voltage, a pi-line run's included) are read from ``trace.bin``
+    exactly, bit for bit.  The CSVs are not read.  Only the manifest's
+    config is read; its file inventory and timings are not.
+
+    ``ConfigError`` names the file when the manifest or ``trace.bin`` is
+    missing or cannot be read, which is how a directory written before
+    ``trace.bin`` existed fails.  It also ends a manifest that is not a JSON
     object with a ``config`` key, a failed run's manifest (quoting its
-    error), a config it cannot be rebuilt from (naming the key), and a phase
-    file too small for the config's rows, before any array of that many
-    rows is made.
+    error), a config it cannot be rebuilt from (naming the key) and a
+    ``trace.bin`` that does not hold the config's blocks (see
+    ``_read_record``).
     """
     out_dir = Path(out_dir)
     manifest_path = out_dir / "run_manifest.json"
@@ -343,26 +348,16 @@ def load_run(out_dir: str | Path) -> SimTrace:
     if not isinstance(manifest, dict) or "config" not in manifest:
         got = "no 'config' key" if isinstance(manifest, dict) else type(manifest).__name__
         raise ConfigError(f"run_manifest.json: expected an object with a 'config' key, got {got}")
-    if "error" in manifest:  # written by a run that diverged, beside no CSV
+    if "error" in manifest:  # written by a run that diverged, beside no trace
         raise ConfigError(f"run_manifest.json: the run failed and wrote no trace: {manifest['error']}")
     try:
         config = config_from_dict(manifest["config"])
     except ValueError as exc:
         raise ConfigError(f"run_manifest.json: {exc}") from None
-    steps, n = config.steps, config.params.n
-    paths = {ph: out_dir / f"phase_{ph}.csv" for ph in PHASES}
     try:
-        # a data row has 7 + 4n fields, each at least one character followed
-        # by a comma or a line end
-        for path in paths.values():
-            if path.stat().st_size < 2 * (7 + 4 * n) * steps:
-                raise ConfigError(f"{path.name} is too small to hold the {steps} rows config expects")
-        trace = _blank_trace(config)[0]
-        for ph, path in paths.items():
-            _read_phase(path, trace, ph)
+        return _read_record(out_dir / _RECORD, config)
     except OSError as exc:  # missing, a directory, unreadable
         raise ConfigError(f"cannot read {exc.filename}: {exc.strerror}") from None
-    return trace
 
 
 def _write_fig_files(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics]) -> dict[str, int]:
@@ -394,7 +389,8 @@ _PHASE_FIGS = (
 # every file `mmcsim run` writes; a run removes them from its output
 # directory first, so no earlier run's file outlives it
 _OUTPUT_FILES = (
-    *(f"phase_{ph}.csv" for ph in PHASES), _FIG4, *_PHASE_FIGS, "summary.txt", "run_manifest.json",
+    *(f"phase_{ph}.csv" for ph in PHASES), _FIG4, *_PHASE_FIGS, "summary.txt", _RECORD,
+    "run_manifest.json",
 )
 
 
@@ -454,9 +450,17 @@ def run_command(args: argparse.Namespace) -> int:
         return 2
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in _OUTPUT_FILES:
-        (out_dir / name).unlink(missing_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file by that name, or a parent that is one
+        print(f"error: cannot create output directory {out_dir}: {exc.strerror}", file=sys.stderr)
+        return 2
+    try:
+        for name in _OUTPUT_FILES:
+            (out_dir / name).unlink(missing_ok=True)
+    except OSError as exc:  # a directory by an output file's name
+        print(f"error: cannot remove earlier output {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     manifest = {
         "package_version": __version__,
         "started_utc": _utc_now(),
@@ -492,6 +496,7 @@ def run_command(args: argparse.Namespace) -> int:
     files.update(_write_fig_files(out_dir, trace, report))
     (out_dir / "summary.txt").write_text(summary + "\n")
     files["summary.txt"] = len(report)
+    files[_RECORD] = _write_record(out_dir / _RECORD, trace)
     marks.append(time.perf_counter())
 
     stage_seconds = dict(zip(_STAGES, np.diff(marks).tolist()))

@@ -21,6 +21,14 @@ def _check_sm(trace: SimTrace, sm: int) -> None:
         raise ValueError(f"sm must be an int in [0, {n2}), got {sm!r}")
 
 
+def _phase_row(phase: str) -> int:
+    """The row of ``phase`` in a SegmentMetrics array; an unknown label
+    raises ``SimTrace.phase``'s ``ValueError``."""
+    if phase not in PHASES:
+        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
+    return PHASES.index(phase)
+
+
 def _window_slice(trace: SimTrace, window: tuple[float, float]) -> tuple[int, int]:
     ts = trace.config.params.t_s
     # a window reaching past the trace would be divided by a span it does
@@ -129,16 +137,16 @@ class SegmentMetrics:
     transitions_per_step: np.ndarray  # (3, 2) mean per arm (upper, lower)
 
     def f_s_mean(self, phase: str = "a") -> float:
-        return float(self.f_s_per_sm[PHASES.index(phase)].mean())
+        return float(self.f_s_per_sm[_phase_row(phase)].mean())
 
     def ripple_mean(self, phase: str = "a") -> float:
-        return float(self.ripple_pct[PHASES.index(phase)].mean())
+        return float(self.ripple_pct[_phase_row(phase)].mean())
 
     def izm_ratio(self, phase: str = "a") -> float:
-        return float(self.izm_ratio_pct[PHASES.index(phase)])
+        return float(self.izm_ratio_pct[_phase_row(phase)])
 
     def tracking(self, phase: str = "a") -> float:
-        return float(self.tracking_rmse_pct[PHASES.index(phase)])
+        return float(self.tracking_rmse_pct[_phase_row(phase)])
 
 
 def segment_report(
@@ -204,6 +212,7 @@ def segment_report(
 def reduction_percent(report: list[SegmentMetrics], phase: str = "a") -> list[float]:
     """Switching-frequency reduction of each segment versus the first one,
     in percent (the first reported segment is the baseline)."""
+    _phase_row(phase)
     if not report:
         return []
     base = report[0].f_s_mean(phase)

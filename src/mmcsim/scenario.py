@@ -283,12 +283,15 @@ class SimTrace:
     decision that produced it.  The trace stores the statuses, capacitor
     voltages and currents; the step count, the times and the budgets come
     from the config.  The initial state (balanced capacitors, everything
-    off) is implicit.
+    off) is implicit.  ``record`` holds the blocks behind a trace built by
+    ``run_scenario`` or ``load_run``, by name in ``_record_layout``'s order;
+    a trace built by hand has none.
     """
 
     config: ScenarioConfig
     v_dc: np.ndarray
     phases: dict[str, PhaseTrace]
+    record: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     def phase(self, label: str) -> PhaseTrace:
         try:
@@ -311,26 +314,47 @@ class SimTrace:
         return np.arange(1, self.steps + 1) * self.config.params.t_s
 
 
-def _blank_trace(config: ScenarioConfig) -> tuple[SimTrace, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _record_layout(config: ScenarioConfig) -> dict[str, tuple[tuple[int, ...], np.dtype]]:
+    """The shape and dtype of each block a trace records, by name, in the
+    order they are stored: the currents, i_ac then i_circ, (steps, 2, 3); the
+    capacitor voltages and the int8 statuses, each (steps, 3, 2n); the bus
+    voltage, (steps,).  The blocks are step-major, so that a step's records
+    are one contiguous row."""
+    steps, n2 = config.steps, 2 * config.params.n
+    f8 = np.dtype(np.float64)
+    return {
+        "currents": ((steps, 2, len(PHASES)), f8),
+        "v_c": ((steps, len(PHASES), n2), f8),
+        "u": ((steps, len(PHASES), n2), np.dtype(np.int8)),
+        "v_dc": ((steps,), f8),
+    }
+
+
+def _record_nbytes(config: ScenarioConfig) -> int:
+    """The data bytes of the blocks ``_record_layout`` lays out, without
+    making them."""
+    return sum(math.prod(shape) * dtype.itemsize for shape, dtype in _record_layout(config).values())
+
+
+def _blank_trace(config: ScenarioConfig) -> tuple[SimTrace, np.ndarray]:
     """A trace of the config's steps, its references computed and its other
-    records not yet set, with the blocks behind it: the references, i_ref
-    then v_grid, and the currents, i_ac then i_circ, each (steps, 2, 3); the
-    capacitor voltages and the int8 statuses, each (steps, 3, 2n).  The
-    blocks are step-major, so that a step's records are one contiguous row,
-    and phase p's fields are their views [:, ..., p]; ``v_dc`` is nominal."""
+    records not yet set, with the references block behind it: i_ref then
+    v_grid, (steps, 2, 3).  The recorded blocks, laid out by
+    ``_record_layout``, are the trace's ``record``.  Phase p's fields are
+    views [:, ..., p] of the blocks; ``v_dc`` is nominal."""
     params = config.params
     steps = config.steps
     refs = np.empty((steps, 2, len(PHASES)))
-    currents = np.empty((steps, 2, len(PHASES)))
-    v_c = np.empty((steps, len(PHASES), 2 * params.n))
-    u = np.empty((steps, len(PHASES), 2 * params.n), dtype=np.int8)
-    trace = SimTrace(config, np.full(steps, params.v_dc), {
+    record = {name: np.empty(shape, dtype) for name, (shape, dtype) in _record_layout(config).items()}
+    currents, v_c, u, v_dc = record.values()
+    v_dc.fill(params.v_dc)
+    trace = SimTrace(config, v_dc, {
         ph: PhaseTrace(
             i_ac=currents[:, 0, p], i_ref=refs[:, 0, p], i_circ=currents[:, 1, p],
             v_grid=refs[:, 1, p], v_c=v_c[:, p], u=u[:, p],
         )
         for p, ph in enumerate(PHASES)
-    })
+    }, record)
     # the expressions of reference_current and grid_voltage; math.sin, not
     # np.sin, so every sample has the scalar functions' bits
     omega_t = 2.0 * math.pi * params.f_grid * trace.t
@@ -339,7 +363,7 @@ def _blank_trace(config: ScenarioConfig) -> tuple[SimTrace, np.ndarray, np.ndarr
         sines = np.fromiter(map(math.sin, arg.tolist()), float, steps)
         np.multiply(config.i_ref_peak, sines, out=refs[:, 0, p])
         np.multiply(config.v_s_peak, sines, out=refs[:, 1, p])
-    return trace, refs, currents, v_c, u
+    return trace, refs
 
 
 class GridSelector:
@@ -522,7 +546,8 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     v1fc = config.algorithm == "v1fc"
     piline = config.dc_model == "piline"
 
-    trace, ref_grid, currents_tr, v_c_tr, u_tr = _blank_trace(config)
+    trace, ref_grid = _blank_trace(config)
+    currents_tr, v_c_tr, u_tr = (trace.record[name] for name in ("currents", "v_c", "u"))
     budgets, v_dc_arr = trace.n_sw_max, trace.v_dc
 
     # the state, nominal_phase_state of each leg: per-leg floats, and the

@@ -135,6 +135,17 @@ def test_metric_rejects_bad_phase(metric, phase):
         metric(trace, window=(0.0, 1e-3), phase=phase, **sm)
 
 
+@pytest.mark.parametrize("reader", ["f_s_mean", "ripple_mean", "izm_ratio", "tracking", "reduction_percent"])
+@pytest.mark.parametrize("phase", ["d", "A", "", None], ids=repr)
+def test_segment_metrics_reject_bad_phase(reader, phase):
+    # "d" used to end in "tuple.index(x): x not in tuple"
+    report = m.segment_report(_synthetic_trace(u_a=(np.arange(40) + 1) % 2), settle=0.0)
+    read = getattr(m, reader, None) or (lambda rep, ph: getattr(rep[0], reader)(ph))
+    with pytest.raises(ValueError, match=re.escape(f"phase must be one of ('a', 'b', 'c'), got {phase!r}")):
+        read(report, phase)
+    read(report, "c")
+
+
 def test_edges_signed_for_bool_and_int8_status():
     # a diff of bools reads "changed": a turn-off would count as a turn-on
     status = np.array([1, 1, 0, 1, 0, 0, 1, 1, 1, 0] * 4)
