@@ -649,11 +649,32 @@ def _set_budget(value):
     return edit
 
 
+def _set_schedule(segments):
+    def edit(out):
+        path = out / "run_manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["nsw_schedule"] = segments
+        path.write_text(json.dumps(manifest))
+    return edit
+
+
+def _half_status(out):
+    # int8 cannot hold 0.5: a record that does is a float one
+    def edit(blocks):
+        u = blocks["u"].astype(np.float64)
+        u[5, 0, 7] = 0.5
+        blocks["u"] = u
+    _rewrite_record(out, edit)
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
         (_set_value("u", (7, 1, 3), 2), "trace.bin: u[7, 1, 3] is not a status 0 or 1, got 2"),
         (_set_value("u", (2, 1, 11), -1), "trace.bin: u[2, 1, 11] is not a status 0 or 1, got -1"),
+        # the short run has 2400 steps
+        (_half_status, "trace.bin: u record holds <f8 (2400, 3, 12) in C order, "
+                       "the config expects |i1 (2400, 3, 12) in C order"),
         # a completed run records no non-finite value: SimulationDiverged ends it first
         (_set_value("v_c", (700, 2, 1), np.nan), "trace.bin: v_c[700, 2, 1] is not finite, got nan"),
         (_set_value("currents", (700, 0, 2), np.inf), "trace.bin: currents[700, 0, 2] is not finite, got inf"),
@@ -663,9 +684,12 @@ def _set_budget(value):
         (_set_budget(6.7), "run_manifest.json: config.nsw_schedule[0]: expected int, got 6.7"),
         (_set_budget(7), "run_manifest.json: nsw_schedule: segment 0 has n_sw_max=7, outside [0, 6]"),
         (_set_budget(-1), "run_manifest.json: nsw_schedule: segment 0 has n_sw_max=-1, outside [0, 6]"),
+        # two segments that both claim the steps of (0.03, 0.04], with budgets 6 and 2
+        (_set_schedule([[0.0, 0.04, 6], [0.03, 0.06, 2]]),
+         "run_manifest.json: nsw_schedule: segment 1 starts at 0.03, expected 0.04"),
     ],
-    ids=["status-2", "status-minus-1", "nan-vC", "inf-i", "nan-v_dc", "zero-v_dc",
-         "budget-6.7", "budget-above-n", "budget-negative"],
+    ids=["status-2", "status-minus-1", "status-half", "nan-vC", "inf-i", "nan-v_dc", "zero-v_dc",
+         "budget-6.7", "budget-above-n", "budget-negative", "budgets-disagree"],
 )
 def test_load_run_rejects_bad_statuses_and_budgets(tmp_path, short_run, edit, match):
     out = tmp_path / "run"
