@@ -4,13 +4,10 @@ record that ``load_run`` reads back, and a run manifest."""
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
-from contextlib import ExitStack
 from dataclasses import MISSING, fields, replace
-from itertools import islice
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -18,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .core import SimulationDiverged, SystemParams
-from .metrics import SegmentMetrics, reduction_percent, segment_report
+from .metrics import SegmentMetrics, reduction_percent, segment_report, segment_windows
 from .scenario import (
     DC_MODELS,
     PHASES,
@@ -40,9 +37,6 @@ _PROFILES = {"paper": paper_config, "fast": fast_config}
 _SETTLE = {"paper": 0.02, "fast": 0.01}
 # the timed stages of `mmcsim run`, in order, as the manifest names them
 _STAGES = ("build", "simulate", "report", "write")
-# rows per block when writing CSVs: peak memory is the trace plus one block,
-# whatever the run length
-_BLOCK_ROWS = 512
 # the trace's recorded blocks, which load_run reads back; the CSVs are written
 # for people and plotting tools, and never read
 _RECORD = "trace.bin"
@@ -168,22 +162,28 @@ def parse_config(path: str | Path, profile: str = "paper") -> ScenarioConfig:
 def _write_columns(
     path: Path, header: Sequence[str], columns: Sequence[Any], fmt: str
 ) -> int:
-    """Write equal-length columns side by side as CSV with ``\\r\\n`` line
-    ends, as ``csv.writer`` does.  A 2-D array adds one column per array
-    column; ``fmt`` is the %-format of one row.  Rows are stacked, converted
-    and formatted ``_BLOCK_ROWS`` at a time, so the table is never held as
-    Python floats.  Returns the row count."""
-    lengths = {len(col) for col in columns}
-    if len(lengths) != 1:
-        raise ValueError(f"{path.name}: columns differ in length: {sorted(lengths)}")
-    rows = lengths.pop()
-    fmt += "\r\n"
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, rows, _BLOCK_ROWS):
-            block = np.column_stack([col[start : start + _BLOCK_ROWS] for col in columns])
-            fh.writelines(fmt % tuple(row) for row in block.tolist())
-    return rows
+    """Write equal-length columns side by side as CSV; see
+    ``csvtext.write_columns``.  Returns the row count."""
+    # imported on first use: code that imports this module but writes no
+    # CSV does not load the formatter
+    from .csvtext import write_columns
+
+    return write_columns(path, header, columns, fmt)
+
+
+class _StepTimes:
+    """``SimTrace.t`` as a column whose slices are made when asked for."""
+
+    def __init__(self, trace: SimTrace) -> None:
+        self.steps, self.t_s = trace.steps, trace.config.params.t_s
+
+    def __len__(self) -> int:
+        return self.steps
+
+    def __getitem__(self, block: slice) -> np.ndarray:
+        start, stop, _ = block.indices(self.steps)
+        # SimTrace.t's expression, so the same bits
+        return np.arange(start + 1, stop + 1) * self.t_s
 
 
 def _phase_header(n2: int) -> list[str]:
@@ -195,55 +195,27 @@ def _phase_header(n2: int) -> list[str]:
     )
 
 
-@functools.cache
-def _status_text(width: int) -> tuple[str, ...]:
-    """The ``"0,1,..."`` text of ``width`` statuses, indexed by their code
-    from ``np.packbits(..., bitorder="little")``: bit k is status k."""
-    return tuple(",".join(str(code >> k & 1) for k in range(width)) for code in range(1 << width))
-
-
 def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
     """One row per step: t, phase, i_ref, i, i_z, v_s, nsw_max, then the
     2n capacitor voltages and 2n statuses.  Returns the row count.
 
-    Floats are formatted with ``%.9g``.  The budget is written as a Python
-    int, and each run of up to 8 statuses as one packed code looked up in
-    a table of its text.  ``t`` is built per block from the step index.
-    Statuses outside {0, 1} raise ``ValueError`` before the file is opened.
+    Floats are written with ``%.9g`` and the budget and statuses with
+    ``%d``, through ``_write_columns``.  Statuses outside {0, 1} raise
+    ``ValueError`` before the file is opened.
     """
     tr = trace.phase(phase)
-    nsw, u = trace.n_sw_max, tr.u
-    series = (tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid)
-    rows, n2 = u.shape
-    lengths = {len(nsw), len(tr.v_c), *map(len, series)}
-    if lengths != {rows}:
-        raise ValueError(f"{path.name}: columns differ in length: {sorted(lengths | {rows})}")
-    # packbits would write any nonzero status as 1; rows is the config's steps, >= 1
+    u = tr.u
+    n2 = u.shape[1]
+    # the file holds statuses 0 and 1, and %d would write any other value;
+    # rows is the config's steps, >= 1
     if u.dtype.kind not in "biu" or u.min() < 0 or u.max() > 1:
         raise ValueError(f"{path.name}: statuses must be integers 0 or 1")
-
-    tables = [_status_text(min(8, n2 - k)) for k in range(0, n2, 8)]
-    header = _phase_header(n2)
-    fmt = ",".join(
-        ["%.9g", phase] + ["%.9g"] * 4 + ["%d"] + ["%.9g"] * n2 + ["%s"] * len(tables)
-    ) + "\r\n"
-    t_s = trace.config.params.t_s
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, rows, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            v_c = tr.v_c[block]
-            codes = np.packbits(u[block], axis=1, bitorder="little")
-            columns = [
-                # SimTrace.t's expression, so the same bits
-                (np.arange(start + 1, start + len(v_c) + 1) * t_s).tolist(),
-                *(col[block].tolist() for col in series),
-                nsw[block].tolist(),
-                *v_c.T.tolist(),
-                *(map(table.__getitem__, col) for table, col in zip(tables, codes.T.tolist())),
-            ]
-            fh.writelines(fmt % row for row in zip(*columns))
-    return rows
+    return _write_columns(
+        path,
+        _phase_header(n2),
+        [_StepTimes(trace), tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid, trace.n_sw_max, tr.v_c, u],
+        ",".join(["%.9g", phase] + ["%.9g"] * 4 + ["%d"] + ["%.9g"] * n2 + ["%d"] * n2),
+    )
 
 
 def _write_record(path: Path, trace: SimTrace) -> int:
@@ -361,59 +333,46 @@ def load_run(out_dir: str | Path) -> SimTrace:
 
 
 def _write_fig_files(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics]) -> dict[str, int]:
-    """The figure files; fig5 to fig7 are cut from ``phase_a.csv`` in
-    ``out_dir``, which must already hold this trace."""
+    """The figure files and ``dc_bus.csv``, each written from the trace or
+    the report.  Returns the row count of each."""
     n2 = 2 * trace.config.params.n
-    rows = _write_columns(
-        out_dir / _FIG4,
-        ["segment", "t_start", "t_end", "nsw_max", "f_s_mean_hz", "reduction_pct"]
-        + [f"f_s_sm_{k + 1}_hz" for k in range(n2)],
-        [
-            [seg.index for seg in report],
-            [seg.t_start for seg in report],
-            [seg.t_end for seg in report],
-            [seg.n_sw_max for seg in report],
-            [seg.f_s_mean("a") for seg in report],
-            reduction_percent(report),
-            np.array([seg.f_s_per_sm[0] for seg in report]),
-        ],
-        ",".join(["%d", "%.9g", "%.9g", "%d"] + ["%.9g"] * (2 + n2)),
-    )
-    return {_FIG4: rows, **_cut_phase_figs(out_dir, n2)}
+    tr, t = trace.phase("a"), _StepTimes(trace)
+    fig4, fig5, fig6, fig7, dc_bus = _FIG_FILES
+    tables = {
+        fig4: (
+            ["segment", "t_start", "t_end", "nsw_max", "f_s_mean_hz", "reduction_pct"]
+            + [f"f_s_sm_{k + 1}_hz" for k in range(n2)],
+            [
+                [seg.index for seg in report],
+                [seg.t_start for seg in report],
+                [seg.t_end for seg in report],
+                [seg.n_sw_max for seg in report],
+                [seg.f_s_mean("a") for seg in report],
+                reduction_percent(report),
+                np.array([seg.f_s_per_sm[0] for seg in report]).reshape(len(report), n2),
+            ],
+            ",".join(["%d", "%.9g", "%.9g", "%d"] + ["%.9g"] * (2 + n2)),
+        ),
+        fig5: (["t"] + [f"vC_{k + 1}" for k in range(n2)], [t, tr.v_c], ",".join(["%.9g"] * (1 + n2))),
+        fig6: (["t", "i_ref", "i"], [t, tr.i_ref, tr.i_ac], "%.9g,%.9g,%.9g"),
+        fig7: (["t", "i_z"], [t, tr.i_circ], "%.9g,%.9g"),
+        dc_bus: (["t", "v_dc"], [t, trace.v_dc], "%.9g,%.9g"),
+    }
+    return {
+        name: _write_columns(out_dir / name, header, columns, fmt)
+        for name, (header, columns, fmt) in tables.items()
+    }
 
 
-_FIG4 = "fig4_switching_frequency.csv"
-_PHASE_FIGS = (
-    "fig5_capacitor_voltages.csv", "fig6_ac_tracking.csv", "fig7_circulating_current.csv"
+_FIG_FILES = (
+    "fig4_switching_frequency.csv", "fig5_capacitor_voltages.csv", "fig6_ac_tracking.csv",
+    "fig7_circulating_current.csv", "dc_bus.csv",
 )
 # every file `mmcsim run` writes; a run removes them from its output
 # directory first, so no earlier run's file outlives it
 _OUTPUT_FILES = (
-    *(f"phase_{ph}.csv" for ph in PHASES), _FIG4, *_PHASE_FIGS, "summary.txt", _RECORD,
-    "run_manifest.json",
+    *(f"phase_{ph}.csv" for ph in PHASES), *_FIG_FILES, "summary.txt", _RECORD, "run_manifest.json",
 )
-
-
-def _cut_phase_figs(out_dir: Path, n2: int) -> dict[str, int]:
-    """Write fig5 (t, vC_1..vC_2n), fig6 (t, i_ref, i) and fig7 (t, i_z),
-    header included, as column subsets of ``phase_a.csv``'s lines, so their
-    text is that file's.  Returns the row count of each."""
-    cut = 7 + n2  # fields 0..6, then the capacitor voltages
-    lines = 0
-    with ExitStack() as stack:
-        src = stack.enter_context((out_dir / "phase_a.csv").open(newline=""))
-        dst = [stack.enter_context((out_dir / name).open("w", newline="")) for name in _PHASE_FIGS]
-        for block in iter(lambda: list(islice(src, _BLOCK_ROWS)), []):
-            fig5, fig6, fig7 = [], [], []
-            for line in block:
-                f = line.split(",", cut)
-                fig5.append(",".join([f[0], *f[7:cut]]) + "\r\n")
-                fig6.append(f"{f[0]},{f[2]},{f[3]}\r\n")
-                fig7.append(f"{f[0]},{f[4]}\r\n")
-            for fh, text in zip(dst, (fig5, fig6, fig7)):
-                fh.writelines(text)
-            lines += len(block)
-    return dict.fromkeys(_PHASE_FIGS, lines - 1)
 
 
 def format_summary(report: list[SegmentMetrics]) -> str:
@@ -514,13 +473,20 @@ def run_command(args: argparse.Namespace) -> int:
 
 
 def build_config(args: argparse.Namespace) -> ScenarioConfig:
-    """Profile defaults, overridden by the config file, then by flags."""
+    """Profile defaults, overridden by the config file, then by flags.  A
+    config whose report the profile's settle margin would leave without
+    samples raises ``ConfigError``, so it fails before it is simulated."""
     if args.config:
         base = parse_config(args.config, profile=args.profile)
     else:
         base = _PROFILES[args.profile]()
     flags = {"algorithm": args.algorithm, "dc_model": args.dc_model, "duration": args.duration}
-    return _override(base, {k: v for k, v in flags.items() if v is not None})
+    config = _override(base, {k: v for k, v in flags.items() if v is not None})
+    try:
+        segment_windows(config, settle=_SETTLE[args.profile])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return config
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import PHASES, NswSchedule, SimTrace, steps_until
+from .scenario import PHASES, NswSchedule, ScenarioConfig, SimTrace, steps_until
 
 
 def _check_sm(trace: SimTrace, sm: int) -> None:
@@ -149,6 +149,39 @@ class SegmentMetrics:
         return float(self.tracking_rmse_pct[_phase_row(phase)])
 
 
+def segment_windows(
+    config: ScenarioConfig,
+    schedule: NswSchedule | None = None,
+    settle: float = 0.02,
+) -> list[tuple[int, tuple[float, float]]]:
+    """The measured window of each segment of ``schedule`` (default: the
+    config's) that holds steps after the warm-up, as ``(index, window)``.
+
+    A window starts ``settle`` seconds into its segment's post-warm-up
+    span.  It depends on the config alone, so a margin that leaves a
+    segment no samples raises ``ValueError`` before anything runs.
+    """
+    if schedule is None:
+        schedule = config.nsw_schedule
+    # NaN fails both comparisons, and an infinite margin cannot be converted
+    # to a step count
+    if not (math.isfinite(settle) and settle >= 0):
+        raise ValueError(f"settle must be finite and >= 0, got {settle}")
+    ts = config.params.t_s
+    windows = []
+    for idx, (start, end, _) in enumerate(schedule.segments):
+        lo = max(start, config.warmup)
+        hi = min(end, config.duration)
+        if steps_until(hi, ts) <= steps_until(lo, ts):
+            continue
+        if steps_until(hi, ts) <= steps_until(lo + settle, ts):
+            raise ValueError(
+                f"settle {settle} s leaves no samples in segment {idx} ({lo}, {hi}]"
+            )
+        windows.append((idx, (lo + settle, hi)))
+    return windows
+
+
 def segment_report(
     trace: SimTrace,
     schedule: NswSchedule | None = None,
@@ -160,29 +193,15 @@ def segment_report(
     different segmentation re-slices the same trace (the budgets stored
     in the segments are reported as-is).  The first ``settle`` seconds of
     every measured segment are excluded so steps at segment boundaries do
-    not pollute steady-state averages.
+    not pollute steady-state averages; ``segment_windows`` gives the
+    windows.
     """
-    cfg = trace.config
     if schedule is None:
-        schedule = cfg.nsw_schedule
-    # NaN fails both comparisons, and an infinite margin cannot be converted
-    # to a step count
-    if not (math.isfinite(settle) and settle >= 0):
-        raise ValueError(f"settle must be finite and >= 0, got {settle}")
-
-    n = cfg.params.n
-    ts = cfg.params.t_s
+        schedule = trace.config.nsw_schedule
+    n = trace.config.params.n
     out: list[SegmentMetrics] = []
-    for idx, (start, end, n_max) in enumerate(schedule.segments):
-        lo = max(start, cfg.warmup)
-        hi = min(end, cfg.duration)
-        if steps_until(hi, ts) <= steps_until(lo, ts):
-            continue
-        w = (lo + settle, hi)
-        if steps_until(hi, ts) <= steps_until(w[0], ts):
-            raise ValueError(
-                f"settle {settle} s leaves no samples in segment {idx} ({lo}, {hi}]"
-            )
+    for idx, w in segment_windows(trace.config, schedule, settle):
+        start, end, n_max = schedule.segments[idx]
         a, b = _window_slice(trace, w)
         f_s, ripple, trans = [], [], []
         for ph in PHASES:

@@ -16,9 +16,10 @@ import pytest
 
 import mmcsim as m
 from mmcsim.cli import (
-    _BLOCK_ROWS, ConfigError, _cut_phase_figs, _write_columns, build_config, format_summary,
-    load_run, main, parse_config, write_phase_csv,
+    ConfigError, _write_columns, _write_fig_files, build_config, format_summary, load_run, main,
+    parse_config, write_phase_csv,
 )
+from mmcsim.csvtext import BLOCK_ROWS
 from mmcsim.scenario import PHASES, PhaseTrace, SimTrace, config_from_dict
 
 
@@ -282,17 +283,38 @@ def test_run_command_non_finite_schedule_bound(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--profile", "fast", "--duration", "0.16"],
+         "settle 0.01 s leaves no samples in segment 1 (0.15, 0.16]"),
+        (["--profile", "paper", "--duration", "1.21"],
+         "settle 0.02 s leaves no samples in segment 1 (1.2, 1.21]"),
+    ],
+    ids=["fast", "paper"],
+)
+def test_run_refuses_settle_margin_before_simulating(tmp_path, capsys, argv, message):
+    # the report's margin used to fail in segment_report, after the whole
+    # run, with a traceback; the output directory is made after the check
+    out = tmp_path / "o"
+    assert main(["run", *argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_command_divergence_exit_code(tmp_path):
+    # long enough for the paper profile's 0.02 s settle margin, which is
+    # checked before the run; the bus diverges at step 1
     cfg = tmp_path / "div.cfg"
     cfg.write_text(
         """
         scenario.dc_model = piline
-        scenario.duration = 0.01
+        scenario.duration = 0.03
         scenario.warmup = 0.0
         line.length_km = 1.0
         line.c_per_km = 1e-12
         line.l_per_km = 1e-12
-        schedule.segments = 0:0.01:6
+        schedule.segments = 0:0.03:6
         """
     )
     rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
@@ -301,16 +323,17 @@ def test_run_command_divergence_exit_code(tmp_path):
 
 def _diverging_config(tmp_path):
     # the parameters of test_leg_divergence_names_phase_and_step: the
-    # circulating current overflows within 15 steps
+    # circulating current overflows within 15 steps; the run is long enough
+    # for the fast profile's 0.01 s settle margin, checked before it starts
     cfg = tmp_path / "div.cfg"
     cfg.write_text(
         """
         params.l_arm = 1e-12
         params.v_dc = 1e300
         params.w_circ = 0
-        scenario.duration = 0.002
+        scenario.duration = 0.02
         scenario.warmup = 0.0
-        schedule.segments = 0:0.002:6
+        schedule.segments = 0:0.02:6
         """
     )
     return cfg
@@ -345,7 +368,7 @@ def test_diverged_run_removes_earlier_run_files(tmp_path):
     cfg = _diverging_config(tmp_path)
     diverge = ["run", "--profile", "fast", "--config", str(cfg), "--out-dir", str(out)]
     assert main(["run", "--profile", "fast", "--duration", "0.01", "--out-dir", str(out)]) == 0
-    assert len(list(out.iterdir())) == 10 and (out / "trace.bin").exists()
+    assert len(list(out.iterdir())) == 11 and (out / "dc_bus.csv").exists()
     assert main(diverge) == 1
     assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
     assert "error" in json.loads((out / "run_manifest.json").read_text())
@@ -393,7 +416,7 @@ def _write_columns_single_pass(path, header, columns, fmt):
 
 
 @pytest.mark.parametrize(
-    "rows", [0, 1, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 17],
+    "rows", [0, 1, BLOCK_ROWS, 3 * BLOCK_ROWS + 17],
     ids=["empty", "one-row", "one-block", "partial-last-block"],
 )
 def test_write_columns_matches_single_pass(tmp_path, rows):
@@ -405,9 +428,12 @@ def test_write_columns_matches_single_pass(tmp_path, rows):
         rng.normal(1e4, 1e2, size=(rows, 3)),
         rng.integers(0, 2, size=(rows, 3)).astype(np.int8),
         rng.normal(size=rows).tolist(),  # a list, as the fig4 table passes
+        # values Python's own '%.9g' writes: fig4's reduction_pct can be NaN
+        np.resize([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e22, 1e-5], rows),
+        rng.integers(-300, 300, size=rows),
     ]
-    header = ["t", "tag", "x", "n", "v1", "v2", "v3", "u1", "u2", "u3", "y"]
-    fmt = ",".join(["%.9g", "a", "%.9g", "%d"] + ["%.9g"] * 3 + ["%d"] * 3 + ["%.9g"])
+    header = ["t", "tag", "x", "n", "v1", "v2", "v3", "u1", "u2", "u3", "y", "z", "k"]
+    fmt = ",".join(["%.9g", "a", "%.9g", "%d"] + ["%.9g"] * 3 + ["%d"] * 3 + ["%.9g"] * 2 + ["%d"])
     new, old = tmp_path / "blocked.csv", tmp_path / "single.csv"
     assert _write_columns(new, header, columns, fmt) == rows
     assert _write_columns_single_pass(old, header, columns, fmt) == rows
@@ -417,9 +443,27 @@ def test_write_columns_matches_single_pass(tmp_path, rows):
 def test_write_columns_ragged_table_writes_nothing(tmp_path):
     # the short column still fills the first block
     path = tmp_path / "ragged.csv"
-    columns = [np.zeros(2 * _BLOCK_ROWS), np.zeros(2 * _BLOCK_ROWS - 1)]
+    columns = [np.zeros(2 * BLOCK_ROWS), np.zeros(2 * BLOCK_ROWS - 1)]
     with pytest.raises(ValueError, match="differ in length"):
         _write_columns(path, ["a", "b"], columns, "%g,%g")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "fmt, match",
+    [
+        ("%g,%d,%d", "unsupported field '%g'"),
+        ("%.9g,%d", "the format has 2 value fields for 3 columns"),
+        ("%.9g,%d,%d,%d", "the format has 4 value fields for 3 columns"),
+        ("%.9g,%.9g,%d", "a 2-D column mixes %.9g and %d fields"),
+    ],
+    ids=["unsupported", "too-few", "too-many", "mixed-2d"],
+)
+def test_write_columns_rejects_bad_format_before_opening(tmp_path, fmt, match):
+    path = tmp_path / "bad.csv"
+    columns = [np.zeros(3), np.zeros((3, 2), np.int8)]
+    with pytest.raises(ValueError, match=re.escape(f"bad.csv: {match}")):
+        _write_columns(path, ["a", "b1", "b2"], columns, fmt)
     assert not path.exists()
 
 
@@ -430,7 +474,7 @@ def short_run(tmp_path_factory):
     argv = ["run", "--profile", "fast", "--duration", "0.06", "--out-dir", str(out)]
     assert main(argv) == 0
     trace = m.run_scenario(load_run(out).config)
-    assert trace.steps > 2 * _BLOCK_ROWS and trace.steps % _BLOCK_ROWS
+    assert trace.steps > 2 * BLOCK_ROWS and trace.steps % BLOCK_ROWS
     return out, trace
 
 
@@ -534,7 +578,8 @@ def _write_phase_csv_as_floats(path, trace, phase):
 
 
 def _phase_figs_as_floats(out, trace):
-    """fig5 to fig7 as the writer before cutting wrote them, from the trace."""
+    """fig5 to fig7 and dc_bus.csv as one `%` per row writes them, from the
+    trace."""
     tr = trace.phase("a")
     n2 = tr.v_c.shape[1]
     tables = {
@@ -544,6 +589,7 @@ def _phase_figs_as_floats(out, trace):
         ),
         "fig6_ac_tracking.csv": (["t", "i_ref", "i"], [trace.t, tr.i_ref, tr.i_ac], "%.9g,%.9g,%.9g"),
         "fig7_circulating_current.csv": (["t", "i_z"], [trace.t, tr.i_circ], "%.9g,%.9g"),
+        "dc_bus.csv": (["t", "v_dc"], [trace.t, trace.v_dc], "%.9g,%.9g"),
     }
     out.mkdir()
     for name, (header, columns, fmt) in tables.items():
@@ -551,10 +597,10 @@ def _phase_figs_as_floats(out, trace):
     return sorted(tables)
 
 
-# 2n below, at and across one 8-status code; a config has at least one step
-@pytest.mark.parametrize("n", [1, 4, 5, 9])
+# n = 10 and 12 write two-digit budgets; a config has at least one step
+@pytest.mark.parametrize("n", [1, 4, 5, 9, 10, 12])
 @pytest.mark.parametrize(
-    "rows", [1, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 17],
+    "rows", [1, BLOCK_ROWS, 3 * BLOCK_ROWS + 17],
     ids=["one-row", "one-block", "partial-last-block"],
 )
 def test_phase_csv_and_figures_match_float_writer(tmp_path, n, rows):
@@ -566,7 +612,9 @@ def test_phase_csv_and_figures_match_float_writer(tmp_path, n, rows):
     assert (new / "phase_a.csv").read_bytes() == (tmp_path / "phase_a.csv").read_bytes()
 
     names = _phase_figs_as_floats(old, trace)
-    assert _cut_phase_figs(new, 2 * n) == dict.fromkeys(names, rows)
+    # an empty report: fig4 holds its header alone
+    written = _write_fig_files(new, trace, [])
+    assert written == {"fig4_switching_frequency.csv": 0, **dict.fromkeys(names, rows)}
     for name in names:
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
@@ -578,15 +626,20 @@ def test_piline_v1f2_run_matches_float_writer(tmp_path):
     assert main(argv) == 0
     loaded = load_run(out)
     trace = m.run_scenario(loaded.config)
-    assert trace.steps > 2 * _BLOCK_ROWS and trace.steps % _BLOCK_ROWS
+    assert trace.steps > 2 * BLOCK_ROWS and trace.steps % BLOCK_ROWS
     # the pi-line bus voltage varies, and comes back exactly
     assert np.ptp(trace.v_dc) > 0
     _assert_same_trace(loaded, trace)
     for ph in PHASES:
         _write_phase_csv_as_floats(tmp_path / f"phase_{ph}.csv", trace, ph)
         assert (out / f"phase_{ph}.csv").read_bytes() == (tmp_path / f"phase_{ph}.csv").read_bytes()
-    for name in _phase_figs_as_floats(tmp_path / "figs", trace):
+    # dc_bus.csv among them: the pi-line bus voltage, as plotted
+    names = _phase_figs_as_floats(tmp_path / "figs", trace)
+    assert "dc_bus.csv" in names
+    for name in names:
         assert (out / name).read_bytes() == (tmp_path / "figs" / name).read_bytes(), name
+    files = json.loads((out / "run_manifest.json").read_text())["files"]
+    assert files["dc_bus.csv"] == {"rows": trace.steps}
 
 
 @pytest.mark.parametrize("index, value", [((3, 1), 2), ((0, 0), -1)], ids=["status-2", "status-minus-1"])
