@@ -159,18 +159,6 @@ def parse_config(path: str | Path, profile: str = "paper") -> ScenarioConfig:
     return _override(base, overrides)
 
 
-def _write_columns(
-    path: Path, header: Sequence[str], columns: Sequence[Any], fmt: str
-) -> int:
-    """Write equal-length columns side by side as CSV; see
-    ``csvtext.write_columns``.  Returns the row count."""
-    # imported on first use: code that imports this module but writes no
-    # CSV does not load the formatter
-    from .csvtext import write_columns
-
-    return write_columns(path, header, columns, fmt)
-
-
 class _StepTimes:
     """``SimTrace.t`` as a column whose slices are made when asked for."""
 
@@ -186,23 +174,18 @@ class _StepTimes:
         return np.arange(start + 1, stop + 1) * self.t_s
 
 
-def _phase_header(n2: int) -> list[str]:
-    """The column names of a phase CSV with ``n2`` submodules per leg."""
-    return (
-        ["t", "phase", "i_ref", "i", "i_z", "v_s", "nsw_max"]
-        + [f"vC_{k + 1}" for k in range(n2)]
-        + [f"u_{k + 1}" for k in range(n2)]
-    )
-
-
 def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
     """One row per step: t, phase, i_ref, i, i_z, v_s, nsw_max, then the
     2n capacitor voltages and 2n statuses.  Returns the row count.
 
-    Floats are written with ``%.9g`` and the budget and statuses with
-    ``%d``, through ``_write_columns``.  Statuses outside {0, 1} raise
-    ``ValueError`` before the file is opened.
+    Written by ``csvtext.write_columns``: floats as ``%.9g``, the budget and
+    statuses as ``%d``.  Statuses outside {0, 1} raise ``ValueError`` before
+    the file is opened.
     """
+    # imported on first use: code that imports this module but writes no CSV
+    # does not load the formatter
+    from .csvtext import write_columns
+
     tr = trace.phase(phase)
     u = tr.u
     n2 = u.shape[1]
@@ -210,11 +193,12 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
     # rows is the config's steps, >= 1
     if u.dtype.kind not in "biu" or u.min() < 0 or u.max() > 1:
         raise ValueError(f"{path.name}: statuses must be integers 0 or 1")
-    return _write_columns(
+    return write_columns(
         path,
-        _phase_header(n2),
-        [_StepTimes(trace), tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid, trace.n_sw_max, tr.v_c, u],
-        ",".join(["%.9g", phase] + ["%.9g"] * 4 + ["%d"] + ["%.9g"] * n2 + ["%d"] * n2),
+        ["t", "phase", "i_ref", "i", "i_z", "v_s", "nsw_max"]
+        + [f"vC_{k + 1}" for k in range(n2)]
+        + [f"u_{k + 1}" for k in range(n2)],
+        [_StepTimes(trace), phase, tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid, trace.n_sw_max, tr.v_c, u],
     )
 
 
@@ -335,6 +319,8 @@ def load_run(out_dir: str | Path) -> SimTrace:
 def _write_fig_files(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics]) -> dict[str, int]:
     """The figure files and ``dc_bus.csv``, each written from the trace or
     the report.  Returns the row count of each."""
+    from .csvtext import write_columns  # on first use, as write_phase_csv
+
     n2 = 2 * trace.config.params.n
     tr, t = trace.phase("a"), _StepTimes(trace)
     fig4, fig5, fig6, fig7, dc_bus = _FIG_FILES
@@ -351,17 +337,13 @@ def _write_fig_files(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics
                 reduction_percent(report),
                 np.array([seg.f_s_per_sm[0] for seg in report]).reshape(len(report), n2),
             ],
-            ",".join(["%d", "%.9g", "%.9g", "%d"] + ["%.9g"] * (2 + n2)),
         ),
-        fig5: (["t"] + [f"vC_{k + 1}" for k in range(n2)], [t, tr.v_c], ",".join(["%.9g"] * (1 + n2))),
-        fig6: (["t", "i_ref", "i"], [t, tr.i_ref, tr.i_ac], "%.9g,%.9g,%.9g"),
-        fig7: (["t", "i_z"], [t, tr.i_circ], "%.9g,%.9g"),
-        dc_bus: (["t", "v_dc"], [t, trace.v_dc], "%.9g,%.9g"),
+        fig5: (["t"] + [f"vC_{k + 1}" for k in range(n2)], [t, tr.v_c]),
+        fig6: (["t", "i_ref", "i"], [t, tr.i_ref, tr.i_ac]),
+        fig7: (["t", "i_z"], [t, tr.i_circ]),
+        dc_bus: (["t", "v_dc"], [t, trace.v_dc]),
     }
-    return {
-        name: _write_columns(out_dir / name, header, columns, fmt)
-        for name, (header, columns, fmt) in tables.items()
-    }
+    return {name: write_columns(out_dir / name, header, columns) for name, (header, columns) in tables.items()}
 
 
 _FIG_FILES = (

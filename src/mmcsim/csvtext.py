@@ -4,7 +4,7 @@ Every CSV of ``mmcsim run`` is written by ``write_columns``.  Each block of
 rows becomes one uint8 matrix: each field is a fixed-width slot holding a
 leading "," and its text, the bytes a slot does not use are NUL, and
 deleting the NULs leaves the block's text, byte-identical to Python's
-``fmt % row``.
+``%`` applied to each row.
 """
 from __future__ import annotations
 
@@ -177,68 +177,63 @@ def format_d(v: np.ndarray) -> np.ndarray:
     return table.reshape(-1, width).take(index, axis=0)
 
 
-_FORMATTERS = {"%.9g": (np.float64, format_g9), "%d": (None, format_d)}
+# a column's formatter and the dtype its block is made in, by the column's
+# dtype kind
+_FORMATTERS = {"f": (format_g9, np.float64), **dict.fromkeys("biu", (format_d, None))}
 
 
-def _row_layout(path: Path, fmt: str, widths: list[int]) -> tuple[list[list[int]], list[Any]]:
-    """The columns each value format reads, in order, and the row as pieces:
-    fixed text as bytes, or ``(spec, i, j)`` for slots ``i..j-1`` of the
-    block those columns make, formatted by ``spec``.  The fields of a 2-D
-    column share one format."""
-    fields = fmt.split(",")
-    specs = [field for field in fields if "%" in field]
-    for spec in specs:
-        if spec not in _FORMATTERS:
-            raise ValueError(f"{path.name}: unsupported field {spec!r}, expected text, %.9g or %d")
-    if len(specs) != sum(widths):
-        raise ValueError(f"{path.name}: the format has {len(specs)} value fields for {sum(widths)} columns")
-    firsts = np.cumsum([0, *widths[:-1]]).tolist()
-    if any(len(set(specs[i : i + w])) > 1 for i, w in zip(firsts, widths)):
-        raise ValueError(f"{path.name}: a 2-D column mixes %.9g and %d fields")
-    by_spec = [[k for k, i in enumerate(firsts) if specs[i] == spec] for spec in _FORMATTERS]
-
-    pieces: list[Any] = []
-    count = dict.fromkeys(_FORMATTERS, 0)
-    for spec, run in itertools.groupby(fields, lambda field: field if "%" in field else ""):
-        run = list(run)
-        if spec:
-            pieces.append((spec, count[spec], count[spec] + len(run)))
-            count[spec] += len(run)
-        else:
-            pieces.append("".join("," + text for text in run).encode())
-    pieces.append(b"\r\n")
-    return by_spec, pieces
-
-
-def write_columns(
-    path: Path, header: Sequence[str], columns: Sequence[Any], fmt: str
-) -> int:
+def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> int:
     """Write equal-length columns side by side as CSV with ``\\r\\n`` line
-    ends, as ``csv.writer`` does.  A 2-D array adds one column per array
-    column.  ``fmt`` is a row of ``,``-separated fields, each ``%.9g``, ``%d``
-    or fixed text, with the bytes of ``fmt % row``.  Each block of
-    ``BLOCK_ROWS`` rows is formatted as one matrix and written with one
-    call, so the table is never held as text or Python objects.  Returns
-    the row count."""
-    lengths = {len(col) for col in columns}
+    ends, as ``csv.writer`` does.  A float column is written as ``%.9g``, an
+    integer or bool one as ``%d``, a list as ``np.asarray`` reads it, and a
+    2-D array adds one CSV column per array column.  A ``str`` is fixed
+    text on every row.
+
+    Columns of unequal length, a header that does not name every CSV
+    column and a column of any other dtype raise ``ValueError`` naming the
+    file before it is opened.  Each block of ``BLOCK_ROWS`` rows is
+    formatted as one matrix and written with one call, so the table is
+    never held as text or Python objects.  Returns the row count."""
+    columns = [np.asarray(col) if isinstance(col, list) else col for col in columns]
+    lengths = {len(col) for col in columns if not isinstance(col, str)}
     if len(lengths) != 1:
         raise ValueError(f"{path.name}: columns differ in length: {sorted(lengths)}")
     rows = lengths.pop()
-    shapes = [np.shape(col[:1]) for col in columns]
-    widths = [shape[1] if len(shape) == 2 else 1 for shape in shapes]
-    by_spec, pieces = _row_layout(path, fmt, widths)
+    heads = [col if isinstance(col, str) else np.asarray(col[:1]) for col in columns]
+    widths = [np.shape(head)[1] if np.ndim(head) == 2 else 1 for head in heads]
+    if sum(widths) != len(header):
+        raise ValueError(f"{path.name}: the header names {len(header)} columns, the table has {sum(widths)}")
+    # the columns each formatter reads, in order, and the row as pieces:
+    # fixed text as bytes, or (formatter, i, j) for slots i..j-1 of the block
+    # those columns make
+    by_formatter: dict[Any, list[int]] = {}
+    pieces: list[Any] = []
+    for k, (head, first) in enumerate(zip(heads, itertools.accumulate(widths, initial=0))):
+        if isinstance(head, str):
+            pieces.append(("," + head).encode())
+            continue
+        if head.dtype.kind not in _FORMATTERS:
+            raise ValueError(
+                f"{path.name}: column {header[first]!r} holds {head.dtype}, expected floats, integers or bools"
+            )
+        formatter = _FORMATTERS[head.dtype.kind]
+        cols = by_formatter.setdefault(formatter, [])
+        i = sum(widths[c] for c in cols)
+        cols.append(k)
+        pieces.append((formatter, i, i + widths[k]))
+    pieces.append(b"\r\n")
+
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, rows, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, rows)
             slots = {}
-            for (spec, (dtype, format_)), cols in zip(_FORMATTERS.items(), by_spec):
-                if cols:
-                    block = np.concatenate(
-                        [np.reshape(columns[k][start:stop], (stop - start, -1)) for k in cols],
-                        axis=1, dtype=dtype,
-                    )
-                    slots[spec] = format_(block).reshape(stop - start, block.shape[1], -1)
+            for (format_, dtype), cols in by_formatter.items():
+                block = np.concatenate(
+                    [np.reshape(columns[k][start:stop], (stop - start, -1)) for k in cols],
+                    axis=1, dtype=dtype,
+                )
+                slots[format_, dtype] = format_(block).reshape(stop - start, block.shape[1], -1)
             matrix = np.concatenate(
                 [
                     np.broadcast_to(np.frombuffer(p, np.uint8), (stop - start, len(p)))

@@ -16,10 +16,10 @@ import pytest
 
 import mmcsim as m
 from mmcsim.cli import (
-    ConfigError, _write_columns, _write_fig_files, build_config, format_summary, load_run, main,
-    parse_config, write_phase_csv,
+    ConfigError, _write_fig_files, build_config, format_summary, load_run, main, parse_config,
+    write_phase_csv,
 )
-from mmcsim.csvtext import BLOCK_ROWS
+from mmcsim.csvtext import BLOCK_ROWS, write_columns
 from mmcsim.scenario import PHASES, PhaseTrace, SimTrace, config_from_dict
 
 
@@ -235,6 +235,21 @@ def test_run_command_fast_profile(tmp_path, fast_v1fc_trace):
             assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
     assert format_summary(rep_loaded) == format_summary(rep_fixture)
 
+    # fig4 against one `%` per row of the report: eight segments, negative
+    # reductions among them, and int columns passed as lists
+    reductions = m.reduction_percent(rep_fixture)
+    assert len(rep_fixture) == 8 and min(reductions) < 0
+    columns = [
+        [seg.index for seg in rep_fixture], [seg.t_start for seg in rep_fixture],
+        [seg.t_end for seg in rep_fixture], [seg.n_sw_max for seg in rep_fixture],
+        [seg.f_s_mean("a") for seg in rep_fixture], reductions,
+        np.array([seg.f_s_per_sm[0] for seg in rep_fixture]),
+    ]
+    header = (["segment", "t_start", "t_end", "nsw_max", "f_s_mean_hz", "reduction_pct"]
+              + [f"f_s_sm_{k}_hz" for k in range(1, 13)])
+    _write_columns_single_pass(tmp_path / "fig4.csv", header, columns, "%d,%.9g,%.9g,%d" + ",%.9g" * 14)
+    assert (out / "fig4_switching_frequency.csv").read_bytes() == (tmp_path / "fig4.csv").read_bytes()
+
 
 def _assert_same_trace(got, want):
     """Every array of ``got`` equals ``want``'s bit for bit, dtype included."""
@@ -435,7 +450,8 @@ def test_write_columns_matches_single_pass(tmp_path, rows):
     header = ["t", "tag", "x", "n", "v1", "v2", "v3", "u1", "u2", "u3", "y", "z", "k"]
     fmt = ",".join(["%.9g", "a", "%.9g", "%d"] + ["%.9g"] * 3 + ["%d"] * 3 + ["%.9g"] * 2 + ["%d"])
     new, old = tmp_path / "blocked.csv", tmp_path / "single.csv"
-    assert _write_columns(new, header, columns, fmt) == rows
+    # the tag as a str column: fixed text on every row
+    assert write_columns(new, header, [columns[0], "a", *columns[1:]]) == rows
     assert _write_columns_single_pass(old, header, columns, fmt) == rows
     assert new.read_bytes() == old.read_bytes()
 
@@ -445,25 +461,24 @@ def test_write_columns_ragged_table_writes_nothing(tmp_path):
     path = tmp_path / "ragged.csv"
     columns = [np.zeros(2 * BLOCK_ROWS), np.zeros(2 * BLOCK_ROWS - 1)]
     with pytest.raises(ValueError, match="differ in length"):
-        _write_columns(path, ["a", "b"], columns, "%g,%g")
+        write_columns(path, ["a", "b"], columns)
     assert not path.exists()
 
 
 @pytest.mark.parametrize(
-    "fmt, match",
+    "header, b, match",
     [
-        ("%g,%d,%d", "unsupported field '%g'"),
-        ("%.9g,%d", "the format has 2 value fields for 3 columns"),
-        ("%.9g,%d,%d,%d", "the format has 4 value fields for 3 columns"),
-        ("%.9g,%.9g,%d", "a 2-D column mixes %.9g and %d fields"),
+        (["a", "b1"], np.zeros((3, 2), np.int8), "the header names 2 columns, the table has 3"),
+        (["a", "b1", "b2", "c"], np.zeros((3, 2), np.int8), "the header names 4 columns, the table has 3"),
+        (["a", "b"], np.array(["x", "y", "z"]), "column 'b' holds <U1, expected floats, integers or bools"),
+        (["a", "b1", "b2"], np.zeros((3, 2), complex), "column 'b1' holds complex128, expected floats"),
     ],
-    ids=["unsupported", "too-few", "too-many", "mixed-2d"],
+    ids=["too-few-names", "too-many-names", "text-array", "complex-array"],
 )
-def test_write_columns_rejects_bad_format_before_opening(tmp_path, fmt, match):
+def test_write_columns_rejects_before_opening(tmp_path, header, b, match):
     path = tmp_path / "bad.csv"
-    columns = [np.zeros(3), np.zeros((3, 2), np.int8)]
     with pytest.raises(ValueError, match=re.escape(f"bad.csv: {match}")):
-        _write_columns(path, ["a", "b1", "b2"], columns, fmt)
+        write_columns(path, header, [np.zeros(3), b])
     assert not path.exists()
 
 
@@ -859,11 +874,17 @@ def test_manifest_stage_timings(short_run, tmp_path):
         assert np.array_equal(a.phase(ph).v_c, b.phase(ph).v_c)
 
 
+def _child_env():
+    """The environment of a child process that imports this checkout's
+    ``mmcsim``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_python_m_mmcsim(tmp_path):
     # the module entry point in a child process; under python -O the child
     # runs without assert statements too
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _child_env()
     run = [sys.executable, *(["-O"] if sys.flags.optimize else []), "-m", "mmcsim", "run"]
     out = tmp_path / "out"
     done = subprocess.run([*run, "--profile", "fast", "--duration", "0.01", "--out-dir", str(out)],
@@ -874,3 +895,12 @@ def test_python_m_mmcsim(tmp_path):
                           env=env, capture_output=True, text=True)
     assert done.returncode == 2, done.stderr
     assert "cannot read config file" in done.stderr
+
+
+def test_importing_cli_loads_no_formatter():
+    # the writers import csvtext on first use, so code that imports the CLI
+    # but writes no CSV does not pay for it; the child's exit code carries
+    # the check, which holds under python -O too
+    code = "import sys, mmcsim.cli; sys.exit(3 if 'mmcsim.csvtext' in sys.modules else 0)"
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "importing mmcsim.cli loaded mmcsim.csvtext"
