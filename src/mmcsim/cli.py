@@ -381,6 +381,16 @@ def _write_manifest(out_dir: Path, manifest: dict[str, Any]) -> None:
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _engine() -> dict[str, str]:
+    """The manifest's ``engine``, ``"c"`` or ``"numpy"``, and its
+    ``engine_note`` when there is one: why the numpy engine ran, or where
+    the kernel was built."""
+    from .kernel import engine  # loaded by the run already
+
+    name, note = engine()
+    return {"engine": name, **({"engine_note": note} if note else {})}
+
+
 def run_command(args: argparse.Namespace) -> int:
     # perf_counter marks between the stages of the manifest's stage_seconds
     marks = [time.perf_counter()]
@@ -421,6 +431,7 @@ def run_command(args: argparse.Namespace) -> int:
             finished_utc=_utc_now(),
             error=str(exc),
             stage_seconds=dict(zip(_STAGES, np.diff(marks).tolist())),
+            **_engine(),
         )
         _write_manifest(out_dir, manifest)
         print(f"error: {exc}", file=sys.stderr)
@@ -446,6 +457,7 @@ def run_command(args: argparse.Namespace) -> int:
         files={name: {"rows": rows} for name, rows in files.items()},
         stage_seconds=stage_seconds,
         phase_steps_per_s=len(PHASES) * trace.steps / stage_seconds["simulate"],
+        **_engine(),
     )
     _write_manifest(out_dir, manifest)
 
@@ -456,8 +468,9 @@ def run_command(args: argparse.Namespace) -> int:
 
 def build_config(args: argparse.Namespace) -> ScenarioConfig:
     """Profile defaults, overridden by the config file, then by flags.  A
-    config whose report the profile's settle margin would leave without
-    samples raises ``ConfigError``, so it fails before it is simulated."""
+    config whose report would measure nothing, because the warm-up covers
+    the run or the profile's settle margin leaves a segment without samples,
+    raises ``ConfigError``, so it fails before it is simulated."""
     if args.config:
         base = parse_config(args.config, profile=args.profile)
     else:
@@ -465,9 +478,13 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
     flags = {"algorithm": args.algorithm, "dc_model": args.dc_model, "duration": args.duration}
     config = _override(base, {k: v for k, v in flags.items() if v is not None})
     try:
-        segment_windows(config, settle=_SETTLE[args.profile])
+        windows = segment_windows(config, settle=_SETTLE[args.profile])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if not windows:
+        raise ConfigError(
+            f"warm-up {config.warmup} s covers the whole {config.duration} s run: no measured segment"
+        )
     return config
 
 

@@ -190,10 +190,12 @@ def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> 
     text on every row.
 
     Columns of unequal length, a header that does not name every CSV
-    column and a column of any other dtype raise ``ValueError`` naming the
-    file before it is opened.  Each block of ``BLOCK_ROWS`` rows is
-    formatted as one matrix and written with one call, so the table is
-    never held as text or Python objects.  Returns the row count."""
+    column, a ``str`` holding a ``,``, a line break or a NUL (which would
+    split the field or be dropped) and a column of any other dtype raise
+    ``ValueError`` naming the file before it is opened.  Each block of
+    ``BLOCK_ROWS`` rows is formatted as one matrix and written with one
+    call, so the table is never held as text or Python objects.  Returns
+    the row count."""
     columns = [np.asarray(col) if isinstance(col, list) else col for col in columns]
     lengths = {len(col) for col in columns if not isinstance(col, str)}
     if len(lengths) != 1:
@@ -210,6 +212,10 @@ def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> 
     pieces: list[Any] = []
     for k, (head, first) in enumerate(zip(heads, itertools.accumulate(widths, initial=0))):
         if isinstance(head, str):
+            if any(c in head for c in ",\r\n\0"):
+                raise ValueError(
+                    f"{path.name}: column {header[first]!r} holds {head!r}: a ',', line break or NUL"
+                )
             pieces.append(("," + head).encode())
             continue
         if head.dtype.kind not in _FORMATTERS:

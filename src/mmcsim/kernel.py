@@ -1,0 +1,243 @@
+"""The compiled step kernel: ``_step.c``, ``run_scenario``'s step loop in
+plain C, built on first use and called through ``ctypes``.
+
+``library()`` finds or builds the shared library once per process.  The
+compiler is ``$CC`` (default ``cc``), run with ``FLAGS``; nothing is built
+when this module is imported.  The library goes into
+``$XDG_CACHE_HOME/mmcsim`` (default ``~/.cache/mmcsim``) under a name that
+hashes the source, the compiler's ``--version`` output, the compiler command
+with its flags and the platform.  It is written under a temporary name and
+renamed into place, so a process never loads a half-written file.  A cache directory that cannot be
+written gets the library built in a private temporary directory instead,
+removed once the library is loaded.
+
+Right after a build, a short fixed run goes through the library and through
+the numpy engine, and the library is used only when the two records are
+byte-equal: a compiler that fuses or reorders float operations leaves the
+numpy engine in charge instead of drifting from it.  When no library can be
+had, ``engine()`` says why, in one line, and ``run_scenario`` steps with
+numpy.
+"""
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+
+from .core import SimulationDiverged, SystemParams
+from .scenario import (
+    PHASES,
+    NswSchedule,
+    ScenarioConfig,
+    SimTrace,
+    _blank_trace,
+    _bus_diverged,
+    _leg_diverged,
+    _record_layout,
+    _run_numpy,
+    constant_schedule,
+    grid_voltage,
+)
+
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+# (library or None, note or None), once library() has run
+_loaded: tuple[ctypes.CDLL | None, str | None] | None = None
+
+
+def library() -> ctypes.CDLL | None:
+    """The kernel's library, found or built on the first call; None when
+    there is none, and ``engine()`` says why."""
+    global _loaded
+    if _loaded is None:
+        _loaded = _load()
+    return _loaded[0]
+
+
+def engine() -> tuple[str, str | None]:
+    """Which engine ``run_scenario`` uses, ``"c"`` or ``"numpy"``, and a
+    one-line note: why the numpy engine runs, or where an uncached library
+    was built; None when there is nothing to say."""
+    lib = library()
+    return ("c" if lib is not None else "numpy"), _loaded[1]
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/mmcsim``, else ``~/.cache/mmcsim``; a relative path
+    is ignored, as the XDG spec asks, and None means no cache directory."""
+    for base in (os.environ.get("XDG_CACHE_HOME", ""), os.path.join(os.path.expanduser("~"), ".cache")):
+        if os.path.isabs(base):
+            return Path(base) / "mmcsim"
+    return None
+
+
+def _load() -> tuple[ctypes.CDLL | None, str | None]:
+    cc = shlex.split(os.environ.get("CC") or "cc")
+    try:
+        source = resources.files(__package__).joinpath("_step.c").read_bytes()
+    except OSError as exc:
+        return None, f"no kernel source: {exc}"
+    try:
+        version = subprocess.run(
+            [*cc, "--version"], stdin=subprocess.DEVNULL, capture_output=True, check=True
+        ).stdout
+    except OSError as exc:  # not found, not executable
+        return None, f"no compiler: {' '.join(cc)} ({exc.strerror or exc})"
+    except subprocess.CalledProcessError as exc:
+        return None, f"no compiler: {' '.join(cc)} --version exited {exc.returncode}"
+    machine = f"{sys.platform} {platform.machine()} {8 * ctypes.sizeof(ctypes.c_void_p)}-bit"
+    command = " ".join([*cc, *FLAGS])
+    digest = hashlib.sha256(b"\0".join([source, version, command.encode(), machine.encode()]))
+    name = f"_step-{digest.hexdigest()[:16]}.so"
+    cache = _cache_dir()
+    if cache is not None and (cache / name).is_file():  # built and checked by an earlier process
+        try:
+            return _bind(ctypes.CDLL(str(cache / name))), None
+        except (OSError, AttributeError):
+            pass  # unreadable or damaged: build it again
+    built = private = note = None
+    if cache is None:
+        note = "no cache directory, as neither $XDG_CACHE_HOME nor the home directory is an absolute path"
+    else:
+        try:
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, built = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=cache)
+            os.close(fd)
+        except OSError as exc:
+            note = f"cache directory {cache} is not writable ({exc.strerror or exc})"
+    if built is None:
+        private = tempfile.mkdtemp(prefix="mmcsim-")
+        built = os.path.join(private, name)
+        note += "; built in a temporary directory"
+    try:
+        lib, why = _build(cc, source, built)
+        if lib is None:
+            return None, why
+        if private is None:
+            try:
+                os.replace(built, cache / name)
+            except OSError as exc:
+                note = f"could not store the library in {cache} ({exc.strerror or exc})"
+        return lib, note
+    finally:
+        # a loaded library stays mapped once its file is gone
+        if private is not None:
+            shutil.rmtree(private, ignore_errors=True)
+        elif os.path.exists(built):
+            os.unlink(built)
+
+
+def _build(cc: list[str], source: bytes, path: str) -> tuple[ctypes.CDLL | None, str | None]:
+    """Compile ``source`` to ``path``, load it and check it against the
+    numpy engine: (library, None), or (None, why not)."""
+    try:
+        done = subprocess.run([*cc, *FLAGS, "-x", "c", "-", "-o", path], input=source, capture_output=True)
+    except OSError as exc:
+        return None, f"build failed: {exc}"
+    if done.returncode:
+        lines = done.stderr.decode(errors="replace").strip().splitlines() or [""]
+        first_error = next((line for line in lines if "error" in line), lines[-1])
+        return None, f"build failed: {' '.join(cc)} exited {done.returncode}: {first_error[:200]}"
+    try:
+        lib = _bind(ctypes.CDLL(path))
+    except (OSError, AttributeError) as exc:
+        return None, f"build failed: cannot load the library: {exc}"
+    if not _self_check(lib):
+        return None, "self-check mismatch: the library's record differs from the numpy engine's"
+    return lib, None
+
+
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """``lib`` with the signature of each of its functions declared:
+    ``mmcsim_run`` for ``fill``, the sort and the selection for tests."""
+    i32, ptr, f8 = ctypes.c_int32, ctypes.c_void_p, ctypes.c_double
+    for name, restype, argtypes in (
+        ("mmcsim_run", ctypes.c_int, [ptr, ctypes.c_int64, i32, i32, i32] + [ptr] * 8),
+        ("mmcsim_sort_arm", None, [i32, ptr, ptr, i32, i32, ptr, ptr]),
+        ("mmcsim_select_cell", i32, [i32, ptr, ptr, f8, f8, f8, f8]),
+    ):
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    return lib
+
+
+def _self_check_configs() -> list[ScenarioConfig]:
+    """Short runs through every branch of the step: the v1fc budget stage
+    at every budget on a pi-line bus (from the balanced start, where every
+    key ties), and v1f2 with no weight on the circulating current, where
+    cells tie on the objective."""
+    t_s = SystemParams().t_s
+    segment = 40 * t_s
+    stairs = NswSchedule(tuple((b * segment, (b + 1) * segment, b) for b in (0, 1, 2, 3, 4, 5, 6)))
+    return [
+        ScenarioConfig(algorithm="v1fc", dc_model="piline", duration=7 * segment, warmup=0.0,
+                       nsw_schedule=stairs),
+        ScenarioConfig(algorithm="v1f2", params=SystemParams(w_circ=0.0), duration=segment,
+                       warmup=0.0, nsw_schedule=constant_schedule(segment, 6)),
+    ]
+
+
+def _self_check(lib: ctypes.CDLL) -> bool:
+    """Whether the library's record of each self-check run is byte-equal to
+    the numpy engine's."""
+    for config in _self_check_configs():
+        want = _run_numpy(config)
+        got, refs = _blank_trace(config)
+        try:
+            fill(lib, config, got, refs)
+        except SimulationDiverged:  # a miscompiled step can overflow
+            return False
+        if any(got.record[name].tobytes() != block.tobytes() for name, block in want.record.items()):
+            return False
+    return True
+
+
+def fill(lib: ctypes.CDLL, config: ScenarioConfig, trace: SimTrace, refs: np.ndarray) -> None:
+    """Step ``config`` with the library into the record of ``trace`` and the
+    references ``refs``, as ``_blank_trace`` made them.  A state that turns
+    non-finite raises the numpy engine's ``SimulationDiverged``."""
+    params = config.params
+    # in the order of the K_ constants of _step.c
+    consts = np.array([
+        params.t_s, params.c_sm, params.l_arm / params.t_s, params.l_ac / params.t_s,
+        params.z_step, params.t_s / (2.0 * params.l_arm), config.i_circ_nominal, params.v_dc,
+        params.w_track / (2.0 * params.z_step), params.w_circ * params.t_s / (2.0 * params.l_arm),
+        params.v_sm_nominal, config.line_inductance, config.line_end_capacitance,
+        *(grid_voltage(config, 0.0, ph) for ph in PHASES),
+    ])
+    record = trace.record
+    # the kernel writes through these pointers: the blocks must be the ones
+    # _blank_trace lays out for this config
+    blocks = [(name, record.get(name), layout) for name, layout in _record_layout(config).items()]
+    blocks.append(("refs", refs, ((config.steps, 2, len(PHASES)), np.dtype(np.float64))))
+    for name, block, (shape, dtype) in blocks:
+        if not (isinstance(block, np.ndarray) and block.shape == shape and block.dtype == dtype
+                and block.flags.c_contiguous and block.flags.writeable):
+            raise ValueError(f"{name}: expected a writeable C-contiguous {dtype} block of shape {shape}")
+    budgets = trace.n_sw_max
+    where = np.zeros(2, np.int64)
+    bus = np.zeros(1)
+    code = lib.mmcsim_run(
+        consts.ctypes.data, config.steps, params.n, config.algorithm == "v1fc",
+        config.dc_model == "piline", budgets.ctypes.data, refs.ctypes.data,
+        *(record[name].ctypes.data for name in ("currents", "v_c", "u", "v_dc")),
+        where.ctypes.data, bus.ctypes.data,
+    )
+    if code == 1:
+        k, p = where.tolist()
+        i_ac, i_circ = record["currents"][k, :, p].tolist()
+        raise _leg_diverged(p, k, params.t_s, i_ac, i_circ, record["v_c"][k, p].tolist())
+    if code == 2:
+        raise _bus_diverged(int(where[0]), params.t_s, float(bus[0]))
+    if code:
+        raise MemoryError("the step kernel could not allocate its work buffers")

@@ -515,29 +515,59 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     """Advance the three-phase system over the configured span.
 
     Each step does the work of ``modulate_phase`` and then ``step_phase``
-    for the three legs at once: the per-leg quantities (targets, arm currents,
-    the new AC and circulating currents) as floats, the six arms as numpy
-    arrays of shape (phase, arm, submodule) through anticipation, the
-    sort, the cumulative sums, the full-grid selection and the capacitor
-    update.  Every expression keeps the scalar functions' operations and
-    their order, so the trace is bit-identical to stepping them leg by leg.
-
-    The step keeps its numpy calls few and on numpy's fast path.  One
-    ``ArmSorter`` and one ``GridSelector`` are built per run with their
-    buffers; the per-leg floats land in one buffer and one ``take`` repeats
-    them over their arms, so anticipation, the sort key and the selection
-    get operands of one shape; the other step arrays are fixed buffers read
-    through views made once, and every call that fills a buffer writes a
-    contiguous one; and numpy's functions are bound to locals and called
-    with positional arguments.  The chosen cell indexes the selector's table
-    of insertion masks.  Where the step departs from a scalar operation (a
-    sum without its 0.0 start, a +0.0 added for a bypassed submodule), a
-    comment at the step shows that the result has the same bits.
+    for the three legs, every expression with the scalar functions'
+    operations in their order, so the trace is bit-identical to stepping
+    them leg by leg.  The steps run in the compiled kernel of
+    ``mmcsim.kernel``, one call per run, or, when it cannot be built, in the
+    numpy engine (``_run_numpy``); the two records are the same bits.
 
     The DC side is either a stiff source (constant V_dc) or a single lumped
     pi section fed from a stiff source, integrated with a semi-implicit
     Euler step, which stays bounded where a plain forward step on the
     undamped LC would grow.
+    """
+    # imported on the first run, which builds the kernel: importing mmcsim
+    # compiles and loads nothing
+    from . import kernel
+
+    lib = kernel.library()
+    if lib is None:
+        return _run_numpy(config)
+    trace, refs = _blank_trace(config)
+    kernel.fill(lib, config, trace, refs)
+    return trace
+
+
+def _leg_diverged(
+    p: int, k: int, ts: float, i_ac: float, i_circ: float, v_c: list[float]
+) -> SimulationDiverged:
+    """The error of phase ``p`` turning non-finite on step ``k``, from both
+    engines."""
+    return SimulationDiverged(
+        f"phase {PHASES[p]} diverged at step {k + 1} (t = {(k + 1) * ts:.6f} s): "
+        f"non-finite state after the step: i_ac={i_ac!r}, i_circ={i_circ!r}, v_c={v_c!r}"
+    )
+
+
+def _bus_diverged(k: int, ts: float, v_dc: float) -> SimulationDiverged:
+    """The error of the pi-line bus voltage leaving (0, inf) after step
+    ``k``, from both engines."""
+    return SimulationDiverged(f"DC bus voltage {v_dc!r} at step {k + 1} (t = {(k + 1) * ts:.6f} s)")
+
+
+def _run_numpy(config: ScenarioConfig) -> SimTrace:
+    """``run_scenario`` in the numpy engine: the kernel's fallback, and the
+    second oracle it is tested against.
+
+    The per-leg quantities (targets, arm currents, the new AC and
+    circulating currents) are floats, and the six arms numpy arrays of
+    shape (phase, arm, submodule) through anticipation, the sort, the
+    cumulative sums, the full-grid selection and the capacitor update.  One
+    ``ArmSorter`` and one ``GridSelector`` are built per run with their
+    buffers, and the step's numpy calls write fixed contiguous buffers of
+    one shape.  Where the step departs from a scalar operation (a sum
+    without its 0.0 start, a +0.0 added for a bypassed submodule), a comment
+    at the step shows that the result has the same bits.
     """
     params = config.params
     n = params.n
@@ -683,11 +713,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                     # only an inserted capacitor can turn non-finite, and it
                     # spoils the currents: checking them is step_phase's check
                     if not (math.isfinite(i_ac_p) and math.isfinite(i_circ_p)):
-                        raise SimulationDiverged(
-                            f"phase {PHASES[p]} diverged at step {k + 1} (t = {(k + 1) * ts:.6f} s): "
-                            f"non-finite state after the step: i_ac={i_ac_p!r}, "
-                            f"i_circ={i_circ_p!r}, v_c={v_row[p].tolist()!r}"
-                        )
+                        raise _leg_diverged(p, k, ts, i_ac_p, i_circ_p, v_row[p].tolist())
                     i_ac_next.append(i_ac_p)
                     i_circ_next.append(i_circ_p)
                 i_ac, i_circ, v_grid = i_ac_next, i_circ_next, v_grid_next
@@ -704,9 +730,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                     i_line += ts / l_total * (params.v_dc - v_dc_now)
                     v_dc_now += ts / c_end * (i_line - (0.0 + i_circ[0] + i_circ[1] + i_circ[2]))
                     if not (math.isfinite(v_dc_now) and v_dc_now > 0.0):
-                        raise SimulationDiverged(
-                            f"DC bus voltage {v_dc_now!r} at step {k + 1} (t = {(k + 1) * ts:.6f} s)"
-                        )
+                        raise _bus_diverged(k, ts, v_dc_now)
             currents_tr[start:stop] = np.reshape(currents, (-1, 2, len(PHASES)))
 
     return trace

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import mmcsim as m
+from mmcsim import kernel
 from mmcsim.cli import (
-    ConfigError, _write_fig_files, build_config, format_summary, load_run, main, parse_config,
+    ConfigError, _override, _write_fig_files, build_config, format_summary, load_run, main, parse_config,
     write_phase_csv,
 )
 from mmcsim.csvtext import BLOCK_ROWS, write_columns
@@ -184,15 +185,20 @@ def test_duration_override_same_from_file_and_flag(tmp_path):
     path = tmp_path / "short.cfg"
     path.write_text("scenario.duration = 0.5\n")
     from_file = parse_config(path)
-    from_flag = build_config(_flags(duration=0.5))
+    # the override of the flag layer, which build_config applies before it
+    # checks the report's windows
+    from_flag = _override(m.paper_config(), {"duration": 0.5})
     assert from_file == from_flag
     assert from_file.warmup == 0.5
     assert from_file.nsw_schedule.segments == ((0.0, 0.5, 6),)
+    # the clipped warm-up covers the whole run, which build_config refuses
+    with pytest.raises(ConfigError, match="no measured segment$"):
+        build_config(_flags(duration=0.5))
 
     # --duration on top of a schedule written in the file fits that schedule
     path.write_text("schedule.segments = 0:1.3:2, 1.3:2.6:5\n")
-    cfg = build_config(_flags(config=str(path), duration=1.0))
-    assert cfg.nsw_schedule.segments == ((0.0, 1.0, 2),)
+    cfg = build_config(_flags(config=str(path), duration=1.1))
+    assert cfg.nsw_schedule.segments == ((0.0, 1.1, 2),)
     assert cfg.warmup == 1.0
 
 
@@ -317,6 +323,25 @@ def test_run_refuses_settle_margin_before_simulating(tmp_path, capsys, argv, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--profile", "fast", "--duration", "0.01"],
+         "warm-up 0.01 s covers the whole 0.01 s run: no measured segment"),
+        (["--profile", "paper", "--duration", "1.0"],
+         "warm-up 1.0 s covers the whole 1.0 s run: no measured segment"),
+    ],
+    ids=["fast", "paper"],
+)
+def test_run_refuses_run_with_no_measured_segment(tmp_path, capsys, argv, message):
+    # --duration clips the warm-up to the run, which left a report of no
+    # segment and a header-only summary.txt behind exit status 0
+    out = tmp_path / "o"
+    assert main(["run", *argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_command_divergence_exit_code(tmp_path):
     # long enough for the paper profile's 0.02 s settle margin, which is
     # checked before the run; the bus diverges at step 1
@@ -382,7 +407,7 @@ def test_diverged_run_removes_earlier_run_files(tmp_path):
     out = tmp_path / "o"
     cfg = _diverging_config(tmp_path)
     diverge = ["run", "--profile", "fast", "--config", str(cfg), "--out-dir", str(out)]
-    assert main(["run", "--profile", "fast", "--duration", "0.01", "--out-dir", str(out)]) == 0
+    assert main(["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(out)]) == 0
     assert len(list(out.iterdir())) == 11 and (out / "dc_bus.csv").exists()
     assert main(diverge) == 1
     assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
@@ -397,7 +422,7 @@ def test_diverged_run_removes_earlier_run_files(tmp_path):
 def test_run_reports_uncreatable_out_dir(tmp_path, capsys, sub):
     (tmp_path / "taken").write_text("")
     out = tmp_path / "taken" / sub
-    argv = ["run", "--profile", "fast", "--duration", "0.01", "--out-dir", str(out)]
+    argv = ["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot create output directory {out}: "), err
@@ -406,7 +431,7 @@ def test_run_reports_uncreatable_out_dir(tmp_path, capsys, sub):
 
 def test_run_reports_directory_named_as_output(tmp_path, capsys):
     (tmp_path / "o" / "trace.bin").mkdir(parents=True)
-    argv = ["run", "--profile", "fast", "--duration", "0.01", "--out-dir", str(tmp_path / "o")]
+    argv = ["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(tmp_path / "o")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot remove earlier output {tmp_path / 'o' / 'trace.bin'}: "), err
@@ -482,11 +507,23 @@ def test_write_columns_rejects_before_opening(tmp_path, header, b, match):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("char", [",", "\n", "\r", "\0"], ids=["comma", "newline", "return", "nul"])
+def test_write_columns_refuses_text_that_breaks_a_row(tmp_path, char):
+    # 'x,y' would write three fields under a two-name header, and a NUL
+    # would be dropped with the block's padding
+    path = tmp_path / "bad.csv"
+    text = f"x{char}y"
+    with pytest.raises(ValueError, match=re.escape(f"bad.csv: column 'b' holds {text!r}: ")):
+        write_columns(path, ["a", "b"], [np.zeros(2), text])
+    assert not path.exists()
+
+
+
 @pytest.fixture(scope="module")
 def short_run(tmp_path_factory):
     """A CLI run two blocks and a part long, and its in-memory trace."""
     out = tmp_path_factory.mktemp("short") / "run"
-    argv = ["run", "--profile", "fast", "--duration", "0.06", "--out-dir", str(out)]
+    argv = ["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(out)]
     assert main(argv) == 0
     trace = m.run_scenario(load_run(out).config)
     assert trace.steps > 2 * BLOCK_ROWS and trace.steps % BLOCK_ROWS
@@ -637,7 +674,7 @@ def test_phase_csv_and_figures_match_float_writer(tmp_path, n, rows):
 def test_piline_v1f2_run_matches_float_writer(tmp_path):
     out = tmp_path / "run"
     argv = ["run", "--profile", "fast", "--dc-model", "piline", "--algorithm", "v1f2",
-            "--duration", "0.06", "--out-dir", str(out)]
+            "--duration", "0.12", "--out-dir", str(out)]
     assert main(argv) == 0
     loaded = load_run(out)
     trace = m.run_scenario(loaded.config)
@@ -740,9 +777,9 @@ def _half_status(out):
     [
         (_set_value("u", (7, 1, 3), 2), "trace.bin: u[7, 1, 3] is not a status 0 or 1, got 2"),
         (_set_value("u", (2, 1, 11), -1), "trace.bin: u[2, 1, 11] is not a status 0 or 1, got -1"),
-        # the short run has 2400 steps
-        (_half_status, "trace.bin: u record holds <f8 (2400, 3, 12) in C order, "
-                       "the config expects |i1 (2400, 3, 12) in C order"),
+        # the short run has 4800 steps
+        (_half_status, "trace.bin: u record holds <f8 (4800, 3, 12) in C order, "
+                       "the config expects |i1 (4800, 3, 12) in C order"),
         # a completed run records no non-finite value: SimulationDiverged ends it first
         (_set_value("v_c", (700, 2, 1), np.nan), "trace.bin: v_c[700, 2, 1] is not finite, got nan"),
         (_set_value("currents", (700, 0, 2), np.inf), "trace.bin: currents[700, 0, 2] is not finite, got inf"),
@@ -836,7 +873,7 @@ def _config_edit(edit):
         (_config_edit(lambda c: c.update(duration="0.06")),
          "config.duration: expected float, got '0.06'"),
         (_config_edit(lambda c: c["nsw_schedule"][0].pop()),
-         r"config.nsw_schedule\[0\]: expected \[t_start, t_end, n_sw_max\], got \[0.0, 0.06\]"),
+         r"config.nsw_schedule\[0\]: expected \[t_start, t_end, n_sw_max\], got \[0.0, 0.12\]"),
         (lambda mf: json.dumps({k: v for k, v in mf.items() if k != "config"}),
          "expected an object with a 'config' key, got no 'config' key"),
         (lambda mf: json.dumps([mf]), "expected an object with a 'config' key, got list"),
@@ -861,11 +898,14 @@ def test_manifest_stage_timings(short_run, tmp_path):
     for value in (*stages.values(), manifest["phase_steps_per_s"]):
         assert np.isfinite(value) and value >= 0
     assert manifest["phase_steps_per_s"] > 0
+    # the engine that ran, and a note only where there is something to say
+    name, note = kernel.engine()
+    assert manifest["engine"] == name and manifest.get("engine_note") == note
 
     # load_run reads only the config: dropping the timings changes nothing
     copy = tmp_path / "run"
     shutil.copytree(out, copy)
-    del manifest["stage_seconds"], manifest["phase_steps_per_s"]
+    del manifest["stage_seconds"], manifest["phase_steps_per_s"], manifest["engine"]
     (copy / "run_manifest.json").write_text(json.dumps(manifest))
     a, b = load_run(out), load_run(copy)
     assert np.array_equal(a.n_sw_max, b.n_sw_max)
@@ -887,10 +927,10 @@ def test_python_m_mmcsim(tmp_path):
     env = _child_env()
     run = [sys.executable, *(["-O"] if sys.flags.optimize else []), "-m", "mmcsim", "run"]
     out = tmp_path / "out"
-    done = subprocess.run([*run, "--profile", "fast", "--duration", "0.01", "--out-dir", str(out)],
+    done = subprocess.run([*run, "--profile", "fast", "--duration", "0.12", "--out-dir", str(out)],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert json.loads((out / "run_manifest.json").read_text())["config"]["duration"] == 0.01
+    assert json.loads((out / "run_manifest.json").read_text())["config"]["duration"] == 0.12
     done = subprocess.run([*run, "--config", str(tmp_path), "--out-dir", str(tmp_path / "o")],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 2, done.stderr

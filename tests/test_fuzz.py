@@ -1,6 +1,7 @@
 """Property test over SystemParams and short scenarios: every input is
 refused with ValueError when the config is built, or runs to a finite trace
-or SimulationDiverged, never a stray exception or a silent NaN."""
+or SimulationDiverged, never a stray exception or a silent NaN; and the
+compiled kernel, when it is loaded, ends each run as the numpy engine does."""
 import math
 import sys
 
@@ -11,6 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 import mmcsim as m  # noqa: E402
+from mmcsim import kernel  # noqa: E402
+from mmcsim.scenario import _run_numpy  # noqa: E402
 
 # At most one field of an example is replaced by one of these; the other
 # fields stay in wide but finite ranges, so most examples get to run.
@@ -82,8 +85,20 @@ def test_run_finishes_finite_or_raises(inputs):
     # a config that builds runs: a ValueError from inside the run (math's
     # "math domain error", say) names no field
     try:
-        trace = m.run_scenario(config)
-    except m.SimulationDiverged:
+        trace = _run_numpy(config)
+    except m.SimulationDiverged as exc:
+        trace = exc
+    if kernel.library() is not None:
+        # the kernel: the same record bits, or the same error text
+        try:
+            got = m.run_scenario(config)
+        except m.SimulationDiverged as exc:
+            assert str(exc) == str(trace)
+        else:
+            assert not isinstance(trace, Exception), trace
+            for name, block in trace.record.items():
+                assert got.record[name].tobytes() == block.tobytes(), name
+    if isinstance(trace, Exception):
         return
     assert trace.steps == config.steps
     assert np.isfinite(trace.v_dc).all()

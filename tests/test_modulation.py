@@ -1,5 +1,5 @@
 """Modulation-stage checks: targets, objective, both sort strategies, and
-the engine's grid selection against the exhaustive scan."""
+the engines' grid selection against the exhaustive scan."""
 import random
 from dataclasses import replace
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mmcsim as m
+from mmcsim import kernel
 
 REL = 1e-12
 
@@ -197,10 +198,21 @@ def _uniform_cumsums(n=6, step=10e3):
 
 
 def _grid_select(alpha, beta, targets, params):
-    """The engine's selection for one leg, as a ``SelectionResult``."""
+    """The engine's selection for one leg, as a ``SelectionResult``: the
+    cell of the numpy engine's ``GridSelector``, which the compiled kernel's
+    scan must pick too when it is loaded."""
     select = m.GridSelector((), len(alpha) - 1, params)
-    cell = select(np.array([alpha, beta]), np.array([[targets.v_up_target], [targets.v_low_target]]))
-    m_up, m_low = divmod(int(cell), len(alpha))
+    sums = np.array([alpha, beta], dtype=float)
+    cell = int(select(sums, np.array([[targets.v_up_target], [targets.v_low_target]])))
+    lib = kernel.library()
+    if lib is not None:
+        c_cell = lib.mmcsim_select_cell(
+            len(alpha) - 1, sums[0].ctypes.data, sums[1].ctypes.data,
+            targets.v_up_target, targets.v_low_target,
+            params.w_track / (2.0 * params.z_step), params.w_circ * params.t_s / (2.0 * params.l_arm),
+        )
+        assert c_cell == cell, (alpha, beta, targets)
+    m_up, m_low = divmod(cell, len(alpha))
     return m.SelectionResult(m_up, m_low, m.objective_f(params, targets, alpha[m_up], beta[m_low]))
 
 

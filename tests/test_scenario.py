@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import mmcsim as m
-from mmcsim.scenario import PHASES, PhaseTrace, config_from_dict, config_to_dict, steps_until
+from mmcsim import kernel
+from mmcsim.scenario import (
+    PHASES, PhaseTrace, _run_numpy, config_from_dict, config_to_dict, steps_until,
+)
 
 REL = 1e-12
 
@@ -274,8 +277,12 @@ def test_unstable_piline_reports_divergence():
                            line_length_km=1.0, line_c_per_km=1e-12,
                            line_l_per_km=1e-12,
                            nsw_schedule=m.constant_schedule(0.01, 6))
-    with pytest.raises(m.SimulationDiverged, match="step"):
-        m.run_scenario(cfg)
+    messages = set()
+    for engine, run in _engines():
+        with pytest.raises(m.SimulationDiverged, match=r"^DC bus voltage .* at step 1 \(t = ") as got:
+            run(cfg)
+        messages.add(str(got.value))
+    assert len(messages) == 1, messages
 
 
 def test_trace_switch_counts_match_status_stream(fast_v1fc_trace):
@@ -292,6 +299,16 @@ def test_trace_switch_counts_match_status_stream(fast_v1fc_trace):
 
 
 # ------------------------------------------------ the engine and its oracle
+
+def _engines():
+    """The engines ``run_scenario`` can use, by name: the numpy engine, and
+    the compiled kernel when it is loaded.  Whether it should be is
+    ``test_kernel_builds_when_cc_present``'s check."""
+    engines = [("numpy", _run_numpy)]
+    if kernel.library() is not None:
+        engines.append(("c", m.run_scenario))
+    return engines
+
 
 def _reference_run(config):
     """``run_scenario`` as a loop over the scalar building blocks: per step
@@ -361,14 +378,14 @@ def _reference_run(config):
     return m.SimTrace(config=config, v_dc=v_dc_arr, phases=traces)
 
 
-def _assert_same_trace(got, want):
+def _assert_same_trace(got, want, engine=""):
     for name in ("n_sw_max", "v_dc"):
         a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert a.dtype == b.dtype and np.array_equal(a, b), (engine, name)
     for ph in PHASES:
         for name in ("i_ac", "i_ref", "i_circ", "v_grid", "v_c", "u"):
             a, b = getattr(got.phase(ph), name), getattr(want.phase(ph), name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), f"{ph}.{name}"
+            assert a.dtype == b.dtype and np.array_equal(a, b), (engine, f"{ph}.{name}")
 
 
 def _staircase(duration, n):
@@ -382,7 +399,11 @@ def _staircase(duration, n):
 
 
 def test_engine_matches_scalar_loop_fast_profile(fast_v1fc_trace):
-    _assert_same_trace(fast_v1fc_trace, _reference_run(fast_v1fc_trace.config))
+    # the fixture is run_scenario's, on the kernel when it is loaded
+    config = fast_v1fc_trace.config
+    want = _reference_run(config)
+    _assert_same_trace(fast_v1fc_trace, want, "run_scenario")
+    _assert_same_trace(_run_numpy(config), want, "numpy")
 
 
 @pytest.mark.parametrize(
@@ -411,7 +432,44 @@ def test_engine_matches_scalar_loop_fast_profile(fast_v1fc_trace):
          "w_circ0-budget0", "w_circ0-budget3", "w_circ0-v1f2"],
 )
 def test_engine_matches_scalar_loop(cfg):
-    _assert_same_trace(m.run_scenario(cfg), _reference_run(cfg))
+    want = _reference_run(cfg)
+    for engine, run in _engines():
+        _assert_same_trace(run(cfg), want, engine)
+
+
+@pytest.fixture(scope="module")
+def c_engine():
+    """``run_scenario`` on the compiled kernel; skipped without one."""
+    if kernel.library() is None:
+        pytest.skip(f"no step kernel: {kernel.engine()[1]}")
+    return m.run_scenario
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        m.fast_config("v1fc"),
+        m.fast_config("v1f2"),
+        m.fast_config("v1fc", dc_model="piline", duration=0.2, nsw_schedule=_staircase(0.2, 6)),
+        m.fast_config("v1f2", dc_model="piline", duration=0.2, nsw_schedule=_staircase(0.2, 6)),
+        # the benchmark's budget sweep: each constant budget from a warm-up
+        *(m.fast_config("v1fc", duration=0.02, warmup=0.005,
+                        nsw_schedule=m.constant_schedule(0.02, budget)) for budget in range(7)),
+        m.fast_config("v1fc", params=m.SystemParams(w_circ=0.0), duration=0.05, warmup=0.0,
+                      nsw_schedule=_staircase(0.05, 6)),
+        m.fast_config("v1fc", params=m.SystemParams(n=1), duration=0.05, warmup=0.0,
+                      nsw_schedule=_staircase(0.05, 1)),
+        m.fast_config("v1fc", params=m.SystemParams(n=12), duration=0.05, warmup=0.0,
+                      nsw_schedule=_staircase(0.05, 12)),
+    ],
+    ids=["fast-v1fc", "fast-v1f2", "piline-v1fc", "piline-v1f2",
+         *(f"budget{budget}" for budget in range(7)), "w_circ0", "n1", "n12"],
+)
+def test_kernel_record_equals_numpy_engine(c_engine, cfg):
+    got, want = c_engine(cfg), _run_numpy(cfg)
+    assert list(got.record) == list(want.record)
+    for name, block in want.record.items():
+        assert got.record[name].tobytes() == block.tobytes(), name
 
 
 def reference_state(trace, k, phase):
@@ -500,12 +558,30 @@ def test_arm_sorter_matches_scalar_sorts_on_ties(n):
         ]
         got = sorter.v1f2(v_next, signs, u, n) - first
         for p, a, arm, i_arm in each_arm:
-            assert tuple(got[p, a].tolist()) == m.sort_v1f2(arm, i_arm, params).order
+            want = m.sort_v1f2(arm, i_arm, params).order
+            assert tuple(got[p, a].tolist()) == want
+            assert _kernel_order(v_next[p, a] * signs[p, a], u[p, a], False, n) in (None, want)
         for budget in range(n + 1):
             got = sorter.v1fc(v_next, signs, u, budget) - first
             for p, a, arm, i_arm in each_arm:
                 want = m.sort_v1fc(arm, i_arm, budget, params).order
                 assert tuple(got[p, a].tolist()) == want, (arm, i_arm, budget)
+                key = v_next[p, a] * signs[p, a]
+                assert _kernel_order(key, u[p, a], True, budget) in (None, want), (arm, i_arm, budget)
+
+
+def _kernel_order(key, u, v1fc, budget):
+    """The compiled kernel's order of one arm, as a tuple; None when the
+    kernel is not loaded."""
+    lib = kernel.library()
+    if lib is None:
+        return None
+    key, u = np.ascontiguousarray(key, float), np.ascontiguousarray(u, np.int8)
+    order, tmp = np.empty((2, len(key)), np.int32)
+    lib.mmcsim_sort_arm(
+        len(key), key.ctypes.data, u.ctypes.data, v1fc, budget, order.ctypes.data, tmp.ctypes.data
+    )
+    return tuple(order.tolist())
 
 
 def test_arm_sorter_puts_on_first_among_ties():
@@ -520,6 +596,7 @@ def test_arm_sorter_puts_on_first_among_ties():
         order = sorter.v1fc(v_next, np.ones((2, n)), u, budget)
         assert order[0].tolist() == list(m.sort_v1fc(arm, 1.0, budget, m.SystemParams()).order)
         assert order[0].tolist() == [1, 3, 4, 0, 2, 5]
+        assert _kernel_order(v_next[0], u[0], True, budget) in (None, (1, 3, 4, 0, 2, 5))
 
 
 def test_leg_divergence_names_phase_and_step():
@@ -531,7 +608,12 @@ def test_leg_divergence_names_phase_and_step():
     )
     with pytest.raises(m.SimulationDiverged) as want:
         _reference_run(cfg)
-    with pytest.raises(m.SimulationDiverged, match=r"^phase a diverged at step \d+ ") as got:
-        m.run_scenario(cfg)
-    # the same phase, step and time
-    assert str(got.value).split(":")[0] == str(want.value).split(":")[0]
+    messages = set()
+    for engine, run in _engines():
+        with pytest.raises(m.SimulationDiverged, match=r"^phase a diverged at step \d+ ") as got:
+            run(cfg)
+        # the same phase, step and time
+        assert str(got.value).split(":")[0] == str(want.value).split(":")[0], engine
+        messages.add(str(got.value))
+    # and the same currents and capacitor voltages from every engine
+    assert len(messages) == 1, messages
