@@ -1,4 +1,6 @@
-/* run_scenario's step loop in plain C, loaded with ctypes by mmcsim.kernel.
+/* The compiled half of mmcsim, loaded with ctypes by mmcsim.kernel: the
+   step loop of run_scenario, the reference sines of scenario._blank_trace
+   and the row formatter of csvtext.write_columns.
 
    mmcsim_run advances the three phase legs over every step of a run and
    fills the trace blocks of scenario._blank_trace in place.  Each step does
@@ -13,8 +15,14 @@
      cell never winning, as a NaN cell reads +inf in GridSelector;
    - sums: the running sums and the arm voltages add in order, the first
      term without a 0.0 start.
+
+   mmcsim_sin is libm's sin, the function math.sin calls, over an array.
+   mmcsim_format_rows writes a block of CSV rows as text byte-identical to
+   Python's '%.9g' and '%d' (see put_g9).
 */
+#include <inttypes.h>
 #include <math.h>
+#include <stdio.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -235,4 +243,159 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
     free(u);
     free(order);
     return code;
+}
+
+/* out[i] = sin(x[i]) for i < count */
+void mmcsim_sin(const double *x, double *out, int64_t count)
+{
+    for (int64_t i = 0; i < count; i++)
+        out[i] = sin(x[i]);
+}
+
+/* a scaled value whose fraction lies this close to 0.5 may be a decimal
+   tie, which snprintf decides */
+#define G9_TIE 2.5e-7
+/* 10^k for k <= 22, each exact in binary64 */
+static const double POW10[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+static const char DIGITS2[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* '%.9g' % x as Python writes it, at p; returns the end, and may write
+   up to G9_SLACK bytes beyond it.  With e the decimal exponent of |x|,
+   s = |x|*10^(8-e) is one correctly rounded multiply or divide by a power
+   of ten exact in binary64 (|8-e| <= 22), so it is within half an ulp
+   (< 6e-8) of the exact product, and rint(s) is the correctly rounded
+   9-digit mantissa unless frac(s) lies within G9_TIE of 0.5.  Those
+   possible ties, exponents outside [-14, 30], zeros and subnormals go to
+   snprintf, which rounds correctly too; non-finite values are written as
+   Python writes them, "nan" whatever the sign bit. */
+#define G9_SLACK 16
+static char *put_g9(char *p, double x)
+{
+    if (!isfinite(x)) {
+        memcpy(p, x != x ? "nan" : x > 0 ? "inf" : "-inf", 4);
+        return p + (x != x || x > 0 ? 3 : 4);
+    }
+    double a = fabs(x);
+    if (!(a >= 1e-14 && a < 1e31))
+        goto slow;
+    /* floor(log10 a) or a neighbour, from the binary exponent: 78913 / 2^18
+       is log10(2) to 8e-7; the loop corrects it */
+    uint64_t bits;
+    memcpy(&bits, &a, sizeof bits);
+    int e = (((int)(bits >> 52) - 1023) * 78913) >> 18;
+    double s;
+    for (int tries = 0;; tries++) {
+        int k = 8 - e;
+        if (k > 22 || k < -22 || tries == 3)
+            goto slow;
+        s = k >= 0 ? a * POW10[k] : a / POW10[-k];
+        /* s just under 1e8 is a mantissa rounding up to 1e8 */
+        if (s >= 1e9)
+            e++;
+        else if (s < 1e8 - 1e-6)
+            e--;
+        else
+            break;
+    }
+    double r = rint(s);
+    if (!(fabs(s - r) < 0.5 - G9_TIE))
+        goto slow;
+    uint32_t m = (uint32_t)r;
+    if (m == 1000000000u) { /* 9.9999999995 -> 10 */
+        m = 100000000u;
+        e++;
+    }
+    /* the nine digits at dg + 1, behind a byte that may become the "." */
+    char dg[24];
+    for (int i = 8; i > 1; i -= 2) {
+        memcpy(dg + i, DIGITS2 + 2 * (m % 100), 2);
+        m /= 100;
+    }
+    dg[1] = (char)('0' + m);
+    int nd = 9; /* the digits left when trailing zeros are dropped */
+    while (nd > 1 && dg[nd] == '0')
+        nd--;
+    *p = '-';
+    p += x < 0;
+    if (e >= -4 && e <= 8) {
+        if (e < 0) {
+            memcpy(p, "0.000\0\0", 8);
+            p += 1 - e;
+            memcpy(p, dg + 1, 9);
+            return p + nd;
+        }
+        /* d..d then ".d..d": the digits after the point move up a byte */
+        memcpy(p, dg + 1, 9);
+        if (nd <= e + 1)
+            return p + e + 1;
+        p += e + 1;
+        *p = '.';
+        memcpy(p + 1, dg + e + 2, 8);
+        return p + nd - e;
+    }
+    dg[0] = dg[1];
+    dg[1] = '.';
+    memcpy(p, dg, 10);
+    p += nd > 1 ? nd + 1 : 1;
+    memcpy(p, e < 0 ? "e-" : "e+", 2);
+    memcpy(p + 2, DIGITS2 + 2 * (e < 0 ? -e : e), 2);
+    return p + 4;
+slow:
+    return p + snprintf(p, 32, "%.9g", x);
+}
+
+/* '%d' % v at p; returns the end */
+static char *put_d(char *p, int64_t v)
+{
+    if (v >= 0 && v <= 9) {
+        *p++ = (char)('0' + v);
+        return p;
+    }
+    return p + snprintf(p, 24, "%" PRId64, v);
+}
+
+/* Write `rows` CSV rows to out and return the bytes written.  Row r's
+   fields come from floats (rows, nf) and ints (rows, nd), row-major, and
+   the row is `count` pieces of three ints each: (0, offset, length) for
+   fixed text in text, (1, i, j) for the float columns i..j-1 and (2, i, j)
+   for the int columns i..j-1.  Fields are separated by "," and each row
+   ends in "\r\n".  A number field takes at most 21 bytes with its ",", so
+   out must hold, per row, 21 bytes per number field, the fixed text plus
+   one byte per piece of it, and two, and G9_SLACK bytes after the last
+   row. */
+int64_t mmcsim_format_rows(int64_t rows, const double *floats, int32_t nf, const int64_t *ints,
+                           int32_t nd, const int32_t *pieces, int32_t count, const char *text,
+                           char *out)
+{
+    char *p = out;
+    for (int64_t r = 0; r < rows; r++) {
+        const double *f = floats + r * nf;
+        const int64_t *d = ints + r * nd;
+        int fields = 0;
+        for (int k = 0; k < count; k++) {
+            const int32_t *piece = pieces + 3 * k;
+            int32_t i = piece[1], j = piece[2];
+            if (piece[0] == 0) {
+                if (fields++)
+                    *p++ = ',';
+                memcpy(p, text + i, (size_t)j);
+                p += j;
+                continue;
+            }
+            for (; i < j; i++) {
+                if (fields++)
+                    *p++ = ',';
+                p = piece[0] == 1 ? put_g9(p, f[i]) : put_d(p, d[i]);
+            }
+        }
+        *p++ = '\r';
+        *p++ = '\n';
+    }
+    return p - out;
 }

@@ -250,7 +250,9 @@ def _read_record(path: Path, config: ScenarioConfig) -> SimTrace:
                 f"{_RECORD} is too small to hold the {config.steps} steps the config expects: "
                 f"{size} bytes, the blocks alone need {need}"
             )
-        trace = _blank_trace(config)[0]
+        from . import kernel  # as run_scenario does, on first use
+
+        trace = _blank_trace(config, kernel.library())[0]
         for name, block in trace.record.items():
             try:
                 version = np.lib.format.read_magic(fh)

@@ -1,17 +1,25 @@
-"""CSV text, formatted a block of rows at a time with numpy.
+"""CSV text, formatted a block of rows at a time.
 
-Every CSV of ``mmcsim run`` is written by ``write_columns``.  Each block of
-rows becomes one uint8 matrix: each field is a fixed-width slot holding a
-leading "," and its text, the bytes a slot does not use are NUL, and
-deleting the NULs leaves the block's text, byte-identical to Python's
-``%`` applied to each row.
+Every CSV of ``mmcsim run`` is written by ``write_columns``, its floats as
+``%.9g`` and its integers as ``%d``, byte-identical to Python's ``%``
+applied to each row.  Both writers below keep the same exactness rule for
+``%.9g`` (see ``format_g9``): a 9-digit mantissa from one correctly rounded
+scaling by an exact power of ten, and Python's or the C library's own
+formatting for the values that rule cannot settle.
+
+- With the compiled library of ``mmcsim.kernel``, each block is one call of
+  its row formatter, which writes the block's text into a buffer reused for
+  the whole file.
+- Without it, each block becomes one uint8 matrix: each field is a
+  fixed-width slot holding a leading "," and its text, the bytes a slot
+  does not use are NUL, and deleting the NULs leaves the block's text.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -27,6 +35,21 @@ _G9_TIE = 2.5e-7
 # tables indexed by exponent hold e in [-16, 32]: log10 and one correction
 # step reach no further from the fast path's range
 _G9_E0 = -16
+# the bytes a number field takes at most in the library's text, its ","
+# included (a %d field of int64 21, a %.9g field 17), and the bytes its
+# float formatter may write beyond the end of a field
+_FIELD_MAX = 21
+_FIELD_SLACK = 16
+# values on every edge of format_g9's fast path
+G9_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e-5, 1e-4, 9.99999999e-5, 9.999999995e-5,  # the fixed/exponent boundary
+    999999999.5, 9.9999999995, 99999999.95, 1e9, 1e8,  # carries into the exponent
+    1000000.125, 1000000.375, 100000000.5, 100000001.5, 1.0000000045, 1.0000000055,  # 9th-digit ties
+    1e22, 1e23, 1e100, 1e-100, -1e100, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e-14, 9.999999999999e-15, 1e31, 9.99999999e30,  # the fast path's exponent range
+    float("nan"), -float("nan"), float("inf"), float("-inf"), 1.0, -1.0, 0.1, 25e-6, 60e3,
+]
 
 
 @functools.cache
@@ -177,9 +200,93 @@ def format_d(v: np.ndarray) -> np.ndarray:
     return table.reshape(-1, width).take(index, axis=0)
 
 
-# a column's formatter and the dtype its block is made in, by the column's
-# dtype kind
-_FORMATTERS = {"f": (format_g9, np.float64), **dict.fromkeys("biu", (format_d, None))}
+def check_text(lib: Any) -> str | None:
+    """What of the library's CSV text differs from Python's ``%``, or None.
+
+    The floats are ``G9_EDGES``, powers of ten, near ties at the 10th digit,
+    the neighbours of both, and seeded bit patterns of every exponent; the
+    integers are -12..12 and values of every width, both int64 ends
+    included.
+    """
+    rng = np.random.default_rng(18)
+    ties = np.array([float(f"{d}5e{k}") for d, k in zip(
+        rng.integers(10**8, 10**9, 2000).tolist(), rng.integers(-30, 31, 2000).tolist()
+    )])
+    powers = 10.0 ** np.arange(-25, 33)
+    floats = np.concatenate([
+        G9_EDGES, powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf),
+        rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64),
+    ])
+    ints = np.concatenate([np.arange(-12, 13), [2**63 - 1, -(2**63)], 10 ** np.arange(19), -(10 ** np.arange(19))])
+    ints = np.resize(ints, floats.size)
+    want = b"".join(b"%.9g,x,%d\r\n" % row for row in zip(floats.tolist(), ints.tolist()))
+    got = _c_writer(lib, [("f", 0, 1), b"x", ("d", 0, 1)], 1, 1, floats.size)(floats[:, None], ints[:, None])
+    return None if got == want else "the library's CSV text differs from Python's %"
+
+
+def _c_writer(lib: Any, pieces: list[Any], nf: int, nd: int, rows: int) -> Callable[..., memoryview]:
+    """A block's text by the library's row formatter, from its float and
+    integer blocks: a view of one buffer sized for ``rows`` rows and reused
+    by every call."""
+    # the pieces as mmcsim_format_rows reads them, the fixed texts end to end
+    layout, text = [], b""
+    for p in pieces:
+        if isinstance(p, bytes):
+            layout.append((0, len(text), len(p)))
+            text += p
+        else:
+            layout.append(("fd".index(p[0]) + 1, p[1], p[2]))
+    layout = np.array(layout, np.int32)
+    row_max = _FIELD_MAX * (nf + nd) + len(text) + len(pieces) + 2
+    out = np.empty(rows * row_max + _FIELD_SLACK, np.uint8)
+    view = memoryview(out)
+
+    def write(floats: np.ndarray | None, ints: np.ndarray | None) -> memoryview:
+        n = len(floats if floats is not None else ints)
+        # the library reads n rows of each block and writes n rows into out
+        for block, width, dtype in ((floats, nf, np.float64), (ints, nd, np.int64)):
+            if width and not (isinstance(block, np.ndarray) and block.dtype == dtype
+                              and block.shape == (n, width) and block.flags.c_contiguous):
+                raise ValueError(f"expected a C-contiguous {dtype.__name__} block of shape {(n, width)}")
+        if n > rows:
+            raise ValueError(f"{n} rows, the buffer holds {rows}")
+        size = lib.mmcsim_format_rows(
+            n, None if floats is None else floats.ctypes.data, nf,
+            None if ints is None else ints.ctypes.data, nd,
+            layout.ctypes.data, len(layout), text, out.ctypes.data,
+        )
+        return view[:size]
+
+    return write
+
+
+def _numpy_writer(pieces: list[Any]) -> Callable[..., bytes]:
+    """A block's text by ``format_g9`` and ``format_d``, from its float and
+    integer blocks."""
+    # the pieces, each text with the "," before it, and the row end
+    parts = [b"," + p if isinstance(p, bytes) else p for p in pieces] + [b"\r\n"]
+
+    def write(floats: np.ndarray | None, ints: np.ndarray | None) -> bytes:
+        rows = len(floats if floats is not None else ints)
+        slots = {
+            kind: format_(block).reshape(rows, block.shape[1], -1)
+            for kind, format_, block in (("f", format_g9, floats), ("d", format_d, ints))
+            if block is not None
+        }
+        matrix = np.concatenate(
+            [
+                np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
+                if isinstance(p, bytes)
+                else slots[p[0]][:, p[1] : p[2]].reshape(rows, -1)
+                for p in parts
+            ],
+            axis=1,
+        )
+        matrix[:, 0] = 0  # the first field's ","
+        return matrix.tobytes().translate(None, b"\0")
+
+    return write
 
 
 def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> int:
@@ -190,25 +297,29 @@ def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> 
     text on every row.
 
     Columns of unequal length, a header that does not name every CSV
-    column, a ``str`` holding a ``,``, a line break or a NUL (which would
-    split the field or be dropped) and a column of any other dtype raise
-    ``ValueError`` naming the file before it is opened.  Each block of
-    ``BLOCK_ROWS`` rows is formatted as one matrix and written with one
-    call, so the table is never held as text or Python objects.  Returns
-    the row count."""
+    column, a header name or ``str`` holding a ``,``, a line break or a NUL
+    (which would split the field or be dropped) and a column of any other
+    dtype raise ``ValueError`` naming the file before it is opened.  Each
+    block of ``BLOCK_ROWS`` rows is formatted at once and written with one
+    call, so the table is never held as text or Python objects: by the
+    library of ``mmcsim.kernel`` when there is one, else by ``format_g9``
+    and ``format_d``, which give the same bytes.  Returns the row count."""
     columns = [np.asarray(col) if isinstance(col, list) else col for col in columns]
     lengths = {len(col) for col in columns if not isinstance(col, str)}
     if len(lengths) != 1:
         raise ValueError(f"{path.name}: columns differ in length: {sorted(lengths)}")
     rows = lengths.pop()
+    for name in header:
+        if any(c in name for c in ",\r\n\0"):
+            raise ValueError(f"{path.name}: header name {name!r} holds a ',', line break or NUL")
     heads = [col if isinstance(col, str) else np.asarray(col[:1]) for col in columns]
     widths = [np.shape(head)[1] if np.ndim(head) == 2 else 1 for head in heads]
     if sum(widths) != len(header):
         raise ValueError(f"{path.name}: the header names {len(header)} columns, the table has {sum(widths)}")
-    # the columns each formatter reads, in order, and the row as pieces:
-    # fixed text as bytes, or (formatter, i, j) for slots i..j-1 of the block
-    # those columns make
-    by_formatter: dict[Any, list[int]] = {}
+    # the columns of the float block ("f") and of the integer block ("d"),
+    # in order, and the row as pieces: fixed text as bytes, or (kind, i, j)
+    # for columns i..j-1 of the kind's block
+    blocks: dict[str, list[int]] = {"f": [], "d": []}
     pieces: list[Any] = []
     for k, (head, first) in enumerate(zip(heads, itertools.accumulate(widths, initial=0))):
         if isinstance(head, str):
@@ -216,39 +327,44 @@ def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> 
                 raise ValueError(
                     f"{path.name}: column {header[first]!r} holds {head!r}: a ',', line break or NUL"
                 )
-            pieces.append(("," + head).encode())
+            pieces.append(head.encode())
             continue
-        if head.dtype.kind not in _FORMATTERS:
+        if head.dtype.kind not in "fbiu":
             raise ValueError(
                 f"{path.name}: column {header[first]!r} holds {head.dtype}, expected floats, integers or bools"
             )
-        formatter = _FORMATTERS[head.dtype.kind]
-        cols = by_formatter.setdefault(formatter, [])
-        i = sum(widths[c] for c in cols)
-        cols.append(k)
-        pieces.append((formatter, i, i + widths[k]))
-    pieces.append(b"\r\n")
+        kind = "f" if head.dtype.kind == "f" else "d"
+        i = sum(widths[c] for c in blocks[kind])
+        blocks[kind].append(k)
+        pieces.append((kind, i, i + widths[k]))
 
+    from . import kernel  # on first use, as this module is
+
+    lib = kernel.library()
+    # int64 holds every integer column unless a uint64 one goes beyond it
+    if lib is not None and not any(
+        heads[k].dtype == np.uint64 and rows and np.max(columns[k]) > np.iinfo(np.int64).max
+        for k in blocks["d"]
+    ):
+        nf, nd = (sum(widths[k] for k in blocks[kind]) for kind in "fd")
+        write, int_dtype = _c_writer(lib, pieces, nf, nd, min(rows, BLOCK_ROWS)), np.int64
+    else:
+        # the integer columns' common dtype, or objects where none holds
+        # them all: numpy promotes uint64 beside a signed dtype to float64
+        int_dtype = np.result_type(np.int8, *(heads[k] for k in blocks["d"]))
+        if int_dtype.kind == "f":
+            int_dtype = np.dtype(object)
+        write = _numpy_writer(pieces)
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, rows, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, rows)
-            slots = {}
-            for (format_, dtype), cols in by_formatter.items():
-                block = np.concatenate(
-                    [np.reshape(columns[k][start:stop], (stop - start, -1)) for k in cols],
+            floats, ints = (
+                np.concatenate(
+                    [np.reshape(columns[k][start:stop], (stop - start, -1)) for k in blocks[kind]],
                     axis=1, dtype=dtype,
-                )
-                slots[format_, dtype] = format_(block).reshape(stop - start, block.shape[1], -1)
-            matrix = np.concatenate(
-                [
-                    np.broadcast_to(np.frombuffer(p, np.uint8), (stop - start, len(p)))
-                    if isinstance(p, bytes)
-                    else slots[p[0]][:, p[1] : p[2]].reshape(stop - start, -1)
-                    for p in pieces
-                ],
-                axis=1,
+                ) if blocks[kind] else None
+                for kind, dtype in (("f", np.float64), ("d", int_dtype))
             )
-            matrix[:, 0] = 0  # the first field's ","
-            fh.write(matrix.tobytes().translate(None, b"\0"))
+            fh.write(write(floats, ints))
     return rows

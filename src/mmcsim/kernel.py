@@ -1,5 +1,7 @@
-"""The compiled step kernel: ``_step.c``, ``run_scenario``'s step loop in
-plain C, built on first use and called through ``ctypes``.
+"""The compiled half of mmcsim: ``_step.c``, plain C built on first use and
+called through ``ctypes``.  Its library runs ``run_scenario``'s step loop
+(``fill``), computes ``_blank_trace``'s reference sines with libm's ``sin``
+and formats the rows of ``csvtext.write_columns``.
 
 ``library()`` finds or builds the shared library once per process.  The
 compiler is ``$CC`` (default ``cc``), run with ``FLAGS``; nothing is built
@@ -7,16 +9,18 @@ when this module is imported.  The library goes into
 ``$XDG_CACHE_HOME/mmcsim`` (default ``~/.cache/mmcsim``) under a name that
 hashes the source, the compiler's ``--version`` output, the compiler command
 with its flags and the platform.  It is written under a temporary name and
-renamed into place, so a process never loads a half-written file.  A cache directory that cannot be
-written gets the library built in a private temporary directory instead,
-removed once the library is loaded.
+renamed into place, so a process never loads a half-written file.  A cache
+directory that cannot be written gets the library built in a private
+temporary directory instead, removed once the library is loaded.
 
-Right after a build, a short fixed run goes through the library and through
-the numpy engine, and the library is used only when the two records are
-byte-equal: a compiler that fuses or reorders float operations leaves the
-numpy engine in charge instead of drifting from it.  When no library can be
-had, ``engine()`` says why, in one line, and ``run_scenario`` steps with
-numpy.
+Right after a build, the library is checked against the Python code it
+stands in for: short fixed runs must give the numpy engine's record and
+``math.sin``'s references byte for byte, and a fixed set of values must be
+formatted as Python's ``%`` formats them.  A compiler that fuses or reorders
+float operations leaves numpy and ``math.sin`` in charge instead of drifting
+from them.  The verdict covers all three uses: ``engine()`` is ``"c"`` or
+``"numpy"`` for the step loop and the writer alike, and when no library can
+be had it says why, in one line.
 """
 from __future__ import annotations
 
@@ -50,6 +54,8 @@ from .scenario import (
 )
 
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# after the source, so that a linker that drops unused libraries keeps it
+LIBS = ("-lm",)
 
 # (library or None, note or None), once library() has run
 _loaded: tuple[ctypes.CDLL | None, str | None] | None = None
@@ -65,9 +71,9 @@ def library() -> ctypes.CDLL | None:
 
 
 def engine() -> tuple[str, str | None]:
-    """Which engine ``run_scenario`` uses, ``"c"`` or ``"numpy"``, and a
-    one-line note: why the numpy engine runs, or where an uncached library
-    was built; None when there is nothing to say."""
+    """Which engine ``run_scenario`` and ``write_columns`` use, ``"c"`` or
+    ``"numpy"``, and a one-line note: why the numpy engine runs, or where
+    an uncached library was built; None when there is nothing to say."""
     lib = library()
     return ("c" if lib is not None else "numpy"), _loaded[1]
 
@@ -96,7 +102,7 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
     except subprocess.CalledProcessError as exc:
         return None, f"no compiler: {' '.join(cc)} --version exited {exc.returncode}"
     machine = f"{sys.platform} {platform.machine()} {8 * ctypes.sizeof(ctypes.c_void_p)}-bit"
-    command = " ".join([*cc, *FLAGS])
+    command = " ".join([*cc, *FLAGS, *LIBS])
     digest = hashlib.sha256(b"\0".join([source, version, command.encode(), machine.encode()]))
     name = f"_step-{digest.hexdigest()[:16]}.so"
     cache = _cache_dir()
@@ -139,9 +145,11 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
 
 def _build(cc: list[str], source: bytes, path: str) -> tuple[ctypes.CDLL | None, str | None]:
     """Compile ``source`` to ``path``, load it and check it against the
-    numpy engine: (library, None), or (None, why not)."""
+    Python code it stands in for: (library, None), or (None, why not)."""
     try:
-        done = subprocess.run([*cc, *FLAGS, "-x", "c", "-", "-o", path], input=source, capture_output=True)
+        done = subprocess.run(
+            [*cc, *FLAGS, "-x", "c", "-", *LIBS, "-o", path], input=source, capture_output=True
+        )
     except OSError as exc:
         return None, f"build failed: {exc}"
     if done.returncode:
@@ -152,17 +160,22 @@ def _build(cc: list[str], source: bytes, path: str) -> tuple[ctypes.CDLL | None,
         lib = _bind(ctypes.CDLL(path))
     except (OSError, AttributeError) as exc:
         return None, f"build failed: cannot load the library: {exc}"
-    if not _self_check(lib):
-        return None, "self-check mismatch: the library's record differs from the numpy engine's"
+    mismatch = _self_check(lib)
+    if mismatch:
+        return None, f"self-check mismatch: {mismatch}"
     return lib, None
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """``lib`` with the signature of each of its functions declared:
-    ``mmcsim_run`` for ``fill``, the sort and the selection for tests."""
-    i32, ptr, f8 = ctypes.c_int32, ctypes.c_void_p, ctypes.c_double
+    ``mmcsim_run`` for ``fill``, ``mmcsim_sin`` for ``_blank_trace``,
+    ``mmcsim_format_rows`` for ``write_columns``, the sort and the selection
+    for tests."""
+    i32, i64, ptr, f8 = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     for name, restype, argtypes in (
-        ("mmcsim_run", ctypes.c_int, [ptr, ctypes.c_int64, i32, i32, i32] + [ptr] * 8),
+        ("mmcsim_run", ctypes.c_int, [ptr, i64, i32, i32, i32] + [ptr] * 8),
+        ("mmcsim_sin", None, [ptr, ptr, i64]),
+        ("mmcsim_format_rows", i64, [i64, ptr, i32, ptr, i32, ptr, i32, ctypes.c_char_p, ptr]),
         ("mmcsim_sort_arm", None, [i32, ptr, ptr, i32, i32, ptr, ptr]),
         ("mmcsim_select_cell", i32, [i32, ptr, ptr, f8, f8, f8, f8]),
     ):
@@ -187,19 +200,24 @@ def _self_check_configs() -> list[ScenarioConfig]:
     ]
 
 
-def _self_check(lib: ctypes.CDLL) -> bool:
-    """Whether the library's record of each self-check run is byte-equal to
-    the numpy engine's."""
+def _self_check(lib: ctypes.CDLL) -> str | None:
+    """What of the library differs from the Python code it stands in for,
+    or None: each self-check run's record against the numpy engine's, its
+    references against ``math.sin``'s, and ``csvtext.check_text``."""
+    from .csvtext import check_text
+
     for config in _self_check_configs():
         want = _run_numpy(config)
-        got, refs = _blank_trace(config)
+        got, refs = _blank_trace(config, lib)
+        if refs.tobytes() != _blank_trace(config)[1].tobytes():
+            return "the library's reference sines differ from math.sin's"
         try:
             fill(lib, config, got, refs)
         except SimulationDiverged:  # a miscompiled step can overflow
-            return False
+            return "the library's run diverged"
         if any(got.record[name].tobytes() != block.tobytes() for name, block in want.record.items()):
-            return False
-    return True
+            return "the library's record differs from the numpy engine's"
+    return check_text(lib)
 
 
 def fill(lib: ctypes.CDLL, config: ScenarioConfig, trace: SimTrace, refs: np.ndarray) -> None:

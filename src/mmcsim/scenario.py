@@ -336,12 +336,14 @@ def _record_nbytes(config: ScenarioConfig) -> int:
     return sum(math.prod(shape) * dtype.itemsize for shape, dtype in _record_layout(config).values())
 
 
-def _blank_trace(config: ScenarioConfig) -> tuple[SimTrace, np.ndarray]:
+def _blank_trace(config: ScenarioConfig, lib: Any = None) -> tuple[SimTrace, np.ndarray]:
     """A trace of the config's steps, its references computed and its other
     records not yet set, with the references block behind it: i_ref then
     v_grid, (steps, 2, 3).  The recorded blocks, laid out by
     ``_record_layout``, are the trace's ``record``.  Phase p's fields are
-    views [:, ..., p] of the blocks; ``v_dc`` is nominal."""
+    views [:, ..., p] of the blocks; ``v_dc`` is nominal.  The sines are
+    ``math.sin``'s, or, given the library of ``mmcsim.kernel``, those of its
+    ``mmcsim_sin``: libm's ``sin``, which ``math.sin`` calls."""
     params = config.params
     steps = config.steps
     refs = np.empty((steps, 2, len(PHASES)))
@@ -355,12 +357,16 @@ def _blank_trace(config: ScenarioConfig) -> tuple[SimTrace, np.ndarray]:
         )
         for p, ph in enumerate(PHASES)
     }, record)
-    # the expressions of reference_current and grid_voltage; math.sin, not
-    # np.sin, so every sample has the scalar functions' bits
+    # the expressions of reference_current and grid_voltage; math.sin's
+    # function, not np.sin, so every sample has the scalar functions' bits
     omega_t = 2.0 * math.pi * params.f_grid * trace.t
     for p, ph in enumerate(PHASES):
         arg = omega_t - _PHASE_OFFSET[ph]
-        sines = np.fromiter(map(math.sin, arg.tolist()), float, steps)
+        if lib is None:
+            sines = np.fromiter(map(math.sin, arg.tolist()), float, steps)
+        else:
+            sines = arg  # in place
+            lib.mmcsim_sin(arg.ctypes.data, sines.ctypes.data, steps)
         np.multiply(config.i_ref_peak, sines, out=refs[:, 0, p])
         np.multiply(config.v_s_peak, sines, out=refs[:, 1, p])
     return trace, refs
@@ -533,7 +539,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     lib = kernel.library()
     if lib is None:
         return _run_numpy(config)
-    trace, refs = _blank_trace(config)
+    trace, refs = _blank_trace(config, lib)
     kernel.fill(lib, config, trace, refs)
     return trace
 

@@ -518,6 +518,17 @@ def test_write_columns_refuses_text_that_breaks_a_row(tmp_path, char):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("char", [",", "\n", "\r", "\0"], ids=["comma", "newline", "return", "nul"])
+def test_write_columns_refuses_header_name_that_breaks_the_header(tmp_path, char):
+    # 'a,b' would name two fields over rows of one, and a line break would
+    # split the header over two lines
+    path = tmp_path / "bad.csv"
+    name = f"x{char}y"
+    with pytest.raises(ValueError, match=re.escape(f"bad.csv: header name {name!r} holds ")):
+        write_columns(path, [name, "z"], [np.zeros(2), np.zeros(2)])
+    assert not path.exists()
+
+
 
 @pytest.fixture(scope="module")
 def short_run(tmp_path_factory):

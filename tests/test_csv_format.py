@@ -1,54 +1,147 @@
-"""The CSV writer's block float formatter against Python's own ``'%.9g'``,
-which it must match byte for byte."""
+"""The CSV writer's two formatters against Python's own ``%``, which they
+must match byte for byte: the numpy block formatter ``format_g9``, and the
+row formatter of the compiled library, which the library's cases skip
+without (``test_kernel_builds_when_cc_present`` fails instead when there is
+a compiler)."""
 import numpy as np
 import pytest
 
-from mmcsim.csvtext import format_g9
+from mmcsim import kernel
+from mmcsim.csvtext import BLOCK_ROWS, G9_EDGES, _c_writer, format_g9, write_columns
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
-def _assert_matches_python(values):
+@pytest.fixture(scope="module")
+def library():
+    lib = kernel.library()
+    if lib is None:
+        pytest.skip(f"no library: {kernel.engine()[1]}")
+    return lib
+
+
+def _assert_matches_python(values, lib=None):
+    """Each value's text, by ``format_g9`` or, given the library, by its row
+    formatter as a one-column table, against Python's ``'%.9g'``."""
     x = np.array(values, dtype=np.float64)
-    slots = format_g9(x)
-    assert slots.shape in {(x.size, 24), (x.size, 32)}
-    got = [bytes(slot).replace(b"\0", b"") for slot in slots]
-    want = [b",%.9g" % v for v in x.tolist()]
+    if lib is None:
+        slots = format_g9(x)
+        assert slots.shape in {(x.size, 24), (x.size, 32)}
+        got = [bytes(slot).replace(b"\0", b"")[1:] for slot in slots]
+    else:
+        got = bytes(_c_writer(lib, [("f", 0, 1)], 1, 0, x.size)(x[:, None], None)).split(b"\r\n")[:-1]
+    want = [b"%.9g" % v for v in x.tolist()]
     assert got == want, [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w][:5]
 
 
-EDGES = [
-    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-    1e-5, 1e-4, 9.99999999e-5, 9.999999995e-5,  # the fixed/exponent boundary
-    999999999.5, 9.9999999995, 99999999.95, 1e9, 1e8,  # carries into the exponent
-    1000000.125, 1000000.375, 100000000.5, 100000001.5, 1.0000000045, 1.0000000055,  # 9th-digit ties
-    1e22, 1e23, 1e100, 1e-100, -1e100, 1.7976931348623157e308, -1.7976931348623157e308,
-    1e-14, 9.999999999999e-15, 1e31, 9.99999999e30,  # the fast path's exponent range
-    float("nan"), float("inf"), float("-inf"), 1.0, -1.0, 0.1, 25e-6, 60e3,
-]
-
-
-def test_format_g9_edge_cases():
-    _assert_matches_python(EDGES)
-
-
-def test_format_g9_sampled_bit_patterns_and_near_ties():
+def _sampled_values():
     rng = np.random.default_rng(15)
     ties = (rng.integers(10**9, 10**10, 20_000) * 10 + 5) / 1e10 * 10.0 ** rng.integers(-20, 21, 20_000)
-    _assert_matches_python(np.concatenate([
+    return np.concatenate([
         rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64),  # every exponent
         10.0 ** rng.uniform(-20, 21, 50_000) * rng.choice([-1.0, 1.0], 50_000),
         ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf),
         10.0 ** np.arange(-25, 26), np.nextafter(10.0 ** np.arange(-25, 26), 0),
-    ]))
+    ])
 
 
 # ten significant digits ending in 5: the float nearest a decimal tie at the 9th
 _near_ties = st.builds(lambda d, k: float(f"{d}5e{k}"), st.integers(10**8, 10**9 - 1), st.integers(-30, 30))
+_value_lists = st.lists(st.one_of(st.floats(), _near_ties), min_size=1, max_size=64)
+
+
+def test_format_g9_edge_cases():
+    _assert_matches_python(G9_EDGES)
+
+
+def test_library_format_edge_cases(library):
+    _assert_matches_python(G9_EDGES, library)
+
+
+def test_format_g9_sampled_bit_patterns_and_near_ties():
+    _assert_matches_python(_sampled_values())
+
+
+def test_library_format_sampled_bit_patterns_and_near_ties(library):
+    _assert_matches_python(_sampled_values(), library)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.one_of(st.floats(), _near_ties), min_size=1, max_size=64))
+@given(_value_lists)
 def test_format_g9_matches_python(values):
     _assert_matches_python(values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_value_lists)
+def test_library_format_matches_python(library, values):
+    _assert_matches_python(values, library)
+
+
+# ------------------------------------------- write_columns on both paths
+
+def _python_csv(header, columns):
+    """The table as Python's ``%`` and ``csv.writer`` write it, row by row."""
+    rows = len(next(col for col in columns if not isinstance(col, str)))
+    lines = [",".join(header)]
+    for r in range(rows):
+        fields = []
+        for col in columns:
+            if isinstance(col, str):
+                fields.append(col)
+                continue
+            for v in np.atleast_1d(col[r]).tolist():
+                fields.append("%.9g" % v if isinstance(v, float) else "%d" % v)
+        lines.append(",".join(fields))
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+def _columns(rows, uint64_top):
+    """A column of every kind ``write_columns`` takes, ``rows`` long; the
+    uint64 column goes beyond int64 when ``uint64_top`` is set."""
+    rng = np.random.default_rng(rows)
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e22, 999999999.5])
+    top = 2**64 - 1 if uint64_top else 2**63 - 1
+    return [
+        rng.normal(scale=1e3, size=rows).astype(np.float32),
+        "tag",
+        rng.integers(-128, 128, rows).astype(np.int8),
+        rng.integers(-(2**15), 2**15, rows).astype(np.int16),
+        rng.integers(-(2**63), 2**63 - 1, rows, dtype=np.int64, endpoint=True),
+        rng.integers(0, 2, rows).astype(bool),
+        np.resize(np.array([0, 9, 10, 2**63, top], np.uint64), rows),
+        rng.normal(1e4, 1e2, size=(rows, 3)),
+        np.resize(special, rows),
+        "",
+        rng.integers(0, 2, size=(rows, 2)).astype(np.int8),
+    ]
+
+
+_HEADER = ["f32", "tag", "i8", "i16", "i64", "bool", "u64", "v1", "v2", "v3", "special", "empty", "u1", "u2"]
+
+
+@pytest.mark.parametrize("uint64_top", [False, True], ids=["uint64-fits-int64", "uint64-above-int64"])
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS + 1])
+def test_write_columns_same_bytes_on_both_paths(tmp_path, monkeypatch, library, rows, uint64_top):
+    columns = _columns(rows, uint64_top)
+    want = _python_csv(_HEADER, columns)
+    path = tmp_path / "table.csv"
+    assert write_columns(path, _HEADER, columns) == rows
+    assert path.read_bytes() == want
+    # the numpy path, as a process without the library takes it
+    monkeypatch.setattr(kernel, "_loaded", (None, "no library"))
+    assert write_columns(path, _HEADER, columns) == rows
+    assert path.read_bytes() == want
+
+
+def test_library_writer_refuses_blocks_of_another_layout(library):
+    # the library reads and writes through the blocks' pointers, so a block
+    # that is not the one its writer was made for never reaches it
+    write = _c_writer(library, [("f", 0, 2)], 2, 0, 4)
+    for block in (np.zeros((4, 3)), np.zeros((4, 2), np.float32), np.zeros((2, 4)).T):
+        with pytest.raises(ValueError, match=r"^expected a C-contiguous float64 block of shape \(4, 2\)$"):
+            write(block, None)
+    with pytest.raises(ValueError, match="^5 rows, the buffer holds 4$"):
+        write(np.zeros((5, 2)), None)
+    assert bytes(write(np.ones((4, 2)), None)) == b"1,1\r\n" * 4

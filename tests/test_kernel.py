@@ -131,6 +131,42 @@ def test_self_check_mismatch_runs_numpy_engine(fresh, monkeypatch, capsys):
 
 
 @needs_cc
+@pytest.mark.skipif(shutil.which("sed") is None, reason="no sed")
+@pytest.mark.parametrize(
+    "edit, what",
+    [
+        # the last bit of every reference sine
+        ("s/out\\[i\\] = sin(x\\[i\\]);/out[i] = sin(x[i]) * (1.0 + 0x1p-52);/",
+         "the library's reference sines differ from math.sin's"),
+        # no tie margin: a scaled value at exactly .5 rounds to even, whichever
+        # side of the decimal tie the float lies on
+        ("s/< 0.5 - G9_TIE/<= 0.5/", "the library's CSV text differs from Python's %"),
+    ],
+    ids=["sines", "tie-margin"],
+)
+def test_self_check_mismatch_names_what_differs(fresh, monkeypatch, capsys, edit, what):
+    want = _run_manifest(fresh / "want")
+    assert want["engine"] == "c"
+    # a compiler that changes one line of the source
+    wrapper = fresh / "cc-wrapper"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        'case "$1" in --version) exec ' + shlex.join(_compiler()) + ' --version;; esac\n'
+        f"sed {shlex.quote(edit)} | " + shlex.join(_compiler()) + ' "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("CC", str(wrapper))
+    monkeypatch.setattr(kernel, "_loaded", None)
+    manifest = _run_manifest(fresh / "out")
+    assert manifest["engine"] == "numpy"
+    assert manifest["engine_note"] == f"self-check mismatch: {what}"
+    # the numpy engine and writer give the same files
+    for path in (fresh / "want").iterdir():
+        if path.name != "run_manifest.json":
+            assert (fresh / "out" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@needs_cc
 def test_cache_holds_one_checked_library(fresh, monkeypatch):
     lib, note = kernel._load()
     assert lib is not None and note is None

@@ -9,7 +9,7 @@ import pytest
 import mmcsim as m
 from mmcsim import kernel
 from mmcsim.scenario import (
-    PHASES, PhaseTrace, _run_numpy, config_from_dict, config_to_dict, steps_until,
+    PHASES, PhaseTrace, _blank_trace, _run_numpy, config_from_dict, config_to_dict, steps_until,
 )
 
 REL = 1e-12
@@ -470,6 +470,19 @@ def test_kernel_record_equals_numpy_engine(c_engine, cfg):
     assert list(got.record) == list(want.record)
     for name, block in want.record.items():
         assert got.record[name].tobytes() == block.tobytes(), name
+
+
+def test_library_sines_equal_math_sin(c_engine):
+    # libm's sin, which math.sin calls: the paper profile's references of
+    # every phase, and arguments of every size, to the last bit
+    lib = kernel.library()
+    config = m.paper_config()
+    assert _blank_trace(config, lib)[1].tobytes() == _blank_trace(config)[1].tobytes()
+    rng = np.random.default_rng(18)
+    x = np.concatenate([rng.uniform(-1e3, 1e3, 100_000), rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(float)])
+    got = np.empty_like(x)
+    lib.mmcsim_sin(x.ctypes.data, got.ctypes.data, x.size)
+    assert got.tobytes() == np.array([math.sin(v) for v in x.tolist()]).tobytes()
 
 
 def reference_state(trace, k, phase):
