@@ -7,20 +7,22 @@ and formats the rows of ``csvtext.write_columns``.
 compiler is ``$CC`` (default ``cc``), run with ``FLAGS``; nothing is built
 when this module is imported.  The library goes into
 ``$XDG_CACHE_HOME/mmcsim`` (default ``~/.cache/mmcsim``) under a name that
-hashes the source, the compiler's ``--version`` output, the compiler command
-with its flags and the platform.  It is written under a temporary name and
-renamed into place, so a process never loads a half-written file.  A cache
-directory that cannot be written gets the library built in a private
-temporary directory instead, removed once the library is loaded.
+hashes the source, the compiler's resolved path with its size and
+modification time, the compiler command with its flags and the platform, so
+finding a cached library starts no child process.  It is written under a
+temporary name and renamed into place, so a process never loads a
+half-written file.  A cache directory that cannot be written gets the
+library built in a private temporary directory instead, removed once the
+library is loaded.
 
 Right after a build, the library is checked against the Python code it
 stands in for: short fixed runs must give the numpy engine's record and
 ``math.sin``'s references byte for byte, and a fixed set of values must be
 formatted as Python's ``%`` formats them.  A compiler that fuses or reorders
-float operations leaves numpy and ``math.sin`` in charge instead of drifting
-from them.  The verdict covers all three uses: ``engine()`` is ``"c"`` or
-``"numpy"`` for the step loop and the writer alike, and when no library can
-be had it says why, in one line.
+float operations leaves the numpy engine, ``math.sin`` and Python's ``%`` in
+charge instead of drifting from them.  The verdict covers all three uses:
+``engine()`` is ``"c"`` or ``"numpy"`` for the step loop and the writer
+alike, and when no library can be had it says why, in one line.
 """
 from __future__ import annotations
 
@@ -93,17 +95,17 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
         source = resources.files(__package__).joinpath("_step.c").read_bytes()
     except OSError as exc:
         return None, f"no kernel source: {exc}"
-    try:
-        version = subprocess.run(
-            [*cc, "--version"], stdin=subprocess.DEVNULL, capture_output=True, check=True
-        ).stdout
-    except OSError as exc:  # not found, not executable
-        return None, f"no compiler: {' '.join(cc)} ({exc.strerror or exc})"
-    except subprocess.CalledProcessError as exc:
-        return None, f"no compiler: {' '.join(cc)} --version exited {exc.returncode}"
+    # the compiler's file, not its --version output, keys the cache: no
+    # child process runs when the library is cached
+    found = shutil.which(cc[0]) if cc else None
+    if found is None:
+        return None, f"no compiler: {' '.join(cc)} (not found, or not executable)"
+    found = os.path.realpath(found)
+    stat = os.stat(found)
+    compiler = f"{found} {stat.st_size} {stat.st_mtime_ns}"
     machine = f"{sys.platform} {platform.machine()} {8 * ctypes.sizeof(ctypes.c_void_p)}-bit"
     command = " ".join([*cc, *FLAGS, *LIBS])
-    digest = hashlib.sha256(b"\0".join([source, version, command.encode(), machine.encode()]))
+    digest = hashlib.sha256(b"\0".join([source, *(x.encode() for x in (compiler, command, machine))]))
     name = f"_step-{digest.hexdigest()[:16]}.so"
     cache = _cache_dir()
     if cache is not None and (cache / name).is_file():  # built and checked by an earlier process

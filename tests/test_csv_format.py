@@ -1,13 +1,12 @@
-"""The CSV writer's two formatters against Python's own ``%``, which they
-must match byte for byte: the numpy block formatter ``format_g9``, and the
-row formatter of the compiled library, which the library's cases skip
-without (``test_kernel_builds_when_cc_present`` fails instead when there is
-a compiler)."""
+"""The CSV writer against Python's own ``%``, which it must match byte for
+byte: the row formatter of the compiled library, which the library's cases
+skip without (``test_kernel_builds_when_cc_present`` fails instead when
+there is a compiler), and ``write_columns`` with and without it."""
 import numpy as np
 import pytest
 
 from mmcsim import kernel
-from mmcsim.csvtext import BLOCK_ROWS, G9_EDGES, _c_writer, format_g9, write_columns
+from mmcsim.csvtext import BLOCK_ROWS, G9_EDGES, _c_writer, write_columns
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -21,16 +20,11 @@ def library():
     return lib
 
 
-def _assert_matches_python(values, lib=None):
-    """Each value's text, by ``format_g9`` or, given the library, by its row
-    formatter as a one-column table, against Python's ``'%.9g'``."""
+def _assert_matches_python(values, lib):
+    """Each value's text, by the library's row formatter as a one-column
+    table, against Python's ``'%.9g'``."""
     x = np.array(values, dtype=np.float64)
-    if lib is None:
-        slots = format_g9(x)
-        assert slots.shape in {(x.size, 24), (x.size, 32)}
-        got = [bytes(slot).replace(b"\0", b"")[1:] for slot in slots]
-    else:
-        got = bytes(_c_writer(lib, [("f", 0, 1)], 1, 0, x.size)(x[:, None], None)).split(b"\r\n")[:-1]
+    got = bytes(_c_writer(lib, [("f", 0, 1)], 1, 0, x.size)(x[:, None], None)).split(b"\r\n")[:-1]
     want = [b"%.9g" % v for v in x.tolist()]
     assert got == want, [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w][:5]
 
@@ -51,26 +45,12 @@ _near_ties = st.builds(lambda d, k: float(f"{d}5e{k}"), st.integers(10**8, 10**9
 _value_lists = st.lists(st.one_of(st.floats(), _near_ties), min_size=1, max_size=64)
 
 
-def test_format_g9_edge_cases():
-    _assert_matches_python(G9_EDGES)
-
-
 def test_library_format_edge_cases(library):
     _assert_matches_python(G9_EDGES, library)
 
 
-def test_format_g9_sampled_bit_patterns_and_near_ties():
-    _assert_matches_python(_sampled_values())
-
-
 def test_library_format_sampled_bit_patterns_and_near_ties(library):
     _assert_matches_python(_sampled_values(), library)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_value_lists)
-def test_format_g9_matches_python(values):
-    _assert_matches_python(values)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -106,6 +86,7 @@ def _columns(rows, uint64_top):
     return [
         rng.normal(scale=1e3, size=rows).astype(np.float32),
         "tag",
+        "5%d%%",
         rng.integers(-128, 128, rows).astype(np.int8),
         rng.integers(-(2**15), 2**15, rows).astype(np.int16),
         rng.integers(-(2**63), 2**63 - 1, rows, dtype=np.int64, endpoint=True),
@@ -118,7 +99,7 @@ def _columns(rows, uint64_top):
     ]
 
 
-_HEADER = ["f32", "tag", "i8", "i16", "i64", "bool", "u64", "v1", "v2", "v3", "special", "empty", "u1", "u2"]
+_HEADER = ["f32", "tag", "pct", "i8", "i16", "i64", "bool", "u64", "v1", "v2", "v3", "special", "empty", "u1", "u2"]
 
 
 @pytest.mark.parametrize("uint64_top", [False, True], ids=["uint64-fits-int64", "uint64-above-int64"])
@@ -129,7 +110,7 @@ def test_write_columns_same_bytes_on_both_paths(tmp_path, monkeypatch, library, 
     path = tmp_path / "table.csv"
     assert write_columns(path, _HEADER, columns) == rows
     assert path.read_bytes() == want
-    # the numpy path, as a process without the library takes it
+    # Python's %, as a process without the library writes
     monkeypatch.setattr(kernel, "_loaded", (None, "no library"))
     assert write_columns(path, _HEADER, columns) == rows
     assert path.read_bytes() == want
