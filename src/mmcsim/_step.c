@@ -17,8 +17,9 @@
      term without a 0.0 start.
 
    mmcsim_sin is libm's sin, the function math.sin calls, over an array.
-   mmcsim_format_rows writes a block of CSV rows as text byte-identical to
-   Python's '%.9g' and '%d' (see put_g9).
+   mmcsim_format_columns writes a block of CSV rows as text byte-identical
+   to Python's '%.9g' and '%d' (see put_g9), reading each column in place
+   through its row stride.
 */
 #include <inttypes.h>
 #include <math.h>
@@ -360,38 +361,60 @@ static char *put_d(char *p, int64_t v)
     return p + snprintf(p, 24, "%" PRId64, v);
 }
 
-/* Write `rows` CSV rows to out and return the bytes written.  Row r's
-   fields come from floats (rows, nf) and ints (rows, nd), row-major, and
-   the row is `count` pieces of three ints each: (0, offset, length) for
-   fixed text in text, (1, i, j) for the float columns i..j-1 and (2, i, j)
-   for the int columns i..j-1.  Fields are separated by "," and each row
-   ends in "\r\n".  A number field takes at most 21 bytes with its ",", so
-   out must hold, per row, 21 bytes per number field, the fixed text plus
-   one byte per piece of it, and two, and G9_SLACK bytes after the last
-   row. */
-int64_t mmcsim_format_rows(int64_t rows, const double *floats, int32_t nf, const int64_t *ints,
-                           int32_t nd, const int32_t *pieces, int32_t count, const char *text,
-                           char *out)
+/* the column kinds of mmcsim_format_columns */
+enum { COL_TEXT, COL_F64, COL_I8, COL_I16, COL_I64, COL_TIME };
+
+/* Write rows first .. first+rows-1 of a CSV table to out and return the
+   bytes written.  The row is `count` fields, each described by three
+   int64s (kind, base, stride); row r of a number column is read at byte
+   address base + r * stride, in unsigned arithmetic, so a base may be
+   moved back by whole rows:
+   - COL_F64, COL_I8, COL_I16, COL_I64: a float64 written as '%.9g', or an
+     integer of that width written as '%d';
+   - COL_TIME: (r + 1) * t_s, SimTrace.t's value, with t_s the float64 at
+     base;
+   - COL_TEXT: the `stride` bytes at base, on every row.
+   Fields are separated by "," and each row ends in "\r\n".  A number field
+   takes at most 21 bytes with its ",", so out must hold, per row, 21 bytes
+   per number field, the fixed text plus one byte per text field, and two,
+   and G9_SLACK bytes after the last row. */
+int64_t mmcsim_format_columns(int64_t first, int64_t rows, const int64_t *cols, int32_t count,
+                              char *out)
 {
     char *p = out;
-    for (int64_t r = 0; r < rows; r++) {
-        const double *f = floats + r * nf;
-        const int64_t *d = ints + r * nd;
-        int fields = 0;
+    for (int64_t r = first; r < first + rows; r++) {
         for (int k = 0; k < count; k++) {
-            const int32_t *piece = pieces + 3 * k;
-            int32_t i = piece[1], j = piece[2];
-            if (piece[0] == 0) {
-                if (fields++)
-                    *p++ = ',';
-                memcpy(p, text + i, (size_t)j);
-                p += j;
-                continue;
-            }
-            for (; i < j; i++) {
-                if (fields++)
-                    *p++ = ',';
-                p = piece[0] == 1 ? put_g9(p, f[i]) : put_d(p, d[i]);
+            const int64_t *col = cols + 3 * k;
+            const char *at = (const char *)(uintptr_t)((uint64_t)col[1] + (uint64_t)r * (uint64_t)col[2]);
+            double x;
+            int16_t i16;
+            int64_t i64;
+            if (k)
+                *p++ = ',';
+            switch (col[0]) {
+            case COL_TEXT:
+                memcpy(p, (const char *)(uintptr_t)col[1], (size_t)col[2]);
+                p += col[2];
+                break;
+            case COL_F64:
+                memcpy(&x, at, sizeof x);
+                p = put_g9(p, x);
+                break;
+            case COL_I8:
+                p = put_d(p, *(const int8_t *)at);
+                break;
+            case COL_I16:
+                memcpy(&i16, at, sizeof i16);
+                p = put_d(p, i16);
+                break;
+            case COL_I64:
+                memcpy(&i64, at, sizeof i64);
+                p = put_d(p, i64);
+                break;
+            case COL_TIME:
+                memcpy(&x, (const char *)(uintptr_t)col[1], sizeof x);
+                p = put_g9(p, (double)(r + 1) * x);
+                break;
             }
         }
         *p++ = '\r';

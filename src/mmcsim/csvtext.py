@@ -5,12 +5,17 @@ Every CSV of ``mmcsim run`` is written by ``write_columns``, its floats as
 applied to each row.
 
 - With the compiled library of ``mmcsim.kernel``, each block is one call of
-  its row formatter, which writes the block's text into a buffer reused for
-  the whole file.  For ``%.9g`` it takes a 9-digit mantissa from one
-  correctly rounded scaling by an exact power of ten, and leaves the values
-  that rule cannot settle to the C library's ``snprintf``.
+  its formatter, which reads every column in place through its strides
+  (a 2-D column one field per array column, ``StepTimes`` from the row
+  index) and writes the block's text into a buffer reused for the whole
+  file.  For ``%.9g`` it takes a 9-digit mantissa from one correctly
+  rounded scaling by an exact power of ten, and leaves the values that
+  rule cannot settle to the C library's ``snprintf``.
 - Without it, each row is Python's ``%`` itself (``_python_writer``), which
   is also what ``check_text`` holds the library's text to.
+
+``mmcsim run`` calls it from two threads at once (``cli._write_outputs``):
+each call has its own buffer, and the library's call releases the GIL.
 """
 from __future__ import annotations
 
@@ -40,13 +45,34 @@ G9_EDGES = [
 ]
 
 
+class StepTimes:
+    """The column ``(r+1) * t_s`` of rows ``r < rows``: ``SimTrace.t``'s
+    values, never held whole.  The library computes each value from its row
+    index; Python's ``%`` path takes a block's values as a slice."""
+
+    dtype = np.dtype(np.float64)
+    ndim = 1
+
+    def __init__(self, rows: int, t_s: float) -> None:
+        self.rows, self.t_s = rows, t_s
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, block: slice) -> np.ndarray:
+        start, stop, _ = block.indices(self.rows)
+        # SimTrace.t's expression, so the same bits
+        return np.arange(start + 1, stop + 1) * self.t_s
+
+
 def check_text(lib: Any) -> str | None:
     """What of the library's CSV text differs from Python's ``%``, or None.
 
     The floats are ``G9_EDGES``, powers of ten, near ties at the 10th digit,
     the neighbours of both, and seeded bit patterns of every exponent; the
     integers are -12..12 and values of every width, both int64 ends
-    included.
+    included.  Every kind of column the library reads is in the table, each
+    number column through a row stride wider than its value.
     """
     rng = np.random.default_rng(18)
     ties = np.array([float(f"{d}5e{k}") for d, k in zip(
@@ -58,60 +84,101 @@ def check_text(lib: Any) -> str | None:
         ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf),
         rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64),
     ])
+    rows = floats.size
     ints = np.concatenate([np.arange(-12, 13), [2**63 - 1, -(2**63)], 10 ** np.arange(19), -(10 ** np.arange(19))])
-    ints = np.resize(ints, floats.size)
-    pieces = [("f", 0, 1), b"x", ("d", 0, 1)]
-    want = _python_writer(pieces, [floats, ints])(0, floats.size)
-    got = _c_writer(lib, pieces, 1, 1, floats.size)(floats[:, None], ints[:, None])
+    # int16 and int8 columns inside wider rows, both ends of each included
+    int16s, int8s = np.zeros((rows, 2), np.int16), np.zeros((rows, 3), np.int8)
+    int16s[:, 1] = np.resize(np.r_[-(2**15), 2**15 - 1, np.arange(-(2**15), 2**15, 127)], rows)
+    int8s[:, 1] = np.resize(np.arange(-128, 128), rows)
+    pieces = [
+        StepTimes(rows, 25e-6), np.stack([floats, floats[::-1]], axis=1), b"x%",
+        np.resize(ints, (rows, 2)), int16s[:, 1], int8s[:, 1],
+    ]
+    want = _python_writer(pieces)(0, rows)
+    # a block at a time, as write_columns asks for them
+    write = _CWriter(lib, pieces, BLOCK_ROWS)
+    got = b"".join(bytes(write(start, min(start + BLOCK_ROWS, rows))) for start in range(0, rows, BLOCK_ROWS))
     return None if got == want else "the library's CSV text differs from Python's %"
 
 
-def _c_writer(lib: Any, pieces: list[Any], nf: int, nd: int, rows: int) -> Callable[..., memoryview]:
-    """A block's text by the library's row formatter, from its float and
-    integer blocks: a view of one buffer sized for ``rows`` rows and reused
-    by every call."""
-    # the pieces as mmcsim_format_rows reads them, the fixed texts end to end
-    layout, text = [], b""
-    for p in pieces:
-        if isinstance(p, bytes):
-            layout.append((0, len(text), len(p)))
-            text += p
-        else:
-            layout.append(("fd".index(p[0]) + 1, p[1], p[2]))
-    layout = np.array(layout, np.int32)
-    row_max = _FIELD_MAX * (nf + nd) + len(text) + len(pieces) + 2
-    out = np.empty(rows * row_max + _FIELD_SLACK, np.uint8)
-    view = memoryview(out)
+# the kind of mmcsim_format_columns that reads a column of each dtype in
+# place; a column of another dtype is converted a block at a time (a bool
+# too: its byte need not be 0 or 1)
+_KINDS = {np.dtype(t): kind for t, kind in ((np.float64, 1), (np.int8, 2), (np.int16, 3), (np.int64, 4))}
+_TEXT, _TIME = 0, 5
 
-    def write(floats: np.ndarray | None, ints: np.ndarray | None) -> memoryview:
-        n = len(floats if floats is not None else ints)
-        # the library reads n rows of each block and writes n rows into out
-        for block, width, dtype in ((floats, nf, np.float64), (ints, nd, np.int64)):
-            if width and not (isinstance(block, np.ndarray) and block.dtype == dtype
-                              and block.shape == (n, width) and block.flags.c_contiguous):
-                raise ValueError(f"expected a C-contiguous {dtype.__name__} block of shape {(n, width)}")
-        if n > rows:
-            raise ValueError(f"{n} rows, the buffer holds {rows}")
-        size = lib.mmcsim_format_rows(
-            n, None if floats is None else floats.ctypes.data, nf,
-            None if ints is None else ints.ctypes.data, nd,
-            layout.ctypes.data, len(layout), text, out.ctypes.data,
+
+class _CWriter:
+    """Rows ``start..stop-1`` of a table by the library's formatter, as a
+    view of one buffer sized for ``rows`` rows and reused by every call.
+
+    ``pieces`` are the row's fixed texts as bytes and its number columns,
+    each 1-D or 2-D, which the library reads in place through their strides:
+    one field per array column.  A column of a dtype it does not read is
+    converted a block at a time into a buffer of its own."""
+
+    def __init__(self, lib: Any, pieces: list[Any], rows: int) -> None:
+        # (kind, base address, row stride) per field, as
+        # mmcsim_format_columns reads them; keep holds what they point into
+        fields: list[tuple[int, int, int]] = []
+        self.keep: list[np.ndarray] = []
+        # (column, its buffer, the buffer's first field)
+        self.converted: list[tuple[np.ndarray, np.ndarray, int]] = []
+        for p in pieces:
+            if isinstance(p, bytes):
+                self.keep.append(np.frombuffer(p, np.uint8))
+                fields.append((_TEXT, self.keep[-1].ctypes.data, len(p)))
+                continue
+            if isinstance(p, StepTimes):
+                self.keep.append(np.array([p.t_s]))
+                fields.append((_TIME, self.keep[-1].ctypes.data, 0))
+                continue
+            block = p if p.ndim == 2 else p[:, None]
+            kind = _KINDS.get(block.dtype)
+            if kind is None:
+                buffer = np.empty((rows, block.shape[1]), np.float64 if block.dtype.kind == "f" else np.int64)
+                self.converted.append((block, buffer, len(fields)))
+                block, kind = buffer, _KINDS[buffer.dtype]
+            self.keep.append(block)
+            row_bytes, field_bytes = block.strides
+            fields += [(kind, block.ctypes.data + j * field_bytes, row_bytes) for j in range(block.shape[1])]
+        self.layout = np.array(fields, np.int64).reshape(-1, 3)
+        self.lib, self.rows = lib, rows
+        self.length = min(len(p) for p in pieces if not isinstance(p, bytes))
+        row_max = _FIELD_MAX * len(fields) + sum(len(p) for p in pieces if isinstance(p, bytes)) + 2
+        self.out = np.empty(rows * row_max + _FIELD_SLACK, np.uint8)
+        self.view = memoryview(self.out)
+
+    def __call__(self, start: int, stop: int) -> memoryview:
+        # the library reads rows start..stop-1 of every column, and writes
+        # them into out
+        if not (0 <= start <= stop <= self.length and stop - start <= self.rows):
+            raise ValueError(
+                f"rows {start}..{stop - 1}: the columns hold {self.length} rows, the buffer {self.rows}"
+            )
+        for block, buffer, at in self.converted:
+            np.copyto(buffer[: stop - start], block[start:stop], casting="unsafe")
+            # the buffer's bases moved back by start rows: row start is its first
+            row_bytes, field_bytes = buffer.strides
+            bases = buffer.ctypes.data + np.arange(buffer.shape[1]) * field_bytes
+            self.layout[at : at + buffer.shape[1], 1] = bases - start * row_bytes
+        size = self.lib.mmcsim_format_columns(
+            start, stop - start, self.layout.ctypes.data, len(self.layout), self.out.ctypes.data
         )
-        return view[:size]
-
-    return write
+        return self.view[:size]
 
 
-def _python_writer(pieces: list[Any], columns: list[Any]) -> Callable[[int, int], bytes]:
+def _python_writer(pieces: list[Any]) -> Callable[[int, int], bytes]:
     """Rows ``start..stop-1`` as Python's ``%`` writes them, one row at a
-    time: ``columns`` are the number columns of ``pieces``, in order."""
+    time: ``pieces`` as ``_CWriter`` takes them."""
     fields: list[bytes] = []
     for p in pieces:
         if isinstance(p, bytes):
             fields.append(p.replace(b"%", b"%%"))
         else:
-            fields += [b"%.9g" if p[0] == "f" else b"%d"] * (p[2] - p[1])
+            fields += [b"%.9g" if p.dtype.kind == "f" else b"%d"] * (p.shape[1] if p.ndim == 2 else 1)
     fmt = b",".join(fields) + b"\r\n"
+    columns = [p for p in pieces if not isinstance(p, bytes)]
 
     def write(start: int, stop: int) -> bytes:
         # one list of Python numbers per CSV column
@@ -124,19 +191,20 @@ def _python_writer(pieces: list[Any], columns: list[Any]) -> Callable[[int, int]
 def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> int:
     """Write equal-length columns side by side as CSV with ``\\r\\n`` line
     ends, as ``csv.writer`` does.  A float column is written as ``%.9g``, an
-    integer or bool one as ``%d``, a list as ``np.asarray`` reads it, and a
-    2-D array adds one CSV column per array column.  A ``str`` is fixed
-    text on every row.
+    integer or bool one as ``%d``, any sequence as ``np.asarray`` reads it,
+    and a 2-D array adds one CSV column per array column.  A ``str`` is
+    fixed text on every row, and a ``StepTimes`` is the times of the rows.
 
     Columns of unequal length, a header that does not name every CSV
     column, a header name or ``str`` holding a ``,``, a line break or a NUL
     (which would split the field or be dropped) and a column of any other
-    dtype raise ``ValueError`` naming the file before it is opened.  Each
-    block of ``BLOCK_ROWS`` rows is formatted at once and written with one
-    call, so the table is never held as text or Python objects: by the
-    library of ``mmcsim.kernel`` when there is one, else by Python's ``%``
+    dtype or of more than two dimensions raise ``ValueError`` naming the
+    file before it is opened.  Each block of ``BLOCK_ROWS`` rows is
+    formatted at once and written with one call, so the table is never held
+    as text or Python objects: by the library of ``mmcsim.kernel`` when
+    there is one, which reads each column in place, else by Python's ``%``
     row by row, which gives the same bytes.  Returns the row count."""
-    columns = [np.asarray(col) if isinstance(col, list) else col for col in columns]
+    columns = [col if isinstance(col, (str, StepTimes)) else np.asarray(col) for col in columns]
     lengths = {len(col) for col in columns if not isinstance(col, str)}
     if len(lengths) != 1:
         raise ValueError(f"{path.name}: columns differ in length: {sorted(lengths)}")
@@ -144,53 +212,38 @@ def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> 
     for name in header:
         if any(c in name for c in ",\r\n\0"):
             raise ValueError(f"{path.name}: header name {name!r} holds a ',', line break or NUL")
-    heads = [col if isinstance(col, str) else np.asarray(col[:1]) for col in columns]
-    widths = [np.shape(head)[1] if np.ndim(head) == 2 else 1 for head in heads]
+    widths = [col.shape[1] if not isinstance(col, str) and col.ndim == 2 else 1 for col in columns]
     if sum(widths) != len(header):
         raise ValueError(f"{path.name}: the header names {len(header)} columns, the table has {sum(widths)}")
-    # the columns of the float block ("f") and of the integer block ("d"),
-    # in order, and the row as pieces: fixed text as bytes, or (kind, i, j)
-    # for columns i..j-1 of the kind's block
-    blocks: dict[str, list[int]] = {"f": [], "d": []}
+    # the row as pieces: fixed text as bytes, or a number column
     pieces: list[Any] = []
-    for k, (head, first) in enumerate(zip(heads, itertools.accumulate(widths, initial=0))):
-        if isinstance(head, str):
-            if any(c in head for c in ",\r\n\0"):
+    for col, first in zip(columns, itertools.accumulate(widths, initial=0)):
+        if isinstance(col, str):
+            if any(c in col for c in ",\r\n\0"):
                 raise ValueError(
-                    f"{path.name}: column {header[first]!r} holds {head!r}: a ',', line break or NUL"
+                    f"{path.name}: column {header[first]!r} holds {col!r}: a ',', line break or NUL"
                 )
-            pieces.append(head.encode())
+            pieces.append(col.encode())
             continue
-        if head.dtype.kind not in "fbiu":
+        if col.dtype.kind not in "fbiu":
             raise ValueError(
-                f"{path.name}: column {header[first]!r} holds {head.dtype}, expected floats, integers or bools"
+                f"{path.name}: column {header[first]!r} holds {col.dtype}, expected floats, integers or bools"
             )
-        kind = "f" if head.dtype.kind == "f" else "d"
-        i = sum(widths[c] for c in blocks[kind])
-        blocks[kind].append(k)
-        pieces.append((kind, i, i + widths[k]))
+        if col.ndim > 2:
+            raise ValueError(f"{path.name}: column {header[first]!r} has {col.ndim} dimensions, expected 1 or 2")
+        pieces.append(col)
 
     from . import kernel  # on first use, as this module is
 
     lib = kernel.library()
     # int64 holds every integer column unless a uint64 one goes beyond it
     if lib is not None and not any(
-        heads[k].dtype == np.uint64 and rows and np.max(columns[k]) > np.iinfo(np.int64).max
-        for k in blocks["d"]
+        not isinstance(p, bytes) and p.dtype == np.uint64 and rows and np.max(p) > np.iinfo(np.int64).max
+        for p in pieces
     ):
-        nf, nd = (sum(widths[k] for k in blocks[kind]) for kind in "fd")
-        c_write = _c_writer(lib, pieces, nf, nd, min(rows, BLOCK_ROWS))
-
-        def write(start: int, stop: int) -> memoryview:
-            return c_write(*(
-                np.concatenate(
-                    [np.reshape(columns[k][start:stop], (stop - start, -1)) for k in blocks[kind]],
-                    axis=1, dtype=dtype,
-                ) if blocks[kind] else None
-                for kind, dtype in (("f", np.float64), ("d", np.int64))
-            ))
+        write = _CWriter(lib, pieces, min(rows, BLOCK_ROWS))
     else:
-        write = _python_writer(pieces, [col for col in columns if not isinstance(col, str)])
+        write = _python_writer(pieces)
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, rows, BLOCK_ROWS):

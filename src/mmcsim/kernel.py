@@ -1,7 +1,9 @@
 """The compiled half of mmcsim: ``_step.c``, plain C built on first use and
 called through ``ctypes``.  Its library runs ``run_scenario``'s step loop
 (``fill``), computes ``_blank_trace``'s reference sines with libm's ``sin``
-and formats the rows of ``csvtext.write_columns``.
+and formats the rows of ``csvtext.write_columns``, reading each column in
+place through its strides.  A ``ctypes`` call releases the GIL, so the
+two threads that write ``mmcsim run``'s files format on both cores.
 
 ``library()`` finds or builds the shared library once per process.  The
 compiler is ``$CC`` (default ``cc``), run with ``FLAGS``; nothing is built
@@ -17,8 +19,9 @@ library is loaded.
 
 Right after a build, the library is checked against the Python code it
 stands in for: short fixed runs must give the numpy engine's record and
-``math.sin``'s references byte for byte, and a fixed set of values must be
-formatted as Python's ``%`` formats them.  A compiler that fuses or reorders
+``math.sin``'s references byte for byte, and a fixed table of values, a
+column of every kind read through a row stride, must be formatted as
+Python's ``%`` formats them.  A compiler that fuses or reorders
 float operations leaves the numpy engine, ``math.sin`` and Python's ``%`` in
 charge instead of drifting from them.  The verdict covers all three uses:
 ``engine()`` is ``"c"`` or ``"numpy"`` for the step loop and the writer
@@ -171,13 +174,13 @@ def _build(cc: list[str], source: bytes, path: str) -> tuple[ctypes.CDLL | None,
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """``lib`` with the signature of each of its functions declared:
     ``mmcsim_run`` for ``fill``, ``mmcsim_sin`` for ``_blank_trace``,
-    ``mmcsim_format_rows`` for ``write_columns``, the sort and the selection
+    ``mmcsim_format_columns`` for ``write_columns``, the sort and the selection
     for tests."""
     i32, i64, ptr, f8 = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     for name, restype, argtypes in (
         ("mmcsim_run", ctypes.c_int, [ptr, i64, i32, i32, i32] + [ptr] * 8),
         ("mmcsim_sin", None, [ptr, ptr, i64]),
-        ("mmcsim_format_rows", i64, [i64, ptr, i32, ptr, i32, ptr, i32, ctypes.c_char_p, ptr]),
+        ("mmcsim_format_columns", i64, [i64, i64, ptr, i32, ptr]),
         ("mmcsim_sort_arm", None, [i32, ptr, ptr, i32, i32, ptr, ptr]),
         ("mmcsim_select_cell", i32, [i32, ptr, ptr, f8, f8, f8, f8]),
     ):

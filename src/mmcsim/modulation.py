@@ -193,10 +193,17 @@ def brute_force_select(
     for name, sums in (("alpha", alpha), ("beta", beta)):
         if len(sums) == 0:
             raise ValueError(f"{name}: no cumulative sums, expected n+1 entries")
+    # objective_f per cell, its two weights and targets read once per call:
+    # the same operations, so the same floats
+    w_track = params.w_track / (2.0 * params.z_step)
+    w_circ = params.w_circ * params.t_s / (2.0 * params.l_arm)
+    t_up, t_low = targets.v_up_target, targets.v_low_target
     best: tuple[float, int, int] | None = None
     for m_up, a in enumerate(alpha):
+        d_up = t_up - a
         for m_low, b in enumerate(beta):
-            key = (objective_f(params, targets, a, b), m_up, m_low)
+            d_low = t_low - b
+            key = (w_track * abs(d_low - d_up) + w_circ * abs(d_low + d_up), m_up, m_low)
             if best is None or key < best:
                 best = key
     return SelectionResult(m_up=best[1], m_low=best[2], f_value=best[0])

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 
 import mmcsim as m
-from mmcsim import kernel
+from mmcsim import cli, kernel
 from mmcsim.cli import (
-    ConfigError, _override, _write_fig_files, build_config, format_summary, load_run, main, parse_config,
-    write_phase_csv,
+    _OUTPUT_FILES, ConfigError, _override, _write_fig_files, _write_record, build_config, format_summary,
+    load_run, main, parse_config, write_phase_csv,
 )
 from mmcsim.csvtext import BLOCK_ROWS, write_columns
 from mmcsim.scenario import PHASES, PhaseTrace, SimTrace, config_from_dict
@@ -541,6 +542,57 @@ def short_run(tmp_path_factory):
     return out, trace
 
 
+def test_run_writes_each_file_as_its_writer_alone(short_run, tmp_path):
+    # with the library, the run writes its files on two threads: each holds
+    # the bytes its writer makes on its own, and the manifest lists them in
+    # the order of _OUTPUT_FILES
+    out, trace = short_run
+    report = m.segment_report(trace, settle=0.01)
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    for ph in PHASES:
+        write_phase_csv(alone / f"phase_{ph}.csv", trace, ph)
+    _write_fig_files(alone, trace, report)
+    (alone / "summary.txt").write_text(format_summary(report) + "\n")
+    _write_record(alone / "trace.bin", trace)
+    files = json.loads((out / "run_manifest.json").read_text())["files"]
+    assert list(files) == [name for name in _OUTPUT_FILES if name != "run_manifest.json"]
+    for name in files:
+        assert (out / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+class _WriterFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "failing, raised",
+    [
+        (["write_phase_csv"], "write_phase_csv"),
+        (["_write_fig_files"], "_write_fig_files"),
+        (["_write_record"], "_write_record"),
+        # one on each thread: the phase files come first
+        (["_write_record", "write_phase_csv"], "write_phase_csv"),
+    ],
+    ids=["phase", "figures", "record", "both-threads"],
+)
+def test_writer_failure_ends_the_run_and_no_thread_outlives_it(tmp_path, monkeypatch, failing, raised):
+    def fail_as(name):
+        def fail(*args):
+            raise _WriterFailed(name)
+        return fail
+
+    for name in failing:
+        monkeypatch.setattr(cli, name, fail_as(name))
+    before = threading.active_count()
+    out = tmp_path / "o"
+    with pytest.raises(_WriterFailed, match=f"^{raised}$"):
+        main(["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(out)])
+    assert threading.active_count() == before
+    # a failed write ends the run before its manifest is written
+    assert not (out / "run_manifest.json").exists()
+
+
 def test_load_run_round_trips_across_blocks(short_run):
     out, trace = short_run
     _assert_same_trace(load_run(out), trace)
@@ -950,8 +1002,10 @@ def test_python_m_mmcsim(tmp_path):
 
 def test_importing_cli_loads_no_formatter():
     # the writers import csvtext on first use, so code that imports the CLI
-    # but writes no CSV does not pay for it; the child's exit code carries
-    # the check, which holds under python -O too
-    code = "import sys, mmcsim.cli; sys.exit(3 if 'mmcsim.csvtext' in sys.modules else 0)"
+    # but writes no CSV does not pay for it, nor for a thread pool's
+    # imports; the child's exit code carries the check, which holds under
+    # python -O too
+    code = ("import sys, mmcsim.cli; "
+            "sys.exit(3 if {'mmcsim.csvtext', 'concurrent.futures'} & set(sys.modules) else 0)")
     done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr or "importing mmcsim.cli loaded mmcsim.csvtext"
+    assert done.returncode == 0, done.stderr or "importing mmcsim.cli loaded mmcsim.csvtext or concurrent.futures"

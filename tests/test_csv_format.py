@@ -2,11 +2,14 @@
 byte: the row formatter of the compiled library, which the library's cases
 skip without (``test_kernel_builds_when_cc_present`` fails instead when
 there is a compiler), and ``write_columns`` with and without it."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from mmcsim import kernel
-from mmcsim.csvtext import BLOCK_ROWS, G9_EDGES, _c_writer, write_columns
+from mmcsim.csvtext import BLOCK_ROWS, G9_EDGES, StepTimes, _CWriter, _python_writer, write_columns
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -24,7 +27,7 @@ def _assert_matches_python(values, lib):
     """Each value's text, by the library's row formatter as a one-column
     table, against Python's ``'%.9g'``."""
     x = np.array(values, dtype=np.float64)
-    got = bytes(_c_writer(lib, [("f", 0, 1)], 1, 0, x.size)(x[:, None], None)).split(b"\r\n")[:-1]
+    got = bytes(_CWriter(lib, [x], x.size)(0, x.size)).split(b"\r\n")[:-1]
     want = [b"%.9g" % v for v in x.tolist()]
     assert got == want, [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w][:5]
 
@@ -117,12 +120,97 @@ def test_write_columns_same_bytes_on_both_paths(tmp_path, monkeypatch, library, 
 
 
 def test_library_writer_refuses_blocks_of_another_layout(library):
-    # the library reads and writes through the blocks' pointers, so a block
-    # that is not the one its writer was made for never reaches it
-    write = _c_writer(library, [("f", 0, 2)], 2, 0, 4)
-    for block in (np.zeros((4, 3)), np.zeros((4, 2), np.float32), np.zeros((2, 4)).T):
-        with pytest.raises(ValueError, match=r"^expected a C-contiguous float64 block of shape \(4, 2\)$"):
-            write(block, None)
-    with pytest.raises(ValueError, match="^5 rows, the buffer holds 4$"):
-        write(np.zeros((5, 2)), None)
-    assert bytes(write(np.ones((4, 2)), None)) == b"1,1\r\n" * 4
+    # the library reads each column in place from its base address, so a
+    # range of rows the columns or the buffer do not hold never reaches it
+    write = _CWriter(library, [np.arange(12.0).reshape(6, 2)[:, ::-1]], 4)
+    for start, stop in ((-1, 2), (3, 2), (3, 7), (0, 5)):
+        with pytest.raises(ValueError, match=rf"^rows {start}\.\.{stop - 1}: the columns hold 6 rows, the buffer 4$"):
+            write(start, stop)
+    assert bytes(write(2, 6)) == b"5,4\r\n7,6\r\n9,8\r\n11,10\r\n"
+
+
+def _trace_block(rows, n=6):
+    """A (rows, 3, 2n) float64 block, an int8 block of that shape and an
+    int16 column, every value different, as a trace records them."""
+    rng = np.random.default_rng(rows)
+    shape = (rows, 3, 2 * n)
+    v_c = rng.normal(1e4, 1e2, size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+    u = rng.integers(-128, 128, size=shape).astype(np.int8)
+    n_sw_max = rng.integers(-(2**15), 2**15, rows).astype(np.int16)[::-1]
+    return v_c, u, n_sw_max
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS + 1])
+def test_library_reads_strided_trace_columns(library, rows):
+    # v_c[:, p] and u[:, p] of the (steps, 3, 2n) blocks, read through the
+    # blocks' strides, the budgets reversed (a negative stride), and t from
+    # the row index; every block range of the table
+    v_c, u, n_sw_max = _trace_block(rows)
+    for p in range(3):
+        pieces = [StepTimes(rows, 25e-6), b"a", v_c[:, p], n_sw_max, u[:, p], v_c[:, p, 3]]
+        assert not (v_c[:, p].flags.c_contiguous and rows > 1)
+        want = _python_writer(pieces)
+        write = _CWriter(library, pieces, min(rows, BLOCK_ROWS))
+        for start in range(0, rows, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, rows)
+            assert bytes(write(start, stop)) == want(start, stop), (p, start)
+    # t from the row index has SimTrace.t's bits
+    t = StepTimes(rows, 25e-6)
+    assert np.array_equal(t[0:rows], np.arange(1, rows + 1) * 25e-6)
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 76])
+def test_library_converts_other_dtypes_a_block_at_a_time(library, rows):
+    # the dtypes the library does not read in place, each converted into a
+    # buffer a block at a time and read from there: rows past the first
+    # block too, some columns strided, and bools whose byte is not 0 or 1
+    rng = np.random.default_rng(rows)
+    wide = rng.normal(scale=1e3, size=(rows, 4)).astype(np.float32)
+    pieces = [
+        wide[:, ::2], rng.normal(size=rows).astype(np.float16), rng.normal(size=rows).astype(">f8"),
+        rng.integers(0, 4, rows, dtype=np.uint8).view(bool), b"", rng.integers(0, 256, rows, dtype=np.uint8),
+        rng.integers(0, 2**16, rows, dtype=np.uint16)[::-1], rng.integers(0, 2**32, rows, dtype=np.uint32),
+        rng.integers(0, 2**63, rows, dtype=np.uint64), rng.integers(-(2**31), 2**31, (rows, 3), dtype=np.int32),
+        rng.integers(-(2**15), 2**15, rows).astype(">i2"),
+    ]
+    want = _python_writer(pieces)
+    write = _CWriter(library, pieces, min(rows, BLOCK_ROWS))
+    for start in range(0, rows, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, rows)
+        assert bytes(write(start, stop)) == want(start, stop), start
+
+
+def test_write_columns_from_more_threads_than_cores(tmp_path, library):
+    # mmcsim run writes from two threads at once; each call has its own
+    # buffer and the library holds no state, so every file gets its own
+    # table's bytes, with the lock handed over as often as it can be
+    tables, want = [], []
+    for k in range(6):
+        rng = np.random.default_rng(k)
+        rows = 3 * BLOCK_ROWS + 7 * k
+        v_c, u, n_sw_max = _trace_block(rows)
+        columns = [f"p{k}", v_c[:, k % 3], n_sw_max, u[:, k % 3], rng.normal(size=rows).astype(np.float32)]
+        header = ["t", "phase", *(f"v{j}" for j in range(12)), "nsw", *(f"u{j}" for j in range(12)), "f32"]
+        tables.append((tmp_path / f"table_{k}.csv", header, [StepTimes(rows, 25e-6 * (k + 1)), *columns]))
+        want.append(_python_csv(header, [np.arange(1, rows + 1) * (25e-6 * (k + 1)), *columns]))
+    errors = []
+
+    def write(path, header, columns):
+        try:
+            write_columns(path, header, columns)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write, args=table) for table in tables]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors, errors
+    for (path, _, _), text in zip(tables, want):
+        assert path.read_bytes() == text, path.name

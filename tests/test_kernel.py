@@ -140,8 +140,13 @@ def test_self_check_mismatch_runs_numpy_engine(fresh, monkeypatch, capsys):
         # no tie margin: a scaled value at exactly .5 rounds to even, whichever
         # side of the decimal tie the float lies on
         ("s/< 0.5 - G9_TIE/<= 0.5/", "the library's CSV text differs from Python's %"),
+        # each column read as if contiguous, 8 bytes a row
+        ("s/(uint64_t)r \\* (uint64_t)col\\[2\\]/(uint64_t)r * 8u/",
+         "the library's CSV text differs from Python's %"),
+        # t from the row's index within its block, not within the table
+        ("s/(double)(r + 1)/(double)(r - first + 1)/", "the library's CSV text differs from Python's %"),
     ],
-    ids=["sines", "tie-margin"],
+    ids=["sines", "tie-margin", "stride", "time-row"],
 )
 def test_self_check_mismatch_names_what_differs(fresh, monkeypatch, capsys, edit, what):
     want = _run_manifest(fresh / "want")

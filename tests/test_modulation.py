@@ -1,6 +1,8 @@
 """Modulation-stage checks: targets, objective, both sort strategies, and
 the engines' grid selection against the exhaustive scan."""
+import math
 import random
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -298,6 +300,30 @@ def test_select_matches_brute_force_wide_spread(table1, weights):
         r = _grid_select(alpha, beta, t, params)
         b = m.brute_force_select(alpha, beta, t, params)
         assert (r.m_up, r.m_low, r.f_value) == (b.m_up, b.m_low, b.f_value)
+
+
+@WEIGHTINGS
+def test_brute_force_select_is_a_scan_of_objective_f(table1, weights):
+    # the selection reads its weights once per call, not once per cell: the
+    # cell and the objective's bits of a first-minimum scan of objective_f,
+    # on ties (repeated sums) and NaN cells too
+    params = replace(table1, **weights)
+    rng = random.Random(303)
+    for _ in range(500):
+        alpha, beta = [0.0], [0.0]
+        for _ in range(6):
+            alpha.append(alpha[-1] + rng.choice([0.0, 10e3, 10e3 * rng.uniform(0.5, 1.5)]))
+            beta.append(beta[-1] + rng.choice([0.0, 10e3, 10e3 * rng.uniform(0.5, 1.5)]))
+        if rng.random() < 0.1:
+            beta[rng.randrange(7)] = math.nan
+        t = m.ArmTargets(rng.choice([0.0, 30e3, rng.uniform(-0.1, 1.1) * params.v_dc]),
+                         rng.choice([0.0, 30e3, rng.uniform(-0.1, 1.1) * params.v_dc]))
+        f, m_up, m_low = min(
+            (m.objective_f(params, t, a, b), i, j) for i, a in enumerate(alpha) for j, b in enumerate(beta)
+        )
+        got = m.brute_force_select(alpha, beta, t, params)
+        assert (got.m_up, got.m_low) == (m_up, m_low)
+        assert struct.pack("<d", got.f_value) == struct.pack("<d", f)
 
 
 @WEIGHTINGS
