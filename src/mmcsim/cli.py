@@ -388,8 +388,8 @@ def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics],
     This thread writes the phase files, one after another, and then
     ``summary.txt``; a second thread writes the figure files with
     ``dc_bus.csv`` and then ``trace.bin``.  The library formats without the
-    GIL, so the two use both cores; without the library, this thread writes
-    the second one's files after its own.  The phase files share one thread
+    GIL, so the two use both cores; Python's ``%``, the fallback, holds it,
+    and there the threads take turns.  The phase files share one thread
     so that their ``write_phase_csv`` calls never overlap, and a span
     tracer wrapping that name nests their spans as it would in sequence.  A
     writer that raises ends its thread's writing; once both threads are
@@ -421,19 +421,10 @@ def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics],
                     done[k] = exc
                     return
 
-    from . import kernel  # loaded by the run already
-
-    if kernel.library() is None:
-        # Python's % holds the GIL, so two threads would only take turns; in
-        # turns, a paper run's write stage took 2.6-3.0 s against 2.1-2.3 s
-        # on one thread (2-core x86-64 host)
-        write(0)
-        write(1)
-    else:
-        worker = threading.Thread(target=write, args=(1,), name="mmcsim-writer")
-        worker.start()
-        write(0)
-        worker.join()
+    worker = threading.Thread(target=write, args=(1,), name="mmcsim-writer")
+    worker.start()
+    write(0)
+    worker.join()
     files: dict[str, int] = {}
     for result in done:
         if isinstance(result, BaseException):

@@ -94,11 +94,18 @@ def objective_f(
     The two terms equal w_track * |AC tracking error| and
     w_circ * |next circulating current| expressed in amperes.
     """
-    d_up = targets.v_up_target - v_up_next
-    d_low = targets.v_low_target - v_low_next
-    return (params.w_track / (2.0 * params.z_step)) * abs(d_low - d_up) + (
-        params.w_circ * params.t_s / (2.0 * params.l_arm)
-    ) * abs(d_low + d_up)
+    w_track, w_circ = _objective_weights(params)
+    return _weighted(w_track, w_circ, targets.v_up_target - v_up_next, targets.v_low_target - v_low_next)
+
+
+def _objective_weights(params: SystemParams) -> tuple[float, float]:
+    # the weights of objective_f's two terms, per volt of d_low -+ d_up
+    return params.w_track / (2.0 * params.z_step), params.w_circ * params.t_s / (2.0 * params.l_arm)
+
+
+def _weighted(w_track: float, w_circ: float, d_up: float, d_low: float) -> float:
+    # objective_f from its weights and the two arms' target-minus-candidate
+    return w_track * abs(d_low - d_up) + w_circ * abs(d_low + d_up)
 
 
 def _anticipated_all_on(arm: ArmState, i_arm: float, params: SystemParams) -> list[float]:
@@ -193,17 +200,15 @@ def brute_force_select(
     for name, sums in (("alpha", alpha), ("beta", beta)):
         if len(sums) == 0:
             raise ValueError(f"{name}: no cumulative sums, expected n+1 entries")
-    # objective_f per cell, its two weights and targets read once per call:
-    # the same operations, so the same floats
-    w_track = params.w_track / (2.0 * params.z_step)
-    w_circ = params.w_circ * params.t_s / (2.0 * params.l_arm)
+    # objective_f per cell, its weights and targets read once per call: the
+    # same operations, so the same floats
+    w_track, w_circ = _objective_weights(params)
     t_up, t_low = targets.v_up_target, targets.v_low_target
     best: tuple[float, int, int] | None = None
     for m_up, a in enumerate(alpha):
         d_up = t_up - a
         for m_low, b in enumerate(beta):
-            d_low = t_low - b
-            key = (w_track * abs(d_low - d_up) + w_circ * abs(d_low + d_up), m_up, m_low)
+            key = (_weighted(w_track, w_circ, d_up, t_low - b), m_up, m_low)
             if best is None or key < best:
                 best = key
     return SelectionResult(m_up=best[1], m_low=best[2], f_value=best[0])

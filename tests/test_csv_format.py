@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from mmcsim import kernel
+from mmcsim import csvtext, kernel
 from mmcsim.csvtext import BLOCK_ROWS, G9_EDGES, StepTimes, _CWriter, _python_writer, write_columns
 
 pytest.importorskip("hypothesis")
@@ -85,7 +85,7 @@ def _columns(rows, uint64_top):
     uint64 column goes beyond int64 when ``uint64_top`` is set."""
     rng = np.random.default_rng(rows)
     special = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e22, 999999999.5])
-    top = 2**64 - 1 if uint64_top else 2**63 - 1
+    u64 = [0, 9, 10, 2**63, 2**64 - 1] if uint64_top else [0, 9, 10, 2**63 - 1]
     return [
         rng.normal(scale=1e3, size=rows).astype(np.float32),
         "tag",
@@ -94,7 +94,7 @@ def _columns(rows, uint64_top):
         rng.integers(-(2**15), 2**15, rows).astype(np.int16),
         rng.integers(-(2**63), 2**63 - 1, rows, dtype=np.int64, endpoint=True),
         rng.integers(0, 2, rows).astype(bool),
-        np.resize(np.array([0, 9, 10, 2**63, top], np.uint64), rows),
+        np.resize(np.array(u64, np.uint64), rows),
         rng.normal(1e4, 1e2, size=(rows, 3)),
         np.resize(special, rows),
         "",
@@ -111,7 +111,10 @@ def test_write_columns_same_bytes_on_both_paths(tmp_path, monkeypatch, library, 
     columns = _columns(rows, uint64_top)
     want = _python_csv(_HEADER, columns)
     path = tmp_path / "table.csv"
-    assert write_columns(path, _HEADER, columns) == rows
+    with monkeypatch.context() as patch:
+        if not uint64_top:  # the library writes every row: each dtype goes through _CWriter
+            patch.setattr(csvtext, "_python_writer", None)
+        assert write_columns(path, _HEADER, columns) == rows
     assert path.read_bytes() == want
     # Python's %, as a process without the library writes
     monkeypatch.setattr(kernel, "_loaded", (None, "no library"))
