@@ -33,8 +33,6 @@ from .modulation import (
 from .scenario import (
     DC_MODELS,
     PHASES,
-    ArmSorter,
-    GridSelector,
     NswSchedule,
     PhaseTrace,
     ScenarioConfig,

@@ -5,16 +5,22 @@
    mmcsim_run advances the three phase legs over every step of a run and
    fills the trace blocks of scenario._blank_trace in place.  Each step does
    the work of modulate_phase and then step_phase for the three legs, with
-   the float operations of the numpy engine (scenario._run_numpy) in the
-   same order, so that its record is the same bits; build it with
-   -ffp-contract=off, so that no a*b + c is fused.
+   the float operations of the scalar functions in the same order, so that
+   its record is the same bits as their loop's (scenario._run_scalar);
+   build it with -ffp-contract=off, so that no a*b + c is fused.
 
    - sorts: stable insertion sorts; v1f2 on (key, index), v1fc on (key, OFF
-     flag, index) and then a stable partition on the deferred flag;
-   - selection: a first-minimum scan of the row-major (n+1)^2 grid, a NaN
-     cell never winning, as a NaN cell reads +inf in GridSelector;
+     flag, index) and then a stable partition on the deferred flag, which
+     gives the order of sort_v1fc's penalty sort;
+   - selection: brute_force_select's first-minimum scan of the row-major
+     (n+1)^2 grid, a NaN cell never winning; the two differ only when cell
+     (0, 0) is NaN, which the scan keeps;
    - sums: the running sums and the arm voltages add in order, the first
-     term without a 0.0 start.
+     term without the scalar functions' 0.0 start.  The two differ only for
+     a first term of -0.0: a running sum reaches the selection only through
+     t - s and an abs, which give the same result for either zero, and no
+     capacitor voltage is -0.0 (they start at v_dc / n > 0, and v + inc is
+     -0.0 only when v is).
 
    mmcsim_sin is libm's sin, the function math.sin calls, over an array.
    mmcsim_format_columns writes a block of CSV rows as text byte-identical
@@ -37,7 +43,7 @@ enum {
 
 enum { PHASES = 3 };
 
-/* a < b in numpy's sort order: a NaN after every number, and equal to a NaN */
+/* a < b, a NaN after every number and equal to a NaN */
 static int less(double a, double b)
 {
     return a < b || (b != b && a == a);

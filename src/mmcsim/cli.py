@@ -372,8 +372,8 @@ def _write_manifest(out_dir: Path, manifest: dict[str, Any]) -> None:
 
 
 def _engine() -> dict[str, str]:
-    """The manifest's ``engine``, ``"c"`` or ``"numpy"``, and its
-    ``engine_note`` when there is one: why the numpy engine ran, or where
+    """The manifest's ``engine``, ``"c"`` or ``"python"``, and its
+    ``engine_note`` when there is one: why the Python code ran, or where
     the kernel was built."""
     from .kernel import engine  # loaded by the run already
 

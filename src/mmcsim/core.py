@@ -157,17 +157,9 @@ def predict_ac_current(
 
     ``v_grid`` is the caller's estimate of the grid voltage over the
     coming step; the controller passes the latest measured sample, the
-    plant passes the true next sample.  Raises ``SimulationDiverged`` if
-    an input is not finite.
+    plant passes the true next sample.  A non-finite input gives a
+    non-finite current, which ``step_phase`` reports.
     """
-    if not (
-        math.isfinite(v_up_next) and math.isfinite(v_low_next)
-        and math.isfinite(v_grid) and math.isfinite(i_now)
-    ):
-        raise SimulationDiverged(
-            f"non-finite input to the AC current prediction: v_up_next={v_up_next!r}, "
-            f"v_low_next={v_low_next!r}, v_grid={v_grid!r}, i_now={i_now!r}"
-        )
     return (
         (v_low_next - v_up_next) / 2.0 - v_grid + (params.l_ac / params.t_s) * i_now
     ) / params.z_step
@@ -195,7 +187,7 @@ def anticipate_capacitor_voltages(
 def arm_voltage(v_c_next: Sequence[float], u_next: Sequence[int]) -> float:
     """Voltage across an arm: sum of the inserted capacitor voltages, added
     in submodule order (the builtin ``sum`` compensates float rounding from
-    Python 3.12 on, which the array engine does not)."""
+    Python 3.12 on, which the compiled kernel does not)."""
     if len(v_c_next) != len(u_next):
         raise ValueError("v_c_next and u_next must have equal length")
     total = 0.0
@@ -217,6 +209,13 @@ def predict_circulating_current(
     ) + i_circ_now
 
 
+def _non_finite_state(i_ac: float, i_circ: float, v_c: list[float]) -> str:
+    """The text of a leg whose currents turned non-finite in a step, from
+    ``step_phase`` and the compiled kernel alike: the new currents and the
+    new capacitor voltages, upper arm first."""
+    return f"non-finite state after the step: i_ac={i_ac!r}, i_circ={i_circ!r}, v_c={v_c!r}"
+
+
 def step_phase(
     state: PhaseLegState,
     decision: SwitchDecision,
@@ -227,8 +226,9 @@ def step_phase(
 
     Order of the update: capacitor dynamics driven by the arm currents
     measured now, then arm voltages, then AC and circulating currents,
-    then the arm-current recomposition.  Raises ``SimulationDiverged``
-    if the new currents or capacitor voltages are not finite.
+    then the arm-current recomposition.  Raises ``SimulationDiverged``,
+    with the text of ``_non_finite_state``, if the new currents are not
+    finite, and names the arm if a bypassed capacitor voltage is not.
     """
     n = params.n
     if len(decision.statuses) != 2 * n:
@@ -245,10 +245,9 @@ def step_phase(
 
     i_ac = predict_ac_current(params, v_up, v_low, v_grid_next, state.i_ac)
     i_circ = predict_circulating_current(params, v_up, v_low, state.i_circ)
+    # a non-finite inserted capacitor voltage spoils both currents
     if not (math.isfinite(i_ac) and math.isfinite(i_circ)):
-        raise SimulationDiverged(
-            f"non-finite currents after step: i_ac={i_ac!r}, i_circ={i_circ!r}"
-        )
+        raise SimulationDiverged(_non_finite_state(i_ac, i_circ, v_c_up + v_c_low))
     # a bypassed submodule reaches neither current; any NaN or inf spoils the sum
     for arm, v_c in (("upper", v_c_up), ("lower", v_c_low)):
         if not math.isfinite(sum(v_c)):

@@ -18,14 +18,15 @@ library built in a private temporary directory instead, removed once the
 library is loaded.
 
 Right after a build, the library is checked against the Python code it
-stands in for: short fixed runs must give the numpy engine's record and
-``math.sin``'s references byte for byte, and a fixed table of values, a
-column of every kind read through a row stride, must be formatted as
-Python's ``%`` formats them.  A compiler that fuses or reorders
-float operations leaves the numpy engine, ``math.sin`` and Python's ``%`` in
-charge instead of drifting from them.  The verdict covers all three uses:
-``engine()`` is ``"c"`` or ``"numpy"`` for the step loop and the writer
-alike, and when no library can be had it says why, in one line.
+stands in for: short fixed runs must give the record of the scalar
+functions' loop (``scenario._run_scalar``) and ``math.sin``'s references
+byte for byte, and a fixed table of values, a column of every kind read
+through a row stride, must be formatted as Python's ``%`` formats them.  A
+compiler that fuses or reorders float operations leaves the scalar loop,
+``math.sin`` and Python's ``%`` in charge instead of drifting from them.
+The verdict covers all three uses: ``engine()`` is ``"c"`` or ``"python"``
+for the step loop and the writer alike, and when no library can be had it
+says why, in one line.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SimulationDiverged, SystemParams
+from .core import SimulationDiverged, SystemParams, _non_finite_state
 from .scenario import (
     PHASES,
     NswSchedule,
@@ -53,7 +54,7 @@ from .scenario import (
     _bus_diverged,
     _leg_diverged,
     _record_layout,
-    _run_numpy,
+    _run_scalar,
     constant_schedule,
     grid_voltage,
 )
@@ -77,10 +78,10 @@ def library() -> ctypes.CDLL | None:
 
 def engine() -> tuple[str, str | None]:
     """Which engine ``run_scenario`` and ``write_columns`` use, ``"c"`` or
-    ``"numpy"``, and a one-line note: why the numpy engine runs, or where
+    ``"python"``, and a one-line note: why the Python code runs, or where
     an uncached library was built; None when there is nothing to say."""
     lib = library()
-    return ("c" if lib is not None else "numpy"), _loaded[1]
+    return ("c" if lib is not None else "python"), _loaded[1]
 
 
 def _cache_dir() -> Path | None:
@@ -207,12 +208,12 @@ def _self_check_configs() -> list[ScenarioConfig]:
 
 def _self_check(lib: ctypes.CDLL) -> str | None:
     """What of the library differs from the Python code it stands in for,
-    or None: each self-check run's record against the numpy engine's, its
+    or None: each self-check run's record against the scalar loop's, its
     references against ``math.sin``'s, and ``csvtext.check_text``."""
     from .csvtext import check_text
 
     for config in _self_check_configs():
-        want = _run_numpy(config)
+        want = _run_scalar(config)
         got, refs = _blank_trace(config, lib)
         if refs.tobytes() != _blank_trace(config)[1].tobytes():
             return "the library's reference sines differ from math.sin's"
@@ -221,14 +222,14 @@ def _self_check(lib: ctypes.CDLL) -> str | None:
         except SimulationDiverged:  # a miscompiled step can overflow
             return "the library's run diverged"
         if any(got.record[name].tobytes() != block.tobytes() for name, block in want.record.items()):
-            return "the library's record differs from the numpy engine's"
+            return "the library's record differs from the scalar loop's"
     return check_text(lib)
 
 
 def fill(lib: ctypes.CDLL, config: ScenarioConfig, trace: SimTrace, refs: np.ndarray) -> None:
     """Step ``config`` with the library into the record of ``trace`` and the
     references ``refs``, as ``_blank_trace`` made them.  A state that turns
-    non-finite raises the numpy engine's ``SimulationDiverged``."""
+    non-finite raises the scalar loop's ``SimulationDiverged``."""
     params = config.params
     # in the order of the K_ constants of _step.c
     consts = np.array([
@@ -259,7 +260,7 @@ def fill(lib: ctypes.CDLL, config: ScenarioConfig, trace: SimTrace, refs: np.nda
     if code == 1:
         k, p = where.tolist()
         i_ac, i_circ = record["currents"][k, :, p].tolist()
-        raise _leg_diverged(p, k, params.t_s, i_ac, i_circ, record["v_c"][k, p].tolist())
+        raise _leg_diverged(p, k, params.t_s, _non_finite_state(i_ac, i_circ, record["v_c"][k, p].tolist()))
     if code == 2:
         raise _bus_diverged(int(where[0]), params.t_s, float(bus[0]))
     if code:

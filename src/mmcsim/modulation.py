@@ -191,7 +191,7 @@ def brute_force_select(
 ) -> SelectionResult:
     """Insertion counts (m_up, m_low) minimizing the objective, by a scan of
     every pair of cumulative sums: the reference selection, and the oracle
-    the engine's ``GridSelector`` is tested against.
+    the compiled kernel's selection is tested against.
 
     Ties are broken by smaller objective, then smaller m_up, then smaller
     m_low; a NaN objective never wins a comparison.  Empty sums raise
@@ -208,9 +208,11 @@ def brute_force_select(
     for m_up, a in enumerate(alpha):
         d_up = t_up - a
         for m_low, b in enumerate(beta):
-            key = (_weighted(w_track, w_circ, d_up, t_low - b), m_up, m_low)
-            if best is None or key < best:
-                best = key
+            # the scan runs in (m_up, m_low) order, so a cell that ties the
+            # best so far comes after it and loses: the objective decides
+            f = _weighted(w_track, w_circ, d_up, t_low - b)
+            if best is None or f < best[0]:
+                best = (f, m_up, m_low)
     return SelectionResult(m_up=best[1], m_low=best[2], f_value=best[0])
 
 

@@ -2,30 +2,19 @@
 pi-line) DC side, advanced at a fixed sampling period."""
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
 
-from .core import SimulationDiverged, SystemParams
-from .modulation import ALGORITHMS
-
-# not called here; perfbench/tracer.py wraps these two names on this module,
-# so they must stay importable from it (their spans read 0)
-from .core import step_phase  # noqa: F401
-from .modulation import modulate_phase  # noqa: F401
+from .core import SimulationDiverged, SystemParams, nominal_phase_state, step_phase
+from .modulation import ALGORITHMS, modulate_phase
 
 PHASES = ("a", "b", "c")
 _PHASE_OFFSET = {"a": 0.0, "b": 2.0 * math.pi / 3.0, "c": 4.0 * math.pi / 3.0}
 
 DC_MODELS = ("stiff", "piline")
-
-# steps whose budgets, references and new currents run_scenario holds as
-# Python numbers at once: a block costs a few numpy calls, a step's rows a few
-# hundred bytes
-_ROW_BLOCK = 64
 
 
 def steps_until(t: float, t_s: float) -> int:
@@ -372,160 +361,15 @@ def _blank_trace(config: ScenarioConfig, lib: Any = None) -> tuple[SimTrace, np.
     return trace, refs
 
 
-class GridSelector:
-    """The engine's full-grid selection for a fixed batch of legs, with its
-    buffers.
-
-    Built once for legs of leading shape ``lead`` with ``n`` submodules per
-    arm.  A call takes ``sums`` of shape lead + (2, n+1), the upper then the
-    lower cumulative sums, and ``targets``, the upper then the lower target,
-    and returns, as a new array of shape ``lead``, the flat index
-    ``m_up * (n+1) + m_low`` of the cell that minimizes the objective.
-    ``targets`` may have the shape of ``sums``, each target repeated along
-    the last axis, as the engine passes them, or lead + (2, 1); the first is
-    faster, as a ufunc on operands of one shape skips broadcasting.  Each
-    cell is computed with the operations of ``objective_f``, but for
-    ``d_low + d_up`` taken as ``d_low - (sums - targets)``, which differs
-    only in the sign of a zero before the abs; so it is the same float, and
-    ``argmin`` over the row-major grid takes the first
-    minimum: the tie-break of ``brute_force_select``, smaller objective,
-    then smaller m_up, then smaller m_low.  A NaN cell counts as +inf, as a
-    NaN never wins a comparison in the scan; the two differ only when cell
-    (0, 0) is NaN, which the scan then keeps.
-    """
-
-    def __init__(self, lead: tuple[int, ...], n: int, params: SystemParams) -> None:
-        size = n + 1
-        self.n = n
-        # d = targets - sums, then -d = sums - targets; one gather lays out
-        # (d_low, d_low) and (d_up, -d_up) by cell, contiguously (a ufunc on
-        # contiguous operands of one shape costs less than one that
-        # broadcasts), and one subtract gives both d_low - d_up and
-        # d_low + d_up: a - (-b) is a + b in IEEE arithmetic, and s - t is
-        # -(t - s) but for the sign of a zero, which the abs removes
-        d = np.empty((2,) + lead + (2, size))
-        m_up, m_low = np.divmod(np.arange(size * size), size)
-        first = np.arange(0, d.size // 2, 2 * size).reshape(lead + (1,))
-        low, up = first + size + m_low, first + m_up
-        gather = np.array(((low, low), (up, up + d.size // 2)))
-        grids = np.empty((2, 2) + lead + (size * size,))
-        terms = np.empty((2,) + lead + (size * size,))
-        # the objective's two weights in full shape, so the multiply does not
-        # broadcast: w_track / (2 z_step) over the tracking term, then
-        # w_circ t_s / (2 l_arm) over the circulating one
-        weights = np.empty_like(terms)
-        weights[0] = params.w_track / (2.0 * params.z_step)
-        weights[1] = params.w_circ * params.t_s / (2.0 * params.l_arm)
-        f = terms[0]
-        # what a call uses, unpacked in one step: the buffers, the constants
-        # (+inf in full shape, as fmin against a 0-d array costs more) and
-        # the ufuncs, looked up once here rather than on np per call
-        self._bound = (
-            d, *d, gather, grids, *grids, terms, *terms, weights,
-            np.full_like(f, np.inf), np.subtract, np.add, np.multiply, np.abs, np.fmin,
-        )
-
-    def __call__(self, sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        (d, d_pos, d_neg, gather, grids, lows, ups, terms, f, g, weights, inf,
-         subtract, add, multiply, absolute, fmin) = self._bound
-        subtract(targets, sums, d_pos)
-        subtract(sums, targets, d_neg)
-        # mode="clip" only spares numpy a buffered copy of `out`
-        d.take(gather, None, grids, "clip")
-        subtract(lows, ups, terms)
-        absolute(terms, terms)
-        multiply(weights, terms, terms)
-        add(f, g, f)
-        fmin(f, inf, f)
-        return f.argmin(-1)
-
-    @functools.cached_property
-    def masks(self) -> np.ndarray:
-        """Insertion masks by cell, (cell, arm, position) bool: ``masks[c]``
-        inserts the first m_up upper and m_low lower submodules in sorted
-        order."""
-        m_up, m_low = np.divmod(np.arange((self.n + 1) ** 2), self.n + 1)
-        return np.arange(self.n) < np.stack((m_up, m_low), axis=-1)[..., None]
-
-
-class ArmSorter:
-    """The engine's sorts for a fixed batch of legs, with their buffers and
-    the budget table.
-
-    Built once for legs of leading shape ``lead`` with ``n`` submodules per
-    arm.  ``v1f2`` and ``v1fc`` take, each of shape lead + (2, n), the
-    anticipated voltages ``v_next``, the sort directions ``signs`` (1.0 while
-    an arm charges, -1.0 while it discharges) and the statuses ``u`` as 0/1
-    int8, then the budget, and return as a new array the order of every arm
-    as flat indices into arrays of that shape.  They give the orders of
-    ``sort_v1f2`` and ``sort_v1fc``: a stable ascending sort of the key
-    ``v_next * sign`` is the stable reverse sort of the scalar functions.
-
-    ``v1fc`` breaks key ties ON first, then runs the budget stage as a
-    stable partition: a submodule is deferred if it is OFF and more than
-    ``budget`` OFF submodules lie at or before it in the voltage order, and a
-    stable sort on that flag is the stable sort on the penalty, which is 0
-    exactly where the flag is clear and rises strictly along the order where
-    it is set.  The flags are 0/1 in intp, not bool: numpy sorts 1-byte keys
-    by radix, which costs more at this size.
-    """
-
-    def __init__(self, lead: tuple[int, ...], n: int) -> None:
-        shape = lead + (2, n)
-        size = math.prod(shape)
-        # flat index of the first submodule of each element's arm;
-        # full-shape, as adding a broadcast operand costs more
-        base = np.repeat(np.arange(0, size, n), n).reshape(shape)
-        # row b maps a running count of OFF submodules to the deferred flag,
-        # count > b; the OFF flag of a status u is entry u of (1, 0)
-        deferred_if = list((np.arange(n + 1) > np.arange(n + 1)[:, None]).astype(np.intp))
-        off, off_sorted, turn_ons, deferred = np.empty((4,) + shape, dtype=np.intp)
-        key = np.empty(shape)
-        # what each sort uses, unpacked in one step: the buffers, the tables
-        # and the numpy functions, looked up once here rather than on np per call
-        self._v1f2 = (key, base, np.multiply, np.add)
-        self._v1fc = (
-            n, key, base, off, off_sorted, turn_ons, deferred, deferred_if,
-            np.array((1, 0), dtype=np.intp),
-            np.multiply, np.add, np.add.accumulate, np.bitwise_and, np.lexsort,
-        )
-
-    def v1f2(self, v_next: np.ndarray, signs: np.ndarray, u: np.ndarray, budget: int) -> np.ndarray:
-        key, base, multiply, add = self._v1f2
-        multiply(v_next, signs, key)
-        order = key.argsort(-1, "stable")
-        add(order, base, order)
-        return order
-
-    def v1fc(self, v_next: np.ndarray, signs: np.ndarray, u: np.ndarray, budget: int) -> np.ndarray:
-        (n, key, base, off, off_sorted, turn_ons, deferred, deferred_if, off_if,
-         multiply, add, accumulate, bitwise_and, lexsort) = self._v1fc
-        multiply(v_next, signs, key)
-        # mode="clip" only spares numpy a buffered copy of `out`
-        off_if.take(u, None, off, "clip")
-        order = lexsort((off, key))  # voltage key, then ON first
-        add(order, base, order)
-        if budget < n:  # a budget of n defers nothing
-            # order is a permutation, so the clip never acts
-            off.take(order, None, off_sorted, "clip")
-            accumulate(off_sorted, -1, None, turn_ons)
-            deferred_if[budget].take(turn_ons, None, deferred, "clip")
-            bitwise_and(deferred, off_sorted, deferred)
-            by_penalty = deferred.argsort(-1, "stable")
-            add(by_penalty, base, by_penalty)
-            order = order.take(by_penalty)
-        return order
-
-
 def run_scenario(config: ScenarioConfig) -> SimTrace:
     """Advance the three-phase system over the configured span.
 
     Each step does the work of ``modulate_phase`` and then ``step_phase``
-    for the three legs, every expression with the scalar functions'
-    operations in their order, so the trace is bit-identical to stepping
-    them leg by leg.  The steps run in the compiled kernel of
-    ``mmcsim.kernel``, one call per run, or, when it cannot be built, in the
-    numpy engine (``_run_numpy``); the two records are the same bits.
+    for the three legs.  The steps run in the compiled kernel of
+    ``mmcsim.kernel``, one call per run, with the scalar functions'
+    operations in their order, so its record is the same bits as theirs;
+    when the kernel cannot be built, the scalar functions run themselves
+    (``_run_scalar``).
 
     The DC side is either a stiff source (constant V_dc) or a single lumped
     pi section fed from a stiff source, integrated with a semi-implicit
@@ -538,21 +382,16 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
 
     lib = kernel.library()
     if lib is None:
-        return _run_numpy(config)
+        return _run_scalar(config)
     trace, refs = _blank_trace(config, lib)
     kernel.fill(lib, config, trace, refs)
     return trace
 
 
-def _leg_diverged(
-    p: int, k: int, ts: float, i_ac: float, i_circ: float, v_c: list[float]
-) -> SimulationDiverged:
-    """The error of phase ``p`` turning non-finite on step ``k``, from both
-    engines."""
-    return SimulationDiverged(
-        f"phase {PHASES[p]} diverged at step {k + 1} (t = {(k + 1) * ts:.6f} s): "
-        f"non-finite state after the step: i_ac={i_ac!r}, i_circ={i_circ!r}, v_c={v_c!r}"
-    )
+def _leg_diverged(p: int, k: int, ts: float, why: str) -> SimulationDiverged:
+    """The error of phase ``p`` diverging on step ``k``, from both engines;
+    ``why`` is ``step_phase``'s text."""
+    return SimulationDiverged(f"phase {PHASES[p]} diverged at step {k + 1} (t = {(k + 1) * ts:.6f} s): {why}")
 
 
 def _bus_diverged(k: int, ts: float, v_dc: float) -> SimulationDiverged:
@@ -561,184 +400,45 @@ def _bus_diverged(k: int, ts: float, v_dc: float) -> SimulationDiverged:
     return SimulationDiverged(f"DC bus voltage {v_dc!r} at step {k + 1} (t = {(k + 1) * ts:.6f} s)")
 
 
-def _run_numpy(config: ScenarioConfig) -> SimTrace:
-    """``run_scenario`` in the numpy engine: the kernel's fallback, and the
-    second oracle it is tested against.
-
-    The per-leg quantities (targets, arm currents, the new AC and
-    circulating currents) are floats, and the six arms numpy arrays of
-    shape (phase, arm, submodule) through anticipation, the sort, the
-    cumulative sums, the full-grid selection and the capacitor update.  One
-    ``ArmSorter`` and one ``GridSelector`` are built per run with their
-    buffers, and the step's numpy calls write fixed contiguous buffers of
-    one shape.  Where the step departs from a scalar operation (a sum
-    without its 0.0 start, a +0.0 added for a bypassed submodule), a comment
-    at the step shows that the result has the same bits.
-    """
+def _run_scalar(config: ScenarioConfig) -> SimTrace:
+    """``run_scenario`` as a loop of the scalar functions: per step and
+    phase, ``modulate_phase`` then ``step_phase`` on the leg's state, the
+    pi-line bus voltage passed in through a rebuilt ``SystemParams``.  It
+    fills the blocks of ``_blank_trace`` as ``kernel.fill`` does; it is the
+    kernel's fallback, and the reference the kernel is checked against."""
     params = config.params
-    n = params.n
     ts = params.t_s
-    steps = config.steps
-    v1fc = config.algorithm == "v1fc"
+    trace, refs = _blank_trace(config)
+    currents, v_c, u, v_dc = trace.record.values()
+    states = [nominal_phase_state(params, grid_voltage(config, 0.0, ph)) for ph in PHASES]
     piline = config.dc_model == "piline"
-
-    trace, ref_grid = _blank_trace(config)
-    currents_tr, v_c_tr, u_tr = (trace.record[name] for name in ("currents", "v_c", "u"))
-    budgets, v_dc_arr = trace.n_sw_max, trace.v_dc
-
-    # the state, nominal_phase_state of each leg: per-leg floats, and the
-    # arms' capacitor voltages and statuses (bool, viewed as int8 for the
-    # sort and the record)
-    i_ac = [0.0] * len(PHASES)
-    i_circ = [0.0] * len(PHASES)
-    v_grid = [grid_voltage(config, 0.0, ph) for ph in PHASES]
-    v = np.full((len(PHASES), 2, n), params.v_sm_nominal)
-    u = np.zeros((len(PHASES), 2, n), dtype=bool)
-    u_flat = u.reshape(-1)
-    u_bytes = u.view(np.int8)
-    v_row = v.reshape(len(PHASES), 2 * n)
-    u_row = u_bytes.reshape(len(PHASES), 2 * n)
-
-    # step buffers and their views, made once; column 0 of the running sums
-    # stays 0.0, their start, and volts holds the arms' running voltage sums
-    v_next = np.empty_like(v)
-    v_sorted = np.empty_like(v)
-    sums = np.zeros((len(PHASES), 2, n + 1))
-    sums_tail = sums[..., 1:]
-    volts = np.empty_like(v)
-    arm_volts = volts[..., -1]
-    # the 18 per-leg floats land in legs, and one take repeats each over its
-    # arm into blocks, which holds the full-shape targets, then increments,
-    # then signs: a ufunc on operands of one shape costs less than one that
-    # broadcasts
-    legs = np.empty(len(PHASES) * 6)  # per leg: 2 targets, 2 increments, 2 signs
-    arm_first = np.arange(0, legs.size, 6).reshape(-1, 1, 1) + np.arange(2).reshape(2, 1)
-    spread = np.concatenate([
-        np.broadcast_to(arm_first + column, v.shape[:-1] + (width,)).ravel()
-        for column, width in ((0, n + 1), (2, n), (4, n))
-    ])
-    blocks = np.empty(spread.size)
-    targets = blocks[: sums.size].reshape(sums.shape)
-    increments, signs = blocks[sums.size :].reshape((2,) + v.shape)
-    sorter = ArmSorter((len(PHASES),), n)
-    sort = sorter.v1fc if v1fc else sorter.v1f2
-    select = GridSelector((len(PHASES),), n, params)
-    masks = select.masks
-    # numpy's functions, looked up once per run; every call passes its
-    # arguments by position, which numpy parses faster than keywords
-    add, putmask, accumulate, clear = np.add, np.putmask, np.add.accumulate, volts.fill
-
-    l_arm_ts = params.l_arm / params.t_s
-    l_ac_ts = params.l_ac / params.t_s
-    z_step = params.z_step
-    c_sm = params.c_sm
-    circ_gain = params.t_s / (2.0 * params.l_arm)
-    i_circ_nom = config.i_circ_nominal
-    v_dc_now = params.v_dc
+    params_now = params
     i_line = 0.0
-    if piline:
-        l_total = config.line_inductance
-        c_end = config.line_end_capacitance
-
-    # overflow in a deeply unbalanced state ends in the divergence check
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, steps, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, steps)
-            # each step's budget and references (i_ref, then v_grid, each per
-            # phase) come as Python numbers, and its new currents (i_ac, then
-            # i_circ) go to the trace, one block of steps at a time
-            rows = zip(
-                range(start, stop),
-                budgets[start:stop].tolist(),
-                ref_grid[start:stop].tolist(),
-            )
-            currents = []
-            for k, budget, (i_ref, v_grid_next) in rows:
-                # 1. per leg: targets (compute_targets), the arm currents
-                # (arm_currents), their one-step capacitor increments and the
-                # sort direction, descending while an arm discharges
-                half_dc = v_dc_now / 2.0
-                per_leg = []
-                for i_ac_p, i_circ_p, v_grid_p, i_ref_p in zip(i_ac, i_circ, v_grid, i_ref):
-                    common = half_dc + l_arm_ts * (i_circ_p - i_circ_nom)
-                    drive = z_step * i_ref_p + v_grid_p - l_ac_ts * i_ac_p
-                    half = 0.5 * i_ac_p
-                    i_up = i_circ_p + half
-                    i_low = i_circ_p - half
-                    per_leg += (
-                        common - drive, common + drive,
-                        ts * i_up / c_sm, ts * i_low / c_sm,
-                        -1.0 if i_up < 0 else 1.0, -1.0 if i_low < 0 else 1.0,
-                    )
-                legs[:] = per_leg
-                # mode="clip" only spares numpy a buffered copy of `out`
-                legs.take(spread, None, blocks, "clip")
-
-                # 2. anticipation: every submodule inserted
-                add(v, increments, v_next)
-
-                # 3. the sorts: sort_v1f2, or sort_v1fc with its budget stage
-                order = sort(v_next, signs, u_bytes, budget)
-
-                # 4. running sums of the anticipated voltages in sorted order,
-                # behind the 0.0 of column 0: gathered into a contiguous
-                # buffer, as a take into the strided sums[..., 1:] goes
-                # through a temporary.  The first sum is x, not 0.0 + x; the
-                # two differ only for x = -0.0, and a sum reaches the
-                # selection only through t - s and an abs, which give the
-                # same result for either zero
-                v_next.take(order, None, v_sorted, "clip")
-                accumulate(v_sorted, -1, None, sums_tail)
-
-                # 5. selection over the full (n+1) x (n+1) grid of each leg
-                cells = select(sums, targets)
-
-                # 6. insert the chosen prefixes, then step_phase: inserted
-                # capacitors integrate and bypassed ones keep their bits
-                # (putmask is copyto with where=, without copyto's
-                # Python-level dispatch).  Each arm voltage sums, in
-                # submodule order, a contiguous copy of v with +0.0 at the
-                # bypassed SMs, where arm_voltage adds the inserted ones to
-                # 0.0.  The sums are equal: neither the missing 0.0 start nor
-                # a +0.0 term changes a sum that is not -0.0, and none is, as
-                # no capacitor voltage is -0.0 (they start at v_dc / n with
-                # v_dc > 0, and v + inc is -0.0 only when v is).  A bypassed
-                # capacitor is finite, as a non-finite inserted one ends the
-                # run in the step that made it
-                u_flat[order] = masks.take(cells, 0)
-                putmask(v, u, v_next)
-                clear(0.0)
-                putmask(volts, u, v)
-                accumulate(volts, -1, None, volts)
-                i_ac_next, i_circ_next = [], []
-                for p, (v_up, v_low), v_grid_p, i_ac_p, i_circ_p in zip(
-                    range(len(PHASES)), arm_volts.tolist(), v_grid_next, i_ac, i_circ
-                ):
-                    i_ac_p = ((v_low - v_up) / 2.0 - v_grid_p + l_ac_ts * i_ac_p) / z_step
-                    i_circ_p = circ_gain * (v_dc_now - v_low - v_up) + i_circ_p
-                    # only an inserted capacitor can turn non-finite, and it
-                    # spoils the currents: checking them is step_phase's check
-                    if not (math.isfinite(i_ac_p) and math.isfinite(i_circ_p)):
-                        raise _leg_diverged(p, k, ts, i_ac_p, i_circ_p, v_row[p].tolist())
-                    i_ac_next.append(i_ac_p)
-                    i_circ_next.append(i_circ_p)
-                i_ac, i_circ, v_grid = i_ac_next, i_circ_next, v_grid_next
-                currents += i_ac
-                currents += i_circ
-                v_c_tr[k] = v_row
-                u_tr[k] = u_row
-
-                if piline:
-                    v_dc_arr[k] = v_dc_now
-                    # semi-implicit: current from the old bus voltage, voltage
-                    # from the new current; the converter draws the summed leg
-                    # currents
-                    i_line += ts / l_total * (params.v_dc - v_dc_now)
-                    v_dc_now += ts / c_end * (i_line - (0.0 + i_circ[0] + i_circ[1] + i_circ[2]))
-                    if not (math.isfinite(v_dc_now) and v_dc_now > 0.0):
-                        raise _bus_diverged(k, ts, v_dc_now)
-            currents_tr[start:stop] = np.reshape(currents, (-1, 2, len(PHASES)))
-
+    for k, budget in enumerate(trace.n_sw_max.tolist()):
+        i_ref, v_grid = refs[k].tolist()
+        for p, state in enumerate(states):
+            try:
+                chosen = modulate_phase(
+                    state, i_ref[p], budget, config.algorithm, params_now,
+                    i_circ_nominal=config.i_circ_nominal,
+                )
+                state = step_phase(state, chosen.decision, v_grid[p], params_now)
+            except SimulationDiverged as exc:
+                raise _leg_diverged(p, k, ts, str(exc)) from None
+            states[p] = state
+            currents[k, :, p] = state.i_ac, state.i_circ
+            v_c[k, p] = state.upper.v_c + state.lower.v_c
+            u[k, p] = state.upper.u + state.lower.u
+        if piline:
+            v_dc_now = v_dc[k] = params_now.v_dc
+            # semi-implicit: current from the old bus voltage, voltage from
+            # the new current; the converter draws the summed leg currents
+            i_line += ts / config.line_inductance * (params.v_dc - v_dc_now)
+            i_legs = 0.0 + states[0].i_circ + states[1].i_circ + states[2].i_circ
+            v_dc_now += ts / config.line_end_capacitance * (i_line - i_legs)
+            if not (math.isfinite(v_dc_now) and v_dc_now > 0.0):
+                raise _bus_diverged(k, ts, v_dc_now)
+            params_now = replace(params, v_dc=v_dc_now)
     return trace
 
 

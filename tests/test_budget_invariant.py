@@ -7,7 +7,8 @@ the first ``budget`` OFF ones (penalty 0) ahead of the rest, so any prefix
 turns on at most ``budget`` submodules, or, once it holds every ON one,
 exactly the rise.
 """
-import numpy as np
+from itertools import accumulate
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -46,10 +47,10 @@ def test_v1fc_turn_ons_within_budget_plus_forced(leg):
     sorted_arms = [
         m.sort_v1fc(arm, i_arm, budget, params) for arm, i_arm in zip(arms, currents)
     ]
-    sums = np.array([np.cumsum((0.0, *s.v_next)) for s in sorted_arms])
-    cell = m.GridSelector((), params.n, params)(sums, np.array(targets)[:, None])
-    counts = divmod(int(cell), params.n + 1)
-    for arm, s, m_new in zip(arms, sorted_arms, counts):
+    # the sums and the selection of modulate_phase
+    alpha, beta = (list(accumulate(s.v_next, initial=0.0)) for s in sorted_arms)
+    chosen = m.brute_force_select(alpha, beta, m.ArmTargets(*targets), params)
+    for arm, s, m_new in zip(arms, sorted_arms, (chosen.m_up, chosen.m_low)):
         inserted = set(s.order[:m_new])
         turn_ons = sum(1 for j in inserted if not arm.u[j])
         forced = max(0, m_new - sum(arm.u))

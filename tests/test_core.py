@@ -203,7 +203,12 @@ def test_step_phase_nan_capacitor_diverges(table1):
     state = m.nominal_phase_state(table1)
     state.upper.v_c[0] = float("nan")
     decision = m.SwitchDecision((1,) + (0,) * 11)  # insert the NaN submodule
-    with pytest.raises(m.SimulationDiverged, match="v_up_next=nan"):
+    # the text the scenario and the compiled kernel report too: the
+    # currents and capacitor voltages after the step
+    with pytest.raises(
+        m.SimulationDiverged,
+        match=r"^non-finite state after the step: i_ac=nan, i_circ=nan, v_c=\[nan, 10000\.0, ",
+    ):
         m.step_phase(state, decision, 0.0, table1)
 
 

@@ -1,7 +1,7 @@
 """Property test over SystemParams and short scenarios: every input is
 refused with ValueError when the config is built, or runs to a finite trace
 or SimulationDiverged, never a stray exception or a silent NaN; and the
-compiled kernel, when it is loaded, ends each run as the numpy engine does."""
+compiled kernel, when it is loaded, ends each run as the scalar loop does."""
 import math
 import sys
 
@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 import mmcsim as m  # noqa: E402
 from mmcsim import kernel  # noqa: E402
-from mmcsim.scenario import _run_numpy  # noqa: E402
+from mmcsim.scenario import _run_scalar  # noqa: E402
 
 # At most one field of an example is replaced by one of these; the other
 # fields stay in wide but finite ranges, so most examples get to run.
@@ -85,7 +85,7 @@ def test_run_finishes_finite_or_raises(inputs):
     # a config that builds runs: a ValueError from inside the run (math's
     # "math domain error", say) names no field
     try:
-        trace = _run_numpy(config)
+        trace = _run_scalar(config)
     except m.SimulationDiverged as exc:
         trace = exc
     if kernel.library() is not None:

@@ -1,6 +1,6 @@
-"""The compiled step kernel: where it comes from, and the numpy engine
+"""The compiled step kernel: where it comes from, and the Python code
 taking over, with the manifest saying why, whenever it cannot be had.
-Its records are checked against the numpy engine's in test_scenario.py and
+Its records are checked against the scalar loop's in test_scenario.py and
 test_fuzz.py."""
 import json
 import os
@@ -37,7 +37,7 @@ def test_kernel_source_is_package_data():
 
 def test_kernel_builds_when_cc_present():
     # fails rather than skips: with a compiler present, a suite that passed
-    # on the numpy fallback alone would leave the kernel untested
+    # on the Python fallback alone would leave the kernel untested
     if _compiler() is None:
         pytest.skip(f"no C compiler: CC={os.environ.get('CC', 'cc')!r}")
     assert kernel.library() is not None, kernel.engine()[1]
@@ -70,11 +70,11 @@ def _run_manifest(out):
     return json.loads((out / "run_manifest.json").read_text())
 
 
-def test_missing_compiler_runs_numpy_engine(fresh, monkeypatch, capsys):
+def test_missing_compiler_runs_python_engine(fresh, monkeypatch, capsys):
     cc = fresh / "nonexistent" / "cc"
     monkeypatch.setenv("CC", str(cc))
     manifest = _run_manifest(fresh / "out")
-    assert manifest["engine"] == "numpy"
+    assert manifest["engine"] == "python"
     assert manifest["engine_note"].startswith(f"no compiler: {cc} (")
     assert "\n" not in manifest["engine_note"]
     assert not (fresh / "cache").exists()
@@ -99,10 +99,10 @@ def test_unwritable_cache_dir_builds_in_a_temporary_directory(fresh, monkeypatch
 
 
 @needs_cc
-def test_build_failure_runs_numpy_engine(fresh, monkeypatch, capsys):
+def test_build_failure_runs_python_engine(fresh, monkeypatch, capsys):
     monkeypatch.setenv("CC", " ".join([*_compiler(), "-include", str(fresh / "missing.h")]))
     manifest = _run_manifest(fresh / "out")
-    assert manifest["engine"] == "numpy"
+    assert manifest["engine"] == "python"
     # the compiler's first error line
     assert re.match(r"^build failed: .* exited 1: .*error.*missing\.h", manifest["engine_note"])
     assert "\n" not in manifest["engine_note"]
@@ -112,9 +112,9 @@ def test_build_failure_runs_numpy_engine(fresh, monkeypatch, capsys):
 
 @needs_cc
 @pytest.mark.skipif(shutil.which("sed") is None, reason="no sed")
-def test_self_check_mismatch_runs_numpy_engine(fresh, monkeypatch, capsys):
+def test_self_check_mismatch_runs_python_engine(fresh, monkeypatch, capsys):
     # a compiler that changes one float operation: the selection's circulating
-    # term is weighted twice, so the kernel picks other cells than numpy
+    # term is weighted twice, so the kernel picks other cells than the scan
     wrapper = fresh / "cc-wrapper"
     wrapper.write_text(
         "#!/bin/sh\n"
@@ -123,7 +123,7 @@ def test_self_check_mismatch_runs_numpy_engine(fresh, monkeypatch, capsys):
     wrapper.chmod(0o755)
     monkeypatch.setenv("CC", str(wrapper))
     manifest = _run_manifest(fresh / "out")
-    assert manifest["engine"] == "numpy"
+    assert manifest["engine"] == "python"
     assert manifest["engine_note"].startswith("self-check mismatch")
     # a library that failed its check is not cached
     assert list((fresh / "cache" / "mmcsim").iterdir()) == []
@@ -161,9 +161,9 @@ def test_self_check_mismatch_names_what_differs(fresh, monkeypatch, capsys, edit
     monkeypatch.setenv("CC", str(wrapper))
     monkeypatch.setattr(kernel, "_loaded", None)
     manifest = _run_manifest(fresh / "out")
-    assert manifest["engine"] == "numpy"
+    assert manifest["engine"] == "python"
     assert manifest["engine_note"] == f"self-check mismatch: {what}"
-    # the numpy engine and writer give the same files
+    # the Python engine and writer give the same files
     for path in (fresh / "want").iterdir():
         if path.name != "run_manifest.json":
             assert (fresh / "out" / path.name).read_bytes() == path.read_bytes(), path.name

@@ -1,5 +1,6 @@
 """Modulation-stage checks: targets, objective, both sort strategies, and
-the engines' grid selection against the exhaustive scan."""
+the compiled kernel's grid selection against the exhaustive scan."""
+import itertools
 import math
 import random
 import struct
@@ -199,22 +200,23 @@ def _uniform_cumsums(n=6, step=10e3):
     return [step * k for k in range(n + 1)]
 
 
-def _grid_select(alpha, beta, targets, params):
-    """The engine's selection for one leg, as a ``SelectionResult``: the
-    cell of the numpy engine's ``GridSelector``, which the compiled kernel's
-    scan must pick too when it is loaded."""
-    select = m.GridSelector((), len(alpha) - 1, params)
+def _kernel_select(alpha, beta, targets, params):
+    """The compiled kernel's cell for one leg, ``m_up * (n+1) + m_low``."""
     sums = np.array([alpha, beta], dtype=float)
-    cell = int(select(sums, np.array([[targets.v_up_target], [targets.v_low_target]])))
-    lib = kernel.library()
-    if lib is not None:
-        c_cell = lib.mmcsim_select_cell(
-            len(alpha) - 1, sums[0].ctypes.data, sums[1].ctypes.data,
-            targets.v_up_target, targets.v_low_target,
-            params.w_track / (2.0 * params.z_step), params.w_circ * params.t_s / (2.0 * params.l_arm),
-        )
-        assert c_cell == cell, (alpha, beta, targets)
-    m_up, m_low = divmod(cell, len(alpha))
+    return kernel.library().mmcsim_select_cell(
+        len(alpha) - 1, sums[0].ctypes.data, sums[1].ctypes.data,
+        targets.v_up_target, targets.v_low_target,
+        params.w_track / (2.0 * params.z_step), params.w_circ * params.t_s / (2.0 * params.l_arm),
+    )
+
+
+def _grid_select(alpha, beta, targets, params):
+    """The engine's selection for one leg, as a ``SelectionResult``: the cell
+    of the compiled kernel's scan, or, without the kernel, of
+    ``brute_force_select``, which ``run_scenario`` then selects with."""
+    if kernel.library() is None:
+        return m.brute_force_select(alpha, beta, targets, params)
+    m_up, m_low = divmod(_kernel_select(alpha, beta, targets, params), len(alpha))
     return m.SelectionResult(m_up, m_low, m.objective_f(params, targets, alpha[m_up], beta[m_low]))
 
 
@@ -326,31 +328,6 @@ def test_brute_force_select_is_a_scan_of_objective_f(table1, weights):
         assert struct.pack("<d", got.f_value) == struct.pack("<d", f)
 
 
-@WEIGHTINGS
-@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["one-leg", "3-legs", "2x3-legs"])
-def test_grid_selector_reused_matches_brute_force(table1, weights, lead):
-    # one selector and its buffers across a sequence of inputs, as in a run
-    params = replace(table1, **weights)
-    n = params.n
-    select = m.GridSelector(lead, n, params)
-    rng = np.random.default_rng(303)
-    kept = None
-    for _ in range(100):
-        caps = 10e3 * rng.uniform(0.9, 1.1, lead + (2, n))
-        sums = np.concatenate((np.zeros(lead + (2, 1)), caps.cumsum(axis=-1)), axis=-1)
-        targets = rng.uniform(-0.1, 1.1, lead + (2, 1)) * params.v_dc
-        cells = np.asarray(select(sums, targets))
-        if kept is not None:  # the last call's result is not overwritten
-            assert np.array_equal(kept[0], kept[1])
-        kept = (cells, cells.copy())
-        for leg in np.ndindex(lead):
-            alpha, beta = sums[leg].tolist()
-            b = m.brute_force_select(alpha, beta, m.ArmTargets(*targets[leg][:, 0].tolist()), params)
-            assert divmod(int(cells[leg]), n + 1) == (b.m_up, b.m_low)
-            want = np.arange(n) < np.array([[b.m_up], [b.m_low]])
-            assert np.array_equal(select.masks[cells[leg]], want)
-
-
 SIGNED_ZERO_SUMS = (
     [-0.0, 10000.0, 20000.0, 30000.0],
     [-0.0, -0.0, 10000.0, 10000.0],
@@ -359,31 +336,24 @@ SIGNED_ZERO_SUMS = (
 
 
 @WEIGHTINGS
-@pytest.mark.parametrize("lead", [(), (3,)], ids=["one-leg", "3-legs"])
-def test_grid_selector_signed_zeros(table1, weights, lead):
+def test_grid_selector_signed_zeros(table1, weights):
     # targets equal to cumulative sums make d = t - s a zero, and sums that
-    # start at -0.0 or hold a -0.0 make zeros of both signs in t - s and
-    # s - t.  The cell must be the scan's, in both target shapes, and must
-    # not change when every zero of the sums is made +0.0: the sign of a
-    # zero sum never reaches the choice
+    # start at -0.0 or hold a -0.0 make zeros of both signs in t - s.  The
+    # kernel's cell must be the scan's, and must not change when every zero
+    # of the sums is made +0.0: the sign of a zero sum never reaches the
+    # choice
+    if kernel.library() is None:
+        pytest.skip(f"no step kernel: {kernel.engine()[1]}")
     params = replace(table1, n=3, **weights)
-    select = m.GridSelector(lead, 3, params)
-    cases = [
-        (alpha, beta, (t_up, t_low))
-        for alpha in SIGNED_ZERO_SUMS
-        for beta in SIGNED_ZERO_SUMS
-        for t_up in (-0.0, 0.0, 10000.0, 20000.0)
-        for t_low in (-0.0, 0.0, 10000.0, 20000.0)
-    ]
-    legs = np.prod(lead, dtype=int)  # 1 for lead ()
-    for k in range(0, len(cases), legs):
-        batch = cases[k : k + legs]
-        sums = np.array([[alpha, beta] for alpha, beta, _ in batch]).reshape(lead + (2, 4))
-        targets = np.array([t for _, _, t in batch]).reshape(lead + (2, 1))
-        want = [m.brute_force_select(alpha, beta, m.ArmTargets(*t), params) for alpha, beta, t in batch]
-        want = np.array([b.m_up * 4 + b.m_low for b in want]).reshape(lead)
-        for s, t in ((sums, targets), (sums, np.repeat(targets, 4, -1)), (sums + 0.0, targets)):
-            assert np.array_equal(select(s, t), want)
+    for alpha in SIGNED_ZERO_SUMS:
+        for beta in SIGNED_ZERO_SUMS:
+            for t in itertools.product((-0.0, 0.0, 10000.0, 20000.0), repeat=2):
+                t = m.ArmTargets(*t)
+                b = m.brute_force_select(alpha, beta, t, params)
+                want = b.m_up * 4 + b.m_low
+                assert _kernel_select(alpha, beta, t, params) == want, (alpha, beta, t)
+                positive = [x + 0.0 for x in alpha], [x + 0.0 for x in beta]
+                assert _kernel_select(*positive, t, params) == want, (alpha, beta, t)
 
 
 def test_select_clamped_targets(table1):

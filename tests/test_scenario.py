@@ -1,7 +1,7 @@
 """Scenario assembly: sources, schedule lookup, and the run loop."""
 import math
 import random
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 import mmcsim as m
 from mmcsim import kernel
 from mmcsim.scenario import (
-    PHASES, PhaseTrace, _blank_trace, _run_numpy, config_from_dict, config_to_dict, steps_until,
+    PHASES, _blank_trace, _run_scalar, config_from_dict, config_to_dict, steps_until,
 )
 
 REL = 1e-12
@@ -277,12 +277,12 @@ def test_unstable_piline_reports_divergence():
                            line_length_km=1.0, line_c_per_km=1e-12,
                            line_l_per_km=1e-12,
                            nsw_schedule=m.constant_schedule(0.01, 6))
-    messages = set()
-    for engine, run in _engines():
-        with pytest.raises(m.SimulationDiverged, match=r"^DC bus voltage .* at step 1 \(t = ") as got:
-            run(cfg)
-        messages.add(str(got.value))
-    assert len(messages) == 1, messages
+    with pytest.raises(m.SimulationDiverged, match=r"^DC bus voltage .* at step 1 \(t = ") as want:
+        _run_scalar(cfg)
+    if kernel.library() is not None:  # the kernel's text is the scalar loop's
+        with pytest.raises(m.SimulationDiverged) as got:
+            m.run_scenario(cfg)
+        assert str(got.value) == str(want.value)
 
 
 def test_trace_switch_counts_match_status_stream(fast_v1fc_trace):
@@ -298,94 +298,26 @@ def test_trace_switch_counts_match_status_stream(fast_v1fc_trace):
         assert lower[k] == flips[n:].sum()
 
 
-# ------------------------------------------------ the engine and its oracle
+# ------------------------------------------------ the kernel and its oracle
 
-def _engines():
-    """The engines ``run_scenario`` can use, by name: the numpy engine, and
-    the compiled kernel when it is loaded.  Whether it should be is
-    ``test_kernel_builds_when_cc_present``'s check."""
-    engines = [("numpy", _run_numpy)]
-    if kernel.library() is not None:
-        engines.append(("c", m.run_scenario))
-    return engines
-
-
-def _reference_run(config):
-    """``run_scenario`` as a loop over the scalar building blocks: per step
-    and phase, ``modulate_phase`` then ``step_phase`` on dataclass states,
-    the pi-line bus voltage passed in through a rebuilt ``SystemParams``."""
-    params = config.params
-    n = params.n
-    ts = params.t_s
-    steps = config.steps
-    states = {
-        ph: m.nominal_phase_state(params, m.grid_voltage(config, 0.0, ph)) for ph in PHASES
-    }
-    nsw_arr = config.nsw_schedule.per_step(ts, steps)
-    v_dc_arr = np.zeros(steps)
-    traces = {
-        ph: PhaseTrace(
-            i_ac=np.zeros(steps), i_ref=np.zeros(steps), i_circ=np.zeros(steps),
-            v_grid=np.zeros(steps), v_c=np.zeros((steps, 2 * n)),
-            u=np.zeros((steps, 2 * n), dtype=np.int8),
-        )
-        for ph in PHASES
-    }
-    piline = config.dc_model == "piline"
-    v_dc_now = params.v_dc
-    i_line = 0.0
-    if piline:
-        l_total = config.line_l_per_km * config.line_length_km
-        c_end = config.line_c_per_km * config.line_length_km / 2.0
-    params_now = params
-    for k, nsw in enumerate(nsw_arr.tolist()):
-        t_next = (k + 1) * ts
-        if piline:
-            params_now = replace(params, v_dc=v_dc_now)
-        iz_sum = 0.0
-        for ph in PHASES:
-            st = states[ph]
-            i_ref_next = m.reference_current(config, t_next, ph)
-            try:
-                sel = m.modulate_phase(
-                    st, i_ref_next, nsw, config.algorithm, params_now,
-                    i_circ_nominal=config.i_circ_nominal,
-                )
-                new_st = m.step_phase(
-                    st, sel.decision, m.grid_voltage(config, t_next, ph), params_now
-                )
-            except m.SimulationDiverged as exc:
-                raise m.SimulationDiverged(
-                    f"phase {ph} diverged at step {k + 1} (t = {t_next:.6f} s): {exc}"
-                ) from None
-            tr = traces[ph]
-            tr.i_ac[k] = new_st.i_ac
-            tr.i_ref[k] = i_ref_next
-            tr.i_circ[k] = new_st.i_circ
-            tr.v_grid[k] = new_st.v_grid
-            tr.v_c[k] = new_st.upper.v_c + new_st.lower.v_c
-            tr.u[k] = new_st.upper.u + new_st.lower.u
-            states[ph] = new_st
-            iz_sum += new_st.i_circ
-        v_dc_arr[k] = params_now.v_dc
-        if piline:
-            i_line += ts / l_total * (params.v_dc - v_dc_now)
-            v_dc_now += ts / c_end * (i_line - iz_sum)
-            if not (math.isfinite(v_dc_now) and v_dc_now > 0.0):
-                raise m.SimulationDiverged(
-                    f"DC bus voltage {v_dc_now!r} at step {k + 1} (t = {t_next:.6f} s)"
-                )
-    return m.SimTrace(config=config, v_dc=v_dc_arr, phases=traces)
+@pytest.fixture(scope="module")
+def c_engine():
+    """``run_scenario`` on the compiled kernel; skipped without one, as
+    ``run_scenario`` then is the scalar loop it would be compared with."""
+    if kernel.library() is None:
+        pytest.skip(f"no step kernel: {kernel.engine()[1]}")
+    return m.run_scenario
 
 
-def _assert_same_trace(got, want, engine=""):
-    for name in ("n_sw_max", "v_dc"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), (engine, name)
+def _assert_same_trace(got, want):
+    """The same record bytes and the same references."""
+    assert list(got.record) == list(want.record)
+    for name, block in want.record.items():
+        assert got.record[name].tobytes() == block.tobytes(), name
     for ph in PHASES:
-        for name in ("i_ac", "i_ref", "i_circ", "v_grid", "v_c", "u"):
+        for name in ("i_ref", "v_grid"):
             a, b = getattr(got.phase(ph), name), getattr(want.phase(ph), name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (engine, f"{ph}.{name}")
+            assert a.tobytes() == b.tobytes(), (ph, name)
 
 
 def _staircase(duration, n):
@@ -398,12 +330,9 @@ def _staircase(duration, n):
     ))
 
 
-def test_engine_matches_scalar_loop_fast_profile(fast_v1fc_trace):
-    # the fixture is run_scenario's, on the kernel when it is loaded
-    config = fast_v1fc_trace.config
-    want = _reference_run(config)
-    _assert_same_trace(fast_v1fc_trace, want, "run_scenario")
-    _assert_same_trace(_run_numpy(config), want, "numpy")
+def test_engine_matches_scalar_loop_fast_profile(c_engine, fast_v1fc_trace):
+    # the fixture is run_scenario's, on the kernel
+    _assert_same_trace(fast_v1fc_trace, _run_scalar(fast_v1fc_trace.config))
 
 
 @pytest.mark.parametrize(
@@ -426,29 +355,6 @@ def test_engine_matches_scalar_loop_fast_profile(fast_v1fc_trace):
         *(m.fast_config(algorithm, params=m.SystemParams(w_circ=0.0), duration=0.005,
                         warmup=0.0, nsw_schedule=m.constant_schedule(0.005, budget))
           for algorithm, budget in (("v1fc", 0), ("v1fc", 3), ("v1f2", 6))),
-    ],
-    ids=["v1f2-stiff", "v1fc-piline", "v1f2-piline", "n4-w_circ0.1",
-         "tied-start-budget0", "tied-start-budget1", "tied-start-budget5",
-         "w_circ0-budget0", "w_circ0-budget3", "w_circ0-v1f2"],
-)
-def test_engine_matches_scalar_loop(cfg):
-    want = _reference_run(cfg)
-    for engine, run in _engines():
-        _assert_same_trace(run(cfg), want, engine)
-
-
-@pytest.fixture(scope="module")
-def c_engine():
-    """``run_scenario`` on the compiled kernel; skipped without one."""
-    if kernel.library() is None:
-        pytest.skip(f"no step kernel: {kernel.engine()[1]}")
-    return m.run_scenario
-
-
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        m.fast_config("v1fc"),
         m.fast_config("v1f2"),
         m.fast_config("v1fc", dc_model="piline", duration=0.2, nsw_schedule=_staircase(0.2, 6)),
         m.fast_config("v1f2", dc_model="piline", duration=0.2, nsw_schedule=_staircase(0.2, 6)),
@@ -462,14 +368,28 @@ def c_engine():
         m.fast_config("v1fc", params=m.SystemParams(n=12), duration=0.05, warmup=0.0,
                       nsw_schedule=_staircase(0.05, 12)),
     ],
-    ids=["fast-v1fc", "fast-v1f2", "piline-v1fc", "piline-v1f2",
+    ids=["v1f2-stiff", "v1fc-piline", "v1f2-piline", "n4-w_circ0.1",
+         "tied-start-budget0", "tied-start-budget1", "tied-start-budget5",
+         "w_circ0-budget0", "w_circ0-budget3", "w_circ0-v1f2",
+         "fast-v1f2", "piline-v1fc", "piline-v1f2",
          *(f"budget{budget}" for budget in range(7)), "w_circ0", "n1", "n12"],
 )
-def test_kernel_record_equals_numpy_engine(c_engine, cfg):
-    got, want = c_engine(cfg), _run_numpy(cfg)
-    assert list(got.record) == list(want.record)
-    for name, block in want.record.items():
-        assert got.record[name].tobytes() == block.tobytes(), name
+def test_engine_matches_scalar_loop(c_engine, cfg):
+    _assert_same_trace(c_engine(cfg), _run_scalar(cfg))
+
+
+def test_blank_trace_references_are_the_scalar_functions():
+    # the scalar loop reads each step's i_ref and v_grid from _blank_trace's
+    # references: reference_current's and grid_voltage's bits at the step's
+    # end time, here over the first and the last 2,000 steps of a paper run
+    config = m.paper_config()
+    trace = _blank_trace(config)[0]
+    rows = [*range(2000), *range(config.steps - 2000, config.steps)]
+    for ph in PHASES:
+        tr = trace.phase(ph)
+        for name, fn in (("i_ref", m.reference_current), ("v_grid", m.grid_voltage)):
+            want = np.array([fn(config, (k + 1) * config.params.t_s, ph) for k in rows])
+            assert getattr(tr, name)[rows].tobytes() == want.tobytes(), (ph, name)
 
 
 def test_library_sines_equal_math_sin(c_engine):
@@ -501,9 +421,9 @@ def reference_state(trace, k, phase):
 
 
 @pytest.mark.parametrize("fixture", ["paper_v1fc_trace", "paper_all6_v1f2_trace"])
-def test_engine_matches_scalar_steps_from_paper_rows(request, fixture):
-    # the scalar reference restarted from two rows in each segment of the
-    # paper staircase reaches the engine's next rows bit for bit; the deep
+def test_engine_matches_scalar_steps_from_paper_rows(c_engine, request, fixture):
+    # the scalar functions restarted from two rows in each segment of the
+    # paper staircase reach the kernel's next rows bit for bit; the deep
     # states of a paper run (budget 0 far over the cap) are never reached by
     # the from-zero runs above.  The pi-line's line current is not recorded,
     # so only a stiff bus can restart.
@@ -538,49 +458,27 @@ def test_engine_matches_scalar_steps_from_paper_rows(request, fixture):
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
-def test_arm_sorter_matches_scalar_sorts_on_ties(n):
+def test_arm_sorter_matches_scalar_sorts_on_ties(c_engine, n):
     # capacitor voltages from three values, so keys tie within an arm, and
     # random statuses, so the ON set is seldom an index prefix: the ON-first
     # tie-break and the budget stage decide the order.  The runs above all
     # pass with a plain stable sort of the key too, so this test is the one
-    # that holds the tie-break.
+    # that holds the kernel's tie-break to the scalar sorts.
     params = m.SystemParams(n=n)
-    sorter = m.ArmSorter((len(PHASES),), n)
-    first = np.arange(0, 2 * len(PHASES) * n, n).reshape(len(PHASES), 2, 1)
     rng = random.Random(n)
-    for _ in range(100):
-        arms = [
-            [m.ArmState([rng.choice((9.9e3, 10e3, 10.1e3)) for _ in range(n)],
-                        [rng.randint(0, 1) for _ in range(n)]) for _ in range(2)]
-            for _ in PHASES
-        ]
-        currents = [[rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 500.0) for _ in range(2)]
-                    for _ in PHASES]
-        # the engine's inputs: anticipated voltages, sort directions, statuses
-        v_next = np.array([
-            [m.anticipate_capacitor_voltages(arm, i_arm, [1] * n, params)
-             for arm, i_arm in zip(leg, i_leg)]
-            for leg, i_leg in zip(arms, currents)
-        ])
-        signs = np.where(np.array(currents) < 0, -1.0, 1.0)[..., None].repeat(n, axis=-1)
-        u = np.array([[arm.u for arm in leg] for leg in arms], dtype=np.int8)
-        each_arm = [
-            (p, a, arm, i_arm)
-            for p, (leg, i_leg) in enumerate(zip(arms, currents))
-            for a, (arm, i_arm) in enumerate(zip(leg, i_leg))
-        ]
-        got = sorter.v1f2(v_next, signs, u, n) - first
-        for p, a, arm, i_arm in each_arm:
-            want = m.sort_v1f2(arm, i_arm, params).order
-            assert tuple(got[p, a].tolist()) == want
-            assert _kernel_order(v_next[p, a] * signs[p, a], u[p, a], False, n) in (None, want)
+    for _ in range(600):
+        arm = m.ArmState([rng.choice((9.9e3, 10e3, 10.1e3)) for _ in range(n)],
+                         [rng.randint(0, 1) for _ in range(n)])
+        i_arm = rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 500.0)
+        # the kernel's inputs: the anticipated voltages times the sort
+        # direction, and the statuses
+        v_next = m.anticipate_capacitor_voltages(arm, i_arm, [1] * n, params)
+        key = np.array(v_next) * (-1.0 if i_arm < 0 else 1.0)
+        want = m.sort_v1f2(arm, i_arm, params).order
+        assert _kernel_order(key, arm.u, False, n) == want, (arm, i_arm)
         for budget in range(n + 1):
-            got = sorter.v1fc(v_next, signs, u, budget) - first
-            for p, a, arm, i_arm in each_arm:
-                want = m.sort_v1fc(arm, i_arm, budget, params).order
-                assert tuple(got[p, a].tolist()) == want, (arm, i_arm, budget)
-                key = v_next[p, a] * signs[p, a]
-                assert _kernel_order(key, u[p, a], True, budget) in (None, want), (arm, i_arm, budget)
+            want = m.sort_v1fc(arm, i_arm, budget, params).order
+            assert _kernel_order(key, arm.u, True, budget) == want, (arm, i_arm, budget)
 
 
 def _kernel_order(key, u, v1fc, budget):
@@ -602,14 +500,9 @@ def test_arm_sorter_puts_on_first_among_ties():
     # plain stable sort of the key would give 0, 1, 3, 4, 2, 5 at budget 1
     n = 6
     arm = m.ArmState([10e3] * n, [0, 1, 0, 1, 1, 0])
-    sorter = m.ArmSorter((), n)
-    v_next = np.full((2, n), 10e3)
-    u = np.array([arm.u, arm.u], dtype=np.int8)
     for budget in (1, n):
-        order = sorter.v1fc(v_next, np.ones((2, n)), u, budget)
-        assert order[0].tolist() == list(m.sort_v1fc(arm, 1.0, budget, m.SystemParams()).order)
-        assert order[0].tolist() == [1, 3, 4, 0, 2, 5]
-        assert _kernel_order(v_next[0], u[0], True, budget) in (None, (1, 3, 4, 0, 2, 5))
+        assert m.sort_v1fc(arm, 1.0, budget, m.SystemParams()).order == (1, 3, 4, 0, 2, 5)
+        assert _kernel_order([10e3] * n, arm.u, True, budget) in (None, (1, 3, 4, 0, 2, 5))
 
 
 def test_leg_divergence_names_phase_and_step():
@@ -619,14 +512,14 @@ def test_leg_divergence_names_phase_and_step():
         params=m.SystemParams(l_arm=1e-12, v_dc=1e300, w_circ=0.0),
         duration=0.002, warmup=0.0, nsw_schedule=m.constant_schedule(0.002, 6),
     )
-    with pytest.raises(m.SimulationDiverged) as want:
-        _reference_run(cfg)
-    messages = set()
-    for engine, run in _engines():
-        with pytest.raises(m.SimulationDiverged, match=r"^phase a diverged at step \d+ ") as got:
-            run(cfg)
-        # the same phase, step and time
-        assert str(got.value).split(":")[0] == str(want.value).split(":")[0], engine
+    text = r"^phase a diverged at step \d+ \(t = [0-9.]+ s\): non-finite state after the step: i_ac="
+    with pytest.raises(m.SimulationDiverged, match=text) as want:
+        _run_scalar(cfg)
+    messages = {str(want.value)}
+    if kernel.library() is not None:
+        with pytest.raises(m.SimulationDiverged) as got:
+            m.run_scenario(cfg)
         messages.add(str(got.value))
-    # and the same currents and capacitor voltages from every engine
+    # the same phase, step, currents and capacitor voltages from the kernel
+    # as from the scalar loop
     assert len(messages) == 1, messages
