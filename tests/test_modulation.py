@@ -336,24 +336,41 @@ SIGNED_ZERO_SUMS = (
 
 
 @WEIGHTINGS
-def test_grid_selector_signed_zeros(table1, weights):
+@pytest.mark.parametrize("legs", [1, 3], ids=["one-leg", "3-legs"])
+def test_grid_selector_signed_zeros(table1, weights, legs):
     # targets equal to cumulative sums make d = t - s a zero, and sums that
     # start at -0.0 or hold a -0.0 make zeros of both signs in t - s.  The
-    # kernel's cell must be the scan's, and must not change when every zero
-    # of the sums is made +0.0: the sign of a zero sum never reaches the
-    # choice
+    # kernel's cell must be the scan's, for a leg alone and for each leg of
+    # a (legs, 2, n+1) buffer laid out as a run lays its sums out, and must
+    # not change when every zero of the sums is made +0.0: the sign of a
+    # zero sum never reaches the choice
     if kernel.library() is None:
         pytest.skip(f"no step kernel: {kernel.engine()[1]}")
     params = replace(table1, n=3, **weights)
-    for alpha in SIGNED_ZERO_SUMS:
-        for beta in SIGNED_ZERO_SUMS:
-            for t in itertools.product((-0.0, 0.0, 10000.0, 20000.0), repeat=2):
-                t = m.ArmTargets(*t)
-                b = m.brute_force_select(alpha, beta, t, params)
-                want = b.m_up * 4 + b.m_low
-                assert _kernel_select(alpha, beta, t, params) == want, (alpha, beta, t)
-                positive = [x + 0.0 for x in alpha], [x + 0.0 for x in beta]
-                assert _kernel_select(*positive, t, params) == want, (alpha, beta, t)
+    w_track = params.w_track / (2.0 * params.z_step)
+    w_circ = params.w_circ * params.t_s / (2.0 * params.l_arm)
+    cases = [
+        (alpha, beta, m.ArmTargets(*t))
+        for alpha in SIGNED_ZERO_SUMS
+        for beta in SIGNED_ZERO_SUMS
+        for t in itertools.product((-0.0, 0.0, 10000.0, 20000.0), repeat=2)
+    ]
+    step = 8 * 4  # bytes from one arm's sums to the next
+    for k in range(0, len(cases), legs):
+        batch = cases[k : k + legs]
+        want = [m.brute_force_select(alpha, beta, t, params) for alpha, beta, t in batch]
+        want = [b.m_up * 4 + b.m_low for b in want]
+        sums = np.array([[alpha, beta] for alpha, beta, _ in batch], dtype=float)
+        for buf in (sums, sums + 0.0):
+            base = buf.ctypes.data
+            got = [
+                kernel.library().mmcsim_select_cell(
+                    3, base + 2 * leg * step, base + (2 * leg + 1) * step,
+                    t.v_up_target, t.v_low_target, w_track, w_circ,
+                )
+                for leg, (_, _, t) in enumerate(batch)
+            ]
+            assert got == want, batch
 
 
 def test_select_clamped_targets(table1):
