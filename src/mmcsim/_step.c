@@ -14,13 +14,7 @@
      gives the order of sort_v1fc's penalty sort;
    - selection: brute_force_select's first-minimum scan of the row-major
      (n+1)^2 grid, a NaN cell never winning; the two differ only when cell
-     (0, 0) is NaN, which the scan keeps;
-   - sums: the running sums and the arm voltages add in order, the first
-     term without the scalar functions' 0.0 start.  The two differ only for
-     a first term of -0.0: a running sum reaches the selection only through
-     t - s and an abs, which give the same result for either zero, and no
-     capacitor voltage is -0.0 (they start at v_dc / n > 0, and v + inc is
-     -0.0 only when v is).
+     (0, 0) is NaN, which the scan keeps.
 
    mmcsim_sin is libm's sin, the function math.sin calls, over an array.
    mmcsim_format_columns writes a block of CSV rows as text byte-identical
@@ -183,10 +177,9 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
                 }
                 sort_arm(n, ky, u_leg + a * n, v1fc, budgets[s], ord, tmp);
                 /* 4. running sums in sorted order, behind sm[0] = 0.0 */
-                double run = vn[ord[0]];
-                sm[1] = run;
-                for (int m = 1; m < n; m++) {
-                    run = run + vn[ord[m]];
+                double run = 0.0;
+                for (int m = 0; m < n; m++) {
+                    run += vn[ord[m]];
                     sm[m + 1] = run;
                 }
             }
@@ -196,7 +189,8 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
             int chosen[2] = {cell / (n + 1), cell % (n + 1)};
             /* 6. insert the chosen prefixes, then step_phase: inserted
                capacitors integrate, each arm voltage sums the arm in
-               submodule order with 0.0 for a bypassed submodule */
+               submodule order from 0.0, adding 0.0 for a bypassed
+               submodule: exact, as the sum is never -0.0 */
             double arm_volts[2];
             for (int a = 0; a < 2; a++) {
                 const int32_t *ord = order + a * n;
@@ -209,8 +203,7 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
                 for (int j = 0; j < n; j++) {
                     if (ua[j])
                         va[j] = vn[j];
-                    double term = ua[j] ? va[j] : 0.0;
-                    volts = j ? volts + term : term;
+                    volts += ua[j] ? va[j] : 0.0;
                 }
                 arm_volts[a] = volts;
             }

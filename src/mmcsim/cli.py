@@ -319,10 +319,10 @@ def _write_fig_files(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics
             ["segment", "t_start", "t_end", "nsw_max", "f_s_mean_hz", "reduction_pct"]
             + [f"f_s_sm_{k + 1}_hz" for k in range(n2)],
             [
-                [seg.index for seg in report],
+                np.array([seg.index for seg in report], np.int64),
                 [seg.t_start for seg in report],
                 [seg.t_end for seg in report],
-                [seg.n_sw_max for seg in report],
+                np.array([seg.n_sw_max for seg in report], np.int64),
                 [seg.f_s_mean("a") for seg in report],
                 reduction_percent(report),
                 np.array([seg.f_s_per_sm[0] for seg in report]).reshape(len(report), n2),

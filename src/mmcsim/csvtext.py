@@ -1,8 +1,9 @@
 """CSV text, written a block of rows at a time.
 
-Every CSV of ``mmcsim run`` is written by ``write_columns``, its floats as
-``%.9g`` and its integers as ``%d``, byte-identical to Python's ``%``
-applied to each row.
+Every CSV of ``mmcsim run`` is written by ``write_columns``, from columns
+of native float64 (as ``%.9g``) and int8, int16 or int64 (as ``%d``), fixed
+text and the step times, byte-identical to Python's ``%`` applied to each
+row.
 
 - With the compiled library of ``mmcsim.kernel``, each block is one call of
   its formatter, which reads every column in place through its strides
@@ -102,8 +103,7 @@ def check_text(lib: Any) -> str | None:
 
 
 # the kind of mmcsim_format_columns that reads a column of each dtype in
-# place; a column of another dtype is converted a block at a time (a bool
-# too: its byte need not be 0 or 1)
+# place: the only dtypes write_columns takes
 _KINDS = {np.dtype(t): kind for t, kind in ((np.float64, 1), (np.int8, 2), (np.int16, 3), (np.int64, 4))}
 _TEXT, _TIME = 0, 5
 
@@ -113,17 +113,14 @@ class _CWriter:
     view of one buffer sized for ``rows`` rows and reused by every call.
 
     ``pieces`` are the row's fixed texts as bytes and its number columns,
-    each 1-D or 2-D, which the library reads in place through their strides:
-    one field per array column.  A column of a dtype it does not read is
-    converted a block at a time into a buffer of its own."""
+    each 1-D or 2-D of a dtype of ``_KINDS``, which the library reads in
+    place through their strides: one field per array column."""
 
     def __init__(self, lib: Any, pieces: list[Any], rows: int) -> None:
         # (kind, base address, row stride) per field, as
         # mmcsim_format_columns reads them; keep holds what they point into
         fields: list[tuple[int, int, int]] = []
         self.keep: list[np.ndarray] = []
-        # (column, its buffer, the buffer's first field)
-        self.converted: list[tuple[np.ndarray, np.ndarray, int]] = []
         for p in pieces:
             if isinstance(p, bytes):
                 self.keep.append(np.frombuffer(p, np.uint8))
@@ -134,13 +131,9 @@ class _CWriter:
                 fields.append((_TIME, self.keep[-1].ctypes.data, 0))
                 continue
             block = p if p.ndim == 2 else p[:, None]
-            kind = _KINDS.get(block.dtype)
-            if kind is None:
-                buffer = np.empty((rows, block.shape[1]), np.float64 if block.dtype.kind == "f" else np.int64)
-                self.converted.append((block, buffer, len(fields)))
-                block, kind = buffer, _KINDS[buffer.dtype]
             self.keep.append(block)
             row_bytes, field_bytes = block.strides
+            kind = _KINDS[block.dtype]
             fields += [(kind, block.ctypes.data + j * field_bytes, row_bytes) for j in range(block.shape[1])]
         self.layout = np.array(fields, np.int64).reshape(-1, 3)
         self.lib, self.rows = lib, rows
@@ -156,12 +149,6 @@ class _CWriter:
             raise ValueError(
                 f"rows {start}..{stop - 1}: the columns hold {self.length} rows, the buffer {self.rows}"
             )
-        for block, buffer, at in self.converted:
-            np.copyto(buffer[: stop - start], block[start:stop], casting="unsafe")
-            # the buffer's bases moved back by start rows: row start is its first
-            row_bytes, field_bytes = buffer.strides
-            bases = buffer.ctypes.data + np.arange(buffer.shape[1]) * field_bytes
-            self.layout[at : at + buffer.shape[1], 1] = bases - start * row_bytes
         size = self.lib.mmcsim_format_columns(
             start, stop - start, self.layout.ctypes.data, len(self.layout), self.out.ctypes.data
         )
@@ -190,20 +177,22 @@ def _python_writer(pieces: list[Any]) -> Callable[[int, int], bytes]:
 
 def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> int:
     """Write equal-length columns side by side as CSV with ``\\r\\n`` line
-    ends, as ``csv.writer`` does.  A float column is written as ``%.9g``, an
-    integer or bool one as ``%d``, any sequence as ``np.asarray`` reads it,
-    and a 2-D array adds one CSV column per array column.  A ``str`` is
-    fixed text on every row, and a ``StepTimes`` is the times of the rows.
+    ends, as ``csv.writer`` does.  A number column, any sequence as
+    ``np.asarray`` reads it, is written as ``%.9g`` when its dtype is native
+    float64 and as ``%d`` when it is native int8, int16 or int64, and a 2-D
+    array adds one CSV column per array column.  A ``str`` is fixed text on
+    every row, and a ``StepTimes`` is the times of the rows.
 
     Columns of unequal length, a header that does not name every CSV
     column, a header name or ``str`` holding a ``,``, a line break or a NUL
     (which would split the field or be dropped) and a column of any other
-    dtype or of more than two dimensions raise ``ValueError`` naming the
-    file before it is opened.  Each block of ``BLOCK_ROWS`` rows is
-    formatted at once and written with one call, so the table is never held
-    as text or Python objects: by the library of ``mmcsim.kernel`` when
-    there is one, which reads each column in place, else by Python's ``%``
-    row by row, which gives the same bytes.  Returns the row count."""
+    dtype (float32, bool, uint64, int32, ``>f8``, text, ...) or of more
+    than two dimensions raise ``ValueError`` naming the file before it is
+    opened.  Each block of ``BLOCK_ROWS`` rows is formatted at once and
+    written with one call, so the table is never held as text or Python
+    objects: by the library of ``mmcsim.kernel`` when there is one, which
+    reads each column in place, else by Python's ``%`` row by row, which
+    gives the same bytes.  Returns the row count."""
     columns = [col if isinstance(col, (str, StepTimes)) else np.asarray(col) for col in columns]
     lengths = {len(col) for col in columns if not isinstance(col, str)}
     if len(lengths) != 1:
@@ -225,9 +214,9 @@ def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> 
                 )
             pieces.append(col.encode())
             continue
-        if col.dtype.kind not in "fbiu":
+        if col.dtype not in _KINDS:
             raise ValueError(
-                f"{path.name}: column {header[first]!r} holds {col.dtype}, expected floats, integers or bools"
+                f"{path.name}: column {header[first]!r} holds {col.dtype}, expected float64, int8, int16 or int64"
             )
         if col.ndim > 2:
             raise ValueError(f"{path.name}: column {header[first]!r} has {col.ndim} dimensions, expected 1 or 2")
@@ -236,14 +225,7 @@ def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> 
     from . import kernel  # on first use, as this module is
 
     lib = kernel.library()
-    # int64 holds every integer column unless a uint64 one goes beyond it
-    if lib is not None and not any(
-        not isinstance(p, bytes) and p.dtype == np.uint64 and rows and np.max(p) > np.iinfo(np.int64).max
-        for p in pieces
-    ):
-        write = _CWriter(lib, pieces, min(rows, BLOCK_ROWS))
-    else:
-        write = _python_writer(pieces)
+    write = _python_writer(pieces) if lib is None else _CWriter(lib, pieces, min(rows, BLOCK_ROWS))
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, rows, BLOCK_ROWS):

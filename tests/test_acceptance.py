@@ -224,9 +224,10 @@ def test_c6_model_equation_fixtures(table1):
 # -------------------------------------------------------------------------
 # Criterion 7: property suite.
 # -------------------------------------------------------------------------
-def test_c7_determinism():
+def test_c7_determinism(fast_v1fc_trace):
+    # a fresh run against the session's run of the same config
     a = m.run_scenario(m.fast_config("v1fc"))
-    b = m.run_scenario(m.fast_config("v1fc"))
+    b = fast_v1fc_trace
     same = all(
         np.array_equal(getattr(a.phase(ph), f), getattr(b.phase(ph), f))
         for ph in "abc"

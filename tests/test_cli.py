@@ -496,10 +496,17 @@ def test_write_columns_ragged_table_writes_nothing(tmp_path):
     [
         (["a", "b1"], np.zeros((3, 2), np.int8), "the header names 2 columns, the table has 3"),
         (["a", "b1", "b2", "c"], np.zeros((3, 2), np.int8), "the header names 4 columns, the table has 3"),
-        (["a", "b"], np.array(["x", "y", "z"]), "column 'b' holds <U1, expected floats, integers or bools"),
-        (["a", "b1", "b2"], np.zeros((3, 2), complex), "column 'b1' holds complex128, expected floats"),
+        (["a", "b"], np.array(["x", "y", "z"]), "column 'b' holds <U1, expected float64, int8, int16 or int64"),
+        (["a", "b1", "b2"], np.zeros((3, 2), complex), "column 'b1' holds complex128, expected float64"),
+        # numbers of a dtype no output file holds
+        (["a", "b"], np.zeros(3, np.float32), "column 'b' holds float32, expected float64"),
+        (["a", "b"], np.zeros(3, bool), "column 'b' holds bool, expected float64"),
+        (["a", "b"], np.zeros(3, np.uint8), "column 'b' holds uint8, expected float64"),
+        (["a", "b"], np.zeros(3, np.int32), "column 'b' holds int32, expected float64"),
+        (["a", "b"], np.zeros(3, ">f8"), "column 'b' holds >f8, expected float64"),
     ],
-    ids=["too-few-names", "too-many-names", "text-array", "complex-array"],
+    ids=["too-few-names", "too-many-names", "text-array", "complex-array",
+         "float32", "bool", "uint8", "int32", "big-endian-float64"],
 )
 def test_write_columns_rejects_before_opening(tmp_path, header, b, match):
     path = tmp_path / "bad.csv"

@@ -65,9 +65,15 @@ def fresh(monkeypatch, tmp_path):
 
 
 def _run_manifest(out):
-    """``mmcsim run`` on a short fast profile into ``out``: its manifest."""
-    assert main(["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(out)]) == 0
-    return json.loads((out / "run_manifest.json").read_text())
+    """``mmcsim run`` on the fast profile for 0.02 s without warm-up into
+    ``out``: 800 steps, so two blocks of CSV rows.  Its manifest."""
+    config = out.with_suffix(".cfg")
+    config.write_text("scenario.warmup = 0\n")
+    argv = ["run", "--profile", "fast", "--config", str(config), "--duration", "0.02", "--out-dir", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["files"]["phase_a.csv"]["rows"] == 800
+    return manifest
 
 
 def test_missing_compiler_runs_python_engine(fresh, monkeypatch, capsys):
