@@ -366,8 +366,9 @@ enum { COL_TEXT, COL_F64, COL_I8, COL_I16, COL_I64, COL_TIME };
 /* Write rows first .. first+rows-1 of a CSV table to out and return the
    bytes written.  The row is `count` fields, each described by three
    int64s (kind, base, stride); row r of a number column is read at byte
-   address base + r * stride, in unsigned arithmetic, so a base may be
-   moved back by whole rows:
+   address base + r * stride, in unsigned arithmetic, so a negative
+   stride (a reversed column) wraps to the row's address without signed
+   overflow:
    - COL_F64, COL_I8, COL_I16, COL_I64: a float64 written as '%.9g', or an
      integer of that width written as '%d';
    - COL_TIME: (r + 1) * t_s, SimTrace.t's value, with t_s the float64 at

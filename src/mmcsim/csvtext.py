@@ -5,15 +5,16 @@ of native float64 (as ``%.9g``) and int8, int16 or int64 (as ``%d``), fixed
 text and the step times, byte-identical to Python's ``%`` applied to each
 row.
 
-- With the compiled library of ``mmcsim.kernel``, each block is one call of
-  its formatter, which reads every column in place through its strides
-  (a 2-D column one field per array column, ``StepTimes`` from the row
-  index) and writes the block's text into a buffer reused for the whole
-  file.  For ``%.9g`` it takes a 9-digit mantissa from one correctly
-  rounded scaling by an exact power of ten, and leaves the values that
-  rule cannot settle to the C library's ``snprintf``.
-- Without it, each row is Python's ``%`` itself (``_python_writer``), which
-  is also what ``check_text`` holds the library's text to.
+- With the compiled library of ``mmcsim.kernel`` (``_library_blocks``),
+  each block is one call of its formatter, which reads every column in
+  place through its strides (a 2-D column one field per array column,
+  ``StepTimes`` from the row index) and writes the block's text into a
+  buffer reused for the whole file.  For ``%.9g`` it takes a 9-digit
+  mantissa from one correctly rounded scaling by an exact power of ten,
+  and leaves the values that rule cannot settle to the C library's
+  ``snprintf``.
+- Without it (``_python_blocks``), each row is Python's ``%`` itself,
+  which is also what ``check_text`` holds the library's text to.
 
 ``mmcsim run`` calls it from two threads at once (``cli._write_outputs``):
 each call has its own buffer, and the library's call releases the GIL.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -95,11 +96,8 @@ def check_text(lib: Any) -> str | None:
         StepTimes(rows, 25e-6), np.stack([floats, floats[::-1]], axis=1), b"x%",
         np.resize(ints, (rows, 2)), int16s[:, 1], int8s[:, 1],
     ]
-    want = _python_writer(pieces)(0, rows)
-    # a block at a time, as write_columns asks for them
-    write = _CWriter(lib, pieces, BLOCK_ROWS)
-    got = b"".join(bytes(write(start, min(start + BLOCK_ROWS, rows))) for start in range(0, rows, BLOCK_ROWS))
-    return None if got == want else "the library's CSV text differs from Python's %"
+    got = b"".join(bytes(block) for block in _library_blocks(lib, pieces, rows))
+    return None if got == b"".join(_python_blocks(pieces, rows)) else "the library's CSV text differs from Python's %"
 
 
 # the kind of mmcsim_format_columns that reads a column of each dtype in
@@ -108,56 +106,48 @@ _KINDS = {np.dtype(t): kind for t, kind in ((np.float64, 1), (np.int8, 2), (np.i
 _TEXT, _TIME = 0, 5
 
 
-class _CWriter:
-    """Rows ``start..stop-1`` of a table by the library's formatter, as a
-    view of one buffer sized for ``rows`` rows and reused by every call.
+def _library_blocks(lib: Any, pieces: list[Any], rows: int) -> Iterator[memoryview]:
+    """The table's text a block of ``BLOCK_ROWS`` rows at a time, by the
+    library's formatter.  Each block is a view of one buffer, which the
+    next block overwrites: take its bytes before the next block.
 
     ``pieces`` are the row's fixed texts as bytes and its number columns,
-    each 1-D or 2-D of a dtype of ``_KINDS``, which the library reads in
-    place through their strides: one field per array column."""
-
-    def __init__(self, lib: Any, pieces: list[Any], rows: int) -> None:
-        # (kind, base address, row stride) per field, as
-        # mmcsim_format_columns reads them; keep holds what they point into
-        fields: list[tuple[int, int, int]] = []
-        self.keep: list[np.ndarray] = []
-        for p in pieces:
-            if isinstance(p, bytes):
-                self.keep.append(np.frombuffer(p, np.uint8))
-                fields.append((_TEXT, self.keep[-1].ctypes.data, len(p)))
-                continue
-            if isinstance(p, StepTimes):
-                self.keep.append(np.array([p.t_s]))
-                fields.append((_TIME, self.keep[-1].ctypes.data, 0))
-                continue
-            block = p if p.ndim == 2 else p[:, None]
-            self.keep.append(block)
-            row_bytes, field_bytes = block.strides
-            kind = _KINDS[block.dtype]
-            fields += [(kind, block.ctypes.data + j * field_bytes, row_bytes) for j in range(block.shape[1])]
-        self.layout = np.array(fields, np.int64).reshape(-1, 3)
-        self.lib, self.rows = lib, rows
-        self.length = min(len(p) for p in pieces if not isinstance(p, bytes))
-        row_max = _FIELD_MAX * len(fields) + sum(len(p) for p in pieces if isinstance(p, bytes)) + 2
-        self.out = np.empty(rows * row_max + _FIELD_SLACK, np.uint8)
-        self.view = memoryview(self.out)
-
-    def __call__(self, start: int, stop: int) -> memoryview:
-        # the library reads rows start..stop-1 of every column, and writes
-        # them into out
-        if not (0 <= start <= stop <= self.length and stop - start <= self.rows):
-            raise ValueError(
-                f"rows {start}..{stop - 1}: the columns hold {self.length} rows, the buffer {self.rows}"
-            )
-        size = self.lib.mmcsim_format_columns(
-            start, stop - start, self.layout.ctypes.data, len(self.layout), self.out.ctypes.data
+    each 1-D or 2-D of a dtype of ``_KINDS`` and ``rows`` long, which the
+    library reads in place through their strides: one field per array
+    column."""
+    # (kind, base address, row stride) per field, as mmcsim_format_columns
+    # reads them; keep holds what they point into
+    fields: list[tuple[int, int, int]] = []
+    keep: list[np.ndarray] = []
+    for p in pieces:
+        if isinstance(p, bytes):
+            keep.append(np.frombuffer(p, np.uint8))
+            fields.append((_TEXT, keep[-1].ctypes.data, len(p)))
+            continue
+        if isinstance(p, StepTimes):
+            keep.append(np.array([p.t_s]))
+            fields.append((_TIME, keep[-1].ctypes.data, 0))
+            continue
+        block = p if p.ndim == 2 else p[:, None]
+        keep.append(block)
+        row_bytes, field_bytes = block.strides
+        kind = _KINDS[block.dtype]
+        fields += [(kind, block.ctypes.data + j * field_bytes, row_bytes) for j in range(block.shape[1])]
+    layout = np.array(fields, np.int64).reshape(-1, 3)
+    row_max = _FIELD_MAX * len(fields) + sum(len(p) for p in pieces if isinstance(p, bytes)) + 2
+    out = np.empty(min(rows, BLOCK_ROWS) * row_max + _FIELD_SLACK, np.uint8)
+    view = memoryview(out)
+    for start in range(0, rows, BLOCK_ROWS):
+        size = lib.mmcsim_format_columns(
+            start, min(BLOCK_ROWS, rows - start), layout.ctypes.data, len(layout), out.ctypes.data
         )
-        return self.view[:size]
+        yield view[:size]
 
 
-def _python_writer(pieces: list[Any]) -> Callable[[int, int], bytes]:
-    """Rows ``start..stop-1`` as Python's ``%`` writes them, one row at a
-    time: ``pieces`` as ``_CWriter`` takes them."""
+def _python_blocks(pieces: list[Any], rows: int) -> Iterator[bytes]:
+    """The table's text a block of ``BLOCK_ROWS`` rows at a time, as
+    Python's ``%`` writes it, one row at a time: ``pieces`` as
+    ``_library_blocks`` takes them."""
     fields: list[bytes] = []
     for p in pieces:
         if isinstance(p, bytes):
@@ -166,13 +156,11 @@ def _python_writer(pieces: list[Any]) -> Callable[[int, int], bytes]:
             fields += [b"%.9g" if p.dtype.kind == "f" else b"%d"] * (p.shape[1] if p.ndim == 2 else 1)
     fmt = b",".join(fields) + b"\r\n"
     columns = [p for p in pieces if not isinstance(p, bytes)]
-
-    def write(start: int, stop: int) -> bytes:
+    for start in range(0, rows, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, rows)
         # one list of Python numbers per CSV column
         values = [v for col in columns for v in np.reshape(col[start:stop], (stop - start, -1)).T.tolist()]
-        return b"".join(fmt % row for row in zip(*values))
-
-    return write
+        yield b"".join(fmt % row for row in zip(*values))
 
 
 def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> int:
@@ -225,9 +213,8 @@ def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> 
     from . import kernel  # on first use, as this module is
 
     lib = kernel.library()
-    write = _python_writer(pieces) if lib is None else _CWriter(lib, pieces, min(rows, BLOCK_ROWS))
+    blocks = _python_blocks(pieces, rows) if lib is None else _library_blocks(lib, pieces, rows)
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, rows, BLOCK_ROWS):
-            fh.write(write(start, min(start + BLOCK_ROWS, rows)))
+        fh.writelines(blocks)
     return rows

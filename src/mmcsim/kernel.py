@@ -1,6 +1,6 @@
 """The compiled half of mmcsim: ``_step.c``, plain C built on first use and
 called through ``ctypes``.  Its library runs ``run_scenario``'s step loop
-(``fill``), computes ``_blank_trace``'s reference sines with libm's ``sin``
+(``run``), computes ``_blank_trace``'s reference sines with libm's ``sin``
 and formats the rows of ``csvtext.write_columns``, reading each column in
 place through its strides.  A ``ctypes`` call releases the GIL, so the
 two threads that write ``mmcsim run``'s files format on both cores.
@@ -45,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import SimulationDiverged, SystemParams, _non_finite_state
+from .modulation import _objective_weights
 from .scenario import (
     PHASES,
     NswSchedule,
@@ -53,7 +54,6 @@ from .scenario import (
     _blank_trace,
     _bus_diverged,
     _leg_diverged,
-    _record_layout,
     _run_scalar,
     constant_schedule,
     grid_voltage,
@@ -174,9 +174,9 @@ def _build(cc: list[str], source: bytes, path: str) -> tuple[ctypes.CDLL | None,
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """``lib`` with the signature of each of its functions declared:
-    ``mmcsim_run`` for ``fill``, ``mmcsim_sin`` for ``_blank_trace``,
-    ``mmcsim_format_columns`` for ``write_columns``, the sort and the selection
-    for tests."""
+    ``mmcsim_run`` for ``run``, ``mmcsim_sin`` for ``_blank_trace``,
+    ``mmcsim_format_columns`` for ``csvtext._library_blocks``, the sort and
+    the selection for tests."""
     i32, i64, ptr, f8 = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     for name, restype, argtypes in (
         ("mmcsim_run", ctypes.c_int, [ptr, i64, i32, i32, i32] + [ptr] * 8),
@@ -214,40 +214,33 @@ def _self_check(lib: ctypes.CDLL) -> str | None:
 
     for config in _self_check_configs():
         want = _run_scalar(config)
-        got, refs = _blank_trace(config, lib)
-        if refs.tobytes() != _blank_trace(config)[1].tobytes():
-            return "the library's reference sines differ from math.sin's"
         try:
-            fill(lib, config, got, refs)
+            got = run(lib, config)
         except SimulationDiverged:  # a miscompiled step can overflow
             return "the library's run diverged"
+        if any(getattr(got.phase(ph), name).tobytes() != getattr(want.phase(ph), name).tobytes()
+               for ph in PHASES for name in ("i_ref", "v_grid")):
+            return "the library's reference sines differ from math.sin's"
         if any(got.record[name].tobytes() != block.tobytes() for name, block in want.record.items()):
             return "the library's record differs from the scalar loop's"
     return check_text(lib)
 
 
-def fill(lib: ctypes.CDLL, config: ScenarioConfig, trace: SimTrace, refs: np.ndarray) -> None:
-    """Step ``config`` with the library into the record of ``trace`` and the
-    references ``refs``, as ``_blank_trace`` made them.  A state that turns
-    non-finite raises the scalar loop's ``SimulationDiverged``."""
+def run(lib: ctypes.CDLL, config: ScenarioConfig) -> SimTrace:
+    """``run_scenario``'s trace of ``config``, stepped by the library into
+    the blocks ``_blank_trace`` lays out.  A state that turns non-finite
+    raises the scalar loop's ``SimulationDiverged``."""
     params = config.params
+    trace, refs = _blank_trace(config, lib)
     # in the order of the K_ constants of _step.c
     consts = np.array([
         params.t_s, params.c_sm, params.l_arm / params.t_s, params.l_ac / params.t_s,
         params.z_step, params.t_s / (2.0 * params.l_arm), config.i_circ_nominal, params.v_dc,
-        params.w_track / (2.0 * params.z_step), params.w_circ * params.t_s / (2.0 * params.l_arm),
+        *_objective_weights(params),
         params.v_sm_nominal, config.line_inductance, config.line_end_capacitance,
         *(grid_voltage(config, 0.0, ph) for ph in PHASES),
     ])
     record = trace.record
-    # the kernel writes through these pointers: the blocks must be the ones
-    # _blank_trace lays out for this config
-    blocks = [(name, record.get(name), layout) for name, layout in _record_layout(config).items()]
-    blocks.append(("refs", refs, ((config.steps, 2, len(PHASES)), np.dtype(np.float64))))
-    for name, block, (shape, dtype) in blocks:
-        if not (isinstance(block, np.ndarray) and block.shape == shape and block.dtype == dtype
-                and block.flags.c_contiguous and block.flags.writeable):
-            raise ValueError(f"{name}: expected a writeable C-contiguous {dtype} block of shape {shape}")
     budgets = trace.n_sw_max
     where = np.zeros(2, np.int64)
     bus = np.zeros(1)
@@ -265,3 +258,4 @@ def fill(lib: ctypes.CDLL, config: ScenarioConfig, trace: SimTrace, refs: np.nda
         raise _bus_diverged(int(where[0]), params.t_s, float(bus[0]))
     if code:
         raise MemoryError("the step kernel could not allocate its work buffers")
+    return trace

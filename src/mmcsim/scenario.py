@@ -62,7 +62,7 @@ class NswSchedule:
         """Budget of each step, int16; the last segment runs to the last step."""
         budgets = [n_max for _, _, n_max in self.segments]
         ends = [steps_until(end, t_s) for _, end, _ in self.segments[:-1]] + [steps]
-        return np.repeat(budgets, np.diff([0, *ends])).astype(np.int16)
+        return np.repeat(np.array(budgets).astype(np.int16), np.diff([0, *ends]))
 
 
 def paper_schedule() -> NswSchedule:
@@ -381,11 +381,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     from . import kernel
 
     lib = kernel.library()
-    if lib is None:
-        return _run_scalar(config)
-    trace, refs = _blank_trace(config, lib)
-    kernel.fill(lib, config, trace, refs)
-    return trace
+    return _run_scalar(config) if lib is None else kernel.run(lib, config)
 
 
 def _leg_diverged(p: int, k: int, ts: float, why: str) -> SimulationDiverged:
@@ -404,7 +400,7 @@ def _run_scalar(config: ScenarioConfig) -> SimTrace:
     """``run_scenario`` as a loop of the scalar functions: per step and
     phase, ``modulate_phase`` then ``step_phase`` on the leg's state, the
     pi-line bus voltage passed in through a rebuilt ``SystemParams``.  It
-    fills the blocks of ``_blank_trace`` as ``kernel.fill`` does; it is the
+    fills the blocks of ``_blank_trace`` as ``kernel.run`` does; it is the
     kernel's fallback, and the reference the kernel is checked against."""
     params = config.params
     ts = params.t_s

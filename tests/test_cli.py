@@ -134,6 +134,28 @@ def test_config_malformed_line(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("schedule.segments = 0:2.6", "schedule.segments: segment '0:2.6' must be start:end:n_sw_max"),
+        ("schedule.segments = ,", "schedule.segments: no segments given"),
+        ("params.n = 0", "params: n must be >= 1, got 0"),
+    ],
+    ids=["schedule-pair", "schedule-none", "n-zero"],
+)
+def test_config_bad_value_message(tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(path)
+
+
+def test_config_schedule_trailing_comma(tmp_path):
+    path = tmp_path / "comma.cfg"
+    path.write_text("schedule.segments = 0:1.3:2, 1.3:2.6:5,\n")
+    assert parse_config(path).nsw_schedule.segments == ((0.0, 1.3, 2), (1.3, 2.6, 5))
+
+
 def test_default_schedule_fits_overridden_duration(tmp_path):
     path = tmp_path / "short.cfg"
     path.write_text("scenario.duration = 1.4\nscenario.warmup = 1.0\n")
@@ -291,6 +313,17 @@ def test_run_command_config_error(tmp_path):
     bad.write_text("scenario.algorithm = spwm\n")
     rc = main(["run", "--config", str(bad), "--out-dir", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("duration", ["0", "-1"])
+def test_run_refuses_duration_not_above_zero(tmp_path, capsys, duration):
+    # no segment of the schedule starts inside the run, so the fitted
+    # schedule is the first segment's budget over it, and the config
+    # refuses the duration
+    out = tmp_path / "o"
+    assert main(["run", "--duration", duration, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: duration must be finite and > 0, got {float(duration)}\n"
+    assert not out.exists()
 
 
 def test_run_command_non_finite_schedule_bound(tmp_path, capsys):
@@ -504,9 +537,10 @@ def test_write_columns_ragged_table_writes_nothing(tmp_path):
         (["a", "b"], np.zeros(3, np.uint8), "column 'b' holds uint8, expected float64"),
         (["a", "b"], np.zeros(3, np.int32), "column 'b' holds int32, expected float64"),
         (["a", "b"], np.zeros(3, ">f8"), "column 'b' holds >f8, expected float64"),
+        (["a", "b"], np.zeros((3, 2, 2)), "column 'b' has 3 dimensions, expected 1 or 2"),
     ],
     ids=["too-few-names", "too-many-names", "text-array", "complex-array",
-         "float32", "bool", "uint8", "int32", "big-endian-float64"],
+         "float32", "bool", "uint8", "int32", "big-endian-float64", "3-d"],
 )
 def test_write_columns_rejects_before_opening(tmp_path, header, b, match):
     path = tmp_path / "bad.csv"

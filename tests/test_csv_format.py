@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mmcsim import csvtext, kernel
-from mmcsim.csvtext import BLOCK_ROWS, G9_EDGES, StepTimes, _CWriter, _python_writer, write_columns
+from mmcsim.csvtext import BLOCK_ROWS, G9_EDGES, StepTimes, _library_blocks, _python_blocks, write_columns
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -27,7 +27,7 @@ def _assert_matches_python(values, lib):
     """Each value's text, by the library's row formatter as a one-column
     table, against Python's ``'%.9g'``."""
     x = np.array(values, dtype=np.float64)
-    got = bytes(_CWriter(lib, [x], x.size)(0, x.size)).split(b"\r\n")[:-1]
+    got = b"".join(bytes(block) for block in _library_blocks(lib, [x], x.size)).split(b"\r\n")[:-1]
     want = [b"%.9g" % v for v in x.tolist()]
     assert got == want, [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w][:5]
 
@@ -106,24 +106,14 @@ def test_write_columns_same_bytes_on_both_paths(tmp_path, monkeypatch, library, 
     want = _python_csv(_HEADER, columns)
     path = tmp_path / "table.csv"
     with monkeypatch.context() as patch:
-        # the library writes every row: each dtype goes through _CWriter
-        patch.setattr(csvtext, "_python_writer", None)
+        # the library writes every row: each dtype goes through _library_blocks
+        patch.setattr(csvtext, "_python_blocks", None)
         assert write_columns(path, _HEADER, columns) == rows
     assert path.read_bytes() == want
     # Python's %, as a process without the library writes
     monkeypatch.setattr(kernel, "_loaded", (None, "no library"))
     assert write_columns(path, _HEADER, columns) == rows
     assert path.read_bytes() == want
-
-
-def test_library_writer_refuses_blocks_of_another_layout(library):
-    # the library reads each column in place from its base address, so a
-    # range of rows the columns or the buffer do not hold never reaches it
-    write = _CWriter(library, [np.arange(12.0).reshape(6, 2)[:, ::-1]], 4)
-    for start, stop in ((-1, 2), (3, 2), (3, 7), (0, 5)):
-        with pytest.raises(ValueError, match=rf"^rows {start}\.\.{stop - 1}: the columns hold 6 rows, the buffer 4$"):
-            write(start, stop)
-    assert bytes(write(2, 6)) == b"5,4\r\n7,6\r\n9,8\r\n11,10\r\n"
 
 
 def _trace_block(rows, n=6):
@@ -141,16 +131,14 @@ def _trace_block(rows, n=6):
 def test_library_reads_strided_trace_columns(library, rows):
     # v_c[:, p] and u[:, p] of the (steps, 3, 2n) blocks, read through the
     # blocks' strides, the budgets reversed (a negative stride), and t from
-    # the row index; every block range of the table
+    # the row index; every block of the table, each copied before the next
+    # overwrites it
     v_c, u, n_sw_max = _trace_block(rows)
     for p in range(3):
         pieces = [StepTimes(rows, 25e-6), b"a", v_c[:, p], n_sw_max, u[:, p], v_c[:, p, 3]]
         assert not (v_c[:, p].flags.c_contiguous and rows > 1)
-        want = _python_writer(pieces)
-        write = _CWriter(library, pieces, min(rows, BLOCK_ROWS))
-        for start in range(0, rows, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, rows)
-            assert bytes(write(start, stop)) == want(start, stop), (p, start)
+        got = [bytes(block) for block in _library_blocks(library, pieces, rows)]
+        assert got == list(_python_blocks(pieces, rows)), p
     # t from the row index has SimTrace.t's bits
     t = StepTimes(rows, 25e-6)
     assert np.array_equal(t[0:rows], np.arange(1, rows + 1) * 25e-6)

@@ -14,10 +14,8 @@ from importlib import resources
 
 import pytest
 
-import mmcsim as m
 from mmcsim import kernel
 from mmcsim.cli import main
-from mmcsim.scenario import _blank_trace
 from test_cli import _child_env
 
 
@@ -198,18 +196,3 @@ def test_cache_holds_one_checked_library(fresh, monkeypatch):
     assert lib is not None and note is None
     assert list(damaged.parent.iterdir()) == [damaged]
     assert damaged.read_bytes() == cached.read_bytes()
-
-
-def test_fill_refuses_blocks_of_another_layout():
-    # the kernel writes through the blocks' pointers, so a block that is not
-    # _blank_trace's for the config never reaches it
-    if kernel.library() is None:
-        pytest.skip(f"no step kernel: {kernel.engine()[1]}")
-    config = m.fast_config(duration=0.005, warmup=0.0, nsw_schedule=m.constant_schedule(0.005, 6))
-    trace, refs = _blank_trace(config)
-    expected = "expected a writeable C-contiguous float64 block of shape"
-    with pytest.raises(ValueError, match=rf"^refs: {expected} \(200, 2, 3\)$"):
-        kernel.fill(kernel.library(), config, trace, refs[:-1])
-    trace.record["v_c"] = trace.record["v_c"][::-1]
-    with pytest.raises(ValueError, match=rf"^v_c: {expected} \(200, 3, 12\)$"):
-        kernel.fill(kernel.library(), config, trace, refs)
