@@ -361,7 +361,7 @@ static char *put_d(char *p, int64_t v)
 }
 
 /* the column kinds of mmcsim_format_columns */
-enum { COL_TEXT, COL_F64, COL_I8, COL_I16, COL_I64, COL_TIME };
+enum { COL_TEXT, COL_F64, COL_I8, COL_I16, COL_I64 };
 
 /* Write rows first .. first+rows-1 of a CSV table to out and return the
    bytes written.  The row is `count` fields, each described by three
@@ -371,8 +371,6 @@ enum { COL_TEXT, COL_F64, COL_I8, COL_I16, COL_I64, COL_TIME };
    overflow:
    - COL_F64, COL_I8, COL_I16, COL_I64: a float64 written as '%.9g', or an
      integer of that width written as '%d';
-   - COL_TIME: (r + 1) * t_s, SimTrace.t's value, with t_s the float64 at
-     base;
    - COL_TEXT: the `stride` bytes at base, on every row.
    Fields are separated by "," and each row ends in "\r\n".  A number field
    takes at most 21 bytes with its ",", so out must hold, per row, 21 bytes
@@ -410,10 +408,6 @@ int64_t mmcsim_format_columns(int64_t first, int64_t rows, const int64_t *cols, 
             case COL_I64:
                 memcpy(&i64, at, sizeof i64);
                 p = put_d(p, i64);
-                break;
-            case COL_TIME:
-                memcpy(&x, (const char *)(uintptr_t)col[1], sizeof x);
-                p = put_g9(p, (double)(r + 1) * x);
                 break;
             }
         }

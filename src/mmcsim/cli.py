@@ -171,7 +171,7 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
     """
     # imported on first use: code that imports this module but writes no CSV
     # does not load the formatter
-    from .csvtext import StepTimes, write_columns
+    from .csvtext import write_columns
 
     tr = trace.phase(phase)
     u = tr.u
@@ -185,8 +185,7 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
         ["t", "phase", "i_ref", "i", "i_z", "v_s", "nsw_max"]
         + [f"vC_{k + 1}" for k in range(n2)]
         + [f"u_{k + 1}" for k in range(n2)],
-        [StepTimes(trace.steps, trace.config.params.t_s), phase, tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid,
-         trace.n_sw_max, tr.v_c, u],
+        [trace.t, phase, tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid, trace.n_sw_max, tr.v_c, u],
     )
 
 
@@ -309,10 +308,10 @@ def load_run(out_dir: str | Path) -> SimTrace:
 def _write_fig_files(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics]) -> dict[str, int]:
     """The figure files and ``dc_bus.csv``, each written from the trace or
     the report.  Returns the row count of each."""
-    from .csvtext import StepTimes, write_columns  # on first use, as write_phase_csv
+    from .csvtext import write_columns  # on first use, as write_phase_csv
 
     n2 = 2 * trace.config.params.n
-    tr, t = trace.phase("a"), StepTimes(trace.steps, trace.config.params.t_s)
+    tr, t = trace.phase("a"), trace.t
     fig4, fig5, fig6, fig7, dc_bus = _FIG_FILES
     tables = {
         fig4: (
@@ -535,13 +534,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     run_p.add_argument("--algorithm", choices=ALGORITHMS, default=None)
     run_p.add_argument("--out-dir", default="mmcsim-out")
     run_p.add_argument("--duration", type=float, default=None, help="override run length [s]")
-    run_p.add_argument("--profile", choices=("paper", "fast"), default="paper")
+    run_p.add_argument("--profile", choices=tuple(_PROFILES), default="paper")
     run_p.add_argument("--dc-model", choices=DC_MODELS, default=None)
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return run_command(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    # "run" is the only subcommand, and one is required
+    return run_command(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -9,12 +9,29 @@ new state instead of mutating the old one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Sequence
 
 
 class SimulationDiverged(RuntimeError):
     """A state update produced a non-finite value."""
+
+
+def _check_type(where: str, value: Any, kind: type) -> None:
+    """An int field takes an int, a float field an int or a float, a str
+    field a str; a bool is not a number (and no field is a bool)."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{where}: expected {kind.__name__}, got {value!r}")
+
+
+def _check_field_types(cls: type, values: dict[str, Any], where: str = "") -> None:
+    """``_check_type`` on ``values[name]``, named ``where + name``, for each
+    field of the dataclass ``cls`` that has a plain default, against the
+    default's type; a field built by a factory is left to its own check."""
+    for f in fields(cls):
+        if f.default is not MISSING:
+            _check_type(where + f.name, values[f.name], type(f.default))
 
 
 @dataclass(frozen=True)
@@ -38,8 +55,12 @@ class SystemParams:
     w_circ: float = 1.0        # circulating current weight
 
     def __post_init__(self) -> None:
+        _check_field_types(SystemParams, vars(self))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        # NswSchedule.per_step holds the budgets, at most n, as int16
+        if self.n > 32767:
+            raise ValueError(f"n must be <= 32767, got {self.n}")
         # negated comparisons, so that NaN fails them too
         for name in ("r_grid", "w_track", "w_circ"):
             value = getattr(self, name)

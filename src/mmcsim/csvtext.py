@@ -1,15 +1,13 @@
 """CSV text, written a block of rows at a time.
 
 Every CSV of ``mmcsim run`` is written by ``write_columns``, from columns
-of native float64 (as ``%.9g``) and int8, int16 or int64 (as ``%d``), fixed
-text and the step times, byte-identical to Python's ``%`` applied to each
-row.
+of native float64 (as ``%.9g``) and int8, int16 or int64 (as ``%d``) and
+fixed text, byte-identical to Python's ``%`` applied to each row.
 
 - With the compiled library of ``mmcsim.kernel`` (``_library_blocks``),
   each block is one call of its formatter, which reads every column in
-  place through its strides (a 2-D column one field per array column,
-  ``StepTimes`` from the row index) and writes the block's text into a
-  buffer reused for the whole file.  For ``%.9g`` it takes a 9-digit
+  place through its strides (a 2-D column one field per array column) and
+  writes the block's text into a buffer reused for the whole file.  For ``%.9g`` it takes a 9-digit
   mantissa from one correctly rounded scaling by an exact power of ten,
   and leaves the values that rule cannot settle to the C library's
   ``snprintf``.
@@ -47,26 +45,6 @@ G9_EDGES = [
 ]
 
 
-class StepTimes:
-    """The column ``(r+1) * t_s`` of rows ``r < rows``: ``SimTrace.t``'s
-    values, never held whole.  The library computes each value from its row
-    index; Python's ``%`` path takes a block's values as a slice."""
-
-    dtype = np.dtype(np.float64)
-    ndim = 1
-
-    def __init__(self, rows: int, t_s: float) -> None:
-        self.rows, self.t_s = rows, t_s
-
-    def __len__(self) -> int:
-        return self.rows
-
-    def __getitem__(self, block: slice) -> np.ndarray:
-        start, stop, _ = block.indices(self.rows)
-        # SimTrace.t's expression, so the same bits
-        return np.arange(start + 1, stop + 1) * self.t_s
-
-
 def check_text(lib: Any) -> str | None:
     """What of the library's CSV text differs from Python's ``%``, or None.
 
@@ -93,7 +71,7 @@ def check_text(lib: Any) -> str | None:
     int16s[:, 1] = np.resize(np.r_[-(2**15), 2**15 - 1, np.arange(-(2**15), 2**15, 127)], rows)
     int8s[:, 1] = np.resize(np.arange(-128, 128), rows)
     pieces = [
-        StepTimes(rows, 25e-6), np.stack([floats, floats[::-1]], axis=1), b"x%",
+        np.stack([floats, floats[::-1]], axis=1), b"x%",
         np.resize(ints, (rows, 2)), int16s[:, 1], int8s[:, 1],
     ]
     got = b"".join(bytes(block) for block in _library_blocks(lib, pieces, rows))
@@ -103,7 +81,7 @@ def check_text(lib: Any) -> str | None:
 # the kind of mmcsim_format_columns that reads a column of each dtype in
 # place: the only dtypes write_columns takes
 _KINDS = {np.dtype(t): kind for t, kind in ((np.float64, 1), (np.int8, 2), (np.int16, 3), (np.int64, 4))}
-_TEXT, _TIME = 0, 5
+_TEXT = 0
 
 
 def _library_blocks(lib: Any, pieces: list[Any], rows: int) -> Iterator[memoryview]:
@@ -123,10 +101,6 @@ def _library_blocks(lib: Any, pieces: list[Any], rows: int) -> Iterator[memoryvi
         if isinstance(p, bytes):
             keep.append(np.frombuffer(p, np.uint8))
             fields.append((_TEXT, keep[-1].ctypes.data, len(p)))
-            continue
-        if isinstance(p, StepTimes):
-            keep.append(np.array([p.t_s]))
-            fields.append((_TIME, keep[-1].ctypes.data, 0))
             continue
         block = p if p.ndim == 2 else p[:, None]
         keep.append(block)
@@ -169,7 +143,7 @@ def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> 
     ``np.asarray`` reads it, is written as ``%.9g`` when its dtype is native
     float64 and as ``%d`` when it is native int8, int16 or int64, and a 2-D
     array adds one CSV column per array column.  A ``str`` is fixed text on
-    every row, and a ``StepTimes`` is the times of the rows.
+    every row.
 
     Columns of unequal length, a header that does not name every CSV
     column, a header name or ``str`` holding a ``,``, a line break or a NUL
@@ -181,7 +155,7 @@ def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> 
     objects: by the library of ``mmcsim.kernel`` when there is one, which
     reads each column in place, else by Python's ``%`` row by row, which
     gives the same bytes.  Returns the row count."""
-    columns = [col if isinstance(col, (str, StepTimes)) else np.asarray(col) for col in columns]
+    columns = [col if isinstance(col, str) else np.asarray(col) for col in columns]
     lengths = {len(col) for col in columns if not isinstance(col, str)}
     if len(lengths) != 1:
         raise ValueError(f"{path.name}: columns differ in length: {sorted(lengths)}")

@@ -115,14 +115,14 @@ def tracking_rmse(
     return 100.0 * rms / ref_rms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentMetrics:
     """All evaluation quantities for one schedule segment.
 
     Array rows follow the phase order ("a", "b", "c"); submodule columns
     are upper arm first.  ``window`` is the span actually measured, i.e.
     the segment clipped to the post-warmup region minus the settle
-    margin.
+    margin.  ``==`` is identity, as an array has no truth value.
     """
 
     index: int

@@ -3,12 +3,14 @@ pi-line) DC side, advanced at a fixed sampling period."""
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
 
-from .core import SimulationDiverged, SystemParams, nominal_phase_state, step_phase
+from .core import (
+    SimulationDiverged, SystemParams, _check_field_types, _check_type, nominal_phase_state, step_phase,
+)
 from .modulation import ALGORITHMS, modulate_phase
 
 PHASES = ("a", "b", "c")
@@ -39,6 +41,8 @@ class NswSchedule:
             raise ValueError("nsw_schedule: needs at least one segment")
         prev_end = 0.0
         for k, (start, end, n_max) in enumerate(self.segments):
+            _check_type(f"nsw_schedule: segment {k} bounds", start, float)
+            _check_type(f"nsw_schedule: segment {k} bounds", end, float)
             _check_type(f"nsw_schedule: segment {k} n_sw_max", n_max, int)
             if not (math.isfinite(start) and math.isfinite(end)):
                 raise ValueError(f"nsw_schedule: segment {k} has a non-finite bound ({start}, {end}]")
@@ -137,6 +141,9 @@ class ScenarioConfig:
     line_l_per_km: float = 50e-6   # [H/km]
 
     def __post_init__(self) -> None:
+        _check_field_types(ScenarioConfig, vars(self))
+        _check_type("params", self.params, SystemParams)
+        _check_type("nsw_schedule", self.nsw_schedule, NswSchedule)
         # written as `not x > 0` so that NaN fails too; the line totals are
         # derived, and can underflow to 0 or overflow
         for name in ("duration", "v_s_peak", "line_length_km", "line_c_per_km",
@@ -233,9 +240,10 @@ def grid_voltage(config: ScenarioConfig, t: float, phase: str) -> float:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class PhaseTrace:
-    """Per-step records of one phase leg."""
+    """Per-step records of one phase leg; ``==`` is identity, as an array
+    has no truth value."""
 
     i_ac: np.ndarray
     i_ref: np.ndarray
@@ -264,23 +272,30 @@ class PhaseTrace:
         return np.count_nonzero(self.edges()[:, self.u.shape[1] // 2 :], axis=1).astype(np.int16)
 
 
-@dataclass
+@dataclass(eq=False)
 class SimTrace:
     """Complete record of a scenario run.
 
     Row k holds the state reached at t[k] = (k+1) * t_s together with the
     decision that produced it.  The trace stores the statuses, capacitor
     voltages and currents; the step count, the times and the budgets come
-    from the config.  The initial state (balanced capacitors, everything
-    off) is implicit.  ``record`` holds the blocks behind a trace built by
-    ``run_scenario`` or ``load_run``, by name in ``_record_layout``'s order;
-    a trace built by hand has none.
+    from the config.  ``t``, the end time of each step, is computed once,
+    when the trace is built, and is read-only.  The initial state (balanced
+    capacitors, everything off) is implicit.  ``record`` holds the blocks
+    behind a trace built by ``run_scenario`` or ``load_run``, by name in
+    ``_record_layout``'s order; a trace built by hand has none.  ``==`` is
+    identity, as an array has no truth value.
     """
 
     config: ScenarioConfig
     v_dc: np.ndarray
     phases: dict[str, PhaseTrace]
-    record: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    record: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    t: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.t = np.arange(1, self.steps + 1) * self.config.params.t_s
+        self.t.flags.writeable = False
 
     def phase(self, label: str) -> PhaseTrace:
         try:
@@ -296,11 +311,6 @@ class SimTrace:
     def n_sw_max(self) -> np.ndarray:
         """Budget of each step, int16, from the config's schedule."""
         return self.config.nsw_schedule.per_step(self.config.params.t_s, self.steps)
-
-    @property
-    def t(self) -> np.ndarray:
-        """End time of each step, (k+1) * t_s."""
-        return np.arange(1, self.steps + 1) * self.config.params.t_s
 
 
 def _record_layout(config: ScenarioConfig) -> dict[str, tuple[tuple[int, ...], np.dtype]]:
@@ -445,14 +455,6 @@ def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
     return data
 
 
-def _check_type(where: str, value: Any, kind: type) -> None:
-    """An int field takes an int, a float field an int or a float, a str
-    field a str; a bool is not a number (and no field is a bool)."""
-    kinds = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ValueError(f"{where}: expected {kind.__name__}, got {value!r}")
-
-
 def _check_fields(where: str, data: Any, cls: type) -> None:
     """Unknown or missing keys, and values of the wrong type, raise
     ``ValueError`` naming them; a field built by a factory is left to the
@@ -467,9 +469,7 @@ def _check_fields(where: str, data: Any, cls: type) -> None:
     ]
     if problems:
         raise ValueError(f"{where}: " + ", ".join(problems))
-    for f in fields(cls):
-        if f.default is not MISSING:
-            _check_type(f"{where}.{f.name}", data[f.name], type(f.default))
+    _check_field_types(cls, data, f"{where}.")
 
 
 def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:

@@ -639,6 +639,19 @@ def test_load_run_round_trips_across_blocks(short_run):
     _assert_same_trace(load_run(out), trace)
 
 
+def test_trace_times_are_one_read_only_array(short_run):
+    # a run's trace, a loaded one and one built by hand each hold t as
+    # (k+1) * t_s, computed once when the trace is built; no writer can
+    # change it
+    out, trace = short_run
+    for got in (trace, load_run(out), _synthetic_trace(BLOCK_ROWS + 3)):
+        want = np.arange(1, got.steps + 1) * got.config.params.t_s
+        assert got.t.dtype == np.float64 and got.t.tobytes() == want.tobytes()
+        assert not got.t.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got.t[0] = 0.0
+
+
 @pytest.mark.parametrize("extra", [-1, 1], ids=["one-row-short", "one-row-long"])
 def test_load_run_rejects_wrong_row_count(tmp_path, short_run, extra):
     # the manifest's config one step shorter or longer than the record

@@ -49,6 +49,13 @@ def test_params_validation(kwargs):
         m.SystemParams(**kwargs)
 
 
+def test_params_n_fits_the_int16_budgets():
+    # NswSchedule.per_step holds budgets up to n as int16
+    assert m.SystemParams(n=32767).n == 32767
+    with pytest.raises(ValueError, match="^n must be <= 32767, got 32768$"):
+        m.SystemParams(n=32768)
+
+
 def test_predict_ac_current_symmetric_idle(table1):
     assert m.predict_ac_current(table1, 30000.0, 30000.0, 0.0, 0.0) == 0.0
 

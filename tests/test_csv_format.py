@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mmcsim import csvtext, kernel
-from mmcsim.csvtext import BLOCK_ROWS, G9_EDGES, StepTimes, _library_blocks, _python_blocks, write_columns
+from mmcsim.csvtext import BLOCK_ROWS, G9_EDGES, _library_blocks, _python_blocks, write_columns
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -130,18 +130,15 @@ def _trace_block(rows, n=6):
 @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS + 1])
 def test_library_reads_strided_trace_columns(library, rows):
     # v_c[:, p] and u[:, p] of the (steps, 3, 2n) blocks, read through the
-    # blocks' strides, the budgets reversed (a negative stride), and t from
-    # the row index; every block of the table, each copied before the next
-    # overwrites it
+    # blocks' strides and the budgets reversed (a negative stride); every
+    # block of the table, each copied before the next overwrites it
     v_c, u, n_sw_max = _trace_block(rows)
+    t = np.arange(1, rows + 1) * 25e-6
     for p in range(3):
-        pieces = [StepTimes(rows, 25e-6), b"a", v_c[:, p], n_sw_max, u[:, p], v_c[:, p, 3]]
+        pieces = [t, b"a", v_c[:, p], n_sw_max, u[:, p], v_c[:, p, 3]]
         assert not (v_c[:, p].flags.c_contiguous and rows > 1)
         got = [bytes(block) for block in _library_blocks(library, pieces, rows)]
         assert got == list(_python_blocks(pieces, rows)), p
-    # t from the row index has SimTrace.t's bits
-    t = StepTimes(rows, 25e-6)
-    assert np.array_equal(t[0:rows], np.arange(1, rows + 1) * 25e-6)
 
 
 def test_write_columns_from_more_threads_than_cores(tmp_path, library):
@@ -155,8 +152,9 @@ def test_write_columns_from_more_threads_than_cores(tmp_path, library):
         v_c, u, n_sw_max = _trace_block(rows)
         columns = [f"p{k}", v_c[:, k % 3], n_sw_max, u[:, k % 3], rng.normal(size=rows)]
         header = ["t", "phase", *(f"v{j}" for j in range(12)), "nsw", *(f"u{j}" for j in range(12)), "f64"]
-        tables.append((tmp_path / f"table_{k}.csv", header, [StepTimes(rows, 25e-6 * (k + 1)), *columns]))
-        want.append(_python_csv(header, [np.arange(1, rows + 1) * (25e-6 * (k + 1)), *columns]))
+        columns.insert(0, np.arange(1, rows + 1) * (25e-6 * (k + 1)))
+        tables.append((tmp_path / f"table_{k}.csv", header, columns))
+        want.append(_python_csv(header, columns))
     errors = []
 
     def write(path, header, columns):

@@ -16,8 +16,9 @@ from mmcsim import kernel  # noqa: E402
 from mmcsim.scenario import _run_scalar  # noqa: E402
 
 # At most one field of an example is replaced by one of these; the other
-# fields stay in wide but finite ranges, so most examples get to run.
-_SPOILERS = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e300)
+# fields stay in wide but finite ranges, so most examples get to run.  The
+# last three are of the wrong type for a float field, an int field or both.
+_SPOILERS = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e300, "6e4", True, 2.5)
 
 
 def _floats(lo, hi):
@@ -48,7 +49,7 @@ _SCENARIO = {
     "line_c_per_km": _positive(1e-3),
     "line_l_per_km": _positive(1e-1),
 }
-_SPOILABLE = (*_PARAMS, *_SCENARIO, "duration", "warmup")
+_SPOILABLE = (*_PARAMS, *_SCENARIO, "n", "duration", "warmup")
 
 
 @st.composite

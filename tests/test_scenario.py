@@ -152,6 +152,31 @@ def test_config_from_dict_takes_int_for_float():
     assert config_from_dict(data) == m.fast_config(warmup=0.0)
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: m.SystemParams(n=2.5), "n: expected int, got 2.5"),
+        (lambda: m.SystemParams(n=True), "n: expected int, got True"),
+        (lambda: m.SystemParams(v_dc="6e4"), "v_dc: expected float, got '6e4'"),
+        (lambda: m.SystemParams(w_circ=False), "w_circ: expected float, got False"),
+        (lambda: m.ScenarioConfig(p_ref="1"), "p_ref: expected float, got '1'"),
+        (lambda: m.ScenarioConfig(algorithm=1), "algorithm: expected str, got 1"),
+        (lambda: m.ScenarioConfig(params={}), "params: expected SystemParams, got {}"),
+        (lambda: m.ScenarioConfig(nsw_schedule=((0.0, 2.6, 6),)),
+         r"nsw_schedule: expected NswSchedule, got \(\(0.0, 2.6, 6\),\)"),
+        (lambda: m.ScenarioConfig(nsw_schedule=m.NswSchedule(((0.0, "2.6", 6),))),
+         "nsw_schedule: segment 0 bounds: expected float, got '2.6'"),
+    ],
+    ids=["n-float", "n-bool", "v_dc-str", "w_circ-bool", "p_ref-str", "algorithm-int", "params-dict",
+         "schedule-tuple", "schedule-bound-str"],
+)
+def test_config_field_types_checked_where_they_live(build, match):
+    # a ValueError naming the field, not a TypeError from a check of its
+    # value or from the run
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        build()
+
+
 def test_config_validation_errors():
     with pytest.raises(ValueError, match="duration"):
         m.ScenarioConfig(duration=0.1 + 1e-5 / 3,
@@ -213,6 +238,17 @@ def test_record_count_matches_duration(fast_v1fc_trace):
     assert fast_v1fc_trace.steps == round(cfg.duration / cfg.params.t_s)
     assert fast_v1fc_trace.t[0] == pytest.approx(cfg.params.t_s, rel=REL)
     assert fast_v1fc_trace.t[-1] == pytest.approx(cfg.duration, rel=1e-9)
+
+
+def test_trace_equality_is_identity():
+    # == compares no arrays, which have no truth value: two runs' traces,
+    # phases and segment metrics are unequal, and nothing raises
+    cfg = m.fast_config(duration=0.02, warmup=0.0, nsw_schedule=m.constant_schedule(0.02, 6))
+    a, b = m.run_scenario(cfg), m.run_scenario(cfg)
+    assert a == a and (a == b) is False
+    assert (a.phase("a") == b.phase("a")) is False
+    seg_a, seg_b = (m.segment_report(trace, settle=0.005)[0] for trace in (a, b))
+    assert (seg_a == seg_b) is False
 
 
 def test_stiff_source_constant_vdc(fast_v1fc_trace):
