@@ -48,12 +48,8 @@ from .scenario import (
 )
 from .metrics import (
     SegmentMetrics,
-    circulating_ratio,
-    effective_switching_frequency,
     reduction_percent,
-    ripple_percent,
     segment_report,
-    tracking_rmse,
 )
 
 __version__ = "0.1.0"

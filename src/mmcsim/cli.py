@@ -73,7 +73,10 @@ def _parse_schedule(key: str, raw: str) -> NswSchedule:
         )
     if not segments:
         raise ConfigError(f"{key}: no segments given")
-    return NswSchedule(segments=tuple(segments))
+    try:
+        return NswSchedule(segments=tuple(segments))
+    except ValueError as exc:  # a non-finite bound
+        raise ConfigError(str(exc)) from None
 
 
 def _file_key(name: str) -> str:
@@ -322,7 +325,7 @@ def _write_fig_files(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics
                 [seg.t_start for seg in report],
                 [seg.t_end for seg in report],
                 np.array([seg.n_sw_max for seg in report], np.int64),
-                [seg.f_s_mean("a") for seg in report],
+                [seg.f_s_per_sm[0].mean() for seg in report],
                 reduction_percent(report),
                 np.array([seg.f_s_per_sm[0] for seg in report]).reshape(len(report), n2),
             ],
@@ -356,8 +359,8 @@ def format_summary(report: list[SegmentMetrics]) -> str:
     for seg, red in zip(report, reductions):
         lines.append(
             f"{seg.index:>3} {seg.t_start:>7.3f}-{seg.t_end:<8.3f} {seg.n_sw_max:>4} "
-            f"{seg.f_s_mean('a'):>14.1f} {red:>12.1f} {seg.ripple_mean('a'):>9.2f} "
-            f"{seg.izm_ratio('a'):>10.1f} {seg.tracking('a'):>7.2f}"
+            f"{seg.f_s_per_sm[0].mean():>14.1f} {red:>12.1f} {seg.ripple_pct[0].mean():>9.2f} "
+            f"{seg.izm_ratio_pct[0]:>10.1f} {seg.tracking_rmse_pct[0]:>7.2f}"
         )
     return "\n".join(lines)
 

@@ -1,8 +1,10 @@
 """Steady-state evaluation quantities computed from a simulation trace.
 
-Windows are half-open spans (t_lo, t_hi]; a trace row belongs to a window
-when its step ends inside (see ``scenario.steps_until``).  Every function
-here is a pure reader of the trace arrays.
+``segment_report`` measures each segment of a schedule over a half-open
+window (t_lo, t_hi]; a trace row belongs to a window when its step ends
+inside (see ``scenario.steps_until``).  ``_phase_metrics`` computes every
+per-phase quantity from a window's rows of one leg, and the per-phase
+fields of ``SegmentMetrics`` are its keys.
 """
 from __future__ import annotations
 
@@ -11,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import PHASES, NswSchedule, ScenarioConfig, SimTrace, steps_until
-
-
-def _check_sm(trace: SimTrace, sm: int) -> None:
-    # numpy would read a negative index from the last column back
-    n2 = 2 * trace.config.params.n
-    if isinstance(sm, bool) or not isinstance(sm, (int, np.integer)) or not 0 <= sm < n2:
-        raise ValueError(f"sm must be an int in [0, {n2}), got {sm!r}")
+from .core import _check_type
+from .scenario import PHASES, NswSchedule, PhaseTrace, ScenarioConfig, SimTrace, steps_until
 
 
 def _phase_row(phase: str) -> int:
@@ -27,39 +23,6 @@ def _phase_row(phase: str) -> int:
     if phase not in PHASES:
         raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
     return PHASES.index(phase)
-
-
-def _window_slice(trace: SimTrace, window: tuple[float, float]) -> tuple[int, int]:
-    ts = trace.config.params.t_s
-    # a window reaching past the trace would be divided by a span it does
-    # not cover; bounds may miss the ends by steps_until's tolerance
-    for t in window:
-        if not -1e-6 <= t / ts <= trace.steps + 1e-6:
-            raise ValueError(
-                f"window bound {t} lies outside the trace [0, {trace.steps * ts}]"
-            )
-    a, b = (steps_until(t, ts) for t in window)
-    if a >= b:
-        raise ValueError(f"window ({window[0]}, {window[1]}] contains no samples")
-    return a, b
-
-
-def effective_switching_frequency(
-    trace: SimTrace,
-    sm: int,
-    window: tuple[float, float],
-    phase: str = "a",
-) -> float:
-    """Turn-on events of one submodule per second over the window.
-
-    Counting only 0->1 edges makes a full on/off cycle count once.  The
-    edge into the first in-window step is attributed to that step, so
-    counts are additive over adjacent windows.
-    """
-    _check_sm(trace, sm)
-    a, b = _window_slice(trace, window)
-    count = np.count_nonzero(trace.phase(phase).edges(a, b)[:, sm] > 0)
-    return count / (window[1] - window[0])
 
 
 def _ripple(v_c: np.ndarray) -> np.ndarray:
@@ -71,48 +34,32 @@ def _ripple(v_c: np.ndarray) -> np.ndarray:
     return 100.0 * (v_c.max(axis=0) - v_c.min(axis=0)) / mean
 
 
-def ripple_percent(
-    trace: SimTrace,
-    sm: int,
-    window: tuple[float, float],
-    phase: str = "a",
-) -> float:
-    """Peak-to-peak capacitor voltage over the window, percent of its mean."""
-    _check_sm(trace, sm)
-    a, b = _window_slice(trace, window)
-    return float(_ripple(trace.phase(phase).v_c[a:b, sm, None])[0])
+def _percent(value: float, ref: float) -> float:
+    """``value`` in percent of ``ref``; 0 of 0 reads 0, and more than 0 of 0 inf."""
+    if ref == 0.0:
+        return 0.0 if value == 0.0 else math.inf
+    return 100.0 * value / ref
 
 
-def circulating_ratio(
-    trace: SimTrace,
-    phase: str,
-    window: tuple[float, float],
-) -> float:
-    """Largest circulating-current deviation from its window mean, percent
-    of the AC current amplitude (max |i| over the window)."""
-    a, b = _window_slice(trace, window)
-    iz = trace.phase(phase).i_circ[a:b]
-    amp = float(np.abs(trace.phase(phase).i_ac[a:b]).max())
-    dev = float(np.abs(iz - iz.mean()).max())
-    if amp == 0.0:
-        return 0.0 if dev == 0.0 else math.inf
-    return 100.0 * dev / amp
-
-
-def tracking_rmse(
-    trace: SimTrace,
-    phase: str,
-    window: tuple[float, float],
-) -> float:
-    """RMS tracking error, percent of the reference RMS amplitude."""
-    a, b = _window_slice(trace, window)
-    tr = trace.phase(phase)
+def _phase_metrics(tr: PhaseTrace, a: int, b: int, span: float, ref_rms: float) -> dict[str, object]:
+    """Every per-phase field of ``SegmentMetrics`` over rows ``a..b-1`` of
+    one leg, by name; ``span`` is the window's length in seconds and
+    ``ref_rms`` the reference current's RMS amplitude."""
+    n = tr.u.shape[1] // 2
+    # the edge into row a is attributed to row a, so counts are additive
+    # over adjacent windows; a 0->1 edge counts one on/off cycle
+    edges = tr.edges(a, b)
+    iz = tr.i_circ[a:b]
     err = tr.i_ac[a:b] - tr.i_ref[a:b]
-    rms = float(np.sqrt(np.mean(err * err)))
-    ref_rms = trace.config.i_ref_peak / math.sqrt(2.0)
-    if ref_rms == 0.0:
-        return 0.0 if rms == 0.0 else math.inf
-    return 100.0 * rms / ref_rms
+    return {
+        "f_s_per_sm": np.count_nonzero(edges > 0, axis=0) / span,
+        "ripple_pct": _ripple(tr.v_c[a:b]),
+        # largest i_z deviation from its window mean, percent of the AC
+        # current amplitude (max |i| over the window)
+        "izm_ratio_pct": _percent(float(np.abs(iz - iz.mean()).max()), float(np.abs(tr.i_ac[a:b]).max())),
+        "tracking_rmse_pct": _percent(float(np.sqrt(np.mean(err * err))), ref_rms),
+        "transitions_per_step": [np.count_nonzero(arm) / (b - a) for arm in (edges[:, :n], edges[:, n:])],
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,9 +67,10 @@ class SegmentMetrics:
     """All evaluation quantities for one schedule segment.
 
     Array rows follow the phase order ("a", "b", "c"); submodule columns
-    are upper arm first.  ``window`` is the span actually measured, i.e.
-    the segment clipped to the post-warmup region minus the settle
-    margin.  ``==`` is identity, as an array has no truth value.
+    are upper arm first.  The fields after ``window`` are the keys of
+    ``_phase_metrics``, one row per phase.  ``window`` is the span actually
+    measured, i.e. the segment clipped to the post-warmup region minus the
+    settle margin.  ``==`` is identity, as an array has no truth value.
     """
 
     index: int
@@ -130,23 +78,11 @@ class SegmentMetrics:
     t_end: float
     n_sw_max: int
     window: tuple[float, float]
-    f_s_per_sm: np.ndarray          # (3, 2n) [Hz]
+    f_s_per_sm: np.ndarray          # (3, 2n) turn-ons per second [Hz]
     ripple_pct: np.ndarray          # (3, 2n)
     izm_ratio_pct: np.ndarray       # (3,)
-    tracking_rmse_pct: np.ndarray   # (3,)
+    tracking_rmse_pct: np.ndarray   # (3,) percent of the reference RMS
     transitions_per_step: np.ndarray  # (3, 2) mean per arm (upper, lower)
-
-    def f_s_mean(self, phase: str = "a") -> float:
-        return float(self.f_s_per_sm[_phase_row(phase)].mean())
-
-    def ripple_mean(self, phase: str = "a") -> float:
-        return float(self.ripple_pct[_phase_row(phase)].mean())
-
-    def izm_ratio(self, phase: str = "a") -> float:
-        return float(self.izm_ratio_pct[_phase_row(phase)])
-
-    def tracking(self, phase: str = "a") -> float:
-        return float(self.tracking_rmse_pct[_phase_row(phase)])
 
 
 def segment_windows(
@@ -163,6 +99,7 @@ def segment_windows(
     """
     if schedule is None:
         schedule = config.nsw_schedule
+    _check_type("settle", settle, float)
     # NaN fails both comparisons, and an infinite margin cannot be converted
     # to a step count
     if not (math.isfinite(settle) and settle >= 0):
@@ -198,43 +135,22 @@ def segment_report(
     """
     if schedule is None:
         schedule = trace.config.nsw_schedule
-    n = trace.config.params.n
+    ts = trace.config.params.t_s
+    ref_rms = trace.config.i_ref_peak / math.sqrt(2.0)
     out: list[SegmentMetrics] = []
     for idx, w in segment_windows(trace.config, schedule, settle):
-        start, end, n_max = schedule.segments[idx]
-        a, b = _window_slice(trace, w)
-        f_s, ripple, trans = [], [], []
-        for ph in PHASES:
-            edges = trace.phase(ph).edges(a, b)
-            f_s.append(np.count_nonzero(edges > 0, axis=0) / (w[1] - w[0]))
-            trans.append([np.count_nonzero(arm) / (b - a) for arm in (edges[:, :n], edges[:, n:])])
-            ripple.append(_ripple(trace.phase(ph).v_c[a:b]))
-        izm = np.array([circulating_ratio(trace, ph, w) for ph in PHASES])
-        rmse = np.array([tracking_rmse(trace, ph, w) for ph in PHASES])
-        out.append(
-            SegmentMetrics(
-                index=idx,
-                t_start=start,
-                t_end=end,
-                n_sw_max=n_max,
-                window=w,
-                f_s_per_sm=np.array(f_s),
-                ripple_pct=np.array(ripple),
-                izm_ratio_pct=izm,
-                tracking_rmse_pct=rmse,
-                transitions_per_step=np.array(trans),
-            )
-        )
+        a, b = (steps_until(t, ts) for t in w)
+        rows = [_phase_metrics(trace.phase(ph), a, b, w[1] - w[0], ref_rms) for ph in PHASES]
+        fields = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+        out.append(SegmentMetrics(idx, *schedule.segments[idx], w, **fields))
     return out
 
 
 def reduction_percent(report: list[SegmentMetrics], phase: str = "a") -> list[float]:
     """Switching-frequency reduction of each segment versus the first one,
     in percent (the first reported segment is the baseline)."""
-    _phase_row(phase)
-    if not report:
-        return []
-    base = report[0].f_s_mean(phase)
-    if base == 0.0:
-        return [math.nan for _ in report]
-    return [100.0 * (1.0 - seg.f_s_mean(phase) / base) for seg in report]
+    row = _phase_row(phase)
+    means = [float(seg.f_s_per_sm[row].mean()) for seg in report]
+    if means and means[0] == 0.0:
+        return [math.nan for _ in means]
+    return [100.0 * (1.0 - f / means[0]) for f in means]

@@ -31,21 +31,26 @@ class NswSchedule:
 
     Segments are (t_start, t_end, n_sw_max) with half-open spans
     (t_start, t_end]; together they must tile (0, duration].  A segment
-    holds the steps that end inside it.
+    holds the steps that end inside it.  Each segment's types and the
+    finiteness of its bounds are checked when the schedule is built;
+    ``validate`` checks the tiling and the budgets' range against a config.
     """
 
     segments: tuple[tuple[float, float, int], ...]
 
-    def validate(self, n: int, duration: float) -> None:
-        if not self.segments:
-            raise ValueError("nsw_schedule: needs at least one segment")
-        prev_end = 0.0
+    def __post_init__(self) -> None:
         for k, (start, end, n_max) in enumerate(self.segments):
             _check_type(f"nsw_schedule: segment {k} bounds", start, float)
             _check_type(f"nsw_schedule: segment {k} bounds", end, float)
             _check_type(f"nsw_schedule: segment {k} n_sw_max", n_max, int)
             if not (math.isfinite(start) and math.isfinite(end)):
                 raise ValueError(f"nsw_schedule: segment {k} has a non-finite bound ({start}, {end}]")
+
+    def validate(self, n: int, duration: float) -> None:
+        if not self.segments:
+            raise ValueError("nsw_schedule: needs at least one segment")
+        prev_end = 0.0
+        for k, (start, end, n_max) in enumerate(self.segments):
             if not 0 <= n_max <= n:
                 raise ValueError(
                     f"nsw_schedule: segment {k} has n_sw_max={n_max}, outside [0, {n}]"
@@ -260,16 +265,6 @@ class PhaseTrace:
         if start > 0:
             return np.diff(rows, axis=0)
         return np.diff(rows, axis=0, prepend=np.zeros((1, rows.shape[1]), np.int8))
-
-    @property
-    def switches_upper(self) -> np.ndarray:
-        """Realized transitions of the upper arm on each step, int16."""
-        return np.count_nonzero(self.edges()[:, : self.u.shape[1] // 2], axis=1).astype(np.int16)
-
-    @property
-    def switches_lower(self) -> np.ndarray:
-        """Realized transitions of the lower arm on each step, int16."""
-        return np.count_nonzero(self.edges()[:, self.u.shape[1] // 2 :], axis=1).astype(np.int16)
 
 
 @dataclass(eq=False)

@@ -271,7 +271,7 @@ def test_run_command_fast_profile(tmp_path, fast_v1fc_trace):
     columns = [
         [seg.index for seg in rep_fixture], [seg.t_start for seg in rep_fixture],
         [seg.t_end for seg in rep_fixture], [seg.n_sw_max for seg in rep_fixture],
-        [seg.f_s_mean("a") for seg in rep_fixture], reductions,
+        [seg.f_s_per_sm[0].mean() for seg in rep_fixture], reductions,
         np.array([seg.f_s_per_sm[0] for seg in rep_fixture]),
     ]
     header = (["segment", "t_start", "t_end", "nsw_max", "f_s_mean_hz", "reduction_pct"]
@@ -681,8 +681,8 @@ def test_load_run_takes_references_from_config(tmp_path, short_run):
     for ph in PHASES:
         for name in ("i_ref", "v_grid"):
             assert np.array_equal(getattr(loaded.phase(ph), name), getattr(trace.phase(ph), name)), name
-    window = (0.0, 0.02)
-    assert m.tracking_rmse(loaded, "a", window) == m.tracking_rmse(trace, "a", window)
+    tracking = [seg.tracking_rmse_pct for tr in (loaded, trace) for seg in m.segment_report(tr, settle=0.0)]
+    assert len(tracking) == 2 and np.array_equal(*tracking)
 
 
 @pytest.mark.parametrize("name", ["run_manifest.json", "trace.bin"])

@@ -4,12 +4,13 @@ or SimulationDiverged, never a stray exception or a silent NaN; and the
 compiled kernel, when it is loaded, ends each run as the scalar loop does."""
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
 import mmcsim as m  # noqa: E402
 from mmcsim import kernel  # noqa: E402
@@ -70,9 +71,24 @@ def _inputs(draw):
     return params, scenario, budget
 
 
+def _spoiled(name, value):
+    """The case study's fields over four steps, with ``name`` set to ``value``."""
+    params = asdict(m.SystemParams())
+    scenario = {k: getattr(m.ScenarioConfig(), k) for k in (*_SCENARIO, "algorithm", "dc_model")}
+    scenario.update(duration=4 * params["t_s"], warmup=0.0)
+    (params if name in params else scenario)[name] = value
+    return params, scenario, 6
+
+
+# the draws above need not reach the type spoilers
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_inputs())
+@example(_spoiled("n", 2.5))
+@example(_spoiled("n", True))
+@example(_spoiled("n", "6e4"))
+@example(_spoiled("v_dc", "6e4"))
+@example(_spoiled("v_dc", True))
 def test_run_finishes_finite_or_raises(inputs):
     params, scenario, budget = inputs
     try:

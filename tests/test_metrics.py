@@ -1,14 +1,15 @@
-"""Metric definitions checked on hand-built synthetic traces, plus the
-segmentation logic on real runs."""
+"""Metric definitions checked through segment_report on hand-built
+synthetic traces, plus the segmentation logic on real runs."""
 import copy
+import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import mmcsim as m
-from mmcsim.metrics import _window_slice
-from mmcsim.scenario import PhaseTrace
+from mmcsim.scenario import PhaseTrace, steps_until
 
 REL = 1e-12
 
@@ -50,18 +51,31 @@ def _synthetic_trace(u_a=None, v_c_a=None, i_ac=None, i_ref=None, i_circ=None,
     )
 
 
+def _phase_a(trace, schedule=None, settle=0.0):
+    """Phase A's row of every per-phase field, for each reported segment."""
+    return [
+        {f.name: getattr(seg, f.name)[0] for f in fields(seg)[5:]}
+        for seg in m.segment_report(trace, schedule, settle)
+    ]
+
+
+def _schedule(*bounds):
+    """Budget-1 segments between the given bounds."""
+    return m.NswSchedule(tuple((lo, hi, 1) for lo, hi in zip(bounds, bounds[1:])))
+
+
 # --------------------------------------------- effective switching frequency
 
 def test_fs_constant_status_is_zero():
     trace = _synthetic_trace(u_a=np.ones(40))
     # the initial 0 -> 1 edge lands on the first step; skip it
-    assert m.effective_switching_frequency(trace, 0, (25e-6, 1e-3)) == 0.0
+    assert _phase_a(trace, settle=25e-6)[0]["f_s_per_sm"][0] == 0.0
 
 
 def test_fs_toggling_20khz():
     # toggling every step for 1 ms at 25 us: 20 turn-on edges
     trace = _synthetic_trace(u_a=(np.arange(40) + 1) % 2)
-    got = m.effective_switching_frequency(trace, 0, (0.0, 1e-3))
+    got = _phase_a(trace)[0]["f_s_per_sm"][0]
     assert got == pytest.approx(20000.0, rel=REL)
 
 
@@ -69,81 +83,54 @@ def test_fs_window_additivity():
     rng = np.random.default_rng(5)
     trace = _synthetic_trace(u_a=rng.integers(0, 2, size=40), steps=40)
     a, b, c = 0.0, 0.4e-3, 1e-3
-    total = m.effective_switching_frequency(trace, 0, (a, c)) * (c - a)
-    left = m.effective_switching_frequency(trace, 0, (a, b)) * (b - a)
-    right = m.effective_switching_frequency(trace, 0, (b, c)) * (c - b)
-    assert total == pytest.approx(left + right, rel=1e-9)
+    total = _phase_a(trace)[0]["f_s_per_sm"][0] * (c - a)
+    left, right = (rep["f_s_per_sm"][0] for rep in _phase_a(trace, _schedule(a, b, c)))
+    assert total == pytest.approx(left * (b - a) + right * (c - b), rel=1e-9)
 
 
 def test_off_grid_window_is_half_open():
     # steps end at 25, 50, 75, 100, 125 us; (30, 110] and (37.5, 112.5]
     # both hold the three steps ending at 50, 75 and 100 us
     trace = _synthetic_trace(u_a=[0, 1, 0, 1, 0] + [0] * 35)
-    for window in ((30e-6, 110e-6), (37.5e-6, 112.5e-6)):
-        assert _window_slice(trace, window) == (1, 4)
+    for lo, hi in ((30e-6, 110e-6), (37.5e-6, 112.5e-6)):
+        assert [steps_until(t, 25e-6) for t in (lo, hi)] == [1, 4]
         # the turn-on edges at 50 and 100 us
-        got = m.effective_switching_frequency(trace, 0, window)
-        assert got * (window[1] - window[0]) == pytest.approx(2.0, rel=1e-9)
-    # a bound on a step's end leaves that step out below and in above
-    assert _window_slice(trace, (50e-6, 100e-6)) == (2, 4)
+        seg = m.segment_report(trace, _schedule(0.0, hi, 1e-3), settle=lo)[0]
+        assert seg.window == (lo, hi)
+        assert seg.f_s_per_sm[0, 0] * (hi - lo) == pytest.approx(2.0, rel=1e-9)
+    # a bound on a step's end leaves that step out below and in above: the
+    # steps ending at 75 and 100 us, and the turn-on at 100 us
+    seg = m.segment_report(trace, _schedule(0.0, 100e-6, 1e-3), settle=50e-6)[0]
+    assert seg.f_s_per_sm[0, 0] * 50e-6 == pytest.approx(1.0, rel=1e-9)
 
 
 def test_fs_empty_window_rejected():
+    # settle 1 ms leaves the 1 ms trace the window (1 ms, 1 ms], and 2 ms
+    # the window (2 ms, 1 ms]
     trace = _synthetic_trace()
-    with pytest.raises(ValueError):
-        m.effective_switching_frequency(trace, 0, (1e-3, 1e-3))
-    with pytest.raises(ValueError):
-        m.effective_switching_frequency(trace, 0, (2e-3, 3e-3))
+    for settle in (1e-3, 2e-3):
+        with pytest.raises(ValueError, match=r"^settle .* leaves no samples in segment 0 \(0.0, 0.001\]$"):
+            m.segment_report(trace, settle=settle)
 
 
-def test_window_past_the_trace_rejected():
+def test_window_past_the_trace_is_clipped():
     # the 40-step (1 ms) trace toggling every step: 20 turn-ons in 1 ms;
     # dividing them by the 2 ms span of (0, 2 ms] would read 10,000 Hz
     trace = _synthetic_trace(u_a=(np.arange(40) + 1) % 2)
-    assert m.effective_switching_frequency(trace, 0, (0.0, 1e-3 + 1e-12)) == pytest.approx(
-        20000.0, rel=1e-6
-    )
-    for window in ((0.0, 2e-3), (-25e-6, 1e-3), (0.0, 1e-3 + 25e-6)):
-        with pytest.raises(ValueError, match="outside the trace"):
-            m.effective_switching_frequency(trace, 0, window)
-        with pytest.raises(ValueError, match="outside the trace"):
-            m.ripple_percent(trace, 0, window)
+    for bounds in ((0.0, 2e-3), (0.0, 1e-3 + 1e-12), (0.0, 1e-3, 2e-3, 3e-3)):
+        rep = m.segment_report(trace, _schedule(*bounds), settle=0.0)
+        # a segment past the trace holds no steps and is not reported
+        assert [seg.window for seg in rep] == [(0.0, 1e-3)]
+        assert rep[0].f_s_per_sm[0, 0] == pytest.approx(20000.0, rel=REL)
 
 
-METRICS_BY_SM = [m.effective_switching_frequency, m.ripple_percent]
-METRICS_BY_PHASE = [m.circulating_ratio, m.tracking_rmse]
-
-
-@pytest.mark.parametrize("metric", METRICS_BY_SM, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("sm", [-1, -2, 2, 1.0, True, "0", None], ids=repr)
-def test_metric_rejects_bad_submodule(metric, sm):
-    # the synthetic trace has n = 1, so sm lies in [0, 2); -1 used to read
-    # the last submodule, and 2 ended in a bare IndexError
-    trace = _synthetic_trace(u_a=(np.arange(40) + 1) % 2)
-    with pytest.raises(ValueError, match=re.escape(f"sm must be an int in [0, 2), got {sm!r}")):
-        metric(trace, sm, (0.0, 1e-3))
-    metric(trace, np.int64(1), (0.0, 1e-3))  # a numpy int is an int
-
-
-@pytest.mark.parametrize("metric", METRICS_BY_SM + METRICS_BY_PHASE, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("phase", ["d", "A", "", None], ids=repr)
-def test_metric_rejects_bad_phase(metric, phase):
-    # "d" used to end in a bare KeyError
-    trace = _synthetic_trace(i_ac=np.ones(40))
-    sm = {"sm": 0} if metric in METRICS_BY_SM else {}
-    with pytest.raises(ValueError, match=re.escape(f"phase must be one of ('a', 'b', 'c'), got {phase!r}")):
-        metric(trace, window=(0.0, 1e-3), phase=phase, **sm)
-
-
-@pytest.mark.parametrize("reader", ["f_s_mean", "ripple_mean", "izm_ratio", "tracking", "reduction_percent"])
-@pytest.mark.parametrize("phase", ["d", "A", "", None], ids=repr)
-def test_segment_metrics_reject_bad_phase(reader, phase):
+def test_segment_metrics_reject_bad_phase(phase):
     # "d" used to end in "tuple.index(x): x not in tuple"
     report = m.segment_report(_synthetic_trace(u_a=(np.arange(40) + 1) % 2), settle=0.0)
-    read = getattr(m, reader, None) or (lambda rep, ph: getattr(rep[0], reader)(ph))
     with pytest.raises(ValueError, match=re.escape(f"phase must be one of ('a', 'b', 'c'), got {phase!r}")):
-        read(report, phase)
-    read(report, "c")
+        m.reduction_percent(report, phase)
+    m.reduction_percent(report, "c")
 
 
 def test_edges_signed_for_bool_and_int8_status():
@@ -159,21 +146,18 @@ def test_edges_signed_for_bool_and_int8_status():
         assert np.array_equal(tr.edges()[:, 0], want)
         assert np.array_equal(tr.edges(3, 17)[:, 0], want[3:17])
         assert tr.edges(5, 5).shape == (0, 2)
-        f_s = [m.effective_switching_frequency(trace, 0, w) for w in ((0.0, 1e-3), (100e-6, 575e-6))]
-        results.append((tr.switches_upper, tr.switches_lower, f_s))
-    (up8, low8, f_s8), (up_b, low_b, f_s_b) = results
-    assert up8.dtype == up_b.dtype == np.int16
-    assert np.array_equal(up8, up_b) and np.array_equal(low8, low_b)
-    assert f_s8 == f_s_b
+        reps = _phase_a(trace) + _phase_a(trace, _schedule(0.0, 100e-6, 575e-6, 1e-3))
+        results.append([(rep["f_s_per_sm"][0], *rep["transitions_per_step"]) for rep in reps])
+    assert results[0] == results[1]
     # 12 turn-ons in 1 ms, the first from the all-off start
-    assert f_s_b[0] == pytest.approx(12e3, rel=REL)
+    assert results[1][0][0] == pytest.approx(12e3, rel=REL)
 
 
 # ------------------------------------------------------------------- ripple
 
 def test_ripple_constant_is_zero():
     trace = _synthetic_trace()
-    assert m.ripple_percent(trace, 0, (0.0, 1e-3)) == 0.0
+    assert _phase_a(trace)[0]["ripple_pct"][0] == 0.0
 
 
 def test_ripple_definition_fixture():
@@ -182,14 +166,14 @@ def test_ripple_definition_fixture():
     v[10] = 10060.0
     v[20] = 9940.0
     trace = _synthetic_trace(v_c_a=v)
-    assert m.ripple_percent(trace, 0, (0.0, 1e-3)) == pytest.approx(1.2, rel=1e-9)
+    assert _phase_a(trace)[0]["ripple_pct"][0] == pytest.approx(1.2, rel=1e-9)
 
 
 # ------------------------------------------------------- circulating ratio
 
 def test_circulating_zero():
     trace = _synthetic_trace(i_ac=np.full(40, 345.0))
-    assert m.circulating_ratio(trace, "a", (0.0, 1e-3)) == 0.0
+    assert _phase_a(trace)[0]["izm_ratio_pct"] == 0.0
 
 
 def test_circulating_definition_fixture():
@@ -198,7 +182,7 @@ def test_circulating_definition_fixture():
     i = np.zeros(40)
     i[0] = 345.0
     trace = _synthetic_trace(i_ac=i, i_circ=iz)
-    assert m.circulating_ratio(trace, "a", (0.0, 1e-3)) == pytest.approx(10.0, rel=1e-9)
+    assert _phase_a(trace)[0]["izm_ratio_pct"] == pytest.approx(10.0, rel=1e-9)
 
 
 # ------------------------------------------------------------ tracking rmse
@@ -206,14 +190,14 @@ def test_circulating_definition_fixture():
 def test_tracking_exact_is_zero():
     ref = 100.0 * np.sin(np.linspace(0, 2 * np.pi, 40))
     trace = _synthetic_trace(i_ac=ref, i_ref=ref)
-    assert m.tracking_rmse(trace, "a", (0.0, 1e-3)) == 0.0
+    assert _phase_a(trace)[0]["tracking_rmse_pct"] == 0.0
 
 
 def test_tracking_offset_fixture():
     # constant offset of 1% of the reference amplitude: 100 * 0.01 * sqrt(2)
     ref = 100.0 * np.sin(np.linspace(0, 2 * np.pi, 40))
     trace = _synthetic_trace(i_ac=ref + 1.0, i_ref=ref, i_m=100.0)
-    got = m.tracking_rmse(trace, "a", (0.0, 1e-3))
+    got = _phase_a(trace)[0]["tracking_rmse_pct"]
     assert got == pytest.approx(1.4142135623730951, rel=1e-9)
 
 
@@ -228,24 +212,39 @@ def test_segment_report_single_segment(fast_v1fc_trace):
     assert rep[0].window[1] == pytest.approx(0.5)
 
 
-def test_segment_report_equals_per_sm_functions(fast_v1fc_trace):
+def test_segment_report_fields_match_numpy_derivation(fast_v1fc_trace):
+    # every per-phase field of one window, from the statuses, voltages and
+    # currents by plain numpy: (0.31, 0.35] holds rows 12400..13999
     trace = fast_v1fc_trace
     n = trace.config.params.n
-    for seg in m.segment_report(trace, settle=0.01):
-        a, b = _window_slice(trace, seg.window)
-        for p, ph in enumerate("abc"):
-            tr = trace.phase(ph)
-            for sm in range(2 * n):
-                assert seg.f_s_per_sm[p, sm] == m.effective_switching_frequency(trace, sm, seg.window, ph)
-                assert seg.ripple_pct[p, sm] == m.ripple_percent(trace, sm, seg.window, ph)
-            assert seg.transitions_per_step[p, 0] == tr.switches_upper[a:b].mean()
-            assert seg.transitions_per_step[p, 1] == tr.switches_lower[a:b].mean()
+    seg = m.segment_report(trace, settle=0.01)[4]
+    assert seg.window == (pytest.approx(0.31), 0.35)
+    a, b = 12400, 14000
+    span = seg.window[1] - seg.window[0]
+    ref_rms = trace.config.i_ref_peak / np.sqrt(2.0)
+    for p, ph in enumerate("abc"):
+        tr = trace.phase(ph)
+        u = tr.u[a - 1 : b].astype(int)
+        before, after = u[:-1], u[1:]
+        turn_ons = ((before == 0) & (after == 1)).sum(axis=0)
+        flips = before != after
+        assert np.array_equal(seg.f_s_per_sm[p], turn_ons / span)
+        assert np.array_equal(seg.transitions_per_step[p], [flips[:, :n].sum(axis=1).mean(),
+                                                            flips[:, n:].sum(axis=1).mean()])
+        v = tr.v_c[a:b]
+        assert seg.ripple_pct[p] == pytest.approx(100.0 * np.ptp(v, axis=0) / v.mean(axis=0), rel=1e-12)
+        iz, i = tr.i_circ[a:b], tr.i_ac[a:b]
+        assert seg.izm_ratio_pct[p] == pytest.approx(100.0 * np.max(np.abs(iz - iz.mean())) / np.max(np.abs(i)),
+                                                     rel=1e-12)
+        rmse = np.sqrt(np.mean((i - tr.i_ref[a:b]) ** 2))
+        assert seg.tracking_rmse_pct[p] == pytest.approx(100.0 * rmse / ref_rms, rel=1e-12)
 
 
 def test_window_bounds_on_the_grid_count_whole_steps(fast_v1fc_trace):
     # the step ending at 0.35 s has the float timestamp 0.35000000000000003
-    a, b = _window_slice(fast_v1fc_trace, (0.31, 0.35))
-    assert (a, b) == (12400, 14000)
+    ts = fast_v1fc_trace.config.params.t_s
+    assert fast_v1fc_trace.t[13999] > 0.35
+    assert [steps_until(t, ts) for t in (0.31, 0.35)] == [12400, 14000]
 
 
 def test_segment_report_staircase_layout(fast_v1fc_trace):
@@ -271,7 +270,7 @@ def test_v1f2_switching_rate_flat_across_segments(paper_all6_v1f2_trace):
     rep = m.segment_report(
         paper_all6_v1f2_trace, schedule=m.NswSchedule(segments=segs)
     )
-    means = np.array([seg.f_s_mean("a") for seg in rep])
+    means = np.array([seg.f_s_per_sm[0].mean() for seg in rep])
     assert np.ptp(means) / means.mean() < 0.15
 
 
@@ -296,3 +295,25 @@ def test_settle_must_be_finite_and_non_negative(settle):
     # OverflowError
     with pytest.raises(ValueError, match=r"^settle must be finite and >= 0, got "):
         m.segment_report(_synthetic_trace(), settle=settle)
+
+
+@pytest.mark.parametrize("settle", ["0.01", None], ids=repr)
+def test_settle_must_be_a_number(settle):
+    # a string used to end in "TypeError: must be real number"
+    with pytest.raises(ValueError, match=f"^settle: expected float, got {re.escape(repr(settle))}$"):
+        m.segment_report(_synthetic_trace(), settle=settle)
+
+
+@pytest.mark.parametrize(
+    "bounds, match",
+    [
+        ((0.0, math.nan), r"segment 0 has a non-finite bound \(0.0, nan\]"),
+        ((0.0, "0.5"), "segment 0 bounds: expected float, got '0.5'"),
+    ],
+    ids=["nan", "text"],
+)
+def test_re_slicing_schedule_checked_when_built(fast_v1fc_trace, bounds, match):
+    # a NaN bound used to end in "cannot convert float NaN to integer", and a
+    # text bound in a TypeError from a comparison, inside segment_report
+    with pytest.raises(ValueError, match=f"^nsw_schedule: {match}$"):
+        m.segment_report(fast_v1fc_trace, m.NswSchedule(((*bounds, 6),)))

@@ -296,8 +296,8 @@ def test_budget_segments_have_whole_step_counts(fast_v1fc_trace):
 def test_three_phase_symmetry(paper_all6_v1f2_trace):
     # balanced sources: steady-state per-phase metrics agree within 5%
     rep = m.segment_report(paper_all6_v1f2_trace)[0]
-    fs = [rep.f_s_mean(ph) for ph in "abc"]
-    rip = [rep.ripple_mean(ph) for ph in "abc"]
+    fs = rep.f_s_per_sm.mean(axis=1)
+    rip = rep.ripple_pct.mean(axis=1)
     assert (max(fs) - min(fs)) / np.mean(fs) < 0.05
     assert (max(rip) - min(rip)) / np.mean(rip) < 0.05
 
@@ -329,7 +329,9 @@ def test_unstable_piline_reports_divergence():
 def test_trace_switch_counts_match_status_stream(fast_v1fc_trace):
     tr = fast_v1fc_trace.phase("a")
     n = fast_v1fc_trace.config.params.n
-    upper, lower = tr.switches_upper, tr.switches_lower
+    edges = tr.edges()
+    upper = np.count_nonzero(edges[:, :n], axis=1)
+    lower = np.count_nonzero(edges[:, n:], axis=1)
     prev = np.zeros(2 * n, dtype=np.int8)
     for k in range(0, fast_v1fc_trace.steps, 7):
         if k > 0:
