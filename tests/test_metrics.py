@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mmcsim as m
+from mmcsim.metrics import _phase_row
 from mmcsim.scenario import PhaseTrace, steps_until
 
 REL = 1e-12
@@ -124,13 +125,27 @@ def test_window_past_the_trace_is_clipped():
         assert rep[0].f_s_per_sm[0, 0] == pytest.approx(20000.0, rel=REL)
 
 
+# each per-phase quantity of a segment, read for a phase label through the
+# row lookup that reduction_percent uses
+READERS = {
+    "f_s_mean": lambda rep, ph: rep[0].f_s_per_sm[_phase_row(ph)].mean(),
+    "ripple_mean": lambda rep, ph: rep[0].ripple_pct[_phase_row(ph)].mean(),
+    "izm_ratio": lambda rep, ph: rep[0].izm_ratio_pct[_phase_row(ph)],
+    "tracking": lambda rep, ph: rep[0].tracking_rmse_pct[_phase_row(ph)],
+    "reduction_percent": m.reduction_percent,
+}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
 @pytest.mark.parametrize("phase", ["d", "A", "", None], ids=repr)
-def test_segment_metrics_reject_bad_phase(phase):
+def test_segment_metrics_reject_bad_phase(reader, phase):
     # "d" used to end in "tuple.index(x): x not in tuple"
     report = m.segment_report(_synthetic_trace(u_a=(np.arange(40) + 1) % 2), settle=0.0)
+    read = READERS[reader]
     with pytest.raises(ValueError, match=re.escape(f"phase must be one of ('a', 'b', 'c'), got {phase!r}")):
-        m.reduction_percent(report, phase)
-    m.reduction_percent(report, "c")
+        read(report, phase)
+    # the synthetic legs are copies of one another
+    assert read(report, "c") == read(report, "a")
 
 
 def test_edges_signed_for_bool_and_int8_status():
