@@ -9,12 +9,21 @@
    its record is the same bits as their loop's (scenario._run_scalar);
    build it with -ffp-contract=off, so that no a*b + c is fused.
 
-   - sorts: stable insertion sorts; v1f2 on (key, index), v1fc on (key, OFF
-     flag, index) and then a stable partition on the deferred flag, which
-     gives the order of sort_v1fc's penalty sort;
+   - sorts: an insertion sort of each arm's order of the previous step
+     under one total order, key (NaN last), then ON first under v1fc, then
+     index, and then a stable partition on the deferred flag, which gives
+     the order of sort_v1fc's penalty sort; the capacitor order hardly
+     changes in a step, so the sort is mostly one comparison a submodule;
    - selection: brute_force_select's first-minimum scan of the row-major
-     (n+1)^2 grid, a NaN cell never winning; the two differ only when cell
-     (0, 0) is NaN, which the scan keeps.
+     (n+1)^2 grid, a NaN cell never winning, skipping the rows and columns
+     that a lower bound of the objective shows cannot hold the minimum
+     (see select_cell; 1.58 cells are scored a selection on the fast
+     profile, against 49); the two differ only when cell (0, 0) is NaN,
+     which the scan keeps.
+
+   A phase-step takes about 270 ns, against 400 ns with a sort from index
+   order and a full scan (fast and paper v1fc runs, gcc 12 -O2, 2-core
+   x86-64; BENCH_kernel.json at the repository root).
 
    mmcsim_sin is libm's sin, the function math.sin calls, over an array.
    mmcsim_format_columns writes a block of CSV rows as text byte-identical
@@ -43,71 +52,138 @@ static int less(double a, double b)
     return a < b || (b != b && a == a);
 }
 
-/* Fill order[0..n) with the submodule order of one arm: keys ascending,
-   ties ON first under v1fc, then by index; under v1fc with budget < n, the
-   OFF submodules beyond the budget's count of turn-ons move, in order,
-   behind the others.  tmp holds n ints. */
-static void sort_arm(int n, const double *key, const int8_t *u, int v1fc, int budget,
-                     int32_t *order, int32_t *tmp)
+/* a before b in an arm's order: key ascending (see less), then, under
+   v1fc, ON first, then index; a total order, so the sort below gives the
+   same order from any start */
+static int before(const double *key, const int8_t *u, int v1fc, int32_t a, int32_t b)
 {
-    for (int i = 0; i < n; i++) {
-        int j = i;
-        while (j > 0) {
-            int32_t prev = order[j - 1];
-            int before = less(key[i], key[prev])
-                || (v1fc && !less(key[prev], key[i]) && u[i] > u[prev]);
-            if (!before)
-                break;
-            order[j] = prev;
-            j--;
-        }
-        order[j] = i;
-    }
-    if (!v1fc || budget >= n)
-        return;
-    int kept = 0, deferred = 0, turn_ons = 0;
-    for (int m = 0; m < n; m++) {
-        int32_t j = order[m];
-        if (!u[j] && ++turn_ons > budget)
-            tmp[deferred++] = j;
-        else
-            order[kept++] = j;
-    }
-    memcpy(order + kept, tmp, (size_t)deferred * sizeof *tmp);
+    if (less(key[a], key[b]))
+        return 1;
+    if (less(key[b], key[a]))
+        return 0;
+    if (v1fc && u[a] != u[b])
+        return u[a] > u[b];
+    return a < b;
 }
 
-/* The cell m_up * (n+1) + m_low of the first minimum of the objective */
-static int select_cell(int n, const double *sums_up, const double *sums_low,
-                       double t_up, double t_low, double w_track, double w_circ)
+/* Sort perm[0..n), a permutation of the arm's submodules (the order of the
+   previous step), in place by `before`, and fill order[0..n) with the
+   submodule order: perm, and under v1fc with budget < n, the OFF
+   submodules beyond the budget's count of turn-ons moved, in order,
+   behind the others (a stable partition). */
+static void sort_arm(int n, const double *key, const int8_t *u, int v1fc, int budget,
+                     int32_t *perm, int32_t *order)
 {
+    for (int i = 1; i < n; i++) {
+        int32_t x = perm[i];
+        int j = i;
+        for (; j > 0 && before(key, u, v1fc, x, perm[j - 1]); j--)
+            perm[j] = perm[j - 1];
+        perm[j] = x;
+    }
+    if (!v1fc || budget >= n) {
+        memcpy(order, perm, sizeof *order * (size_t)n);
+        return;
+    }
+    /* kept counts the submodules that stay in front; each submodule goes
+       straight to its place, without a branch on the statuses */
+    int off = 0;
+    for (int j = 0; j < n; j++)
+        off += !u[j];
+    const int kept = off > budget ? n - (off - budget) : n;
+    int turn_ons = 0, deferred = 0;
+    for (int m = 0; m < n; m++) {
+        int32_t j = perm[m];
+        turn_ons += !u[j];
+        int later = !u[j] & (turn_ons > budget);
+        order[later ? kept + deferred : m - deferred] = j;
+        deferred += later;
+    }
+}
+
+/* the objective of brute_force_select's _weighted */
+static double objective(double w_track, double w_circ, double d_up, double d_low)
+{
+    return w_track * fabs(d_low - d_up) + w_circ * fabs(d_low + d_up);
+}
+
+/* The cell m_up * (n+1) + m_low of the first minimum of the objective in
+   row-major order, brute_force_select's cell; d_low holds n+1 doubles.
+
+   For real a = d_low and b = d_up, w_t|a - b| + w_c|a + b| >=
+   w(|a - b| + |a + b|) = 2 w max(|a|, |b|) with w = min(w_t, w_c), so no
+   cell of a row or column whose d has B = 2 w |d| above the objective f*
+   of the first minimum can hold it.  The scan keeps a cut T >= f*: the
+   objective of the cell nearest both targets, then each better cell's,
+   and skips the rows and columns whose B exceeds T.  B is computed as (w |d|) (2 - 2^-49), that is
+   2 w |d| shrunk by 2^-50 relative, and gains at most 2 * 2^-53 in its two
+   roundings; the computed objective loses at most 3 * 2^-53 (two
+   roundings in each term, one in the sum).  So a skipped cell's computed
+   objective is at least its B, above T and so above f*: it is not a
+   minimum, and every cell at f* is scored, in row-major order, with the
+   same strict <.  T is never below 2^-1000, so a skip needs B > 2^-1000,
+   far above the absolute error of an objective that underflows; one that
+   overflows is inf, above any finite T.  A NaN B, a zero or negative
+   weight and T = inf (a NaN or infinite nearest cell) skip nothing: the
+   scan is then the full scan. */
+static int select_cell(int n, const double *sums_up, const double *sums_low,
+                       double t_up, double t_low, double w_track, double w_circ, double *d_low)
+{
+    const double w_min = w_track < w_circ ? w_track : w_circ, shrink = 2.0 - 0x1p-49;
+    /* the cell nearest both targets, a NaN d never nearest; selects rather
+       than branches, as where the target falls changes every step */
+    int near_up = 0, near_low = 0;
+    double a_up = INFINITY, a_low = INFINITY;
+    for (int j = 0; j <= n; j++) {
+        d_low[j] = t_low - sums_low[j];
+        double a = fabs(d_low[j]);
+        int closer = a < a_low;
+        near_low = closer ? j : near_low;
+        a_low = closer ? a : a_low;
+    }
+    for (int i = 0; i <= n; i++) {
+        double a = fabs(t_up - sums_up[i]);
+        int closer = a < a_up;
+        near_up = closer ? i : near_up;
+        a_up = closer ? a : a_up;
+    }
+    double cut = objective(w_track, w_circ, t_up - sums_up[near_up], d_low[near_low]);
+    cut = !(cut < INFINITY) ? INFINITY : cut < 0x1p-1000 ? 0x1p-1000 : cut;
     int best = 0;
     double f_best = INFINITY;
-    for (int i = 0, cell = 0; i <= n; i++) {
+    for (int i = 0; i <= n; i++) {
         double d_up = t_up - sums_up[i];
-        for (int j = 0; j <= n; j++, cell++) {
-            double d_low = t_low - sums_low[j];
-            double f = w_track * fabs(d_low - d_up) + w_circ * fabs(d_low + d_up);
+        if (w_min * fabs(d_up) * shrink > cut)
+            continue;
+        for (int j = 0; j <= n; j++) {
+            if (w_min * fabs(d_low[j]) * shrink > cut)
+                continue;
+            double f = objective(w_track, w_circ, d_up, d_low[j]);
             if (f < f_best) {
                 f_best = f;
-                best = cell;
+                best = i * (n + 1) + j;
+                if (f < cut)
+                    cut = f < 0x1p-1000 ? 0x1p-1000 : f;
             }
         }
     }
     return best;
 }
 
-/* The sort of one arm and the selection of one leg, for tests that hold
+/* The sort of one arm from the start perm (sorted in place) and the
+   selection of one leg with its n+1 doubles of work, for tests that hold
    them to the scalar sorts and selection on ties */
 void mmcsim_sort_arm(int32_t n, const double *key, const int8_t *u, int32_t v1fc,
-                     int32_t budget, int32_t *order, int32_t *tmp)
+                     int32_t budget, int32_t *perm, int32_t *order)
 {
-    sort_arm(n, key, u, v1fc, budget, order, tmp);
+    sort_arm(n, key, u, v1fc, budget, perm, order);
 }
 
 int32_t mmcsim_select_cell(int32_t n, const double *sums_up, const double *sums_low,
-                           double t_up, double t_low, double w_track, double w_circ)
+                           double t_up, double t_low, double w_track, double w_circ,
+                           double *d_low)
 {
-    return select_cell(n, sums_up, sums_low, t_up, t_low, w_track, w_circ);
+    return select_cell(n, sums_up, sums_low, t_up, t_low, w_track, w_circ, d_low);
 }
 
 /* Run `steps` steps.  budgets is (steps,), refs (steps, 2, 3) i_ref then
@@ -131,9 +207,11 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
     const double l_line = k[K_L_LINE], c_end = k[K_C_END];
 
     /* the state: capacitor voltages and statuses by phase, upper arm first */
-    double *v = malloc(sizeof(double) * (size_t)(PHASES * n2 + 2 * n2 + 2 * (n + 1)));
+    double *v = malloc(sizeof(double) * (size_t)(PHASES * n2 + 2 * n2 + 3 * (n + 1)));
     int8_t *u = malloc((size_t)(PHASES * n2));
-    int32_t *order = malloc(sizeof(int32_t) * (size_t)(n2 + n));
+    /* the order of each arm this step, then the sorted order of each arm
+       of every phase, kept from step to step, from index order */
+    int32_t *order = malloc(sizeof(int32_t) * (size_t)(n2 + PHASES * n2));
     if (!v || !u || !order) {
         free(v);
         free(u);
@@ -141,10 +219,12 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
         return -1;
     }
     double *v_next = v + PHASES * n2, *key = v_next + n2, *sums = key + n2;
-    int32_t *tmp = order + n2;
+    double *d_low = sums + 2 * (n + 1);
+    int32_t *perm = order + n2;
     for (int j = 0; j < PHASES * n2; j++) {
         v[j] = k[K_V_SM];
         u[j] = 0;
+        perm[j] = j % n;
     }
     sums[0] = sums[n + 1] = 0.0;
 
@@ -175,7 +255,7 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
                     vn[j] = v_leg[a * n + j] + inc;
                     ky[j] = vn[j] * sign;
                 }
-                sort_arm(n, ky, u_leg + a * n, v1fc, budgets[s], ord, tmp);
+                sort_arm(n, ky, u_leg + a * n, v1fc, budgets[s], perm + (p * 2 + a) * n, ord);
                 /* 4. running sums in sorted order, behind sm[0] = 0.0 */
                 double run = 0.0;
                 for (int m = 0; m < n; m++) {
@@ -185,7 +265,7 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
             }
             /* 5. selection over the (n+1) x (n+1) grid */
             int cell = select_cell(n, sums, sums + n + 1, common - drive, common + drive,
-                                   w_track, w_circ);
+                                   w_track, w_circ, d_low);
             int chosen[2] = {cell / (n + 1), cell % (n + 1)};
             /* 6. insert the chosen prefixes, then step_phase: inserted
                capacitors integrate, each arm voltage sums the arm in

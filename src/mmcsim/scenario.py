@@ -31,15 +31,21 @@ class NswSchedule:
 
     Segments are (t_start, t_end, n_sw_max) with half-open spans
     (t_start, t_end]; together they must tile (0, duration].  A segment
-    holds the steps that end inside it.  Each segment's types and the
-    finiteness of its bounds are checked when the schedule is built;
-    ``validate`` checks the tiling and the budgets' range against a config.
+    holds the steps that end inside it.  Each segment's shape (three
+    items) and types and the finiteness of its bounds are checked when the
+    schedule is built; ``validate`` checks the tiling and the budgets'
+    range against a config.
     """
 
     segments: tuple[tuple[float, float, int], ...]
 
     def __post_init__(self) -> None:
-        for k, (start, end, n_max) in enumerate(self.segments):
+        if not isinstance(self.segments, (tuple, list)):
+            raise ValueError(f"nsw_schedule: segments: expected a tuple of segments, got {self.segments!r}")
+        for k, segment in enumerate(self.segments):
+            if not isinstance(segment, (tuple, list)) or len(segment) != 3:
+                raise ValueError(f"nsw_schedule: segment {k}: expected (start, end, n_sw_max), got {segment!r}")
+            start, end, n_max = segment
             _check_type(f"nsw_schedule: segment {k} bounds", start, float)
             _check_type(f"nsw_schedule: segment {k} bounds", end, float)
             _check_type(f"nsw_schedule: segment {k} n_sw_max", n_max, int)

@@ -53,11 +53,12 @@ def test_c1_selection_oracle_equivalence(table1, weights):
         )
         instances.append((alpha, beta, targets))
     mismatches = 0
+    work = np.empty(7)
     for alpha, beta, targets in instances:
         sums = np.array([alpha, beta])
         cell = lib.mmcsim_select_cell(
             6, sums[0].ctypes.data, sums[1].ctypes.data, targets.v_up_target,
-            targets.v_low_target, w_track, w_circ,
+            targets.v_low_target, w_track, w_circ, work.ctypes.data,
         )
         m_up, m_low = divmod(cell, 7)
         fast = m.objective_f(table1, targets, alpha[m_up], beta[m_low])

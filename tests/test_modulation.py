@@ -5,6 +5,7 @@ import math
 import random
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,10 +204,12 @@ def _uniform_cumsums(n=6, step=10e3):
 def _kernel_select(alpha, beta, targets, params):
     """The compiled kernel's cell for one leg, ``m_up * (n+1) + m_low``."""
     sums = np.array([alpha, beta], dtype=float)
+    work = np.empty(len(alpha))
     return kernel.library().mmcsim_select_cell(
         len(alpha) - 1, sums[0].ctypes.data, sums[1].ctypes.data,
         targets.v_up_target, targets.v_low_target,
         params.w_track / (2.0 * params.z_step), params.w_circ * params.t_s / (2.0 * params.l_arm),
+        work.ctypes.data,
     )
 
 
@@ -356,6 +359,7 @@ def test_grid_selector_signed_zeros(table1, weights, legs):
         for t in itertools.product((-0.0, 0.0, 10000.0, 20000.0), repeat=2)
     ]
     step = 8 * 4  # bytes from one arm's sums to the next
+    work = np.empty(4)
     for k in range(0, len(cases), legs):
         batch = cases[k : k + legs]
         want = [m.brute_force_select(alpha, beta, t, params) for alpha, beta, t in batch]
@@ -366,11 +370,57 @@ def test_grid_selector_signed_zeros(table1, weights, legs):
             got = [
                 kernel.library().mmcsim_select_cell(
                     3, base + 2 * leg * step, base + (2 * leg + 1) * step,
-                    t.v_up_target, t.v_low_target, w_track, w_circ,
+                    t.v_up_target, t.v_low_target, w_track, w_circ, work.ctypes.data,
                 )
                 for leg, (_, _, t) in enumerate(batch)
             ]
             assert got == want, batch
+
+
+def _per_volt(w_track, w_circ):
+    """Stand-in params whose objective weights per volt are exactly
+    ``w_track`` and ``w_circ``, as brute_force_select reads them."""
+    return SimpleNamespace(w_track=2.0 * w_track, z_step=1.0, w_circ=2.0 * w_circ, t_s=1.0, l_arm=1.0)
+
+
+@pytest.mark.parametrize("n", [1, 6, 40])
+def test_select_matches_brute_force_at_the_pruning_edge(n):
+    # the kernel skips the rows and columns a lower bound of the objective
+    # rules out; these cases sit where the bound is tight or breaks: equal
+    # weights per volt, where the objective is 2 w max(|d_up|, |d_low|) and
+    # cells tie up to rounding, a zero weight, infinite and NaN targets,
+    # zero and negative increments, and sums and weights near 1e300 and
+    # 1e-300, where differences overflow and objectives underflow
+    if kernel.library() is None:
+        pytest.skip(f"no step kernel: {kernel.engine()[1]}")
+    rng = random.Random(400 + n)
+    work = np.empty(n + 1)
+    # weight times voltage from overflow through the subnormals to underflow;
+    # 1 / 520.06 is table 1's tracking weight per volt
+    scales_and_weights = itertools.product([1e4, 1e300, 1e-300], [1e-300, 1e-10, 1.0 / 520.06, 1.0, 1e300])
+    for scale, w in (combo for combo in scales_and_weights for _ in range(6000 // (n + 1) ** 2 + 10)):
+        alpha, beta = [0.0], [0.0]
+        for sums in (alpha, beta):
+            for _ in range(n):
+                step = rng.choice([0.0, -rng.uniform(0.5, 1.5), 1.0, rng.uniform(0.5, 1.5)])
+                sums.append(sums[-1] + scale * step)
+        special = [math.inf, -math.inf, math.nan, 0.0]
+        t_up, t_low = (
+            rng.choice([*special, rng.choice(sums), rng.uniform(-0.1, 1.1) * scale * n])
+            if rng.random() < 0.1 else rng.choice([rng.choice(sums), rng.uniform(-0.1, 1.1) * scale * n])
+            for sums in (alpha, beta)
+        )
+        w_track, w_circ = rng.choice([(w, w), (w, 0.0), (0.0, w), (w, w * rng.uniform(0.2, 5.0))])
+        sums = np.array([alpha, beta])
+        cell = kernel.library().mmcsim_select_cell(
+            n, sums[0].ctypes.data, sums[1].ctypes.data, t_up, t_low, w_track, w_circ, work.ctypes.data
+        )
+        want = m.brute_force_select(alpha, beta, m.ArmTargets(t_up, t_low), _per_volt(w_track, w_circ))
+        m_up, m_low = divmod(cell, n + 1)
+        case = (alpha, beta, t_up, t_low, w_track, w_circ)
+        assert (m_up, m_low) == (want.m_up, want.m_low), case
+        f = m.modulation._weighted(w_track, w_circ, t_up - alpha[m_up], t_low - beta[m_low])
+        assert struct.pack("<d", f) == struct.pack("<d", want.f_value), case
 
 
 def test_select_clamped_targets(table1):

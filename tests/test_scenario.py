@@ -87,6 +87,23 @@ def test_schedule_validation_errors():
 
 
 @pytest.mark.parametrize(
+    "segments, match",
+    [
+        (None, r"segments: expected a tuple of segments, got None"),
+        (((0.0, 1.0),), r"segment 0: expected \(start, end, n_sw_max\), got \(0.0, 1.0\)"),
+        (((0.0, 0.5, 6), (0.5, 1.0, 3, 4)),
+         r"segment 1: expected \(start, end, n_sw_max\), got \(0.5, 1.0, 3, 4\)"),
+        (((0.0, 1.0, 6), 1.0), r"segment 1: expected \(start, end, n_sw_max\), got 1.0"),
+    ],
+    ids=["none", "two-items", "four-items", "not-a-segment"],
+)
+def test_schedule_shape_checked_when_built(segments, match):
+    # a ValueError naming the segment, not an unpacking error
+    with pytest.raises(ValueError, match=f"^nsw_schedule: {match}$"):
+        m.NswSchedule(segments)
+
+
+@pytest.mark.parametrize(
     "cfg",
     [
         m.paper_config(),
@@ -517,16 +534,18 @@ def test_arm_sorter_matches_scalar_sorts_on_ties(c_engine, n):
             assert _kernel_order(key, arm.u, True, budget) == want, (arm, i_arm, budget)
 
 
-def _kernel_order(key, u, v1fc, budget):
-    """The compiled kernel's order of one arm, as a tuple; None when the
-    kernel is not loaded."""
+def _kernel_order(key, u, v1fc, budget, start=None):
+    """The compiled kernel's order of one arm, as a tuple, sorted from the
+    permutation ``start`` (default index order); None when the kernel is
+    not loaded."""
     lib = kernel.library()
     if lib is None:
         return None
     key, u = np.ascontiguousarray(key, float), np.ascontiguousarray(u, np.int8)
-    order, tmp = np.empty((2, len(key)), np.int32)
+    perm = np.array(range(len(key)) if start is None else start, np.int32)
+    order = np.empty(len(key), np.int32)
     lib.mmcsim_sort_arm(
-        len(key), key.ctypes.data, u.ctypes.data, v1fc, budget, order.ctypes.data, tmp.ctypes.data
+        len(key), key.ctypes.data, u.ctypes.data, v1fc, budget, perm.ctypes.data, order.ctypes.data
     )
     return tuple(order.tolist())
 
@@ -539,6 +558,37 @@ def test_arm_sorter_puts_on_first_among_ties():
     for budget in (1, n):
         assert m.sort_v1fc(arm, 1.0, budget, m.SystemParams()).order == (1, 3, 4, 0, 2, 5)
         assert _kernel_order([10e3] * n, arm.u, True, budget) in (None, (1, 3, 4, 0, 2, 5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 9])
+def test_arm_sorter_gives_scalar_order_from_any_start(c_engine, n):
+    # a run sorts each arm from the order of its previous step; the kernel's
+    # order is a total order, so a reversed, a shuffled and an already
+    # sorted start give the scalar sorts' order.  Keys tie (three voltages),
+    # are zeros of both signs (i_arm = -0.0 leaves each voltage as it is)
+    # or NaN.  The kernel puts a NaN key after every number, where the
+    # scalar sorts' place for it follows from timsort's comparisons: a NaN
+    # arm is held to the scalar order of the same arm with each NaN voltage
+    # made the last key of the sort's direction
+    params = m.SystemParams(n=n)
+    rng = random.Random(100 + n)
+    voltages = [(9.9e3, 10e3, 10.1e3), (0.0, -0.0, 10e3), (9.9e3, 10e3, math.nan), (0.0, -0.0, math.nan)]
+    for _ in range(150):
+        values = rng.choice(voltages)
+        arm = m.ArmState([rng.choice(values) for _ in range(n)], [rng.randint(0, 1) for _ in range(n)])
+        i_arm = rng.choice((-0.0, -1.0, 1.0)) * rng.uniform(0.0, 500.0)
+        v_next = m.anticipate_capacitor_voltages(arm, i_arm, [1] * n, params)
+        key = np.array(v_next) * (-1.0 if i_arm < 0 else 1.0)
+        last = -1e300 if i_arm < 0 else 1e300
+        oracle = m.ArmState([last if math.isnan(v) else v for v in arm.v_c], arm.u)
+        v1f2 = m.sort_v1f2(oracle, i_arm, params).order
+        starts = [range(n - 1, -1, -1), rng.sample(range(n), n), v1f2,
+                  m.sort_v1fc(oracle, i_arm, n, params).order]
+        for start in starts:
+            assert _kernel_order(key, arm.u, False, n, start) == v1f2, (arm, i_arm, start)
+            for budget in range(n + 1):
+                want = m.sort_v1fc(oracle, i_arm, budget, params).order
+                assert _kernel_order(key, arm.u, True, budget, start) == want, (arm, i_arm, budget, start)
 
 
 def test_leg_divergence_names_phase_and_step():
