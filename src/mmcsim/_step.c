@@ -12,18 +12,17 @@
    - sorts: an insertion sort of each arm's order of the previous step
      under one total order, key (NaN last), then ON first under v1fc, then
      index, and then a stable partition on the deferred flag, which gives
-     the order of sort_v1fc's penalty sort; the capacitor order hardly
-     changes in a step, so the sort is mostly one comparison a submodule;
+     the order of sort_v1fc's penalty sort; the kept order needs fewer
+     comparisons and shifts than index order, except on a step where the
+     arm current changes sign and so reverses the order of the keys;
    - selection: brute_force_select's first-minimum scan of the row-major
      (n+1)^2 grid, a NaN cell never winning, skipping the rows and columns
      that a lower bound of the objective shows cannot hold the minimum
-     (see select_cell; 1.58 cells are scored a selection on the fast
-     profile, against 49); the two differ only when cell (0, 0) is NaN,
-     which the scan keeps.
+     (see select_cell); the two differ only when cell (0, 0) is NaN, which
+     the scan keeps.
 
-   A phase-step takes about 270 ns, against 400 ns with a sort from index
-   order and a full scan (fast and paper v1fc runs, gcc 12 -O2, 2-core
-   x86-64; BENCH_kernel.json at the repository root).
+   BENCH_kernel.json at the repository root holds the measured time per
+   phase-step, comparisons per sort and cells scored per selection.
 
    mmcsim_sin is libm's sin, the function math.sin calls, over an array.
    mmcsim_format_columns writes a block of CSV rows as text byte-identical
@@ -115,13 +114,13 @@ static double objective(double w_track, double w_circ, double d_up, double d_low
    cell of a row or column whose d has B = 2 w |d| above the objective f*
    of the first minimum can hold it.  The scan keeps a cut T >= f*: the
    objective of the cell nearest both targets, then each better cell's,
-   and skips the rows and columns whose B exceeds T.  B is computed as (w |d|) (2 - 2^-49), that is
-   2 w |d| shrunk by 2^-50 relative, and gains at most 2 * 2^-53 in its two
-   roundings; the computed objective loses at most 3 * 2^-53 (two
-   roundings in each term, one in the sum).  So a skipped cell's computed
-   objective is at least its B, above T and so above f*: it is not a
-   minimum, and every cell at f* is scored, in row-major order, with the
-   same strict <.  T is never below 2^-1000, so a skip needs B > 2^-1000,
+   and skips the rows and columns whose B exceeds T.  B is computed as
+   (w |d|) (2 - 2^-49), that is 2 w |d| shrunk by 2^-50 relative, and
+   gains at most 2 * 2^-53 in its two roundings; the computed objective
+   loses at most 3 * 2^-53 (two roundings in each term, one in the sum).
+   So a skipped cell's computed objective is at least its B, above T and
+   so above f*: it is not a minimum, and every cell at f* is scored, in
+   row-major order, with the same strict <.  T is never below 2^-1000, so a skip needs B > 2^-1000,
    far above the absolute error of an objective that underflows; one that
    overflows is inf, above any finite T.  A NaN B, a zero or negative
    weight and T = inf (a NaN or infinite nearest cell) skip nothing: the

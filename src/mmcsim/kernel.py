@@ -7,12 +7,10 @@ two threads that write ``mmcsim run``'s files format on both cores.
 
 The step loop makes the scalar functions' decisions with less work: each
 arm's order is kept from step to step and insertion-sorted under one
-total order, so the sort is mostly one comparison per submodule, and the
-selection skips the rows and columns of the grid that a lower bound of
-the objective rules out, scoring 1.58 cells per selection on the fast
-profile instead of 49.  A phase-step of the loop takes about 270 ns
-against 400 ns for a sort from index order and a full scan (fast and
-paper v1fc runs, gcc 12, 2-core x86-64; ``BENCH_kernel.json``).
+total order, which takes fewer comparisons than a sort from index order,
+and the selection skips the rows and columns of the grid that a lower
+bound of the objective rules out.  ``BENCH_kernel.json`` at the
+repository root holds the measured figures.
 
 ``library()`` finds or builds the shared library once per process.  The
 compiler is ``$CC`` (default ``cc``), run with ``FLAGS``; nothing is built

@@ -8,21 +8,15 @@ rounds, shows what a difference of nothing reads as on this host.  For
 each config, ``kernel.run`` lays out one trace, and each round times one
 ``mmcsim_run`` call of every library on its blocks, the libraries in a
 rotating order; the trace's set-up (``_blank_trace``) is outside the
-timing.  The figures are the minimum and the median over the rounds, in
-ns per phase-step (one leg, one step).
+timing.  The figures are the minimum and the median over ROUNDS rounds,
+in ns per phase-step (one leg, one step).
 
-It also counts the cells the working tree's selection scores: the
-selections of the scalar loop (``scenario._run_scalar``) on each
-fast-profile-length config go through a Python statement of
-``select_cell``'s pruned scan, whose cell must be ``brute_force_select``'s.
-
-    python tools/bench_kernel.py --base HEAD --rounds 15 --out BENCH_kernel.json
+    python tools/bench_kernel.py --base <revision> > BENCH_kernel.json
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import shlex
@@ -39,7 +33,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import mmcsim as m  # noqa: E402
-from mmcsim import kernel, modulation, scenario  # noqa: E402
+from mmcsim import kernel, scenario  # noqa: E402
 
 CONFIGS = {
     "fast_v1fc": lambda: m.fast_config("v1fc"),
@@ -47,18 +41,17 @@ CONFIGS = {
     "piline_v1f2": lambda: m.fast_config("v1f2", dc_model="piline"),
     "paper_v1fc": lambda: m.paper_config("v1fc"),
 }
-# the configs whose selections are counted through the scalar loop
-COUNTED = ("fast_v1fc", "fast_v1f2", "piline_v1f2")
+ROUNDS = 15
 
 
 class _Rounds:
     """A library whose ``mmcsim_run``, called by ``kernel.run`` with the
-    blocks of one trace, times ``rounds`` calls of each library's on them,
+    blocks of one trace, times ROUNDS calls of each library's on them,
     the libraries in a rotating order; ``times[name]`` gets the ns per
     phase-step of each of its calls."""
 
-    def __init__(self, libs, rounds, phase_steps):
-        self._libs, self._rounds, self.phase_steps = libs, rounds, phase_steps
+    def __init__(self, libs, phase_steps):
+        self._libs, self.phase_steps = libs, phase_steps
         self.times = {name: [] for name in libs}
 
     def __getattr__(self, name):
@@ -66,7 +59,7 @@ class _Rounds:
 
     def mmcsim_run(self, *args):
         order = list(self._libs)
-        for r in range(self._rounds):
+        for r in range(ROUNDS):
             for name in order[r % len(order):] + order[: r % len(order)]:
                 fn = self._libs[name].mmcsim_run
                 t0 = time.perf_counter_ns()
@@ -85,73 +78,9 @@ def _build(cc: list[str], source: bytes, path: str):
     return lib
 
 
-def _cells_scored(n, alpha, beta, t_up, t_low, w_track, w_circ):
-    """select_cell's pruned scan in Python floats, the same operations in
-    the same order: (cell, cells scored)."""
-    w_min = w_track if w_track < w_circ else w_circ
-    shrink = 2.0 - 2.0**-49
-    floor = 2.0**-1000
-    d_low = [t_low - b for b in beta]
-    near_up = near_low = 0
-    a_up = a_low = math.inf
-    for j, d in enumerate(d_low):
-        if abs(d) < a_low:
-            near_low, a_low = j, abs(d)
-    for i, a in enumerate(alpha):
-        if abs(t_up - a) < a_up:
-            near_up, a_up = i, abs(t_up - a)
-    cut = modulation._weighted(w_track, w_circ, t_up - alpha[near_up], d_low[near_low])
-    cut = math.inf if not cut < math.inf else max(cut, floor)
-    best, f_best, scored = 0, math.inf, 0
-    for i in range(n + 1):
-        d_up = t_up - alpha[i]
-        if w_min * abs(d_up) * shrink > cut:
-            continue
-        for j in range(n + 1):
-            if w_min * abs(d_low[j]) * shrink > cut:
-                continue
-            scored += 1
-            f = modulation._weighted(w_track, w_circ, d_up, d_low[j])
-            if f < f_best:
-                f_best, best = f, i * (n + 1) + j
-                if f < cut:
-                    cut = max(f, floor)
-    return best, scored
-
-
-def count_cells(config) -> dict:
-    """Cells scored per selection over the scalar loop's run of config."""
-    original = modulation.brute_force_select
-    counts = []
-
-    def counting(alpha, beta, targets, params):
-        chosen = original(alpha, beta, targets, params)
-        cell, scored = _cells_scored(params.n, alpha, beta, targets.v_up_target, targets.v_low_target,
-                                     *modulation._objective_weights(params))
-        if cell != chosen.m_up * (params.n + 1) + chosen.m_low:
-            raise SystemExit(f"the pruned scan's cell {cell} is not brute_force_select's")
-        counts.append(scored)
-        return chosen
-
-    modulation.brute_force_select = counting
-    try:
-        scenario._run_scalar(config)
-    finally:
-        modulation.brute_force_select = original
-    return {
-        "selections": len(counts),
-        "cells_per_selection": round(sum(counts) / len(counts), 3),
-        "full_grid": (config.params.n + 1) ** 2,
-        "max_cells": max(counts),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of the base _step.c")
-    parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--out", type=Path, help="write the JSON here as well as to stdout")
-    parser.add_argument("--no-count", action="store_true", help="skip the cells-scored count")
     args = parser.parse_args(argv)
 
     cc = shlex.split(os.environ.get("CC") or "cc")
@@ -169,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     timed = {}
     for name, make in CONFIGS.items():
         config = make()
-        timed[name] = rounds = _Rounds(libs, args.rounds, config.steps * len(scenario.PHASES))
+        timed[name] = rounds = _Rounds(libs, config.steps * len(scenario.PHASES))
         kernel.run(rounds, config)
 
     def summary(samples):
@@ -179,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         "what": "ns per phase-step of one mmcsim_run call (the trace's set-up excluded), "
                 "base and base_copy the same source at the base revision, change the working tree",
         "base_revision": base_commit,
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
@@ -197,12 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         row["change_vs_base_min_pct"] = round(100.0 * (change / base - 1.0), 1)
         row["a_a_spread_min_pct"] = round(100.0 * abs(copy / base - 1.0), 1)
         result["ns_per_phase_step"][name] = row
-    if not args.no_count:
-        result["cells_scored"] = {name: count_cells(CONFIGS[name]()) for name in COUNTED}
-    text = json.dumps(result, indent=2)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n")
+    print(json.dumps(result, indent=2))
     return 0
 
 
