@@ -2,9 +2,10 @@
 
 ``segment_report`` measures each segment of a schedule over a half-open
 window (t_lo, t_hi]; a trace row belongs to a window when its step ends
-inside (see ``scenario.steps_until``).  ``_phase_metrics`` computes every
-per-phase quantity from a window's rows of one leg, and the per-phase
-fields of ``SegmentMetrics`` are its keys.
+inside (see ``scenario.steps_until``).  ``_window_metrics`` computes every
+per-phase quantity from a window's rows of all three legs at once, each
+as one reduction along the rows of a (leg, column, row) block, and the
+per-phase fields of ``SegmentMetrics`` are its keys.
 """
 from __future__ import annotations
 
@@ -25,40 +26,55 @@ def _phase_row(phase: str) -> int:
     return PHASES.index(phase)
 
 
-def _ripple(v_c: np.ndarray) -> np.ndarray:
-    """Peak-to-peak of each column over the rows, percent of its mean."""
-    # each mean is a sum over one contiguous row of the transpose, which
-    # numpy sums pairwise as it does a lone column; v_c.mean(axis=0) would
-    # add the rows one after another and round differently
-    mean = np.ascontiguousarray(v_c.T).mean(axis=-1)
-    return 100.0 * (v_c.max(axis=0) - v_c.min(axis=0)) / mean
+def _percent(value: np.ndarray, ref: np.ndarray | float) -> np.ndarray:
+    """``value`` in percent of ``ref``, elementwise; 0 of 0 reads 0, and
+    more than 0 of 0 inf."""
+    with np.errstate(all="ignore"):
+        pct = 100.0 * value / ref
+    return np.where(ref == 0.0, np.where(value == 0.0, 0.0, math.inf), pct)
 
 
-def _percent(value: float, ref: float) -> float:
-    """``value`` in percent of ``ref``; 0 of 0 reads 0, and more than 0 of 0 inf."""
-    if ref == 0.0:
-        return 0.0 if value == 0.0 else math.inf
-    return 100.0 * value / ref
+def _block(per_leg: list[np.ndarray]) -> np.ndarray:
+    """The legs' window rows as one C-contiguous (leg, column, row) block,
+    so that a reduction along the last axis runs over contiguous rows."""
+    out = np.empty((len(per_leg), *per_leg[0].shape[::-1]), per_leg[0].dtype)
+    for leg, rows in zip(out, per_leg):
+        leg[...] = rows.T
+    return out
 
 
-def _phase_metrics(tr: PhaseTrace, a: int, b: int, span: float, ref_rms: float) -> dict[str, object]:
+def _window_metrics(legs: list[PhaseTrace], a: int, b: int, span: float, ref_rms: float) -> dict[str, np.ndarray]:
     """Every per-phase field of ``SegmentMetrics`` over rows ``a..b-1`` of
-    one leg, by name; ``span`` is the window's length in seconds and
-    ``ref_rms`` the reference current's RMS amplitude."""
-    n = tr.u.shape[1] // 2
+    the legs, one row per leg, by name; ``span`` is the window's length in
+    seconds and ``ref_rms`` the reference current's RMS amplitude.
+
+    Each metric is one reduction along the rows.  A mean is a sum over one
+    contiguous row of a block, which numpy sums pairwise, divided by the
+    row count; a mean along axis 0 of a leg's (rows, 2n) view would add
+    the rows one after another and round differently.
+    """
+    rows = b - a
     # the edge into row a is attributed to row a, so counts are additive
     # over adjacent windows; a 0->1 edge counts one on/off cycle
-    edges = tr.edges(a, b)
-    iz = tr.i_circ[a:b]
-    err = tr.i_ac[a:b] - tr.i_ref[a:b]
+    edges = _block([tr.edges(a, b) for tr in legs])
+    v_c = _block([tr.v_c[a:b] for tr in legs])
+    i_ac = _block([tr.i_ac[a:b] for tr in legs])
+    iz = _block([tr.i_circ[a:b] for tr in legs])
+    err = _block([tr.i_ac[a:b] - tr.i_ref[a:b] for tr in legs])
+    iz_mean = np.add.reduce(iz, axis=-1) / rows
     return {
-        "f_s_per_sm": np.count_nonzero(edges > 0, axis=0) / span,
-        "ripple_pct": _ripple(tr.v_c[a:b]),
+        "f_s_per_sm": np.add.reduce(edges > 0, axis=-1) / span,
+        # peak-to-peak of each capacitor voltage, percent of its mean
+        "ripple_pct": 100.0 * (np.maximum.reduce(v_c, axis=-1) - np.minimum.reduce(v_c, axis=-1))
+        / (np.add.reduce(v_c, axis=-1) / rows),
         # largest i_z deviation from its window mean, percent of the AC
         # current amplitude (max |i| over the window)
-        "izm_ratio_pct": _percent(float(np.abs(iz - iz.mean()).max()), float(np.abs(tr.i_ac[a:b]).max())),
-        "tracking_rmse_pct": _percent(float(np.sqrt(np.mean(err * err))), ref_rms),
-        "transitions_per_step": [np.count_nonzero(arm) / (b - a) for arm in (edges[:, :n], edges[:, n:])],
+        "izm_ratio_pct": _percent(
+            np.maximum.reduce(np.abs(iz - iz_mean[:, None]), axis=-1), np.maximum.reduce(np.abs(i_ac), axis=-1)
+        ),
+        "tracking_rmse_pct": _percent(np.sqrt(np.add.reduce(err * err, axis=-1) / rows), ref_rms),
+        # the upper arm's columns, then the lower's
+        "transitions_per_step": np.add.reduce((edges != 0).reshape(len(legs), 2, -1), axis=-1) / rows,
     }
 
 
@@ -68,7 +84,7 @@ class SegmentMetrics:
 
     Array rows follow the phase order ("a", "b", "c"); submodule columns
     are upper arm first.  The fields after ``window`` are the keys of
-    ``_phase_metrics``, one row per phase.  ``window`` is the span actually
+    ``_window_metrics``, one row per phase.  ``window`` is the span actually
     measured, i.e. the segment clipped to the post-warmup region minus the
     settle margin.  ``==`` is identity, as an array has no truth value.
     """
@@ -137,11 +153,11 @@ def segment_report(
         schedule = trace.config.nsw_schedule
     ts = trace.config.params.t_s
     ref_rms = trace.config.i_ref_peak / math.sqrt(2.0)
+    legs = [trace.phase(ph) for ph in PHASES]
     out: list[SegmentMetrics] = []
     for idx, w in segment_windows(trace.config, schedule, settle):
         a, b = (steps_until(t, ts) for t in w)
-        rows = [_phase_metrics(trace.phase(ph), a, b, w[1] - w[0], ref_rms) for ph in PHASES]
-        fields = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+        fields = _window_metrics(legs, a, b, w[1] - w[0], ref_rms)
         out.append(SegmentMetrics(idx, *schedule.segments[idx], w, **fields))
     return out
 

@@ -3,6 +3,7 @@ submodule orderings (the conventional voltage sort and the
 switching-constrained cascade)."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -114,14 +115,24 @@ def _anticipated_all_on(arm: ArmState, i_arm: float, params: SystemParams) -> li
     return anticipate_capacitor_voltages(arm, i_arm, [1] * params.n, params)
 
 
+def _voltage_keys(v_next: list[float], i_arm: float) -> list[tuple[bool, float]]:
+    """The sort key of each submodule: its anticipated voltage, ascending
+    while the arm current charges (i_arm >= 0) and descending otherwise, a
+    NaN after every number in both directions and equal to another NaN
+    (the kernel's order)."""
+    sign = -1.0 if i_arm < 0 else 1.0
+    return [(True, 0.0) if math.isnan(v) else (False, v * sign) for v in v_next]
+
+
 def sort_v1f2(arm: ArmState, i_arm: float, params: SystemParams) -> SortedArm:
     """Conventional balancing order: anticipated capacitor voltage only.
 
     Ascending while the arm current charges (i_arm >= 0), descending
-    otherwise, ties keeping index order.  Budget n: penalties are all zero.
+    otherwise, NaN last, ties keeping index order.  Budget n: penalties
+    are all zero.
     """
     v_next = _anticipated_all_on(arm, i_arm, params)
-    order = sorted(range(params.n), key=v_next.__getitem__, reverse=i_arm < 0)
+    order = sorted(range(params.n), key=_voltage_keys(v_next, i_arm).__getitem__)
     return SortedArm(
         order=tuple(order),
         v_next=tuple(v_next[j] for j in order),
@@ -139,7 +150,7 @@ def sort_v1fc(
     """Switching-constrained balancing order (cascaded stable sorts).
 
     Passes: (a) currently-inserted SMs first, (b) anticipated capacitor
-    voltage (ascending when charging), (c) stable re-sort by the
+    voltage (ascending when charging, NaN last), (c) stable re-sort by the
     switching-budget penalty.  The penalty key lives on each submodule:
     an already-ON SM switches for free and carries zero penalty, while
     the k-th OFF SM along the voltage order carries max(0, k - budget).
@@ -157,7 +168,7 @@ def sort_v1fc(
     v_next = _anticipated_all_on(arm, i_arm, params)
 
     order = sorted(range(n), key=lambda j: -u_now[j])
-    order = sorted(order, key=v_next.__getitem__, reverse=i_arm < 0)
+    order = sorted(order, key=_voltage_keys(v_next, i_arm).__getitem__)
 
     penalty = [0] * n
     events = 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mmcsim as m
-from mmcsim.metrics import _phase_row
+from mmcsim.metrics import _phase_row, segment_windows
 from mmcsim.scenario import PhaseTrace, steps_until
 
 REL = 1e-12
@@ -253,6 +253,101 @@ def test_segment_report_fields_match_numpy_derivation(fast_v1fc_trace):
                                                      rel=1e-12)
         rmse = np.sqrt(np.mean((i - tr.i_ref[a:b]) ** 2))
         assert seg.tracking_rmse_pct[p] == pytest.approx(100.0 * rmse / ref_rms, rel=1e-12)
+
+
+def _reference_leg(tr, a, b, span, ref_rms):
+    """Every per-phase field over rows a..b-1 of one leg, from its
+    (rows, 2n) and 1-D views, each mean a pairwise sum over one whole
+    column (a contiguous transpose, or a 1-D view)."""
+    n = tr.u.shape[1] // 2
+    edges = tr.edges(a, b)
+    iz = tr.i_circ[a:b]
+    err = tr.i_ac[a:b] - tr.i_ref[a:b]
+    v_c = tr.v_c[a:b]
+
+    def percent(value, ref):
+        if ref == 0.0:
+            return 0.0 if value == 0.0 else math.inf
+        return 100.0 * value / ref
+
+    return {
+        "f_s_per_sm": np.count_nonzero(edges > 0, axis=0) / span,
+        "ripple_pct": 100.0 * (v_c.max(axis=0) - v_c.min(axis=0)) / np.ascontiguousarray(v_c.T).mean(axis=-1),
+        "izm_ratio_pct": percent(float(np.abs(iz - iz.mean()).max()), float(np.abs(tr.i_ac[a:b]).max())),
+        "tracking_rmse_pct": percent(float(np.sqrt(np.mean(err * err))), ref_rms),
+        "transitions_per_step": [np.count_nonzero(arm) / (b - a) for arm in (edges[:, :n], edges[:, n:])],
+    }
+
+
+def _assert_report_bit_exact(trace, schedule=None, settle=0.02):
+    """segment_report equals the leg-by-leg derivation in the bytes of
+    every per-phase field, and in each segment's index and window."""
+    ts = trace.config.params.t_s
+    ref_rms = trace.config.i_ref_peak / math.sqrt(2.0)
+    report = m.segment_report(trace, schedule, settle)
+    windows = segment_windows(trace.config, schedule, settle)
+    assert [(seg.index, seg.window) for seg in report] == windows
+    for seg, (_, w) in zip(report, windows):
+        a, b = (steps_until(t, ts) for t in w)
+        rows = [_reference_leg(trace.phase(ph), a, b, w[1] - w[0], ref_rms) for ph in "abc"]
+        assert [f.name for f in fields(seg)[5:]] == list(rows[0])
+        for name in rows[0]:
+            got, want = getattr(seg, name), np.array([row[name] for row in rows])
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (w, name)
+
+
+def _budget0_trace():
+    """800 steps of v1fc at budget 0 with no warm-up, so a window with no
+    settle margin starts at row 0."""
+    cfg = m.fast_config("v1fc", duration=0.02, warmup=0.0, nsw_schedule=m.constant_schedule(0.02, 0))
+    return m.run_scenario(cfg)
+
+
+def _hand_built_trace():
+    """Three distinct random legs of n = 3 with bool statuses and no
+    ``record``; leg b has no AC current (the deviation reads inf of 0),
+    and leg c neither AC nor circulating current (0 of 0)."""
+    steps, n = 400, 3
+    rng = np.random.default_rng(7)
+    cfg = m.ScenarioConfig(params=m.SystemParams(n=n), duration=steps * 25e-6, warmup=0.0,
+                           nsw_schedule=m.constant_schedule(steps * 25e-6, n))
+    legs = {}
+    for ph in "abc":
+        i_ac = rng.normal(0.0, 100.0, steps) * (ph == "a")
+        legs[ph] = PhaseTrace(
+            i_ac=i_ac, i_ref=rng.normal(0.0, 100.0, steps), i_circ=rng.normal(5.0, 3.0, steps) * (ph != "c"),
+            v_grid=np.zeros(steps), v_c=rng.uniform(9e3, 11e3, (steps, 2 * n)), u=rng.random((steps, 2 * n)) < 0.5,
+        )
+    return m.SimTrace(config=cfg, v_dc=np.full(steps, cfg.params.v_dc), phases=legs)
+
+
+def test_segment_report_bit_exact_on_runs(fast_v1fc_trace):
+    # the fast v1fc staircase, the pi-line v1f2 run and an 800-step budget-0
+    # run, with their own schedules and an overlapping one from row 0
+    _assert_report_bit_exact(fast_v1fc_trace, settle=0.01)
+    piline = m.fast_config("v1f2", dc_model="piline", duration=0.2,
+                           nsw_schedule=m.NswSchedule(((0.0, 0.15, 6), (0.15, 0.2, 6))))
+    _assert_report_bit_exact(m.run_scenario(piline), settle=0.01)
+    trace = _budget0_trace()
+    _assert_report_bit_exact(trace, settle=0.005)
+    overlapping = m.NswSchedule(((0.0, 0.015, 0), (0.005, 0.02, 0), (0.0125, 0.0175, 0)))
+    _assert_report_bit_exact(trace, overlapping, settle=0.0)
+
+
+def test_segment_report_bit_exact_on_hand_built_trace():
+    trace = _hand_built_trace()
+    assert trace.record == {} and trace.phase("a").u.dtype == bool
+    _assert_report_bit_exact(trace, settle=0.0)
+    _assert_report_bit_exact(trace, m.NswSchedule(((0.0, 0.006, 1), (0.002, 0.01, 1))), settle=0.0)
+    report = m.segment_report(trace, settle=0.0)
+    assert report[0].izm_ratio_pct[1:].tolist() == [math.inf, 0.0]
+
+
+def test_segment_report_bit_exact_on_paper_quarters(paper_v1fc_trace):
+    # the README's 0.4 s windows of 16,000 rows, and the config's own
+    quarters = m.NswSchedule(((0.0, 1.4, 6), (1.4, 1.8, 6), (1.8, 2.2, 6), (2.2, 2.6, 6)))
+    _assert_report_bit_exact(paper_v1fc_trace, quarters, settle=0.0)
+    _assert_report_bit_exact(paper_v1fc_trace)
 
 
 def test_window_bounds_on_the_grid_count_whole_steps(fast_v1fc_trace):

@@ -560,16 +560,31 @@ def test_arm_sorter_puts_on_first_among_ties():
         assert _kernel_order([10e3] * n, arm.u, True, budget) in (None, (1, 3, 4, 0, 2, 5))
 
 
+@pytest.mark.parametrize("i_arm, v1f2, v1fc", [
+    (1.0, (3, 1, 0, 2), (3, 1, 2, 0)),
+    (-0.0, (3, 1, 0, 2), (3, 1, 2, 0)),
+    (-1.0, (1, 3, 0, 2), (1, 3, 2, 0)),
+])
+def test_scalar_sorts_put_nan_last(i_arm, v1f2, v1fc):
+    # a NaN voltage after every number in both directions, two NaNs tied:
+    # index order, and ON first under v1fc; a sort comparing with < alone
+    # would leave the NaNs where its comparisons happened to put them
+    params = m.SystemParams(n=4)
+    arm = m.ArmState([math.nan, 10e3, math.nan, 9e3], [0, 0, 1, 1])
+    assert m.sort_v1f2(arm, i_arm, params).order == v1f2
+    assert m.sort_v1fc(arm, i_arm, 4, params).order == v1fc
+    # budget 0: the OFF submodules 1 and 0 deferred behind the ON ones
+    assert m.sort_v1fc(arm, i_arm, 0, params).order == (3, 2, 1, 0)
+    assert m.sort_v1f2(m.ArmState([math.nan, 1.0], [0, 0]), 1.0, m.SystemParams(n=2)).order == (1, 0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 6, 9])
 def test_arm_sorter_gives_scalar_order_from_any_start(c_engine, n):
     # a run sorts each arm from the order of its previous step; the kernel's
     # order is a total order, so a reversed, a shuffled and an already
     # sorted start give the scalar sorts' order.  Keys tie (three voltages),
     # are zeros of both signs (i_arm = -0.0 leaves each voltage as it is)
-    # or NaN.  The kernel puts a NaN key after every number, where the
-    # scalar sorts' place for it follows from timsort's comparisons: a NaN
-    # arm is held to the scalar order of the same arm with each NaN voltage
-    # made the last key of the sort's direction
+    # or NaN, which both put after every number
     params = m.SystemParams(n=n)
     rng = random.Random(100 + n)
     voltages = [(9.9e3, 10e3, 10.1e3), (0.0, -0.0, 10e3), (9.9e3, 10e3, math.nan), (0.0, -0.0, math.nan)]
@@ -579,15 +594,13 @@ def test_arm_sorter_gives_scalar_order_from_any_start(c_engine, n):
         i_arm = rng.choice((-0.0, -1.0, 1.0)) * rng.uniform(0.0, 500.0)
         v_next = m.anticipate_capacitor_voltages(arm, i_arm, [1] * n, params)
         key = np.array(v_next) * (-1.0 if i_arm < 0 else 1.0)
-        last = -1e300 if i_arm < 0 else 1e300
-        oracle = m.ArmState([last if math.isnan(v) else v for v in arm.v_c], arm.u)
-        v1f2 = m.sort_v1f2(oracle, i_arm, params).order
+        v1f2 = m.sort_v1f2(arm, i_arm, params).order
         starts = [range(n - 1, -1, -1), rng.sample(range(n), n), v1f2,
-                  m.sort_v1fc(oracle, i_arm, n, params).order]
+                  m.sort_v1fc(arm, i_arm, n, params).order]
         for start in starts:
             assert _kernel_order(key, arm.u, False, n, start) == v1f2, (arm, i_arm, start)
             for budget in range(n + 1):
-                want = m.sort_v1fc(oracle, i_arm, budget, params).order
+                want = m.sort_v1fc(arm, i_arm, budget, params).order
                 assert _kernel_order(key, arm.u, True, budget, start) == want, (arm, i_arm, budget, start)
 
 

@@ -71,6 +71,27 @@ class _Rounds:
         return 0
 
 
+def summary(samples: list[float]) -> dict[str, float]:
+    return {"min": round(min(samples), 1), "median": round(statistics.median(samples), 1)}
+
+
+def host(cc: list[str]) -> dict[str, object]:
+    """The machine, the interpreter, numpy and the kernel's compiler."""
+    return {
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cc": subprocess.run([*cc, "--version"], capture_output=True, text=True).stdout.split("\n")[0],
+        "flags": " ".join(kernel.FLAGS),
+    }
+
+
+def git(*args: str) -> bytes:
+    """The output of ``git args`` in the repository."""
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
 def _build(cc: list[str], source: bytes, path: str):
     lib, why = kernel._build(cc, source, path)
     if lib is None:
@@ -84,10 +105,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     cc = shlex.split(os.environ.get("CC") or "cc")
-    base_source = subprocess.run(["git", "show", f"{args.base}:src/mmcsim/_step.c"], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-    base_commit = subprocess.run(["git", "rev-parse", "--short", args.base], cwd=ROOT,
-                                 capture_output=True, text=True, check=True).stdout.strip()
+    base_source = git("show", f"{args.base}:src/mmcsim/_step.c")
+    base_commit = git("rev-parse", "--short", args.base).decode().strip()
     change_source = (ROOT / "src" / "mmcsim" / "_step.c").read_bytes()
     with tempfile.TemporaryDirectory(prefix="bench-kernel-") as tmp:
         libs = {
@@ -101,22 +120,12 @@ def main(argv: list[str] | None = None) -> int:
         timed[name] = rounds = _Rounds(libs, config.steps * len(scenario.PHASES))
         kernel.run(rounds, config)
 
-    def summary(samples):
-        return {"min": round(min(samples), 1), "median": round(statistics.median(samples), 1)}
-
     result = {
         "what": "ns per phase-step of one mmcsim_run call (the trace's set-up excluded), "
                 "base and base_copy the same source at the base revision, change the working tree",
         "base_revision": base_commit,
         "rounds": ROUNDS,
-        "host": {
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cc": subprocess.run([*cc, "--version"], capture_output=True, text=True).stdout.split("\n")[0],
-            "flags": " ".join(kernel.FLAGS),
-        },
+        "host": host(cc),
         "ns_per_phase_step": {},
     }
     for name, rounds in timed.items():
