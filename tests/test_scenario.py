@@ -564,7 +564,7 @@ def test_arm_sorter_puts_on_first_among_ties():
     (1.0, (3, 1, 0, 2), (3, 1, 2, 0)),
     (-0.0, (3, 1, 0, 2), (3, 1, 2, 0)),
     (-1.0, (1, 3, 0, 2), (1, 3, 2, 0)),
-])
+], ids=["charging", "zero-current", "discharging"])
 def test_scalar_sorts_put_nan_last(i_arm, v1f2, v1fc):
     # a NaN voltage after every number in both directions, two NaNs tied:
     # index order, and ON first under v1fc; a sort comparing with < alone

@@ -25,10 +25,11 @@ import sys
 import time
 import types
 
+# first: it puts the working tree's src at the front of sys.path
 from bench_kernel import git, host, summary
 
-import mmcsim as m  # noqa: E402  (bench_kernel puts the working tree's src first)
-from mmcsim import cli, kernel, metrics  # noqa: E402
+import mmcsim as m
+from mmcsim import cli, kernel, metrics
 
 TRACES = {
     "fast_v1fc": (lambda: m.fast_config("v1fc"), cli._SETTLE["fast"]),
