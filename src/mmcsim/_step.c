@@ -1,6 +1,6 @@
 /* The compiled half of mmcsim, loaded with ctypes by mmcsim.kernel: the
    step loop of run_scenario, the reference sines of scenario._blank_trace
-   and the row formatter of csvtext.write_columns.
+   and the CSV writer of csvtext.write_columns.
 
    mmcsim_run advances the three phase legs over every step of a run and
    fills the trace blocks of scenario._blank_trace in place.  Each step does
@@ -25,16 +25,22 @@
    phase-step, comparisons per sort and cells scored per selection.
 
    mmcsim_sin is libm's sin, the function math.sin calls, over an array.
-   mmcsim_format_columns writes a block of CSV rows as text byte-identical
-   to Python's '%.9g' and '%d' (see put_g9), reading each column in place
-   through its row stride.
+   mmcsim_write_columns writes a whole CSV file to a file descriptor, as
+   text byte-identical to Python's '%.9g' and '%d' (see put_g9), reading
+   each column in place through its row stride and formatting a block of
+   rows at a time into one buffer.  A float with the bits of its field's
+   value on the row before is not formatted again: its text is copied.
 */
+#define _POSIX_C_SOURCE 200809L /* write(2) under -std=c99 */
+
+#include <errno.h>
 #include <inttypes.h>
 #include <math.h>
 #include <stdio.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 
 /* the constants mmcsim.kernel passes, by index */
 enum {
@@ -439,30 +445,69 @@ static char *put_d(char *p, int64_t v)
     return p + snprintf(p, 24, "%" PRId64, v);
 }
 
-/* the column kinds of mmcsim_format_columns */
+/* the column kinds of mmcsim_write_columns */
 enum { COL_TEXT, COL_F64, COL_I8, COL_I16, COL_I64 };
 
-/* Write rows first .. first+rows-1 of a CSV table to out and return the
-   bytes written.  The row is `count` fields, each described by three
-   int64s (kind, base, stride); row r of a number column is read at byte
-   address base + r * stride, in unsigned arithmetic, so a negative
-   stride (a reversed column) wraps to the row's address without signed
-   overflow:
+/* the bytes a '%.9g' text takes at most ("-1.23456789e-308") */
+#define G9_MAX 16
+
+/* a float field's previous value and its text */
+struct g9_memo {
+    uint64_t bits;
+    int len; /* -1 before the first row */
+    char text[G9_MAX];
+};
+
+/* write the n bytes at p to fd, through partial writes and EINTR: 0, or
+   -errno */
+static int write_all(int fd, const char *p, size_t n)
+{
+    while (n) {
+        ssize_t done = write(fd, p, n);
+        if (done < 0 && errno == EINTR)
+            continue;
+        if (done <= 0)
+            return done < 0 ? -errno : -EIO;
+        p += done;
+        n -= (size_t)done;
+    }
+    return 0;
+}
+
+/* Write head and then rows 0 .. rows-1 of a CSV table to the file
+   descriptor fd, block_rows rows at a time through out, and return 0 or
+   -errno of the write that failed (-ENOMEM when no memo can be had).
+   The row is `count` fields, each described by three int64s (kind, base,
+   stride); row r of a number column is read at byte address
+   base + r * stride, in unsigned arithmetic, so a negative stride (a
+   reversed column) wraps to the row's address without signed overflow:
    - COL_F64, COL_I8, COL_I16, COL_I64: a float64 written as '%.9g', or an
      integer of that width written as '%d';
    - COL_TEXT: the `stride` bytes at base, on every row.
-   Fields are separated by "," and each row ends in "\r\n".  A number field
-   takes at most 21 bytes with its ",", so out must hold, per row, 21 bytes
-   per number field, the fixed text plus one byte per text field, and two,
-   and G9_SLACK bytes after the last row. */
-int64_t mmcsim_format_columns(int64_t first, int64_t rows, const int64_t *cols, int32_t count,
-                              char *out)
+   Fields are separated by "," and each row ends in "\r\n".  A float64
+   with the bits of its field's value on the row before gets that row's
+   text again, kept in a memo per field for the whole call: bits, not
+   ==, because 0.0 == -0.0 and their texts differ.  A number field takes
+   at most 21 bytes with its ",", so out must hold head, then per row 21
+   bytes per number field, the fixed text plus one byte per text field,
+   and two, for block_rows rows, and G9_SLACK bytes after the last. */
+int mmcsim_write_columns(int32_t fd, const char *head, int64_t head_len, int64_t rows,
+                         int64_t block_rows, const int64_t *cols, int32_t count, char *out)
 {
-    char *p = out;
-    for (int64_t r = first; r < first + rows; r++) {
+    struct g9_memo *memo = malloc((count ? (size_t)count : 1) * sizeof *memo);
+    if (!memo)
+        return -ENOMEM;
+    for (int k = 0; k < count; k++)
+        memo[k].len = -1;
+    memcpy(out, head, (size_t)head_len);
+    char *p = out + head_len;
+    int failed = 0;
+    for (int64_t r = 0; r < rows && !failed; r++) {
         for (int k = 0; k < count; k++) {
             const int64_t *col = cols + 3 * k;
             const char *at = (const char *)(uintptr_t)((uint64_t)col[1] + (uint64_t)r * (uint64_t)col[2]);
+            struct g9_memo *m = memo + k;
+            uint64_t bits;
             double x;
             int16_t i16;
             int64_t i64;
@@ -474,8 +519,16 @@ int64_t mmcsim_format_columns(int64_t first, int64_t rows, const int64_t *cols, 
                 p += col[2];
                 break;
             case COL_F64:
-                memcpy(&x, at, sizeof x);
-                p = put_g9(p, x);
+                memcpy(&bits, at, sizeof bits);
+                if (m->len < 0 || bits != m->bits) {
+                    memcpy(&x, &bits, sizeof x);
+                    m->bits = bits;
+                    m->len = (int)(put_g9(p, x) - p);
+                    memcpy(m->text, p, G9_MAX);
+                } else {
+                    memcpy(p, m->text, G9_MAX);
+                }
+                p += m->len;
                 break;
             case COL_I8:
                 p = put_d(p, *(const int8_t *)at);
@@ -492,6 +545,13 @@ int64_t mmcsim_format_columns(int64_t first, int64_t rows, const int64_t *cols, 
         }
         *p++ = '\r';
         *p++ = '\n';
+        if ((r + 1) % block_rows == 0 || r + 1 == rows) {
+            failed = write_all(fd, out, (size_t)(p - out));
+            p = out;
+        }
     }
-    return p - out;
+    if (!rows && !failed)
+        failed = write_all(fd, out, (size_t)head_len);
+    free(memo);
+    return failed;
 }

@@ -384,20 +384,25 @@ def _engine() -> dict[str, str]:
 
 
 def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics], summary: str) -> dict[str, int]:
-    """Write every output file but the manifest on two threads, and return
-    the row count of each in ``_OUTPUT_FILES`` order.
+    """Write every output file but the manifest, on two threads when there
+    is a library, and return the row count of each in ``_OUTPUT_FILES``
+    order.
 
     This thread writes the phase files, one after another, and then
     ``summary.txt``; a second thread writes the figure files with
-    ``dc_bus.csv`` and then ``trace.bin``.  The library formats without the
-    GIL, so the two use both cores; Python's ``%``, the fallback, holds it,
-    and there the threads take turns.  The phase files share one thread
-    so that their ``write_phase_csv`` calls never overlap, and a span
-    tracer wrapping that name nests their spans as it would in sequence.  A
-    writer that raises ends its thread's writing; once both threads are
+    ``dc_bus.csv`` and then ``trace.bin``.  The library writes each file
+    without the GIL, so the two use both cores.  Python's ``%``, the
+    fallback, holds it, so without the library a second thread would only
+    take turns with this one, and this thread writes every file in
+    ``_OUTPUT_FILES`` order.  The phase files share one thread so that
+    their ``write_phase_csv`` calls never overlap, and a span tracer
+    wrapping that name nests their spans as it would in sequence.  A
+    writer that raises ends its thread's writing; once every thread is
     done, the failure of the first file in ``_OUTPUT_FILES`` order is
     raised.
     """
+    from . import kernel  # loaded by the run already
+
     def phase_file(ph: str) -> dict[str, int]:
         return {f"phase_{ph}.csv": write_phase_csv(out_dir / f"phase_{ph}.csv", trace, ph)}
 
@@ -406,11 +411,12 @@ def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics],
         return {"summary.txt": len(report)}
 
     # (thread, writer) in the order of _OUTPUT_FILES: thread 0 is this one
+    other = 0 if kernel.library() is None else 1
     jobs: list[tuple[int, Callable[[], dict[str, int]]]] = [
         *((0, partial(phase_file, ph)) for ph in PHASES),
-        (1, partial(_write_fig_files, out_dir, trace, report)),
+        (other, partial(_write_fig_files, out_dir, trace, report)),
         (0, summary_file),
-        (1, lambda: {_RECORD: _write_record(out_dir / _RECORD, trace)}),
+        (other, lambda: {_RECORD: _write_record(out_dir / _RECORD, trace)}),
     ]
     done: list[Any] = [{}] * len(jobs)  # each writer's files, or what it raised
 
@@ -419,14 +425,16 @@ def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics],
             if on == thread:
                 try:
                     done[k] = job()
-                except BaseException as exc:  # raised below, once both threads are done
+                except BaseException as exc:  # raised below, once every thread is done
                     done[k] = exc
                     return
 
-    worker = threading.Thread(target=write, args=(1,), name="mmcsim-writer")
-    worker.start()
+    workers = [threading.Thread(target=write, args=(1,), name="mmcsim-writer")] if other else []
+    for worker in workers:
+        worker.start()
     write(0)
-    worker.join()
+    for worker in workers:
+        worker.join()
     files: dict[str, int] = {}
     for result in done:
         if isinstance(result, BaseException):

@@ -4,22 +4,27 @@ Every CSV of ``mmcsim run`` is written by ``write_columns``, from columns
 of native float64 (as ``%.9g``) and int8, int16 or int64 (as ``%d``) and
 fixed text, byte-identical to Python's ``%`` applied to each row.
 
-- With the compiled library of ``mmcsim.kernel`` (``_library_blocks``),
-  each block is one call of its formatter, which reads every column in
-  place through its strides (a 2-D column one field per array column) and
-  writes the block's text into a buffer reused for the whole file.  For ``%.9g`` it takes a 9-digit
-  mantissa from one correctly rounded scaling by an exact power of ten,
-  and leaves the values that rule cannot settle to the C library's
-  ``snprintf``.
+- With the compiled library of ``mmcsim.kernel`` (``_library_write``), the
+  whole file, header included, is one call of its writer, which reads
+  every column in place through its strides (a 2-D column one field per
+  array column), formats each block of rows into one buffer that Python
+  allocates and writes it to the file's descriptor.  For ``%.9g`` it
+  takes a 9-digit mantissa from one correctly rounded scaling by an exact
+  power of ten, and leaves the values that rule cannot settle to the C
+  library's ``snprintf``; a float with the bits of its field's value on
+  the row before gets that row's text again, unformatted.
 - Without it (``_python_blocks``), each row is Python's ``%`` itself,
   which is also what ``check_text`` holds the library's text to.
 
-``mmcsim run`` calls it from two threads at once (``cli._write_outputs``):
-each call has its own buffer, and the library's call releases the GIL.
+``mmcsim run`` calls it from two threads at once (``cli._write_outputs``)
+when there is a library: each call has its own buffer and memo, and the
+library's call holds no GIL for the whole file.
 """
 from __future__ import annotations
 
 import itertools
+import os
+import tempfile
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -43,6 +48,13 @@ G9_EDGES = [
     1e-14, 9.999999999999e-15, 1e31, 9.99999999e30,  # the fast path's exponent range
     float("nan"), -float("nan"), float("inf"), float("-inf"), 1.0, -1.0, 0.1, 25e-6, 60e3,
 ]
+# values whose runs test the library's reuse of a float's text: 0.0 and
+# -0.0, equal under == but written "0" and "-0", and NaNs of other
+# payloads and signs, never equal under == and all written "nan"
+RUN_VALUES = np.array([
+    0x0, 0x8000000000000000, 0x0, 0x7FF8000000000000, 0xFFF8000000000000,
+    0x7FF0000000000001, 0x7FF8000000000000, 0x3FF0000000000000, 0x8000000000000000,
+], np.uint64).view(np.float64)
 
 
 def check_text(lib: Any) -> str | None:
@@ -52,7 +64,11 @@ def check_text(lib: Any) -> str | None:
     the neighbours of both, and seeded bit patterns of every exponent; the
     integers are -12..12 and values of every width, both int64 ends
     included.  Every kind of column the library reads is in the table, each
-    number column through a row stride wider than its value.
+    number column through a row stride wider than its value, and two float
+    columns of runs of one value (signed zeros, NaNs of several payloads
+    and signs), one run crossing a block edge, the second column each row
+    holding the first's value of the row before.  The library writes the
+    table to a temporary file as ``write_columns`` has it write a file.
     """
     rng = np.random.default_rng(18)
     ties = np.array([float(f"{d}5e{k}") for d, k in zip(
@@ -70,30 +86,40 @@ def check_text(lib: Any) -> str | None:
     int16s, int8s = np.zeros((rows, 2), np.int16), np.zeros((rows, 3), np.int8)
     int16s[:, 1] = np.resize(np.r_[-(2**15), 2**15 - 1, np.arange(-(2**15), 2**15, 127)], rows)
     int8s[:, 1] = np.resize(np.arange(-128, 128), rows)
+    runs = np.resize(np.repeat(RUN_VALUES, np.arange(1, len(RUN_VALUES) + 1) * (BLOCK_ROWS // 8 + 1)), rows)
     pieces = [
         np.stack([floats, floats[::-1]], axis=1), b"x%",
-        np.resize(ints, (rows, 2)), int16s[:, 1], int8s[:, 1],
+        np.resize(ints, (rows, 2)), int16s[:, 1], int8s[:, 1], np.stack([runs, np.roll(runs, 1)], axis=1),
     ]
-    got = b"".join(bytes(block) for block in _library_blocks(lib, pieces, rows))
-    return None if got == b"".join(_python_blocks(pieces, rows)) else "the library's CSV text differs from Python's %"
+    head = b"head\r\n"
+    with tempfile.TemporaryFile() as fh:
+        code = _library_write(lib, fh.fileno(), head, pieces, rows)
+        if code:
+            return f"the library's CSV writer failed: {os.strerror(-code)}"
+        fh.seek(0)
+        got = fh.read()
+    if got != b"".join([head, *_python_blocks(pieces, rows)]):
+        return "the library's CSV text differs from Python's %"
+    return None
 
 
-# the kind of mmcsim_format_columns that reads a column of each dtype in
+# the kind of mmcsim_write_columns that reads a column of each dtype in
 # place: the only dtypes write_columns takes
 _KINDS = {np.dtype(t): kind for t, kind in ((np.float64, 1), (np.int8, 2), (np.int16, 3), (np.int64, 4))}
 _TEXT = 0
 
 
-def _library_blocks(lib: Any, pieces: list[Any], rows: int) -> Iterator[memoryview]:
-    """The table's text a block of ``BLOCK_ROWS`` rows at a time, by the
-    library's formatter.  Each block is a view of one buffer, which the
-    next block overwrites: take its bytes before the next block.
+def _library_write(lib: Any, fd: int, head: bytes, pieces: list[Any], rows: int) -> int:
+    """Write ``head`` and then the table's text to the file descriptor
+    ``fd`` by one call of the library's writer, which formats a block of
+    ``BLOCK_ROWS`` rows at a time into one buffer and holds no GIL.
+    Returns 0, or -errno of the write that failed.
 
     ``pieces`` are the row's fixed texts as bytes and its number columns,
     each 1-D or 2-D of a dtype of ``_KINDS`` and ``rows`` long, which the
     library reads in place through their strides: one field per array
     column."""
-    # (kind, base address, row stride) per field, as mmcsim_format_columns
+    # (kind, base address, row stride) per field, as mmcsim_write_columns
     # reads them; keep holds what they point into
     fields: list[tuple[int, int, int]] = []
     keep: list[np.ndarray] = []
@@ -109,19 +135,16 @@ def _library_blocks(lib: Any, pieces: list[Any], rows: int) -> Iterator[memoryvi
         fields += [(kind, block.ctypes.data + j * field_bytes, row_bytes) for j in range(block.shape[1])]
     layout = np.array(fields, np.int64).reshape(-1, 3)
     row_max = _FIELD_MAX * len(fields) + sum(len(p) for p in pieces if isinstance(p, bytes)) + 2
-    out = np.empty(min(rows, BLOCK_ROWS) * row_max + _FIELD_SLACK, np.uint8)
-    view = memoryview(out)
-    for start in range(0, rows, BLOCK_ROWS):
-        size = lib.mmcsim_format_columns(
-            start, min(BLOCK_ROWS, rows - start), layout.ctypes.data, len(layout), out.ctypes.data
-        )
-        yield view[:size]
+    out = np.empty(len(head) + min(rows, BLOCK_ROWS) * row_max + _FIELD_SLACK, np.uint8)
+    return lib.mmcsim_write_columns(
+        fd, head, len(head), rows, BLOCK_ROWS, layout.ctypes.data, len(layout), out.ctypes.data
+    )
 
 
 def _python_blocks(pieces: list[Any], rows: int) -> Iterator[bytes]:
     """The table's text a block of ``BLOCK_ROWS`` rows at a time, as
     Python's ``%`` writes it, one row at a time: ``pieces`` as
-    ``_library_blocks`` takes them."""
+    ``_library_write`` takes them."""
     fields: list[bytes] = []
     for p in pieces:
         if isinstance(p, bytes):
@@ -153,8 +176,10 @@ def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> 
     opened.  Each block of ``BLOCK_ROWS`` rows is formatted at once and
     written with one call, so the table is never held as text or Python
     objects: by the library of ``mmcsim.kernel`` when there is one, which
-    reads each column in place, else by Python's ``%`` row by row, which
-    gives the same bytes.  Returns the row count."""
+    reads each column in place and writes the whole file in one call,
+    else by Python's ``%`` row by row, which gives the same bytes.  A
+    write that fails raises ``OSError`` naming the file, on either path.
+    Returns the row count."""
     columns = [col if isinstance(col, str) else np.asarray(col) for col in columns]
     lengths = {len(col) for col in columns if not isinstance(col, str)}
     if len(lengths) != 1:
@@ -187,8 +212,16 @@ def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> 
     from . import kernel  # on first use, as this module is
 
     lib = kernel.library()
-    blocks = _python_blocks(pieces, rows) if lib is None else _library_blocks(lib, pieces, rows)
-    with path.open("wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        fh.writelines(blocks)
+    head = (",".join(header) + "\r\n").encode()
+    try:
+        with path.open("wb") as fh:
+            if lib is None:
+                fh.write(head)
+                fh.writelines(_python_blocks(pieces, rows))
+            elif code := _library_write(lib, fh.fileno(), head, pieces, rows):
+                raise OSError(-code, os.strerror(-code), str(path))
+    except OSError as exc:
+        if exc.filename is None:  # a write or close of the open file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
     return rows

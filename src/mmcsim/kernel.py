@@ -1,9 +1,10 @@
 """The compiled half of mmcsim: ``_step.c``, plain C built on first use and
 called through ``ctypes``.  Its library runs ``run_scenario``'s step loop
 (``run``), computes ``_blank_trace``'s reference sines with libm's ``sin``
-and formats the rows of ``csvtext.write_columns``, reading each column in
-place through its strides.  A ``ctypes`` call releases the GIL, so the
-two threads that write ``mmcsim run``'s files format on both cores.
+and writes each file of ``csvtext.write_columns`` in one call, reading
+each column in place through its strides.  A ``ctypes`` call releases the
+GIL for its whole length, so the two threads that write ``mmcsim run``'s
+files format and write on both cores.
 
 The step loop makes the scalar functions' decisions with less work: each
 arm's order is kept from step to step and insertion-sorted under one
@@ -182,13 +183,13 @@ def _build(cc: list[str], source: bytes, path: str) -> tuple[ctypes.CDLL | None,
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """``lib`` with the signature of each of its functions declared:
     ``mmcsim_run`` for ``run``, ``mmcsim_sin`` for ``_blank_trace``,
-    ``mmcsim_format_columns`` for ``csvtext._library_blocks``, the sort and
+    ``mmcsim_write_columns`` for ``csvtext._library_write``, the sort and
     the selection for tests."""
     i32, i64, ptr, f8 = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     for name, restype, argtypes in (
         ("mmcsim_run", ctypes.c_int, [ptr, i64, i32, i32, i32] + [ptr] * 8),
         ("mmcsim_sin", None, [ptr, ptr, i64]),
-        ("mmcsim_format_columns", i64, [i64, i64, ptr, i32, ptr]),
+        ("mmcsim_write_columns", ctypes.c_int, [i32, ctypes.c_char_p, i64, i64, i64, ptr, i32, ptr]),
         ("mmcsim_sort_arm", None, [i32, ptr, ptr, i32, i32, ptr, ptr]),
         ("mmcsim_select_cell", i32, [i32, ptr, ptr, f8, f8, f8, f8, ptr]),
     ):

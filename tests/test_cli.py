@@ -1,6 +1,7 @@
 """Config parsing, output files, and the end-to-end command."""
 import argparse
 import csv
+import errno
 import json
 import os
 import re
@@ -631,6 +632,77 @@ def test_writer_failure_ends_the_run_and_no_thread_outlives_it(tmp_path, monkeyp
         main(["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(out)])
     assert threading.active_count() == before
     # a failed write ends the run before its manifest is written
+    assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("engine", ["c", "python"])
+def test_writers_run_on_two_threads_only_with_the_library(short_run, tmp_path, monkeypatch, engine):
+    # Python's %, the fallback, holds the GIL: without the library every
+    # file is written on the calling thread, in the order of _OUTPUT_FILES
+    _, trace = short_run
+    if engine == "python":
+        monkeypatch.setattr(kernel, "_loaded", (None, "no library"))
+    elif kernel.library() is None:
+        pytest.skip(f"no library: {kernel.engine()[1]}")
+    calls = []
+
+    def on_thread(name, writer):
+        def call(*args):
+            calls.append((name, threading.current_thread().name))
+            return writer(*args)
+        return call
+
+    for name in ("write_phase_csv", "_write_fig_files", "_write_record"):
+        monkeypatch.setattr(cli, name, on_thread(name, getattr(cli, name)))
+    report = m.segment_report(trace, settle=0.01)
+    files = cli._write_outputs(tmp_path, trace, report, format_summary(report))
+    assert list(files) == [name for name in _OUTPUT_FILES if name != "run_manifest.json"]
+    main_thread = threading.main_thread().name
+    other = main_thread if engine == "python" else "mmcsim-writer"
+    want = [("write_phase_csv", main_thread)] * 3 + [("_write_fig_files", other), ("_write_record", other)]
+    if engine == "python":
+        assert calls == want
+    else:  # the two threads interleave
+        assert sorted(calls) == sorted(want)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("engine", ["c", "python"])
+def test_full_disk_ends_the_write_naming_the_file(short_run, tmp_path, monkeypatch, engine):
+    # every write to /dev/full fails with ENOSPC; the phase file comes
+    # first in _OUTPUT_FILES order, and no writer thread outlives the call
+    _, trace = short_run
+    if engine == "python":
+        monkeypatch.setattr(kernel, "_loaded", (None, "no library"))
+    elif kernel.library() is None:
+        pytest.skip(f"no library: {kernel.engine()[1]}")
+    for name in ("phase_b.csv", "fig5_capacitor_voltages.csv"):
+        (tmp_path / name).symlink_to("/dev/full")
+    report = m.segment_report(trace, settle=0.01)
+    before = threading.active_count()
+    with pytest.raises(OSError) as raised:
+        cli._write_outputs(tmp_path, trace, report, format_summary(report))
+    assert (raised.value.errno, raised.value.filename) == (errno.ENOSPC, str(tmp_path / "phase_b.csv"))
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_run_onto_a_full_disk_raises_and_leaves_no_thread(tmp_path, monkeypatch):
+    # mmcsim run removes earlier outputs first: the /dev/full link is put
+    # in place after that, while the report is summarised
+    out = tmp_path / "o"
+    summarise = cli.format_summary
+
+    def link_then_summarise(report):
+        (out / "fig6_ac_tracking.csv").symlink_to("/dev/full")
+        return summarise(report)
+
+    monkeypatch.setattr(cli, "format_summary", link_then_summarise)
+    before = threading.active_count()
+    with pytest.raises(OSError) as raised:
+        main(["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(out)])
+    assert (raised.value.errno, raised.value.filename) == (errno.ENOSPC, str(out / "fig6_ac_tracking.csv"))
+    assert threading.active_count() == before
     assert not (out / "run_manifest.json").exists()
 
 

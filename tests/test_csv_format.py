@@ -1,15 +1,18 @@
 """The CSV writer against Python's own ``%``, which it must match byte for
-byte: the row formatter of the compiled library, which the library's cases
+byte: the file writer of the compiled library, which the library's cases
 skip without (``test_kernel_builds_when_cc_present`` fails instead when
 there is a compiler), and ``write_columns`` with and without it."""
+import errno
+import os
 import sys
+import tempfile
 import threading
 
 import numpy as np
 import pytest
 
 from mmcsim import csvtext, kernel
-from mmcsim.csvtext import BLOCK_ROWS, G9_EDGES, _library_blocks, _python_blocks, write_columns
+from mmcsim.csvtext import BLOCK_ROWS, G9_EDGES, RUN_VALUES, _library_write, _python_blocks, write_columns
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -23,11 +26,20 @@ def library():
     return lib
 
 
+def _library_text(lib, pieces, rows):
+    """The table's text as the library's writer writes it to a file, in
+    the one call of ``write_columns``."""
+    with tempfile.TemporaryFile() as fh:
+        assert _library_write(lib, fh.fileno(), b"", pieces, rows) == 0
+        fh.seek(0)
+        return fh.read()
+
+
 def _assert_matches_python(values, lib):
-    """Each value's text, by the library's row formatter as a one-column
-    table, against Python's ``'%.9g'``."""
+    """Each value's text, by the library's writer as a one-column table,
+    against Python's ``'%.9g'``."""
     x = np.array(values, dtype=np.float64)
-    got = b"".join(bytes(block) for block in _library_blocks(lib, [x], x.size)).split(b"\r\n")[:-1]
+    got = _library_text(lib, [x], x.size).split(b"\r\n")[:-1]
     want = [b"%.9g" % v for v in x.tolist()]
     assert got == want, [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w][:5]
 
@@ -106,7 +118,7 @@ def test_write_columns_same_bytes_on_both_paths(tmp_path, monkeypatch, library, 
     want = _python_csv(_HEADER, columns)
     path = tmp_path / "table.csv"
     with monkeypatch.context() as patch:
-        # the library writes every row: each dtype goes through _library_blocks
+        # the library writes every row: each dtype goes through _library_write
         patch.setattr(csvtext, "_python_blocks", None)
         assert write_columns(path, _HEADER, columns) == rows
     assert path.read_bytes() == want
@@ -131,14 +143,13 @@ def _trace_block(rows, n=6):
 def test_library_reads_strided_trace_columns(library, rows):
     # v_c[:, p] and u[:, p] of the (steps, 3, 2n) blocks, read through the
     # blocks' strides and the budgets reversed (a negative stride); every
-    # block of the table, each copied before the next overwrites it
+    # block of the table, each written before the next overwrites it
     v_c, u, n_sw_max = _trace_block(rows)
     t = np.arange(1, rows + 1) * 25e-6
     for p in range(3):
         pieces = [t, b"a", v_c[:, p], n_sw_max, u[:, p], v_c[:, p, 3]]
         assert not (v_c[:, p].flags.c_contiguous and rows > 1)
-        got = [bytes(block) for block in _library_blocks(library, pieces, rows)]
-        assert got == list(_python_blocks(pieces, rows)), p
+        assert _library_text(library, pieces, rows) == b"".join(_python_blocks(pieces, rows)), p
 
 
 def test_write_columns_from_more_threads_than_cores(tmp_path, library):
@@ -176,3 +187,64 @@ def test_write_columns_from_more_threads_than_cores(tmp_path, library):
     assert not any(thread.is_alive() for thread in threads) and not errors, errors
     for (path, _, _), text in zip(tables, want):
         assert path.read_bytes() == text, path.name
+
+
+# ------------------------------------------- the library's reuse of a float's text
+
+def _reuse_pieces(rows):
+    """Float fields that repeat their own bits of the row before, or only
+    another field's: runs of ``RUN_VALUES`` (signed zeros, NaNs of other
+    payloads and signs) inside a block and across its edges, 0.0 and -0.0
+    alternating row by row, a NaN of another payload or sign each row, and
+    two fields that each row hold another field's value of the row before
+    and never their own."""
+    lengths = [1, 2, 3, BLOCK_ROWS - 7, 5, BLOCK_ROWS + 1, 7, 1, 2]
+    runs = np.resize(np.repeat(RUN_VALUES, lengths), rows)
+    alternating = np.resize(np.array([0.0, -0.0]), rows)
+    nans = np.resize(RUN_VALUES[3:6], rows)
+    counting = np.arange(rows) * 0.5
+    return [
+        runs, b"a", np.stack([alternating, nans], axis=1), np.resize(np.int8([0, 1]), rows),
+        np.roll(runs, 1), counting, np.roll(counting, 1),
+    ]
+
+
+@pytest.mark.parametrize("rows", [1, 2, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+def test_library_reuses_text_only_for_equal_bits(library, rows):
+    pieces = _reuse_pieces(rows)
+    assert _library_text(library, pieces, rows) == b"".join(_python_blocks(pieces, rows))
+
+
+def test_library_reuse_table_holds_every_case():
+    # the table above does hold what its cases name, at 3 blocks and a part
+    rows = 3 * BLOCK_ROWS + 5
+    runs, _, pair, _, rolled, counting, counting_rolled = _reuse_pieces(rows)
+    bits = runs.view(np.uint64)
+    same = np.flatnonzero(bits[1:] == bits[:-1]) + 1
+    assert np.any(same % BLOCK_ROWS == 0)  # a run across a block edge
+    assert np.any((same % BLOCK_ROWS != 0) & (runs[same] == 0.0))
+    assert np.all(pair[1:, 0] == pair[:-1, 0]) and np.any(np.signbit(pair[:, 0]))
+    nan_bits = pair[:, 1].view(np.uint64)
+    assert np.isnan(pair[:, 1]).all() and np.all(nan_bits[1:] != nan_bits[:-1])
+    assert {b >> 63 for b in nan_bits.tolist()} == {0, 1}
+    assert np.array_equal(rolled[1:], runs[:-1], equal_nan=True)
+    assert np.all(counting_rolled[1:] == counting[:-1]) and np.all(counting_rolled[1:] != counting_rolled[:-1])
+
+
+# ------------------------------------------- a write that fails
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("engine", ["c", "python"])
+def test_failed_write_raises_oserror_naming_the_file(tmp_path, monkeypatch, request, engine):
+    # every write to /dev/full fails with ENOSPC: with the library, inside
+    # its one call, header included
+    if engine == "c":
+        request.getfixturevalue("library")
+    else:
+        monkeypatch.setattr(kernel, "_loaded", (None, "no library"))
+    path = tmp_path / "table.csv"
+    path.symlink_to("/dev/full")
+    with pytest.raises(OSError) as raised:
+        write_columns(path, _HEADER, _columns(3 * BLOCK_ROWS))
+    assert (raised.value.errno, raised.value.filename) == (errno.ENOSPC, str(path))
+    assert str(path) in str(raised.value)

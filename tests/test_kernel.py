@@ -149,7 +149,7 @@ def test_self_check_mismatch_runs_python_engine(fresh, monkeypatch, capsys):
          "the library's CSV text differs from Python's %"),
         # each column read from the row's index within its block, not
         # within the table
-        ("s/(uint64_t)r \\*/(uint64_t)(r - first) */", "the library's CSV text differs from Python's %"),
+        ("s/(uint64_t)r \\*/(uint64_t)(r % block_rows) */", "the library's CSV text differs from Python's %"),
     ],
     ids=["sines", "tie-margin", "stride", "row-index"],
 )

@@ -2,7 +2,8 @@
 against the working tree's, in one process.
 
 Both sources are built with ``kernel.FLAGS`` and must pass the kernel's
-self-check (the scalar loop's record, byte for byte).  The base source is
+self-check of their own revision (the scalar loop's record, byte for
+byte, and the CSV text).  The base source is
 built twice, so the spread between its two copies, timed in the same
 rounds, shows what a difference of nothing reads as on this host.  For
 each config, ``kernel.run`` lays out one trace, and each round times one
@@ -25,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,8 +94,35 @@ def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
 
 
-def _build(cc: list[str], source: bytes, path: str):
-    lib, why = kernel._build(cc, source, path)
+def load_module(source: bytes, name: str) -> types.ModuleType:
+    """``source`` as the module ``mmcsim.<name>``, whose relative imports
+    are the working tree's."""
+    module = types.ModuleType(f"mmcsim.{name}")
+    module.__package__ = "mmcsim"
+    sys.modules[module.__name__] = module
+    exec(compile(source, f"{name}.py", "exec"), module.__dict__)
+    return module
+
+
+def build(cc: list[str], revision: str | None, path: str):
+    """``_step.c`` at the git ``revision``, or the working tree's for
+    None, built at ``path``, bound and self-checked by that revision's own
+    ``kernel.py`` with its ``csvtext.py``, as its ``library()`` builds it."""
+    if revision is None:
+        lib, why = kernel._build(cc, (ROOT / "src" / "mmcsim" / "_step.c").read_bytes(), path)
+    else:
+        source = {name: git("show", f"{revision}:src/mmcsim/{name}") for name in ("_step.c", "kernel.py", "csvtext.py")}
+        base_kernel = load_module(source["kernel.py"], "_bench_base_kernel")
+        # the base kernel's self-check imports check_text from .csvtext
+        csvtext = sys.modules.get("mmcsim.csvtext")
+        sys.modules["mmcsim.csvtext"] = load_module(source["csvtext.py"], "_bench_base_check_csvtext")
+        try:
+            lib, why = base_kernel._build(cc, source["_step.c"], path)
+        finally:
+            if csvtext is None:
+                del sys.modules["mmcsim.csvtext"]
+            else:
+                sys.modules["mmcsim.csvtext"] = csvtext
     if lib is None:
         raise SystemExit(f"{path}: {why}")
     return lib
@@ -105,14 +134,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     cc = shlex.split(os.environ.get("CC") or "cc")
-    base_source = git("show", f"{args.base}:src/mmcsim/_step.c")
     base_commit = git("rev-parse", "--short", args.base).decode().strip()
-    change_source = (ROOT / "src" / "mmcsim" / "_step.c").read_bytes()
     with tempfile.TemporaryDirectory(prefix="bench-kernel-") as tmp:
         libs = {
-            "base": _build(cc, base_source, os.path.join(tmp, "base.so")),
-            "base_copy": _build(cc, base_source, os.path.join(tmp, "base_copy.so")),
-            "change": _build(cc, change_source, os.path.join(tmp, "change.so")),
+            name: build(cc, revision, os.path.join(tmp, f"{name}.so"))
+            for name, revision in (("base", args.base), ("base_copy", args.base), ("change", None))
         }
     timed = {}
     for name, make in CONFIGS.items():

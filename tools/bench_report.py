@@ -23,10 +23,9 @@ import os
 import shlex
 import sys
 import time
-import types
 
 # first: it puts the working tree's src at the front of sys.path
-from bench_kernel import git, host, summary
+from bench_kernel import git, host, load_module, summary
 
 import mmcsim as m
 from mmcsim import cli, kernel, metrics
@@ -37,16 +36,6 @@ TRACES = {
     "paper_v1fc": (lambda: m.paper_config("v1fc"), cli._SETTLE["paper"]),
 }
 ROUNDS = 15
-
-
-def _load(source: bytes, name: str) -> types.ModuleType:
-    """``source`` as the module ``mmcsim.<name>``, whose relative imports
-    are the working tree's."""
-    module = types.ModuleType(f"mmcsim.{name}")
-    module.__package__ = "mmcsim"
-    sys.modules[module.__name__] = module
-    exec(compile(source, f"{name}.py", "exec"), module.__dict__)
-    return module
 
 
 def _bytes(report: list) -> list:
@@ -65,8 +54,8 @@ def main(argv: list[str] | None = None) -> int:
 
     base_source = git("show", f"{args.base}:src/mmcsim/metrics.py")
     copies = {
-        "base": _load(base_source, "_bench_base_metrics"),
-        "base_copy": _load(base_source, "_bench_base_copy_metrics"),
+        "base": load_module(base_source, "_bench_base_metrics"),
+        "base_copy": load_module(base_source, "_bench_base_copy_metrics"),
         "change": metrics,
     }
     result = {
