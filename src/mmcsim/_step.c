@@ -345,6 +345,12 @@ static const double POW10[23] = {
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
     1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 };
+/* 10^(e+1) at e + 15 for e = -15 .. 30, the nearest binary64 below 1 */
+static const double POW10_ABOVE[46] = {
+    1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1,
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+    1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22, 1e23, 1e24, 1e25, 1e26, 1e27, 1e28, 1e29, 1e30, 1e31,
+};
 static const char DIGITS2[201] =
     "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
     "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
@@ -369,11 +375,15 @@ static char *put_g9(char *p, double x)
     double a = fabs(x);
     if (!(a >= 1e-14 && a < 1e31))
         goto slow;
-    /* floor(log10 a) or a neighbour, from the binary exponent: 78913 / 2^18
-       is log10(2) to 8e-7; the loop corrects it */
+    /* floor(log10 a) from the binary exponent: 78913 / 2^18 is log10(2) to
+       8e-7, which gives it or one less, in [-15, 30] here; a comparison
+       with the next power of ten adds the one, without a branch that
+       values either side of a power of ten (capacitor voltages about
+       10^4) would mispredict; the loop corrects what is left */
     uint64_t bits;
     memcpy(&bits, &a, sizeof bits);
     int e = (((int)(bits >> 52) - 1023) * 78913) >> 18;
+    e += a >= POW10_ABOVE[e + 15];
     double s;
     for (int tries = 0;; tries++) {
         int k = 8 - e;
@@ -451,10 +461,14 @@ enum { COL_TEXT, COL_F64, COL_I8, COL_I16, COL_I64 };
 /* the bytes a '%.9g' text takes at most ("-1.23456789e-308") */
 #define G9_MAX 16
 
-/* a float field's previous value and its text */
+/* a float field's previous value and its text: at, where the text was
+   written in this block, or text, its copy when the block was written
+   out; copied then, not when formatted, as a load of the bytes just
+   stored by put_g9 would wait for those stores */
 struct g9_memo {
     uint64_t bits;
     int len; /* -1 before the first row */
+    const char *at;
     char text[G9_MAX];
 };
 
@@ -497,61 +511,66 @@ int mmcsim_write_columns(int32_t fd, const char *head, int64_t head_len, int64_t
     struct g9_memo *memo = malloc((count ? (size_t)count : 1) * sizeof *memo);
     if (!memo)
         return -ENOMEM;
-    for (int k = 0; k < count; k++)
+    for (int k = 0; k < count; k++) {
         memo[k].len = -1;
+        memo[k].at = memo[k].text;
+    }
     memcpy(out, head, (size_t)head_len);
     char *p = out + head_len;
     int failed = 0;
-    for (int64_t r = 0; r < rows && !failed; r++) {
-        for (int k = 0; k < count; k++) {
-            const int64_t *col = cols + 3 * k;
-            const char *at = (const char *)(uintptr_t)((uint64_t)col[1] + (uint64_t)r * (uint64_t)col[2]);
-            struct g9_memo *m = memo + k;
-            uint64_t bits;
-            double x;
-            int16_t i16;
-            int64_t i64;
-            if (k)
-                *p++ = ',';
-            switch (col[0]) {
-            case COL_TEXT:
-                memcpy(p, (const char *)(uintptr_t)col[1], (size_t)col[2]);
-                p += col[2];
-                break;
-            case COL_F64:
-                memcpy(&bits, at, sizeof bits);
-                if (m->len < 0 || bits != m->bits) {
-                    memcpy(&x, &bits, sizeof x);
-                    m->bits = bits;
-                    m->len = (int)(put_g9(p, x) - p);
-                    memcpy(m->text, p, G9_MAX);
-                } else {
-                    memcpy(p, m->text, G9_MAX);
+    int64_t r = 0;
+    do { /* a block, the header before the first; a table of no rows is the header */
+        for (int64_t end = rows - r < block_rows ? rows : r + block_rows; r < end; r++) {
+            for (int k = 0; k < count; k++) {
+                const int64_t *col = cols + 3 * k;
+                const char *at = (const char *)(uintptr_t)((uint64_t)col[1] + (uint64_t)r * (uint64_t)col[2]);
+                struct g9_memo *m = memo + k;
+                uint64_t bits;
+                double x;
+                int16_t i16;
+                int64_t i64;
+                if (k)
+                    *p++ = ',';
+                switch (col[0]) {
+                case COL_TEXT:
+                    memcpy(p, (const char *)(uintptr_t)col[1], (size_t)col[2]);
+                    p += col[2];
+                    break;
+                case COL_F64:
+                    memcpy(&bits, at, sizeof bits);
+                    if (m->len < 0 || bits != m->bits) {
+                        memcpy(&x, &bits, sizeof x);
+                        m->bits = bits;
+                        m->at = p;
+                        m->len = (int)(put_g9(p, x) - p);
+                    } else {
+                        memcpy(p, m->at, G9_MAX);
+                    }
+                    p += m->len;
+                    break;
+                case COL_I8:
+                    p = put_d(p, *(const int8_t *)at);
+                    break;
+                case COL_I16:
+                    memcpy(&i16, at, sizeof i16);
+                    p = put_d(p, i16);
+                    break;
+                case COL_I64:
+                    memcpy(&i64, at, sizeof i64);
+                    p = put_d(p, i64);
+                    break;
                 }
-                p += m->len;
-                break;
-            case COL_I8:
-                p = put_d(p, *(const int8_t *)at);
-                break;
-            case COL_I16:
-                memcpy(&i16, at, sizeof i16);
-                p = put_d(p, i16);
-                break;
-            case COL_I64:
-                memcpy(&i64, at, sizeof i64);
-                p = put_d(p, i64);
-                break;
             }
+            *p++ = '\r';
+            *p++ = '\n';
         }
-        *p++ = '\r';
-        *p++ = '\n';
-        if ((r + 1) % block_rows == 0 || r + 1 == rows) {
-            failed = write_all(fd, out, (size_t)(p - out));
-            p = out;
+        for (int k = 0; k < count; k++) {
+            memmove(memo[k].text, memo[k].at, G9_MAX);
+            memo[k].at = memo[k].text;
         }
-    }
-    if (!rows && !failed)
-        failed = write_all(fd, out, (size_t)head_len);
+        failed = write_all(fd, out, (size_t)(p - out));
+        p = out;
+    } while (!failed && r < rows);
     free(memo);
     return failed;
 }

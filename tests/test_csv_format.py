@@ -154,15 +154,17 @@ def test_library_reads_strided_trace_columns(library, rows):
 
 def test_write_columns_from_more_threads_than_cores(tmp_path, library):
     # mmcsim run writes from two threads at once; each call has its own
-    # buffer and the library holds no state, so every file gets its own
-    # table's bytes, with the lock handed over as often as it can be
+    # buffer and memo of each float field's text and the library holds no
+    # state, so every file gets its own table's bytes, with the lock
+    # handed over as often as it can be
     tables, want = [], []
     for k in range(6):
         rng = np.random.default_rng(k)
         rows = 3 * BLOCK_ROWS + 7 * k
         v_c, u, n_sw_max = _trace_block(rows)
-        columns = [f"p{k}", v_c[:, k % 3], n_sw_max, u[:, k % 3], rng.normal(size=rows)]
-        header = ["t", "phase", *(f"v{j}" for j in range(12)), "nsw", *(f"u{j}" for j in range(12)), "f64"]
+        runs = np.repeat(rng.normal(size=rows // (k + 2) + 1), k + 2)[:rows]  # values the memo reuses
+        columns = [f"p{k}", v_c[:, k % 3], n_sw_max, u[:, k % 3], runs]
+        header = ["t", "phase", *(f"v{j}" for j in range(12)), "nsw", *(f"u{j}" for j in range(12)), "runs"]
         columns.insert(0, np.arange(1, rows + 1) * (25e-6 * (k + 1)))
         tables.append((tmp_path / f"table_{k}.csv", header, columns))
         want.append(_python_csv(header, columns))
