@@ -131,8 +131,8 @@ def _library_write(lib: Any, fd: int, head: bytes, pieces: list[Any], rows: int)
         block = p if p.ndim == 2 else p[:, None]
         keep.append(block)
         row_bytes, field_bytes = block.strides
-        kind = _KINDS[block.dtype]
-        fields += [(kind, block.ctypes.data + j * field_bytes, row_bytes) for j in range(block.shape[1])]
+        kind, address = _KINDS[block.dtype], block.ctypes.data
+        fields += [(kind, address + j * field_bytes, row_bytes) for j in range(block.shape[1])]
     layout = np.array(fields, np.int64).reshape(-1, 3)
     row_max = _FIELD_MAX * len(fields) + sum(len(p) for p in pieces if isinstance(p, bytes)) + 2
     out = np.empty(len(head) + min(rows, BLOCK_ROWS) * row_max + _FIELD_SLACK, np.uint8)
