@@ -30,7 +30,8 @@ def _library_text(lib, pieces, rows):
     """The table's text as the library's writer writes it to a file, in
     the one call of ``write_columns``."""
     with tempfile.TemporaryFile() as fh:
-        assert _library_write(lib, fh.fileno(), b"", pieces, rows) == 0
+        code = _library_write(lib, fh.fileno(), b"", pieces, rows)
+        assert code == 0, code
         fh.seek(0)
         return fh.read()
 

@@ -3,9 +3,9 @@ against the working tree's, in one process.
 
 Both sources are built with ``kernel.FLAGS`` and must pass the kernel's
 self-check of their own revision (the scalar loop's record, byte for
-byte, and the CSV text).  The base source is
-built twice, so the spread between its two copies, timed in the same
-rounds, shows what a difference of nothing reads as on this host.  For
+byte, and the CSV text).  The base source is built twice, so the spread
+between its two copies, timed in the same rounds, shows what a
+difference of nothing reads as on this host.  For
 each config, ``kernel.run`` lays out one trace, and each round times one
 ``mmcsim_run`` call of every library on its blocks, the libraries in a
 rotating order; the trace's set-up (``_blank_trace``) is outside the
@@ -111,7 +111,8 @@ def build(cc: list[str], revision: str | None, path: str):
     if revision is None:
         lib, why = kernel._build(cc, (ROOT / "src" / "mmcsim" / "_step.c").read_bytes(), path)
     else:
-        source = {name: git("show", f"{revision}:src/mmcsim/{name}") for name in ("_step.c", "kernel.py", "csvtext.py")}
+        source = {name: git("show", f"{revision}:src/mmcsim/{name}")
+                  for name in ("_step.c", "kernel.py", "csvtext.py")}
         base_kernel = load_module(source["kernel.py"], "_bench_base_kernel")
         # the base kernel's self-check imports check_text from .csvtext
         csvtext = sys.modules.get("mmcsim.csvtext")
