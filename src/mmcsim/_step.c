@@ -7,7 +7,15 @@
    the work of modulate_phase and then step_phase for the three legs, with
    the float operations of the scalar functions in the same order, so that
    its record is the same bits as their loop's (scenario._run_scalar);
-   build it with -ffp-contract=off, so that no a*b + c is fused.
+   build it with -ffp-contract=off, so that no a*b + c is fused, and with
+   -pthread.
+
+   On a stiff bus the three legs share nothing but the clock, so a worker
+   thread steps leg a while the calling thread steps legs b and c, each
+   writing only its own legs' cells of the record; a pi-line run stays on
+   the calling thread, as its bus couples the legs on every step.  A
+   diverging run reports the leg the scalar loop would: the first in
+   step-major order.
 
    - sorts: an insertion sort of each arm's order of the previous step
      under one total order, key (NaN last), then ON first under v1fc, then
@@ -36,6 +44,7 @@
 #include <errno.h>
 #include <inttypes.h>
 #include <math.h>
+#include <pthread.h>
 #include <stdio.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -191,58 +200,92 @@ int32_t mmcsim_select_cell(int32_t n, const double *sums_up, const double *sums_
     return select_cell(n, sums_up, sums_low, t_up, t_low, w_track, w_circ, d_low);
 }
 
-/* Run `steps` steps.  budgets is (steps,), refs (steps, 2, 3) i_ref then
-   v_grid; the outputs are the record blocks: currents (steps, 2, 3) i_ac
-   then i_circ, v_c (steps, 3, 2n), u (steps, 3, 2n) and, when piline is
-   set, v_dc (steps,).
+/* What mmcsim_run steps, read by both of its threads: the constants (see
+   the K_ enum), the budgets and references, and the record blocks, in
+   which each leg writes only its own cells. */
+struct run {
+    const double *k;
+    int64_t steps;
+    int n, v1fc;
+    const int16_t *budgets;
+    const double *refs;
+    double *currents, *v_c, *v_dc_rec;
+    int8_t *u_rec;
+};
 
-   Returns 0 when the run ends, 1 when the state of phase where[1] turns
-   non-finite on step where[0] (its row of currents and v_c is written), 2
-   when the bus voltage after step where[0] is not finite and > 0 (*bus
-   holds it), and -1 when the work buffers cannot be allocated. */
-int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t piline,
-               const int16_t *budgets, const double *refs, double *currents,
-               double *v_c, int8_t *u_rec, double *v_dc_rec, int64_t *where, double *bus)
+/* One thread's work area.  It has room for the state of all three
+   phases, of which the thread uses its own legs': the capacitor voltages
+   and statuses, upper arm first, and the sorted order of each arm, kept
+   from step to step; then the order of each arm this step and the sort
+   and selection work.  Where the thread stopped: code 1 when the state of `phase` turns
+   non-finite on `step`, 2 when the bus voltage after `step` is not
+   finite and > 0 (`bus` holds it), else 0. */
+struct legs {
+    const struct run *run;
+    double *v, *v_next, *key, *sums, *d_low;
+    int8_t *u;
+    int32_t *perm, *order;
+    int64_t step;
+    int phase, code;
+    double bus;
+};
+
+/* the doubles, int32s and int8s of one work area, in one block that ends
+   in a cache line of its own, so that the two threads' areas share none */
+static int legs_alloc(struct legs *w, const struct run *r)
 {
-    const int n2 = 2 * n;
+    const size_t n = (size_t)r->n, n2 = 2 * n;
+    char *block = malloc(sizeof(double) * (PHASES * n2 + 2 * n2 + 3 * (n + 1))
+                         + sizeof(int32_t) * (PHASES * n2 + n2) + PHASES * n2 + 64);
+    memset(w, 0, sizeof *w);
+    w->run = r;
+    if (!block)
+        return 0;
+    w->v = (double *)(void *)block;
+    w->v_next = w->v + PHASES * n2;
+    w->key = w->v_next + n2;
+    w->sums = w->key + n2;
+    w->d_low = w->sums + 2 * (n + 1);
+    w->perm = (int32_t *)(void *)(w->d_low + n + 1);
+    w->order = w->perm + PHASES * n2;
+    w->u = (int8_t *)(w->order + n2);
+    return 1;
+}
+
+/* Step legs [p0, p1) over every step of the run from the balanced start,
+   and, when piline is set (with every leg), the bus after each step;
+   stop at the first leg, in step-major order, whose state turns
+   non-finite, or at a bus voltage that is not finite and > 0.  Inlined
+   at each call, so that the compiler has the bounds as constants. */
+static inline __attribute__((always_inline)) void step_legs(struct legs *w, int p0, int p1, int piline)
+{
+    const struct run *r = w->run;
+    const double *k = r->k;
+    const int n = r->n, n2 = 2 * n, v1fc = r->v1fc;
     const double ts = k[K_TS], c_sm = k[K_C_SM], l_arm_ts = k[K_L_ARM_TS];
     const double l_ac_ts = k[K_L_AC_TS], z_step = k[K_Z_STEP], circ_gain = k[K_CIRC_GAIN];
     const double i_circ_nom = k[K_I_CIRC_NOM], v_dc_nom = k[K_V_DC];
     const double w_track = k[K_W_TRACK], w_circ = k[K_W_CIRC];
     const double l_line = k[K_L_LINE], c_end = k[K_C_END];
+    double *v = w->v, *v_next = w->v_next, *key = w->key, *sums = w->sums;
+    int8_t *u = w->u;
+    int32_t *perm = w->perm, *order = w->order;
 
-    /* the state: capacitor voltages and statuses by phase, upper arm first */
-    double *v = malloc(sizeof(double) * (size_t)(PHASES * n2 + 2 * n2 + 3 * (n + 1)));
-    int8_t *u = malloc((size_t)(PHASES * n2));
-    /* the order of each arm this step, then the sorted order of each arm
-       of every phase, kept from step to step, from index order */
-    int32_t *order = malloc(sizeof(int32_t) * (size_t)(n2 + PHASES * n2));
-    if (!v || !u || !order) {
-        free(v);
-        free(u);
-        free(order);
-        return -1;
-    }
-    double *v_next = v + PHASES * n2, *key = v_next + n2, *sums = key + n2;
-    double *d_low = sums + 2 * (n + 1);
-    int32_t *perm = order + n2;
-    for (int j = 0; j < PHASES * n2; j++) {
+    for (int j = p0 * n2; j < p1 * n2; j++) {
         v[j] = k[K_V_SM];
         u[j] = 0;
         perm[j] = j % n;
     }
     sums[0] = sums[n + 1] = 0.0;
-
     double i_ac[PHASES] = {0.0, 0.0, 0.0}, i_circ[PHASES] = {0.0, 0.0, 0.0};
     double v_grid[PHASES] = {k[K_V_GRID0], k[K_V_GRID0 + 1], k[K_V_GRID0 + 2]};
     double v_dc_now = v_dc_nom, i_line = 0.0;
-    int code = 0;
 
-    for (int64_t s = 0; s < steps && !code; s++) {
-        const double *i_ref = refs + 6 * s, *v_grid_next = i_ref + PHASES;
-        double *i_ac_rec = currents + 6 * s, *i_circ_rec = i_ac_rec + PHASES;
+    for (int64_t s = 0; s < r->steps; s++) {
+        const double *i_ref = r->refs + 6 * s, *v_grid_next = i_ref + PHASES;
+        double *i_ac_rec = r->currents + 6 * s, *i_circ_rec = i_ac_rec + PHASES;
         const double half_dc = v_dc_now / 2.0;
-        for (int p = 0; p < PHASES; p++) {
+        for (int p = p0; p < p1; p++) {
             double *v_leg = v + p * n2;
             int8_t *u_leg = u + p * n2;
             /* 1. compute_targets and arm_currents */
@@ -260,7 +303,7 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
                     vn[j] = v_leg[a * n + j] + inc;
                     ky[j] = vn[j] * sign;
                 }
-                sort_arm(n, ky, u_leg + a * n, v1fc, budgets[s], perm + (p * 2 + a) * n, ord);
+                sort_arm(n, ky, u_leg + a * n, v1fc, r->budgets[s], perm + (p * 2 + a) * n, ord);
                 /* 4. running sums in sorted order, behind sm[0] = 0.0 */
                 double run = 0.0;
                 for (int m = 0; m < n; m++) {
@@ -270,7 +313,7 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
             }
             /* 5. selection over the (n+1) x (n+1) grid */
             int cell = select_cell(n, sums, sums + n + 1, common - drive, common + drive,
-                                   w_track, w_circ, d_low);
+                                   w_track, w_circ, w->d_low);
             int chosen[2] = {cell / (n + 1), cell % (n + 1)};
             /* 6. insert the chosen prefixes, then step_phase: inserted
                capacitors integrate, each arm voltage sums the arm in
@@ -292,41 +335,95 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
                 }
                 arm_volts[a] = volts;
             }
+            /* the leg's next state, which no other leg reads */
             double v_up = arm_volts[0], v_low = arm_volts[1];
-            i_ac_rec[p] = ((v_low - v_up) / 2.0 - v_grid_next[p] + l_ac_ts * i_ac[p]) / z_step;
-            i_circ_rec[p] = circ_gain * (v_dc_now - v_low - v_up) + i_circ[p];
-            memcpy(v_c + (s * PHASES + p) * n2, v_leg, sizeof(double) * (size_t)n2);
-            memcpy(u_rec + (s * PHASES + p) * n2, u_leg, (size_t)n2);
-            if (!(isfinite(i_ac_rec[p]) && isfinite(i_circ_rec[p]))) {
-                where[0] = s;
-                where[1] = p;
-                code = 1;
-                break;
-            }
-        }
-        if (code)
-            break;
-        for (int p = 0; p < PHASES; p++) {
-            i_ac[p] = i_ac_rec[p];
-            i_circ[p] = i_circ_rec[p];
+            i_ac[p] = ((v_low - v_up) / 2.0 - v_grid_next[p] + l_ac_ts * i_ac[p]) / z_step;
+            i_circ[p] = circ_gain * (v_dc_now - v_low - v_up) + i_circ[p];
             v_grid[p] = v_grid_next[p];
+            i_ac_rec[p] = i_ac[p];
+            i_circ_rec[p] = i_circ[p];
+            memcpy(r->v_c + (s * PHASES + p) * n2, v_leg, sizeof(double) * (size_t)n2);
+            memcpy(r->u_rec + (s * PHASES + p) * n2, u_leg, (size_t)n2);
+            if (!(isfinite(i_ac[p]) && isfinite(i_circ[p]))) {
+                w->step = s;
+                w->phase = p;
+                w->code = 1;
+                return;
+            }
         }
         if (piline) {
             /* semi-implicit: current from the old bus voltage, voltage
                from the new current */
-            v_dc_rec[s] = v_dc_now;
+            r->v_dc_rec[s] = v_dc_now;
             i_line += ts / l_line * (v_dc_nom - v_dc_now);
             v_dc_now += ts / c_end * (i_line - (0.0 + i_circ[0] + i_circ[1] + i_circ[2]));
             if (!(isfinite(v_dc_now) && v_dc_now > 0.0)) {
-                where[0] = s;
-                *bus = v_dc_now;
-                code = 2;
+                w->step = s;
+                w->bus = v_dc_now;
+                w->code = 2;
+                return;
             }
         }
     }
-    free(v);
-    free(u);
-    free(order);
+}
+
+/* the worker thread's share of a stiff-bus run: leg a */
+static void *step_leg_a(void *w)
+{
+    step_legs(w, 0, 1, 0);
+    return NULL;
+}
+
+/* Run `steps` steps.  budgets is (steps,), refs (steps, 2, 3) i_ref then
+   v_grid; the outputs are the record blocks: currents (steps, 2, 3) i_ac
+   then i_circ, v_c (steps, 3, 2n), u (steps, 3, 2n) and, when piline is
+   set, v_dc (steps,).
+
+   On a stiff bus the legs share nothing but the clock, so a worker thread
+   steps leg a while this one steps legs b and c; the pi-line bus couples
+   the legs on every step, and this thread steps them all.  When no
+   thread can be started, this one steps leg a first.
+
+   Returns 0 when the run ends, 1 when the state of phase where[1] turns
+   non-finite on step where[0] (its row of currents and v_c is written), 2
+   when the bus voltage after step where[0] is not finite and > 0 (*bus
+   holds it), and -1 when the work areas cannot be allocated.  The phase
+   reported is the scalar loop's: the first to diverge in its step-major
+   order, the lowest step, then the lowest phase. */
+int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t piline,
+               const int16_t *budgets, const double *refs, double *currents,
+               double *v_c, int8_t *u_rec, double *v_dc_rec, int64_t *where, double *bus)
+{
+    const struct run r = {k, steps, n, v1fc, budgets, refs, currents, v_c, v_dc_rec, u_rec};
+    /* w[0] the worker's, w[1] this thread's */
+    struct legs w[2];
+    int ok = legs_alloc(&w[0], &r);
+    ok = legs_alloc(&w[1], &r) && ok;
+    if (!ok) {
+        free(w[0].v);
+        free(w[1].v);
+        return -1;
+    }
+    if (piline) {
+        step_legs(&w[1], 0, PHASES, 1);
+    } else {
+        pthread_t worker;
+        int threaded = pthread_create(&worker, NULL, step_leg_a, &w[0]) == 0;
+        if (!threaded)
+            step_leg_a(&w[0]);
+        step_legs(&w[1], 1, PHASES, 0);
+        if (threaded)
+            pthread_join(worker, NULL);
+    }
+    /* leg a's divergence comes first unless legs b and c stopped on an
+       earlier step */
+    const struct legs *first = w[0].code && !(w[1].code && w[1].step < w[0].step) ? &w[0] : &w[1];
+    where[0] = first->step;
+    where[1] = first->phase;
+    *bus = first->bus;
+    int code = first->code;
+    free(w[0].v);
+    free(w[1].v);
     return code;
 }
 

@@ -195,8 +195,11 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
 def _write_record(path: Path, trace: SimTrace) -> int:
     """Write the trace's ``record`` blocks to ``path`` as ``.npy`` records
     back to back, as ``np.save`` calls on one open file write them, each
-    straight from its block.  Returns the step count."""
-    with path.open("wb") as fh:
+    straight from its block.  Returns the step count; a failed write
+    raises ``OSError`` naming the file."""
+    from .csvtext import _naming
+
+    with _naming(path), path.open("wb") as fh:
         for block in trace.record.values():
             np.save(fh, block, allow_pickle=False)
     return trace.steps
@@ -369,8 +372,16 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _write_manifest(out_dir: Path, manifest: dict[str, Any]) -> None:
-    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+def _write_manifest(out_dir: Path, manifest: dict[str, Any]) -> bool:
+    """Write ``run_manifest.json``; False, the error printed, when it
+    cannot be written."""
+    path = out_dir / "run_manifest.json"
+    try:
+        path.write_text(json.dumps(manifest, indent=2) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _engine() -> dict[str, str]:
@@ -399,15 +410,18 @@ def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics],
     wrapping that name nests their spans as it would in sequence.  A
     writer that raises ends its thread's writing; once every thread is
     done, the failure of the first file in ``_OUTPUT_FILES`` order is
-    raised.
+    raised; a failed write is an ``OSError`` naming its file.
     """
     from . import kernel  # loaded by the run already
+    from .csvtext import _naming
 
     def phase_file(ph: str) -> dict[str, int]:
         return {f"phase_{ph}.csv": write_phase_csv(out_dir / f"phase_{ph}.csv", trace, ph)}
 
     def summary_file() -> dict[str, int]:
-        (out_dir / "summary.txt").write_text(summary + "\n")
+        path = out_dir / "summary.txt"
+        with _naming(path):
+            path.write_text(summary + "\n")
         return {"summary.txt": len(report)}
 
     # (thread, writer) in the order of _OUTPUT_FILES: thread 0 is this one
@@ -441,6 +455,23 @@ def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics],
             raise result
         files.update(result)
     return files
+
+
+def _failed(out_dir: Path, manifest: dict[str, Any], marks: list[float], error: str) -> int:
+    """End a run that failed with ``error``: print it, then write the
+    manifest with it and the seconds of the stages that ran, the failed one
+    last, so that the run explains itself.  A manifest that cannot be
+    written is reported after the error.  Returns 1, the exit code."""
+    marks.append(time.perf_counter())
+    print(f"error: {error}", file=sys.stderr)
+    manifest.update(
+        finished_utc=_utc_now(),
+        error=error,
+        stage_seconds=dict(zip(_STAGES, np.diff(marks).tolist())),
+        **_engine(),
+    )
+    _write_manifest(out_dir, manifest)
+    return 1
 
 
 def run_command(args: argparse.Namespace) -> int:
@@ -477,24 +508,17 @@ def run_command(args: argparse.Namespace) -> int:
     try:
         trace = run_scenario(config)
     except SimulationDiverged as exc:
-        # a failed run explains itself: the error, and the stages that ran
-        marks.append(time.perf_counter())
-        manifest.update(
-            finished_utc=_utc_now(),
-            error=str(exc),
-            stage_seconds=dict(zip(_STAGES, np.diff(marks).tolist())),
-            **_engine(),
-        )
-        _write_manifest(out_dir, manifest)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _failed(out_dir, manifest, marks, str(exc))
     marks.append(time.perf_counter())
 
     report = segment_report(trace, settle=_SETTLE[args.profile])
     summary = format_summary(report)
     marks.append(time.perf_counter())
 
-    files = _write_outputs(out_dir, trace, report, summary)
+    try:
+        files = _write_outputs(out_dir, trace, report, summary)
+    except OSError as exc:  # every writer names its file
+        return _failed(out_dir, manifest, marks, f"cannot write {exc.filename}: {exc.strerror or exc}")
     marks.append(time.perf_counter())
 
     stage_seconds = dict(zip(_STAGES, np.diff(marks).tolist()))
@@ -505,7 +529,8 @@ def run_command(args: argparse.Namespace) -> int:
         phase_steps_per_s=len(PHASES) * trace.steps / stage_seconds["simulate"],
         **_engine(),
     )
-    _write_manifest(out_dir, manifest)
+    if not _write_manifest(out_dir, manifest):
+        return 1
 
     print(summary)
     print(f"\noutputs written to {out_dir}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -213,15 +214,22 @@ def write_columns(path: Path, header: Sequence[str], columns: Sequence[Any]) -> 
 
     lib = kernel.library()
     head = (",".join(header) + "\r\n").encode()
+    with _naming(path), path.open("wb") as fh:
+        if lib is None:
+            fh.write(head)
+            fh.writelines(_python_blocks(pieces, rows))
+        elif code := _library_write(lib, fh.fileno(), head, pieces, rows):
+            raise OSError(-code, os.strerror(-code), str(path))
+    return rows
+
+
+@contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """An ``OSError`` raised inside with no file name, from a write or close
+    of an open file, raised again naming ``path``."""
     try:
-        with path.open("wb") as fh:
-            if lib is None:
-                fh.write(head)
-                fh.writelines(_python_blocks(pieces, rows))
-            elif code := _library_write(lib, fh.fileno(), head, pieces, rows):
-                raise OSError(-code, os.strerror(-code), str(path))
+        yield
     except OSError as exc:
-        if exc.filename is None:  # a write or close of the open file
+        if exc.filename is None:
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
-    return rows

@@ -10,8 +10,11 @@ The step loop makes the scalar functions' decisions with less work: each
 arm's order is kept from step to step and insertion-sorted under one
 total order, which takes fewer comparisons than a sort from index order,
 and the selection skips the rows and columns of the grid that a lower
-bound of the objective rules out.  ``BENCH_kernel.json`` at the
-repository root holds the measured figures.
+bound of the objective rules out.  On a stiff bus it steps leg a on a
+second thread, inside the one call, while the calling thread steps legs b
+and c; the pi-line bus couples the legs on every step, so a pi-line run
+stays on one thread.  ``BENCH_kernel.json`` at the repository root holds
+the measured figures.
 
 ``library()`` finds or builds the shared library once per process.  The
 compiler is ``$CC`` (default ``cc``), run with ``FLAGS``; nothing is built
@@ -67,7 +70,7 @@ from .scenario import (
     grid_voltage,
 )
 
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 # after the source, so that a linker that drops unused libraries keeps it
 LIBS = ("-lm",)
 
@@ -200,15 +203,16 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 
 def _self_check_configs() -> list[ScenarioConfig]:
     """Short runs through every branch of the step: the v1fc budget stage
-    at every budget on a pi-line bus (from the balanced start, where every
-    key ties), and v1f2 with no weight on the circulating current, where
-    cells tie on the objective."""
+    at every budget on a pi-line bus, stepped on one thread, and on a stiff
+    bus, where a second thread steps leg a (both from the balanced start,
+    where every key ties), and v1f2 with no weight on the circulating
+    current, where cells tie on the objective."""
     t_s = SystemParams().t_s
     segment = 40 * t_s
     stairs = NswSchedule(tuple((b * segment, (b + 1) * segment, b) for b in (0, 1, 2, 3, 4, 5, 6)))
     return [
-        ScenarioConfig(algorithm="v1fc", dc_model="piline", duration=7 * segment, warmup=0.0,
-                       nsw_schedule=stairs),
+        *(ScenarioConfig(algorithm="v1fc", dc_model=dc_model, duration=7 * segment, warmup=0.0,
+                         nsw_schedule=stairs) for dc_model in ("piline", "stiff")),
         ScenarioConfig(algorithm="v1f2", params=SystemParams(w_circ=0.0), duration=segment,
                        warmup=0.0, nsw_schedule=constant_schedule(segment, 6)),
     ]

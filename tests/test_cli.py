@@ -686,24 +686,53 @@ def test_full_disk_ends_the_write_naming_the_file(short_run, tmp_path, monkeypat
     assert threading.active_count() == before
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-def test_run_onto_a_full_disk_raises_and_leaves_no_thread(tmp_path, monkeypatch):
-    # mmcsim run removes earlier outputs first: the /dev/full link is put
-    # in place after that, while the report is summarised
-    out = tmp_path / "o"
+def _run_onto_full_files(out, monkeypatch, names):
+    """``mmcsim run --profile fast --duration 0.12`` into ``out`` with each
+    of ``names`` a link to /dev/full: put in place after the run removes
+    earlier outputs, while the report is summarised.  Its exit code."""
     summarise = cli.format_summary
 
     def link_then_summarise(report):
-        (out / "fig6_ac_tracking.csv").symlink_to("/dev/full")
+        for name in names:
+            (out / name).symlink_to("/dev/full")
         return summarise(report)
 
     monkeypatch.setattr(cli, "format_summary", link_then_summarise)
+    return main(["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(out)])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_run_onto_a_full_disk_fails_naming_the_file(tmp_path, monkeypatch, capsys):
+    # the run ends as a diverged one does: the error printed and in the
+    # manifest with the stages that ran, and no writer thread left behind
+    out = tmp_path / "o"
     before = threading.active_count()
-    with pytest.raises(OSError) as raised:
-        main(["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(out)])
-    assert (raised.value.errno, raised.value.filename) == (errno.ENOSPC, str(out / "fig6_ac_tracking.csv"))
+    assert _run_onto_full_files(out, monkeypatch, ["fig6_ac_tracking.csv"]) == 1
     assert threading.active_count() == before
-    assert not (out / "run_manifest.json").exists()
+    error = f"cannot write {out / 'fig6_ac_tracking.csv'}: {os.strerror(errno.ENOSPC)}"
+    assert capsys.readouterr().err == f"error: {error}\n"
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["error"] == error
+    assert list(manifest["stage_seconds"]) == ["build", "simulate", "report", "write"]
+    assert "files" not in manifest and "phase_steps_per_s" not in manifest
+    with pytest.raises(ConfigError, match=re.escape(error)):
+        load_run(out)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "names",
+    [["summary.txt", "run_manifest.json"], ["trace.bin", "run_manifest.json"], ["run_manifest.json"]],
+    ids=["summary", "record", "manifest-alone"],
+)
+def test_unwritable_manifest_does_not_hide_the_first_error(tmp_path, monkeypatch, capsys, names):
+    # each file that could not be written is named, in order, the manifest
+    # last; a write or close of an open file names its file too
+    out = tmp_path / "o"
+    assert _run_onto_full_files(out, monkeypatch, names) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {out / name}: {os.strerror(errno.ENOSPC)}" for name in names
+    ]
 
 
 def test_load_run_round_trips_across_blocks(short_run):

@@ -1,7 +1,7 @@
 """The compiled step kernel: where it comes from, and the Python code
-taking over, with the manifest saying why, whenever it cannot be had.
-Its records are checked against the scalar loop's in test_scenario.py and
-test_fuzz.py."""
+taking over, with the manifest saying why, whenever it cannot be had; the
+errors and records of its two threads.  Its records are checked against
+the scalar loop's in test_scenario.py and test_fuzz.py."""
 import json
 import os
 import re
@@ -10,12 +10,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from importlib import resources
 
 import pytest
 
+import mmcsim as m
 from mmcsim import kernel
 from mmcsim.cli import main
+from mmcsim.scenario import _run_scalar
 from test_cli import _child_env
 
 
@@ -197,3 +200,119 @@ def test_cache_holds_one_checked_library(fresh, monkeypatch):
     assert lib is not None and note is None
     assert list(damaged.parent.iterdir()) == [damaged]
     assert damaged.read_bytes() == cached.read_bytes()
+
+
+# ------------------------------------------------ the legs on two threads
+
+def _overflowing_grid(degrees, v_s_peak):
+    """Twelve steps against a grid voltage near the largest float, at a
+    grid frequency that advances the sines ``degrees`` a step, so that the
+    legs overflow on different early steps."""
+    return m.ScenarioConfig(params=m.SystemParams(f_grid=degrees / 360.0 / 25e-6), v_s_peak=v_s_peak,
+                            duration=0.0003, warmup=0.0, nsw_schedule=m.constant_schedule(0.0003, 6))
+
+
+# each case's first diverging step of each leg, by the scalar functions
+# stepping the legs one at a time: b-first (2, 1, 4), c-first (2, 4, 1),
+# a-and-b (1, 1, 4), counting from 0
+_SPLIT_DIVERGENCES = pytest.mark.parametrize(
+    "config, phase",
+    [(_overflowing_grid(30, 1e308), "b"), (_overflowing_grid(330, 1e308), "c"),
+     (_overflowing_grid(30, 1.5e308), "a")],
+    ids=["b-first", "c-first", "a-and-b"],
+)
+
+
+def _assert_scalar_error(lib, config, phase):
+    """The library's run of ``config`` raises the scalar loop's error, which
+    names ``phase``."""
+    with pytest.raises(m.SimulationDiverged, match=f"^phase {phase} diverged at step ") as want:
+        _run_scalar(config)
+    with pytest.raises(m.SimulationDiverged) as got:
+        kernel.run(lib, config)
+    assert str(got.value) == str(want.value)
+
+
+@_SPLIT_DIVERGENCES
+def test_split_run_reports_the_scalar_loops_first_diverging_leg(config, phase):
+    # leg a runs on the worker thread, legs b and c on the calling one; the
+    # first to diverge in step-major order is reported, leg a on a tie
+    if kernel.library() is None:
+        pytest.skip(f"no step kernel: {kernel.engine()[1]}")
+    _assert_scalar_error(kernel.library(), config, phase)
+
+
+def test_runs_from_four_threads_give_their_sequential_records():
+    # four runs at once, each with its own worker thread, on two stiff
+    # configs, a pi-line one and one that diverges
+    lib = kernel.library()
+    if lib is None:
+        pytest.skip(f"no step kernel: {kernel.engine()[1]}")
+    configs = [
+        m.fast_config("v1fc", duration=0.05, warmup=0.0, nsw_schedule=m.constant_schedule(0.05, 0)),
+        m.fast_config("v1f2", duration=0.05, warmup=0.0, nsw_schedule=m.constant_schedule(0.05, 6)),
+        m.fast_config("v1fc", dc_model="piline", duration=0.05, warmup=0.0,
+                      nsw_schedule=m.constant_schedule(0.05, 2)),
+        _overflowing_grid(330, 1e308),
+    ]
+
+    def outcome(config):
+        try:
+            return kernel.run(lib, config).record
+        except m.SimulationDiverged as exc:
+            return str(exc)
+
+    want = [outcome(config) for config in configs]
+    got = [None] * len(configs)
+    start = threading.Barrier(len(configs))
+
+    def run(k):
+        start.wait(timeout=60)
+        got[k] = outcome(configs[k])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert isinstance(want[3], str) and want[3].startswith("phase c diverged")
+    for k, (a, b) in enumerate(zip(got, want)):
+        if isinstance(b, str):
+            assert a == b, k
+        else:
+            assert list(a) == list(b) and all(a[name].tobytes() == b[name].tobytes() for name in b), k
+
+
+# the call that starts the worker thread
+_START_WORKER = "pthread_create(&worker, NULL, step_leg_a, &w[0]) == 0"
+
+
+@needs_cc
+@pytest.mark.skipif(shutil.which("sed") is None, reason="no sed")
+@_SPLIT_DIVERGENCES
+def test_no_worker_thread_steps_every_leg_on_the_caller(fresh, monkeypatch, config, phase):
+    # a library whose worker never starts, as when pthread_create fails:
+    # the calling thread steps leg a first, then legs b and c; it passes
+    # the self-check, and reports the same leg
+    wrapper = fresh / "cc-wrapper"
+    edited = fresh / "edited.c"
+    # the call as a sed regular expression: of its characters, only the
+    # brackets need escaping
+    call = _START_WORKER.replace("[", "\\[").replace("]", "\\]")
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        f"sed {shlex.quote(f's/{call}/0/')} | tee {shlex.quote(str(edited))} | "
+        + shlex.join(_compiler()) + ' "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("CC", str(wrapper))
+    lib, note = kernel._load()
+    assert lib is not None, note
+    assert "int threaded = 0;" in edited.read_text()
+    _assert_scalar_error(lib, config, phase)

@@ -329,6 +329,18 @@ def test_piline_bus_stays_bounded():
     assert abs(v.mean() - 60e3) < 0.005 * 60e3
 
 
+def test_scalar_piline_steps_check_no_params_again(monkeypatch):
+    # the bus voltage reaches the scalar functions in a copy of params: the
+    # fields it shares with params are not checked again on every step
+    cfg = m.ScenarioConfig(duration=0.001, warmup=0.0, dc_model="piline",
+                           nsw_schedule=m.constant_schedule(0.001, 6))
+    checks = []
+    post_init = m.SystemParams.__post_init__
+    monkeypatch.setattr(m.SystemParams, "__post_init__", lambda self: checks.append(post_init(self)))
+    trace = _run_scalar(cfg)
+    assert checks == [] and len(set(trace.v_dc.tolist())) > 2
+
+
 def test_unstable_piline_reports_divergence():
     # a lumped LC far beyond the stability limit of the fixed step
     cfg = m.ScenarioConfig(duration=0.01, warmup=0.0, dc_model="piline",

@@ -1,16 +1,17 @@
 """A/B timing of the compiled step kernel: ``_step.c`` at a git revision
 against the working tree's, in one process.
 
-Both sources are built with ``kernel.FLAGS`` and must pass the kernel's
-self-check of their own revision (the scalar loop's record, byte for
-byte, and the CSV text).  The base source is built twice, so the spread
+Each source is built with its own revision's ``kernel.FLAGS`` and must
+pass the kernel's self-check of that revision (the scalar loop's record,
+byte for byte, and the CSV text).  The base source is built twice, so the spread
 between its two copies, timed in the same rounds, shows what a
 difference of nothing reads as on this host.  For
 each config, ``kernel.run`` lays out one trace, and each round times one
 ``mmcsim_run`` call of every library on its blocks, the libraries in a
 rotating order; the trace's set-up (``_blank_trace``) is outside the
 timing.  The figures are the minimum and the median over ROUNDS rounds,
-in ns per phase-step (one leg, one step).
+in ns per phase-step (one leg, one step), of wall time: a library that
+steps legs on two threads counts once.
 
     python tools/bench_kernel.py --base <revision> > BENCH_kernel.json
 """
@@ -152,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
                 "base and base_copy the same source at the base revision, change the working tree",
         "base_revision": base_commit,
         "rounds": ROUNDS,
-        "host": host(cc),
+        "host": {**host(cc), "base_flags": " ".join(sys.modules["mmcsim._bench_base_kernel"].FLAGS)},
         "ns_per_phase_step": {},
     }
     for name, rounds in timed.items():
