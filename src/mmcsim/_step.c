@@ -10,12 +10,15 @@
    build it with -ffp-contract=off, so that no a*b + c is fused, and with
    -pthread.
 
-   On a stiff bus the three legs share nothing but the clock, so a worker
-   thread steps leg a while the calling thread steps legs b and c, each
-   writing only its own legs' cells of the record; a pi-line run stays on
-   the calling thread, as its bus couples the legs on every step.  A
-   diverging run reports the leg the scalar loop would: the first in
-   step-major order.
+   On a stiff bus the three legs share nothing but the clock, and a record
+   row holds a leg's whole state, so each of two threads steps a leg and a
+   half: the calling thread steps leg c up to half-way and then leg b, and
+   a worker thread steps leg a and then leg c's second half, from the row
+   the calling thread wrote last.  Each writes only its own legs' cells of
+   the record.  The split can so save up to half of the stepping time.  A
+   pi-line run stays on the calling thread, as its bus couples the legs on
+   every step.  A diverging run reports the leg the scalar loop would: the
+   first in step-major order.
 
    - sorts: an insertion sort of each arm's order of the previous step
      under one total order, key (NaN last), then ON first under v1fc, then
@@ -213,21 +216,35 @@ struct run {
     int8_t *u_rec;
 };
 
+/* Where a stretch of steps stopped: code 1 when the state of `phase`
+   turns non-finite on `step`, 2 when the bus voltage after `step` is not
+   finite and > 0 (`bus` holds it), else 0. */
+struct stop {
+    int64_t step;
+    int phase, code;
+    double bus;
+};
+
+/* keep the stop `s` in *kept when it comes first in step-major order: the
+   lower step, then the lower phase */
+static void keep_first(struct stop *kept, struct stop s)
+{
+    if (s.code && (!kept->code || s.step < kept->step || (s.step == kept->step && s.phase < kept->phase)))
+        *kept = s;
+}
+
 /* One thread's work area.  It has room for the state of all three
    phases, of which the thread uses its own legs': the capacitor voltages
    and statuses, upper arm first, and the sorted order of each arm, kept
    from step to step; then the order of each arm this step and the sort
-   and selection work.  Where the thread stopped: code 1 when the state of `phase` turns
-   non-finite on `step`, 2 when the bus voltage after `step` is not
-   finite and > 0 (`bus` holds it), else 0. */
+   and selection work.  `stop` is the first stop of the thread's
+   stretches. */
 struct legs {
     const struct run *run;
     double *v, *v_next, *key, *sums, *d_low;
     int8_t *u;
     int32_t *perm, *order;
-    int64_t step;
-    int phase, code;
-    double bus;
+    struct stop stop;
 };
 
 /* the doubles, int32s and int8s of one work area, in one block that ends
@@ -252,12 +269,18 @@ static int legs_alloc(struct legs *w, const struct run *r)
     return 1;
 }
 
-/* Step legs [p0, p1) over every step of the run from the balanced start,
-   and, when piline is set (with every leg), the bus after each step;
-   stop at the first leg, in step-major order, whose state turns
-   non-finite, or at a bus voltage that is not finite and > 0.  Inlined
-   at each call, so that the compiler has the bounds as constants. */
-static inline __attribute__((always_inline)) void step_legs(struct legs *w, int p0, int p1, int piline)
+/* Step legs [p0, p1) over steps [s0, s1): from the balanced start when
+   s0 is 0, else from record row s0 - 1, which holds a stiff-bus leg's
+   whole state (each arm's kept order then starts in index order; the
+   sort's order is total, so that changes the work, not the result).
+   When piline is set (with every leg, from step 0), also step the bus
+   after each step.  At the first leg, in step-major order, whose state
+   turns non-finite, or at a bus voltage that is not finite and > 0, stop:
+   keep where in w->stop (see keep_first) and return 1; else return 0.
+   Inlined at both calls, so that the compiler has the legs and the bus
+   as constants. */
+static inline __attribute__((always_inline)) int step_legs(struct legs *w, int p0, int p1, int piline,
+                                                           int64_t s0, int64_t s1)
 {
     const struct run *r = w->run;
     const double *k = r->k;
@@ -271,17 +294,27 @@ static inline __attribute__((always_inline)) void step_legs(struct legs *w, int 
     int8_t *u = w->u;
     int32_t *perm = w->perm, *order = w->order;
 
+    sums[0] = sums[n + 1] = 0.0;
+    double i_ac[PHASES] = {0.0, 0.0, 0.0}, i_circ[PHASES] = {0.0, 0.0, 0.0};
+    double v_grid[PHASES] = {k[K_V_GRID0], k[K_V_GRID0 + 1], k[K_V_GRID0 + 2]};
+    double v_dc_now = v_dc_nom, i_line = 0.0;
     for (int j = p0 * n2; j < p1 * n2; j++) {
         v[j] = k[K_V_SM];
         u[j] = 0;
         perm[j] = j % n;
     }
-    sums[0] = sums[n + 1] = 0.0;
-    double i_ac[PHASES] = {0.0, 0.0, 0.0}, i_circ[PHASES] = {0.0, 0.0, 0.0};
-    double v_grid[PHASES] = {k[K_V_GRID0], k[K_V_GRID0 + 1], k[K_V_GRID0 + 2]};
-    double v_dc_now = v_dc_nom, i_line = 0.0;
+    if (s0 > 0) {
+        const int64_t row = s0 - 1;
+        for (int p = p0; p < p1; p++) {
+            memcpy(v + p * n2, r->v_c + (row * PHASES + p) * n2, sizeof(double) * (size_t)n2);
+            memcpy(u + p * n2, r->u_rec + (row * PHASES + p) * n2, (size_t)n2);
+            i_ac[p] = r->currents[6 * row + p];
+            i_circ[p] = r->currents[6 * row + PHASES + p];
+            v_grid[p] = r->refs[6 * row + PHASES + p];
+        }
+    }
 
-    for (int64_t s = 0; s < r->steps; s++) {
+    for (int64_t s = s0; s < s1; s++) {
         const double *i_ref = r->refs + 6 * s, *v_grid_next = i_ref + PHASES;
         double *i_ac_rec = r->currents + 6 * s, *i_circ_rec = i_ac_rec + PHASES;
         const double half_dc = v_dc_now / 2.0;
@@ -345,10 +378,8 @@ static inline __attribute__((always_inline)) void step_legs(struct legs *w, int 
             memcpy(r->v_c + (s * PHASES + p) * n2, v_leg, sizeof(double) * (size_t)n2);
             memcpy(r->u_rec + (s * PHASES + p) * n2, u_leg, (size_t)n2);
             if (!(isfinite(i_ac[p]) && isfinite(i_circ[p]))) {
-                w->step = s;
-                w->phase = p;
-                w->code = 1;
-                return;
+                keep_first(&w->stop, (struct stop){s, p, 1, 0.0});
+                return 1;
             }
         }
         if (piline) {
@@ -358,19 +389,49 @@ static inline __attribute__((always_inline)) void step_legs(struct legs *w, int 
             i_line += ts / l_line * (v_dc_nom - v_dc_now);
             v_dc_now += ts / c_end * (i_line - (0.0 + i_circ[0] + i_circ[1] + i_circ[2]));
             if (!(isfinite(v_dc_now) && v_dc_now > 0.0)) {
-                w->step = s;
-                w->bus = v_dc_now;
-                w->code = 2;
-                return;
+                keep_first(&w->stop, (struct stop){s, 0, 2, v_dc_now});
+                return 1;
             }
         }
     }
+    return 0;
 }
 
-/* the worker thread's share of a stiff-bus run: leg a */
-static void *step_leg_a(void *w)
+/* A stiff-bus run, split so that each thread steps a leg and a half:
+   the calling thread steps leg c over [0, half) and then leg b, the
+   worker leg a and then leg c over [half, steps), from the record row
+   the calling thread wrote last.  c_state, guarded by lock and handed,
+   is 0 until c's first half is stepped, then 1, or -1 when leg c
+   stopped in it, so that the worker does not restart it. */
+struct split {
+    struct legs w[2]; /* the worker's, the calling thread's */
+    int64_t half;
+    pthread_mutex_t lock;
+    pthread_cond_t handed;
+    int c_state;
+};
+
+/* one leg of a stiff-bus run over steps [s0, s1); see step_legs.  Not
+   inlined: its four calls share one copy of the loop, which times the
+   same as a copy per leg */
+static __attribute__((noinline)) int step_leg(struct legs *w, int p, int64_t s0, int64_t s1)
 {
-    step_legs(w, 0, 1, 0);
+    return step_legs(w, p, p + 1, 0, s0, s1);
+}
+
+/* the worker's share of a split run: leg a, then the second half of c */
+static void *step_worker_share(void *arg)
+{
+    struct split *sp = arg;
+    const int64_t steps = sp->w[0].run->steps;
+    step_leg(&sp->w[0], 0, 0, steps);
+    pthread_mutex_lock(&sp->lock);
+    while (!sp->c_state)
+        pthread_cond_wait(&sp->handed, &sp->lock);
+    const int go = sp->c_state > 0;
+    pthread_mutex_unlock(&sp->lock);
+    if (go)
+        step_leg(&sp->w[0], 2, sp->half, steps);
     return NULL;
 }
 
@@ -379,24 +440,28 @@ static void *step_leg_a(void *w)
    then i_circ, v_c (steps, 3, 2n), u (steps, 3, 2n) and, when piline is
    set, v_dc (steps,).
 
-   On a stiff bus the legs share nothing but the clock, so a worker thread
-   steps leg a while this one steps legs b and c; the pi-line bus couples
-   the legs on every step, and this thread steps them all.  When no
-   thread can be started, this one steps leg a first.
+   On a stiff bus the legs share nothing but the clock, and a record row
+   holds a leg's whole state, so each of two threads steps a leg and a
+   half (see struct split): this thread hands leg c over to the worker at
+   step steps / 2.  The pi-line bus couples the legs on every step, and
+   this thread steps them all.  When no thread can be started, this one
+   steps the worker's share last.
 
    Returns 0 when the run ends, 1 when the state of phase where[1] turns
    non-finite on step where[0] (its row of currents and v_c is written), 2
    when the bus voltage after step where[0] is not finite and > 0 (*bus
    holds it), and -1 when the work areas cannot be allocated.  The phase
    reported is the scalar loop's: the first to diverge in its step-major
-   order, the lowest step, then the lowest phase. */
+   order, the lowest step, then the lowest phase, over both threads and
+   all four stretches. */
 int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t piline,
                const int16_t *budgets, const double *refs, double *currents,
                double *v_c, int8_t *u_rec, double *v_dc_rec, int64_t *where, double *bus)
 {
     const struct run r = {k, steps, n, v1fc, budgets, refs, currents, v_c, v_dc_rec, u_rec};
-    /* w[0] the worker's, w[1] this thread's */
-    struct legs w[2];
+    struct split sp = {.half = steps / 2, .lock = PTHREAD_MUTEX_INITIALIZER,
+                       .handed = PTHREAD_COND_INITIALIZER};
+    struct legs *w = sp.w;
     int ok = legs_alloc(&w[0], &r);
     ok = legs_alloc(&w[1], &r) && ok;
     if (!ok) {
@@ -405,26 +470,30 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
         return -1;
     }
     if (piline) {
-        step_legs(&w[1], 0, PHASES, 1);
+        step_legs(&w[1], 0, PHASES, 1, 0, steps);
     } else {
         pthread_t worker;
-        int threaded = pthread_create(&worker, NULL, step_leg_a, &w[0]) == 0;
-        if (!threaded)
-            step_leg_a(&w[0]);
-        step_legs(&w[1], 1, PHASES, 0);
+        int threaded = pthread_create(&worker, NULL, step_worker_share, &sp) == 0;
+        const int c_stopped = step_leg(&w[1], 2, 0, sp.half);
+        pthread_mutex_lock(&sp.lock);
+        sp.c_state = c_stopped ? -1 : 1;
+        pthread_cond_signal(&sp.handed);
+        pthread_mutex_unlock(&sp.lock);
+        step_leg(&w[1], 1, 0, steps);
         if (threaded)
             pthread_join(worker, NULL);
+        else
+            step_worker_share(&sp);
     }
-    /* leg a's divergence comes first unless legs b and c stopped on an
-       earlier step */
-    const struct legs *first = w[0].code && !(w[1].code && w[1].step < w[0].step) ? &w[0] : &w[1];
-    where[0] = first->step;
-    where[1] = first->phase;
-    *bus = first->bus;
-    int code = first->code;
+    keep_first(&w[0].stop, w[1].stop);
+    where[0] = w[0].stop.step;
+    where[1] = w[0].stop.phase;
+    *bus = w[0].stop.bus;
     free(w[0].v);
     free(w[1].v);
-    return code;
+    pthread_cond_destroy(&sp.handed);
+    pthread_mutex_destroy(&sp.lock);
+    return w[0].stop.code;
 }
 
 /* out[i] = sin(x[i]) for i < count */

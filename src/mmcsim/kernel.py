@@ -10,11 +10,14 @@ The step loop makes the scalar functions' decisions with less work: each
 arm's order is kept from step to step and insertion-sorted under one
 total order, which takes fewer comparisons than a sort from index order,
 and the selection skips the rows and columns of the grid that a lower
-bound of the objective rules out.  On a stiff bus it steps leg a on a
-second thread, inside the one call, while the calling thread steps legs b
-and c; the pi-line bus couples the legs on every step, so a pi-line run
-stays on one thread.  ``BENCH_kernel.json`` at the repository root holds
-the measured figures.
+bound of the objective rules out.  On a stiff bus, inside the one call,
+two threads each step a leg and a half: the calling thread steps the
+first half of leg c and then leg b, and a second thread steps leg a and
+then leg c's second half, from the record row where the calling thread
+stopped, as that row holds a stiff-bus leg's whole state.  So the split
+can save up to half of the stepping time.  The pi-line bus couples the
+legs on every step, so a pi-line run stays on one thread.
+``BENCH_kernel.json`` at the repository root holds the measured figures.
 
 ``library()`` finds or builds the shared library once per process.  The
 compiler is ``$CC`` (default ``cc``), run with ``FLAGS``; nothing is built
@@ -204,12 +207,14 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 def _self_check_configs() -> list[ScenarioConfig]:
     """Short runs through every branch of the step: the v1fc budget stage
     at every budget on a pi-line bus, stepped on one thread, and on a stiff
-    bus, where a second thread steps leg a (both from the balanced start,
-    where every key ties), and v1f2 with no weight on the circulating
-    current, where cells tie on the objective."""
+    bus, where the second thread steps leg a and then leg c from step 140,
+    inside the budget-0 segment (both from the balanced start, where every
+    key ties), and v1f2 with no weight on the circulating current, where
+    cells tie on the objective."""
     t_s = SystemParams().t_s
     segment = 40 * t_s
-    stairs = NswSchedule(tuple((b * segment, (b + 1) * segment, b) for b in (0, 1, 2, 3, 4, 5, 6)))
+    budgets = (1, 2, 3, 0, 4, 5, 6)
+    stairs = NswSchedule(tuple((k * segment, (k + 1) * segment, b) for k, b in enumerate(budgets)))
     return [
         *(ScenarioConfig(algorithm="v1fc", dc_model=dc_model, duration=7 * segment, warmup=0.0,
                          nsw_schedule=stairs) for dc_model in ("piline", "stiff")),

@@ -13,6 +13,7 @@ import tempfile
 import threading
 from importlib import resources
 
+import numpy as np
 import pytest
 
 import mmcsim as m
@@ -214,32 +215,66 @@ def _overflowing_grid(degrees, v_s_peak):
 
 # each case's first diverging step of each leg, by the scalar functions
 # stepping the legs one at a time: b-first (2, 1, 4), c-first (2, 4, 1),
-# a-and-b (1, 1, 4), counting from 0
+# a-and-b (1, 1, 4), b-and-c-after-hand-over (none, 7, 7), counting from
+# 0; leg c is handed over to the worker at step 6
 _SPLIT_DIVERGENCES = pytest.mark.parametrize(
     "config, phase",
     [(_overflowing_grid(30, 1e308), "b"), (_overflowing_grid(330, 1e308), "c"),
-     (_overflowing_grid(30, 1.5e308), "a")],
-    ids=["b-first", "c-first", "a-and-b"],
+     (_overflowing_grid(30, 1.5e308), "a"), (_overflowing_grid(1, 2.8e307), "b")],
+    ids=["b-first", "c-first", "a-and-b", "b-and-c-after-hand-over"],
 )
 
 
 def _assert_scalar_error(lib, config, phase):
     """The library's run of ``config`` raises the scalar loop's error, which
-    names ``phase``."""
+    names ``phase``; its message."""
     with pytest.raises(m.SimulationDiverged, match=f"^phase {phase} diverged at step ") as want:
         _run_scalar(config)
     with pytest.raises(m.SimulationDiverged) as got:
         kernel.run(lib, config)
     assert str(got.value) == str(want.value)
+    return str(got.value)
 
 
 @_SPLIT_DIVERGENCES
 def test_split_run_reports_the_scalar_loops_first_diverging_leg(config, phase):
-    # leg a runs on the worker thread, legs b and c on the calling one; the
-    # first to diverge in step-major order is reported, leg a on a tie
+    # the worker thread steps leg a and then leg c's second half, the
+    # calling thread c's first half and then leg b; the first to diverge in
+    # step-major order is reported, the lower phase on a tie
     if kernel.library() is None:
         pytest.skip(f"no step kernel: {kernel.engine()[1]}")
     _assert_scalar_error(kernel.library(), config, phase)
+
+
+def test_leg_c_stopped_before_the_hand_over_is_not_restarted(monkeypatch):
+    # forty steps: leg c diverges on step 18, before the hand-over at step
+    # 20, leg a on step 33 and leg b never (the scalar functions stepping
+    # each leg alone).  mmcsim_run is called on record blocks filled with
+    # a sentinel; the worker, done with leg a, must leave leg c's rows from
+    # the hand-over on as they were
+    lib = kernel.library()
+    if lib is None:
+        pytest.skip(f"no step kernel: {kernel.engine()[1]}")
+    config = m.ScenarioConfig(params=m.SystemParams(f_grid=358 / 360.0 / 25e-6), v_s_peak=1e307,
+                              duration=0.001, warmup=0.0, nsw_schedule=m.constant_schedule(0.001, 6))
+    assert config.steps == 40
+    blank, traces = kernel._blank_trace, []
+
+    def sentinel_trace(*args):
+        trace, refs = blank(*args)
+        for block in trace.record.values():
+            block.fill(-7)
+        traces.append(trace)
+        return trace, refs
+
+    monkeypatch.setattr(kernel, "_blank_trace", sentinel_trace)
+    assert _assert_scalar_error(lib, config, "c").startswith("phase c diverged at step 19 ")
+    record = traces[0].record
+    for name in ("currents", "v_c", "u"):
+        leg = np.moveaxis(record[name], 2 if name == "currents" else 1, 0)
+        assert (leg[2, :19] != -7).all() and (leg[2, 19:] == -7).all(), name
+        assert (leg[1] != -7).all(), name
+        assert (leg[0, :34] != -7).all() and (leg[0, 34:] == -7).all(), name
 
 
 def test_runs_from_four_threads_give_their_sequential_records():
@@ -290,7 +325,7 @@ def test_runs_from_four_threads_give_their_sequential_records():
 
 
 # the call that starts the worker thread
-_START_WORKER = "pthread_create(&worker, NULL, step_leg_a, &w[0]) == 0"
+_START_WORKER = "pthread_create(&worker, NULL, step_worker_share, &sp) == 0"
 
 
 @needs_cc
@@ -298,8 +333,8 @@ _START_WORKER = "pthread_create(&worker, NULL, step_leg_a, &w[0]) == 0"
 @_SPLIT_DIVERGENCES
 def test_no_worker_thread_steps_every_leg_on_the_caller(fresh, monkeypatch, config, phase):
     # a library whose worker never starts, as when pthread_create fails:
-    # the calling thread steps leg a first, then legs b and c; it passes
-    # the self-check, and reports the same leg
+    # the calling thread steps leg c's first half, leg b, and then the
+    # worker's share; it passes the self-check, and reports the same leg
     wrapper = fresh / "cc-wrapper"
     edited = fresh / "edited.c"
     # the call as a sed regular expression: of its characters, only the

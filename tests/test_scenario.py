@@ -402,6 +402,13 @@ def _staircase(duration, n):
     ))
 
 
+def _steps(algorithm, steps, budget):
+    """A stiff-bus run of ``steps`` steps at a constant budget, no warm-up."""
+    duration = steps * 25e-6
+    return m.fast_config(algorithm, duration=duration, warmup=0.0,
+                         nsw_schedule=m.constant_schedule(duration, budget))
+
+
 def test_engine_matches_scalar_loop_fast_profile(c_engine, fast_v1fc_trace):
     # the fixture is run_scenario's, on the kernel
     _assert_same_trace(fast_v1fc_trace, _run_scalar(fast_v1fc_trace.config))
@@ -434,13 +441,34 @@ def test_engine_matches_scalar_loop_fast_profile(c_engine, fast_v1fc_trace):
                       nsw_schedule=_staircase(0.05, 1)),
         m.fast_config("v1fc", params=m.SystemParams(n=12), duration=0.05, warmup=0.0,
                       nsw_schedule=_staircase(0.05, 12)),
+        # on a stiff bus the kernel hands leg c over to its second thread at
+        # step steps // 2, which restarts it from the record row before:
+        # steps // 2 is 0, 1 and 1, then odd, then 25 ms into budget 0, far
+        # over the cap
+        *(_steps("v1fc", steps, 6) for steps in (1, 2, 3, 4001)),
+        _steps("v1fc", 2000, 0),
+        m.fast_config("v1f2", duration=0.025025, warmup=0.0, nsw_schedule=_staircase(0.025025, 6)),
     ],
     ids=["v1fc-piline", "n4-w_circ0.1", "w_circ0-budget0", "w_circ0-budget3", "w_circ0-v1f2",
          "fast-v1f2", "piline-v1fc", "piline-v1f2",
-         *(f"budget{budget}" for budget in range(7)), "w_circ0", "n1", "n12"],
+         *(f"budget{budget}" for budget in range(7)), "w_circ0", "n1", "n12",
+         *(f"hand_over-{name}"
+           for name in ("1-step", "2-steps", "3-steps", "4001-steps", "budget0", "v1f2"))],
 )
 def test_engine_matches_scalar_loop(c_engine, cfg):
     _assert_same_trace(c_engine(cfg), _run_scalar(cfg))
+
+
+def test_engine_matches_scalar_loop_with_hand_over_at_every_step(c_engine):
+    # runs of every length from 1 to 400 steps hand leg c over at every step
+    # from 0 to 200; at a constant budget each is the first rows of the
+    # longest run.  A restart that misses the state by one step's grid
+    # voltage changes a selection in a few of these
+    want = _run_scalar(_steps("v1fc", 400, 2)).record
+    for steps in range(1, 401):
+        got = c_engine(_steps("v1fc", steps, 2)).record
+        for name, block in want.items():
+            assert got[name].tobytes() == block[:steps].tobytes(), (steps, name)
 
 
 def test_blank_trace_references_are_the_scalar_functions():

@@ -11,7 +11,10 @@ each config, ``kernel.run`` lays out one trace, and each round times one
 rotating order; the trace's set-up (``_blank_trace``) is outside the
 timing.  The figures are the minimum and the median over ROUNDS rounds,
 in ns per phase-step (one leg, one step), of wall time: a library that
-steps legs on two threads counts once.
+steps legs on two threads counts once.  The change against the base and
+the A/A spread are given from both: a two-thread library's minimum needs
+both cores free at once in one round, its median is what most rounds
+read.
 
     python tools/bench_kernel.py --base <revision> > BENCH_kernel.json
 """
@@ -158,10 +161,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     for name, rounds in timed.items():
         row = {lib_name: summary(rounds.times[lib_name]) for lib_name in libs}
-        base, copy, change = (row[k]["min"] for k in ("base", "base_copy", "change"))
         row["phase_steps"] = rounds.phase_steps
-        row["change_vs_base_min_pct"] = round(100.0 * (change / base - 1.0), 1)
-        row["a_a_spread_min_pct"] = round(100.0 * abs(copy / base - 1.0), 1)
+        for stat in ("min", "median"):
+            base, copy, change = (row[k][stat] for k in ("base", "base_copy", "change"))
+            row[f"change_vs_base_{stat}_pct"] = round(100.0 * (change / base - 1.0), 1)
+            row[f"a_a_spread_{stat}_pct"] = round(100.0 * abs(copy / base - 1.0), 1)
         result["ns_per_phase_step"][name] = row
     print(json.dumps(result, indent=2))
     return 0
