@@ -710,7 +710,7 @@ int mmcsim_write_columns(int32_t fd, const char *head, int64_t head_len, int64_t
                         m->at = p;
                         m->len = (int)(put_g9(p, x) - p);
                     } else {
-                        memcpy(p, m->at, G9_MAX);
+                        memmove(p, m->at, G9_MAX); /* overlaps when the row before is shorter */
                     }
                     p += m->len;
                     break;
