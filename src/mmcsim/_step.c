@@ -33,7 +33,8 @@
      the scan keeps.
 
    BENCH_kernel.json at the repository root holds the measured time per
-   phase-step, comparisons per sort and cells scored per selection.
+   phase-step, and BENCH_kernel_counts.json the comparisons per sort and
+   cells scored per selection, counted by a one-off copy of this file.
 
    mmcsim_sin is libm's sin, the function math.sin calls, over an array.
    mmcsim_write_columns writes a whole CSV file to a file descriptor, as
@@ -624,8 +625,10 @@ static char *put_d(char *p, int64_t v)
 /* the column kinds of mmcsim_write_columns */
 enum { COL_TEXT, COL_F64, COL_I8, COL_I16, COL_I64 };
 
-/* the bytes a '%.9g' text takes at most ("-1.23456789e-308") */
+/* the bytes a '%.9g' text takes at most ("-1.23456789e-308"), and a '%d'
+   text of an int64 ("-9223372036854775808") */
 #define G9_MAX 16
+#define D_MAX 20
 
 /* a float field's previous value and its text: at, where the text was
    written in this block, or text, its copy when the block was written
@@ -655,8 +658,8 @@ static int write_all(int fd, const char *p, size_t n)
 }
 
 /* Write head and then rows 0 .. rows-1 of a CSV table to the file
-   descriptor fd, block_rows rows at a time through out, and return 0 or
-   -errno of the write that failed (-ENOMEM when no memo can be had).
+   descriptor fd, block_rows rows at a time through one buffer, and return
+   0 or -errno of the write that failed (-ENOMEM when no buffer can be had).
    The row is `count` fields, each described by three int64s (kind, base,
    stride); row r of a number column is read at byte address
    base + r * stride, in unsigned arithmetic, so a negative stride (a
@@ -667,16 +670,20 @@ static int write_all(int fd, const char *p, size_t n)
    Fields are separated by "," and each row ends in "\r\n".  A float64
    with the bits of its field's value on the row before gets that row's
    text again, kept in a memo per field for the whole call: bits, not
-   ==, because 0.0 == -0.0 and their texts differ.  A number field takes
-   at most 21 bytes with its ",", so out must hold head, then per row 21
-   bytes per number field, the fixed text plus one byte per text field,
-   and two, for block_rows rows, and G9_SLACK bytes after the last. */
+   ==, because 0.0 == -0.0 and their texts differ.  One allocation holds
+   the memo and then the buffer: head, then block_rows rows of each
+   field's most bytes and its ",", and "\r\n", and G9_SLACK bytes. */
 int mmcsim_write_columns(int32_t fd, const char *head, int64_t head_len, int64_t rows,
-                         int64_t block_rows, const int64_t *cols, int32_t count, char *out)
+                         int64_t block_rows, const int64_t *cols, int32_t count)
 {
-    struct g9_memo *memo = malloc((count ? (size_t)count : 1) * sizeof *memo);
+    size_t row_max = 2;
+    for (const int64_t *col = cols; col < cols + 3 * count; col += 3)
+        row_max += 1 + (size_t)(col[0] == COL_TEXT ? col[2] : col[0] == COL_F64 ? G9_MAX : D_MAX);
+    size_t block_max = (size_t)(rows < block_rows ? rows : block_rows);
+    struct g9_memo *memo = malloc((size_t)count * sizeof *memo + (size_t)head_len + block_max * row_max + G9_SLACK);
     if (!memo)
         return -ENOMEM;
+    char *out = (char *)(memo + count);
     for (int k = 0; k < count; k++) {
         memo[k].len = -1;
         memo[k].at = memo[k].text;

@@ -104,20 +104,14 @@ class SwitchDecision:
         if any(s not in (0, 1) for s in self.statuses):
             raise ValueError("statuses must be 0 or 1")
 
-    def upper(self, n: int) -> tuple[int, ...]:
-        return self.statuses[:n]
-
-    def lower(self, n: int) -> tuple[int, ...]:
-        return self.statuses[n:]
-
 
 @dataclass
 class ArmState:
-    """Capacitor voltages, switch statuses, and current of one arm."""
+    """Capacitor voltages and switch statuses of one arm; its current is
+    derived from the leg's by ``arm_currents``."""
 
     v_c: list[float]           # per-SM capacitor voltage [V]
     u: list[int]               # per-SM status, 1 = inserted
-    i_arm: float = 0.0         # arm current [A]
 
     def __post_init__(self) -> None:
         if len(self.v_c) != len(self.u):
@@ -148,8 +142,8 @@ def nominal_phase_state(params: SystemParams, v_grid: float = 0.0) -> PhaseLegSt
     n = params.n
     v0 = params.v_sm_nominal
     return PhaseLegState(
-        upper=ArmState([v0] * n, [0] * n, 0.0),
-        lower=ArmState([v0] * n, [0] * n, 0.0),
+        upper=ArmState([v0] * n, [0] * n),
+        lower=ArmState([v0] * n, [0] * n),
         i_ac=0.0,
         i_circ=0.0,
         v_grid=v_grid,
@@ -246,8 +240,8 @@ def step_phase(
     """Advance one phase leg by one sampling period under ``decision``.
 
     Order of the update: capacitor dynamics driven by the arm currents
-    measured now, then arm voltages, then AC and circulating currents,
-    then the arm-current recomposition.  Raises ``SimulationDiverged``,
+    that ``arm_currents`` derives from the leg's currents now, then arm
+    voltages, then AC and circulating currents.  Raises ``SimulationDiverged``,
     with the text of ``_non_finite_state``, if the new currents are not
     finite, and names the arm if a bypassed capacitor voltage is not.
     """
@@ -256,11 +250,11 @@ def step_phase(
         raise ValueError(
             f"decision covers {len(decision.statuses)} submodules, expected {2 * n}"
         )
-    u_up = decision.upper(n)
-    u_low = decision.lower(n)
+    u_up, u_low = decision.statuses[:n], decision.statuses[n:]
 
-    v_c_up = anticipate_capacitor_voltages(state.upper, state.upper.i_arm, u_up, params)
-    v_c_low = anticipate_capacitor_voltages(state.lower, state.lower.i_arm, u_low, params)
+    i_up, i_low = arm_currents(state.i_ac, state.i_circ)
+    v_c_up = anticipate_capacitor_voltages(state.upper, i_up, u_up, params)
+    v_c_low = anticipate_capacitor_voltages(state.lower, i_low, u_low, params)
     v_up = arm_voltage(v_c_up, u_up)
     v_low = arm_voltage(v_c_low, u_low)
 
@@ -274,10 +268,9 @@ def step_phase(
         if not math.isfinite(sum(v_c)):
             raise SimulationDiverged(f"non-finite capacitor voltage in the {arm} arm: {v_c!r}")
 
-    i_up, i_low = arm_currents(i_ac, i_circ)
     return PhaseLegState(
-        upper=ArmState(v_c_up, list(u_up), i_up),
-        lower=ArmState(v_c_low, list(u_low), i_low),
+        upper=ArmState(v_c_up, list(u_up)),
+        lower=ArmState(v_c_low, list(u_low)),
         i_ac=i_ac,
         i_circ=i_circ,
         v_grid=v_grid_next,

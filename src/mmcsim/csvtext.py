@@ -7,7 +7,7 @@ fixed text, byte-identical to Python's ``%`` applied to each row.
 - With the compiled library of ``mmcsim.kernel`` (``_library_write``), the
   whole file, header included, is one call of its writer, which reads
   every column in place through its strides (a 2-D column one field per
-  array column), formats each block of rows into one buffer that Python
+  array column), formats each block of rows into one buffer that it
   allocates and writes it to the file's descriptor.  For ``%.9g`` it
   takes a 9-digit mantissa from one correctly rounded scaling by an exact
   power of ten, and leaves the values that rule cannot settle to the C
@@ -34,11 +34,6 @@ import numpy as np
 # rows per block: peak memory is the columns plus one block, whatever the
 # row count
 BLOCK_ROWS = 512
-# the bytes a number field takes at most in the library's text, its ","
-# included (a %d field of int64 21, a %.9g field 17), and the bytes its
-# float formatter may write beyond the end of a field
-_FIELD_MAX = 21
-_FIELD_SLACK = 16
 # values on every edge of the library's %.9g fast path
 G9_EDGES = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -114,7 +109,7 @@ def _library_write(lib: Any, fd: int, head: bytes, pieces: list[Any], rows: int)
     """Write ``head`` and then the table's text to the file descriptor
     ``fd`` by one call of the library's writer, which formats a block of
     ``BLOCK_ROWS`` rows at a time into one buffer and holds no GIL.
-    Returns 0, or -errno of the write that failed.
+    Returns 0, or -errno of the write or allocation that failed.
 
     ``pieces`` are the row's fixed texts as bytes and its number columns,
     each 1-D or 2-D of a dtype of ``_KINDS`` and ``rows`` long, which the
@@ -135,11 +130,7 @@ def _library_write(lib: Any, fd: int, head: bytes, pieces: list[Any], rows: int)
         kind, address = _KINDS[block.dtype], block.ctypes.data
         fields += [(kind, address + j * field_bytes, row_bytes) for j in range(block.shape[1])]
     layout = np.array(fields, np.int64).reshape(-1, 3)
-    row_max = _FIELD_MAX * len(fields) + sum(len(p) for p in pieces if isinstance(p, bytes)) + 2
-    out = np.empty(len(head) + min(rows, BLOCK_ROWS) * row_max + _FIELD_SLACK, np.uint8)
-    return lib.mmcsim_write_columns(
-        fd, head, len(head), rows, BLOCK_ROWS, layout.ctypes.data, len(layout), out.ctypes.data
-    )
+    return lib.mmcsim_write_columns(fd, head, len(head), rows, BLOCK_ROWS, layout.ctypes.data, len(layout))
 
 
 def _python_blocks(pieces: list[Any], rows: int) -> Iterator[bytes]:

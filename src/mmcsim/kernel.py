@@ -195,7 +195,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     for name, restype, argtypes in (
         ("mmcsim_run", ctypes.c_int, [ptr, i64, i32, i32, i32] + [ptr] * 8),
         ("mmcsim_sin", None, [ptr, ptr, i64]),
-        ("mmcsim_write_columns", ctypes.c_int, [i32, ctypes.c_char_p, i64, i64, i64, ptr, i32, ptr]),
+        ("mmcsim_write_columns", ctypes.c_int, [i32, ctypes.c_char_p, i64, i64, i64, ptr, i32]),
         ("mmcsim_sort_arm", None, [i32, ptr, ptr, i32, i32, ptr, ptr]),
         ("mmcsim_select_cell", i32, [i32, ptr, ptr, f8, f8, f8, f8, ptr]),
     ):

@@ -280,12 +280,12 @@ class SimTrace:
     Row k holds the state reached at t[k] = (k+1) * t_s together with the
     decision that produced it.  The trace stores the statuses, capacitor
     voltages and currents; the step count, the times and the budgets come
-    from the config.  ``t``, the end time of each step, is computed once,
-    when the trace is built, and is read-only.  The initial state (balanced
-    capacitors, everything off) is implicit.  ``record`` holds the blocks
-    behind a trace built by ``run_scenario`` or ``load_run``, by name in
-    ``_record_layout``'s order; a trace built by hand has none.  ``==`` is
-    identity, as an array has no truth value.
+    from the config.  ``t``, the end time of each step, and ``n_sw_max``
+    are computed once, when the trace is built, and are read-only.  The
+    initial state (balanced capacitors, everything off) is implicit.
+    ``record`` holds the blocks behind a trace built by ``run_scenario`` or
+    ``load_run``, by name in ``_record_layout``'s order; a trace built by
+    hand has none.  ``==`` is identity, as an array has no truth value.
     """
 
     config: ScenarioConfig
@@ -293,10 +293,12 @@ class SimTrace:
     phases: dict[str, PhaseTrace]
     record: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     t: np.ndarray = field(init=False, repr=False)
+    _budgets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.t = np.arange(1, self.steps + 1) * self.config.params.t_s
-        self.t.flags.writeable = False
+        self._budgets = self.config.nsw_schedule.per_step(self.config.params.t_s, self.steps)
+        self.t.flags.writeable = self._budgets.flags.writeable = False
 
     def phase(self, label: str) -> PhaseTrace:
         try:
@@ -311,7 +313,7 @@ class SimTrace:
     @property
     def n_sw_max(self) -> np.ndarray:
         """Budget of each step, int16, from the config's schedule."""
-        return self.config.nsw_schedule.per_step(self.config.params.t_s, self.steps)
+        return self._budgets
 
 
 def _record_layout(config: ScenarioConfig) -> dict[str, tuple[tuple[int, ...], np.dtype]]:

@@ -180,8 +180,8 @@ def test_step_phase_drift_matches_increment(table1):
     i_ac, i_circ = 140.0, 60.0
     i_u, i_l = m.arm_currents(i_ac, i_circ)
     state = m.PhaseLegState(
-        upper=m.ArmState(list(v_up), list(u), i_u),
-        lower=m.ArmState(list(v_low), list(u), i_l),
+        upper=m.ArmState(list(v_up), list(u)),
+        lower=m.ArmState(list(v_low), list(u)),
         i_ac=i_ac,
         i_circ=i_circ,
         v_grid=0.0,
@@ -196,6 +196,35 @@ def test_step_phase_drift_matches_increment(table1):
         else:
             assert new.upper.v_c[j] == v_up[j]
             assert new.lower.v_c[j] == v_low[j]
+
+
+def test_step_phase_charges_with_the_currents_modulation_anticipates(table1):
+    # a leg built from voltages and statuses alone: the plant step takes its
+    # arm currents from the leg's i_ac and i_circ, as modulate_phase does
+    rng = random.Random(33)
+    v_up = [rng.uniform(9500.0, 10500.0) for _ in range(6)]
+    v_low = [rng.uniform(9500.0, 10500.0) for _ in range(6)]
+    state = m.PhaseLegState(
+        m.ArmState(list(v_up), [0] * 6), m.ArmState(list(v_low), [0] * 6), i_ac=400.0, i_circ=100.0
+    )
+    i_up, i_low = m.arm_currents(state.i_ac, state.i_circ)
+    assert (i_up, i_low) == (300.0, -100.0)
+    decision = m.modulate_phase(state, 400.0, 6, "v1f2", table1).decision
+    new = m.step_phase(state, decision, 0.0, table1)
+    for arm, v, i, u, v_new in (
+        (state.upper, v_up, i_up, decision.statuses[:6], new.upper.v_c),
+        (state.lower, v_low, i_low, decision.statuses[6:], new.lower.v_c),
+    ):
+        assert 0 < sum(u) < 6
+        anticipated = m.anticipate_capacitor_voltages(arm, i, [1] * 6, table1)
+        s = m.sort_v1f2(arm, i, table1)
+        assert s.v_next == tuple(anticipated[j] for j in s.order)
+        for j in range(6):
+            if u[j]:
+                assert v_new[j] == anticipated[j]
+                assert v_new[j] - v[j] == pytest.approx(table1.t_s * i / table1.c_sm, rel=1e-9)
+            else:
+                assert v_new[j] == v[j]
 
 
 def test_step_phase_rejects_divergence(table1):
@@ -232,7 +261,7 @@ def test_step_phase_passes_finite_non_positive_capacitor_voltage(table1):
     # clamp, so an inserted capacitor may discharge through zero
     state = m.nominal_phase_state(table1)
     state.upper.v_c[:2] = [-500.0, 0.0]
-    state.upper.i_arm = -200.0  # discharges the inserted submodules
+    state.i_ac = -400.0  # an upper arm current of -200 A discharges its inserted submodules
     decision = m.SwitchDecision((1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0))
     new = m.step_phase(state, decision, 0.0, table1)
     assert new.upper.v_c[0] == -500.0 + table1.t_s * -200.0 / table1.c_sm < -500.0
@@ -268,9 +297,6 @@ def test_switch_decision_validation():
         m.SwitchDecision((1, 2, 0, 0))
     with pytest.raises(ValueError):
         m.SwitchDecision((1, 0, 0))  # odd length
-    d = m.SwitchDecision((1, 0, 1, 1))
-    assert d.upper(2) == (1, 0)
-    assert d.lower(2) == (1, 1)
 
 
 def test_arm_state_validation():

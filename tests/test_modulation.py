@@ -493,10 +493,9 @@ def _random_state(rng, params):
     u_low = [rng.randint(0, 1) for _ in range(params.n)]
     i_ac = rng.uniform(-400.0, 400.0)
     i_circ = rng.uniform(-120.0, 120.0)
-    iu, il = m.arm_currents(i_ac, i_circ)
     return m.PhaseLegState(
-        upper=m.ArmState(v_up, u_up, iu),
-        lower=m.ArmState(v_low, u_low, il),
+        upper=m.ArmState(v_up, u_up),
+        lower=m.ArmState(v_low, u_low),
         i_ac=i_ac,
         i_circ=i_circ,
         v_grid=rng.uniform(-25e3, 25e3),

@@ -501,15 +501,13 @@ def test_library_sines_equal_math_sin(c_engine):
 def reference_state(trace, k, phase):
     """The state of ``phase`` that row ``k`` of a stiff-bus trace records, as
     ``step_phase`` builds it: capacitor voltages and statuses upper arm
-    first, the arm currents from ``arm_currents``."""
+    first, and the leg's currents."""
     tr = trace.phase(phase)
     n = trace.config.params.n
     v_c, u = tr.v_c[k].tolist(), tr.u[k].tolist()
-    i_ac, i_circ = float(tr.i_ac[k]), float(tr.i_circ[k])
-    i_up, i_low = m.arm_currents(i_ac, i_circ)
     return m.PhaseLegState(
-        upper=m.ArmState(v_c[:n], u[:n], i_up), lower=m.ArmState(v_c[n:], u[n:], i_low),
-        i_ac=i_ac, i_circ=i_circ, v_grid=float(tr.v_grid[k]),
+        upper=m.ArmState(v_c[:n], u[:n]), lower=m.ArmState(v_c[n:], u[n:]),
+        i_ac=float(tr.i_ac[k]), i_circ=float(tr.i_circ[k]), v_grid=float(tr.v_grid[k]),
     )
 
 
