@@ -9,9 +9,8 @@ import sys
 import threading
 import time
 from dataclasses import MISSING, fields, replace
-from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -165,8 +164,8 @@ def parse_config(path: str | Path, profile: str = "paper") -> ScenarioConfig:
 
 
 def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
-    """One row per step: t, phase, i_ref, i, i_z, v_s, nsw_max, then the
-    2n capacitor voltages and 2n statuses.  Returns the row count.
+    """Write ``_csv_table``'s ``phase_<phase>.csv`` to ``path``.  Returns
+    the row count.
 
     Written by ``csvtext.write_columns``: floats as ``%.9g``, the budget and
     statuses as ``%d``.  Statuses outside {0, 1} raise ``ValueError`` before
@@ -176,20 +175,47 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
     # does not load the formatter
     from .csvtext import write_columns
 
-    tr = trace.phase(phase)
-    u = tr.u
-    n2 = u.shape[1]
+    u = trace.phase(phase).u
     # the file holds statuses 0 and 1, and %d would write any other value;
     # rows is the config's steps, >= 1
     if u.dtype.kind not in "biu" or u.min() < 0 or u.max() > 1:
         raise ValueError(f"{path.name}: statuses must be integers 0 or 1")
-    return write_columns(
-        path,
-        ["t", "phase", "i_ref", "i", "i_z", "v_s", "nsw_max"]
-        + [f"vC_{k + 1}" for k in range(n2)]
-        + [f"u_{k + 1}" for k in range(n2)],
-        [trace.t, phase, tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid, trace.n_sw_max, tr.v_c, u],
-    )
+    return write_columns(path, *_csv_table(f"phase_{phase}.csv", trace))
+
+
+def _csv_table(name: str, trace: SimTrace, report: Sequence[SegmentMetrics] = ()) -> tuple[list[str], list[Any]]:
+    """The header and columns of the CSV ``name`` of a run, as
+    ``csvtext.write_columns`` takes them: one row per segment of ``report``
+    in ``fig4``, one per step in the others."""
+    n2 = 2 * trace.config.params.n
+    t, v_c = trace.t, [f"vC_{k + 1}" for k in range(n2)]
+    if name.startswith("phase_"):
+        ph = name[6:-4]  # phase_<ph>.csv
+        tr = trace.phase(ph)
+        return (
+            ["t", "phase", "i_ref", "i", "i_z", "v_s", "nsw_max"] + v_c + [f"u_{k + 1}" for k in range(n2)],
+            [t, ph, tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid, trace.n_sw_max, tr.v_c, tr.u],
+        )
+    tr = trace.phase("a")
+    return {
+        "fig4_switching_frequency.csv": (
+            ["segment", "t_start", "t_end", "nsw_max", "f_s_mean_hz", "reduction_pct"]
+            + [f"f_s_sm_{k + 1}_hz" for k in range(n2)],
+            [
+                np.array([seg.index for seg in report], np.int64),
+                [seg.t_start for seg in report],
+                [seg.t_end for seg in report],
+                np.array([seg.n_sw_max for seg in report], np.int64),
+                [seg.f_s_per_sm[0].mean() for seg in report],
+                reduction_percent(report),
+                np.array([seg.f_s_per_sm[0] for seg in report]).reshape(len(report), n2),
+            ],
+        ),
+        "fig5_capacitor_voltages.csv": (["t"] + v_c, [t, tr.v_c]),
+        "fig6_ac_tracking.csv": (["t", "i_ref", "i"], [t, tr.i_ref, tr.i_ac]),
+        "fig7_circulating_current.csv": (["t", "i_z"], [t, tr.i_circ]),
+        "dc_bus.csv": (["t", "v_dc"], [t, trace.v_dc]),
+    }[name]
 
 
 def _write_record(path: Path, trace: SimTrace) -> int:
@@ -311,45 +337,15 @@ def load_run(out_dir: str | Path) -> SimTrace:
         raise ConfigError(f"cannot read {exc.filename}: {exc.strerror}") from None
 
 
-def _write_fig_files(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics]) -> dict[str, int]:
-    """The figure files and ``dc_bus.csv``, each written from the trace or
-    the report.  Returns the row count of each."""
-    from .csvtext import write_columns  # on first use, as write_phase_csv
-
-    n2 = 2 * trace.config.params.n
-    tr, t = trace.phase("a"), trace.t
-    fig4, fig5, fig6, fig7, dc_bus = _FIG_FILES
-    tables = {
-        fig4: (
-            ["segment", "t_start", "t_end", "nsw_max", "f_s_mean_hz", "reduction_pct"]
-            + [f"f_s_sm_{k + 1}_hz" for k in range(n2)],
-            [
-                np.array([seg.index for seg in report], np.int64),
-                [seg.t_start for seg in report],
-                [seg.t_end for seg in report],
-                np.array([seg.n_sw_max for seg in report], np.int64),
-                [seg.f_s_per_sm[0].mean() for seg in report],
-                reduction_percent(report),
-                np.array([seg.f_s_per_sm[0] for seg in report]).reshape(len(report), n2),
-            ],
-        ),
-        fig5: (["t"] + [f"vC_{k + 1}" for k in range(n2)], [t, tr.v_c]),
-        fig6: (["t", "i_ref", "i"], [t, tr.i_ref, tr.i_ac]),
-        fig7: (["t", "i_z"], [t, tr.i_circ]),
-        dc_bus: (["t", "v_dc"], [t, trace.v_dc]),
-    }
-    return {name: write_columns(out_dir / name, header, columns) for name, (header, columns) in tables.items()}
-
-
-_FIG_FILES = (
-    "fig4_switching_frequency.csv", "fig5_capacitor_voltages.csv", "fig6_ac_tracking.csv",
-    "fig7_circulating_current.csv", "dc_bus.csv",
-)
-# every file `mmcsim run` writes; a run removes them from its output
-# directory first, so no earlier run's file outlives it
-_OUTPUT_FILES = (
-    *(f"phase_{ph}.csv" for ph in PHASES), *_FIG_FILES, "summary.txt", _RECORD, "run_manifest.json",
-)
+# every file `mmcsim run` writes, in the manifest's order, and the thread that
+# writes it when there is a library (0 the calling one; None, the manifest, is
+# written last); a run removes them all first, so no earlier run's outlives it
+_OUTPUT_FILES: dict[str, int | None] = {
+    **{f"phase_{ph}.csv": 0 for ph in PHASES},
+    "fig4_switching_frequency.csv": 1, "fig5_capacitor_voltages.csv": 1, "fig6_ac_tracking.csv": 1,
+    "fig7_circulating_current.csv": 1, "dc_bus.csv": 1,
+    "summary.txt": 0, _RECORD: 1, "run_manifest.json": None,
+}
 
 
 def format_summary(report: list[SegmentMetrics]) -> str:
@@ -394,67 +390,68 @@ def _engine() -> dict[str, str]:
     return {"engine": name, **({"engine_note": note} if note else {})}
 
 
-def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics], summary: str) -> dict[str, int]:
-    """Write every output file but the manifest, on two threads when there
-    is a library, and return the row count of each in ``_OUTPUT_FILES``
-    order.
+def _write_file(path: Path, trace: SimTrace, report: list[SegmentMetrics], summary: str) -> int:
+    """Write ``path``, an output file but the manifest, by its name; returns its rows."""
+    from .csvtext import _naming, write_columns  # on first use, as write_phase_csv
 
-    This thread writes the phase files, one after another, and then
-    ``summary.txt``; a second thread writes the figure files with
-    ``dc_bus.csv`` and then ``trace.bin``.  The library writes each file
-    without the GIL, so the two use both cores.  Python's ``%``, the
-    fallback, holds it, so without the library a second thread would only
-    take turns with this one, and this thread writes every file in
-    ``_OUTPUT_FILES`` order.  The phase files share one thread so that
-    their ``write_phase_csv`` calls never overlap, and a span tracer
-    wrapping that name nests their spans as it would in sequence.  A
-    writer that raises ends its thread's writing; once every thread is
-    done, the failure of the first file in ``_OUTPUT_FILES`` order is
-    raised; a failed write is an ``OSError`` naming its file.
-    """
-    from . import kernel  # loaded by the run already
-    from .csvtext import _naming
-
-    def phase_file(ph: str) -> dict[str, int]:
-        return {f"phase_{ph}.csv": write_phase_csv(out_dir / f"phase_{ph}.csv", trace, ph)}
-
-    def summary_file() -> dict[str, int]:
-        path = out_dir / "summary.txt"
+    name = path.name
+    if name.startswith("phase_"):
+        return write_phase_csv(path, trace, name[6:-4])
+    if name == _RECORD:
+        return _write_record(path, trace)
+    if name == "summary.txt":
         with _naming(path):
             path.write_text(summary + "\n")
-        return {"summary.txt": len(report)}
+        return len(report)
+    return write_columns(path, *_csv_table(name, trace, report))
 
-    # (thread, writer) in the order of _OUTPUT_FILES: thread 0 is this one
-    other = 0 if kernel.library() is None else 1
-    jobs: list[tuple[int, Callable[[], dict[str, int]]]] = [
-        *((0, partial(phase_file, ph)) for ph in PHASES),
-        (other, partial(_write_fig_files, out_dir, trace, report)),
-        (0, summary_file),
-        (other, lambda: {_RECORD: _write_record(out_dir / _RECORD, trace)}),
-    ]
-    done: list[Any] = [{}] * len(jobs)  # each writer's files, or what it raised
+
+def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics], summary: str) -> dict[str, int]:
+    """Write every output file but the manifest, each on its thread of
+    ``_OUTPUT_FILES``, and return the row count of each in that order.
+
+    The library writes a file without the GIL, so the two threads use both
+    cores.  Python's ``%``, the fallback, holds it: without the library,
+    this thread writes every file in ``_OUTPUT_FILES`` order.  When the
+    second thread cannot be started, this one writes that thread's files
+    after its own, as ``mmcsim_run`` steps a worker's legs.  The phase files
+    share a thread so that ``write_phase_csv`` calls never overlap, and a
+    span tracer wrapping that name nests their spans as in sequence.  A
+    writer that raises ends its thread's writing; once every thread is done,
+    the failure of the first file in ``_OUTPUT_FILES`` order is raised, a
+    failed write being an ``OSError`` naming its file.
+    """
+    from . import kernel  # loaded by the run already
+
+    threads = {name: thread for name, thread in _OUTPUT_FILES.items() if thread is not None}
+    if kernel.library() is None:
+        threads = dict.fromkeys(threads, 0)
+    done: dict[str, Any] = {}  # each file's rows, or what its writer raised
 
     def write(thread: int) -> None:
-        for k, (on, job) in enumerate(jobs):
+        for name, on in threads.items():
             if on == thread:
                 try:
-                    done[k] = job()
+                    done[name] = _write_file(out_dir / name, trace, report, summary)
                 except BaseException as exc:  # raised below, once every thread is done
-                    done[k] = exc
+                    done[name] = exc
                     return
 
-    workers = [threading.Thread(target=write, args=(1,), name="mmcsim-writer")] if other else []
-    for worker in workers:
-        worker.start()
+    second = threading.Thread(target=write, args=(1,), name="mmcsim-writer")
+    try:
+        if 1 in threads.values():
+            second.start()
+    except RuntimeError:  # "can't start new thread"
+        pass
     write(0)
-    for worker in workers:
-        worker.join()
-    files: dict[str, int] = {}
-    for result in done:
-        if isinstance(result, BaseException):
-            raise result
-        files.update(result)
-    return files
+    if second.ident is None:  # not started
+        write(1)
+    else:
+        second.join()
+    for name in threads:
+        if isinstance(done.get(name), BaseException):
+            raise done[name]
+    return {name: done[name] for name in threads}
 
 
 def _failed(out_dir: Path, manifest: dict[str, Any], marks: list[float], error: str) -> int:

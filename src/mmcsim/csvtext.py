@@ -1,8 +1,9 @@
 """CSV text, written a block of rows at a time.
 
-Every CSV of ``mmcsim run`` is written by ``write_columns``, from columns
-of native float64 (as ``%.9g``) and int8, int16 or int64 (as ``%d``) and
-fixed text, byte-identical to Python's ``%`` applied to each row.
+Every CSV of ``mmcsim run`` is written by ``write_columns``, from the
+header and columns that ``cli._csv_table`` gives it by file name: native
+float64 (as ``%.9g``) and int8, int16 or int64 (as ``%d``) and fixed text,
+byte-identical to Python's ``%`` applied to each row.
 
 - With the compiled library of ``mmcsim.kernel`` (``_library_write``), the
   whole file, header included, is one call of its writer, which reads
@@ -16,9 +17,9 @@ fixed text, byte-identical to Python's ``%`` applied to each row.
 - Without it (``_python_blocks``), each row is Python's ``%`` itself,
   which is also what ``check_text`` holds the library's text to.
 
-``mmcsim run`` calls it from two threads at once (``cli._write_outputs``)
-when there is a library: each call has its own buffer and memo, and the
-library's call holds no GIL for the whole file.
+With a library, ``mmcsim run`` calls it from the two threads that
+``cli._OUTPUT_FILES`` names, at once: each call has its own buffer and
+memo, and the library's call holds no GIL for the whole file.
 """
 from __future__ import annotations
 

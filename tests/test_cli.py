@@ -19,7 +19,7 @@ import pytest
 import mmcsim as m
 from mmcsim import cli, kernel
 from mmcsim.cli import (
-    _OUTPUT_FILES, ConfigError, _override, _write_fig_files, _write_record, build_config, format_summary,
+    _OUTPUT_FILES, ConfigError, _csv_table, _override, _write_record, build_config, format_summary,
     load_run, main, parse_config, write_phase_csv,
 )
 from mmcsim.csvtext import BLOCK_ROWS, write_columns
@@ -584,6 +584,10 @@ def short_run(tmp_path_factory):
     return out, trace
 
 
+# the figure files and dc_bus.csv, written from _csv_table by write_columns
+_FIGURES = tuple(name for name in _OUTPUT_FILES if name.startswith("fig") or name == "dc_bus.csv")
+
+
 def test_run_writes_each_file_as_its_writer_alone(short_run, tmp_path):
     # with the library, the run writes its files on two threads: each holds
     # the bytes its writer makes on its own, and the manifest lists them in
@@ -594,13 +598,38 @@ def test_run_writes_each_file_as_its_writer_alone(short_run, tmp_path):
     alone.mkdir()
     for ph in PHASES:
         write_phase_csv(alone / f"phase_{ph}.csv", trace, ph)
-    _write_fig_files(alone, trace, report)
+    for name in _FIGURES:
+        write_columns(alone / name, *_csv_table(name, trace, report))
     (alone / "summary.txt").write_text(format_summary(report) + "\n")
     _write_record(alone / "trace.bin", trace)
     files = json.loads((out / "run_manifest.json").read_text())["files"]
     assert list(files) == [name for name in _OUTPUT_FILES if name != "run_manifest.json"]
     for name in files:
         assert (out / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+def test_each_csv_holds_its_table(short_run):
+    # every CSV of a run, and no other, has the header of its _csv_table
+    # entry, and in each column that column's values as Python's % writes
+    # them: fixed text, %.9g for float64 and %d for integers
+    out, trace = short_run
+    report = m.segment_report(trace, settle=0.01)
+    names = [name for name in _OUTPUT_FILES if name.endswith(".csv")]
+    assert sorted(path.name for path in out.glob("*.csv")) == sorted(names)
+    for name in names:
+        header, columns = _csv_table(name, trace, report)
+        with (out / name).open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == header, name
+        want = []
+        for col in columns:
+            if isinstance(col, str):
+                want.append([col] * (len(rows) - 1))
+                continue
+            col = np.asarray(col)
+            fmt = "%.9g" if col.dtype.kind == "f" else "%d"
+            want += [[fmt % v for v in field] for field in np.reshape(col, (len(col), -1)).T.tolist()]
+        assert [list(field) for field in zip(*rows[1:])] == want, name
 
 
 class _WriterFailed(Exception):
@@ -610,25 +639,28 @@ class _WriterFailed(Exception):
 @pytest.mark.parametrize(
     "failing, raised",
     [
-        (["write_phase_csv"], "write_phase_csv"),
-        (["_write_fig_files"], "_write_fig_files"),
-        (["_write_record"], "_write_record"),
+        (["phase_b.csv"], "phase_b.csv"),
+        (["fig6_ac_tracking.csv"], "fig6_ac_tracking.csv"),
+        (["trace.bin"], "trace.bin"),
         # one on each thread: the phase files come first
-        (["_write_record", "write_phase_csv"], "write_phase_csv"),
+        (["trace.bin", "phase_c.csv"], "phase_c.csv"),
+        # one on each thread: the figure files come before summary.txt
+        (["summary.txt", "fig7_circulating_current.csv"], "fig7_circulating_current.csv"),
     ],
-    ids=["phase", "figures", "record", "both-threads"],
+    ids=["phase", "figures", "record", "both-threads", "summary-after-figures"],
 )
 def test_writer_failure_ends_the_run_and_no_thread_outlives_it(tmp_path, monkeypatch, failing, raised):
-    def fail_as(name):
-        def fail(*args):
-            raise _WriterFailed(name)
-        return fail
+    write_file = cli._write_file
 
-    for name in failing:
-        monkeypatch.setattr(cli, name, fail_as(name))
+    def fail_some(path, *args):
+        if path.name in failing:
+            raise _WriterFailed(path.name)
+        return write_file(path, *args)
+
+    monkeypatch.setattr(cli, "_write_file", fail_some)
     before = threading.active_count()
     out = tmp_path / "o"
-    with pytest.raises(_WriterFailed, match=f"^{raised}$"):
+    with pytest.raises(_WriterFailed, match=f"^{re.escape(raised)}$"):
         main(["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(out)])
     assert threading.active_count() == before
     # a failed write ends the run before its manifest is written
@@ -637,33 +669,51 @@ def test_writer_failure_ends_the_run_and_no_thread_outlives_it(tmp_path, monkeyp
 
 @pytest.mark.parametrize("engine", ["c", "python"])
 def test_writers_run_on_two_threads_only_with_the_library(short_run, tmp_path, monkeypatch, engine):
-    # Python's %, the fallback, holds the GIL: without the library every
-    # file is written on the calling thread, in the order of _OUTPUT_FILES
+    # with the library, each file is written on its thread of _OUTPUT_FILES,
+    # each thread's files in that order; Python's %, the fallback, holds the
+    # GIL: without the library every file is written on the calling thread,
+    # in the order of _OUTPUT_FILES
     _, trace = short_run
     if engine == "python":
         monkeypatch.setattr(kernel, "_loaded", (None, "no library"))
     elif kernel.library() is None:
         pytest.skip(f"no library: {kernel.engine()[1]}")
     calls = []
+    write_file = cli._write_file
 
-    def on_thread(name, writer):
-        def call(*args):
-            calls.append((name, threading.current_thread().name))
-            return writer(*args)
-        return call
+    def on_thread(path, *args):
+        calls.append((path.name, threading.current_thread().name))
+        return write_file(path, *args)
 
-    for name in ("write_phase_csv", "_write_fig_files", "_write_record"):
-        monkeypatch.setattr(cli, name, on_thread(name, getattr(cli, name)))
+    monkeypatch.setattr(cli, "_write_file", on_thread)
     report = m.segment_report(trace, settle=0.01)
     files = cli._write_outputs(tmp_path, trace, report, format_summary(report))
-    assert list(files) == [name for name in _OUTPUT_FILES if name != "run_manifest.json"]
     main_thread = threading.main_thread().name
-    other = main_thread if engine == "python" else "mmcsim-writer"
-    want = [("write_phase_csv", main_thread)] * 3 + [("_write_fig_files", other), ("_write_record", other)]
-    if engine == "python":
-        assert calls == want
-    else:  # the two threads interleave
-        assert sorted(calls) == sorted(want)
+    second = main_thread if engine == "python" else "mmcsim-writer"
+    want = {**{f"phase_{ph}.csv": main_thread for ph in PHASES}, **dict.fromkeys(_FIGURES, second),
+            "summary.txt": main_thread, "trace.bin": second}
+    assert list(files) == [name for name in _OUTPUT_FILES if name != "run_manifest.json"]
+    assert len(calls) == len(want) and dict(calls) == want
+    for thread in set(want.values()):  # the two threads interleave, each in _OUTPUT_FILES order
+        assert [name for name, on in calls if on == thread] == [name for name in files if want[name] == thread]
+
+
+def test_a_writer_thread_that_cannot_start_leaves_the_run_whole(short_run, tmp_path, monkeypatch):
+    # a second thread the system refuses is no error: the calling thread
+    # writes that thread's files after its own, and every file holds the
+    # bytes of a run that had both
+    out, _ = short_run
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    got = tmp_path / "run"
+    assert main(["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(got)]) == 0
+    files = json.loads((got / "run_manifest.json").read_text())["files"]
+    assert list(files.items()) == list(json.loads((out / "run_manifest.json").read_text())["files"].items())
+    for name in files:
+        assert (got / name).read_bytes() == (out / name).read_bytes(), name
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -815,7 +865,10 @@ def _synthetic_trace(steps, n=6, budgets=None):
     return SimTrace(config=cfg, v_dc=np.full(steps, 60e3), phases={"a": phase})
 
 
-def test_write_phase_csv_memory_does_not_grow_with_rows(tmp_path):
+def test_write_phase_csv_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
+    # tracemalloc sees numpy's and Python's heap, not the library's malloc,
+    # so this measures the fallback; the next test measures the library
+    monkeypatch.setattr(kernel, "_loaded", (None, "no library"))
     peaks = {}
     for steps in (5_000, 50_000):
         trace = _synthetic_trace(steps)
@@ -827,6 +880,43 @@ def test_write_phase_csv_memory_does_not_grow_with_rows(tmp_path):
             tracemalloc.stop()
     # the single-pass writer's peak grew about tenfold
     assert peaks[50_000] < 1.5 * peaks[5_000], peaks
+
+
+# a child process writes a million rows of 13 fields, stride-0 columns that
+# take no memory, to os.devnull by the library, after a write of ten rows,
+# and prints the growth of its peak resident set in KB, or exits 3 when it
+# has no library
+_LIBRARY_WRITE_GROWTH = """
+import os, resource, sys
+from pathlib import Path
+import numpy as np
+from mmcsim import kernel
+from mmcsim.csvtext import write_columns
+
+if kernel.library() is None:
+    sys.exit(3)
+def write(rows):
+    columns = [np.broadcast_to(0.1, (rows,)), "a", np.broadcast_to(np.linspace(1e4, 2e4, 5), (rows, 5)),
+               np.broadcast_to(np.int8(1), (rows, 6))]
+    write_columns(Path(os.devnull), [f"c{k}" for k in range(13)], columns)
+write(10)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+write(1_000_000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KB is Linux's")
+def test_library_writer_memory_does_not_grow_with_rows():
+    # the library formats a block of rows at a time into one buffer it
+    # allocates, and the peak does not move; a library called with the whole
+    # file as one block, 49 MB of text, grew it by 25 MB
+    if kernel.library() is None:
+        pytest.skip(f"no library: {kernel.engine()[1]}")
+    done = subprocess.run([sys.executable, "-c", _LIBRARY_WRITE_GROWTH], env=_child_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "the child found no library"
+    assert int(done.stdout) < 8_000, f"peak grew by {done.stdout.strip()} KB"
 
 
 # ------------------------------------------- phase and figure text, oracle
@@ -883,7 +973,7 @@ def test_phase_csv_and_figures_match_float_writer(tmp_path, n, rows):
 
     names = _phase_figs_as_floats(old, trace)
     # an empty report: fig4 holds its header alone
-    written = _write_fig_files(new, trace, [])
+    written = {name: write_columns(new / name, *_csv_table(name, trace, [])) for name in _FIGURES}
     assert written == {"fig4_switching_frequency.csv": 0, **dict.fromkeys(names, rows)}
     for name in names:
         assert (new / name).read_bytes() == (old / name).read_bytes(), name

@@ -217,12 +217,9 @@ def report_subject(base: str, cc: list[str], tmp: str) -> tuple:
 
 def _tables(trace, settle: float) -> dict[str, tuple]:
     """The (header, columns) ``mmcsim run`` passes ``write_columns`` for
-    each of FILES, taken from its own writers."""
-    tables: dict[str, tuple] = {}
-    with mock.patch.object(csvtext, "write_columns", lambda path, *table: tables.setdefault(path.name, table)):
-        cli.write_phase_csv(Path(FILES[0]), trace, "a")
-        cli._write_fig_files(Path("."), trace, m.segment_report(trace, settle=settle))
-    return {name: tables[name] for name in FILES}
+    each of FILES."""
+    report = m.segment_report(trace, settle=settle)
+    return {name: cli._csv_table(name, trace, report) for name in FILES}
 
 
 def write_subject(base: str, cc: list[str], tmp: str) -> tuple:
