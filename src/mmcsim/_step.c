@@ -20,21 +20,8 @@
    every step.  A diverging run reports the leg the scalar loop would: the
    first in step-major order.
 
-   Where a second thread starts: on Linux, a new thread waits in the
-   queue of its starter's CPU until the starter blocks, even with another
-   CPU idle.  On a 2-CPU x86-64 guest the worker of an 800-step stiff
-   v1fc run so started 477 us in, when the calling thread had stepped its
-   leg and a half in 472 us (medians of 100 timed runs), and the two
-   shares ran one after the other, the run taking 960 us.  So each
-   second thread that mmcsim starts first runs on the CPUs its starter may
-   use but the one the starter runs on (other_cpus): mmcsim_run creates
-   its worker with that set, and the worker takes back the calling
-   thread's set as its first act, so that only where it starts changes;
-   mmcsim_place_thread gives the set to a thread that Python started, the
-   write stage's second thread.  The worker then starts on the other CPU
-   58 us in, and both shares run at once: the run takes 572 us.  With one
-   CPU allowed, elsewhere than Linux, or when a call fails, a thread
-   starts where the system puts it, as before.
+   Each second thread that mmcsim starts, the worker and the write
+   stage's, first runs off its starter's CPU: see other_cpus.
 
    - sorts: an insertion sort of each arm's order of the previous step
      under one total order, key (NaN last), then ON first under v1fc, then
@@ -435,10 +422,16 @@ static int this_cpu(void)
 
 #ifdef __linux__
 /* The CPUs a second thread first runs on: those its starter may use, in
-   *all, but `cpu`, the one the starter runs on, in *others, so that the
-   new thread does not wait behind its starter (see the head of this
-   file).  1 when that leaves a CPU; 0 when it leaves none or a call
-   fails, and then nothing is to change. */
+   *all, but `cpu`, the one the starter runs on, in *others.  On Linux a
+   new thread waits in the queue of its starter's CPU until the starter
+   blocks, even with another CPU idle, so the two threads would run one
+   after the other.  mmcsim_run creates its worker with *others, and the
+   worker takes back *all as its first act, so that only where it starts
+   changes (see worker_attr); mmcsim_place_thread gives *others for good
+   to a thread that Python started, the write stage's second thread.
+   1 when that leaves a CPU; 0 when it leaves none or a call fails, and
+   then nothing is to change: the thread starts where the system puts it,
+   as it does elsewhere than Linux. */
 static int other_cpus(int cpu, cpu_set_t *all, cpu_set_t *others)
 {
     if (cpu < 0 || sched_getaffinity(0, sizeof *all, all))

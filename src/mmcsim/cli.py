@@ -337,14 +337,14 @@ def load_run(out_dir: str | Path) -> SimTrace:
         raise ConfigError(f"cannot read {exc.filename}: {exc.strerror}") from None
 
 
-# every file `mmcsim run` writes, in the manifest's order, and the thread that
-# writes it when there is a library (0 the calling one; None, the manifest, is
-# written last); a run removes them all first, so no earlier run's outlives it
-_OUTPUT_FILES: dict[str, int | None] = {
+# every file of `mmcsim run`'s write stage, in the manifest's order, and the
+# thread that writes it (0 the calling one); a run removes them and its
+# manifest first, so no earlier run's outlives it
+_OUTPUT_FILES: dict[str, int] = {
     **{f"phase_{ph}.csv": 0 for ph in PHASES},
     "fig4_switching_frequency.csv": 1, "fig5_capacitor_voltages.csv": 1, "fig6_ac_tracking.csv": 1,
     "fig7_circulating_current.csv": 1, "dc_bus.csv": 1,
-    "summary.txt": 0, _RECORD: 1, "run_manifest.json": None,
+    "summary.txt": 0, _RECORD: 1,
 }
 
 
@@ -368,9 +368,25 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _write_manifest(out_dir: Path, manifest: dict[str, Any]) -> bool:
-    """Write ``run_manifest.json``; False, the error printed, when it
-    cannot be written."""
+def _finish(out_dir: Path, manifest: dict[str, Any], marks: list[float], **ending: Any) -> bool:
+    """End a run whose output directory is ready: mark the end of its last
+    stage, add ``ending`` (``error``, or ``files`` and ``phase_steps_per_s``)
+    to the manifest with ``finished_utc``, the ``stage_seconds`` of the
+    stages that ran, the ``engine`` and its ``engine_note`` when there is
+    one (why the Python code ran, or where the kernel was built), and write
+    ``run_manifest.json``.  False, the error printed, when it cannot be
+    written."""
+    from .kernel import engine  # loaded by the run already
+
+    marks.append(time.perf_counter())
+    name, note = engine()
+    manifest.update(
+        finished_utc=_utc_now(),
+        **ending,
+        stage_seconds=dict(zip(_STAGES, np.diff(marks).tolist())),
+        engine=name,
+        **({"engine_note": note} if note else {}),
+    )
     path = out_dir / "run_manifest.json"
     try:
         path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -380,18 +396,8 @@ def _write_manifest(out_dir: Path, manifest: dict[str, Any]) -> bool:
     return True
 
 
-def _engine() -> dict[str, str]:
-    """The manifest's ``engine``, ``"c"`` or ``"python"``, and its
-    ``engine_note`` when there is one: why the Python code ran, or where
-    the kernel was built."""
-    from .kernel import engine  # loaded by the run already
-
-    name, note = engine()
-    return {"engine": name, **({"engine_note": note} if note else {})}
-
-
 def _write_file(path: Path, trace: SimTrace, report: list[SegmentMetrics], summary: str) -> int:
-    """Write ``path``, an output file but the manifest, by its name; returns its rows."""
+    """Write ``path``, a file of ``_OUTPUT_FILES``, by its name; returns its rows."""
     from .csvtext import _naming, write_columns  # on first use, as write_phase_csv
 
     name = path.name
@@ -407,37 +413,29 @@ def _write_file(path: Path, trace: SimTrace, report: list[SegmentMetrics], summa
 
 
 def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics], summary: str) -> dict[str, int]:
-    """Write every output file but the manifest, each on its thread of
-    ``_OUTPUT_FILES``, and return the row count of each in that order.
+    """Write every file of ``_OUTPUT_FILES``, each on its thread there, and
+    return the row count of each in that order.
 
     The library writes a file without the GIL, so the two threads use both
-    cores, once the second is placed off this thread's CPU by the
-    library's ``mmcsim_place_thread`` right after it starts.  On Linux a
-    new thread otherwise waits behind its starter on one CPU, and on the
-    benchmark's fast trace the stage took about as long as its files one
-    after the other (medians of 11.6-19.0 ms over eleven processes); once
-    placed, 7.7-12.9 ms, the main thread's share.  Python's ``%``, the
-    fallback, holds the GIL: without the library, this thread writes every
-    file in ``_OUTPUT_FILES`` order.  When the second thread cannot be
-    started, this one writes that thread's files after its own, as
-    ``mmcsim_run`` steps a worker's legs; when it cannot be placed, it
-    runs where the system puts it.  The phase files share a thread so that
-    ``write_phase_csv`` calls never overlap, and a span tracer wrapping
-    that name nests their spans as in sequence.  A writer that raises ends
-    its thread's writing; once every thread is done, the failure of the
-    first file in ``_OUTPUT_FILES`` order is raised, a failed write being
-    an ``OSError`` naming its file.
+    cores, once the library's ``mmcsim_place_thread`` has moved the second
+    off this thread's CPU (see ``other_cpus`` in ``_step.c``).  Python's
+    ``%``, the fallback, holds the GIL, so without the library no second
+    thread starts.  When it does not start, for that reason or because the
+    system refuses it, this thread writes its files after its own, as
+    ``mmcsim_run`` steps a worker's legs.  The phase files share a thread
+    so that ``write_phase_csv`` calls never overlap, and a span tracer
+    wrapping that name nests their spans as in sequence.  A writer that
+    raises ends its thread's writing; once every thread is done, the
+    failure of the first file in ``_OUTPUT_FILES`` order is raised, a
+    failed write being an ``OSError`` naming its file.
     """
     from . import kernel  # loaded by the run already
 
     lib = kernel.library()
-    threads = {name: thread for name, thread in _OUTPUT_FILES.items() if thread is not None}
-    if lib is None:
-        threads = dict.fromkeys(threads, 0)
     done: dict[str, Any] = {}  # each file's rows, or what its writer raised
 
     def write(thread: int) -> None:
-        for name, on in threads.items():
+        for name, on in _OUTPUT_FILES.items():
             if on == thread:
                 try:
                     done[name] = _write_file(out_dir / name, trace, report, summary)
@@ -447,7 +445,7 @@ def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics],
 
     second = threading.Thread(target=write, args=(1,), name="mmcsim-writer")
     try:
-        if 1 in threads.values():
+        if lib is not None:
             second.start()
             lib.mmcsim_place_thread(second.native_id)
     except RuntimeError:  # "can't start new thread"
@@ -457,26 +455,19 @@ def _write_outputs(out_dir: Path, trace: SimTrace, report: list[SegmentMetrics],
         write(1)
     else:
         second.join()
-    for name in threads:
+    for name in _OUTPUT_FILES:
         if isinstance(done.get(name), BaseException):
             raise done[name]
-    return {name: done[name] for name in threads}
+    return {name: done[name] for name in _OUTPUT_FILES}
 
 
 def _failed(out_dir: Path, manifest: dict[str, Any], marks: list[float], error: str) -> int:
     """End a run that failed with ``error``: print it, then write the
-    manifest with it and the seconds of the stages that ran, the failed one
-    last, so that the run explains itself.  A manifest that cannot be
-    written is reported after the error.  Returns 1, the exit code."""
-    marks.append(time.perf_counter())
+    manifest with it (see ``_finish``), the failed stage's seconds last, so
+    that the run explains itself.  A manifest that cannot be written is
+    reported after the error.  Returns 1, the exit code."""
     print(f"error: {error}", file=sys.stderr)
-    manifest.update(
-        finished_utc=_utc_now(),
-        error=error,
-        stage_seconds=dict(zip(_STAGES, np.diff(marks).tolist())),
-        **_engine(),
-    )
-    _write_manifest(out_dir, manifest)
+    _finish(out_dir, manifest, marks, error=error)
     return 1
 
 
@@ -496,7 +487,7 @@ def run_command(args: argparse.Namespace) -> int:
         print(f"error: cannot create output directory {out_dir}: {exc.strerror}", file=sys.stderr)
         return 2
     try:
-        for name in _OUTPUT_FILES:
+        for name in (*_OUTPUT_FILES, "run_manifest.json"):
             (out_dir / name).unlink(missing_ok=True)
     except OSError as exc:  # a directory by an output file's name
         print(f"error: cannot remove earlier output {exc.filename}: {exc.strerror}", file=sys.stderr)
@@ -513,29 +504,22 @@ def run_command(args: argparse.Namespace) -> int:
 
     try:
         trace = run_scenario(config)
+        marks.append(time.perf_counter())
+        report = segment_report(trace, settle=_SETTLE[args.profile])
+        summary = format_summary(report)
+        marks.append(time.perf_counter())
+        try:
+            files = _write_outputs(out_dir, trace, report, summary)
+        except OSError as exc:  # every writer names its file
+            return _failed(out_dir, manifest, marks, f"cannot write {exc.filename}: {exc.strerror or exc}")
     except SimulationDiverged as exc:
         return _failed(out_dir, manifest, marks, str(exc))
-    marks.append(time.perf_counter())
+    except MemoryError as exc:  # a block of the trace, the kernel's work areas, a report or a writer's buffer
+        return _failed(out_dir, manifest, marks, f"out of memory: {exc}" if str(exc) else "out of memory")
 
-    report = segment_report(trace, settle=_SETTLE[args.profile])
-    summary = format_summary(report)
-    marks.append(time.perf_counter())
-
-    try:
-        files = _write_outputs(out_dir, trace, report, summary)
-    except OSError as exc:  # every writer names its file
-        return _failed(out_dir, manifest, marks, f"cannot write {exc.filename}: {exc.strerror or exc}")
-    marks.append(time.perf_counter())
-
-    stage_seconds = dict(zip(_STAGES, np.diff(marks).tolist()))
-    manifest.update(
-        finished_utc=_utc_now(),
-        files={name: {"rows": rows} for name, rows in files.items()},
-        stage_seconds=stage_seconds,
-        phase_steps_per_s=len(PHASES) * trace.steps / stage_seconds["simulate"],
-        **_engine(),
-    )
-    if not _write_manifest(out_dir, manifest):
+    simulate_s = marks[2] - marks[1]  # the simulate stage's stage_seconds
+    if not _finish(out_dir, manifest, marks, files={name: {"rows": rows} for name, rows in files.items()},
+                   phase_steps_per_s=len(PHASES) * trace.steps / simulate_s):
         return 1
 
     print(summary)

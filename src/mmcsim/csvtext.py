@@ -20,12 +20,9 @@ byte-identical to Python's ``%`` applied to each row.
 With a library, ``mmcsim run`` calls it from the two threads that
 ``cli._OUTPUT_FILES`` names, at once: each call has its own buffer and
 memo, and the library's call holds no GIL for the whole file.  The two
-calls overlap only once the second thread is off the first one's CPU: on
-Linux a new thread waits behind its starter on the starter's CPU, so
-``cli._write_outputs`` has the library's ``mmcsim_place_thread`` give it
-the other CPUs right after it starts.  The write stage of the
-benchmark's fast trace, which took about as long as its files one after
-the other, so went from 11.6-19.0 ms to 7.7-12.9 ms.
+calls overlap once the library's ``mmcsim_place_thread`` has moved the
+second thread off the first one's CPU (see ``other_cpus`` in
+``_step.c``).
 """
 from __future__ import annotations
 

@@ -16,17 +16,11 @@ first half of leg c and then leg b, and a second thread steps leg a and
 then leg c's second half, from the record row where the calling thread
 stopped, as that row holds a stiff-bus leg's whole state.  So the split
 can save up to half of the stepping time, if the second thread runs
-beside the first.  On Linux a new thread waits in its starter's CPU
-queue until the starter blocks: the worker of an 800-step stiff run
-started once the caller had stepped its leg and a half, and the run took
-960 us.  So the library starts its worker on the CPUs the caller may use
-but its own, and the worker then takes all of them back: it starts some
-60 us in, and the run takes 572 us.  ``mmcsim_place_thread`` does the
-same for the write stage's second thread.  With one CPU allowed, or
-elsewhere than Linux, threads start where the system puts them.
-``mmcsim_run`` reports in ``where`` the CPU each thread started stepping
-on, -1 for no worker.  The pi-line bus couples the legs on every step,
-so a pi-line run stays on one thread.
+beside the first: it starts off the caller's CPU (see ``other_cpus`` in
+``_step.c``), as does the write stage's second thread through
+``mmcsim_place_thread``.  ``mmcsim_run`` reports in ``where`` the CPU
+each thread started stepping on, -1 for no worker.  The pi-line bus
+couples the legs on every step, so a pi-line run stays on one thread.
 ``BENCH_kernel.json`` at the repository root holds the measured figures.
 
 ``library()`` finds or builds the shared library once per process.  The

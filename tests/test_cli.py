@@ -453,6 +453,32 @@ def test_diverged_run_removes_earlier_run_files(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "run_manifest.json"]
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds a Linux process's address space")
+@pytest.mark.skipif("libasan" in os.environ.get("LD_PRELOAD", ""),
+                    reason="AddressSanitizer maps terabytes of shadow memory, which an address-space limit ends")
+def test_run_out_of_memory_ends_like_a_diverged_run(tmp_path):
+    # a child process limited to 3 GB of address space: the trace of a
+    # 1000 s run, 40 M steps, cannot be laid out, and nothing is touched.
+    # The run ends as a diverged one does, over an earlier run's files
+    code = ("import resource, sys; from mmcsim.cli import main; "
+            "resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+            "sys.exit(main(sys.argv[1:]))")
+    out = tmp_path / "o"
+    assert main(["run", "--profile", "fast", "--duration", "0.12", "--out-dir", str(out)]) == 0
+    argv = ["run", "--profile", "fast", "--duration", "1000", "--out-dir", str(out)]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=_child_env(), capture_output=True, text=True)
+    assert done.returncode == 1, done.stderr
+    assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["error"].startswith("out of memory: ")
+    assert done.stderr == f"error: {manifest['error']}\n"
+    assert manifest["config"]["duration"] == 1000
+    assert list(manifest["stage_seconds"]) == ["build", "simulate"]
+    assert "files" not in manifest and "phase_steps_per_s" not in manifest
+    with pytest.raises(ConfigError, match=re.escape(manifest["error"])):
+        load_run(out)
+
+
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["a-file", "under-a-file"])
 def test_run_reports_uncreatable_out_dir(tmp_path, capsys, sub):
     (tmp_path / "taken").write_text("")
@@ -603,7 +629,7 @@ def test_run_writes_each_file_as_its_writer_alone(short_run, tmp_path):
     (alone / "summary.txt").write_text(format_summary(report) + "\n")
     _write_record(alone / "trace.bin", trace)
     files = json.loads((out / "run_manifest.json").read_text())["files"]
-    assert list(files) == [name for name in _OUTPUT_FILES if name != "run_manifest.json"]
+    assert list(files) == list(_OUTPUT_FILES)
     for name in files:
         assert (out / name).read_bytes() == (alone / name).read_bytes(), name
 
@@ -671,8 +697,8 @@ def test_writer_failure_ends_the_run_and_no_thread_outlives_it(tmp_path, monkeyp
 def test_writers_run_on_two_threads_only_with_the_library(short_run, tmp_path, monkeypatch, engine):
     # with the library, each file is written on its thread of _OUTPUT_FILES,
     # each thread's files in that order; Python's %, the fallback, holds the
-    # GIL: without the library every file is written on the calling thread,
-    # in the order of _OUTPUT_FILES
+    # GIL: without the library no second thread starts, and the calling
+    # thread writes that thread's files after its own
     _, trace = short_run
     if engine == "python":
         monkeypatch.setattr(kernel, "_loaded", (None, "no library"))
@@ -692,10 +718,11 @@ def test_writers_run_on_two_threads_only_with_the_library(short_run, tmp_path, m
     second = main_thread if engine == "python" else "mmcsim-writer"
     want = {**{f"phase_{ph}.csv": main_thread for ph in PHASES}, **dict.fromkeys(_FIGURES, second),
             "summary.txt": main_thread, "trace.bin": second}
-    assert list(files) == [name for name in _OUTPUT_FILES if name != "run_manifest.json"]
+    assert list(files) == list(_OUTPUT_FILES)
     assert len(calls) == len(want) and dict(calls) == want
-    for thread in set(want.values()):  # the two threads interleave, each in _OUTPUT_FILES order
-        assert [name for name, on in calls if on == thread] == [name for name in files if want[name] == thread]
+    for thread in set(want.values()):  # each thread's files in _OUTPUT_FILES order, thread 0's first
+        assert [name for name, on in calls if on == thread] == sorted(
+            (name for name in files if want[name] == thread), key=_OUTPUT_FILES.get)
 
 
 def test_a_writer_thread_that_cannot_start_leaves_the_run_whole(short_run, tmp_path, monkeypatch):

@@ -33,11 +33,24 @@ def _compiler():
 
 
 needs_cc = pytest.mark.skipif(_compiler() is None, reason="no C compiler on PATH")
+needs_sed = pytest.mark.skipif(shutil.which("sed") is None, reason="no sed")
+
 # the library places a second thread only on Linux, and only off a CPU when
 # another is allowed
 needs_two_cpus = pytest.mark.skipif(
     sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2, reason="needs Linux and two allowed CPUs"
 )
+
+
+def _sed_compiler(tmp_path, edit, copy=None):
+    """A compiler command, for ``$CC``: a script in ``tmp_path`` that pipes
+    the source through ``sed edit``, and through ``tee copy`` when given,
+    into ``_compiler()``."""
+    wrapper = tmp_path / "cc-wrapper"
+    tee = f"tee {shlex.quote(str(copy))} | " if copy else ""
+    wrapper.write_text(f"#!/bin/sh\nsed {shlex.quote(edit)} | {tee}" + shlex.join(_compiler()) + ' "$@"\n')
+    wrapper.chmod(0o755)
+    return str(wrapper)
 
 
 def test_kernel_source_is_package_data():
@@ -126,17 +139,11 @@ def test_build_failure_runs_python_engine(fresh, monkeypatch, capsys):
 
 
 @needs_cc
-@pytest.mark.skipif(shutil.which("sed") is None, reason="no sed")
+@needs_sed
 def test_self_check_mismatch_runs_python_engine(fresh, monkeypatch, capsys):
     # a compiler that changes one float operation: the selection's circulating
     # term is weighted twice, so the kernel picks other cells than the scan
-    wrapper = fresh / "cc-wrapper"
-    wrapper.write_text(
-        "#!/bin/sh\n"
-        "sed 's/w_circ \\* fabs/2.0 * w_circ * fabs/' | " + shlex.join(_compiler()) + ' "$@"\n'
-    )
-    wrapper.chmod(0o755)
-    monkeypatch.setenv("CC", str(wrapper))
+    monkeypatch.setenv("CC", _sed_compiler(fresh, "s/w_circ \\* fabs/2.0 * w_circ * fabs/"))
     manifest = _run_manifest(fresh / "out")
     assert manifest["engine"] == "python"
     assert manifest["engine_note"].startswith("self-check mismatch")
@@ -145,7 +152,7 @@ def test_self_check_mismatch_runs_python_engine(fresh, monkeypatch, capsys):
 
 
 @needs_cc
-@pytest.mark.skipif(shutil.which("sed") is None, reason="no sed")
+@needs_sed
 @pytest.mark.parametrize(
     "edit, what",
     [
@@ -168,13 +175,7 @@ def test_self_check_mismatch_names_what_differs(fresh, monkeypatch, capsys, edit
     want = _run_manifest(fresh / "want")
     assert want["engine"] == "c"
     # a compiler that changes one line of the source
-    wrapper = fresh / "cc-wrapper"
-    wrapper.write_text(
-        "#!/bin/sh\n"
-        f"sed {shlex.quote(edit)} | " + shlex.join(_compiler()) + ' "$@"\n'
-    )
-    wrapper.chmod(0o755)
-    monkeypatch.setenv("CC", str(wrapper))
+    monkeypatch.setenv("CC", _sed_compiler(fresh, edit))
     monkeypatch.setattr(kernel, "_loaded", None)
     manifest = _run_manifest(fresh / "out")
     assert manifest["engine"] == "python"
@@ -367,22 +368,15 @@ def test_placement_starts_the_worker_off_the_callers_cpu():
 
 
 @needs_cc
-@pytest.mark.skipif(shutil.which("sed") is None, reason="no sed")
+@needs_sed
 def test_failed_placement_changes_no_output(fresh, monkeypatch):
     # a library whose affinity calls all fail places neither the worker nor
     # the write stage's thread: it passes the self-check, reports nothing
     # placed, and the run writes the bytes of a run with a working library
     want = _run_manifest(fresh / "want")
     assert want["engine"] == "c"
-    wrapper = fresh / "cc-wrapper"
     edited = fresh / "edited.c"
-    wrapper.write_text(
-        "#!/bin/sh\n"
-        f"sed 's/sched_getaffinity(0,/sched_getaffinity(-1,/' | tee {shlex.quote(str(edited))} | "
-        + shlex.join(_compiler()) + ' "$@"\n'
-    )
-    wrapper.chmod(0o755)
-    monkeypatch.setenv("CC", str(wrapper))
+    monkeypatch.setenv("CC", _sed_compiler(fresh, "s/sched_getaffinity(0,/sched_getaffinity(-1,/", edited))
     monkeypatch.setattr(kernel, "_loaded", None)
     manifest = _run_manifest(fresh / "out")
     assert manifest["engine"] == "c" and "engine_note" not in manifest
@@ -399,24 +393,17 @@ _START_WORKER = "pthread_create(&worker, attr, step_worker, &sp) == 0"
 
 
 @needs_cc
-@pytest.mark.skipif(shutil.which("sed") is None, reason="no sed")
+@needs_sed
 @_SPLIT_DIVERGENCES
 def test_no_worker_thread_steps_every_leg_on_the_caller(fresh, monkeypatch, config, phase):
     # a library whose worker never starts, as when pthread_create fails:
     # the calling thread steps leg c's first half, leg b, and then the
     # worker's share; it passes the self-check, and reports the same leg
-    wrapper = fresh / "cc-wrapper"
     edited = fresh / "edited.c"
     # the call as a sed regular expression: of its characters, only the
     # brackets need escaping
     call = _START_WORKER.replace("[", "\\[").replace("]", "\\]")
-    wrapper.write_text(
-        "#!/bin/sh\n"
-        f"sed {shlex.quote(f's/{call}/0/')} | tee {shlex.quote(str(edited))} | "
-        + shlex.join(_compiler()) + ' "$@"\n'
-    )
-    wrapper.chmod(0o755)
-    monkeypatch.setenv("CC", str(wrapper))
+    monkeypatch.setenv("CC", _sed_compiler(fresh, f"s/{call}/0/", edited))
     lib, note = kernel._load()
     assert lib is not None, note
     assert "int threaded = 0;" in edited.read_text()
