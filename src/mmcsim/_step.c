@@ -10,15 +10,18 @@
    build it with -ffp-contract=off, so that no a*b + c is fused, and with
    -pthread.
 
-   On a stiff bus the three legs share nothing but the clock, and a record
-   row holds a leg's whole state, so each of two threads steps a leg and a
-   half: the calling thread steps leg c up to half-way and then leg b, and
-   a worker thread steps leg a and then leg c's second half, from the row
-   the calling thread wrote last.  Each writes only its own legs' cells of
-   the record.  The split can so save up to half of the stepping time.  A
-   pi-line run stays on the calling thread, as its bus couples the legs on
-   every step.  A diverging run reports the leg the scalar loop would: the
-   first in step-major order.
+   The record is the one home of the legs' state: a step reads each leg's
+   state from the row before it (step 0 from the balanced start) and writes
+   the leg's cells of its own row (see step_legs).  On a stiff bus the
+   three legs share nothing but the clock, so each of two threads steps a
+   leg and a half: the calling thread steps leg c up to half-way and then
+   leg b, and a worker thread steps leg a and then leg c's second half,
+   which starts from the row the calling thread wrote last as step 0
+   starts from the balanced start.  Each writes only its own legs' cells
+   of the record.  The split can so save up to half of the stepping time.
+   A pi-line run stays on the calling thread, as its bus couples the legs
+   on every step.  A diverging run reports the leg the scalar loop would:
+   the first in step-major order.
 
    Each second thread that mmcsim starts, the worker and the write
    stage's, first runs off its starter's CPU: see other_cpus.
@@ -244,101 +247,105 @@ static void keep_first(struct stop *kept, struct stop s)
         *kept = s;
 }
 
-/* One thread's work area.  It has room for the state of all three
-   phases, of which the thread uses its own legs': the capacitor voltages
-   and statuses, upper arm first, and the sorted order of each arm, kept
-   from step to step; then the order of each arm this step and the sort
-   and selection work.  `stop` is the first stop of the thread's
-   stretches, and `cpu` the CPU the thread started stepping on, or -1. */
+/* One thread's work area: the start row, the balanced start of the three
+   phases laid out as a record row (no current, each capacitor at K_V_SM
+   and off), which step 0 reads as the row before it (see step_legs); the
+   sorted order of each arm of the three phases, kept from step to step;
+   then the order of each arm this step and the sort and selection work.
+   `stop` is the first stop of the thread's stretches, and `cpu` the CPU
+   the thread started stepping on, or -1. */
 struct legs {
     const struct run *run;
-    double *v, *v_next, *key, *sums, *d_low;
-    int8_t *u;
+    struct {
+        double *currents, *v_c;
+        int8_t *u;
+    } start;
+    double *v_next, *key, *sums, *d_low;
     int32_t *perm, *order;
     struct stop stop;
     int cpu;
 };
 
 /* the doubles, int32s and int8s of one work area, in one block that ends
-   in a cache line of its own, so that the two threads' areas share none */
+   in a cache line of its own, so that the two threads' areas share none,
+   zeroed but the start row's capacitor voltages */
 static int legs_alloc(struct legs *w, const struct run *r)
 {
     const size_t n = (size_t)r->n, n2 = 2 * n;
-    char *block = malloc(sizeof(double) * (PHASES * n2 + 2 * n2 + 3 * (n + 1))
+    char *block = calloc(1, sizeof(double) * (PHASES * n2 + 2 * n2 + 3 * (n + 1) + 2 * PHASES)
                          + sizeof(int32_t) * (PHASES * n2 + n2) + PHASES * n2 + 64);
     memset(w, 0, sizeof *w);
     w->run = r;
     w->cpu = -1;
     if (!block)
         return 0;
-    w->v = (double *)(void *)block;
-    w->v_next = w->v + PHASES * n2;
+    w->start.v_c = (double *)(void *)block;
+    w->v_next = w->start.v_c + PHASES * n2;
     w->key = w->v_next + n2;
     w->sums = w->key + n2;
     w->d_low = w->sums + 2 * (n + 1);
-    w->perm = (int32_t *)(void *)(w->d_low + n + 1);
+    w->start.currents = w->d_low + n + 1;
+    w->perm = (int32_t *)(void *)(w->start.currents + 2 * PHASES);
     w->order = w->perm + PHASES * n2;
-    w->u = (int8_t *)(w->order + n2);
+    w->start.u = (int8_t *)(w->order + n2);
+    for (size_t j = 0; j < PHASES * n2; j++)
+        w->start.v_c[j] = r->k[K_V_SM];
     return 1;
 }
 
-/* Step legs [p0, p1) over steps [s0, s1): from the balanced start when
-   s0 is 0, else from record row s0 - 1, which holds a stiff-bus leg's
-   whole state (each arm's kept order then starts in index order; the
-   sort's order is total, so that changes the work, not the result).
-   When piline is set (with every leg, from step 0), also step the bus
-   after each step.  At the first leg, in step-major order, whose state
-   turns non-finite, or at a bus voltage that is not finite and > 0, stop:
-   keep where in w->stop (see keep_first) and return 1; else return 0.
-   Inlined at both calls, so that the compiler has the legs and the bus
-   as constants. */
+/* Step legs [p0, p1) over steps [s0, s1).  Step s reads a leg's state
+   from the row before it and from nowhere else: the currents, capacitor
+   voltages and statuses from record row s - 1 and the grid voltage from
+   refs row s - 1, or for step 0 from the start row and K_V_GRID0; it
+   writes the leg's cells of record row s.  So a stretch starts from any
+   record row as from step 0, each arm's kept order in index order (the
+   sort's order is total, so that changes the work, not the result).  When
+   piline is set (with every leg, from step 0), also step the bus after
+   each step; its voltage and line current, not recorded, stay in locals.
+   At the first leg, in step-major order, whose state turns non-finite, or
+   at a bus voltage that is not finite and > 0, stop: keep where in
+   w->stop (see keep_first) and return 1; else return 0.  Inlined at both
+   calls, so that the compiler has the legs and the bus as constants. */
 static inline __attribute__((always_inline)) int step_legs(struct legs *w, int p0, int p1, int piline,
                                                            int64_t s0, int64_t s1)
 {
     const struct run *r = w->run;
     const double *k = r->k;
     const int n = r->n, n2 = 2 * n, v1fc = r->v1fc;
+    const int64_t row = PHASES * n2;
     const double ts = k[K_TS], c_sm = k[K_C_SM], l_arm_ts = k[K_L_ARM_TS];
     const double l_ac_ts = k[K_L_AC_TS], z_step = k[K_Z_STEP], circ_gain = k[K_CIRC_GAIN];
     const double i_circ_nom = k[K_I_CIRC_NOM], v_dc_nom = k[K_V_DC];
     const double w_track = k[K_W_TRACK], w_circ = k[K_W_CIRC];
     const double l_line = k[K_L_LINE], c_end = k[K_C_END];
-    double *v = w->v, *v_next = w->v_next, *key = w->key, *sums = w->sums;
-    int8_t *u = w->u;
+    double *v_next = w->v_next, *key = w->key, *sums = w->sums;
     int32_t *perm = w->perm, *order = w->order;
 
     sums[0] = sums[n + 1] = 0.0;
-    double i_ac[PHASES] = {0.0, 0.0, 0.0}, i_circ[PHASES] = {0.0, 0.0, 0.0};
-    double v_grid[PHASES] = {k[K_V_GRID0], k[K_V_GRID0 + 1], k[K_V_GRID0 + 2]};
     double v_dc_now = v_dc_nom, i_line = 0.0;
-    for (int j = p0 * n2; j < p1 * n2; j++) {
-        v[j] = k[K_V_SM];
-        u[j] = 0;
+    for (int j = p0 * n2; j < p1 * n2; j++)
         perm[j] = j % n;
-    }
-    if (s0 > 0) {
-        const int64_t row = s0 - 1;
-        for (int p = p0; p < p1; p++) {
-            memcpy(v + p * n2, r->v_c + (row * PHASES + p) * n2, sizeof(double) * (size_t)n2);
-            memcpy(u + p * n2, r->u_rec + (row * PHASES + p) * n2, (size_t)n2);
-            i_ac[p] = r->currents[6 * row + p];
-            i_circ[p] = r->currents[6 * row + PHASES + p];
-            v_grid[p] = r->refs[6 * row + PHASES + p];
-        }
-    }
 
     for (int64_t s = s0; s < s1; s++) {
         const double *i_ref = r->refs + 6 * s, *v_grid_next = i_ref + PHASES;
         double *i_ac_rec = r->currents + 6 * s, *i_circ_rec = i_ac_rec + PHASES;
+        double *v_row = r->v_c + s * row;
+        int8_t *u_row = r->u_rec + s * row;
+        /* the row before: record row s - 1, or the start row for step 0 */
+        const double *i_before = s ? i_ac_rec - 6 : w->start.currents;
+        const double *v_grid = s ? v_grid_next - 6 : k + K_V_GRID0;
+        const double *v_before = s ? v_row - row : w->start.v_c;
+        const int8_t *u_before = s ? u_row - row : w->start.u;
         const double half_dc = v_dc_now / 2.0;
         for (int p = p0; p < p1; p++) {
-            double *v_leg = v + p * n2;
-            int8_t *u_leg = u + p * n2;
+            const double i_ac = i_before[p], i_circ = i_before[PHASES + p];
+            const double *v_leg = v_before + p * n2;
+            const int8_t *u_leg = u_before + p * n2;
             /* 1. compute_targets and arm_currents */
-            double common = half_dc + l_arm_ts * (i_circ[p] - i_circ_nom);
-            double drive = z_step * i_ref[p] + v_grid[p] - l_ac_ts * i_ac[p];
-            double half = 0.5 * i_ac[p];
-            double i_arm[2] = {i_circ[p] + half, i_circ[p] - half};
+            double common = half_dc + l_arm_ts * (i_circ - i_circ_nom);
+            double drive = z_step * i_ref[p] + v_grid[p] - l_ac_ts * i_ac;
+            double half = 0.5 * i_ac;
+            double i_arm[2] = {i_circ + half, i_circ - half};
             for (int a = 0; a < 2; a++) {
                 double inc = ts * i_arm[a] / c_sm;
                 double sign = i_arm[a] < 0 ? -1.0 : 1.0;
@@ -361,36 +368,30 @@ static inline __attribute__((always_inline)) int step_legs(struct legs *w, int p
             int cell = select_cell(n, sums, sums + n + 1, common - drive, common + drive,
                                    w_track, w_circ, w->d_low);
             int chosen[2] = {cell / (n + 1), cell % (n + 1)};
-            /* 6. insert the chosen prefixes, then step_phase: inserted
-               capacitors integrate, each arm voltage sums the arm in
-               submodule order from 0.0, adding 0.0 for a bypassed
-               submodule: exact, as the sum is never -0.0 */
+            /* 6. insert the chosen prefixes, then step_phase, into row s:
+               inserted capacitors integrate, bypassed ones keep their
+               voltage, each arm voltage sums the arm in submodule order
+               from 0.0, adding 0.0 for a bypassed submodule: exact, as
+               the sum is never -0.0 */
             double arm_volts[2];
             for (int a = 0; a < 2; a++) {
                 const int32_t *ord = order + a * n;
-                const double *vn = v_next + a * n;
-                double *va = v_leg + a * n;
-                int8_t *ua = u_leg + a * n;
+                const double *vn = v_next + a * n, *vb = v_leg + a * n;
+                double *va = v_row + p * n2 + a * n;
+                int8_t *ua = u_row + p * n2 + a * n;
                 for (int m = 0; m < n; m++)
                     ua[ord[m]] = m < chosen[a];
                 double volts = 0.0;
                 for (int j = 0; j < n; j++) {
-                    if (ua[j])
-                        va[j] = vn[j];
+                    va[j] = ua[j] ? vn[j] : vb[j];
                     volts += ua[j] ? va[j] : 0.0;
                 }
                 arm_volts[a] = volts;
             }
-            /* the leg's next state, which no other leg reads */
             double v_up = arm_volts[0], v_low = arm_volts[1];
-            i_ac[p] = ((v_low - v_up) / 2.0 - v_grid_next[p] + l_ac_ts * i_ac[p]) / z_step;
-            i_circ[p] = circ_gain * (v_dc_now - v_low - v_up) + i_circ[p];
-            v_grid[p] = v_grid_next[p];
-            i_ac_rec[p] = i_ac[p];
-            i_circ_rec[p] = i_circ[p];
-            memcpy(r->v_c + (s * PHASES + p) * n2, v_leg, sizeof(double) * (size_t)n2);
-            memcpy(r->u_rec + (s * PHASES + p) * n2, u_leg, (size_t)n2);
-            if (!(isfinite(i_ac[p]) && isfinite(i_circ[p]))) {
+            i_ac_rec[p] = ((v_low - v_up) / 2.0 - v_grid_next[p] + l_ac_ts * i_ac) / z_step;
+            i_circ_rec[p] = circ_gain * (v_dc_now - v_low - v_up) + i_circ;
+            if (!(isfinite(i_ac_rec[p]) && isfinite(i_circ_rec[p]))) {
                 keep_first(&w->stop, (struct stop){s, p, 1, 0.0});
                 return 1;
             }
@@ -400,7 +401,7 @@ static inline __attribute__((always_inline)) int step_legs(struct legs *w, int p
                from the new current */
             r->v_dc_rec[s] = v_dc_now;
             i_line += ts / l_line * (v_dc_nom - v_dc_now);
-            v_dc_now += ts / c_end * (i_line - (0.0 + i_circ[0] + i_circ[1] + i_circ[2]));
+            v_dc_now += ts / c_end * (i_line - (0.0 + i_circ_rec[0] + i_circ_rec[1] + i_circ_rec[2]));
             if (!(isfinite(v_dc_now) && v_dc_now > 0.0)) {
                 keep_first(&w->stop, (struct stop){s, 0, 2, v_dc_now});
                 return 1;
@@ -444,7 +445,7 @@ static int other_cpus(int cpu, cpu_set_t *all, cpu_set_t *others)
 
 /* A stiff-bus run, split so that each thread steps a leg and a half:
    the calling thread steps leg c over [0, half) and then leg b, the
-   worker leg a and then leg c over [half, steps), from the record row
+   worker leg a and then leg c over [half, steps), reading the record row
    the calling thread wrote last.  c_state, guarded by lock and handed,
    is 0 until c's first half is stepped, then 1, or -1 when leg c
    stopped in it, so that the worker does not restart it. */
@@ -526,11 +527,11 @@ static void *step_worker(void *arg)
    then i_circ, v_c (steps, 3, 2n), u (steps, 3, 2n) and, when piline is
    set, v_dc (steps,).
 
-   On a stiff bus the legs share nothing but the clock, and a record row
-   holds a leg's whole state, so each of two threads steps a leg and a
-   half (see struct split): this thread hands leg c over to the worker at
-   step steps / 2.  The worker starts off this thread's CPU (see
-   worker_attr).  The pi-line bus couples the legs on every step, and
+   On a stiff bus the legs share nothing but the clock, and a step reads
+   a leg's state from the record row before it, so each of two threads
+   steps a leg and a half (see struct split): this thread hands leg c over
+   to the worker at step steps / 2.  The worker starts off this thread's
+   CPU (see worker_attr).  The pi-line bus couples the legs on every step, and
    this thread steps them all.  When no thread can be started, this one
    steps the worker's share last.
 
@@ -554,8 +555,8 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
     int ok = legs_alloc(&w[0], &r);
     ok = legs_alloc(&w[1], &r) && ok;
     if (!ok) {
-        free(w[0].v);
-        free(w[1].v);
+        free(w[0].start.v_c);
+        free(w[1].start.v_c);
         return -1;
     }
     w[1].cpu = this_cpu();
@@ -585,8 +586,8 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
     where[2] = w[1].cpu;
     where[3] = w[0].cpu;
     *bus = w[0].stop.bus;
-    free(w[0].v);
-    free(w[1].v);
+    free(w[0].start.v_c);
+    free(w[1].start.v_c);
     pthread_cond_destroy(&sp.handed);
     pthread_mutex_destroy(&sp.lock);
     return w[0].stop.code;

@@ -10,11 +10,14 @@ The step loop makes the scalar functions' decisions with less work: each
 arm's order is kept from step to step and insertion-sorted under one
 total order, which takes fewer comparisons than a sort from index order,
 and the selection skips the rows and columns of the grid that a lower
-bound of the objective rules out.  On a stiff bus, inside the one call,
-two threads each step a leg and a half: the calling thread steps the
-first half of leg c and then leg b, and a second thread steps leg a and
-then leg c's second half, from the record row where the calling thread
-stopped, as that row holds a stiff-bus leg's whole state.  So the split
+bound of the objective rules out.  The record is the one home of the
+legs' state: a step reads each leg's state from the record row before it,
+step 0 from the balanced start, and writes the leg's cells of its own
+row.  On a stiff bus, inside the one call, two threads each step a leg
+and a half: the calling thread steps the first half of leg c and then leg
+b, and a second thread steps leg a and then leg c's second half, which
+starts from the record row where the calling thread stopped as step 0
+starts from the balanced start.  So the split
 can save up to half of the stepping time, if the second thread runs
 beside the first: it starts off the caller's CPU (see ``other_cpus`` in
 ``_step.c``), as does the write stage's second thread through

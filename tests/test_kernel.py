@@ -285,6 +285,44 @@ def test_leg_c_stopped_before_the_hand_over_is_not_restarted(monkeypatch):
         assert (leg[0, :34] != -7).all() and (leg[0, 34:] == -7).all(), name
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        # 40-step segments at budgets 6, 2, 0 and 4: leg c is handed over at
+        # step 80, where budget 0 starts
+        m.fast_config("v1fc", duration=0.004, warmup=0.0, nsw_schedule=m.NswSchedule(
+            tuple((k * 0.001, (k + 1) * 0.001, b) for k, b in enumerate((6, 2, 0, 4))))),
+        *(m.fast_config("v1fc", duration=steps * 25e-6, warmup=0.0,
+                        nsw_schedule=m.constant_schedule(steps * 25e-6, 6)) for steps in (1, 3)),
+        m.fast_config("v1f2", dc_model="piline", duration=0.01, warmup=0.0,
+                      nsw_schedule=m.constant_schedule(0.01, 6)),
+    ],
+    ids=["staircase-over-the-hand-over", "1-step", "3-steps", "piline-v1f2"],
+)
+def test_kernel_reads_only_cells_it_has_written(monkeypatch, config):
+    # step s reads a leg's state from record row s - 1, or from the balanced
+    # start for step 0: on blocks filled with NaN capacitor voltages and
+    # currents and a status of 2, a cell read before it is written would
+    # change the record
+    lib = kernel.library()
+    if lib is None:
+        pytest.skip(f"no step kernel: {kernel.engine()[1]}")
+    blank = kernel._blank_trace
+
+    def unwritten_trace(*args):
+        trace, refs = blank(*args)
+        trace.record["currents"].fill(np.nan)
+        trace.record["v_c"].fill(np.nan)
+        trace.record["u"].fill(2)
+        return trace, refs
+
+    monkeypatch.setattr(kernel, "_blank_trace", unwritten_trace)
+    got, want = kernel.run(lib, config).record, _run_scalar(config).record
+    assert list(got) == list(want)
+    for name, block in want.items():
+        assert got[name].tobytes() == block.tobytes(), name
+
+
 def test_runs_from_four_threads_give_their_sequential_records():
     # four runs at once, each with its own worker thread, on two stiff
     # configs, a pi-line one and one that diverges
