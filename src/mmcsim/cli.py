@@ -178,7 +178,7 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
     u = trace.phase(phase).u
     # the file holds statuses 0 and 1, and %d would write any other value;
     # rows is the config's steps, >= 1
-    if u.dtype.kind not in "biu" or u.min() < 0 or u.max() > 1:
+    if u.min() < 0 or u.max() > 1:
         raise ValueError(f"{path.name}: statuses must be integers 0 or 1")
     return write_columns(path, *_csv_table(f"phase_{phase}.csv", trace))
 
@@ -271,7 +271,7 @@ def _read_record(path: Path, config: ScenarioConfig) -> SimTrace:
             )
         from . import kernel  # as run_scenario does, on first use
 
-        trace = _blank_trace(config, kernel.library())[0]
+        trace = _blank_trace(config, kernel.library())
         for name, block in trace.record.items():
             try:
                 version = np.lib.format.read_magic(fh)

@@ -244,8 +244,7 @@ def _self_check(lib: ctypes.CDLL) -> str | None:
             got = run(lib, config)
         except SimulationDiverged:  # a miscompiled step can overflow
             return "the library's run diverged"
-        if any(getattr(got.phase(ph), name).tobytes() != getattr(want.phase(ph), name).tobytes()
-               for ph in PHASES for name in ("i_ref", "v_grid")):
+        if got.refs.tobytes() != want.refs.tobytes():
             return "the library's reference sines differ from math.sin's"
         if any(got.record[name].tobytes() != block.tobytes() for name, block in want.record.items()):
             return "the library's record differs from the scalar loop's"
@@ -257,7 +256,7 @@ def run(lib: ctypes.CDLL, config: ScenarioConfig) -> SimTrace:
     the blocks ``_blank_trace`` lays out.  A state that turns non-finite
     raises the scalar loop's ``SimulationDiverged``."""
     params = config.params
-    trace, refs = _blank_trace(config, lib)
+    trace = _blank_trace(config, lib)
     # in the order of the K_ constants of _step.c
     consts = np.array([
         params.t_s, params.c_sm, params.l_arm / params.t_s, params.l_ac / params.t_s,
@@ -273,7 +272,7 @@ def run(lib: ctypes.CDLL, config: ScenarioConfig) -> SimTrace:
     bus = np.zeros(1)
     code = lib.mmcsim_run(
         consts.ctypes.data, config.steps, params.n, config.algorithm == "v1fc",
-        config.dc_model == "piline", budgets.ctypes.data, refs.ctypes.data,
+        config.dc_model == "piline", budgets.ctypes.data, trace.refs.ctypes.data,
         *(record[name].ctypes.data for name in ("currents", "v_c", "u", "v_dc")),
         where.ctypes.data, bus.ctypes.data,
     )

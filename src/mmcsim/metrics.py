@@ -3,9 +3,9 @@
 ``segment_report`` measures each segment of a schedule over a half-open
 window (t_lo, t_hi]; a trace row belongs to a window when its step ends
 inside (see ``scenario.steps_until``).  ``_window_metrics`` computes every
-per-phase quantity from a window's rows of all three legs at once, each
-as one reduction along the rows of a (leg, column, row) block, and the
-per-phase fields of ``SegmentMetrics`` are its keys.
+per-phase quantity of all three legs at once, each as one reduction along
+the rows of a (leg, column, row) transpose of a window of the trace's
+blocks, and the per-phase fields of ``SegmentMetrics`` are its keys.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_type
-from .scenario import PHASES, NswSchedule, PhaseTrace, ScenarioConfig, SimTrace, steps_until
+from .scenario import PHASES, NswSchedule, ScenarioConfig, SimTrace, _edges, steps_until
 
 
 def _phase_row(phase: str) -> int:
@@ -34,33 +34,26 @@ def _percent(value: np.ndarray, ref: np.ndarray | float) -> np.ndarray:
     return np.where(ref == 0.0, np.where(value == 0.0, 0.0, math.inf), pct)
 
 
-def _block(per_leg: list[np.ndarray]) -> np.ndarray:
-    """The legs' window rows as one C-contiguous (leg, column, row) block,
-    so that a reduction along the last axis runs over contiguous rows."""
-    out = np.empty((len(per_leg), *per_leg[0].shape[::-1]), per_leg[0].dtype)
-    for leg, rows in zip(out, per_leg):
-        leg[...] = rows.T
-    return out
-
-
-def _window_metrics(legs: list[PhaseTrace], a: int, b: int, span: float, ref_rms: float) -> dict[str, np.ndarray]:
+def _window_metrics(trace: SimTrace, a: int, b: int, span: float, ref_rms: float) -> dict[str, np.ndarray]:
     """Every per-phase field of ``SegmentMetrics`` over rows ``a..b-1`` of
-    the legs, one row per leg, by name; ``span`` is the window's length in
+    the trace, one row per leg, by name; ``span`` is the window's length in
     seconds and ``ref_rms`` the reference current's RMS amplitude.
 
-    Each metric is one reduction along the rows.  A mean is a sum over one
-    contiguous row of a block, which numpy sums pairwise, divided by the
-    row count; a mean along axis 0 of a leg's (rows, 2n) view would add
-    the rows one after another and round differently.
+    Each metric is one reduction along the rows of a C-contiguous (leg,
+    column, row) block, the transpose of a window of the trace's blocks.  A
+    mean is a sum over one contiguous row, which numpy sums pairwise,
+    divided by the row count; a mean along the rows of a record block would
+    add them one after another and round differently.
     """
     rows = b - a
+    record, currents = trace.record, trace.record["currents"][a:b]
     # the edge into row a is attributed to row a, so counts are additive
     # over adjacent windows; a 0->1 edge counts one on/off cycle
-    edges = _block([tr.edges(a, b) for tr in legs])
-    v_c = _block([tr.v_c[a:b] for tr in legs])
-    i_ac = _block([tr.i_ac[a:b] for tr in legs])
-    iz = _block([tr.i_circ[a:b] for tr in legs])
-    err = _block([tr.i_ac[a:b] - tr.i_ref[a:b] for tr in legs])
+    edges = np.ascontiguousarray(np.moveaxis(_edges(record["u"], a, b), 0, -1))
+    v_c = np.ascontiguousarray(np.moveaxis(record["v_c"][a:b], 0, -1))
+    i_ac = np.ascontiguousarray(currents[:, 0].T)
+    iz = np.ascontiguousarray(currents[:, 1].T)
+    err = np.ascontiguousarray((currents[:, 0] - trace.refs[a:b, 0]).T)
     iz_mean = np.add.reduce(iz, axis=-1) / rows
     return {
         "f_s_per_sm": np.add.reduce(edges > 0, axis=-1) / span,
@@ -74,7 +67,7 @@ def _window_metrics(legs: list[PhaseTrace], a: int, b: int, span: float, ref_rms
         ),
         "tracking_rmse_pct": _percent(np.sqrt(np.add.reduce(err * err, axis=-1) / rows), ref_rms),
         # the upper arm's columns, then the lower's
-        "transitions_per_step": np.add.reduce((edges != 0).reshape(len(legs), 2, -1), axis=-1) / rows,
+        "transitions_per_step": np.add.reduce((edges != 0).reshape(len(PHASES), 2, -1), axis=-1) / rows,
     }
 
 
@@ -153,11 +146,10 @@ def segment_report(
         schedule = trace.config.nsw_schedule
     ts = trace.config.params.t_s
     ref_rms = trace.config.i_ref_peak / math.sqrt(2.0)
-    legs = [trace.phase(ph) for ph in PHASES]
     out: list[SegmentMetrics] = []
     for idx, w in segment_windows(trace.config, schedule, settle):
         a, b = (steps_until(t, ts) for t in w)
-        fields = _window_metrics(legs, a, b, w[1] - w[0], ref_rms)
+        fields = _window_metrics(trace, a, b, w[1] - w[0], ref_rms)
         out.append(SegmentMetrics(idx, *schedule.segments[idx], w, **fields))
     return out
 

@@ -251,10 +251,20 @@ def grid_voltage(config: ScenarioConfig, t: float, phase: str) -> float:
     )
 
 
-@dataclass(eq=False)
+def _edges(u: np.ndarray, start: int, stop: int | None) -> np.ndarray:
+    """Status changes on steps ``start..stop-1`` of a (steps, 2n) or
+    (steps, 3, 2n) int8 status block, the rows along axis 0: +1 for a
+    turn-on, -1 for a turn-off.  Every submodule is off before step 0."""
+    rows = u[max(start - 1, 0) : stop]
+    if start > 0:
+        return np.diff(rows, axis=0)
+    return np.diff(rows, axis=0, prepend=np.zeros((1, *rows.shape[1:]), np.int8))
+
+
+@dataclass(frozen=True, eq=False)
 class PhaseTrace:
-    """Per-step records of one phase leg; ``==`` is identity, as an array
-    has no truth value."""
+    """Per-step records of one phase leg, views of its trace's blocks;
+    ``==`` is identity, as an array has no truth value."""
 
     i_ac: np.ndarray
     i_ref: np.ndarray
@@ -264,47 +274,54 @@ class PhaseTrace:
     u: np.ndarray              # (steps, 2n) int8
 
     def edges(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Status changes on steps ``start..stop-1``, (rows, 2n) int8: +1 for
-        a turn-on, -1 for a turn-off.  Every submodule is off before step 0."""
-        # int8 whatever u's dtype: a diff of bools reads "changed", not the sign
-        rows = self.u[max(start - 1, 0) : stop].astype(np.int8, copy=False)
-        if start > 0:
-            return np.diff(rows, axis=0)
-        return np.diff(rows, axis=0, prepend=np.zeros((1, rows.shape[1]), np.int8))
+        """``_edges`` of the leg's statuses, (rows, 2n) int8."""
+        return _edges(self.u, start, stop)
 
 
 @dataclass(eq=False)
 class SimTrace:
-    """Complete record of a scenario run.
-
-    Row k holds the state reached at t[k] = (k+1) * t_s together with the
-    decision that produced it.  The trace stores the statuses, capacitor
-    voltages and currents; the step count, the times and the budgets come
-    from the config.  ``t``, the end time of each step, and ``n_sw_max``
-    are computed once, when the trace is built, and are read-only.  The
-    initial state (balanced capacitors, everything off) is implicit.
-    ``record`` holds the blocks behind a trace built by ``run_scenario`` or
-    ``load_run``, by name in ``_record_layout``'s order; a trace built by
-    hand has none.  ``==`` is identity, as an array has no truth value.
+    """Complete record of a scenario run: the ``record`` blocks, by name in
+    ``_record_layout``'s order, and ``refs``, i_ref then v_grid, (steps, 2,
+    3) float64.  Row k holds the state reached at t[k] = (k+1) * t_s with
+    the decision that produced it; the initial state (balanced capacitors,
+    everything off) is implicit.  A block whose name, shape or dtype is not
+    the config's raises ``ValueError``; ``v_dc`` and each ``PhaseTrace``
+    are views of the blocks.  ``t``, the end time of each step, and
+    ``n_sw_max`` come from the config, computed once and read-only.  ``==``
+    is identity, as an array has no truth value.
     """
 
     config: ScenarioConfig
-    v_dc: np.ndarray
-    phases: dict[str, PhaseTrace]
-    record: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    record: dict[str, np.ndarray] = field(repr=False)
+    refs: np.ndarray = field(repr=False)
+    v_dc: np.ndarray = field(init=False, repr=False)
+    _phases: dict[str, PhaseTrace] = field(init=False, repr=False)
     t: np.ndarray = field(init=False, repr=False)
     _budgets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        layout = _record_layout(self.config)
+        if list(self.record) != list(layout):
+            raise ValueError(f"trace record: blocks {list(self.record)}, expected {list(layout)}")
+        layout["refs"] = ((self.steps, 2, len(PHASES)), np.dtype(np.float64))
+        for name, block in {**self.record, "refs": self.refs}.items():
+            shape, dtype = layout[name]
+            if block.shape != shape or block.dtype != dtype:
+                raise ValueError(f"trace block {name}: expected {dtype} {shape}, got {block.dtype} {block.shape}")
+        currents, v_c, u, self.v_dc = self.record.values()
+        self._phases = {ph: PhaseTrace(
+            i_ac=currents[:, 0, p], i_ref=self.refs[:, 0, p], i_circ=currents[:, 1, p],
+            v_grid=self.refs[:, 1, p], v_c=v_c[:, p], u=u[:, p],
+        ) for p, ph in enumerate(PHASES)}
         self.t = np.arange(1, self.steps + 1) * self.config.params.t_s
         self._budgets = self.config.nsw_schedule.per_step(self.config.params.t_s, self.steps)
         self.t.flags.writeable = self._budgets.flags.writeable = False
 
     def phase(self, label: str) -> PhaseTrace:
         try:
-            return self.phases[label]
+            return self._phases[label]
         except KeyError:
-            raise ValueError(f"phase must be one of {tuple(self.phases)}, got {label!r}") from None
+            raise ValueError(f"phase must be one of {PHASES}, got {label!r}") from None
 
     @property
     def steps(self) -> int:
@@ -338,27 +355,16 @@ def _record_nbytes(config: ScenarioConfig) -> int:
     return sum(math.prod(shape) * dtype.itemsize for shape, dtype in _record_layout(config).values())
 
 
-def _blank_trace(config: ScenarioConfig, lib: Any = None) -> tuple[SimTrace, np.ndarray]:
-    """A trace of the config's steps, its references computed and its other
-    records not yet set, with the references block behind it: i_ref then
-    v_grid, (steps, 2, 3).  The recorded blocks, laid out by
-    ``_record_layout``, are the trace's ``record``.  Phase p's fields are
-    views [:, ..., p] of the blocks; ``v_dc`` is nominal.  The sines are
+def _blank_trace(config: ScenarioConfig, lib: Any = None) -> SimTrace:
+    """A trace of the config's steps, its references computed, ``v_dc``
+    nominal and its other blocks not yet set.  The sines are
     ``math.sin``'s, or, given the library of ``mmcsim.kernel``, those of its
     ``mmcsim_sin``: libm's ``sin``, which ``math.sin`` calls."""
     params = config.params
     steps = config.steps
-    refs = np.empty((steps, 2, len(PHASES)))
     record = {name: np.empty(shape, dtype) for name, (shape, dtype) in _record_layout(config).items()}
-    currents, v_c, u, v_dc = record.values()
-    v_dc.fill(params.v_dc)
-    trace = SimTrace(config, v_dc, {
-        ph: PhaseTrace(
-            i_ac=currents[:, 0, p], i_ref=refs[:, 0, p], i_circ=currents[:, 1, p],
-            v_grid=refs[:, 1, p], v_c=v_c[:, p], u=u[:, p],
-        )
-        for p, ph in enumerate(PHASES)
-    }, record)
+    trace = SimTrace(config, record, np.empty((steps, 2, len(PHASES))))
+    trace.v_dc.fill(params.v_dc)
     # the expressions of reference_current and grid_voltage; math.sin's
     # function, not np.sin, so every sample has the scalar functions' bits
     omega_t = 2.0 * math.pi * params.f_grid * trace.t
@@ -369,9 +375,9 @@ def _blank_trace(config: ScenarioConfig, lib: Any = None) -> tuple[SimTrace, np.
         else:
             sines = arg  # in place
             lib.mmcsim_sin(arg.ctypes.data, sines.ctypes.data, steps)
-        np.multiply(config.i_ref_peak, sines, out=refs[:, 0, p])
-        np.multiply(config.v_s_peak, sines, out=refs[:, 1, p])
-    return trace, refs
+        np.multiply(config.i_ref_peak, sines, out=trace.refs[:, 0, p])
+        np.multiply(config.v_s_peak, sines, out=trace.refs[:, 1, p])
+    return trace
 
 
 def run_scenario(config: ScenarioConfig) -> SimTrace:
@@ -417,14 +423,14 @@ def _run_scalar(config: ScenarioConfig) -> SimTrace:
     kernel's fallback, and the reference the kernel is checked against."""
     params = config.params
     ts = params.t_s
-    trace, refs = _blank_trace(config)
+    trace = _blank_trace(config)
     currents, v_c, u, v_dc = trace.record.values()
     states = [nominal_phase_state(params, grid_voltage(config, 0.0, ph)) for ph in PHASES]
     piline = config.dc_model == "piline"
     params_now = params
     i_line = 0.0
     for k, budget in enumerate(trace.n_sw_max.tolist()):
-        i_ref, v_grid = refs[k].tolist()
+        i_ref, v_grid = trace.refs[k].tolist()
         for p, state in enumerate(states):
             try:
                 chosen = modulate_phase(

@@ -1,8 +1,27 @@
 """Shared fixtures; the full-length case-study runs are session-scoped
 because several test modules slice the same traces."""
+import numpy as np
 import pytest
 
 import mmcsim as m
+from mmcsim.scenario import PHASES, _blank_trace
+
+
+def filled_trace(config, seed=0, **fields):
+    """``_blank_trace(config)`` with its record filled from ``seed``: normal
+    currents, capacitor voltages about 10 kV and statuses 0 or 1, beside
+    the config's references and nominal bus voltage.  Each keyword, a
+    ``PhaseTrace`` field, is then set in every leg."""
+    trace = _blank_trace(config)
+    rng = np.random.default_rng(seed)
+    record = trace.record
+    record["currents"][...] = rng.normal(size=record["currents"].shape)
+    record["v_c"][...] = rng.normal(1e4, 1e2, record["v_c"].shape)
+    record["u"][...] = rng.integers(0, 2, record["u"].shape)
+    for name, value in fields.items():
+        for ph in PHASES:
+            getattr(trace.phase(ph), name)[...] = value
+    return trace
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,9 @@ from mmcsim.cli import (
     load_run, main, parse_config, write_phase_csv,
 )
 from mmcsim.csvtext import BLOCK_ROWS, write_columns
-from mmcsim.scenario import PHASES, PhaseTrace, SimTrace, config_from_dict
+from mmcsim.scenario import PHASES, PhaseTrace, config_from_dict
+
+from conftest import filled_trace
 
 
 def test_empty_config_gives_case_study_defaults(tmp_path):
@@ -878,11 +880,11 @@ def test_load_run_round_trips_across_blocks(short_run):
 
 
 def test_trace_times_are_one_read_only_array(short_run):
-    # a run's trace, a loaded one and one built by hand each hold t as
+    # a run's trace, a loaded one and one filled by hand each hold t as
     # (k+1) * t_s, computed once when the trace is built; no writer can
     # change it
     out, trace = short_run
-    for got in (trace, load_run(out), _synthetic_trace(BLOCK_ROWS + 3)):
+    for got in (trace, load_run(out), filled_trace(_synthetic_config(BLOCK_ROWS + 3))):
         want = np.arange(1, got.steps + 1) * got.config.params.t_s
         assert got.t.dtype == np.float64 and got.t.tobytes() == want.tobytes()
         assert not got.t.flags.writeable
@@ -933,23 +935,23 @@ def test_load_run_names_missing_file(tmp_path, short_run, name):
         load_run(out)
 
 
-def _synthetic_trace(steps, n=6, budgets=None):
+def _synthetic_config(steps, n=6, budgets=None):
     # budgets, one per step, become a schedule of one-step segments
     span = steps * 25e-6
     schedule = m.constant_schedule(span, n) if budgets is None else m.NswSchedule(tuple(
         (k * 25e-6, (k + 1) * 25e-6, budget) for k, budget in enumerate(budgets)
     ))
-    cfg = m.fast_config(params=m.SystemParams(n=n), duration=span, warmup=0.0,
-                        nsw_schedule=schedule)
-    rng = np.random.default_rng(steps)
-    n2 = 2 * n
-    phase = PhaseTrace(
-        i_ac=rng.normal(size=steps), i_ref=rng.normal(size=steps),
-        i_circ=rng.normal(size=steps), v_grid=rng.normal(size=steps),
-        v_c=rng.normal(1e4, 1e2, size=(steps, n2)),
-        u=rng.integers(0, 2, size=(steps, n2), dtype=np.int8),
-    )
-    return SimTrace(config=cfg, v_dc=np.full(steps, 60e3), phases={"a": phase})
+    return m.fast_config(params=m.SystemParams(n=n), duration=span, warmup=0.0, nsw_schedule=schedule)
+
+
+def test_hand_filled_trace_round_trips_through_its_record(tmp_path):
+    # the record file holds every block of a trace filled by hand, and
+    # reads back bit for bit
+    trace = filled_trace(_synthetic_config(BLOCK_ROWS + 3))
+    path = tmp_path / "trace.bin"
+    assert _write_record(path, trace) == trace.steps
+    assert path.stat().st_size > sum(block.nbytes for block in trace.record.values())
+    _assert_same_trace(cli._read_record(path, trace.config), trace)
 
 
 def test_write_phase_csv_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
@@ -958,7 +960,7 @@ def test_write_phase_csv_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(kernel, "_loaded", (None, "no library"))
     peaks = {}
     for steps in (5_000, 50_000):
-        trace = _synthetic_trace(steps)
+        trace = filled_trace(_synthetic_config(steps))
         tracemalloc.start()
         try:
             write_phase_csv(tmp_path / f"phase_{steps}.csv", trace, "a")
@@ -1051,7 +1053,7 @@ def _phase_figs_as_floats(out, trace):
     ids=["one-row", "one-block", "partial-last-block"],
 )
 def test_phase_csv_and_figures_match_float_writer(tmp_path, n, rows):
-    trace = _synthetic_trace(rows, n, np.random.default_rng(n).integers(0, n + 1, rows).tolist())
+    trace = filled_trace(_synthetic_config(rows, n, np.random.default_rng(n).integers(0, n + 1, rows).tolist()))
     new, old = tmp_path / "new", tmp_path / "old"
     new.mkdir()
     assert write_phase_csv(new / "phase_a.csv", trace, "a") == rows
@@ -1091,7 +1093,7 @@ def test_piline_v1f2_run_matches_float_writer(tmp_path):
 
 @pytest.mark.parametrize("index, value", [((3, 1), 2), ((0, 0), -1)], ids=["status-2", "status-minus-1"])
 def test_write_phase_csv_rejects_before_opening(tmp_path, index, value):
-    trace = _synthetic_trace(10)
+    trace = filled_trace(_synthetic_config(10))
     trace.phase("a").u[index] = value
     path = tmp_path / "phase_a.csv"
     with pytest.raises(ValueError, match="phase_a.csv: statuses"):

@@ -269,11 +269,11 @@ def test_leg_c_stopped_before_the_hand_over_is_not_restarted(monkeypatch):
     blank, traces = kernel._blank_trace, []
 
     def sentinel_trace(*args):
-        trace, refs = blank(*args)
+        trace = blank(*args)
         for block in trace.record.values():
             block.fill(-7)
         traces.append(trace)
-        return trace, refs
+        return trace
 
     monkeypatch.setattr(kernel, "_blank_trace", sentinel_trace)
     assert _assert_scalar_error(lib, config, "c").startswith("phase c diverged at step 19 ")
@@ -310,11 +310,11 @@ def test_kernel_reads_only_cells_it_has_written(monkeypatch, config):
     blank = kernel._blank_trace
 
     def unwritten_trace(*args):
-        trace, refs = blank(*args)
+        trace = blank(*args)
         trace.record["currents"].fill(np.nan)
         trace.record["v_c"].fill(np.nan)
         trace.record["u"].fill(2)
-        return trace, refs
+        return trace
 
     monkeypatch.setattr(kernel, "_blank_trace", unwritten_trace)
     got, want = kernel.run(lib, config).record, _run_scalar(config).record

@@ -1,6 +1,5 @@
-"""Metric definitions checked through segment_report on hand-built
+"""Metric definitions checked through segment_report on hand-filled
 synthetic traces, plus the segmentation logic on real runs."""
-import copy
 import math
 import re
 from dataclasses import fields
@@ -10,15 +9,17 @@ import pytest
 
 import mmcsim as m
 from mmcsim.metrics import _phase_row, segment_windows
-from mmcsim.scenario import PhaseTrace, steps_until
+from mmcsim.scenario import _edges, steps_until
+
+from conftest import filled_trace
 
 REL = 1e-12
 
 
 def _synthetic_trace(u_a=None, v_c_a=None, i_ac=None, i_ref=None, i_circ=None,
                      steps=40, i_m=100.0):
-    """Minimal single-segment trace on the 25 us grid; unspecified series
-    default to zeros / nominal."""
+    """Minimal single-segment trace on the 25 us grid, its three legs
+    alike; unspecified series default to zeros / nominal."""
     params = m.SystemParams(n=1)
     duration = steps * params.t_s
     # i_ref_peak = 2 p / (3 v_peak) = i_m  with v_peak = 1
@@ -30,25 +31,20 @@ def _synthetic_trace(u_a=None, v_c_a=None, i_ac=None, i_ref=None, i_circ=None,
         v_s_peak=1.0,
         nsw_schedule=m.constant_schedule(duration, 1),
     )
-    zeros = np.zeros(steps)
     u = np.zeros((steps, 2), dtype=np.int8)
     if u_a is not None:
         u[:, 0] = u_a
     v_c = np.full((steps, 2), 10e3)
     if v_c_a is not None:
         v_c[:, 0] = v_c_a
-    tr = PhaseTrace(
-        i_ac=np.array(i_ac, dtype=float) if i_ac is not None else zeros.copy(),
-        i_ref=np.array(i_ref, dtype=float) if i_ref is not None else zeros.copy(),
-        i_circ=np.array(i_circ, dtype=float) if i_circ is not None else zeros.copy(),
-        v_grid=zeros.copy(),
+    return filled_trace(
+        cfg,
+        i_ac=0.0 if i_ac is None else i_ac,
+        i_ref=0.0 if i_ref is None else i_ref,
+        i_circ=0.0 if i_circ is None else i_circ,
+        v_grid=0.0,
         v_c=v_c,
         u=u,
-    )
-    return m.SimTrace(
-        config=cfg,
-        v_dc=np.full(steps, params.v_dc),
-        phases={"a": tr, "b": copy.deepcopy(tr), "c": copy.deepcopy(tr)},
     )
 
 
@@ -144,28 +140,23 @@ def test_segment_metrics_reject_bad_phase(reader, phase):
     read = READERS[reader]
     with pytest.raises(ValueError, match=re.escape(f"phase must be one of ('a', 'b', 'c'), got {phase!r}")):
         read(report, phase)
-    # the synthetic legs are copies of one another
+    # the synthetic legs are alike
     assert read(report, "c") == read(report, "a")
 
 
-def test_edges_signed_for_bool_and_int8_status():
-    # a diff of bools reads "changed": a turn-off would count as a turn-on
+def test_edges_signed_for_int8_status():
     status = np.array([1, 1, 0, 1, 0, 0, 1, 1, 1, 0] * 4)
     want = np.diff(status, prepend=0)  # every submodule is off before step 0
-    results = []
-    for dtype in (np.int8, bool):
-        trace = _synthetic_trace(u_a=status)
-        tr = trace.phase("a")
-        tr.u = tr.u.astype(dtype)
-        assert tr.edges().dtype == np.int8
-        assert np.array_equal(tr.edges()[:, 0], want)
-        assert np.array_equal(tr.edges(3, 17)[:, 0], want[3:17])
-        assert tr.edges(5, 5).shape == (0, 2)
-        reps = _phase_a(trace) + _phase_a(trace, _schedule(0.0, 100e-6, 575e-6, 1e-3))
-        results.append([(rep["f_s_per_sm"][0], *rep["transitions_per_step"]) for rep in reps])
-    assert results[0] == results[1]
+    trace = _synthetic_trace(u_a=status)
+    tr = trace.phase("a")
+    assert tr.edges().dtype == np.int8
+    assert np.array_equal(tr.edges()[:, 0], want)
+    assert np.array_equal(tr.edges(3, 17)[:, 0], want[3:17])
+    assert tr.edges(5, 5).shape == (0, 2)
+    # the three legs' statuses at once, one leg's columns along axis 1
+    assert np.array_equal(_edges(trace.record["u"], 3, 17)[:, 0], tr.edges(3, 17))
     # 12 turn-ons in 1 ms, the first from the all-off start
-    assert results[1][0][0] == pytest.approx(12e3, rel=REL)
+    assert _phase_a(trace)[0]["f_s_per_sm"][0] == pytest.approx(12e3, rel=REL)
 
 
 # ------------------------------------------------------------------- ripple
@@ -304,21 +295,16 @@ def _budget0_trace():
 
 
 def _hand_built_trace():
-    """Three distinct random legs of n = 3 with bool statuses and no
-    ``record``; leg b has no AC current (the deviation reads inf of 0),
-    and leg c neither AC nor circulating current (0 of 0)."""
+    """Three distinct random legs of n = 3; leg b has no AC current (the
+    deviation reads inf of 0), and leg c neither AC nor circulating
+    current (0 of 0)."""
     steps, n = 400, 3
-    rng = np.random.default_rng(7)
     cfg = m.ScenarioConfig(params=m.SystemParams(n=n), duration=steps * 25e-6, warmup=0.0,
                            nsw_schedule=m.constant_schedule(steps * 25e-6, n))
-    legs = {}
-    for ph in "abc":
-        i_ac = rng.normal(0.0, 100.0, steps) * (ph == "a")
-        legs[ph] = PhaseTrace(
-            i_ac=i_ac, i_ref=rng.normal(0.0, 100.0, steps), i_circ=rng.normal(5.0, 3.0, steps) * (ph != "c"),
-            v_grid=np.zeros(steps), v_c=rng.uniform(9e3, 11e3, (steps, 2 * n)), u=rng.random((steps, 2 * n)) < 0.5,
-        )
-    return m.SimTrace(config=cfg, v_dc=np.full(steps, cfg.params.v_dc), phases=legs)
+    trace = filled_trace(cfg, seed=7)
+    trace.phase("b").i_ac[:] = 0.0
+    trace.phase("c").i_ac[:] = trace.phase("c").i_circ[:] = 0.0
+    return trace
 
 
 def test_segment_report_bit_exact_on_runs(fast_v1fc_trace):
@@ -336,7 +322,6 @@ def test_segment_report_bit_exact_on_runs(fast_v1fc_trace):
 
 def test_segment_report_bit_exact_on_hand_built_trace():
     trace = _hand_built_trace()
-    assert trace.record == {} and trace.phase("a").u.dtype == bool
     _assert_report_bit_exact(trace, settle=0.0)
     _assert_report_bit_exact(trace, m.NswSchedule(((0.0, 0.006, 1), (0.002, 0.01, 1))), settle=0.0)
     report = m.segment_report(trace, settle=0.0)

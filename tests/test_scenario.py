@@ -1,7 +1,8 @@
 """Scenario assembly: sources, schedule lookup, and the run loop."""
 import math
 import random
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -476,7 +477,7 @@ def test_blank_trace_references_are_the_scalar_functions():
     # references: reference_current's and grid_voltage's bits at the step's
     # end time, here over the first and the last 2,000 steps of a paper run
     config = m.paper_config()
-    trace = _blank_trace(config)[0]
+    trace = _blank_trace(config)
     rows = [*range(2000), *range(config.steps - 2000, config.steps)]
     for ph in PHASES:
         tr = trace.phase(ph)
@@ -485,12 +486,55 @@ def test_blank_trace_references_are_the_scalar_functions():
             assert getattr(tr, name)[rows].tobytes() == want.tobytes(), (ph, name)
 
 
+def _short_blank_trace():
+    config = m.fast_config(duration=0.001, warmup=0.0, nsw_schedule=m.constant_schedule(0.001, 6))
+    return _blank_trace(config)
+
+
+def test_trace_fields_are_views_of_its_blocks():
+    # the trace's init fields are its config and blocks; v_dc and each
+    # phase's fields are views of them, and a leg's fields are not rebound
+    trace = _short_blank_trace()
+    assert [f.name for f in fields(m.SimTrace) if f.init] == ["config", "record", "refs"]
+    assert trace.v_dc is trace.record["v_dc"]
+    for ph in PHASES:
+        tr = trace.phase(ph)
+        for name, block in (("i_ac", "currents"), ("i_circ", "currents"), ("v_c", "v_c"), ("u", "u")):
+            assert getattr(tr, name).base is trace.record[block], (ph, name)
+        assert tr.i_ref.base is tr.v_grid.base is trace.refs
+        with pytest.raises(AttributeError):
+            tr.u = tr.u.astype(bool)
+
+
+@pytest.mark.parametrize("wrong", ["shape", "dtype"])
+@pytest.mark.parametrize("name", ["currents", "v_c", "u", "v_dc", "refs"])
+def test_trace_refuses_a_block_off_its_layout(name, wrong):
+    trace = _short_blank_trace()
+    blocks = {**trace.record, "refs": trace.refs}
+    good = blocks[name]
+    blocks[name] = bad = good[:-1] if wrong == "shape" else np.zeros(good.shape, np.float32)
+    refs = blocks.pop("refs")
+    with pytest.raises(ValueError, match=re.escape(
+        f"trace block {name}: expected {good.dtype} {good.shape}, got {bad.dtype} {bad.shape}"
+    )):
+        replace(trace, record=blocks, refs=refs)
+
+
+def test_trace_refuses_a_record_off_its_names():
+    trace = _short_blank_trace()
+    record = dict(reversed(trace.record.items()))
+    with pytest.raises(ValueError, match=re.escape(
+        "trace record: blocks ['v_dc', 'u', 'v_c', 'currents'], expected ['currents', 'v_c', 'u', 'v_dc']"
+    )):
+        replace(trace, record=record)
+
+
 def test_library_sines_equal_math_sin(c_engine):
     # libm's sin, which math.sin calls: the paper profile's references of
     # every phase, and arguments of every size, to the last bit
     lib = kernel.library()
     config = m.paper_config()
-    assert _blank_trace(config, lib)[1].tobytes() == _blank_trace(config)[1].tobytes()
+    assert _blank_trace(config, lib).refs.tobytes() == _blank_trace(config).refs.tobytes()
     rng = np.random.default_rng(18)
     x = np.concatenate([rng.uniform(-1e3, 1e3, 100_000), rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(float)])
     got = np.empty_like(x)

@@ -17,9 +17,11 @@ from both the change against the base and the A/A spread, in per cent.
   call on the fast v1fc, fast v1f2, pi-line v1f2 and paper v1fc configs,
   the trace laid out once, outside the timing.  Each ``_step.c`` is built
   with its own revision's ``kernel.FLAGS`` and must pass its own
-  revision's self-check; each run must return 0.  It is wall time, so a
-  library that steps legs on two threads counts once: its minimum needs
-  both cores free in one round, its median is what most rounds read.
+  revision's self-check, which runs that revision's ``kernel.py``,
+  ``scenario.py`` and ``csvtext.py``; each run must return 0.  It is wall
+  time, so a library that steps legs on two threads counts once: its
+  minimum needs both cores free in one round, its median is what most
+  rounds read.
 - ``report``: us per ``segment_report`` call of ``metrics.py`` on the fast
   v1fc, pi-line v1f2 and paper v1fc traces, with their profile's settle
   margin in ``mmcsim run``.  Each report must equal the working tree's
@@ -146,19 +148,22 @@ def load_module(source: bytes, name: str) -> types.ModuleType:
 def build(cc: list[str], revision: str | None, path: str):
     """``_step.c`` at the git ``revision``, or the working tree's for
     None, built at ``path``, bound and self-checked by that revision's own
-    ``kernel.py`` with its ``csvtext.py``, as its ``library()`` builds it."""
+    ``kernel.py`` with its ``scenario.py`` and ``csvtext.py``, as its
+    ``library()`` builds it."""
     if revision is None:
         lib, why = kernel._build(cc, (ROOT / "src" / "mmcsim" / "_step.c").read_bytes(), path)
     else:
         source = {name: git("show", f"{revision}:src/mmcsim/{name}")
-                  for name in ("_step.c", "kernel.py", "csvtext.py")}
-        base_kernel = load_module(source["kernel.py"], "_bench_base_kernel")
-        # the base kernel's self-check imports check_text from .csvtext
+                  for name in ("_step.c", "kernel.py", "scenario.py", "csvtext.py")}
+        # the base kernel imports its trace and scalar loop from .scenario,
+        # and its self-check imports check_text from .csvtext
+        sys.modules["mmcsim.scenario"] = load_module(source["scenario.py"], "_bench_base_scenario")
         sys.modules["mmcsim.csvtext"] = load_module(source["csvtext.py"], "_bench_base_check_csvtext")
         try:
+            base_kernel = load_module(source["kernel.py"], "_bench_base_kernel")
             lib, why = base_kernel._build(cc, source["_step.c"], path)
         finally:
-            sys.modules["mmcsim.csvtext"] = csvtext
+            sys.modules["mmcsim.scenario"], sys.modules["mmcsim.csvtext"] = scenario, csvtext
     if lib is None:
         raise SystemExit(f"{path}: {why}")
     return lib
