@@ -11,17 +11,17 @@
    -pthread.
 
    The record is the one home of the legs' state: a step reads each leg's
-   state from the row before it (step 0 from the balanced start) and writes
-   the leg's cells of its own row (see step_legs).  On a stiff bus the
-   three legs share nothing but the clock, so each of two threads steps a
-   leg and a half: the calling thread steps leg c up to half-way and then
-   leg b, and a worker thread steps leg a and then leg c's second half,
-   which starts from the row the calling thread wrote last as step 0
-   starts from the balanced start.  Each writes only its own legs' cells
-   of the record.  The split can so save up to half of the stepping time.
-   A pi-line run stays on the calling thread, as its bus couples the legs
-   on every step.  A diverging run reports the leg the scalar loop would:
-   the first in step-major order.
+   state from the row before it and writes the leg's cells of its own row
+   (see step_legs); step 0 reads the start row that scenario._blank_trace
+   puts in front of row 0.  On a stiff bus the three legs share nothing
+   but the clock, so each of two threads steps a leg and a half: the
+   calling thread steps leg c up to half-way and then leg b, and a worker
+   thread steps leg a and then leg c's second half, which starts from the
+   row the calling thread wrote last.  Each writes only its own legs'
+   cells of the record.  The split can so save up to half of the stepping
+   time.  A pi-line run stays on the calling thread, as its bus couples
+   the legs on every step.  A diverging run reports the leg the scalar
+   loop would: the first in step-major order.
 
    Each second thread that mmcsim starts, the worker and the write
    stage's, first runs off its starter's CPU: see other_cpus.
@@ -71,8 +71,7 @@
 /* the constants mmcsim.kernel passes, by index */
 enum {
     K_TS, K_C_SM, K_L_ARM_TS, K_L_AC_TS, K_Z_STEP, K_CIRC_GAIN, K_I_CIRC_NOM,
-    K_V_DC, K_W_TRACK, K_W_CIRC, K_V_SM, K_L_LINE, K_C_END,
-    K_V_GRID0 /* three values, phases a, b, c */
+    K_V_DC, K_W_TRACK, K_W_CIRC, K_L_LINE, K_C_END
 };
 
 enum { PHASES = 3 };
@@ -247,65 +246,52 @@ static void keep_first(struct stop *kept, struct stop s)
         *kept = s;
 }
 
-/* One thread's work area: the start row, the balanced start of the three
-   phases laid out as a record row (no current, each capacitor at K_V_SM
-   and off), which step 0 reads as the row before it (see step_legs); the
-   sorted order of each arm of the three phases, kept from step to step;
-   then the order of each arm this step and the sort and selection work.
-   `stop` is the first stop of the thread's stretches, and `cpu` the CPU
-   the thread started stepping on, or -1. */
+/* One thread's work area: the sort and selection work, the sorted order
+   of each arm of the three phases, kept from step to step, and the order
+   of each arm this step.  `stop` is the first stop of the thread's
+   stretches, and `cpu` the CPU the thread started stepping on, or -1. */
 struct legs {
     const struct run *run;
-    struct {
-        double *currents, *v_c;
-        int8_t *u;
-    } start;
     double *v_next, *key, *sums, *d_low;
     int32_t *perm, *order;
     struct stop stop;
     int cpu;
 };
 
-/* the doubles, int32s and int8s of one work area, in one block that ends
-   in a cache line of its own, so that the two threads' areas share none,
-   zeroed but the start row's capacitor voltages */
+/* the doubles and int32s of one work area, in one block that ends in a
+   cache line of its own, so that the two threads' areas share none; each
+   cell is written before it is read */
 static int legs_alloc(struct legs *w, const struct run *r)
 {
     const size_t n = (size_t)r->n, n2 = 2 * n;
-    char *block = calloc(1, sizeof(double) * (PHASES * n2 + 2 * n2 + 3 * (n + 1) + 2 * PHASES)
-                         + sizeof(int32_t) * (PHASES * n2 + n2) + PHASES * n2 + 64);
+    double *block = malloc(sizeof(double) * (2 * n2 + 3 * (n + 1)) + sizeof(int32_t) * (PHASES * n2 + n2) + 64);
     memset(w, 0, sizeof *w);
     w->run = r;
     w->cpu = -1;
     if (!block)
         return 0;
-    w->start.v_c = (double *)(void *)block;
-    w->v_next = w->start.v_c + PHASES * n2;
+    w->v_next = block;
     w->key = w->v_next + n2;
     w->sums = w->key + n2;
     w->d_low = w->sums + 2 * (n + 1);
-    w->start.currents = w->d_low + n + 1;
-    w->perm = (int32_t *)(void *)(w->start.currents + 2 * PHASES);
+    w->perm = (int32_t *)(void *)(w->d_low + n + 1);
     w->order = w->perm + PHASES * n2;
-    w->start.u = (int8_t *)(w->order + n2);
-    for (size_t j = 0; j < PHASES * n2; j++)
-        w->start.v_c[j] = r->k[K_V_SM];
     return 1;
 }
 
 /* Step legs [p0, p1) over steps [s0, s1).  Step s reads a leg's state
    from the row before it and from nowhere else: the currents, capacitor
    voltages and statuses from record row s - 1 and the grid voltage from
-   refs row s - 1, or for step 0 from the start row and K_V_GRID0; it
-   writes the leg's cells of record row s.  So a stretch starts from any
-   record row as from step 0, each arm's kept order in index order (the
-   sort's order is total, so that changes the work, not the result).  When
-   piline is set (with every leg, from step 0), also step the bus after
-   each step; its voltage and line current, not recorded, stay in locals.
-   At the first leg, in step-major order, whose state turns non-finite, or
-   at a bus voltage that is not finite and > 0, stop: keep where in
-   w->stop (see keep_first) and return 1; else return 0.  Inlined at both
-   calls, so that the compiler has the legs and the bus as constants. */
+   refs row s - 1, for step 0 the start row; it writes the leg's cells of
+   record row s.  So a stretch starts from any record row as from step 0,
+   each arm's kept order in index order (the sort's order is total, so
+   that changes the work, not the result).  When piline is set (with every
+   leg, from step 0), also step the bus after each step; its voltage and
+   line current, not recorded, stay in locals.  At the first leg, in
+   step-major order, whose state turns non-finite, or at a bus voltage
+   that is not finite and > 0, stop: keep where in w->stop (see
+   keep_first) and return 1; else return 0.  Inlined at both calls, so
+   that the compiler has the legs and the bus as constants. */
 static inline __attribute__((always_inline)) int step_legs(struct legs *w, int p0, int p1, int piline,
                                                            int64_t s0, int64_t s1)
 {
@@ -327,15 +313,12 @@ static inline __attribute__((always_inline)) int step_legs(struct legs *w, int p
         perm[j] = j % n;
 
     for (int64_t s = s0; s < s1; s++) {
-        const double *i_ref = r->refs + 6 * s, *v_grid_next = i_ref + PHASES;
+        const double *i_ref = r->refs + 6 * s, *v_grid_next = i_ref + PHASES, *v_grid = v_grid_next - 6;
         double *i_ac_rec = r->currents + 6 * s, *i_circ_rec = i_ac_rec + PHASES;
         double *v_row = r->v_c + s * row;
         int8_t *u_row = r->u_rec + s * row;
-        /* the row before: record row s - 1, or the start row for step 0 */
-        const double *i_before = s ? i_ac_rec - 6 : w->start.currents;
-        const double *v_grid = s ? v_grid_next - 6 : k + K_V_GRID0;
-        const double *v_before = s ? v_row - row : w->start.v_c;
-        const int8_t *u_before = s ? u_row - row : w->start.u;
+        const double *i_before = i_ac_rec - 6, *v_before = v_row - row;
+        const int8_t *u_before = u_row - row;
         const double half_dc = v_dc_now / 2.0;
         for (int p = p0; p < p1; p++) {
             const double i_ac = i_before[p], i_circ = i_before[PHASES + p];
@@ -525,7 +508,9 @@ static void *step_worker(void *arg)
 /* Run `steps` steps.  budgets is (steps,), refs (steps, 2, 3) i_ref then
    v_grid; the outputs are the record blocks: currents (steps, 2, 3) i_ac
    then i_circ, v_c (steps, 3, 2n), u (steps, 3, 2n) and, when piline is
-   set, v_dc (steps,).
+   set, v_dc (steps,).  refs, currents, v_c and u each have one readable
+   row before the row they point at: the start row, the state before step
+   0, which step 0 reads as the row before it.
 
    On a stiff bus the legs share nothing but the clock, and a step reads
    a leg's state from the record row before it, so each of two threads
@@ -555,8 +540,8 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
     int ok = legs_alloc(&w[0], &r);
     ok = legs_alloc(&w[1], &r) && ok;
     if (!ok) {
-        free(w[0].start.v_c);
-        free(w[1].start.v_c);
+        free(w[0].v_next);
+        free(w[1].v_next);
         return -1;
     }
     w[1].cpu = this_cpu();
@@ -586,8 +571,8 @@ int mmcsim_run(const double *k, int64_t steps, int32_t n, int32_t v1fc, int32_t 
     where[2] = w[1].cpu;
     where[3] = w[0].cpu;
     *bus = w[0].stop.bus;
-    free(w[0].start.v_c);
-    free(w[1].start.v_c);
+    free(w[0].v_next);
+    free(w[1].v_next);
     pthread_cond_destroy(&sp.handed);
     pthread_mutex_destroy(&sp.lock);
     return w[0].stop.code;

@@ -11,13 +11,13 @@ arm's order is kept from step to step and insertion-sorted under one
 total order, which takes fewer comparisons than a sort from index order,
 and the selection skips the rows and columns of the grid that a lower
 bound of the objective rules out.  The record is the one home of the
-legs' state: a step reads each leg's state from the record row before it,
-step 0 from the balanced start, and writes the leg's cells of its own
-row.  On a stiff bus, inside the one call, two threads each step a leg
-and a half: the calling thread steps the first half of leg c and then leg
-b, and a second thread steps leg a and then leg c's second half, which
-starts from the record row where the calling thread stopped as step 0
-starts from the balanced start.  So the split
+legs' state: a step reads each leg's state from the record row before it
+and writes the leg's cells of its own row; step 0 reads the start row in
+front of row 0, where ``_blank_trace`` puts ``scenario._start_states``.
+On a stiff bus, inside the one call, two threads each step a leg and a
+half: the calling thread steps the first half of leg c and then leg b,
+and a second thread steps leg a and then leg c's second half, which
+starts from the record row where the calling thread stopped.  So the split
 can save up to half of the stepping time, if the second thread runs
 beside the first: it starts off the caller's CPU (see ``other_cpus`` in
 ``_step.c``), as does the write stage's second thread through
@@ -68,7 +68,6 @@ import numpy as np
 from .core import SimulationDiverged, SystemParams, _non_finite_state
 from .modulation import _objective_weights
 from .scenario import (
-    PHASES,
     NswSchedule,
     ScenarioConfig,
     SimTrace,
@@ -77,7 +76,6 @@ from .scenario import (
     _leg_diverged,
     _run_scalar,
     constant_schedule,
-    grid_voltage,
 )
 
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
@@ -217,9 +215,9 @@ def _self_check_configs() -> list[ScenarioConfig]:
     """Short runs through every branch of the step: the v1fc budget stage
     at every budget on a pi-line bus, stepped on one thread, and on a stiff
     bus, where the second thread steps leg a and then leg c from step 140,
-    inside the budget-0 segment (both from the balanced start, where every
-    key ties), and v1f2 with no weight on the circulating current, where
-    cells tie on the objective."""
+    inside the budget-0 segment (both from the balanced start row, where
+    every key ties), and v1f2 with no weight on the circulating current,
+    where cells tie on the objective."""
     t_s = SystemParams().t_s
     segment = 40 * t_s
     budgets = (1, 2, 3, 0, 4, 5, 6)
@@ -261,9 +259,7 @@ def run(lib: ctypes.CDLL, config: ScenarioConfig) -> SimTrace:
     consts = np.array([
         params.t_s, params.c_sm, params.l_arm / params.t_s, params.l_ac / params.t_s,
         params.z_step, params.t_s / (2.0 * params.l_arm), config.i_circ_nominal, params.v_dc,
-        *_objective_weights(params),
-        params.v_sm_nominal, config.line_inductance, config.line_end_capacitance,
-        *(grid_voltage(config, 0.0, ph) for ph in PHASES),
+        *_objective_weights(params), config.line_inductance, config.line_end_capacitance,
     ])
     record = trace.record
     budgets = trace.n_sw_max

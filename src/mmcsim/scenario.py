@@ -9,7 +9,8 @@ from typing import Any
 import numpy as np
 
 from .core import (
-    SimulationDiverged, SystemParams, _check_field_types, _check_type, nominal_phase_state, step_phase,
+    PhaseLegState, SimulationDiverged, SystemParams, _check_field_types, _check_type, nominal_phase_state,
+    step_phase,
 )
 from .modulation import ALGORITHMS, modulate_phase
 
@@ -283,8 +284,8 @@ class SimTrace:
     """Complete record of a scenario run: the ``record`` blocks, by name in
     ``_record_layout``'s order, and ``refs``, i_ref then v_grid, (steps, 2,
     3) float64.  Row k holds the state reached at t[k] = (k+1) * t_s with
-    the decision that produced it; the initial state (balanced capacitors,
-    everything off) is implicit.  A block whose name, shape or dtype is not
+    the decision that produced it; the state before step 0 is not a row
+    (see ``_blank_trace``).  A block whose name, shape or dtype is not
     the config's raises ``ValueError``; ``v_dc`` and each ``PhaseTrace``
     are views of the blocks.  ``t``, the end time of each step, and
     ``n_sw_max`` come from the config, computed once and read-only.  ``==``
@@ -355,16 +356,32 @@ def _record_nbytes(config: ScenarioConfig) -> int:
     return sum(math.prod(shape) * dtype.itemsize for shape, dtype in _record_layout(config).values())
 
 
+def _start_states(config: ScenarioConfig) -> list[PhaseLegState]:
+    """The three legs' state before step 0, from which both engines step:
+    ``nominal_phase_state`` with the grid voltage at t = 0."""
+    return [nominal_phase_state(config.params, grid_voltage(config, 0.0, ph)) for ph in PHASES]
+
+
 def _blank_trace(config: ScenarioConfig, lib: Any = None) -> SimTrace:
     """A trace of the config's steps, its references computed, ``v_dc``
-    nominal and its other blocks not yet set.  The sines are
-    ``math.sin``'s, or, given the library of ``mmcsim.kernel``, those of its
-    ``mmcsim_sin``: libm's ``sin``, which ``math.sin`` calls."""
+    nominal and its other blocks not yet set.  Each block and ``refs`` is a
+    view from row 1 of its array, whose row 0, the start row that step 0
+    reads, holds ``_start_states`` and the references at t = 0.  The sines
+    are ``math.sin``'s, or, given the library of ``mmcsim.kernel``, those of
+    its ``mmcsim_sin``: libm's ``sin``, which ``math.sin`` calls."""
     params = config.params
     steps = config.steps
-    record = {name: np.empty(shape, dtype) for name, (shape, dtype) in _record_layout(config).items()}
-    trace = SimTrace(config, record, np.empty((steps, 2, len(PHASES))))
-    trace.v_dc.fill(params.v_dc)
+    blocks = {name: np.empty((steps + 1, *shape[1:]), dtype)
+              for name, (shape, dtype) in _record_layout(config).items()}
+    refs = np.empty((steps + 1, 2, len(PHASES)))
+    trace = SimTrace(config, {name: block[1:] for name, block in blocks.items()}, refs[1:])
+    currents, v_c, u, v_dc = blocks.values()
+    v_dc.fill(params.v_dc)
+    states = _start_states(config)
+    currents[0] = [[st.i_ac for st in states], [st.i_circ for st in states]]
+    v_c[0] = [st.upper.v_c + st.lower.v_c for st in states]
+    u[0] = [st.upper.u + st.lower.u for st in states]
+    refs[0] = [[reference_current(config, 0.0, ph) for ph in PHASES], [st.v_grid for st in states]]
     # the expressions of reference_current and grid_voltage; math.sin's
     # function, not np.sin, so every sample has the scalar functions' bits
     omega_t = 2.0 * math.pi * params.f_grid * trace.t
@@ -425,7 +442,7 @@ def _run_scalar(config: ScenarioConfig) -> SimTrace:
     ts = params.t_s
     trace = _blank_trace(config)
     currents, v_c, u, v_dc = trace.record.values()
-    states = [nominal_phase_state(params, grid_voltage(config, 0.0, ph)) for ph in PHASES]
+    states = _start_states(config)
     piline = config.dc_model == "piline"
     params_now = params
     i_line = 0.0

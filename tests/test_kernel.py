@@ -300,8 +300,8 @@ def test_leg_c_stopped_before_the_hand_over_is_not_restarted(monkeypatch):
     ids=["staircase-over-the-hand-over", "1-step", "3-steps", "piline-v1f2"],
 )
 def test_kernel_reads_only_cells_it_has_written(monkeypatch, config):
-    # step s reads a leg's state from record row s - 1, or from the balanced
-    # start for step 0: on blocks filled with NaN capacitor voltages and
+    # step s reads a leg's state from record row s - 1, or from the start
+    # row for step 0: on blocks filled with NaN capacitor voltages and
     # currents and a status of 2, a cell read before it is written would
     # change the record
     lib = kernel.library()

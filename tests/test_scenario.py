@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mmcsim as m
-from mmcsim import kernel
+from mmcsim import kernel, scenario
 from mmcsim.scenario import (
     PHASES, _blank_trace, _run_scalar, config_from_dict, config_to_dict, steps_until,
 )
@@ -492,16 +492,22 @@ def _short_blank_trace():
 
 
 def test_trace_fields_are_views_of_its_blocks():
-    # the trace's init fields are its config and blocks; v_dc and each
-    # phase's fields are views of them, and a leg's fields are not rebound
+    # the trace's init fields are its config and blocks, each a view whose
+    # row 0 sits one row into its owner, behind the start row; v_dc and each
+    # phase's fields are views of the blocks, and a leg's fields are not
+    # rebound
     trace = _short_blank_trace()
     assert [f.name for f in fields(m.SimTrace) if f.init] == ["config", "record", "refs"]
+    for name, block in {**trace.record, "refs": trace.refs}.items():
+        owner = block.base
+        assert owner.shape == (block.shape[0] + 1, *block.shape[1:]), name
+        assert block.ctypes.data == owner.ctypes.data + owner.strides[0], name
     assert trace.v_dc is trace.record["v_dc"]
     for ph in PHASES:
         tr = trace.phase(ph)
         for name, block in (("i_ac", "currents"), ("i_circ", "currents"), ("v_c", "v_c"), ("u", "u")):
-            assert getattr(tr, name).base is trace.record[block], (ph, name)
-        assert tr.i_ref.base is tr.v_grid.base is trace.refs
+            assert np.shares_memory(getattr(tr, name), trace.record[block]), (ph, name)
+        assert np.shares_memory(tr.i_ref, trace.refs) and np.shares_memory(tr.v_grid, trace.refs)
         with pytest.raises(AttributeError):
             tr.u = tr.u.astype(bool)
 
@@ -590,6 +596,33 @@ def test_engine_matches_scalar_steps_from_paper_rows(c_engine, request, fixture)
                 for name, values in got.items():
                     want = getattr(tr, name)[rows]
                     assert values.tobytes() == want.tobytes(), (ph, k, name)
+
+
+@pytest.mark.parametrize("k", [40_000, 55_000], ids=["budget6", "budget0-deep"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        # leg c is handed over at step 200
+        _steps("v1fc", 400, 0),
+        _steps("v1fc", 1, 6),
+        m.fast_config("v1f2", dc_model="piline", duration=0.01, warmup=0.0,
+                      nsw_schedule=m.constant_schedule(0.01, 6)),
+    ],
+    ids=["stiff-400-steps", "1-step", "piline-v1f2"],
+)
+def test_engines_step_from_an_unbalanced_start(c_engine, monkeypatch, paper_v1fc_trace, config, k):
+    # both engines start from _start_states, here the legs of paper row k:
+    # at step 55,000, 7,000 steps into budget 0, the capacitors are far from
+    # balanced and the statuses mixed.  The kernel reads the start row that
+    # _blank_trace fills from it; the scalar loop steps from the states
+    def paper_row(_config):
+        return [reference_state(paper_v1fc_trace, k, ph) for ph in PHASES]
+
+    monkeypatch.setattr(scenario, "_start_states", paper_row)
+    got, want = c_engine(config), _run_scalar(config)
+    assert want.record["v_c"].base[0].tobytes() == paper_v1fc_trace.record["v_c"][k].tobytes()
+    assert want.refs.base[0, 1].tobytes() == paper_v1fc_trace.refs[k, 1].tobytes()
+    _assert_same_trace(got, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])

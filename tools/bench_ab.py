@@ -18,10 +18,12 @@ from both the change against the base and the A/A spread, in per cent.
   the trace laid out once, outside the timing.  Each ``_step.c`` is built
   with its own revision's ``kernel.FLAGS`` and must pass its own
   revision's self-check, which runs that revision's ``kernel.py``,
-  ``scenario.py`` and ``csvtext.py``; each run must return 0.  It is wall
-  time, so a library that steps legs on two threads counts once: its
-  minimum needs both cores free in one round, its median is what most
-  rounds read.
+  ``scenario.py`` and ``csvtext.py``.  Each copy is called with the
+  arguments its own revision's ``kernel.run`` passes, into a trace of its
+  own; its run must return 0 and write the working tree's record, block
+  by block.  It is wall time, so a library that steps legs on two threads
+  counts once: its minimum needs both cores free in one round, its median
+  is what most rounds read.
 - ``report``: us per ``segment_report`` call of ``metrics.py`` on the fast
   v1fc, pi-line v1f2 and paper v1fc traces, with their profile's settle
   margin in ``mmcsim run``.  Each report must equal the working tree's
@@ -145,12 +147,13 @@ def load_module(source: bytes, name: str) -> types.ModuleType:
     return module
 
 
-def build(cc: list[str], revision: str | None, path: str):
+def build(cc: list[str], revision: str | None, path: str) -> tuple:
     """``_step.c`` at the git ``revision``, or the working tree's for
     None, built at ``path``, bound and self-checked by that revision's own
     ``kernel.py`` with its ``scenario.py`` and ``csvtext.py``, as its
-    ``library()`` builds it."""
+    ``library()`` builds it: the library and that ``kernel`` module."""
     if revision is None:
+        module = kernel
         lib, why = kernel._build(cc, (ROOT / "src" / "mmcsim" / "_step.c").read_bytes(), path)
     else:
         source = {name: git("show", f"{revision}:src/mmcsim/{name}")
@@ -160,31 +163,54 @@ def build(cc: list[str], revision: str | None, path: str):
         sys.modules["mmcsim.scenario"] = load_module(source["scenario.py"], "_bench_base_scenario")
         sys.modules["mmcsim.csvtext"] = load_module(source["csvtext.py"], "_bench_base_check_csvtext")
         try:
-            base_kernel = load_module(source["kernel.py"], "_bench_base_kernel")
-            lib, why = base_kernel._build(cc, source["_step.c"], path)
+            module = load_module(source["kernel.py"], "_bench_base_kernel")
+            lib, why = module._build(cc, source["_step.c"], path)
         finally:
             sys.modules["mmcsim.scenario"], sys.modules["mmcsim.csvtext"] = scenario, csvtext
     if lib is None:
         raise SystemExit(f"{path}: {why}")
-    return lib
+    return lib, module
 
 
 def kernel_subject(base: str, cc: list[str], tmp: str) -> tuple:
-    def cases(libs):
+    # a copy is its name, library and kernel module; an argument holds, by copy, the mmcsim_run
+    # arguments of the copy's own kernel.run, the trace they point into and kernel.run's frame,
+    # which keeps alive the other arrays they point into while the case is timed; and the
+    # working tree's record
+    def capture(copy, config):
+        captured = []
+        stub = types.SimpleNamespace(mmcsim_sin=copy.lib.mmcsim_sin, mmcsim_run=lambda *args:
+                                     captured.append((args, sys._getframe(1))) or 0)
+        trace = copy.kernel.run(stub, config)
+        return captured[0][0], trace, captured[0][1]
+
+    def cases(copies):
         for name, make in CONFIGS.items():
-            # kernel.run lays out the trace and passes mmcsim_run the arguments kept here, with
-            # kernel.run's frame, which keeps alive the arrays they point into while the case is timed
-            config, captured = make(), []
-            kernel.run(types.SimpleNamespace(mmcsim_sin=libs["change"].mmcsim_sin, mmcsim_run=lambda *args:
-                                             captured.append((args, sys._getframe(1))) or 0), config)
+            config = make()
+            want = kernel.run(copies["change"].lib, config).record
+            runs = {copy.name: capture(copy, config) for copy in copies.values()}
             phase_steps = config.steps * len(scenario.PHASES)
-            yield (name,), captured[0][0], phase_steps, {"phase_steps": phase_steps}
+            yield (name,), (runs, want), phase_steps, {"phase_steps": phase_steps}
 
-    def check(lib, args):
-        return f"mmcsim_run returned {code}" if (code := lib.mmcsim_run(*args)) else None
+    def call(copy, arg):
+        runs, _ = arg
+        return copy.lib.mmcsim_run(*runs[copy.name][0])
 
-    rows = ab(base, KERNEL_ROUNDS, lambda revision, copy: build(cc, revision, os.path.join(tmp, f"{copy}.so")),
-              cases, lambda lib, args: lib.mmcsim_run(*args), check)
+    def check(copy, arg):
+        if code := call(copy, arg):
+            return f"mmcsim_run returned {code}"
+        runs, want = arg
+        record = runs[copy.name][1].record
+        for name, block in want.items():
+            if record[name].tobytes() != block.tobytes():
+                return f"record's {name} block differs from the working tree's"
+        return None
+
+    def load(revision, copy):
+        lib, module = build(cc, revision, os.path.join(tmp, f"{copy}.so"))
+        return types.SimpleNamespace(name=copy, lib=lib, kernel=module)
+
+    rows = ab(base, KERNEL_ROUNDS, load, cases, call, check)
     return ("ns per phase-step of one mmcsim_run call (the trace's set-up excluded), base and "
             "base_copy the same source at the base revision, change the working tree", KERNEL_ROUNDS,
             {"base_flags": " ".join(sys.modules["mmcsim._bench_base_kernel"].FLAGS)},
@@ -250,7 +276,7 @@ def write_subject(base: str, cc: list[str], tmp: str) -> tuple:
     def load(revision, copy):
         module = csvtext if revision is None else load_module(git("show", f"{revision}:src/mmcsim/csvtext.py"),
                                                               f"_bench_{copy}_csvtext")
-        return module, build(cc, revision, os.path.join(tmp, f"{copy}.so"))
+        return module, build(cc, revision, os.path.join(tmp, f"{copy}.so"))[0]
 
     rows = ab(base, WRITE_ROUNDS, load, cases, lambda copy, arg: write(copy, Path(os.devnull), *arg[:2]), check)
     return ("us per write_columns call writing one file of mmcsim run to os.devnull, base and base_copy "
