@@ -177,8 +177,8 @@ def write_phase_csv(path: Path, trace: SimTrace, phase: str) -> int:
 
     u = trace.phase(phase).u
     # the file holds statuses 0 and 1, and %d would write any other value;
-    # rows is the config's steps, >= 1
-    if u.min() < 0 or u.max() > 1:
+    # a negative int8 is a uint8 over 127, and rows is the config's steps, >= 1
+    if u.view(np.uint8).max() > 1:
         raise ValueError(f"{path.name}: statuses must be integers 0 or 1")
     return write_columns(path, *_csv_table(f"phase_{phase}.csv", trace))
 
@@ -197,8 +197,9 @@ def _csv_table(name: str, trace: SimTrace, report: Sequence[SegmentMetrics] = ()
             [t, ph, tr.i_ref, tr.i_ac, tr.i_circ, tr.v_grid, trace.n_sw_max, tr.v_c, tr.u],
         )
     tr = trace.phase("a")
+    # each table is built only when asked for: fig4's from the report
     return {
-        "fig4_switching_frequency.csv": (
+        "fig4_switching_frequency.csv": lambda: (
             ["segment", "t_start", "t_end", "nsw_max", "f_s_mean_hz", "reduction_pct"]
             + [f"f_s_sm_{k + 1}_hz" for k in range(n2)],
             [
@@ -211,11 +212,11 @@ def _csv_table(name: str, trace: SimTrace, report: Sequence[SegmentMetrics] = ()
                 np.array([seg.f_s_per_sm[0] for seg in report]).reshape(len(report), n2),
             ],
         ),
-        "fig5_capacitor_voltages.csv": (["t"] + v_c, [t, tr.v_c]),
-        "fig6_ac_tracking.csv": (["t", "i_ref", "i"], [t, tr.i_ref, tr.i_ac]),
-        "fig7_circulating_current.csv": (["t", "i_z"], [t, tr.i_circ]),
-        "dc_bus.csv": (["t", "v_dc"], [t, trace.v_dc]),
-    }[name]
+        "fig5_capacitor_voltages.csv": lambda: (["t"] + v_c, [t, tr.v_c]),
+        "fig6_ac_tracking.csv": lambda: (["t", "i_ref", "i"], [t, tr.i_ref, tr.i_ac]),
+        "fig7_circulating_current.csv": lambda: (["t", "i_z"], [t, tr.i_circ]),
+        "dc_bus.csv": lambda: (["t", "v_dc"], [t, trace.v_dc]),
+    }[name]()
 
 
 def _write_record(path: Path, trace: SimTrace) -> int:

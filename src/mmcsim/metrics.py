@@ -15,15 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_type
-from .scenario import PHASES, NswSchedule, ScenarioConfig, SimTrace, _edges, steps_until
-
-
-def _phase_row(phase: str) -> int:
-    """The row of ``phase`` in a SegmentMetrics array; an unknown label
-    raises ``SimTrace.phase``'s ``ValueError``."""
-    if phase not in PHASES:
-        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
-    return PHASES.index(phase)
+from .scenario import PHASES, NswSchedule, ScenarioConfig, SimTrace, _edges, _phase_index, steps_until
 
 
 def _percent(value: np.ndarray, ref: np.ndarray | float) -> np.ndarray:
@@ -49,7 +41,7 @@ def _window_metrics(trace: SimTrace, a: int, b: int, span: float, ref_rms: float
     record, currents = trace.record, trace.record["currents"][a:b]
     # the edge into row a is attributed to row a, so counts are additive
     # over adjacent windows; a 0->1 edge counts one on/off cycle
-    edges = np.ascontiguousarray(np.moveaxis(_edges(record["u"], a, b), 0, -1))
+    edges = np.ascontiguousarray(np.moveaxis(_edges(trace.blocks["u"], a, b), 0, -1))
     v_c = np.ascontiguousarray(np.moveaxis(record["v_c"][a:b], 0, -1))
     i_ac = np.ascontiguousarray(currents[:, 0].T)
     iz = np.ascontiguousarray(currents[:, 1].T)
@@ -157,7 +149,7 @@ def segment_report(
 def reduction_percent(report: list[SegmentMetrics], phase: str = "a") -> list[float]:
     """Switching-frequency reduction of each segment versus the first one,
     in percent (the first reported segment is the baseline)."""
-    row = _phase_row(phase)
+    row = _phase_index(phase)
     means = [float(seg.f_s_per_sm[row].mean()) for seg in report]
     if means and means[0] == 0.0:
         return [math.nan for _ in means]

@@ -9,7 +9,7 @@ from typing import Any
 import numpy as np
 
 from .core import (
-    PhaseLegState, SimulationDiverged, SystemParams, _check_field_types, _check_type, nominal_phase_state,
+    ArmState, PhaseLegState, SimulationDiverged, SystemParams, _check_field_types, _check_type, nominal_phase_state,
     step_phase,
 )
 from .modulation import ALGORITHMS, modulate_phase
@@ -252,14 +252,18 @@ def grid_voltage(config: ScenarioConfig, t: float, phase: str) -> float:
     )
 
 
+def _phase_index(label: str) -> int:
+    """The index of phase ``label`` in ``PHASES``; an unknown one raises ``ValueError``."""
+    if label not in PHASES:
+        raise ValueError(f"phase must be one of {PHASES}, got {label!r}")
+    return PHASES.index(label)
+
+
 def _edges(u: np.ndarray, start: int, stop: int | None) -> np.ndarray:
-    """Status changes on steps ``start..stop-1`` of a (steps, 2n) or
-    (steps, 3, 2n) int8 status block, the rows along axis 0: +1 for a
-    turn-on, -1 for a turn-off.  Every submodule is off before step 0."""
-    rows = u[max(start - 1, 0) : stop]
-    if start > 0:
-        return np.diff(rows, axis=0)
-    return np.diff(rows, axis=0, prepend=np.zeros((1, *rows.shape[1:]), np.int8))
+    """Status changes on steps ``start..stop-1`` (None: to the last) of a
+    (steps + 1, 2n) or (steps + 1, 3, 2n) int8 status block whose row 0 is
+    the start row, against the row before: +1 a turn-on, -1 a turn-off."""
+    return np.diff(u[start : None if stop is None else stop + 1], axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,57 +276,73 @@ class PhaseTrace:
     i_circ: np.ndarray
     v_grid: np.ndarray
     v_c: np.ndarray            # (steps, 2n): upper arm columns first
-    u: np.ndarray              # (steps, 2n) int8
+    _u: np.ndarray = field(repr=False)  # (steps + 1, 2n) int8, the start row first
+
+    @property
+    def u(self) -> np.ndarray:
+        """The statuses, (steps, 2n) int8: ``_u`` after the start row."""
+        return self._u[1:]
 
     def edges(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """``_edges`` of the leg's statuses, (rows, 2n) int8."""
-        return _edges(self.u, start, stop)
+        return _edges(self._u, start, stop)
 
 
 @dataclass(eq=False)
 class SimTrace:
-    """Complete record of a scenario run: the ``record`` blocks, by name in
-    ``_record_layout``'s order, and ``refs``, i_ref then v_grid, (steps, 2,
-    3) float64.  Row k holds the state reached at t[k] = (k+1) * t_s with
-    the decision that produced it; the state before step 0 is not a row
-    (see ``_blank_trace``).  A block whose name, shape or dtype is not
-    the config's raises ``ValueError``; ``v_dc`` and each ``PhaseTrace``
-    are views of the blocks.  ``t``, the end time of each step, and
-    ``n_sw_max`` come from the config, computed once and read-only.  ``==``
-    is identity, as an array has no truth value.
+    """Complete record of a scenario run, built from its ``blocks``, laid
+    out by ``_block_layout``, each with the start row, the state before step
+    0, in front of row 0.  ``record`` and ``refs`` are the blocks' views
+    after the start row: row k holds the state reached at t[k] = (k+1) * t_s
+    with the decision that produced it.  A block whose name, shape or dtype
+    is not the config's raises ``ValueError``; ``v_dc`` and each
+    ``PhaseTrace`` are views of the blocks.  ``t``, the end time of each
+    step, and ``n_sw_max`` come from the config, computed once and
+    read-only.  ``==`` is identity, as an array has no truth value.
     """
 
     config: ScenarioConfig
-    record: dict[str, np.ndarray] = field(repr=False)
-    refs: np.ndarray = field(repr=False)
+    blocks: dict[str, np.ndarray] = field(repr=False)
+    record: dict[str, np.ndarray] = field(init=False, repr=False)
+    refs: np.ndarray = field(init=False, repr=False)
     v_dc: np.ndarray = field(init=False, repr=False)
-    _phases: dict[str, PhaseTrace] = field(init=False, repr=False)
+    _phases: tuple[PhaseTrace, ...] = field(init=False, repr=False)
     t: np.ndarray = field(init=False, repr=False)
     _budgets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        layout = _record_layout(self.config)
-        if list(self.record) != list(layout):
-            raise ValueError(f"trace record: blocks {list(self.record)}, expected {list(layout)}")
-        layout["refs"] = ((self.steps, 2, len(PHASES)), np.dtype(np.float64))
-        for name, block in {**self.record, "refs": self.refs}.items():
+        layout = _block_layout(self.config)
+        if list(self.blocks) != list(layout):
+            raise ValueError(f"trace blocks {list(self.blocks)}, expected {list(layout)}")
+        for name, block in self.blocks.items():
             shape, dtype = layout[name]
             if block.shape != shape or block.dtype != dtype:
                 raise ValueError(f"trace block {name}: expected {dtype} {shape}, got {block.dtype} {block.shape}")
-        currents, v_c, u, self.v_dc = self.record.values()
-        self._phases = {ph: PhaseTrace(
+        self.record = {name: block[1:] for name, block in self.blocks.items()}
+        self.refs = self.record.pop("refs")
+        currents, v_c, _, self.v_dc = self.record.values()
+        self._phases = tuple(PhaseTrace(
             i_ac=currents[:, 0, p], i_ref=self.refs[:, 0, p], i_circ=currents[:, 1, p],
-            v_grid=self.refs[:, 1, p], v_c=v_c[:, p], u=u[:, p],
-        ) for p, ph in enumerate(PHASES)}
+            v_grid=self.refs[:, 1, p], v_c=v_c[:, p], _u=self.blocks["u"][:, p],
+        ) for p in range(len(PHASES)))
         self.t = np.arange(1, self.steps + 1) * self.config.params.t_s
         self._budgets = self.config.nsw_schedule.per_step(self.config.params.t_s, self.steps)
         self.t.flags.writeable = self._budgets.flags.writeable = False
 
     def phase(self, label: str) -> PhaseTrace:
-        try:
-            return self._phases[label]
-        except KeyError:
-            raise ValueError(f"phase must be one of {PHASES}, got {label!r}") from None
+        return self._phases[_phase_index(label)]
+
+    def leg_state(self, phase: str, k: int) -> PhaseLegState:
+        """The state of leg ``phase`` that record row ``k`` holds, as
+        ``step_phase`` builds it; row -1 is the start row, and a row outside
+        -1..steps-1 raises ``IndexError``."""
+        p, n = _phase_index(phase), self.config.params.n
+        if not -1 <= k < self.steps:
+            raise IndexError(f"trace row {k} outside -1..{self.steps - 1}")
+        row = {name: block[k + 1] for name, block in self.blocks.items()}
+        v_c, u = row["v_c"][p].tolist(), row["u"][p].tolist()
+        return PhaseLegState(ArmState(v_c[:n], u[:n]), ArmState(v_c[n:], u[n:]),
+                             *row["currents"][:, p].tolist(), row["refs"][1, p].item())
 
     @property
     def steps(self) -> int:
@@ -350,6 +370,13 @@ def _record_layout(config: ScenarioConfig) -> dict[str, tuple[tuple[int, ...], n
     }
 
 
+def _block_layout(config: ScenarioConfig) -> dict[str, tuple[tuple[int, ...], np.dtype]]:
+    """``_record_layout``'s blocks, then ``refs``, i_ref then v_grid, (steps,
+    2, 3) float64, each with one row more, the start row, in front."""
+    layout = {**_record_layout(config), "refs": ((config.steps, 2, len(PHASES)), np.dtype(np.float64))}
+    return {name: ((config.steps + 1, *shape[1:]), dtype) for name, (shape, dtype) in layout.items()}
+
+
 def _record_nbytes(config: ScenarioConfig) -> int:
     """The data bytes of the blocks ``_record_layout`` lays out, without
     making them."""
@@ -357,31 +384,27 @@ def _record_nbytes(config: ScenarioConfig) -> int:
 
 
 def _start_states(config: ScenarioConfig) -> list[PhaseLegState]:
-    """The three legs' state before step 0, from which both engines step:
-    ``nominal_phase_state`` with the grid voltage at t = 0."""
+    """The three legs' state before step 0, which ``_blank_trace`` writes
+    into the start row: ``nominal_phase_state`` at the grid voltage of t = 0."""
     return [nominal_phase_state(config.params, grid_voltage(config, 0.0, ph)) for ph in PHASES]
 
 
 def _blank_trace(config: ScenarioConfig, lib: Any = None) -> SimTrace:
     """A trace of the config's steps, its references computed, ``v_dc``
-    nominal and its other blocks not yet set.  Each block and ``refs`` is a
-    view from row 1 of its array, whose row 0, the start row that step 0
-    reads, holds ``_start_states`` and the references at t = 0.  The sines
-    are ``math.sin``'s, or, given the library of ``mmcsim.kernel``, those of
-    its ``mmcsim_sin``: libm's ``sin``, which ``math.sin`` calls."""
-    params = config.params
-    steps = config.steps
-    blocks = {name: np.empty((steps + 1, *shape[1:]), dtype)
-              for name, (shape, dtype) in _record_layout(config).items()}
-    refs = np.empty((steps + 1, 2, len(PHASES)))
-    trace = SimTrace(config, {name: block[1:] for name, block in blocks.items()}, refs[1:])
-    currents, v_c, u, v_dc = blocks.values()
+    nominal and its other blocks not yet set but for the start row, which
+    holds ``_start_states`` and the references at t = 0.  The sines are
+    ``math.sin``'s, or, given the library of ``mmcsim.kernel``, those of its
+    ``mmcsim_sin``: libm's ``sin``, which ``math.sin`` calls."""
+    params, steps = config.params, config.steps
+    blocks = {name: np.empty(shape, dtype) for name, (shape, dtype) in _block_layout(config).items()}
+    currents, v_c, u, v_dc, refs = blocks.values()
     v_dc.fill(params.v_dc)
     states = _start_states(config)
     currents[0] = [[st.i_ac for st in states], [st.i_circ for st in states]]
     v_c[0] = [st.upper.v_c + st.lower.v_c for st in states]
     u[0] = [st.upper.u + st.lower.u for st in states]
     refs[0] = [[reference_current(config, 0.0, ph) for ph in PHASES], [st.v_grid for st in states]]
+    trace = SimTrace(config, blocks)
     # the expressions of reference_current and grid_voltage; math.sin's
     # function, not np.sin, so every sample has the scalar functions' bits
     omega_t = 2.0 * math.pi * params.f_grid * trace.t
@@ -435,14 +458,14 @@ def _bus_diverged(k: int, ts: float, v_dc: float) -> SimulationDiverged:
 def _run_scalar(config: ScenarioConfig) -> SimTrace:
     """``run_scenario`` as a loop of the scalar functions: per step and
     phase, ``modulate_phase`` then ``step_phase`` on the leg's state, the
-    pi-line bus voltage passed in through a copy of ``params``.  It
-    fills the blocks of ``_blank_trace`` as ``kernel.run`` does; it is the
-    kernel's fallback, and the reference the kernel is checked against."""
+    pi-line bus voltage passed in through a copy of ``params``.  It fills
+    the blocks of ``_blank_trace`` from their start row as ``kernel.run``
+    does; it is the kernel's fallback, and the kernel's reference."""
     params = config.params
     ts = params.t_s
     trace = _blank_trace(config)
     currents, v_c, u, v_dc = trace.record.values()
-    states = _start_states(config)
+    states = [trace.leg_state(ph, -1) for ph in PHASES]
     piline = config.dc_model == "piline"
     params_now = params
     i_line = 0.0

@@ -140,6 +140,7 @@ def test_build_failure_runs_python_engine(fresh, monkeypatch, capsys):
 
 @needs_cc
 @needs_sed
+@pytest.mark.miscompiled
 def test_self_check_mismatch_runs_python_engine(fresh, monkeypatch, capsys):
     # a compiler that changes one float operation: the selection's circulating
     # term is weighted twice, so the kernel picks other cells than the scan
@@ -153,6 +154,7 @@ def test_self_check_mismatch_runs_python_engine(fresh, monkeypatch, capsys):
 
 @needs_cc
 @needs_sed
+@pytest.mark.miscompiled
 @pytest.mark.parametrize(
     "edit, what",
     [

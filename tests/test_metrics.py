@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import mmcsim as m
-from mmcsim.metrics import _phase_row, segment_windows
-from mmcsim.scenario import _edges, steps_until
+from mmcsim.metrics import segment_windows
+from mmcsim.scenario import _edges, _phase_index, steps_until
 
 from conftest import filled_trace
 
@@ -124,10 +124,10 @@ def test_window_past_the_trace_is_clipped():
 # each per-phase quantity of a segment, read for a phase label through the
 # row lookup that reduction_percent uses
 READERS = {
-    "f_s_mean": lambda rep, ph: rep[0].f_s_per_sm[_phase_row(ph)].mean(),
-    "ripple_mean": lambda rep, ph: rep[0].ripple_pct[_phase_row(ph)].mean(),
-    "izm_ratio": lambda rep, ph: rep[0].izm_ratio_pct[_phase_row(ph)],
-    "tracking": lambda rep, ph: rep[0].tracking_rmse_pct[_phase_row(ph)],
+    "f_s_mean": lambda rep, ph: rep[0].f_s_per_sm[_phase_index(ph)].mean(),
+    "ripple_mean": lambda rep, ph: rep[0].ripple_pct[_phase_index(ph)].mean(),
+    "izm_ratio": lambda rep, ph: rep[0].izm_ratio_pct[_phase_index(ph)],
+    "tracking": lambda rep, ph: rep[0].tracking_rmse_pct[_phase_index(ph)],
     "reduction_percent": m.reduction_percent,
 }
 
@@ -154,7 +154,7 @@ def test_edges_signed_for_int8_status():
     assert np.array_equal(tr.edges(3, 17)[:, 0], want[3:17])
     assert tr.edges(5, 5).shape == (0, 2)
     # the three legs' statuses at once, one leg's columns along axis 1
-    assert np.array_equal(_edges(trace.record["u"], 3, 17)[:, 0], tr.edges(3, 17))
+    assert np.array_equal(_edges(trace.blocks["u"], 3, 17)[:, 0], tr.edges(3, 17))
     # 12 turn-ons in 1 ms, the first from the all-off start
     assert _phase_a(trace)[0]["f_s_per_sm"][0] == pytest.approx(12e3, rel=REL)
 

@@ -9,6 +9,7 @@ import pytest
 
 import mmcsim as m
 from mmcsim import kernel, scenario
+from mmcsim.metrics import _window_metrics
 from mmcsim.scenario import (
     PHASES, _blank_trace, _run_scalar, config_from_dict, config_to_dict, steps_until,
 )
@@ -356,21 +357,6 @@ def test_unstable_piline_reports_divergence():
         assert str(got.value) == str(want.value)
 
 
-def test_trace_switch_counts_match_status_stream(fast_v1fc_trace):
-    tr = fast_v1fc_trace.phase("a")
-    n = fast_v1fc_trace.config.params.n
-    edges = tr.edges()
-    upper = np.count_nonzero(edges[:, :n], axis=1)
-    lower = np.count_nonzero(edges[:, n:], axis=1)
-    prev = np.zeros(2 * n, dtype=np.int8)
-    for k in range(0, fast_v1fc_trace.steps, 7):
-        if k > 0:
-            prev = tr.u[k - 1]
-        flips = np.abs(tr.u[k].astype(int) - prev.astype(int))
-        assert upper[k] == flips[:n].sum()
-        assert lower[k] == flips[n:].sum()
-
-
 # ------------------------------------------------ the kernel and its oracle
 
 @pytest.fixture(scope="module")
@@ -383,14 +369,9 @@ def c_engine():
 
 
 def _assert_same_trace(got, want):
-    """The same record bytes and the same references."""
-    assert list(got.record) == list(want.record)
-    for name, block in want.record.items():
-        assert got.record[name].tobytes() == block.tobytes(), name
-    for ph in PHASES:
-        for name in ("i_ref", "v_grid"):
-            a, b = getattr(got.phase(ph), name), getattr(want.phase(ph), name)
-            assert a.tobytes() == b.tobytes(), (ph, name)
+    """The same bytes in every block, the start row included."""
+    for name, block in want.blocks.items():
+        assert got.blocks[name].tobytes() == block.tobytes(), name
 
 
 def _staircase(duration, n):
@@ -492,16 +473,20 @@ def _short_blank_trace():
 
 
 def test_trace_fields_are_views_of_its_blocks():
-    # the trace's init fields are its config and blocks, each a view whose
-    # row 0 sits one row into its owner, behind the start row; v_dc and each
-    # phase's fields are views of the blocks, and a leg's fields are not
-    # rebound
+    # the trace's init fields are its config and blocks; the start row holds
+    # _start_states, each record block and refs is the view of its block
+    # after the start row, v_dc and each phase's fields are views of the
+    # blocks, and a leg's fields are not rebound
     trace = _short_blank_trace()
-    assert [f.name for f in fields(m.SimTrace) if f.init] == ["config", "record", "refs"]
-    for name, block in {**trace.record, "refs": trace.refs}.items():
-        owner = block.base
-        assert owner.shape == (block.shape[0] + 1, *block.shape[1:]), name
-        assert block.ctypes.data == owner.ctypes.data + owner.strides[0], name
+    assert [trace.leg_state(ph, -1) for ph in PHASES] == scenario._start_states(trace.config)
+    for k in (-2, trace.steps):
+        with pytest.raises(IndexError, match=re.escape(f"trace row {k} outside -1..{trace.steps - 1}")):
+            trace.leg_state("a", k)
+    assert [f.name for f in fields(m.SimTrace) if f.init] == ["config", "blocks"]
+    for name, block in trace.blocks.items():
+        view = trace.refs if name == "refs" else trace.record[name]
+        assert view.shape == (block.shape[0] - 1, *block.shape[1:]), name
+        assert view.ctypes.data == block.ctypes.data + block.strides[0], name
     assert trace.v_dc is trace.record["v_dc"]
     for ph in PHASES:
         tr = trace.phase(ph)
@@ -516,23 +501,22 @@ def test_trace_fields_are_views_of_its_blocks():
 @pytest.mark.parametrize("name", ["currents", "v_c", "u", "v_dc", "refs"])
 def test_trace_refuses_a_block_off_its_layout(name, wrong):
     trace = _short_blank_trace()
-    blocks = {**trace.record, "refs": trace.refs}
+    blocks = dict(trace.blocks)
     good = blocks[name]
     blocks[name] = bad = good[:-1] if wrong == "shape" else np.zeros(good.shape, np.float32)
-    refs = blocks.pop("refs")
     with pytest.raises(ValueError, match=re.escape(
         f"trace block {name}: expected {good.dtype} {good.shape}, got {bad.dtype} {bad.shape}"
     )):
-        replace(trace, record=blocks, refs=refs)
+        replace(trace, blocks=blocks)
 
 
 def test_trace_refuses_a_record_off_its_names():
     trace = _short_blank_trace()
-    record = dict(reversed(trace.record.items()))
+    blocks = dict(reversed(trace.blocks.items()))
     with pytest.raises(ValueError, match=re.escape(
-        "trace record: blocks ['v_dc', 'u', 'v_c', 'currents'], expected ['currents', 'v_c', 'u', 'v_dc']"
+        "trace blocks ['refs', 'v_dc', 'u', 'v_c', 'currents'], expected ['currents', 'v_c', 'u', 'v_dc', 'refs']"
     )):
-        replace(trace, record=record)
+        replace(trace, blocks=blocks)
 
 
 def test_library_sines_equal_math_sin(c_engine):
@@ -546,19 +530,6 @@ def test_library_sines_equal_math_sin(c_engine):
     got = np.empty_like(x)
     lib.mmcsim_sin(x.ctypes.data, got.ctypes.data, x.size)
     assert got.tobytes() == np.array([math.sin(v) for v in x.tolist()]).tobytes()
-
-
-def reference_state(trace, k, phase):
-    """The state of ``phase`` that row ``k`` of a stiff-bus trace records, as
-    ``step_phase`` builds it: capacitor voltages and statuses upper arm
-    first, and the leg's currents."""
-    tr = trace.phase(phase)
-    n = trace.config.params.n
-    v_c, u = tr.v_c[k].tolist(), tr.u[k].tolist()
-    return m.PhaseLegState(
-        upper=m.ArmState(v_c[:n], u[:n]), lower=m.ArmState(v_c[n:], u[n:]),
-        i_ac=float(tr.i_ac[k]), i_circ=float(tr.i_circ[k]), v_grid=float(tr.v_grid[k]),
-    )
 
 
 @pytest.mark.parametrize("fixture", ["paper_v1fc_trace", "paper_all6_v1f2_trace"])
@@ -576,26 +547,18 @@ def test_engine_matches_scalar_steps_from_paper_rows(c_engine, request, fixture)
         first, last = steps_until(start, params.t_s), steps_until(end, params.t_s) - 1
         # the second window runs into the next segment's budget
         for k in (first, min(last - width // 2, trace.steps - 1 - width)):
-            rows = slice(k + 1, k + width + 1)
             for ph in PHASES:
-                st, states = reference_state(trace, k, ph), []
-                for t, nsw in zip(trace.t[rows].tolist(), trace.n_sw_max[rows].tolist()):
+                st = trace.leg_state(ph, k)
+                for j in range(k + 1, k + width + 1):
+                    t, nsw = trace.t[j].item(), trace.n_sw_max[j].item()
                     sel = m.modulate_phase(
                         st, m.reference_current(config, t, ph), nsw, config.algorithm, params,
                         i_circ_nominal=config.i_circ_nominal,
                     )
                     st = m.step_phase(st, sel.decision, m.grid_voltage(config, t, ph), params)
-                    states.append(st)
-                tr = trace.phase(ph)
-                got = {
-                    "i_ac": np.array([st.i_ac for st in states]),
-                    "i_circ": np.array([st.i_circ for st in states]),
-                    "v_c": np.array([st.upper.v_c + st.lower.v_c for st in states]),
-                    "u": np.array([st.upper.u + st.lower.u for st in states], np.int8),
-                }
-                for name, values in got.items():
-                    want = getattr(tr, name)[rows]
-                    assert values.tobytes() == want.tobytes(), (ph, k, name)
+                    # repr writes each float's shortest round-trip text, so
+                    # equal reprs are equal bits, the sign of a zero included
+                    assert repr(st) == repr(trace.leg_state(ph, j)), (ph, k, j)
 
 
 @pytest.mark.parametrize("k", [40_000, 55_000], ids=["budget6", "budget0-deep"])
@@ -616,13 +579,30 @@ def test_engines_step_from_an_unbalanced_start(c_engine, monkeypatch, paper_v1fc
     # balanced and the statuses mixed.  The kernel reads the start row that
     # _blank_trace fills from it; the scalar loop steps from the states
     def paper_row(_config):
-        return [reference_state(paper_v1fc_trace, k, ph) for ph in PHASES]
+        return [paper_v1fc_trace.leg_state(ph, k) for ph in PHASES]
 
     monkeypatch.setattr(scenario, "_start_states", paper_row)
     got, want = c_engine(config), _run_scalar(config)
-    assert want.record["v_c"].base[0].tobytes() == paper_v1fc_trace.record["v_c"][k].tobytes()
-    assert want.refs.base[0, 1].tobytes() == paper_v1fc_trace.refs[k, 1].tobytes()
+    assert [want.leg_state(ph, -1) for ph in PHASES] == paper_row(config)
     _assert_same_trace(got, want)
+
+
+def test_edges_of_step_0_diff_against_the_start_row(monkeypatch, paper_v1fc_trace):
+    # a budget-0 run from paper row 55,000: leg a keeps its six inserted
+    # submodules on step 0, so it has no edge there, where an all-off start
+    # would count six turn-ons; legs b and c switch.  Edges and switching
+    # metrics diff step 0 against the start row, later steps the row before
+    monkeypatch.setattr(scenario, "_start_states", lambda _: [paper_v1fc_trace.leg_state(ph, 55_000) for ph in PHASES])
+    trace, rows = m.run_scenario(_steps("v1fc", 800, 0)), 40
+    assert trace.phase("a").u[0].sum() == 6 and not trace.phase("a").edges(0, 1).any()
+    assert not _window_metrics(trace, 0, 1, 25e-6, 1.0)["transitions_per_step"][0].any()
+    got = _window_metrics(trace, 0, rows, rows * 25e-6, 1.0)
+    for p, ph in enumerate(PHASES):
+        want = np.diff(trace.blocks["u"][: rows + 1, p], axis=0)
+        assert np.array_equal(trace.phase(ph).edges(0, rows), want) and want[0].any() == (p > 0), ph
+        assert got["f_s_per_sm"][p].tolist() == (np.add.reduce(want > 0) / (rows * 25e-6)).tolist(), ph
+        per_arm = np.add.reduce(want.reshape(rows, 2, -1) != 0, axis=(0, 2)) / rows
+        assert got["transitions_per_step"][p].tolist() == per_arm.tolist(), ph
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])

@@ -24,11 +24,12 @@ from both the change against the base and the A/A spread, in per cent.
   by block.  It is wall time, so a library that steps legs on two threads
   counts once: its minimum needs both cores free in one round, its median
   is what most rounds read.
-- ``report``: us per ``segment_report`` call of ``metrics.py`` on the fast
-  v1fc, pi-line v1f2 and paper v1fc traces, with their profile's settle
-  margin in ``mmcsim run``.  Each report must equal the working tree's
-  in every field, an array in its dtype, shape and bytes.  Without a
-  compiler, the Python engine runs the traces and ``host`` says so.
+- ``report``: us per ``segment_report`` call of ``metrics.py``, with its
+  own revision's ``scenario.py``, on the fast v1fc, pi-line v1f2 and
+  paper v1fc traces, with their profile's settle margin in ``mmcsim run``.
+  Each report must equal the working tree's in every field, an array in
+  its dtype, shape and bytes.  Without a compiler, the Python engine runs
+  the traces and ``host`` says so.
 - ``write``: us per ``write_columns`` call of ``csvtext.py`` with the
   same revision's library, built as for ``kernel``, writing the tables
   ``mmcsim run`` passes it for ``phase_a.csv`` and
@@ -237,8 +238,15 @@ def report_subject(base: str, cc: list[str], tmp: str) -> tuple:
         return None if _report_bytes(call(module, arg)) == arg[2] else "report differs from the working tree's"
 
     def load(revision, copy):
-        return metrics if revision is None else load_module(git("show", f"{revision}:src/mmcsim/metrics.py"),
-                                                            f"_bench_{copy}_metrics")
+        if revision is None:
+            return metrics
+        # the base metrics imports _edges and the rest from its own revision's .scenario
+        sys.modules["mmcsim.scenario"] = load_module(git("show", f"{revision}:src/mmcsim/scenario.py"),
+                                                     f"_bench_{copy}_scenario")
+        try:
+            return load_module(git("show", f"{revision}:src/mmcsim/metrics.py"), f"_bench_{copy}_metrics")
+        finally:
+            sys.modules["mmcsim.scenario"] = scenario
 
     rows = ab(base, REPORT_ROUNDS, load, cases, call, check)
     return ("us per segment_report call on one trace, base and base_copy the same metrics.py "
